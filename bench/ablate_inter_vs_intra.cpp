@@ -56,7 +56,8 @@ int main() {
       search::DatabaseSearch intra(matrix, cfg, opt);
       const auto r_intra = intra.search(q, db);
 
-      search::InterSequenceSearch inter(matrix, pen, plat.isa, 4);
+      // Same 4 threads; the inter engine ignores the striped query options.
+      search::InterSequenceSearch inter(matrix, pen, opt, plat.isa);
       const auto r_inter = inter.search(q, db);
 
       std::printf("Q%-6zu %12.3f %12.3f %12.2f %12.2f\n", qlen,

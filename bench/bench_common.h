@@ -84,6 +84,14 @@ double time_median(F&& fn, int repeats = 5) {
   return best[repeats / 2];
 }
 
+// Nearest-rank percentile of an ascending-sorted sample, p in [0, 1];
+// 0 for an empty sample.
+inline double percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const double idx = p * static_cast<double>(sorted.size() - 1);
+  return sorted[static_cast<std::size_t>(idx + 0.5)];
+}
+
 inline const char* short_strategy(Strategy s) {
   switch (s) {
     case Strategy::Sequential: return "seq";

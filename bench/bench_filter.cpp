@@ -71,6 +71,7 @@ int main() {
 
   search::SearchOptions exh_opt;
   exh_opt.top_k = kHomologsPerQuery;
+  exh_opt.query.isa = simd::best_available_isa();
   search::SearchOptions flt_opt = exh_opt;
   flt_opt.filter.mode = filter::FilterMode::On;
   double threshold_override = -1.0;
@@ -83,6 +84,7 @@ int main() {
                                : flt_opt.filter.params.threshold;
 
   BenchReport report("bench_filter");
+  report.set_isa(exh_opt.query.isa);
   report.set_workload("queries", kQueries);
   report.set_workload("query_len", query_len);
   report.set_workload("planted_per_query", kHomologsPerQuery);

@@ -1,6 +1,6 @@
-// Many-query batch scheduler benchmark: the serial per-query loop
-// (DatabaseSearch::search_many with batch_queries=false - per-query
-// thread spawn/join, per-query profile builds) against the batched
+// Many-query batch scheduler benchmark: a serial per-query loop (one
+// DatabaseSearch::search call per query - per-query thread spawn/join,
+// per-query profile builds) against the batched
 // (query, subject-shard) tile scheduler on one work-stealing pool with
 // the profile LRU, over a serving-style workload: 16 short queries (with
 // repeats, as real query streams have) x a 2k-subject peptide database.
@@ -78,27 +78,27 @@ int main() {
 
   std::vector<Run> runs;
   for (int threads : {1, 2, 4, 8}) {
-    search::SearchOptions serial_opt;
-    serial_opt.batch_queries = false;
-    serial_opt.threads = threads;
-    serial_opt.keep_all_scores = false;
-    serial_opt.query.isa = simd::best_available_isa();
-    search::DatabaseSearch serial_engine(matrix, cfg, serial_opt);
+    search::SearchOptions opt;
+    opt.threads = threads;
+    opt.keep_all_scores = false;
+    opt.query.isa = simd::best_available_isa();
+    search::DatabaseSearch serial_engine(matrix, cfg, opt);
 
     seq::Database db_serial = base_db;
     const double serial_s = time_median(
-        [&] { serial_engine.search_many(queries, db_serial); }, 5);
+        [&] {
+          for (const auto& q : queries) serial_engine.search(q, db_serial);
+        },
+        5);
 
     // The batched leg drives BatchScheduler directly for its stats; a
     // fresh scheduler per timing run keeps the cache cold (the timed
     // path includes the misses, like the serial loop's profile builds).
-    search::SearchOptions batch_opt = serial_opt;
-    batch_opt.batch_queries = true;
     seq::Database db_batch = base_db;
     search::BatchStats stats;
     const double batched_s = time_median(
         [&] {
-          search::BatchScheduler sched(matrix, cfg, batch_opt);
+          search::BatchScheduler sched(matrix, cfg, opt);
           sched.run(queries, db_batch);
           stats = sched.last_stats();
         },

@@ -44,12 +44,6 @@ struct Leg {
   double rps;
 };
 
-double percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  const double idx = p * static_cast<double>(sorted_us.size() - 1);
-  return sorted_us[static_cast<std::size_t>(idx + 0.5)];
-}
-
 }  // namespace
 
 int main() {

@@ -57,8 +57,8 @@ search::SearchResult Swps3Like::search(std::span<const std::uint8_t> query,
   std::vector<long> scores(db.size());
 
   util::Stopwatch timer;
-  search::parallel_for_dynamic(db.size(), threads, [&](int id,
-                                                       std::size_t i) {
+  search::parallel_for_work_stealing(db.size(), threads, [&](int id,
+                                                             std::size_t i) {
     WorkerState& w = workers[static_cast<std::size_t>(id)];
     core::AdaptiveResult r = ctx8.align(db[i].view(), w.ws);
     if (r.kernel.saturated) {

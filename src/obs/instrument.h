@@ -30,8 +30,8 @@
 
 namespace aalign::obs {
 
-// Merged per-run kernel totals (DatabaseSearch::search, BatchScheduler
-// per-group accumulation, bench drivers).
+// Merged per-run kernel totals (BatchScheduler per-group accumulation,
+// bench drivers).
 inline void record_kernel_stats(const KernelStats& stats) {
   Registry& r = registry();
   r.counter("kernel.columns").add(stats.columns);

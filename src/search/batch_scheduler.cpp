@@ -147,7 +147,7 @@ BatchScheduler::BatchScheduler(const score::ScoreMatrix& matrix,
     : matrix_(matrix),
       cfg_(cfg),
       opt_(opt),
-      cache_(opt.profile_cache_capacity) {
+      cache_(kProfileCacheCapacity) {
   cfg_.validate();
 }
 
@@ -298,13 +298,7 @@ std::vector<SearchResult> BatchScheduler::run(
           if (ar.cancelled) core::throw_cancelled(*cancel);
           out[s] = ar.kernel.score;
           acc.promotions += static_cast<std::uint64_t>(ar.promotions);
-          acc.stats.columns += ar.kernel.stats.columns;
-          acc.stats.lazy_steps += ar.kernel.stats.lazy_steps;
-          acc.stats.lazyf_fixup_cols += ar.kernel.stats.lazyf_fixup_cols;
-          acc.stats.lazyf_saved_iters += ar.kernel.stats.lazyf_saved_iters;
-          acc.stats.iterate_columns += ar.kernel.stats.iterate_columns;
-          acc.stats.scan_columns += ar.kernel.stats.scan_columns;
-          acc.stats.switches += ar.kernel.stats.switches;
+          acc.stats += ar.kernel.stats;
         }
         const double tile_seconds = tile_timer.seconds();
         w.busy_seconds += tile_seconds;
@@ -334,22 +328,16 @@ std::vector<SearchResult> BatchScheduler::run(
     computed_cells += res.cells;
     res.gcups = util::gcups_cells(res.cells, wall_seconds);
     for (const WorkerState& w : workers) {
-      const QueryAcc& acc = w.acc[gi];
-      res.promotions += acc.promotions;
-      res.stats.columns += acc.stats.columns;
-      res.stats.lazy_steps += acc.stats.lazy_steps;
-      res.stats.lazyf_fixup_cols += acc.stats.lazyf_fixup_cols;
-      res.stats.lazyf_saved_iters += acc.stats.lazyf_saved_iters;
-      res.stats.iterate_columns += acc.stats.iterate_columns;
-      res.stats.scan_columns += acc.stats.scan_columns;
-      res.stats.switches += acc.stats.switches;
+      res.promotions += w.acc[gi].promotions;
+      res.stats += w.acc[gi].stats;
     }
     obs::record_kernel_stats(res.stats);
     obs::registry().counter("search.promotions").add(res.promotions);
     remap_scores_to_original(db, scores[gi]);
     res.top = select_top_k(scores[gi], opt_.top_k);
-    // Sentinel trim keeps filtered top-k a prefix-consistent subset of
-    // the exhaustive ranking (see DatabaseSearch::search).
+    // Dropped subjects rank below every real survivor; trimming the
+    // sentinels makes the filtered top-k a prefix-consistent subset of the
+    // exhaustive ranking (the filter test layer's core invariant).
     while (!res.top.empty() && res.top.back().score == filter::kDroppedScore)
       res.top.pop_back();
     if (opt_.keep_all_scores) res.scores = std::move(scores[gi]);

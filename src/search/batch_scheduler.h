@@ -1,12 +1,14 @@
-// BatchScheduler: many-query database search as one task grid.
+// BatchScheduler: the search executor. Every intra-sequence database
+// search - DatabaseSearch::search (one query), DatabaseSearch::search_many
+// and the service's executors - runs here.
 //
-// The serial per-query loop (historical DatabaseSearch::search_many) ran
-// whole queries back to back: every query rebuilt its QueryContext, spawned
-// and joined a fresh worker set, and idled the pool on its subject tail.
-// The scheduler instead flattens the whole workload into (query,
-// subject-shard) tiles dispatched over a single work-stealing deque pool
-// (search/thread_pool.h), so no worker idles while ANY query still has
-// subjects left, and per-query state is built once and shared:
+// A serial per-query loop runs whole queries back to back: every query
+// rebuilds its QueryContext, spawns and joins a fresh worker set, and idles
+// the pool on its subject tail. The scheduler instead flattens the whole
+// workload into (query, subject-shard) tiles dispatched over a single
+// work-stealing deque pool (search/thread_pool.h), so no worker idles while
+// ANY query still has subjects left, and per-query state is built once and
+// shared:
 //
 //   * immutable per-query state (core::QueryContext: striped score
 //     profiles for every width, engine pointers) lives in an LRU keyed by
@@ -19,7 +21,8 @@
 //
 // Determinism: a subject's score depends only on (query, subject, config),
 // never on tile shape or scheduling, so batched results are bit-identical
-// to the serial loop for every thread count and shard size (tested).
+// to a single-threaded per-subject loop for every thread count and shard
+// size (tested against the oracle in tests/test_helpers.h).
 #pragma once
 
 #include <cstdint>
@@ -106,9 +109,12 @@ struct BatchStats {
 
 class BatchScheduler {
  public:
-  // Of `opt`, the scheduling knobs (threads, shard_size,
-  // profile_cache_capacity), the query kernel options, and the result
-  // knobs (top_k, keep_all_scores, sort_database) all apply.
+  // Distinct QueryContexts the profile LRU keeps across run() calls.
+  static constexpr std::size_t kProfileCacheCapacity = 64;
+
+  // Of `opt`, the scheduling knobs (threads, shard_size), the query kernel
+  // options, the filter, and the result knobs (top_k, keep_all_scores,
+  // sort_database) all apply.
   BatchScheduler(const score::ScoreMatrix& matrix, AlignConfig cfg,
                  SearchOptions opt = {});
 
@@ -137,11 +143,7 @@ class BatchScheduler {
   // to the next run(). Not thread-safe against a concurrent run() - the
   // service's executors each own their scheduler, so the mutation is
   // always from the same thread that runs it.
-  void set_filter(const filter::FilterOptions& filter) {
-    opt_.filter = filter;
-  }
   void set_filter_mode(filter::FilterMode mode) { opt_.filter.mode = mode; }
-  const filter::FilterOptions& filter_options() const { return opt_.filter; }
 
  private:
   const score::ScoreMatrix& matrix_;

@@ -1,7 +1,9 @@
 // Multi-threaded query-vs-database search (paper Sec. V-E): the query
 // profile is built once (QueryContext), the database is sorted longest
-// first, and worker threads pull subjects from a dynamic queue, each with
-// its own kernel workspace.
+// first, and worker threads pull subject shards from work-stealing deques,
+// each with its own kernel workspace. DatabaseSearch is the stable
+// front-end; every call runs on one search executor, BatchScheduler
+// (search/batch_scheduler.h).
 #pragma once
 
 #include <cstdint>
@@ -22,13 +24,9 @@ struct SearchOptions {
   bool keep_all_scores = true;  // retain the per-subject score vector
   bool sort_database = true;    // length-sort for load balance
 
-  // search_many scheduling (see search/batch_scheduler.h). With
-  // batch_queries the whole workload is flattened into (query,
-  // subject-shard) tiles over one work-stealing pool; results are
-  // bit-identical to the serial per-query loop either way.
-  bool batch_queries = true;
-  std::size_t shard_size = 0;             // subjects per tile; 0 = auto
-  std::size_t profile_cache_capacity = 64;  // distinct cached QueryContexts
+  // Subjects per (query, subject-shard) tile (search/batch_scheduler.h);
+  // 0 = auto. Scores never depend on it.
+  std::size_t shard_size = 0;
 
   // Two-stage search (docs/search.md): signature pre-filter routing only
   // surviving subjects into the exact scan. Off by default - the library
@@ -65,21 +63,20 @@ class DatabaseSearch {
   DatabaseSearch(const score::ScoreMatrix& matrix, AlignConfig cfg,
                  SearchOptions opt = {});
 
-  // db is length-sorted in place when opt.sort_database is set.
-  // `cancel` (optional) is polled per subject in the pool loop and per
-  // stride-chunk inside the kernels; a fired token aborts the scan within
-  // one chunk per worker and throws core::CancelledError - a cancelled
-  // search never returns partial scores.
+  // One query: BatchScheduler::run({query}, db, cancel)[0] on a scheduler
+  // built for this call, so a DatabaseSearch is stateless and safe to call
+  // from several threads. db is length-sorted in place when
+  // opt.sort_database is set. `cancel` (optional) is polled per tile in the
+  // pool loop and per stride-chunk inside the kernels; a fired token
+  // aborts the scan within one chunk per worker and throws
+  // core::CancelledError - a cancelled search never returns partial scores.
   SearchResult search(std::span<const std::uint8_t> query, seq::Database& db,
                       const core::CancelToken* cancel = nullptr) const;
 
-  // Many-vs-all: runs each query against the database. Results are
-  // returned in query order and are bit-identical regardless of the
-  // scheduling mode: with opt.batch_queries (default) the workload is
-  // flattened into (query, subject-shard) tiles over one work-stealing
-  // pool (BatchScheduler); otherwise each query runs as a full search()
-  // in sequence (the historical serial loop). In batched mode the
-  // per-result `seconds` is the whole batch's wall clock.
+  // Many-vs-all: BatchScheduler::run over the whole batch, (query,
+  // subject-shard) tiles on one work-stealing pool. Results are in query
+  // order and bit-identical to one search() per query; each result's
+  // `seconds` is the whole batch's wall clock.
   std::vector<SearchResult> search_many(
       const std::vector<std::vector<std::uint8_t>>& queries,
       seq::Database& db, const core::CancelToken* cancel = nullptr) const;

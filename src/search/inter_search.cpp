@@ -1,7 +1,6 @@
 #include "search/inter_search.h"
 
 #include <algorithm>
-#include <array>
 #include <numeric>
 #include <stdexcept>
 
@@ -36,7 +35,6 @@ struct LadderScratch {
   std::vector<int> lens;
   std::vector<long> lane_scores;
   std::vector<std::size_t> requeue;   // lanes that saturated this tier
-  std::vector<std::size_t> pending;   // shard-local ladder work list
   std::size_t cells = 0;
 };
 
@@ -78,62 +76,13 @@ void run_one_batch(const core::InterEngine& engine, core::InterPrecision prec,
   w.cells += query.size() * residues;
 }
 
-void size_scratch_for(LadderScratch& w, int W) {
+// Resets a worker's scratch for a new tier of width W.
+void reset_scratch_for_tier(LadderScratch& w, int W) {
   w.ptrs.assign(static_cast<std::size_t>(W), nullptr);
   w.lens.assign(static_cast<std::size_t>(W), 0);
   w.lane_scores.assign(static_cast<std::size_t>(W), 0);
   w.requeue.clear();
-}
-
-// Shard-local accounting of one precision tier (seconds are tracked only
-// by the tier-major search() path).
-struct TierAcc {
-  std::size_t subjects = 0;
-  std::size_t batches = 0;
-  std::size_t overflowed = 0;
-  std::size_t cells = 0;
-};
-
-// Runs the whole precision ladder over scratch.pending within one worker:
-// every tier consumes the previous tier's re-queue until the shard is
-// fully scored. Identical per-subject results to the tier-major path -
-// lanes are independent, so batch composition never changes a score.
-void run_ladder_local(const core::InterEngine& engine,
-                      const std::int32_t* flat_matrix, int alpha,
-                      std::span<const std::uint8_t> query,
-                      const Penalties& pen, const seq::Database& db,
-                      core::InterPrecision start, LadderScratch& w,
-                      long* scores,
-                      std::array<TierAcc, core::kInterPrecisionCount>& acc,
-                      const core::CancelToken* cancel) {
-  for (int ti = static_cast<int>(start); ti < core::kInterPrecisionCount;
-       ++ti) {
-    const auto prec = static_cast<core::InterPrecision>(ti);
-    const int W = engine.lanes(prec);
-    if (W == 0 || w.pending.empty()) continue;
-    size_scratch_for(w, W);
-    w.cells = 0;
-    const std::size_t batches =
-        (w.pending.size() + static_cast<std::size_t>(W) - 1) /
-        static_cast<std::size_t>(W);
-    for (std::size_t b = 0; b < batches; ++b) {
-      // Per-batch poll: a fired token stops the ladder within one lane
-      // batch; partial shard scores never escape (the caller throws).
-      if (core::stop_requested(cancel)) core::throw_cancelled(*cancel);
-      const std::size_t begin = b * static_cast<std::size_t>(W);
-      const std::size_t count =
-          std::min<std::size_t>(W, w.pending.size() - begin);
-      run_one_batch(engine, prec, W, flat_matrix, alpha, query, pen, db,
-                    w.pending, begin, count, w, scores);
-    }
-    TierAcc& t = acc[static_cast<std::size_t>(ti)];
-    t.subjects += w.pending.size();
-    t.batches += batches;
-    t.overflowed += w.requeue.size();
-    t.cells += w.cells;
-    w.pending.swap(w.requeue);
-    w.requeue.clear();
-  }
+  w.cells = 0;
 }
 }  // namespace
 
@@ -162,18 +111,6 @@ InterSequenceSearch::InterSequenceSearch(const score::ScoreMatrix& matrix,
     flat_matrix_[static_cast<std::size_t>(alpha) * alpha + b] = kPadScore;
   }
 }
-
-InterSequenceSearch::InterSequenceSearch(const score::ScoreMatrix& matrix,
-                                         Penalties pen,
-                                         std::optional<simd::IsaKind> isa,
-                                         int threads)
-    : InterSequenceSearch(matrix, pen,
-                          [&] {
-                            SearchOptions o;
-                            o.threads = threads;
-                            return o;
-                          }(),
-                          isa) {}
 
 int InterSequenceSearch::lanes() const {
   return core::get_inter_engine(isa_)->lanes();
@@ -214,17 +151,17 @@ InterSearchResult InterSequenceSearch::search(
     const auto prec = static_cast<core::InterPrecision>(ti);
     const int W = engine->lanes(prec);
     if (W == 0 || pending.empty()) continue;  // tier absent on this backend
+    // Per-tier poll: a token that fired during the previous tier stops the
+    // ladder before its re-queue is re-batched.
+    if (core::stop_requested(cancel)) core::throw_cancelled(*cancel);
 
-    for (auto& w : workers) {
-      size_scratch_for(w, W);
-      w.cells = 0;
-    }
+    for (auto& w : workers) reset_scratch_for_tier(w, W);
 
     const std::size_t batches =
         (pending.size() + static_cast<std::size_t>(W) - 1) /
         static_cast<std::size_t>(W);
     util::Stopwatch timer;
-    parallel_for_dynamic(batches, threads, [&](int id, std::size_t b) {
+    parallel_for_work_stealing(batches, threads, [&](int id, std::size_t b) {
       LadderScratch& w = workers[static_cast<std::size_t>(id)];
       const std::size_t begin = b * static_cast<std::size_t>(W);
       const std::size_t count =
@@ -232,7 +169,7 @@ InterSearchResult InterSequenceSearch::search(
       run_one_batch(*engine, prec, W, flat_matrix_.data(), matrix_.size(),
                     query, pen_, db, pending, begin, count, w,
                     scores.data());
-    }, cancel);
+    }, nullptr, cancel);
 
     InterTierStats& tier = res.tiers[static_cast<std::size_t>(ti)];
     tier.lanes = W;
@@ -263,104 +200,6 @@ InterSearchResult InterSequenceSearch::search(
   res.top = select_top_k(scores, opt_.top_k);
   if (opt_.keep_all_scores) res.scores = std::move(scores);
   return res;
-}
-
-std::vector<InterSearchResult> InterSequenceSearch::search_many(
-    const std::vector<std::vector<std::uint8_t>>& queries,
-    seq::Database& db, const core::CancelToken* cancel) const {
-  for (const auto& q : queries) {
-    if (q.empty()) {
-      throw std::invalid_argument("InterSequenceSearch: empty query");
-    }
-  }
-  const core::InterEngine* engine = core::get_inter_engine(isa_);
-  if (opt_.sort_database) db.sort_by_length_desc();
-
-  const int threads = opt_.threads > 0 ? opt_.threads : default_thread_count();
-  const std::size_t nq = queries.size();
-  const std::size_t ns = db.size();
-
-  // Shard size in subjects. Auto mode targets a few ladder batches per
-  // tile and rounds to the first tier's lane count, so tiles start with
-  // full batches and the padding waste stays at the tail.
-  int w0 = engine->lanes(start_);
-  if (w0 == 0) w0 = engine->lanes();  // backend without narrow lanes
-  std::size_t shard = opt_.shard_size;
-  if (shard == 0) {
-    shard = ns / (static_cast<std::size_t>(threads) * 8);
-    shard = std::clamp<std::size_t>(shard, static_cast<std::size_t>(w0),
-                                    static_cast<std::size_t>(w0) * 8);
-    shard -= shard % static_cast<std::size_t>(w0);  // multiple of W0
-  }
-  shard = std::max<std::size_t>(1, std::min(shard, std::max<std::size_t>(1, ns)));
-
-  struct Tile {
-    std::size_t query;
-    std::size_t begin;
-    std::size_t end;
-  };
-  std::vector<Tile> tiles;
-  if (ns > 0) {
-    tiles.reserve(nq * ((ns + shard - 1) / shard));
-    for (std::size_t qi = 0; qi < nq; ++qi) {
-      for (std::size_t b = 0; b < ns; b += shard) {
-        tiles.push_back(Tile{qi, b, std::min(ns, b + shard)});
-      }
-    }
-  }
-
-  struct WorkerState {
-    LadderScratch scratch;
-    // Per (query, tier) accumulation, merged lock-free after the drain.
-    std::vector<std::array<TierAcc, core::kInterPrecisionCount>> acc;
-  };
-  std::vector<WorkerState> workers(
-      static_cast<std::size_t>(std::max(1, threads)));
-  for (auto& w : workers) w.acc.resize(nq);
-
-  std::vector<std::vector<long>> scores(nq);
-  for (auto& s : scores) s.assign(ns, 0);
-
-  util::Stopwatch wall;
-  parallel_for_work_stealing(tiles.size(), threads, [&](int id,
-                                                        std::size_t ti) {
-    WorkerState& w = workers[static_cast<std::size_t>(id)];
-    const Tile& tile = tiles[ti];
-    w.scratch.pending.resize(tile.end - tile.begin);
-    std::iota(w.scratch.pending.begin(), w.scratch.pending.end(),
-              tile.begin);
-    run_ladder_local(*engine, flat_matrix_.data(), matrix_.size(),
-                     queries[tile.query], pen_, db, start_, w.scratch,
-                     scores[tile.query].data(), w.acc[tile.query], cancel);
-  }, nullptr, cancel);
-  const double wall_seconds = wall.seconds();
-
-  std::vector<InterSearchResult> out(nq);
-  for (std::size_t qi = 0; qi < nq; ++qi) {
-    InterSearchResult& res = out[qi];
-    for (int ti = 0; ti < core::kInterPrecisionCount; ++ti) {
-      InterTierStats& tier = res.tiers[static_cast<std::size_t>(ti)];
-      for (const WorkerState& w : workers) {
-        const TierAcc& a = w.acc[qi][static_cast<std::size_t>(ti)];
-        tier.subjects += a.subjects;
-        tier.batches += a.batches;
-        tier.overflowed += a.overflowed;
-        tier.cells += a.cells;
-      }
-      if (tier.subjects > 0) {
-        tier.lanes = engine->lanes(static_cast<core::InterPrecision>(ti));
-        res.promotions += tier.overflowed;
-      }
-      obs::record_inter_tier(ti, tier);
-    }
-    res.seconds = wall_seconds;  // shared batch wall clock (documented)
-    res.cells = queries[qi].size() * db.total_residues();
-    res.gcups = util::gcups_cells(res.cells, wall_seconds);
-    remap_scores_to_original(db, scores[qi]);
-    res.top = select_top_k(scores[qi], opt_.top_k);
-    if (opt_.keep_all_scores) res.scores = std::move(scores[qi]);
-  }
-  return out;
 }
 
 }  // namespace aalign::search

@@ -4,6 +4,11 @@
 // Sec. VI-C. Length-sorting the database makes batches length-homogeneous,
 // minimizing padding waste.
 //
+// One query per call, timed tier by tier: bench_inter_precision and
+// ablate_inter_vs_intra read the per-tier numbers. It is not a many-query
+// executor - BatchScheduler is the only one, and choosing this engine per
+// tile from measured cost is an open roadmap item.
+//
 // The engine is adaptive-precision (the SSW/SWAPHI precision ladder): the
 // whole database first runs on the narrowest lanes the backend offers
 // (int8: 32 lanes on AVX2, 64 on AVX-512BW), lanes whose saturating score
@@ -51,29 +56,12 @@ class InterSequenceSearch {
                       std::optional<simd::IsaKind> isa = {},
                       ScoreWidth start_width = ScoreWidth::Auto);
 
-  // Convenience overload matching the historical signature.
-  InterSequenceSearch(const score::ScoreMatrix& matrix, Penalties pen,
-                      std::optional<simd::IsaKind> isa = {}, int threads = 0);
-
   // `cancel` (optional) is polled per lane batch in the pool loop; a fired
   // token aborts within one batch per worker and throws
   // core::CancelledError - a cancelled search never returns partial scores.
   InterSearchResult search(std::span<const std::uint8_t> query,
                            seq::Database& db,
                            const core::CancelToken* cancel = nullptr) const;
-
-  // Many-vs-all on one task grid: every (query, subject-shard) tile goes
-  // through the work-stealing pool, and each tile runs the precision
-  // ladder locally (re-queueing saturated lanes within the shard). Lane
-  // independence makes per-subject scores bit-identical to per-query
-  // search() calls for every shard size and thread count; per-tier
-  // *timing* is not collected in this mode (tier seconds/gcups stay 0),
-  // and each result's `seconds` is the whole batch's wall clock. Results
-  // are in query order, scores/hits indexed by ORIGINAL database position.
-  // `cancel` follows the same contract as search().
-  std::vector<InterSearchResult> search_many(
-      const std::vector<std::vector<std::uint8_t>>& queries,
-      seq::Database& db, const core::CancelToken* cancel = nullptr) const;
 
   // Lane count of the exact (int32) tier - the historical meaning.
   int lanes() const;

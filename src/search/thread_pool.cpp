@@ -147,7 +147,7 @@ void parallel_for_work_stealing(
   run_stats.steals = steals.load();
   run_stats.stolen_items = stolen_items.load();
   run_stats.steal_scans = steal_scans.load();
-  // Every pool user (DatabaseSearch, BatchScheduler, inter-sequence tiles)
+  // Every pool user (BatchScheduler, the inter-sequence ladder, baselines)
   // funnels through here, so this is the single pool.* reporting point.
   obs::record_pool_stats(run_stats);
   if (stats != nullptr) *stats = run_stats;
@@ -159,12 +159,6 @@ void parallel_for_work_stealing(
       cancel->stop_requested()) {
     core::throw_cancelled(*cancel);
   }
-}
-
-void parallel_for_dynamic(std::size_t count, int threads,
-                          const std::function<void(int, std::size_t)>& fn,
-                          const core::CancelToken* cancel) {
-  parallel_for_work_stealing(count, threads, fn, nullptr, cancel);
 }
 
 }  // namespace aalign::search

@@ -1,16 +1,14 @@
-// Work-stealing thread pool for the search layer.
+// Work-stealing thread pool for the search layer: the paper's Sec. V-E
+// "dynamic binding" of work items to threads.
 //
 // Each worker owns a deque of item indices (striped initial distribution,
 // so a length-sorted workload starts balanced); the owner pops from the
 // front and idle workers steal the back *half* of a victim's deque.
-// Compared with the original shared-atomic-counter queue this keeps the
-// pool scalable when many heterogeneous tile streams (multi-query batches)
-// are in flight at once, and no worker idles while any deque has items.
+// Compared with a shared-atomic-counter queue this keeps the pool scalable
+// when many heterogeneous tile streams (multi-query batches) are in flight
+// at once, and no worker idles while any deque has items.
 //
-// parallel_for_dynamic - the paper's Sec. V-E "dynamic binding" entry
-// point - is kept as a shim over the work-stealing run.
-//
-// Cancellation: both entry points accept an optional core::CancelToken.
+// Cancellation: the entry point accepts an optional core::CancelToken.
 // Workers poll it once per item; when it fires, every worker stops picking
 // up work, the spawned threads join (the pool is immediately reusable),
 // and - if any item was left unexecuted - the call throws
@@ -45,13 +43,6 @@ void parallel_for_work_stealing(
     std::size_t count, int threads,
     const std::function<void(int, std::size_t)>& fn,
     PoolStats* stats = nullptr, const core::CancelToken* cancel = nullptr);
-
-// Historical entry point (shared dynamic queue semantics): now a shim over
-// parallel_for_work_stealing with identical observable behaviour.
-void parallel_for_dynamic(
-    std::size_t count, int threads,
-    const std::function<void(int, std::size_t)>& fn,
-    const core::CancelToken* cancel = nullptr);
 
 // Sensible default worker count for this machine.
 int default_thread_count();

@@ -1,5 +1,5 @@
 // Shared top-k hit selection for the search front-ends. Both the
-// intra-sequence DatabaseSearch and the inter-sequence search rank the
+// intra-sequence BatchScheduler and the inter-sequence search rank the
 // same per-subject score vector; keeping the selection in one place keeps
 // their tie-breaking (stable by database index) identical.
 #pragma once

@@ -1,7 +1,8 @@
 // BatchScheduler: the batched many-query search must be bit-identical to
-// the serial per-query loop for every thread count x shard size x top_k
-// combination; the profile LRU must behave like a textbook LRU with exact
-// counters; hits must carry ORIGINAL database indices.
+// the serial per-subject oracle (test_helpers.h) for every thread count x
+// shard size x top_k combination; the profile LRU must behave like a
+// textbook LRU with exact counters; hits must carry ORIGINAL database
+// indices.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,17 +47,14 @@ TEST(BatchScheduler, BitIdenticalToSerialLoopAcrossGrid) {
   const auto queries = make_queries(81);
   const seq::Database base_db = make_db(82, 90);
 
-  // Serial oracle (historical per-query loop).
+  // Serial oracle: one thread, one subject at a time, no scheduler.
   search::SearchOptions serial_opt;
-  serial_opt.batch_queries = false;
-  serial_opt.threads = 2;
   serial_opt.top_k = 10;
   std::vector<search::SearchResult> oracle;
-  {
+  for (const auto& q : queries) {
     seq::Database db = base_db;
-    oracle = search::DatabaseSearch(m, cfg, serial_opt).search_many(queries, db);
+    oracle.push_back(test::serial_search(m, cfg, serial_opt, q, db));
   }
-  ASSERT_EQ(oracle.size(), queries.size());
 
   for (int threads : {1, 2, 8}) {
     for (std::size_t shard : {std::size_t{1}, std::size_t{7}, std::size_t{0},
@@ -64,7 +62,6 @@ TEST(BatchScheduler, BitIdenticalToSerialLoopAcrossGrid) {
       for (std::size_t top_k : {std::size_t{0}, std::size_t{3},
                                 std::size_t{10}}) {
         search::SearchOptions opt;
-        opt.batch_queries = true;
         opt.threads = threads;
         opt.shard_size = shard;
         opt.top_k = top_k;
@@ -131,8 +128,8 @@ TEST(BatchScheduler, StatsAreCoherent) {
   }
 }
 
-// The cache resolves one lookup per query occurrence, in query order, so
-// counters follow the textbook LRU trace exactly.
+// One lookup per query occurrence (the scheduler resolves them in query
+// order), so counters follow the textbook LRU trace exactly.
 TEST(BatchScheduler, ProfileCacheEvictsLeastRecentlyUsed) {
   const auto& m = score::ScoreMatrix::blosum62();
   AlignConfig cfg;
@@ -143,31 +140,34 @@ TEST(BatchScheduler, ProfileCacheEvictsLeastRecentlyUsed) {
   const auto B = score::Alphabet::protein().encode(gen.protein(60).residues);
   const auto C = score::Alphabet::protein().encode(gen.protein(70).residues);
 
-  search::SearchOptions opt;
-  opt.threads = 2;
-  opt.profile_cache_capacity = 2;
-  search::BatchScheduler sched(m, cfg, opt);
-  seq::Database db = make_db(86, 12);
+  search::QueryProfileCache cache(2);
+  const core::QueryOptions qopt;
+  const auto lookup = [&](const std::vector<std::uint8_t>& q) {
+    cache.get_or_build(m, cfg, qopt, q);
+  };
 
   // A, B: two cold misses fill the cache.
-  sched.run({A, B}, db);
-  EXPECT_EQ(sched.cache().misses(), 2u);
-  EXPECT_EQ(sched.cache().hits(), 0u);
-  EXPECT_EQ(sched.cache().evictions(), 0u);
-  EXPECT_EQ(sched.cache().size(), 2u);
+  lookup(A);
+  lookup(B);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.size(), 2u);
 
   // C, A: C evicts A (LRU), then A misses again and evicts B.
-  sched.run({C, A}, db);
-  EXPECT_EQ(sched.cache().misses(), 4u);
-  EXPECT_EQ(sched.cache().hits(), 0u);
-  EXPECT_EQ(sched.cache().evictions(), 2u);
-  EXPECT_EQ(sched.cache().size(), 2u);
+  lookup(C);
+  lookup(A);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.size(), 2u);
 
   // A, C: both resident now -> two hits, nothing evicted.
-  sched.run({A, C}, db);
-  EXPECT_EQ(sched.cache().misses(), 4u);
-  EXPECT_EQ(sched.cache().hits(), 2u);
-  EXPECT_EQ(sched.cache().evictions(), 2u);
+  lookup(A);
+  lookup(C);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.evictions(), 2u);
 }
 
 // Same residues, different config -> different cache entries.
@@ -249,7 +249,7 @@ TEST(BatchScheduler, EmptyBatchAndEmptyDatabase) {
   EXPECT_TRUE(res[0].scores.empty());
   EXPECT_TRUE(res[0].top.empty());
 
-  // A zero-length query is rejected exactly like in the serial path.
+  // A zero-length query is rejected (QueryContext's own check).
   EXPECT_THROW(engine.search_many({{}}, db), std::invalid_argument);
 }
 
@@ -264,16 +264,14 @@ TEST(BatchScheduler, UnsortedDatabaseStaysUnsorted) {
   seq::Database db = make_db(92, 20);
   const auto queries = make_queries(93);
 
-  search::SearchOptions serial = opt;
-  serial.batch_queries = false;
-  seq::Database db2 = db;
-  const auto oracle =
-      search::DatabaseSearch(m, cfg, serial).search_many(queries, db2);
   const auto got =
       search::DatabaseSearch(m, cfg, opt).search_many(queries, db);
   EXPECT_FALSE(db.permuted());
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    EXPECT_EQ(got[qi].scores, oracle[qi].scores) << "query " << qi;
+    seq::Database db2 = db;
+    EXPECT_EQ(got[qi].scores,
+              test::serial_search(m, cfg, opt, queries[qi], db2).scores)
+        << "query " << qi;
   }
 }
 

@@ -92,6 +92,40 @@ TEST(Config, ToStringCoverage) {
   EXPECT_STREQ(to_string(ScoreWidth::W32), "int32");
 }
 
+// KernelStats::operator+= is how search executors merge per-worker
+// counters; each field must accumulate independently.
+TEST(Config, KernelStatsAccumulateEveryField) {
+  KernelStats a;
+  a.columns = 1;
+  a.lazy_steps = 2;
+  a.iterate_columns = 3;
+  a.scan_columns = 4;
+  a.switches = 5;
+  a.lazyf_fixup_cols = 6;
+  a.lazyf_saved_iters = 7;
+  KernelStats b;
+  b.columns = 10;
+  b.lazy_steps = 20;
+  b.iterate_columns = 30;
+  b.scan_columns = 40;
+  b.switches = 50;
+  b.lazyf_fixup_cols = 60;
+  b.lazyf_saved_iters = 70;
+
+  KernelStats& ret = (a += b);
+  EXPECT_EQ(&ret, &a);
+  EXPECT_EQ(a.columns, 11u);
+  EXPECT_EQ(a.lazy_steps, 22u);
+  EXPECT_EQ(a.iterate_columns, 33u);
+  EXPECT_EQ(a.scan_columns, 44u);
+  EXPECT_EQ(a.switches, 55u);
+  EXPECT_EQ(a.lazyf_fixup_cols, 66u);
+  EXPECT_EQ(a.lazyf_saved_iters, 77u);
+  // The right-hand side is left untouched.
+  EXPECT_EQ(b.columns, 10u);
+  EXPECT_EQ(b.lazyf_saved_iters, 70u);
+}
+
 TEST(Isa, NamesAndOrdering) {
   using simd::IsaKind;
   EXPECT_STREQ(simd::isa_name(IsaKind::Scalar), "scalar");

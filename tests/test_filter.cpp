@@ -354,17 +354,12 @@ TEST(Filter, BatchedAndSerialAgreeWithFilter) {
   seq::Database db =
       encoded_db(planted_workload(rng, queries[0], 200, 4, 0.15, 0.02));
 
-  search::SearchOptions batched = search_options(filter::FilterMode::On);
-  batched.batch_queries = true;
-  search::SearchOptions serial = batched;
-  serial.batch_queries = false;
-
-  const search::DatabaseSearch be(matrix, local_config(), batched);
-  const search::DatabaseSearch se(matrix, local_config(), serial);
-  const auto br = be.search_many(queries, db);
-  const auto sr = se.search_many(queries, db);
+  const search::DatabaseSearch engine(
+      matrix, local_config(), search_options(filter::FilterMode::On));
+  const auto br = engine.search_many(queries, db);
+  std::vector<search::SearchResult> sr;
+  for (const auto& q : queries) sr.push_back(engine.search(q, db));
   ASSERT_EQ(br.size(), queries.size());
-  ASSERT_EQ(sr.size(), queries.size());
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     EXPECT_TRUE(br[qi].filtered);
     EXPECT_TRUE(sr[qi].filtered);

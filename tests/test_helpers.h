@@ -1,13 +1,20 @@
 // Shared helpers for the test suite: available-ISA enumeration, random
-// sequence/config generation, and Farrar-safety filtering.
+// sequence/config generation, Farrar-safety filtering, and the serial
+// database-search oracle.
 #pragma once
 
 #include <cstdint>
 #include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
+#include "core/query_context.h"
 #include "score/matrices.h"
+#include "search/database_search.h"
+#include "search/top_k.h"
+#include "seq/database.h"
 #include "simd/isa.h"
 
 namespace aalign::test {
@@ -61,6 +68,31 @@ inline std::vector<Penalties> test_penalties() {
       Penalties{{12, 2}, {8, 3}},   // asymmetric affine
       Penalties{{0, 5}, {0, 2}},    // asymmetric linear
   };
+}
+
+// Serial database-search oracle: one QueryContext, one thread, one subject
+// at a time, then the library's remap and top-k selection. It shares no
+// scheduling code with search::BatchScheduler (no tiles, pool, profile
+// cache or dedup), so the executor is checked against plain per-subject
+// alignment. Honors sort_database, top_k and keep_all_scores; the filter
+// and the timing/stat fields are not modelled.
+inline search::SearchResult serial_search(const score::ScoreMatrix& matrix,
+                                          const AlignConfig& cfg,
+                                          const search::SearchOptions& opt,
+                                          std::span<const std::uint8_t> query,
+                                          seq::Database& db) {
+  if (opt.sort_database) db.sort_by_length_desc();
+  const core::QueryContext ctx(matrix, cfg, opt.query, query);
+  core::WorkspaceSet ws;
+  std::vector<long> scores(db.size());
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    scores[i] = ctx.align(db[i].view(), ws).kernel.score;
+  }
+  search::remap_scores_to_original(db, scores);
+  search::SearchResult res;
+  res.top = search::select_top_k(scores, opt.top_k);
+  if (opt.keep_all_scores) res.scores = std::move(scores);
+  return res;
 }
 
 }  // namespace aalign::test

@@ -16,6 +16,12 @@ using namespace aalign;
 
 namespace {
 
+search::SearchOptions with_threads(int threads) {
+  search::SearchOptions opt;
+  opt.threads = threads;
+  return opt;
+}
+
 class InterSequence : public testing::TestWithParam<simd::IsaKind> {};
 
 TEST_P(InterSequence, MatchesOracleOnMixedLengthDatabase) {
@@ -41,7 +47,7 @@ TEST_P(InterSequence, MatchesOracleOnMixedLengthDatabase) {
       seq::make_similar_subject(gen, qseq,
                                 {seq::Level::Hi, seq::Level::Hi})));
 
-  search::InterSequenceSearch inter(m, pen, isa, 2);
+  search::InterSequenceSearch inter(m, pen, with_threads(2), isa);
   const search::SearchResult res = inter.search(query, db);
   ASSERT_EQ(res.scores.size(), db.size());
   for (std::size_t i = 0; i < db.size(); ++i) {
@@ -67,7 +73,7 @@ TEST_P(InterSequence, SingleSubjectBatch) {
   seq::Database db;
   db.add(seq::EncodedSequence{"only", test::random_protein(rng, 33)});
 
-  search::InterSequenceSearch inter(m, pen, isa, 1);
+  search::InterSequenceSearch inter(m, pen, with_threads(1), isa);
   const auto res = inter.search(query, db);
   ASSERT_EQ(res.scores.size(), 1u);
   EXPECT_EQ(res.scores[0],
@@ -90,7 +96,7 @@ TEST_P(InterSequence, AgreesWithIntraSequenceSearch) {
   seq::Database db(score::Alphabet::protein(),
                    gen.protein_database(70, 100.0));
 
-  search::InterSequenceSearch inter(m, pen, isa, 2);
+  search::InterSequenceSearch inter(m, pen, with_threads(2), isa);
   seq::Database db1 = db;
   const auto r_inter = inter.search(query, db1);
 

@@ -1,17 +1,15 @@
 // Multi-threaded database search: scores must be identical to aligning
 // each subject serially, independent of thread count, strategy, or
-// database ordering; top-k must be correctly ranked; the thread pool must
-// propagate exceptions.
+// database ordering; top-k must be correctly ranked.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
+#include <thread>
 
 #include "baselines/swaphi_like.h"
 #include "baselines/swps3_like.h"
 #include "core/sequential.h"
 #include "search/database_search.h"
-#include "search/thread_pool.h"
 #include "seq/generator.h"
 #include "seq/pairgen.h"
 #include "test_helpers.h"
@@ -25,25 +23,6 @@ seq::Database make_db(std::uint64_t seed, std::size_t count,
   seq::SequenceGenerator gen(seed);
   return seq::Database(score::Alphabet::protein(),
                        gen.protein_database(count, median_len, 0.5, 20, 600));
-}
-
-TEST(ThreadPool, CoversAllIndicesExactlyOnce) {
-  for (int threads : {1, 2, 4, 7}) {
-    std::vector<std::atomic<int>> hits(501);
-    search::parallel_for_dynamic(
-        hits.size(), threads,
-        [&](int, std::size_t i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  EXPECT_THROW(
-      search::parallel_for_dynamic(100, 4,
-                                   [&](int, std::size_t i) {
-                                     if (i == 37) throw std::runtime_error("x");
-                                   }),
-      std::runtime_error);
 }
 
 TEST(DatabaseSearch, MatchesSerialOracle) {
@@ -172,6 +151,51 @@ TEST(DatabaseSearch, SearchManyMatchesIndividualSearches) {
     seq::Database db2 = db;
     const auto single = engine.search(queries[qi], db2);
     EXPECT_EQ(many[qi].scores, single.scores) << "query " << qi;
+  }
+}
+
+// DatabaseSearch holds no per-call state (each call builds its own
+// scheduler), so one const instance serves concurrent callers, each with
+// its own database copy, and every caller sees the serial oracle's result.
+TEST(DatabaseSearch, ConcurrentCallsOnSharedInstanceMatchOracle) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  AlignConfig cfg;
+  cfg.kind = AlignKind::Local;
+  cfg.pen = Penalties::symmetric(10, 2);
+
+  seq::SequenceGenerator gen(81);
+  std::vector<std::vector<std::uint8_t>> queries;
+  for (std::size_t len : {70, 110, 160}) {
+    queries.push_back(
+        score::Alphabet::protein().encode(gen.protein(len).residues));
+  }
+
+  const seq::Database db = make_db(82, 50);
+  search::SearchOptions opt;
+  opt.threads = 2;
+  opt.top_k = 4;
+  const search::DatabaseSearch engine(m, cfg, opt);
+
+  std::vector<search::SearchResult> got(queries.size());
+  std::vector<std::thread> callers;
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    callers.emplace_back([&, qi] {
+      seq::Database mine = db;
+      got[qi] = engine.search(queries[qi], mine);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    seq::Database ref_db = db;
+    const search::SearchResult ref =
+        test::serial_search(m, cfg, opt, queries[qi], ref_db);
+    EXPECT_EQ(got[qi].scores, ref.scores) << "query " << qi;
+    ASSERT_EQ(got[qi].top.size(), ref.top.size()) << "query " << qi;
+    for (std::size_t k = 0; k < ref.top.size(); ++k) {
+      EXPECT_EQ(got[qi].top[k].index, ref.top[k].index) << "query " << qi;
+      EXPECT_EQ(got[qi].top[k].score, ref.top[k].score) << "query " << qi;
+    }
   }
 }
 
