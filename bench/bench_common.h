@@ -94,7 +94,6 @@ inline double percentile(const std::vector<double>& sorted, double p) {
 
 inline const char* short_strategy(Strategy s) {
   switch (s) {
-    case Strategy::Sequential: return "seq";
     case Strategy::StripedIterate: return "iterate";
     case Strategy::StripedScan: return "scan";
     case Strategy::Hybrid: return "hybrid";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace aalign::codegen {
 
@@ -52,13 +53,6 @@ std::vector<Diagnostic> DiagnosticEngine::sorted() const {
                      return a.code < b.code;
                    });
   return out;
-}
-
-Diagnostic DiagnosticEngine::first_error() const {
-  for (const Diagnostic& d : sorted()) {
-    if (d.severity == Severity::Error) return d;
-  }
-  return {};
 }
 
 namespace {

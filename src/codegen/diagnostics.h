@@ -11,9 +11,8 @@
 // the same obs::Json model the metrics exporter uses.
 #pragma once
 
-#include <stdexcept>
+#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -58,11 +57,6 @@ class DiagnosticEngine {
   // Diagnostics ordered by (line, col, code) for deterministic output.
   std::vector<Diagnostic> sorted() const;
 
-  // The location-first error of the run (default-constructed when
-  // error-free; check has_errors() first). The compatibility wrappers
-  // throw exactly this one as a CodegenError.
-  Diagnostic first_error() const;
-
   // Compiler-style rendering: "file:line:col: error[AA0xx]: message", the
   // offending source line, and a caret column marker; fix-its render as
   // indented notes. `source` is the original text (for the quoted lines).
@@ -77,44 +71,6 @@ class DiagnosticEngine {
   std::vector<Diagnostic> diags_;
   int errors_ = 0;
   int warnings_ = 0;
-};
-
-// Thrown by the compatibility wrappers (lex/parse/analyze_source without an
-// engine) and carried across API boundaries that predate the engine: wraps
-// the FIRST error diagnostic of a run. Callers that want every diagnostic
-// pass a DiagnosticEngine instead.
-class CodegenError : public std::runtime_error {
- public:
-  CodegenError(const std::string& msg, int at_line = 0, int at_col = 0,
-               std::string at_code = "AA000")
-      : std::runtime_error(at_line != 0
-                               ? msg + " (line " + std::to_string(at_line) +
-                                     ", col " + std::to_string(at_col) + ")"
-                               : msg),
-        line(at_line),
-        col(at_col),
-        code(std::move(at_code)),
-        message_(msg) {}
-
-  explicit CodegenError(const Diagnostic& d)
-      : CodegenError(d.message, d.span.line, d.span.col, d.code) {}
-
-  // The message without the "(line X, col Y)" suffix what() carries.
-  Diagnostic diagnostic() const {
-    Diagnostic d;
-    d.code = code;
-    d.severity = Severity::Error;
-    d.span = SourceSpan{line, col, 1};
-    d.message = message_;
-    return d;
-  }
-
-  int line;
-  int col;
-  std::string code;
-
- private:
-  std::string message_;
 };
 
 }  // namespace aalign::codegen

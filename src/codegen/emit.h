@@ -6,7 +6,7 @@
 
 #include <string>
 
-#include "codegen/analyze.h"
+#include "codegen/sema.h"
 
 namespace aalign::codegen {
 

@@ -135,13 +135,4 @@ std::vector<Token> lex(const std::string& source, DiagnosticEngine& diags) {
   return out;
 }
 
-std::vector<Token> lex(const std::string& source) {
-  DiagnosticEngine diags;
-  std::vector<Token> out = lex(source, diags);
-  if (diags.has_errors()) {
-    throw CodegenError(diags.first_error());
-  }
-  return out;
-}
-
 }  // namespace aalign::codegen

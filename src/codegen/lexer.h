@@ -50,9 +50,6 @@ struct Token {
 // usable (End-terminated) token stream.
 std::vector<Token> lex(const std::string& source, DiagnosticEngine& diags);
 
-// Compatibility wrapper: throws CodegenError for the first diagnostic.
-std::vector<Token> lex(const std::string& source);
-
 const char* tok_name(Tok t);
 
 }  // namespace aalign::codegen

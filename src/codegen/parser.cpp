@@ -1,5 +1,8 @@
 #include "codegen/parser.h"
 
+#include <string>
+#include <utility>
+
 namespace aalign::codegen {
 
 bool Expr::is_cell(const std::string& table, long di, long dj) const {
@@ -9,6 +12,19 @@ bool Expr::is_cell(const std::string& table, long di, long dj) const {
 }
 
 namespace {
+
+// Panic-mode unwinding: a parse rule throws the diagnostic it would report,
+// and the nearest recovery point records it and resynchronizes.
+struct ParseError {
+  Diagnostic diag;
+};
+
+[[noreturn]] void fail(std::string message, int line, int col,
+                       std::string code) {
+  throw ParseError{Diagnostic{std::move(code), Severity::Error,
+                              SourceSpan{line, col, 1}, std::move(message),
+                              {}}};
+}
 
 class Parser {
  public:
@@ -28,8 +44,8 @@ class Parser {
         } else {
           p.top_assigns.push_back(parse_assign());
         }
-      } catch (const CodegenError& e) {
-        diags_.add(e.diagnostic());
+      } catch (const ParseError& e) {
+        diags_.add(e.diag);
         synchronize(/*stop_at_rbrace=*/false);
       }
     }
@@ -47,10 +63,9 @@ class Parser {
   const Token& next() { return toks_[pos_ < toks_.size() - 1 ? pos_++ : pos_]; }
   const Token& expect(Tok kind, const char* what) {
     if (peek().kind != kind) {
-      throw CodegenError(std::string("expected ") + tok_name(kind) +
-                             " while parsing " + what + ", found " +
-                             tok_name(peek().kind),
-                         peek().line, peek().col, "AA002");
+      fail(std::string("expected ") + tok_name(kind) + " while parsing " +
+               what + ", found " + tok_name(peek().kind),
+           peek().line, peek().col, "AA002");
     }
     return next();
   }
@@ -79,8 +94,7 @@ class Parser {
   void parse_const(Program& p) {
     next();  // const
     if (!peek_ident("int")) {
-      throw CodegenError("expected 'int' after 'const'", peek().line,
-                         peek().col, "AA003");
+      fail("expected 'int' after 'const'", peek().line, peek().col, "AA003");
     }
     next();
     const Token& name_tok = expect(Tok::Ident, "const declaration");
@@ -107,13 +121,11 @@ class Parser {
       p.const_init_refs.push_back(t.text);
       auto it = p.consts.find(t.text);
       if (it == p.consts.end()) {
-        throw CodegenError("unknown constant '" + t.text + "'", t.line, t.col,
-                           "AA004");
+        fail("unknown constant '" + t.text + "'", t.line, t.col, "AA004");
       }
       return sign * it->second;
     }
-    throw CodegenError("expected constant value", peek().line, peek().col,
-                       "AA005");
+    fail("expected constant value", peek().line, peek().col, "AA005");
   }
 
   ForLoop parse_for() {
@@ -133,8 +145,8 @@ class Parser {
 
     const std::string cond_var = expect_ident("for-loop condition");
     if (cond_var != f.var) {
-      throw CodegenError("for-loop condition must test '" + f.var + "'",
-                         peek().line, peek().col, "AA006");
+      fail("for-loop condition must test '" + f.var + "'", peek().line,
+           peek().col, "AA006");
     }
     if (peek().kind == Tok::LessEq) {
       f.inclusive = true;
@@ -157,8 +169,8 @@ class Parser {
     expect(Tok::Semi, "for loop");
     const std::string inc_var = expect_ident("for-loop increment");
     if (inc_var != f.var) {
-      throw CodegenError("for-loop increment must be '" + f.var + "++'",
-                         peek().line, peek().col, "AA007");
+      fail("for-loop increment must be '" + f.var + "++'", peek().line,
+           peek().col, "AA007");
     }
     expect(Tok::PlusPlus, "for-loop increment");
     expect(Tok::RParen, "for loop");
@@ -172,15 +184,14 @@ class Parser {
       next();
       while (peek().kind != Tok::RBrace) {
         if (peek().kind == Tok::End) {
-          throw CodegenError("unterminated '{'", peek().line, peek().col,
-                             "AA008");
+          fail("unterminated '{'", peek().line, peek().col, "AA008");
         }
         // Per-statement recovery inside a block: keep scanning the block
         // for further independent errors.
         try {
           parse_one_stmt(f);
-        } catch (const CodegenError& e) {
-          diags_.add(e.diagnostic());
+        } catch (const ParseError& e) {
+          diags_.add(e.diag);
           synchronize(/*stop_at_rbrace=*/true);
         }
       }
@@ -214,7 +225,7 @@ class Parser {
             a.targets.push_back(std::move(cell));
             continue;
           }
-        } catch (const CodegenError&) {
+        } catch (const ParseError&) {
           // fall through to expression parse
         }
         pos_ = save;
@@ -325,8 +336,7 @@ class Parser {
       expect(Tok::RParen, "parenthesized expression");
       return e;
     }
-    throw CodegenError("expected expression", peek().line, peek().col,
-                       "AA011");
+    fail("expected expression", peek().line, peek().col, "AA011");
   }
 
   Expr parse_cell() {
@@ -376,8 +386,8 @@ class Parser {
       } else if (peek().kind == Tok::Minus) {
         next();
         if (peek().kind != Tok::Number) {
-          throw CodegenError("expected number after '-' in subscript",
-                             peek().line, peek().col, "AA009");
+          fail("expected number after '-' in subscript", peek().line,
+               peek().col, "AA009");
         }
         ix.off -= next().value;
         saw_any = true;
@@ -387,7 +397,7 @@ class Parser {
       if (peek().kind != Tok::Plus && peek().kind != Tok::Minus) break;
     }
     if (!saw_any) {
-      throw CodegenError("empty subscript", peek().line, peek().col, "AA010");
+      fail("empty subscript", peek().line, peek().col, "AA010");
     }
     return ix;
   }
@@ -401,15 +411,6 @@ class Parser {
 
 Program parse(const std::string& source, DiagnosticEngine& diags) {
   return Parser(lex(source, diags), diags).run();
-}
-
-Program parse(const std::string& source) {
-  DiagnosticEngine diags;
-  Program p = parse(source, diags);
-  if (diags.has_errors()) {
-    throw CodegenError(diags.first_error());
-  }
-  return p;
 }
 
 }  // namespace aalign::codegen

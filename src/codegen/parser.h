@@ -18,11 +18,10 @@
 
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "codegen/diagnostics.h"  // CodegenError lives there now
+#include "codegen/diagnostics.h"
 #include "codegen/lexer.h"
 
 namespace aalign::codegen {
@@ -84,8 +83,5 @@ struct Program {
 // run surfaces every independent parse error. The returned Program holds
 // everything that parsed cleanly.
 Program parse(const std::string& source, DiagnosticEngine& diags);
-
-// Compatibility wrapper: throws CodegenError for the first error.
-Program parse(const std::string& source);
 
 }  // namespace aalign::codegen

@@ -9,6 +9,37 @@
 
 namespace aalign::codegen {
 
+AlignConfig KernelSpec::to_config() const {
+  AlignConfig cfg;
+  cfg.kind = kind;
+  cfg.pen.query = GapScheme{open_query, ext_query};
+  cfg.pen.subject = GapScheme{open_subject, ext_subject};
+  return cfg;
+}
+
+std::string KernelSpec::summary() const {
+  std::ostringstream os;
+  os << "algorithm      : "
+     << (kind == AlignKind::Local
+             ? "local (Smith-Waterman family)"
+             : kind == AlignKind::Global ? "global (Needleman-Wunsch family)"
+                                         : "semi-global")
+     << "\n";
+  os << "gap system     : " << to_string(gap) << "\n";
+  os << "query gaps     : open " << open_query << ", extend " << ext_query
+     << "\n";
+  os << "subject gaps   : open " << open_subject << ", extend " << ext_subject
+     << "\n";
+  os << "matrix         : " << matrix << "\n";
+  os << "working table  : " << table << "\n";
+  os << "query sequence : " << query_seq << " (inner loop axis)\n";
+  os << "subject seq    : " << subject_seq << " (outer loop axis)\n";
+  os << "scan eligible  : " << (scan_eligible ? "yes" : "no (striped-iterate only)")
+     << "\n";
+  for (const std::string& w : warnings) os << "warning        : " << w << "\n";
+  return os.str();
+}
+
 namespace {
 
 // An Add flattened to: referenced cells + fully resolved constant part.

@@ -26,16 +26,40 @@
 //                             to striped-iterate
 //
 // verify() never throws: it reports and returns the best-effort KernelSpec
-// (callers must treat it as unusable when diags.has_errors()). The
-// throwing analyze()/analyze_source() wrappers in analyze.h are thin shims
-// over this.
+// (callers must treat it as unusable when diags.has_errors()).
 #pragma once
 
-#include "codegen/analyze.h"
+#include <string>
+#include <vector>
+
 #include "codegen/diagnostics.h"
 #include "codegen/parser.h"
+#include "core/config.h"
 
 namespace aalign::codegen {
+
+// The Table II parameters of a verified kernel: local vs global (a literal
+// 0 among the T-max operands), linear vs affine (gap-open vs gap-extend
+// constants), and the tables and sequences the recurrences name.
+struct KernelSpec {
+  AlignKind kind = AlignKind::Local;
+  GapModel gap = GapModel::Affine;
+  // Positive penalties, paper convention: GAP_* constants in the source
+  // are the ADDITIVE (negative) theta+beta / beta values.
+  int open_query = 0, ext_query = 0;      // U recurrence (inner loop axis)
+  int open_subject = 0, ext_subject = 0;  // L recurrence (outer loop axis)
+  std::string matrix;       // substitution table identifier, e.g. BLOSUM62
+  std::string table;        // the working-set table (T)
+  std::string query_seq;    // sequence indexed along the inner loop
+  std::string subject_seq;  // sequence indexed along the outer loop
+  // False when the weighted max-scan precondition fails (AA035): the
+  // emitters then pin the kernel to striped-iterate.
+  bool scan_eligible = true;
+  std::vector<std::string> warnings;
+
+  AlignConfig to_config() const;
+  std::string summary() const;
+};
 
 KernelSpec verify(const Program& program, DiagnosticEngine& diags);
 

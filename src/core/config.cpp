@@ -23,7 +23,6 @@ const char* to_string(GapModel g) {
 
 const char* to_string(Strategy s) {
   switch (s) {
-    case Strategy::Sequential: return "sequential";
     case Strategy::StripedIterate: return "striped-iterate";
     case Strategy::StripedScan: return "striped-scan";
     case Strategy::Hybrid: return "hybrid";

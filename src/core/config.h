@@ -54,7 +54,6 @@ constexpr bool kind_end_col_free(AlignKind k) {
 enum class GapModel : std::uint8_t { Linear, Affine };
 
 enum class Strategy : std::uint8_t {
-  Sequential,      // reference / baseline
   StripedIterate,  // Alg. 2 (Farrar-style lazy-F)
   StripedScan,     // Alg. 3 (weighted max-scan)
   Hybrid,          // Sec. V-B runtime switching
@@ -165,9 +164,6 @@ struct KernelResult {
   long score = 0;
   bool saturated = false;  // narrow type overflowed; caller should promote
   bool cancelled = false;  // run stopped by a CancelToken; score is invalid
-  // With end-tracking enabled (local alignment): the first subject column
-  // (1-based) where the final best score is reached; -1 otherwise.
-  long subject_end = -1;
   KernelStats stats;
 };
 

@@ -26,15 +26,12 @@ class Engine {
   virtual simd::IsaKind isa() const = 0;
   virtual int lanes() const = 0;
 
-  // track_end: record KernelResult::subject_end (local alignment; runs
-  // the end-tracking iterate driver regardless of `strategy`).
   // cancel: optional cooperative stop, polled once per stride-chunk of
   // columns; a fired token returns KernelResult::cancelled (invalid score).
   virtual KernelResult run(Strategy strategy, const AlignConfig& cfg,
                            const score::StripedProfile<T>& profile,
                            std::span<const std::uint8_t> subject,
                            Workspace<T>& ws, const HybridParams& hp,
-                           bool track_end = false,
                            const CancelToken* cancel = nullptr) const = 0;
 };
 

@@ -19,10 +19,9 @@ class EngineImpl final : public Engine<typename Ops::value_type> {
   KernelResult run(Strategy strategy, const AlignConfig& cfg,
                    const score::StripedProfile<T>& profile,
                    std::span<const std::uint8_t> subject, Workspace<T>& ws,
-                   const HybridParams& hp, bool track_end,
+                   const HybridParams& hp,
                    const CancelToken* cancel) const override {
     const bool affine = cfg.gap_model() == GapModel::Affine;
-    if (track_end) strategy = Strategy::Sequential;  // sentinel: tracked run
     switch (cfg.kind) {
       case AlignKind::Local:
         return affine ? run_kind<AlignKind::Local, true>(
@@ -76,12 +75,6 @@ class EngineImpl final : public Engine<typename Ops::value_type> {
       case Strategy::Hybrid:
         return run_hybrid<Ops, K, Affine>(profile, subject, st, ws, hp,
                                           cfg.lazyf, cancel);
-      case Strategy::Sequential:
-        // Repurposed as the end-tracking sentinel (see run()); plain
-        // sequential alignment lives in core/sequential and is never
-        // dispatched through engines.
-        return run_striped_iterate_tracked<Ops, K, Affine>(
-            profile, subject, st, ws, cfg.lazyf, cancel);
     }
     return {};
   }

@@ -97,22 +97,22 @@ QueryContext::QueryContext(const score::ScoreMatrix& matrix,
 
 template <class T>
 KernelResult QueryContext::run_width(std::span<const std::uint8_t> subject,
-                                     WorkspaceSet& ws, bool track_end,
+                                     WorkspaceSet& ws,
                                      const CancelToken* cancel) const {
   if constexpr (sizeof(T) == 1) {
     return eng8_->run(opt_.strategy, cfg_, prof8_, subject, ws.w8,
-                      opt_.hybrid, track_end, cancel);
+                      opt_.hybrid, cancel);
   } else if constexpr (sizeof(T) == 2) {
     return eng16_->run(opt_.strategy, cfg_, prof16_, subject, ws.w16,
-                       opt_.hybrid, track_end, cancel);
+                       opt_.hybrid, cancel);
   } else {
     return eng32_->run(opt_.strategy, cfg_, prof32_, subject, ws.w32,
-                       opt_.hybrid, track_end, cancel);
+                       opt_.hybrid, cancel);
   }
 }
 
 AdaptiveResult QueryContext::align(std::span<const std::uint8_t> subject,
-                                   WorkspaceSet& ws, bool track_end,
+                                   WorkspaceSet& ws,
                                    const CancelToken* cancel) const {
   if (subject.empty()) {
     // Boundary case the striped kernels never see: the exact score is the
@@ -131,13 +131,13 @@ AdaptiveResult QueryContext::align(std::span<const std::uint8_t> subject,
     KernelResult kr;
     switch (widths_[wi]) {
       case ScoreWidth::W8:
-        kr = run_width<std::int8_t>(subject, ws, track_end, cancel);
+        kr = run_width<std::int8_t>(subject, ws, cancel);
         break;
       case ScoreWidth::W16:
-        kr = run_width<std::int16_t>(subject, ws, track_end, cancel);
+        kr = run_width<std::int16_t>(subject, ws, cancel);
         break;
       default:
-        kr = run_width<std::int32_t>(subject, ws, track_end, cancel);
+        kr = run_width<std::int32_t>(subject, ws, cancel);
         break;
     }
     out.kernel = kr;
@@ -153,13 +153,10 @@ AdaptiveResult QueryContext::align(std::span<const std::uint8_t> subject,
 }
 
 template KernelResult QueryContext::run_width<std::int8_t>(
-    std::span<const std::uint8_t>, WorkspaceSet&, bool,
-    const CancelToken*) const;
+    std::span<const std::uint8_t>, WorkspaceSet&, const CancelToken*) const;
 template KernelResult QueryContext::run_width<std::int16_t>(
-    std::span<const std::uint8_t>, WorkspaceSet&, bool,
-    const CancelToken*) const;
+    std::span<const std::uint8_t>, WorkspaceSet&, const CancelToken*) const;
 template KernelResult QueryContext::run_width<std::int32_t>(
-    std::span<const std::uint8_t>, WorkspaceSet&, bool,
-    const CancelToken*) const;
+    std::span<const std::uint8_t>, WorkspaceSet&, const CancelToken*) const;
 
 }  // namespace aalign::core

@@ -56,12 +56,10 @@ class QueryContext {
 
   // Runs the kernel at the narrowest viable width, promoting on
   // saturation. Thread-safe given a per-thread WorkspaceSet.
-  // track_end records KernelResult::subject_end (see core/local_path.h).
   // An empty subject is legal and scored exactly (boundary conditions).
   // A fired `cancel` token returns AdaptiveResult::cancelled within one
   // kernel stride-chunk; the result carries no valid score.
-  AdaptiveResult align(std::span<const std::uint8_t> subject,
-                       WorkspaceSet& ws, bool track_end = false,
+  AdaptiveResult align(std::span<const std::uint8_t> subject, WorkspaceSet& ws,
                        const CancelToken* cancel = nullptr) const;
 
   const AlignConfig& config() const { return cfg_; }
@@ -75,8 +73,7 @@ class QueryContext {
  private:
   template <class T>
   KernelResult run_width(std::span<const std::uint8_t> subject,
-                         WorkspaceSet& ws, bool track_end,
-                         const CancelToken* cancel) const;
+                         WorkspaceSet& ws, const CancelToken* cancel) const;
 
   const score::ScoreMatrix& matrix_;
   AlignConfig cfg_;

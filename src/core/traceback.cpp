@@ -44,8 +44,7 @@ Alignment align_traceback(const score::ScoreMatrix& matrix,
   }
   if ((m + 1) * (n + 1) > opt.max_cells) {
     throw std::invalid_argument(
-        "align_traceback: matrix exceeds max_cells; use hirschberg for long "
-        "global alignments");
+        "align_traceback: (m+1)*(n+1) direction matrix exceeds max_cells");
   }
 
   const long first_u = -(cfg.pen.query.open + cfg.pen.query.extend);

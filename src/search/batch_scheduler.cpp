@@ -294,7 +294,7 @@ std::vector<SearchResult> BatchScheduler::run(
             continue;
           }
           const core::AdaptiveResult ar =
-              ctx.align(db[s].view(), w.ws, /*track_end=*/false, cancel);
+              ctx.align(db[s].view(), w.ws, cancel);
           if (ar.cancelled) core::throw_cancelled(*cancel);
           out[s] = ar.kernel.score;
           acc.promotions += static_cast<std::uint64_t>(ar.promotions);

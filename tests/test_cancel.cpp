@@ -92,7 +92,7 @@ TEST(Cancel, QueryContextReturnsCancelledResult) {
   core::CancelToken t;
   t.cancel();
   const core::AdaptiveResult ar =
-      ctx.align(subject, ws, /*track_end=*/false, &t);
+      ctx.align(subject, ws, &t);
   EXPECT_TRUE(ar.cancelled);
 
   // Without a token the same context still produces the normal result.

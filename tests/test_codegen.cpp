@@ -6,8 +6,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "codegen/analyze.h"
 #include "codegen/emit.h"
+#include "codegen/sema.h"
 #include "core/aligner.h"
 #include "core/sequential.h"
 #include "test_helpers.h"
@@ -33,8 +33,34 @@ std::string data_path(const std::string& name) {
   return std::string(AALIGN_DATA_DIR) + "/paradigm/" + name;
 }
 
+// The front end as aalignc drives it: parse, then verify a clean parse,
+// all reporting into one engine.
+KernelSpec run_front_end(const std::string& source, DiagnosticEngine& diags) {
+  const Program program = parse(source, diags);
+  return diags.has_errors() ? KernelSpec{} : verify(program, diags);
+}
+
+// The spec of a source that must pass the front end without errors.
+KernelSpec verified_spec(const std::string& source) {
+  DiagnosticEngine diags;
+  const KernelSpec spec = run_front_end(source, diags);
+  EXPECT_FALSE(diags.has_errors()) << diags.render(source, "<source>");
+  return spec;
+}
+
+// Code of the location-first error of a run, empty when error-free.
+std::string first_error_code(const DiagnosticEngine& diags) {
+  for (const Diagnostic& d : diags.sorted()) {
+    if (d.severity == Severity::Error) return d.code;
+  }
+  return {};
+}
+
 TEST(Lexer, TokenizesOperatorsAndComments) {
-  const auto toks = lex("for (i = 0; i < n + 1; i++) /* x */ T[i][0] = -3;");
+  DiagnosticEngine diags;
+  const auto toks =
+      lex("for (i = 0; i < n + 1; i++) /* x */ T[i][0] = -3;", diags);
+  EXPECT_FALSE(diags.has_errors());
   EXPECT_EQ(toks.front().text, "for");
   bool saw_plusplus = false, saw_minus = false;
   for (const auto& t : toks) {
@@ -47,12 +73,18 @@ TEST(Lexer, TokenizesOperatorsAndComments) {
 }
 
 TEST(Lexer, RejectsUnknownCharacters) {
-  EXPECT_THROW(lex("T[i][j] = a ? b : c;"), CodegenError);
+  DiagnosticEngine diags;
+  lex("T[i][j] = a ? b : c;", diags);
+  ASSERT_TRUE(diags.has_errors());
+  EXPECT_EQ(first_error_code(diags), "AA001");
 }
 
 TEST(Parser, ChainedAssignmentTargets) {
+  DiagnosticEngine diags;
   const Program p = parse("for (i = 0; i < n + 1; i++) { "
-                          "T[i][0] = U[i][0] = L[i][0] = 0; }");
+                          "T[i][0] = U[i][0] = L[i][0] = 0; }",
+                          diags);
+  EXPECT_FALSE(diags.has_errors());
   ASSERT_EQ(p.loops.size(), 1u);
   ASSERT_EQ(p.loops[0].assigns.size(), 1u);
   EXPECT_EQ(p.loops[0].assigns[0].targets.size(), 3u);
@@ -60,13 +92,15 @@ TEST(Parser, ChainedAssignmentTargets) {
 }
 
 TEST(Parser, ConstFolding) {
-  const Program p = parse("const int A = -4; const int B = A;");
+  DiagnosticEngine diags;
+  const Program p = parse("const int A = -4; const int B = A;", diags);
+  EXPECT_FALSE(diags.has_errors());
   EXPECT_EQ(p.consts.at("A"), -4);
   EXPECT_EQ(p.consts.at("B"), -4);
 }
 
 TEST(Analyze, SwAffine) {
-  const KernelSpec spec = analyze_source(read_file(data_path("sw_affine.c")));
+  const KernelSpec spec = verified_spec(read_file(data_path("sw_affine.c")));
   EXPECT_EQ(spec.kind, AlignKind::Local);
   EXPECT_EQ(spec.gap, GapModel::Affine);
   EXPECT_EQ(spec.open_query, 10);
@@ -80,7 +114,7 @@ TEST(Analyze, SwAffine) {
 }
 
 TEST(Analyze, NwAffine) {
-  const KernelSpec spec = analyze_source(read_file(data_path("nw_affine.c")));
+  const KernelSpec spec = verified_spec(read_file(data_path("nw_affine.c")));
   EXPECT_EQ(spec.kind, AlignKind::Global);
   EXPECT_EQ(spec.gap, GapModel::Affine);
   EXPECT_EQ(spec.open_query, 10);
@@ -88,7 +122,7 @@ TEST(Analyze, NwAffine) {
 }
 
 TEST(Analyze, SwLinear) {
-  const KernelSpec spec = analyze_source(read_file(data_path("sw_linear.c")));
+  const KernelSpec spec = verified_spec(read_file(data_path("sw_linear.c")));
   EXPECT_EQ(spec.kind, AlignKind::Local);
   EXPECT_EQ(spec.gap, GapModel::Linear);
   EXPECT_EQ(spec.open_query, 0);
@@ -96,7 +130,7 @@ TEST(Analyze, SwLinear) {
 }
 
 TEST(Analyze, NwLinearInlineForm) {
-  const KernelSpec spec = analyze_source(read_file(data_path("nw_linear.c")));
+  const KernelSpec spec = verified_spec(read_file(data_path("nw_linear.c")));
   EXPECT_EQ(spec.kind, AlignKind::Global);
   EXPECT_EQ(spec.gap, GapModel::Linear);
   EXPECT_EQ(spec.ext_query, 4);
@@ -110,7 +144,10 @@ TEST(Analyze, RejectsMissingDiagonal) {
       for (j = 1; j < m + 1; j++)
         T[i][j] = max(T[i-1][j] + G, T[i][j-1] + G);
   )";
-  EXPECT_THROW(analyze_source(src), CodegenError);
+  DiagnosticEngine diags;
+  run_front_end(src, diags);
+  EXPECT_TRUE(diags.has_errors());
+  EXPECT_EQ(first_error_code(diags), "AA021");
 }
 
 TEST(Analyze, RejectsPositiveGapConstants) {
@@ -125,12 +162,17 @@ TEST(Analyze, RejectsPositiveGapConstants) {
         T[i][j] = max(0, L[i][j], U[i][j], D[i][j]);
       }
   )";
-  EXPECT_THROW(analyze_source(src), CodegenError);
+  DiagnosticEngine diags;
+  run_front_end(src, diags);
+  EXPECT_TRUE(diags.has_errors());
+  EXPECT_EQ(first_error_code(diags), "AA025");
 }
 
 TEST(Analyze, RejectsFlatLoop) {
-  EXPECT_THROW(analyze_source("for (i = 0; i < n; i++) T[i][0] = 0;"),
-               CodegenError);
+  DiagnosticEngine diags;
+  run_front_end("for (i = 0; i < n; i++) T[i][0] = 0;", diags);
+  EXPECT_TRUE(diags.has_errors());
+  EXPECT_EQ(first_error_code(diags), "AA020");
 }
 
 TEST(Analyze, WarnsOnInitMismatch) {
@@ -147,13 +189,59 @@ TEST(Analyze, WarnsOnInitMismatch) {
         T[i][j] = max(L[i][j], U[i][j], D[i][j]);
       }
   )";
-  const KernelSpec spec = analyze_source(src);
+  const KernelSpec spec = verified_spec(src);
   EXPECT_EQ(spec.kind, AlignKind::Global);
   EXPECT_FALSE(spec.warnings.empty());
 }
 
+TEST(Sema, SummaryReportsTableTwoFields) {
+  const std::string summary =
+      verified_spec(read_file(data_path("sw_affine.c"))).summary();
+  EXPECT_NE(summary.find("local (Smith-Waterman family)"), std::string::npos);
+  EXPECT_NE(summary.find("gap system     : affine"), std::string::npos);
+  EXPECT_NE(summary.find("query gaps     : open 10, extend 2"),
+            std::string::npos);
+  EXPECT_NE(summary.find("subject gaps   : open 10, extend 2"),
+            std::string::npos);
+  EXPECT_NE(summary.find("matrix         : BLOSUM62"), std::string::npos);
+  EXPECT_NE(summary.find("scan eligible  : yes"), std::string::npos);
+}
+
+TEST(Sema, SummaryFlagsScanIneligible) {
+  const KernelSpec spec = verified_spec(read_file(
+      std::string(AALIGN_DATA_DIR) + "/diagnostics/warn_scan_ineligible.c"));
+  EXPECT_FALSE(spec.scan_eligible);
+  EXPECT_NE(spec.summary().find("scan eligible  : no (striped-iterate only)"),
+            std::string::npos);
+}
+
+TEST(Sema, ToConfigKeepsPerAxisGaps) {
+  // U (inner loop, query axis) opens at 12 / extends at 2; L (outer loop,
+  // subject axis) at 8 / 3. Source constants are additive: -(open+ext).
+  const char* src = R"(
+    const int QO = -14;
+    const int QE = -2;
+    const int SO = -11;
+    const int SE = -3;
+    for (i = 1; i < n + 1; i++)
+      for (j = 1; j < m + 1; j++) {
+        L[i][j] = max(L[i-1][j] + SE, T[i-1][j] + SO);
+        U[i][j] = max(U[i][j-1] + QE, T[i][j-1] + QO);
+        D[i][j] = T[i-1][j-1] + BLOSUM62[ctoi(S[i-1])][ctoi(Q[j-1])];
+        T[i][j] = max(0, L[i][j], U[i][j], D[i][j]);
+      }
+  )";
+  const AlignConfig cfg = verified_spec(src).to_config();
+  EXPECT_EQ(cfg.kind, AlignKind::Local);
+  EXPECT_EQ(cfg.pen.query.open, 12);
+  EXPECT_EQ(cfg.pen.query.extend, 2);
+  EXPECT_EQ(cfg.pen.subject.open, 8);
+  EXPECT_EQ(cfg.pen.subject.extend, 3);
+  EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(Emit, GeneratedSourceContainsConfig) {
-  const KernelSpec spec = analyze_source(read_file(data_path("sw_affine.c")));
+  const KernelSpec spec = verified_spec(read_file(data_path("sw_affine.c")));
   const std::string cpp = emit_cpp(spec);
   EXPECT_NE(cpp.find("AlignKind::Local"), std::string::npos);
   EXPECT_NE(cpp.find("GapScheme{10, 2}"), std::string::npos);
@@ -164,7 +252,7 @@ TEST(Emit, GeneratedSourceContainsConfig) {
 TEST(Emit, SpecConfigMatchesHandWritten) {
   // End-to-end: the config extracted from the paradigm source must drive
   // the kernels to the same score as a hand-constructed config.
-  const KernelSpec spec = analyze_source(read_file(data_path("nw_affine.c")));
+  const KernelSpec spec = verified_spec(read_file(data_path("nw_affine.c")));
   const AlignConfig from_codegen = spec.to_config();
 
   AlignConfig by_hand;

@@ -11,7 +11,6 @@
 #include <tuple>
 #include <vector>
 
-#include "codegen/analyze.h"
 #include "codegen/emit.h"
 #include "codegen/sema.h"
 #include "obs/json.h"
@@ -213,17 +212,6 @@ TEST(Diagnostics, ParadigmInputsVerifyClean) {
     verify(p, diags);
     EXPECT_FALSE(diags.has_errors()) << name;
     EXPECT_EQ(diags.warning_count(), 0) << name;
-  }
-}
-
-TEST(Diagnostics, CompatWrapperThrowsFirstErrorWithCode) {
-  try {
-    analyze_source(read_file(fixture_path("bad_dependency.c")));
-    FAIL() << "expected CodegenError";
-  } catch (const CodegenError& e) {
-    // The wrapper carries the location-first error of the full run.
-    EXPECT_EQ(e.code, "AA025");
-    EXPECT_GT(e.line, 0);
   }
 }
 

@@ -92,6 +92,14 @@ TEST(Config, ToStringCoverage) {
   EXPECT_STREQ(to_string(ScoreWidth::W32), "int32");
 }
 
+// The randomized tests draw a strategy as static_cast<Strategy>(r % 3), so
+// the enumerators must be exactly 0..2 and each draw a runnable strategy.
+TEST(Config, StrategyValuesAreDenseFromZero) {
+  EXPECT_EQ(static_cast<Strategy>(0), Strategy::StripedIterate);
+  EXPECT_EQ(static_cast<Strategy>(1), Strategy::StripedScan);
+  EXPECT_EQ(static_cast<Strategy>(2), Strategy::Hybrid);
+}
+
 // KernelStats::operator+= is how search executors merge per-worker
 // counters; each field must accumulate independently.
 TEST(Config, KernelStatsAccumulateEveryField) {

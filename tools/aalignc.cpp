@@ -13,7 +13,6 @@
 #include <sstream>
 #include <string>
 
-#include "codegen/analyze.h"
 #include "codegen/emit.h"
 #include "codegen/sema.h"
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Architecture linter for the aalign repo (CI: the lint job).
 
-Eight checks, all against the working tree, all driven by the
+Nine checks, all against the working tree, the first eight driven by the
 machine-readable blocks in docs/architecture.md ("Checked invariants") so
 the documentation and the linter cannot drift apart:
 
@@ -43,6 +43,10 @@ the documentation and the linter cannot drift apart:
                     tests/CMakeLists.txt with a label containing
                     "stress", so the TSan CI job (ctest -L stress)
                     exercises it.
+  9. reachability - every src/<layer>/<name>.h must be #included by some
+                    file under src/, tools/, bench/ or examples/ other
+                    than its own <name>.cpp. A module only tests/ reach is
+                    dead code: delete it or give it a consumer.
 
 Deliberate violations live in tools/arch_lint_allow.txt, one
 "<key>  # justification" per line; entries without a justification and
@@ -67,8 +71,11 @@ from lint_common import REPO as DEFAULT_REPO
 ARCH_DOC = os.path.join("docs", "architecture.md")
 OBS_DOC = os.path.join("docs", "observability.md")
 
-INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([A-Za-z0-9_]+)/[^"]+"',
+# Captures "layer/file.h"; the layer is the part before the first '/'.
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([A-Za-z0-9_]+/[^"]+)"',
                         re.MULTILINE)
+# Trees whose include edges make a src/ header reachable (tests/ excluded).
+CONSUMER_DIRS = ("src", "tools", "bench", "examples")
 INTRIN_RE = re.compile(
     r"\b_mm\d*\w*\s*\(|\bimmintrin\.h|\b__m(?:64|128|256|512)[di]?\b")
 METRIC_RE = re.compile(r'\b(?:counter|histogram|timer)\s*\(\s*"([^"]*)"')
@@ -181,8 +188,8 @@ def check_layer_dag(repo, dag):
             ))
     for layer, name, path in iter_src_files(repo):
         allowed = dag.get(layer, set())
-        for m in INCLUDE_RE.finditer(read(path)):
-            target = m.group(1)
+        for inc in INCLUDE_RE.findall(read(path)):
+            target = inc.split("/", 1)[0]
             if target == layer or target not in dag:
                 continue
             if target not in allowed:
@@ -207,8 +214,8 @@ def check_no_include(repo, rules):
             ))
             continue
         hit = set()
-        for m in INCLUDE_RE.finditer(read(path)):
-            target = m.group(1)
+        for inc in INCLUDE_RE.findall(read(path)):
+            target = inc.split("/", 1)[0]
             if target in forbidden and target not in hit:
                 hit.add(target)
                 findings.append((
@@ -381,6 +388,35 @@ def check_test_labels(repo):
     return findings
 
 
+def check_reachability(repo):
+    """A src/ header needs an includer outside tests/ besides its own .cpp."""
+    includers = {}
+    for top in CONSUMER_DIRS:
+        for root, _, names in os.walk(os.path.join(repo, top)):
+            for name in names:
+                if not name.endswith((".h", ".cpp")):
+                    continue
+                path = os.path.join(root, name)
+                rel = os.path.relpath(path, repo).replace(os.sep, "/")
+                for target in INCLUDE_RE.findall(read(path)):
+                    includers.setdefault(target, set()).add(rel)
+    findings = []
+    for layer, name, _ in iter_src_files(repo):
+        if not name.endswith(".h"):
+            continue
+        own_cpp = f"src/{layer}/{name[:-len('.h')]}.cpp"
+        if includers.get(f"{layer}/{name}", set()) - {own_cpp}:
+            continue
+        findings.append((
+            f"reachability src/{layer}/{name}",
+            f"src/{layer}/{name}: no includer under "
+            f"{', '.join(d + '/' for d in CONSUMER_DIRS)} besides its own "
+            f".cpp - only tests reach it; delete the module or give it a "
+            f"consumer",
+        ))
+    return findings
+
+
 # ---------------------------------------------------------------------------
 # Allowlist
 # ---------------------------------------------------------------------------
@@ -407,31 +443,37 @@ def load_allowlist(path):
     return entries, errors
 
 
-def run_checks(repo, allow_path):
-    errors = []
+def collect_findings(repo):
+    """Every check's findings; ValueError when a doc block is malformed."""
     arch_text = read(os.path.join(repo, ARCH_DOC))
-    obs_text = read(os.path.join(repo, OBS_DOC))
-    try:
-        dag = parse_layer_dag(
-            parse_marked_block(arch_text, "<!-- arch-lint:layer-dag -->",
-                               ARCH_DOC), ARCH_DOC)
-        no_include = parse_no_include(
-            parse_marked_block(arch_text, "<!-- arch-lint:no-include -->",
-                               ARCH_DOC), ARCH_DOC)
-        poll_files = parse_marked_block(
-            arch_text, "<!-- arch-lint:cancel-poll -->", ARCH_DOC)
-    except ValueError as e:
-        return [str(e)]
+    dag = parse_layer_dag(
+        parse_marked_block(arch_text, "<!-- arch-lint:layer-dag -->",
+                           ARCH_DOC), ARCH_DOC)
+    no_include = parse_no_include(
+        parse_marked_block(arch_text, "<!-- arch-lint:no-include -->",
+                           ARCH_DOC), ARCH_DOC)
+    poll_files = parse_marked_block(
+        arch_text, "<!-- arch-lint:cancel-poll -->", ARCH_DOC)
 
     findings = []
     findings += check_layer_dag(repo, dag)
     findings += check_no_include(repo, no_include)
     findings += check_intrinsics(repo)
     findings += check_cancel_poll(repo, poll_files)
-    findings += check_metrics(repo, obs_text)
+    findings += check_metrics(repo, read(os.path.join(repo, OBS_DOC)))
     findings += check_raw_sync(repo)
     findings += check_mutex_guard(repo)
     findings += check_test_labels(repo)
+    findings += check_reachability(repo)
+    return findings
+
+
+def run_checks(repo, allow_path):
+    errors = []
+    try:
+        findings = collect_findings(repo)
+    except ValueError as e:
+        return [str(e)]
 
     allow, allow_errors = load_allowlist(allow_path)
     errors += allow_errors
@@ -525,6 +567,16 @@ SELF_TEST_FILES = {
         "#include <thread>\nvoid t() { std::thread w; w.join(); }\n"),
     "tests/test_ok.cpp": (
         "#include <thread>\nvoid t() { std::thread w; w.join(); }\n"),
+    # reachability: orphan.h is included by its own .cpp and a test only;
+    # the tools/ consumer reaches every other mini-tree header.
+    "src/core/orphan.h": "inline int orphan() { return 0; }\n",
+    "src/core/orphan.cpp": '#include "core/orphan.h"\n',
+    "tests/test_orphan.cpp": '#include "core/orphan.h"\n',
+    "tools/cli.cpp": "".join(
+        f'#include "{h}"\n' for h in (
+            "core/bad_include.h", "core/kernels.h", "filter/bad_up.h",
+            "filter/sig.h", "search/pool.h", "search/raw_mu.h",
+            "service/unannotated.h", "util/buf.h", "util/wrap.h")),
 }
 
 SELF_TEST_EXPECT = [
@@ -540,6 +592,7 @@ SELF_TEST_EXPECT = [
     "raw-sync src/search/raw_mu.h",
     "mutex-guard src/service/unannotated.h",
     "test-labels tests/test_threads.cpp",
+    "reachability src/core/orphan.h",
 ]
 
 
@@ -556,25 +609,7 @@ def self_test():
         with open(os.path.join(tmp, OBS_DOC), "w", encoding="utf-8") as f:
             f.write(SELF_TEST_OBS)
 
-        arch_text = read(os.path.join(tmp, ARCH_DOC))
-        dag = parse_layer_dag(
-            parse_marked_block(arch_text, "<!-- arch-lint:layer-dag -->",
-                               ARCH_DOC), ARCH_DOC)
-        no_include = parse_no_include(
-            parse_marked_block(arch_text, "<!-- arch-lint:no-include -->",
-                               ARCH_DOC), ARCH_DOC)
-        poll = parse_marked_block(arch_text, "<!-- arch-lint:cancel-poll -->",
-                                  ARCH_DOC)
-        findings = []
-        findings += check_layer_dag(tmp, dag)
-        findings += check_no_include(tmp, no_include)
-        findings += check_intrinsics(tmp)
-        findings += check_cancel_poll(tmp, poll)
-        findings += check_metrics(tmp, read(os.path.join(tmp, OBS_DOC)))
-        findings += check_raw_sync(tmp)
-        findings += check_mutex_guard(tmp)
-        findings += check_test_labels(tmp)
-        keys = {k for k, _ in findings}
+        keys = {k for k, _ in collect_findings(tmp)}
 
         failures = [k for k in SELF_TEST_EXPECT if k not in keys]
         unexpected = sorted(keys - set(SELF_TEST_EXPECT))
