@@ -1,12 +1,16 @@
 // Micro-benchmarks of the vector modules (paper Table I) across backends:
 // per-column cost of wgt_max_scan, rshift_x_fill, and the influence test.
 // These quantify the fixed scan overhead vs. the data-dependent lazy-F
-// cost that the hybrid method trades off (Sec. V-B).
+// cost that the hybrid method trades off (Sec. V-B). The ProfileBuild rows
+// time one striped query profile per backend and width, the set-up cost
+// paid once per query (Sec. V-E).
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "bench_common.h"
+#include "core/engine.h"
+#include "score/profile.h"
 #include "simd/modules.h"
 #include "simd/vec_avx2.h"
 #include "simd/vec_avx512.h"
@@ -86,6 +90,56 @@ void bench_lazyf_carry_scan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+// One local striped profile of a 2,000-residue BLOSUM62 query at the
+// engine's width. `engine` = false times the per-cell reference loop (one
+// matrix lookup per cell, the build before the table fill); true times
+// Engine::build_profile (letter tables included): one in-register
+// table_lookup per vector where the backend has it, the scalar table fill
+// elsewhere.
+template <class T>
+void bench_profile_build(benchmark::State& state, IsaKind isa, bool engine) {
+  const core::Engine<T>* eng = core::get_engine<T>(isa);
+  if (eng == nullptr) {
+    state.SkipWithError("engine unavailable");
+    return;
+  }
+  const auto& matrix = score::ScoreMatrix::blosum62();
+  std::mt19937_64 rng(1);
+  std::uniform_int_distribution<int> d(0, 19);
+  std::vector<std::uint8_t> query(2000);
+  for (auto& c : query) c = static_cast<std::uint8_t>(d(rng));
+  const int width = eng->lanes();
+  const T pad = neg_inf<T>();
+
+  score::StripedProfile<T> p;
+  for (auto _ : state) {
+    if (engine) {
+      eng->build_profile(p, query, score::profile_tables<T>(matrix, pad));
+    } else {
+      p.m = static_cast<int>(query.size());
+      p.width = width;
+      p.segs = (p.m + width - 1) / width;
+      p.alpha = matrix.size();
+      p.data.resize(static_cast<std::size_t>(p.alpha) * p.segs * width);
+      for (int a = 0; a < p.alpha; ++a) {
+        T* row = p.data.data() + static_cast<std::size_t>(a) * p.segs * width;
+        for (int j = 0; j < p.segs; ++j) {
+          for (int l = 0; l < width; ++l) {
+            const int logical = l * p.segs + j;
+            row[j * width + l] =
+                logical < p.m ? static_cast<T>(matrix.at(a, query[logical]))
+                              : pad;
+          }
+        }
+      }
+    }
+    benchmark::DoNotOptimize(p.data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * matrix.size() *
+                          static_cast<std::int64_t>(query.size()));
+}
+
 }  // namespace
 
 // The cross-lane shift and the re-computation gate: the two per-column
@@ -151,6 +205,41 @@ BENCH_SCAN(std::int32_t, Avx2, WgtMaxScan_avx2_i32)
 #endif
 #if defined(AALIGN_HAVE_AVX512)
 BENCH_SCAN(std::int32_t, Avx512, WgtMaxScan_avx512_i32)
+#endif
+
+// Rows ProfileBuild_<isa>_<T>/reference and /engine; unavailable ISAs
+// skip.
+#define BENCH_PROFILE(T, KIND, NAME)                                      \
+  static void ProfileBuild_##NAME(benchmark::State& state, bool engine) { \
+    if (!isa_available(IsaKind::KIND)) {                                  \
+      state.SkipWithError(#KIND " unavailable");                          \
+      return;                                                             \
+    }                                                                     \
+    bench_profile_build<T>(state, IsaKind::KIND, engine);                 \
+  }                                                                       \
+  BENCHMARK_CAPTURE(ProfileBuild_##NAME, reference, false);               \
+  BENCHMARK_CAPTURE(ProfileBuild_##NAME, engine, true);
+
+BENCH_PROFILE(std::int8_t, Scalar, scalar_i8)
+BENCH_PROFILE(std::int16_t, Scalar, scalar_i16)
+BENCH_PROFILE(std::int32_t, Scalar, scalar_i32)
+#if defined(AALIGN_HAVE_SSE41)
+BENCH_PROFILE(std::int8_t, Sse41, sse41_i8)
+BENCH_PROFILE(std::int16_t, Sse41, sse41_i16)
+BENCH_PROFILE(std::int32_t, Sse41, sse41_i32)
+#endif
+#if defined(AALIGN_HAVE_AVX2)
+BENCH_PROFILE(std::int8_t, Avx2, avx2_i8)
+BENCH_PROFILE(std::int16_t, Avx2, avx2_i16)
+BENCH_PROFILE(std::int32_t, Avx2, avx2_i32)
+#endif
+#if defined(AALIGN_HAVE_AVX512)
+BENCH_PROFILE(std::int32_t, Avx512, avx512_i32)
+#endif
+#if defined(AALIGN_HAVE_AVX512BW)
+BENCH_PROFILE(std::int8_t, Avx512Bw, avx512bw_i8)
+BENCH_PROFILE(std::int16_t, Avx512Bw, avx512bw_i16)
+BENCH_PROFILE(std::int32_t, Avx512Bw, avx512bw_i32)
 #endif
 
 namespace {

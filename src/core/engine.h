@@ -26,6 +26,13 @@ class Engine {
   virtual simd::IsaKind isa() const = 0;
   virtual int lanes() const = 0;
 
+  // Builds `profile` for `query` at lanes() lanes from the letter tables.
+  // Backends with an in-register table lookup fill one vector per lookup;
+  // the rest run the scalar fill (score/profile.h). Same bytes either way.
+  virtual void build_profile(score::StripedProfile<T>& profile,
+                             std::span<const std::uint8_t> query,
+                             const score::ProfileTables<T>& tables) const = 0;
+
   // cancel: optional cooperative stop, polled once per stride-chunk of
   // columns; a fired token returns KernelResult::cancelled (invalid score).
   virtual KernelResult run(Strategy strategy, const AlignConfig& cfg,

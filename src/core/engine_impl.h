@@ -16,6 +16,32 @@ class EngineImpl final : public Engine<typename Ops::value_type> {
   simd::IsaKind isa() const override { return isa_; }
   int lanes() const override { return Ops::kWidth; }
 
+  // One table_lookup per vector: the striped index selects each letter's
+  // score in-register. The lookup covers indices 0..31, so alphabets whose
+  // pad symbol does not fit (alpha >= 32) and backends without the
+  // primitive take the scalar fill.
+  void build_profile(score::StripedProfile<T>& profile,
+                     std::span<const std::uint8_t> query,
+                     const score::ProfileTables<T>& tables) const override {
+    using reg = typename Ops::reg;
+    if constexpr (requires(const T* p, reg r) { Ops::table_lookup(p, r); }) {
+      if (tables.alpha < 32) {
+        util::AlignedBuffer<T> idx;
+        score::stripe_query(profile, query, tables.alpha, Ops::kWidth, idx);
+        const std::size_t n = idx.size();
+        for (int a = 0; a < tables.alpha; ++a) {
+          const T* tab = tables.row(a);
+          T* row = profile.data.data() + static_cast<std::size_t>(a) * n;
+          for (std::size_t k = 0; k < n; k += Ops::kWidth) {
+            Ops::store(row + k, Ops::table_lookup(tab, Ops::load(&idx[k])));
+          }
+        }
+        return;
+      }
+    }
+    score::build_striped_profile(profile, query, tables, Ops::kWidth);
+  }
+
   KernelResult run(Strategy strategy, const AlignConfig& cfg,
                    const score::StripedProfile<T>& profile,
                    std::span<const std::uint8_t> subject, Workspace<T>& ws,

@@ -35,58 +35,56 @@ QueryContext::QueryContext(const score::ScoreMatrix& matrix,
   auto want = [&](ScoreWidth w) {
     return opt_.width == ScoreWidth::Auto || opt_.width == w;
   };
-  const std::int8_t pad8 =
-      cfg_.kind == AlignKind::Local ? simd::neg_inf<std::int8_t>() : 0;
-  const std::int16_t pad16 =
-      cfg_.kind == AlignKind::Local ? simd::neg_inf<std::int16_t>() : 0;
-  const std::int32_t pad32 =
-      cfg_.kind == AlignKind::Local ? simd::neg_inf<std::int32_t>() : 0;
+  if (eng8_ != nullptr && want(ScoreWidth::W8)) {
+    widths_.push_back(ScoreWidth::W8);
+  }
+  if (eng16_ != nullptr && want(ScoreWidth::W16)) {
+    widths_.push_back(ScoreWidth::W16);
+  }
+  if (eng32_ != nullptr && want(ScoreWidth::W32)) {
+    widths_.push_back(ScoreWidth::W32);
+  }
+  // Reachable widths only: a non-local alignment never starts below
+  // min_safe_width(query, subject), which only grows with the subject, so
+  // choose_start_width never picks a width below the query's own floor and
+  // its profile would never be read. The widest width always stays.
+  if (opt_.width == ScoreWidth::Auto && cfg_.kind != AlignKind::Local) {
+    const ScoreWidth floor = min_safe_width(cfg_, matrix_, query_len_, 0);
+    while (widths_.size() > 1 && widths_.front() < floor) {
+      widths_.erase(widths_.begin());
+    }
+  }
 
   // A tier builds from the attached LUT rows when they cover the
   // alphabet, else from the matrix; the outputs are bit-identical
   // (tests/test_gateway.cpp pins this differentially).
   const int alpha = matrix_.size();
-  const auto lut_usable = [&](std::size_t span_size) {
-    return !opt_.lut.empty() &&
-           opt_.lut.stride >= static_cast<std::size_t>(alpha) &&
-           span_size >= static_cast<std::size_t>(alpha) * opt_.lut.stride;
-  };
   bool attached = false;
-  if (eng8_ != nullptr && want(ScoreWidth::W8)) {
-    if (lut_usable(opt_.lut.i8.size())) {
-      score::build_striped_profile_lut(prof8_, query, opt_.lut.i8,
-                                       opt_.lut.stride, alpha, eng8_->lanes(),
-                                       pad8);
-      attached = true;
-    } else {
-      score::build_striped_profile(prof8_, query, matrix_, eng8_->lanes(),
-                                   pad8);
+  const auto build = [&](const auto* eng, auto& prof, auto lut_rows) {
+    using T = typename decltype(lut_rows)::value_type;
+    const T pad = cfg_.kind == AlignKind::Local ? simd::neg_inf<T>() : T{0};
+    const bool use_lut =
+        !opt_.lut.empty() &&
+        opt_.lut.stride >= static_cast<std::size_t>(alpha) &&
+        lut_rows.size() >= static_cast<std::size_t>(alpha) * opt_.lut.stride;
+    attached = attached || use_lut;
+    eng->build_profile(prof, query,
+                       use_lut ? score::profile_tables<T>(
+                                     lut_rows, opt_.lut.stride, alpha, pad)
+                               : score::profile_tables<T>(matrix_, pad));
+  };
+  for (const ScoreWidth w : widths_) {
+    switch (w) {
+      case ScoreWidth::W8:
+        build(eng8_, prof8_, opt_.lut.i8);
+        break;
+      case ScoreWidth::W16:
+        build(eng16_, prof16_, opt_.lut.i16);
+        break;
+      default:
+        build(eng32_, prof32_, opt_.lut.i32);
+        break;
     }
-    widths_.push_back(ScoreWidth::W8);
-  }
-  if (eng16_ != nullptr && want(ScoreWidth::W16)) {
-    if (lut_usable(opt_.lut.i16.size())) {
-      score::build_striped_profile_lut(prof16_, query, opt_.lut.i16,
-                                       opt_.lut.stride, alpha,
-                                       eng16_->lanes(), pad16);
-      attached = true;
-    } else {
-      score::build_striped_profile(prof16_, query, matrix_, eng16_->lanes(),
-                                   pad16);
-    }
-    widths_.push_back(ScoreWidth::W16);
-  }
-  if (eng32_ != nullptr && want(ScoreWidth::W32)) {
-    if (lut_usable(opt_.lut.i32.size())) {
-      score::build_striped_profile_lut(prof32_, query, opt_.lut.i32,
-                                       opt_.lut.stride, alpha,
-                                       eng32_->lanes(), pad32);
-      attached = true;
-    } else {
-      score::build_striped_profile(prof32_, query, matrix_, eng32_->lanes(),
-                                   pad32);
-    }
-    widths_.push_back(ScoreWidth::W32);
   }
   if (attached) obs::registry().counter("cache.profile.lut_attach").add();
   if (widths_.empty()) {

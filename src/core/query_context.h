@@ -1,5 +1,6 @@
 // QueryContext: everything derivable from (matrix, config, options, query)
-// alone - striped profiles per score width plus the engine pointers.
+// alone - striped profiles per reachable score width plus the engine
+// pointers.
 // Immutable after build and safely shared read-only by every search thread
 // (the paper's Sec. V-E optimization: build the profile once, before
 // launching threads). Mutable per-thread state lives in WorkspaceSet.
@@ -23,8 +24,8 @@ struct QueryOptions {
   ScoreWidth width = ScoreWidth::Auto;  // Auto = adaptive 8->16->32
   HybridParams hybrid;
   // Optional prebuilt substitution rows (the ProfileLut sections of a
-  // mapped .aidx): when attached, the striped profiles are filled from
-  // these rows instead of per-cell matrix lookups - bit-identical output
+  // mapped .aidx): when attached, the profiles' letter tables are read
+  // from these rows instead of the matrix - bit-identical output
   // (the profile cache therefore keys on neither), counted by
   // cache.profile.lut_attach. A tier whose span is absent or undersized
   // silently falls back to the matrix build.
@@ -49,7 +50,8 @@ struct AdaptiveResult {
 class QueryContext {
  public:
   // Throws std::invalid_argument when the ISA is unavailable or provides
-  // no usable width.
+  // no usable width, or when a query byte is outside the matrix alphabet
+  // (>= matrix.size()).
   QueryContext(const score::ScoreMatrix& matrix, const AlignConfig& cfg,
                const QueryOptions& opt,
                std::span<const std::uint8_t> query);
@@ -64,6 +66,9 @@ class QueryContext {
 
   const AlignConfig& config() const { return cfg_; }
   const QueryOptions& options() const { return opt_; }
+  // The widths with a profile, narrowest first. Under ScoreWidth::Auto a
+  // non-local context starts at min_safe_width(query length, 0): narrower
+  // widths can never run for any subject.
   const std::vector<ScoreWidth>& widths() const { return widths_; }
   std::size_t query_length() const { return query_len_; }
   // The encoded query this context was built from (the batch layer keys

@@ -1,6 +1,6 @@
 // Shared helpers for the test suite: available-ISA enumeration, random
 // sequence/config generation, Farrar-safety filtering, and the serial
-// database-search oracle.
+// database-search and striped-profile oracles.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include "core/config.h"
 #include "core/query_context.h"
 #include "score/matrices.h"
+#include "score/profile.h"
 #include "search/database_search.h"
 #include "search/top_k.h"
 #include "seq/database.h"
@@ -93,6 +94,33 @@ inline search::SearchResult serial_search(const score::ScoreMatrix& matrix,
   res.top = search::select_top_k(scores, opt.top_k);
   if (opt.keep_all_scores) res.scores = std::move(scores);
   return res;
+}
+
+// Striped-profile oracle: the per-cell loop the library built profiles
+// with before the table fill (score/profile.h). score(a, c) is letter a
+// against query symbol c; cells past m get `pad`. The engine builds are
+// compared against it byte for byte.
+template <class T, class Score>
+score::StripedProfile<T> reference_striped_profile(
+    std::span<const std::uint8_t> query, int alpha, int width, T pad,
+    Score score) {
+  score::StripedProfile<T> p;
+  p.m = static_cast<int>(query.size());
+  p.width = width;
+  p.segs = (p.m + width - 1) / width;
+  p.alpha = alpha;
+  p.data.resize(static_cast<std::size_t>(alpha) * p.segs * width);
+  for (int a = 0; a < alpha; ++a) {
+    T* row = p.data.data() + static_cast<std::size_t>(a) * p.segs * width;
+    for (int j = 0; j < p.segs; ++j) {
+      for (int l = 0; l < width; ++l) {
+        const int logical = l * p.segs + j;
+        row[j * width + l] =
+            logical < p.m ? static_cast<T>(score(a, query[logical])) : pad;
+      }
+    }
+  }
+  return p;
 }
 
 }  // namespace aalign::test

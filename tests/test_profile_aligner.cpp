@@ -2,8 +2,11 @@
 // edges (errors, ISA forcing, width listing, query reuse).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+#include <string>
 
+#include "core/adaptive.h"
 #include "core/aligner.h"
 #include "core/sequential.h"
 #include "score/profile.h"
@@ -63,6 +66,86 @@ TEST(StripedProfile, RejectsEmptyQuery) {
   EXPECT_THROW(score::build_striped_profile<std::int32_t>(
                    p, empty, score::ScoreMatrix::blosum62(), 8, 0),
                std::invalid_argument);
+}
+
+template <class T>
+void expect_same_profile(const score::StripedProfile<T>& got,
+                         const score::StripedProfile<T>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.m, want.m) << what;
+  ASSERT_EQ(got.width, want.width) << what;
+  ASSERT_EQ(got.segs, want.segs) << what;
+  ASSERT_EQ(got.alpha, want.alpha) << what;
+  ASSERT_EQ(got.data.size(), want.data.size()) << what;
+  for (std::size_t k = 0; k < want.data.size(); ++k) {
+    ASSERT_EQ(got.data[k], want.data[k]) << what << " cell " << k;
+  }
+}
+
+// Every engine's build (in-register table lookup where the backend has
+// one, the scalar fill elsewhere) against the per-cell oracle, from both
+// letter-table sources. The LUT rows hold random full-range values so a
+// build that read the matrix instead would show; alpha 40 forces the
+// vector backends onto their scalar fallback.
+template <class T>
+void engine_build_matches_reference(simd::IsaKind isa) {
+  const core::Engine<T>* eng = core::get_engine<T>(isa);
+  if (eng == nullptr) return;
+  const int W = eng->lanes();
+  const score::ScoreMatrix dna = score::ScoreMatrix::dna(5, 4);
+  const score::ScoreMatrix* matrices[] = {&score::ScoreMatrix::blosum62(),
+                                          &score::ScoreMatrix::pam250(),
+                                          &dna};
+  std::mt19937_64 rng(14);
+  std::uniform_int_distribution<long> val(std::numeric_limits<T>::min(),
+                                          std::numeric_limits<T>::max());
+  for (const score::ScoreMatrix* m : matrices) {
+    for (const int alpha : {m->size(), 40}) {
+      const std::size_t stride = static_cast<std::size_t>(alpha) + 3;
+      std::vector<T> lut(alpha * stride);
+      for (T& v : lut) v = static_cast<T>(val(rng));
+      for (const T pad : {simd::neg_inf<T>(), T{0}}) {
+        for (const int len : {1, W - 1, W, W + 1, 2 * W + 1, 8000}) {
+          if (len < 1) continue;
+          std::vector<std::uint8_t> q(len);
+          std::uniform_int_distribution<int> sym(0, alpha - 1);
+          for (auto& c : q) c = static_cast<std::uint8_t>(sym(rng));
+          const std::string what = std::string(simd::isa_name(isa)) + " T" +
+                                   std::to_string(sizeof(T) * 8) + " " +
+                                   m->name() + " alpha=" +
+                                   std::to_string(alpha) + " pad=" +
+                                   std::to_string(pad) + " m=" +
+                                   std::to_string(len);
+          score::StripedProfile<T> got;
+          if (alpha == m->size()) {
+            eng->build_profile(got, q, score::profile_tables<T>(*m, pad));
+            expect_same_profile(
+                got,
+                test::reference_striped_profile<T>(
+                    q, alpha, W, pad,
+                    [&](int a, int c) { return m->at(a, c); }),
+                what + " matrix");
+          }
+          eng->build_profile(got, q,
+                             score::profile_tables<T>(lut, stride, alpha, pad));
+          expect_same_profile(
+              got,
+              test::reference_striped_profile<T>(
+                  q, alpha, W, pad,
+                  [&](int a, int c) { return lut[c * stride + a]; }),
+              what + " lut");
+        }
+      }
+    }
+  }
+}
+
+TEST(Profile, EngineBuildMatchesReference) {
+  for (simd::IsaKind isa : test::available_isas()) {
+    engine_build_matches_reference<std::int8_t>(isa);
+    engine_build_matches_reference<std::int16_t>(isa);
+    engine_build_matches_reference<std::int32_t>(isa);
+  }
 }
 
 TEST(PairAligner, RequiresQueryBeforeAlign) {
@@ -144,6 +227,129 @@ TEST(QueryContext, WidthListRespectsIsaAndRequest) {
 
     opt.width = ScoreWidth::W8;
     EXPECT_THROW(core::QueryContext(m, {}, opt, q), std::invalid_argument);
+  }
+}
+
+TEST(QueryContext, RejectsOutOfAlphabetQuery) {
+  // A byte >= matrix.size() has no matrix row: it would read past the
+  // matrix (or a LUT row), or wrap inside an in-register lookup.
+  const auto& m = score::ScoreMatrix::blosum62();
+  std::mt19937_64 rng(15);
+  for (simd::IsaKind isa : test::available_isas()) {
+    for (const int bad : {m.size(), 255}) {
+      auto q = test::random_protein(rng, 40);
+      q[17] = static_cast<std::uint8_t>(bad);
+      core::QueryOptions qopt;
+      qopt.isa = isa;
+      EXPECT_THROW(core::QueryContext(m, {}, qopt, q), std::invalid_argument)
+          << simd::isa_name(isa) << " byte " << bad;
+      AlignOptions opt;
+      opt.isa = isa;
+      PairAligner a(m, {}, opt);
+      EXPECT_THROW(a.set_query(q), std::invalid_argument)
+          << simd::isa_name(isa) << " byte " << bad;
+    }
+  }
+}
+
+// The shortest query length whose min_safe_width(., 0) exceeds `w`.
+std::size_t first_length_above(const AlignConfig& cfg,
+                               const score::ScoreMatrix& m, ScoreWidth w) {
+  std::size_t len = 1;
+  while (min_safe_width(cfg, m, len, 0) <= w) ++len;
+  return len;
+}
+
+TEST(QueryContext, NonLocalWidthsStartAtQueryFloor) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  std::mt19937_64 rng(16);
+  for (const AlignKind kind :
+       {AlignKind::Global, AlignKind::SemiGlobal, AlignKind::Overlap}) {
+    AlignConfig cfg;
+    cfg.kind = kind;
+    const std::size_t f16 = first_length_above(cfg, m, ScoreWidth::W8);
+    const std::size_t f32 = first_length_above(cfg, m, ScoreWidth::W16);
+    for (const std::size_t len : {f16 - 1, f16, f32 - 1, f32}) {
+      const auto q = test::random_protein(rng, len);
+      std::vector<std::vector<std::uint8_t>> subjects;
+      for (const std::size_t n : {std::size_t{0}, std::size_t{1}, len / 2,
+                                  len, 2 * len}) {
+        subjects.push_back(test::mutate(rng, q, 0.3, 0.05));
+        subjects.back().resize(n, 3);
+      }
+      std::vector<long> expect;
+      for (const auto& s : subjects) {
+        expect.push_back(core::align_sequential(m, cfg, q, s));
+      }
+      const ScoreWidth floor = min_safe_width(cfg, m, len, 0);
+      for (simd::IsaKind isa : test::available_isas()) {
+        std::vector<ScoreWidth> full;
+        if (core::get_engine<std::int8_t>(isa)) full.push_back(ScoreWidth::W8);
+        if (core::get_engine<std::int16_t>(isa)) {
+          full.push_back(ScoreWidth::W16);
+        }
+        if (core::get_engine<std::int32_t>(isa)) {
+          full.push_back(ScoreWidth::W32);
+        }
+        std::vector<ScoreWidth> suffix;
+        for (ScoreWidth w : full) {
+          if (w >= floor) suffix.push_back(w);
+        }
+        if (suffix.empty()) suffix.push_back(full.back());
+
+        core::QueryOptions qopt;
+        qopt.isa = isa;
+        const core::QueryContext ctx(m, cfg, qopt, q);
+        const std::string what = std::string(simd::isa_name(isa)) +
+                                 " kind=" + std::to_string(int(kind)) +
+                                 " m=" + std::to_string(len);
+        EXPECT_EQ(ctx.widths(), suffix) << what;
+
+        // Explicit widths keep their one-entry lists; their contexts also
+        // replay the full-list promotion ladder below.
+        std::vector<core::QueryContext> single;
+        for (ScoreWidth w : full) {
+          core::QueryOptions one = qopt;
+          one.width = w;
+          single.emplace_back(m, cfg, one, q);
+          EXPECT_EQ(single.back().widths(), std::vector<ScoreWidth>{w})
+              << what;
+        }
+
+        core::WorkspaceSet ws;
+        for (std::size_t i = 0; i < subjects.size(); ++i) {
+          const auto& s = subjects[i];
+          const std::string at = what + " n=" + std::to_string(s.size());
+          const core::AdaptiveResult r = ctx.align(s, ws);
+          EXPECT_EQ(r.kernel.score, expect[i]) << at;
+          if (s.empty()) {
+            // No kernel runs; the widest width is reported, as before.
+            EXPECT_EQ(r.width, full.back()) << at;
+            continue;
+          }
+          // The full list starts at choose_start_width and promotes on
+          // saturation: the trimmed context must take the same steps.
+          const ScoreWidth start =
+              core::choose_start_width(cfg, m, len, s.size(), full);
+          ScoreWidth width = start;
+          int promotions = -1;
+          for (std::size_t wi = 0; wi < full.size(); ++wi) {
+            if (full[wi] < start) continue;
+            ++promotions;
+            width = full[wi];
+            if (!single[wi].align(s, ws).kernel.saturated) break;
+          }
+          EXPECT_GE(r.width, start) << at;
+          EXPECT_EQ(r.width, width) << at;
+          EXPECT_EQ(r.promotions, promotions) << at;
+        }
+
+        AlignConfig local = cfg;
+        local.kind = AlignKind::Local;
+        EXPECT_EQ(core::QueryContext(m, local, qopt, q).widths(), full)
+            << what;
+      }
+    }
   }
 }
 
