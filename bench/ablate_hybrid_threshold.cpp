@@ -79,12 +79,11 @@ int main() {
       const double t_leg = time_median([&] { it_legacy.align(in.enc); }, 3);
       // lazy passes per column, normalized by segment count: this is the
       // counter the hybrid method thresholds.
-      const core::QueryContext probe_ctx(
-          matrix, cfg,
-          core::QueryOptions{Strategy::StripedIterate, plat.isa,
-                             ScoreWidth::W32,
-                             {}},
-          query);
+      core::QueryOptions probe_opt;
+      probe_opt.strategy = Strategy::StripedIterate;
+      probe_opt.isa = plat.isa;
+      probe_opt.width = ScoreWidth::W32;
+      const core::QueryContext probe_ctx(matrix, cfg, probe_opt, query);
       const int lanes =
           core::get_engine<std::int32_t>(plat.isa)->lanes();
       const double segs =

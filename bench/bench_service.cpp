@@ -3,11 +3,11 @@
 // response) under concurrent client fan-out.
 //
 // For 1 / 8 / 64 concurrent clients it reports request latency p50/p99,
-// throughput, and the shed + degrade rates the admission-control layer
-// produces when the offered load exceeds the bounded queue
-// (docs/service.md). The queue is kept deliberately small so the 64-client
-// leg actually exercises oldest-deadline-first shedding rather than just
-// queueing everything.
+// throughput, and the shed rate the admission-control layer produces
+// when the offered load exceeds the bounded queue (docs/service.md). The
+// queue is kept deliberately small so the 64-client leg actually
+// exercises oldest-deadline-first shedding rather than just queueing
+// everything.
 //
 // Dumps a schema "aalign.run" v2 document to BENCH_service.json
 // (override the path with AALIGN_BENCH_JSON).
@@ -37,7 +37,6 @@ struct Leg {
   std::size_t ok;
   std::size_t shed;
   std::size_t deadline;
-  std::size_t degraded;
   double p50_us;
   double p99_us;
   double wall_s;
@@ -65,7 +64,6 @@ int main() {
   sopt.search.threads = 4;
   sopt.search.query.isa = simd::best_available_isa();
   sopt.queue_capacity = 8;  // small on purpose: the 64-client leg must shed
-  sopt.degrade_depth = 6;
   sopt.executors = 2;
   service::AlignService svc(matrix, cfg, std::move(db), sopt);
 
@@ -85,9 +83,9 @@ int main() {
               "queue capacity %zu, %d executors x %d threads, port %u\n\n",
               db_size, db_residues, sopt.queue_capacity, sopt.executors,
               sopt.search.threads, static_cast<unsigned>(port));
-  std::printf("%-8s %9s %6s %6s %9s %9s %10s %9s %9s\n", "clients",
-              "requests", "ok", "shed", "deadline", "degraded", "p50(us)",
-              "p99(us)", "req/s");
+  std::printf("%-8s %9s %6s %6s %9s %10s %9s %9s\n", "clients",
+              "requests", "ok", "shed", "deadline", "p50(us)", "p99(us)",
+              "req/s");
 
   std::vector<Leg> legs;
   for (int clients : {1, 8, 64}) {
@@ -96,7 +94,6 @@ int main() {
     std::vector<std::size_t> ok(static_cast<std::size_t>(clients), 0);
     std::vector<std::size_t> shed(static_cast<std::size_t>(clients), 0);
     std::vector<std::size_t> deadline(static_cast<std::size_t>(clients), 0);
-    std::vector<std::size_t> degraded(static_cast<std::size_t>(clients), 0);
 
     util::Stopwatch wall;
     std::vector<std::thread> workers;
@@ -118,7 +115,6 @@ int main() {
               std::chrono::duration<double, std::micro>(dt).count());
           if (resp.ok) {
             ++ok[static_cast<std::size_t>(c)];
-            if (resp.degraded) ++degraded[static_cast<std::size_t>(c)];
           } else if (resp.error == service::ErrorCode::Overloaded) {
             ++shed[static_cast<std::size_t>(c)];
           } else if (resp.error == service::ErrorCode::DeadlineExceeded) {
@@ -140,12 +136,10 @@ int main() {
     leg.ok = 0;
     leg.shed = 0;
     leg.deadline = 0;
-    leg.degraded = 0;
     for (int c = 0; c < clients; ++c) {
       leg.ok += ok[static_cast<std::size_t>(c)];
       leg.shed += shed[static_cast<std::size_t>(c)];
       leg.deadline += deadline[static_cast<std::size_t>(c)];
-      leg.degraded += degraded[static_cast<std::size_t>(c)];
     }
     leg.p50_us = percentile(all, 0.50);
     leg.p99_us = percentile(all, 0.99);
@@ -153,9 +147,9 @@ int main() {
     leg.rps = wall_s > 0 ? static_cast<double>(leg.requests) / wall_s : 0.0;
     legs.push_back(leg);
 
-    std::printf("%-8d %9zu %6zu %6zu %9zu %9zu %10.0f %9.0f %9.1f\n",
+    std::printf("%-8d %9zu %6zu %6zu %9zu %10.0f %9.0f %9.1f\n",
                 leg.clients, leg.requests, leg.ok, leg.shed, leg.deadline,
-                leg.degraded, leg.p50_us, leg.p99_us, leg.rps);
+                leg.p50_us, leg.p99_us, leg.rps);
   }
 
   server.request_stop();
@@ -178,7 +172,6 @@ int main() {
   report.set_workload("db_sequences", db_size);
   report.set_workload("db_residues", db_residues);
   report.set_workload("queue_capacity", sopt.queue_capacity);
-  report.set_workload("degrade_depth", sopt.degrade_depth);
   report.set_workload("executors", sopt.executors);
   report.set_workload("requests_per_client", per_client);
   report.set_headline("service_p99_us_8_clients", mid.p99_us);
@@ -189,7 +182,6 @@ int main() {
     row.set("ok", l.ok);
     row.set("shed", l.shed);
     row.set("deadline_exceeded", l.deadline);
-    row.set("degraded", l.degraded);
     row.set("shed_rate",
             l.requests > 0
                 ? static_cast<double>(l.shed) / static_cast<double>(l.requests)

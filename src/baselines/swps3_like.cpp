@@ -1,8 +1,7 @@
 #include "baselines/swps3_like.h"
 
-#include <algorithm>
-
 #include "search/thread_pool.h"
+#include "search/top_k.h"
 #include "util/stopwatch.h"
 
 namespace aalign::baselines {
@@ -42,8 +41,12 @@ search::SearchResult Swps3Like::search(std::span<const std::uint8_t> query,
   // Two contexts: the 8-bit fast path and the 16-bit overflow path. The
   // adaptive chain in QueryContext would add a 32-bit tier SWPS3 does not
   // have, so the promotion is done here explicitly.
-  core::QueryOptions q8{Strategy::StripedIterate, isa_, ScoreWidth::W8, {}};
-  core::QueryOptions q16{Strategy::StripedIterate, isa_, ScoreWidth::W16, {}};
+  core::QueryOptions q8;
+  q8.strategy = Strategy::StripedIterate;
+  q8.isa = isa_;
+  q8.width = ScoreWidth::W8;
+  core::QueryOptions q16 = q8;
+  q16.width = ScoreWidth::W16;
   const core::QueryContext ctx8(matrix_, cfg, q8, query);
   const core::QueryContext ctx16(matrix_, cfg, q16, query);
 
@@ -74,19 +77,8 @@ search::SearchResult Swps3Like::search(std::span<const std::uint8_t> query,
   res.gcups = util::gcups_cells(res.cells, res.seconds);
   for (const WorkerState& w : workers) res.promotions += w.promotions;
 
-  std::vector<search::SearchHit> hits;
-  hits.reserve(scores.size());
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    hits.push_back({i, scores[i]});
-  }
-  const std::size_t k = std::min<std::size_t>(10, hits.size());
-  std::partial_sort(hits.begin(), hits.begin() + static_cast<long>(k),
-                    hits.end(),
-                    [](const search::SearchHit& a, const search::SearchHit& b) {
-                      return a.score > b.score;
-                    });
-  hits.resize(k);
-  res.top = std::move(hits);
+  search::remap_scores_to_original(db, scores);
+  res.top = search::select_top_k(scores, 10);
   res.scores = std::move(scores);
   return res;
 }

@@ -20,6 +20,8 @@ class Swps3Like {
   Swps3Like(const score::ScoreMatrix& matrix, Penalties pen,
             std::optional<simd::IsaKind> isa = {}, int threads = 0);
 
+  // Sorts `db` longest-first; `scores` and `top` are nonetheless indexed
+  // by ORIGINAL database position, like every SearchResult.
   search::SearchResult search(std::span<const std::uint8_t> query,
                               seq::Database& db) const;
 

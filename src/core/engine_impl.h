@@ -78,9 +78,6 @@ class EngineImpl final : public Engine<typename Ops::value_type> {
     return {};
   }
 
-  template <class IsaTag>
-  static void set_isa(IsaTag) {}
-
   explicit EngineImpl(simd::IsaKind isa) : isa_(isa) {}
 
  private:

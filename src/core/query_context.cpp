@@ -3,12 +3,30 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/adaptive.h"
 #include "core/sequential.h"
 #include "obs/metrics.h"
 #include "simd/modules.h"
 
 namespace aalign::core {
+
+ScoreWidth choose_start_width(const AlignConfig& cfg,
+                              const score::ScoreMatrix& matrix,
+                              std::size_t query_len, std::size_t subject_len,
+                              const std::vector<ScoreWidth>& supported) {
+  if (supported.empty()) {
+    throw std::logic_error("choose_start_width: no supported widths");
+  }
+  ScoreWidth need = ScoreWidth::W8;
+  if (cfg.kind != AlignKind::Local) {
+    need = min_safe_width(cfg, matrix, query_len, subject_len);
+  }
+  for (ScoreWidth w : supported) {
+    if (w >= need) return w;
+  }
+  // Nothing wide enough: use the widest we have; the kernel's saturation
+  // flag will surface the limitation.
+  return supported.back();
+}
 
 QueryContext::QueryContext(const score::ScoreMatrix& matrix,
                            const AlignConfig& cfg, const QueryOptions& opt,

@@ -47,6 +47,18 @@ struct AdaptiveResult {
   bool cancelled = false;
 };
 
+// The narrowest width worth trying first for one subject, given what is
+// knowable before running the kernel. For local alignment the final score
+// is input-dependent, so the narrowest supported width is always worth an
+// optimistic first try (saturation triggers promotion). For
+// global/semiglobal the gapped boundaries alone can overflow a narrow
+// type, which min_safe_width() rules out up front. `supported` is
+// narrowest first; throws std::logic_error when it is empty.
+ScoreWidth choose_start_width(const AlignConfig& cfg,
+                              const score::ScoreMatrix& matrix,
+                              std::size_t query_len, std::size_t subject_len,
+                              const std::vector<ScoreWidth>& supported);
+
 class QueryContext {
  public:
   // Throws std::invalid_argument when the ISA is unavailable or provides

@@ -356,7 +356,6 @@ void Gateway::merge_and_complete(Scatter& s) {
   for (const WireResponse& r : s.responses) {
     if (r.ok) {
       ++ok_shards;
-      out.degraded = out.degraded || r.degraded;
       out.filtered = out.filtered || r.filtered;
       // A nested gateway's partial answer keeps the marking.
       out.incomplete = out.incomplete || r.incomplete;

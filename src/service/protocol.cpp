@@ -59,12 +59,6 @@ std::string parse_request(const obs::Json& doc, WireRequest& out) {
     }
     out.deadline_ms = d->as_int();
   }
-  if (const obs::Json* a = doc.find("allow_degraded")) {
-    if (a->type() != obs::Json::Type::Bool) {
-      return "'allow_degraded' must be a boolean";
-    }
-    out.allow_degraded = a->as_bool();
-  }
   if (const obs::Json* f = doc.find("filter")) {
     if (!f->is_string()) return "'filter' must be \"off\", \"on\", or \"auto\"";
     const auto mode = filter::parse_filter_mode(f->as_string());
@@ -83,7 +77,6 @@ obs::Json request_json(const WireRequest& req) {
   doc.set("queries", std::move(qs));
   doc.set("top_k", req.top_k);
   if (req.deadline_ms > 0) doc.set("deadline_ms", req.deadline_ms);
-  if (!req.allow_degraded) doc.set("allow_degraded", false);
   if (req.filter_explicit || req.filter != filter::FilterMode::Auto) {
     doc.set("filter", filter::filter_mode_name(req.filter));
   }
@@ -139,7 +132,6 @@ WireResponse parse_response(const obs::Json& doc) {
     resp.message = err["message"].as_string();
     return resp;
   }
-  resp.degraded = doc["degraded"].as_bool();
   if (const obs::Json* f = doc.find("filtered")) resp.filtered = f->as_bool();
   if (const obs::Json* p = doc.find("incomplete")) resp.incomplete = p->as_bool();
   resp.queue_ms = doc["queue_ms"].as_double();

@@ -6,7 +6,7 @@
 //
 // Request line:
 //   {"id": 7, "queries": ["MKV..."], "top_k": 5,
-//    "deadline_ms": 250, "allow_degraded": true, "filter": "auto"}
+//    "deadline_ms": 250, "filter": "auto"}
 //
 // Success line:
 //   {"id": 7, "ok": true, "degraded": false, "filtered": true,
@@ -51,7 +51,6 @@ struct WireRequest {
   std::vector<std::string> queries;   // residue strings, one per query
   std::size_t top_k = 10;
   std::int64_t deadline_ms = 0;       // relative budget; 0 = no deadline
-  bool allow_degraded = true;         // permit the int8 fast path under load
   // Two-stage routing ("off" | "on" | "auto"): whether the signature
   // pre-filter may screen subjects before exact rescoring. Requests that
   // omit the field (filter_explicit=false) inherit the server's default
@@ -75,8 +74,9 @@ struct WireResponse {
   bool ok = false;
   ErrorCode error = ErrorCode::None;
   std::string message;
-  bool degraded = false;   // served by the int8 fast path (scores may
-                           // saturate at the 8-bit rail)
+  // Always false: every response is exact. Still sent as
+  // "degraded": false because deployed clients parse the key.
+  bool degraded = false;
   bool filtered = false;   // the signature pre-filter screened subjects
   // Partial-result contract (gateway fan-out, docs/deployment.md): true
   // when one or more shards missed the deadline or were down, so `results`
@@ -91,7 +91,8 @@ struct WireResponse {
 
 // Parses one request document. Returns "" and fills `out` on success,
 // else a human-readable description of the first violation (the caller
-// wraps it in an InvalidRequest response). Unknown fields are ignored.
+// wraps it in an InvalidRequest response). Unknown fields are ignored,
+// including the retired degraded-mode opt-out older clients still send.
 std::string parse_request(const obs::Json& doc, WireRequest& out);
 
 obs::Json request_json(const WireRequest& req);

@@ -156,15 +156,9 @@ WireResponse AlignService::execute(WireRequest req) {
 }
 
 void AlignService::executor_loop(int executor_id) {
-  // Per-executor schedulers so concurrent executors never share mutable
-  // scheduler state; each keeps its profile LRU warm across requests.
-  // The degraded path pins the int8 saturating kernels (several times
-  // cheaper than the adaptive ladder; scores may clip at the 8-bit rail).
-  search::SearchOptions exact_opt = opt_.search;
-  search::SearchOptions degraded_opt = exact_opt;
-  degraded_opt.query.width = ScoreWidth::W8;
-  search::BatchScheduler exact(matrix_, cfg_, exact_opt);
-  search::BatchScheduler degraded(matrix_, cfg_, degraded_opt);
+  // A per-executor scheduler so concurrent executors never share mutable
+  // scheduler state; it keeps its profile LRU warm across requests.
+  search::BatchScheduler sched(matrix_, cfg_, opt_.search);
 
   obs::Registry& reg = obs::registry();
   while (std::shared_ptr<PendingRequest> p = queue_.pop()) {
@@ -182,18 +176,14 @@ void AlignService::executor_loop(int executor_id) {
       continue;
     }
 
-    const bool degrade = p->req.allow_degraded &&
-                         queue_.depth() >= opt_.degrade_depth;
     WireResponse resp;
     resp.id = p->req.id;
-    resp.degraded = degrade;
     try {
       std::vector<std::vector<std::uint8_t>> encoded;
       encoded.reserve(p->req.queries.size());
       for (const std::string& q : p->req.queries) {
         encoded.push_back(matrix_.alphabet().encode(q));
       }
-      search::BatchScheduler& sched = degrade ? degraded : exact;
       sched.set_filter_mode(p->req.filter_explicit ? p->req.filter
                                                    : opt_.search.filter.mode);
       const std::vector<search::SearchResult> results =
@@ -224,7 +214,6 @@ void AlignService::executor_loop(int executor_id) {
         }
         resp.results.push_back(std::move(out));
       }
-      if (degrade) reg.counter("service.degraded").add();
       reg.counter("service.completed").add();
       reg.histogram("service.latency_us")
           .record(us_between(p->arrival, finished));

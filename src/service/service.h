@@ -6,16 +6,14 @@
 // client vanished stops consuming cores within one kernel stride-chunk
 // per worker.
 //
-// Degradation (docs/service.md): when the queue depth at dequeue time is
-// at or above `degrade_depth`, a request that allows it is served by the
-// int8-only fast path (ScoreWidth::W8 - the saturating narrow kernels,
-// several times cheaper than the adaptive ladder) and its response carries
-// degraded=true; scores may clip at the 8-bit rail. Un-degraded responses
-// are bit-identical to direct library search_many() calls (tested).
+// Every response comes from one exact path: the adaptive 8->16->32 width
+// ladder, which for local alignment already starts at int8 and promotes
+// only saturated subjects. Responses are bit-identical to direct library
+// search_many() calls at any load (tested).
 //
 // Instrumentation (all through obs/): counters service.accepted /
 // service.rejected / service.shed / service.cancelled /
-// service.deadline_exceeded / service.degraded / service.completed,
+// service.deadline_exceeded / service.completed,
 // histograms service.queue_depth / service.queue_wait_us /
 // service.latency_us.
 #pragma once
@@ -35,14 +33,11 @@
 namespace aalign::service {
 
 struct ServiceOptions {
-  // Kernel/scheduling knobs of the exact path (top_k / keep_all_scores
-  // are managed per request by the service and ignored here).
+  // Kernel/scheduling knobs (top_k / keep_all_scores are managed per
+  // request by the service and ignored here).
   search::SearchOptions search;
 
   std::size_t queue_capacity = 64;  // waiting requests before shedding
-  std::size_t degrade_depth = 8;    // queue depth that turns on the int8
-                                    // fast path (0 = degrade always,
-                                    // > capacity = never)
   int executors = 1;                // executor threads (each runs the
                                     // internally-parallel scheduler)
 

@@ -6,8 +6,8 @@
 #include <random>
 #include <string>
 
-#include "core/adaptive.h"
 #include "core/aligner.h"
+#include "core/query_context.h"
 #include "core/sequential.h"
 #include "score/profile.h"
 #include "simd/modules.h"

@@ -223,11 +223,21 @@ TEST(Baselines, Swps3AndSwaphiMatchOracleScores) {
   seq::Database db1 = db;
   const auto r1 = swps3.search(query, db1);
   ASSERT_EQ(r1.scores.size(), db1.size());
+  // Original-indexed despite the length sort, like SwaphiLike below.
   for (std::size_t i = 0; i < db1.size(); ++i) {
     EXPECT_EQ(r1.scores[i],
-              core::align_sequential(m, cfg, query, db1[i].view()));
+              core::align_sequential(m, cfg, query, db1.by_original(i).view()));
   }
   EXPECT_GE(r1.promotions, 1u);  // the planted hit overflowed int8
+  // The planted homolog (added last) ranks first, at its original index.
+  ASSERT_FALSE(r1.top.empty());
+  EXPECT_EQ(r1.top.front().index, db.size() - 1);
+  const auto want_top = search::select_top_k(r1.scores, 10);
+  ASSERT_EQ(r1.top.size(), want_top.size());
+  for (std::size_t h = 0; h < want_top.size(); ++h) {
+    EXPECT_EQ(r1.top[h].index, want_top[h].index);
+    EXPECT_EQ(r1.top[h].score, want_top[h].score);
+  }
 
   baselines::SwaphiLike swaphi(m, cfg.pen, {}, 2);
   seq::Database db2 = db;

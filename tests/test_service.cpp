@@ -1,10 +1,11 @@
 // aalignd service stack: wire protocol round trips, admission queue
 // shedding policy, differential bit-identity against direct library
 // calls, structured edge-case errors, deadline/disconnect cancellation,
-// degradation under load, and drain-then-exit shutdown.
+// exact answers under load, and drain-then-exit shutdown.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -63,6 +64,40 @@ std::uint64_t counter(const char* name) {
   return obs::registry().counter(name).value();
 }
 
+// The direct library answer the service must reproduce: every subject's
+// exact score for each query, original-indexed.
+std::vector<search::SearchResult> library_scores(
+    const score::ScoreMatrix& m, const AlignConfig& cfg,
+    const search::SearchOptions& sopt, const std::vector<std::string>& queries,
+    seq::Database db) {
+  search::SearchOptions lopt = sopt;
+  lopt.top_k = 0;
+  lopt.keep_all_scores = true;
+  std::vector<std::vector<std::uint8_t>> encoded;
+  for (const std::string& q : queries) {
+    encoded.push_back(m.alphabet().encode(q));
+  }
+  return search::DatabaseSearch(m, cfg, lopt).search_many(encoded, db);
+}
+
+void expect_exact_hits(const WireResponse& resp,
+                       const std::vector<search::SearchResult>& want,
+                       std::size_t top_k) {
+  ASSERT_TRUE(resp.ok) << resp.message;
+  EXPECT_FALSE(resp.degraded);
+  ASSERT_EQ(resp.results.size(), want.size());
+  for (std::size_t qi = 0; qi < want.size(); ++qi) {
+    const auto hits = search::select_top_k(want[qi].scores, top_k);
+    ASSERT_EQ(resp.results[qi].hits.size(), hits.size()) << "query " << qi;
+    for (std::size_t h = 0; h < hits.size(); ++h) {
+      EXPECT_EQ(resp.results[qi].hits[h].index, hits[h].index)
+          << "request " << resp.id << " query " << qi << " hit " << h;
+      EXPECT_EQ(resp.results[qi].hits[h].score, hits[h].score)
+          << "request " << resp.id << " query " << qi << " hit " << h;
+    }
+  }
+}
+
 }  // namespace
 
 TEST(ServiceProtocol, RequestRoundTrip) {
@@ -71,7 +106,6 @@ TEST(ServiceProtocol, RequestRoundTrip) {
   req.queries = {"MKVA", "WWDD"};
   req.top_k = 7;
   req.deadline_ms = 250;
-  req.allow_degraded = false;
 
   WireRequest back;
   ASSERT_EQ(service::parse_request(service::request_json(req), back), "");
@@ -79,24 +113,26 @@ TEST(ServiceProtocol, RequestRoundTrip) {
   EXPECT_EQ(back.queries, req.queries);
   EXPECT_EQ(back.top_k, req.top_k);
   EXPECT_EQ(back.deadline_ms, req.deadline_ms);
-  EXPECT_EQ(back.allow_degraded, req.allow_degraded);
 }
 
 TEST(ServiceProtocol, ResponseRoundTrip) {
   WireResponse resp;
   resp.id = 9;
   resp.ok = true;
-  resp.degraded = true;
   resp.queue_ms = 1.5;
   resp.exec_ms = 20.25;
   resp.results.push_back(
       {{service::WireHit{3, "sp3", 88}, service::WireHit{1, "sp1", 70}}});
 
-  const WireResponse back =
-      service::parse_response(service::response_json(resp));
+  // Deployed clients parse "degraded"; it stays on the wire, always false.
+  const obs::Json doc = service::response_json(resp);
+  ASSERT_NE(doc.find("degraded"), nullptr);
+  EXPECT_FALSE(doc["degraded"].as_bool());
+
+  const WireResponse back = service::parse_response(doc);
   EXPECT_TRUE(back.ok);
   EXPECT_EQ(back.id, 9);
-  EXPECT_TRUE(back.degraded);
+  EXPECT_FALSE(back.degraded);
   ASSERT_EQ(back.results.size(), 1u);
   ASSERT_EQ(back.results[0].hits.size(), 2u);
   EXPECT_EQ(back.results[0].hits[0].subject, "sp3");
@@ -133,6 +169,31 @@ TEST(ServiceProtocol, ParseRejectsBadShapes) {
                       ErrorCode::DeadlineExceeded, ErrorCode::Cancelled,
                       ErrorCode::ServerShutdown, ErrorCode::Internal}) {
     EXPECT_EQ(service::error_code_from_name(service::error_code_name(c)), c);
+  }
+}
+
+// Older clients still send the retired degraded-mode flag, with any value.
+// The parser ignores it like any unknown field, and the request is served
+// exactly.
+TEST(ServiceProtocol, RetiredDegradedFlagIsIgnoredAndServedExactly) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  const auto queries = make_queries(151, 1, 90);
+  const std::size_t top_k = 4;
+  const auto want = library_scores(m, local_cfg(), service_opt().search,
+                                   queries, make_db(150, 60));
+  service::AlignService svc(m, local_cfg(), make_db(150, 60), service_opt());
+
+  for (const char* value : {"true", "false", "\"yes\""}) {
+    const std::string line = R"({"id": 5, "queries": [")" + queries[0] +
+                             R"("], "top_k": 4, "allow_degraded": )" + value +
+                             "}";
+    std::string err;
+    const obs::Json doc = obs::Json::parse(line, &err);
+    ASSERT_EQ(err, "") << line;
+    WireRequest req;
+    ASSERT_EQ(service::parse_request(doc, req), "") << line;
+    EXPECT_EQ(req.top_k, top_k);
+    expect_exact_hits(svc.execute(std::move(req)), want, top_k);
   }
 }
 
@@ -372,7 +433,6 @@ TEST(Service, ShedsUnderOverload) {
   const auto& m = score::ScoreMatrix::blosum62();
   service::ServiceOptions opt = service_opt();
   opt.queue_capacity = 1;
-  opt.degrade_depth = 1000;  // keep this test about shedding only
   service::AlignService svc(m, local_cfg(), make_db(121, 600, 250.0), opt);
 
   const std::uint64_t shed_before = counter("service.shed");
@@ -415,38 +475,56 @@ TEST(Service, ShedsUnderOverload) {
   (void)p2->wait();
 }
 
-// Load-based degradation: above the depth threshold requests flip to the
-// int8 fast path and say so; clients can opt out and opting out keeps the
-// exact path.
-TEST(Service, DegradesUnderLoadAndHonorsOptOut) {
+// A backlog never changes an answer: with the one executor busy and a
+// dozen requests queued behind it (deeper than the default queue depth
+// of 8 that once switched serving to clipped int8 scores), every queued
+// request whose query has a homolog scoring above the int8 rail still
+// gets the exact library hits.
+TEST(Service, ExactUnderLoad) {
   const auto& m = score::ScoreMatrix::blosum62();
-  service::ServiceOptions opt = service_opt();
-  opt.degrade_depth = 0;  // always degrade (deterministic load signal)
-  service::AlignService svc(m, local_cfg(), make_db(131, 80), opt);
+  const AlignConfig cfg = local_cfg();
+  const service::ServiceOptions opt = service_opt();
+  ASSERT_EQ(opt.executors, 1);
 
-  const std::uint64_t before = counter("service.degraded");
-  WireRequest req;
-  req.id = 1;
-  req.queries = make_queries(132, 1, 90);
-  req.top_k = 3;
-  const WireResponse degraded = svc.execute(req);
-  ASSERT_TRUE(degraded.ok) << degraded.message;
-  EXPECT_TRUE(degraded.degraded);
-  if (obs::metrics_enabled()) {
-    EXPECT_GT(counter("service.degraded"), before);
+  // Plant the query itself in the database: its self-score is far above
+  // the int8 rail, so a clipped answer cannot pass for the exact one.
+  const auto queries = make_queries(162, 1, 120);
+  auto make_loaded_db = [&] {
+    seq::Database db = make_db(161, 600, 250.0);
+    db.add(seq::encode(m.alphabet(), seq::Sequence{"planted", queries[0]}));
+    return db;
+  };
+  const std::size_t top_k = 5;
+  const auto want =
+      library_scores(m, cfg, opt.search, queries, make_loaded_db());
+  ASSERT_GT(search::select_top_k(want[0].scores, 1)[0].score,
+            std::numeric_limits<std::int8_t>::max());
+
+  service::AlignService svc(m, cfg, make_loaded_db(), opt);
+
+  // R0 occupies the executor; wait until it has been dequeued so the
+  // requests below all wait behind it.
+  WireRequest busy;
+  busy.id = 100;
+  busy.queries = make_queries(163, 4, 500);
+  auto p_busy = svc.submit(std::move(busy));
+  for (int i = 0; i < 2000 && svc.queue_depth() > 0; ++i) {
+    std::this_thread::sleep_for(1ms);
   }
 
-  req.id = 2;
-  req.allow_degraded = false;
-  const WireResponse exact = svc.execute(req);
-  ASSERT_TRUE(exact.ok) << exact.message;
-  EXPECT_FALSE(exact.degraded);
-  ASSERT_EQ(exact.results.size(), 1u);
-  // int8 scores can clip at the rail but never exceed the exact score.
-  ASSERT_EQ(degraded.results.size(), 1u);
-  ASSERT_FALSE(exact.results[0].hits.empty());
-  EXPECT_LE(degraded.results[0].hits[0].score,
-            exact.results[0].hits[0].score);
+  constexpr int kQueued = 12;
+  std::vector<std::shared_ptr<service::PendingRequest>> pending;
+  for (int i = 0; i < kQueued; ++i) {
+    WireRequest req;
+    req.id = i + 1;
+    req.queries = queries;
+    req.top_k = top_k;
+    pending.push_back(svc.submit(std::move(req)));
+  }
+  EXPECT_GE(svc.queue_depth(), 9u) << "the busy request finished too soon";
+
+  EXPECT_TRUE(p_busy->wait().ok);
+  for (const auto& p : pending) expect_exact_hits(p->wait(), want, top_k);
 }
 
 // Drain-then-exit: requests accepted before shutdown all complete with

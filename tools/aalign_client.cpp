@@ -13,7 +13,6 @@
 //   --port N         server port                 [7731]
 //   --top K          hits per query              [10]
 //   --deadline-ms N  per-request deadline        [none]
-//   --no-degraded    refuse int8 degraded answers
 //   --repeat N       send the request N times    [1]
 #include <cstdio>
 #include <cstdlib>
@@ -40,7 +39,6 @@ void print_help() {
       "  --host ADDR / --port N        [127.0.0.1 / 7731]\n"
       "  --top K                       [10]\n"
       "  --deadline-ms N               [none]\n"
-      "  --no-degraded  refuse int8 degraded answers\n"
       "  --repeat N                    [1]\n");
 }
 
@@ -74,8 +72,6 @@ int main(int argc, char** argv) {
       req.top_k = static_cast<std::size_t>(std::atoll(next().c_str()));
     } else if (a == "--deadline-ms") {
       req.deadline_ms = std::atoll(next().c_str());
-    } else if (a == "--no-degraded") {
-      req.allow_degraded = false;
     } else if (a == "--repeat") {
       repeat = std::atoi(next().c_str());
     } else {
@@ -111,9 +107,9 @@ int main(int argc, char** argv) {
                      resp.message.c_str());
         return 1;
       }
-      std::printf("# request %lld: queue %.2f ms, exec %.2f ms%s\n",
+      std::printf("# request %lld: queue %.2f ms, exec %.2f ms\n",
                   static_cast<long long>(resp.id), resp.queue_ms,
-                  resp.exec_ms, resp.degraded ? ", DEGRADED (int8)" : "");
+                  resp.exec_ms);
       for (std::size_t qi = 0; qi < resp.results.size(); ++qi) {
         std::printf("query %s:\n", names[qi].c_str());
         int rank = 1;

@@ -1,7 +1,6 @@
 // aalignd: the alignment daemon. Serves query-vs-database protein search
 // over the newline-delimited JSON TCP protocol (docs/service.md) with
-// per-request deadlines, cooperative cancellation, overload shedding, and
-// load-based degradation to the int8 fast path.
+// per-request deadlines, cooperative cancellation and overload shedding.
 //
 // Three roles, one binary (docs/deployment.md):
 //   aalignd -d db.fasta [options]          # single-process server
@@ -31,7 +30,6 @@
 //   --threads N        alignment worker threads         [hardware]
 //   --executors N      concurrent request executors     [1]
 //   --queue-cap N      admission queue capacity         [64]
-//   --degrade-depth N  queue depth enabling int8 mode   [8]
 //   --max-query-len N  per-query residue limit          [100000]
 //   --filter MODE      signature pre-filter default for requests that
 //                      omit the field: on|off|auto      [auto]
@@ -101,7 +99,7 @@ void print_help() {
       "  --matrix blosum45|blosum62|blosum80|pam250   [blosum62]\n"
       "  --open N / --ext N                           [10 / 2]\n"
       "  --threads N / --executors N                  [hardware / 1]\n"
-      "  --queue-cap N / --degrade-depth N            [64 / 8]\n"
+      "  --queue-cap N                                [64]\n"
       "  --max-query-len N                            [100000]\n"
       "  --filter on|off|auto  pre-filter default      [auto]\n"
       "  --metrics-json FILE  run document on shutdown\n");
@@ -199,9 +197,6 @@ int main(int argc, char** argv) {
       sopt.executors = std::atoi(next().c_str());
     } else if (a == "--queue-cap") {
       sopt.queue_capacity =
-          static_cast<std::size_t>(std::atoll(next().c_str()));
-    } else if (a == "--degrade-depth") {
-      sopt.degrade_depth =
           static_cast<std::size_t>(std::atoll(next().c_str()));
     } else if (a == "--max-query-len") {
       sopt.max_query_len =
@@ -368,7 +363,6 @@ int main(int argc, char** argv) {
     obs::Json workload = obs::Json::object();
     workload.set("subjects", svc.database().size());
     workload.set("queue_capacity", sopt.queue_capacity);
-    workload.set("degrade_depth", sopt.degrade_depth);
     write_metrics_doc(metrics_json, simd::isa_name(sopt.search.query.isa),
                       sopt.search.threads, std::move(workload));
   }
