@@ -62,7 +62,7 @@ int main() {
     std::printf("%-16s %12s %10s %14s %10s %14s\n", "input", "passes/col",
                 "iter(ms)", "iter-legacy(ms)", "scan(ms)", "iterate-wins?");
     for (const InputCase& in : inputs) {
-      AlignOptions opt;
+      core::QueryOptions opt;
       opt.isa = plat.isa;
       opt.width = ScoreWidth::W32;
 
@@ -123,7 +123,7 @@ int main() {
     for (double threshold : {0.1, 0.25, 0.5, 0.75, 0.95, 1.0}) {
       std::printf("%-10.2f", threshold);
       for (int stride : {16, 64, 256}) {
-        AlignOptions opt;
+        core::QueryOptions opt;
         opt.isa = plat.isa;
         opt.width = ScoreWidth::W32;
         opt.strategy = Strategy::Hybrid;

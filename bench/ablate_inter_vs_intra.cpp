@@ -3,11 +3,12 @@
 // evaluates the intra mode, we quantify both).
 //
 // Inter-sequence aligns one subject per lane (element-wise recurrences,
-// zero correction overhead, but a gather per cell for substitution
-// scores and padding waste on length-heterogeneous batches).
+// zero correction overhead, but a score-profile build per subject column
+// and padding waste on length-heterogeneous batches).
 // Intra-sequence is the striped kernel (profile-row loads, but lazy-F /
-// scan correction work). Both run 32-bit lanes on the same ISA so the
-// comparison isolates the vectorization axis.
+// scan correction work). Both legs take the same SearchOptions, so both
+// run 32-bit lanes on the same ISA and the comparison isolates the
+// vectorization axis; the inter-lanes column shows it.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -42,8 +43,8 @@ int main() {
 
   for (const Platform& plat : platforms()) {
     std::printf("--- %s ---\n", plat.label);
-    std::printf("%-7s %12s %12s %12s %12s\n", "query", "intra(s)",
-                "inter(s)", "intra-GCUPS", "inter-GCUPS");
+    std::printf("%-7s %12s %12s %12s %12s %11s\n", "query", "intra(s)",
+                "inter(s)", "intra-GCUPS", "inter-GCUPS", "inter-lanes");
     for (std::size_t qlen : {100, 300, 1000, 3000}) {
       const auto q = matrix.alphabet().encode(gen.protein(qlen).residues);
 
@@ -56,13 +57,21 @@ int main() {
       search::DatabaseSearch intra(matrix, cfg, opt);
       const auto r_intra = intra.search(q, db);
 
-      // Same 4 threads; the inter engine ignores the striped query options.
-      search::InterSequenceSearch inter(matrix, pen, opt, plat.isa);
+      // Same options: W32 makes the inter ladder run its int32 tier only.
+      search::InterSequenceSearch inter(matrix, pen, opt);
       const auto r_inter = inter.search(q, db);
+      // Lanes of the first tier that ran: 8 on AVX2, 16 on AVX-512 at int32.
+      int inter_lanes = 0;
+      for (const search::InterTierStats& t : r_inter.tiers) {
+        if (t.subjects > 0) {
+          inter_lanes = t.lanes;
+          break;
+        }
+      }
 
-      std::printf("Q%-6zu %12.3f %12.3f %12.2f %12.2f\n", qlen,
+      std::printf("Q%-6zu %12.3f %12.3f %12.2f %12.2f %11d\n", qlen,
                   r_intra.seconds, r_inter.seconds, r_intra.gcups,
-                  r_inter.gcups);
+                  r_inter.gcups, inter_lanes);
 
       obs::Json row = obs::Json::object();
       row.set("platform", plat.label);
@@ -71,6 +80,7 @@ int main() {
       row.set("inter_seconds", r_inter.seconds);
       row.set("intra_gcups", r_intra.gcups);
       row.set("inter_gcups", r_inter.gcups);
+      row.set("inter_lanes", inter_lanes);
       report.add_row("queries", std::move(row));
       if (r_intra.gcups > 0) last_ratio = r_inter.gcups / r_intra.gcups;
     }
@@ -78,8 +88,9 @@ int main() {
   }
   std::printf(
       "reading: inter-sequence has input-independent cost (no corrections) "
-      "but pays a gather per cell; intra-sequence amortizes profile loads "
-      "but pays correction work that grows with similarity.\n");
+      "but builds a score profile per subject column; intra-sequence "
+      "amortizes profile loads but pays correction work that grows with "
+      "similarity.\n");
   report.set_headline("inter_vs_intra_gcups", last_ratio);
   return report.write("BENCH_ablate_inter_vs_intra.json") ? 0 : 1;
 }

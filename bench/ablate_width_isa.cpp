@@ -92,7 +92,7 @@ int main() {
       // int8 cannot hold scores of a 2000x2000 similar pair; dissimilar
       // random pairs stay in range except W8 vs long queries, where we
       // accept the saturated flag (the timing is still representative).
-      AlignOptions opt;
+      core::QueryOptions opt;
       opt.isa = isa;
       opt.width = width;
 

@@ -71,7 +71,6 @@ int main() {
 
   search::SearchOptions exh_opt;
   exh_opt.top_k = kHomologsPerQuery;
-  exh_opt.query.isa = simd::best_available_isa();
   search::SearchOptions flt_opt = exh_opt;
   flt_opt.filter.mode = filter::FilterMode::On;
   double threshold_override = -1.0;

@@ -86,7 +86,6 @@ Fleet make_fleet(const score::ScoreMatrix& m, AlignConfig cfg,
                                    seqs.begin() + static_cast<long>(end)));
     service::ServiceOptions sopt;
     sopt.search.threads = 2;
-    sopt.search.query.isa = simd::best_available_isa();
     sopt.executors = 2;
     sopt.global_index_map.resize(end - first);
     std::iota(sopt.global_index_map.begin(), sopt.global_index_map.end(),
@@ -193,7 +192,6 @@ int main() {
   {
     service::ServiceOptions sopt;
     sopt.search.threads = 2;
-    sopt.search.query.isa = simd::best_available_isa();
     sopt.executors = 2;
     service::AlignService single(matrix, cfg,
                                  seq::Database(matrix.alphabet(), seqs), sopt);

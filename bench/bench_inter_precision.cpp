@@ -73,8 +73,6 @@ obs::Json run_row(const Run& r) {
 }  // namespace
 
 int main() {
-  const simd::IsaKind isa = simd::best_available_isa();
-  const core::InterEngine* engine = core::get_inter_engine(isa);
   const auto& matrix = score::ScoreMatrix::blosum62();
   const Penalties pen = Penalties::symmetric(10, 2);
 
@@ -84,6 +82,8 @@ int main() {
 
   search::SearchOptions opt;
   opt.keep_all_scores = false;
+  const simd::IsaKind isa = opt.query.isa;
+  const core::InterEngine* engine = core::get_inter_engine(isa);
 
   std::printf("Inter-sequence precision ladder on %s "
               "(int8 x%d / int16 x%d / int32 x%d lanes); "
@@ -97,10 +97,9 @@ int main() {
   for (std::size_t qlen : {128, 384}) {
     const auto q = matrix.alphabet().encode(gen.protein(qlen).residues);
     for (const char* mode : {"tiered", "int32"}) {
-      const ScoreWidth start = std::string(mode) == "tiered"
-                                   ? ScoreWidth::Auto
-                                   : ScoreWidth::W32;
-      search::InterSequenceSearch s(matrix, pen, opt, isa, start);
+      opt.query.width = std::string(mode) == "tiered" ? ScoreWidth::Auto
+                                                      : ScoreWidth::W32;
+      search::InterSequenceSearch s(matrix, pen, opt);
       s.search(q, db);  // warmup
       Run r{qlen, mode, s.search(q, db)};
       print_run(r);

@@ -56,7 +56,7 @@ int main() {
     for (const LazyF lazyf : {LazyF::Fixup, LazyF::Legacy}) {
       AlignConfig c = cfg;
       c.lazyf = lazyf;
-      AlignOptions opt;
+      core::QueryOptions opt;
       opt.isa = plat.isa;
       opt.width = ScoreWidth::W32;
       opt.strategy = Strategy::StripedIterate;

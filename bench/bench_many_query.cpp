@@ -81,7 +81,6 @@ int main() {
     search::SearchOptions opt;
     opt.threads = threads;
     opt.keep_all_scores = false;
-    opt.query.isa = simd::best_available_isa();
     search::DatabaseSearch serial_engine(matrix, cfg, opt);
 
     seq::Database db_serial = base_db;

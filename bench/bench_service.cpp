@@ -62,7 +62,6 @@ int main() {
 
   service::ServiceOptions sopt;
   sopt.search.threads = 4;
-  sopt.search.query.isa = simd::best_available_isa();
   sopt.queue_capacity = 8;  // small on purpose: the 64-client leg must shed
   sopt.executors = 2;
   service::AlignService svc(matrix, cfg, std::move(db), sopt);

@@ -49,7 +49,7 @@ int main() {
     for (const InputCase& in : inputs) {
       const auto subject = matrix.alphabet().encode(in.subject.residues);
 
-      AlignOptions opt;
+      core::QueryOptions opt;
       opt.isa = plat.isa;
       opt.width = ScoreWidth::W32;
 

@@ -47,7 +47,7 @@ int main() {
           baselines::align_sequential_opt(matrix, cfg, query, subject);
         });
 
-        AlignOptions opt;
+        core::QueryOptions opt;
         opt.isa = plat.isa;
         opt.width = ScoreWidth::W32;
 

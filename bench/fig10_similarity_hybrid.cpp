@@ -60,7 +60,7 @@ int main() {
         const Strategy strats[3] = {Strategy::StripedIterate,
                                     Strategy::StripedScan, Strategy::Hybrid};
         for (int k = 0; k < 3; ++k) {
-          AlignOptions opt;
+          core::QueryOptions opt;
           opt.isa = plat.isa;
           opt.width = ScoreWidth::W32;
           opt.strategy = strats[k];

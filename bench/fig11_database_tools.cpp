@@ -11,11 +11,11 @@
 //
 // Here: a Swiss-Prot-like synthetic database (log-normal lengths, seeded
 // with a few real homologs of each query so the adaptive paths trigger),
-// scaled by AALIGN_BENCH_SCALE (default 2000 sequences).
+// scaled by AALIGN_BENCH_SCALE (default 2000 sequences). Both tools run as
+// configurations of the same DatabaseSearch executor as AAlign; only the
+// kernel options differ.
 #include <cstdio>
 
-#include "baselines/swaphi_like.h"
-#include "baselines/swps3_like.h"
 #include "bench_common.h"
 #include "search/database_search.h"
 #include "seq/pairgen.h"
@@ -37,6 +37,34 @@ seq::Database make_database(seq::SequenceGenerator& gen,
     }
   }
   return seq::Database(score::Alphabet::protein(), raw);
+}
+
+// SWPS3 (Szalkowski et al. 2008): striped-iterate Smith-Waterman on
+// 128-bit SSE whose buffers are char (8-bit) first, retrying a subject
+// wider only when 8-bit saturates. The char working set halves cache
+// pressure, which is why SWPS3 overtakes AAlign's all-short kernel on long
+// queries (paper Sec. VI-C). No hybrid, no scan: iterate only. The Auto
+// ladder goes on to int32 where SWPS3 stops at short, so a subject above
+// the int16 rail is scored exactly rather than clipped.
+search::SearchOptions swps3_options(simd::IsaKind isa) {
+  search::SearchOptions opt;
+  opt.threads = 4;
+  opt.query.strategy = Strategy::StripedIterate;
+  opt.query.isa = isa;
+  opt.query.width = ScoreWidth::Auto;
+  return opt;
+}
+
+// SWAPHI (Liu & Schmidt 2014): the intra-sequence, 32-bit int mode on the
+// 512-bit backend, the SWAPHI configuration the paper evaluates on the
+// Xeon Phi. Striped-iterate only: SWAPHI has no scan or hybrid path.
+search::SearchOptions swaphi_options(simd::IsaKind isa) {
+  search::SearchOptions opt;
+  opt.threads = 4;
+  opt.query.strategy = Strategy::StripedIterate;
+  opt.query.isa = isa;
+  opt.query.width = ScoreWidth::W32;
+  return opt;
 }
 
 }  // namespace
@@ -70,7 +98,7 @@ int main() {
   cfg.kind = AlignKind::Local;
   cfg.pen = pen;
 
-  // --- CPU panel: AAlign (16-bit hybrid, AVX2) vs SWPS3-like (8/16
+  // --- CPU panel: AAlign (16-bit hybrid, AVX2) vs SWPS3 (char->short
   // iterate on 128-bit SSE - SWPS3 is an SSE2-era tool; keeping it on the
   // narrow ISA mirrors the paper's actual comparison) ------------------
   const Platform cpu = platforms().front();
@@ -94,7 +122,7 @@ int main() {
     search::DatabaseSearch aalign_search(matrix, cfg, aopt);
     const auto ra = aalign_search.search(qenc, db);
 
-    baselines::Swps3Like swps3(matrix, pen, swps3_isa, 4);
+    const search::DatabaseSearch swps3(matrix, cfg, swps3_options(swps3_isa));
     const auto rs = swps3.search(qenc, db);
 
     std::printf("%-7s %12.3f %12.3f %10.2f %10.2f %8.2fx\n", q.id.c_str(),
@@ -113,7 +141,7 @@ int main() {
     ++speedup_n;
   }
 
-  // --- MIC panel: AAlign (32-bit hybrid) vs SWAPHI-like (32-bit iterate) -
+  // --- MIC panel: AAlign (32-bit hybrid) vs SWAPHI (32-bit iterate) -----
   const Platform mic = platforms().back();
   std::printf("\n--- %s panel: AAlign(int, hybrid) vs SWAPHI-like "
               "(int, iterate) ---\n", mic.label);
@@ -131,7 +159,7 @@ int main() {
     search::DatabaseSearch aalign_search(matrix, cfg, aopt);
     const auto ra = aalign_search.search(qenc, db);
 
-    baselines::SwaphiLike swaphi(matrix, pen, mic.isa, 4);
+    const search::DatabaseSearch swaphi(matrix, cfg, swaphi_options(mic.isa));
     const auto rw = swaphi.search(qenc, db);
 
     std::printf("%-7s %12.3f %12.3f %10.2f %10.2f %8.2fx\n", q.id.c_str(),

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   std::printf("=== running the generated configuration ===\n");
   for (Strategy strat : {Strategy::StripedIterate, Strategy::StripedScan,
                          Strategy::Hybrid}) {
-    AlignOptions opt;
+    core::QueryOptions opt;
     opt.strategy = strat;
     const AlignResult r = align_pair(matrix, cfg, q, s, opt);
     std::printf("  %-16s -> score %ld (%s, %s)\n", to_string(strat), r.score,

@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
   search::SearchOptions opt;
   opt.top_k = 10;
   opt.query.strategy = Strategy::Hybrid;
-  opt.query.isa = simd::best_available_isa();
 
   search::DatabaseSearch engine(matrix, {}, opt);
   const search::SearchResult res = engine.search(qenc, db);

@@ -36,7 +36,7 @@ int main() {
                        : Penalties::symmetric(0, 4);
       for (Strategy strat : {Strategy::StripedIterate, Strategy::StripedScan,
                              Strategy::Hybrid}) {
-        AlignOptions opt;
+        core::QueryOptions opt;
         opt.strategy = strat;
         const AlignResult r = align_pair(matrix, cfg, query, subject, opt);
         std::printf("%-17s %-8s %-18s %8ld %10llu\n", to_string(kind),

@@ -45,11 +45,11 @@ int main(int argc, char** argv) {
       const core::SimilarityStats st =
           core::measure_similarity(matrix, qenc, senc);
 
-      AlignOptions iter_opt;
+      core::QueryOptions iter_opt;
       iter_opt.strategy = Strategy::StripedIterate;
       const AlignResult it = align_pair(matrix, cfg, qenc, senc, iter_opt);
 
-      AlignOptions hyb_opt;
+      core::QueryOptions hyb_opt;
       hyb_opt.strategy = Strategy::Hybrid;
       const AlignResult hy = align_pair(matrix, cfg, qenc, senc, hyb_opt);
 

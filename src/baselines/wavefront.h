@@ -7,8 +7,8 @@
 // Its classic weaknesses, which the striped layout exists to avoid, are
 // (a) a per-cell scalar substitution lookup (query and subject indices run
 // in opposite directions along a diagonal, defeating profile rows), and
-// (b) short diagonals at the matrix corners. bench/ablate_layout pits this
-// against the striped kernels to quantify exactly that gap.
+// (b) short diagonals at the matrix corners. bench/ablate_width_isa pits
+// this against the striped kernels to quantify exactly that gap.
 #pragma once
 
 #include <cstdint>

@@ -70,7 +70,7 @@ std::string emit_cpp(const KernelSpec& spec, const EmitOptions& opt) {
   os << "            std::span<const std::uint8_t> subject,\n";
   os << "            aalign::Strategy strategy = aalign::Strategy::"
      << (spec.scan_eligible ? "Hybrid" : "StripedIterate") << ") {\n";
-  os << "  aalign::AlignOptions options;\n";
+  os << "  aalign::core::QueryOptions options;\n";
   os << "  options.strategy = strategy;\n";
   os << "  return aalign::align_pair(matrix(), config(), query, subject,\n";
   os << "                            options).score;\n";

@@ -5,13 +5,12 @@
 namespace aalign {
 
 PairAligner::PairAligner(const score::ScoreMatrix& matrix, AlignConfig cfg,
-                         AlignOptions opt)
+                         core::QueryOptions opt)
     : matrix_(matrix), cfg_(cfg), opt_(opt) {
   cfg_.validate();
-  isa_ = opt_.isa.value_or(simd::best_available_isa());
-  if (!simd::isa_available(isa_)) {
+  if (!simd::isa_available(opt_.isa)) {
     throw std::invalid_argument(std::string("PairAligner: ISA '") +
-                                simd::isa_name(isa_) +
+                                simd::isa_name(opt_.isa) +
                                 "' is not available on this machine");
   }
 }
@@ -21,12 +20,7 @@ std::size_t PairAligner::query_length() const {
 }
 
 void PairAligner::set_query(std::span<const std::uint8_t> query) {
-  core::QueryOptions qopt;
-  qopt.strategy = opt_.strategy;
-  qopt.isa = isa_;
-  qopt.width = opt_.width;
-  qopt.hybrid = opt_.hybrid;
-  ctx_.emplace(matrix_, cfg_, qopt, query);
+  ctx_.emplace(matrix_, cfg_, opt_, query);
 }
 
 AlignResult PairAligner::align(std::span<const std::uint8_t> subject) {
@@ -37,7 +31,7 @@ AlignResult PairAligner::align(std::span<const std::uint8_t> subject) {
   AlignResult r;
   r.score = ar.kernel.score;
   r.strategy = opt_.strategy;
-  r.isa = isa_;
+  r.isa = opt_.isa;
   r.width = ar.width;
   r.promotions = ar.promotions;
   r.saturated = ar.kernel.saturated;
@@ -49,7 +43,7 @@ AlignResult align_pair(const score::ScoreMatrix& matrix,
                        const AlignConfig& cfg,
                        std::span<const std::uint8_t> query,
                        std::span<const std::uint8_t> subject,
-                       AlignOptions opt) {
+                       core::QueryOptions opt) {
   PairAligner a(matrix, cfg, opt);
   a.set_query(query);
   return a.align(subject);

@@ -25,15 +25,6 @@
 
 namespace aalign {
 
-struct AlignOptions {
-  Strategy strategy = Strategy::Hybrid;
-  // Empty = best ISA available on this machine (avx512 > avx2 > sse41 >
-  // scalar).
-  std::optional<simd::IsaKind> isa;
-  ScoreWidth width = ScoreWidth::Auto;
-  HybridParams hybrid;
-};
-
 struct AlignResult {
   long score = 0;
   Strategy strategy = Strategy::Hybrid;
@@ -46,8 +37,9 @@ struct AlignResult {
 
 class PairAligner {
  public:
+  // Throws std::invalid_argument when opt.isa is unavailable here.
   PairAligner(const score::ScoreMatrix& matrix, AlignConfig cfg,
-              AlignOptions opt = {});
+              core::QueryOptions opt = {});
 
   // Encoded with the matrix's alphabet (Alphabet::encode).
   void set_query(std::span<const std::uint8_t> query);
@@ -55,15 +47,13 @@ class PairAligner {
   AlignResult align(std::span<const std::uint8_t> subject);
 
   const AlignConfig& config() const { return cfg_; }
-  const AlignOptions& options() const { return opt_; }
-  simd::IsaKind isa() const { return isa_; }
+  const core::QueryOptions& options() const { return opt_; }
   std::size_t query_length() const;
 
  private:
   const score::ScoreMatrix& matrix_;
   AlignConfig cfg_;
-  AlignOptions opt_;
-  simd::IsaKind isa_;
+  core::QueryOptions opt_;
   std::optional<core::QueryContext> ctx_;
   core::WorkspaceSet ws_;
 };
@@ -73,6 +63,6 @@ AlignResult align_pair(const score::ScoreMatrix& matrix,
                        const AlignConfig& cfg,
                        std::span<const std::uint8_t> query,
                        std::span<const std::uint8_t> subject,
-                       AlignOptions opt = {});
+                       core::QueryOptions opt = {});
 
 }  // namespace aalign

@@ -20,7 +20,7 @@ namespace aalign::core {
 
 struct QueryOptions {
   Strategy strategy = Strategy::Hybrid;
-  simd::IsaKind isa = simd::IsaKind::Scalar;
+  simd::IsaKind isa = simd::best_available_isa();  // this machine's best
   ScoreWidth width = ScoreWidth::Auto;  // Auto = adaptive 8->16->32
   HybridParams hybrid;
   // Optional prebuilt substitution rows (the ProfileLut sections of a

@@ -87,15 +87,11 @@ void reset_scratch_for_tier(LadderScratch& w, int W) {
 }  // namespace
 
 InterSequenceSearch::InterSequenceSearch(const score::ScoreMatrix& matrix,
-                                         Penalties pen, SearchOptions opt,
-                                         std::optional<simd::IsaKind> isa,
-                                         ScoreWidth start_width)
+                                         Penalties pen, SearchOptions opt)
     : matrix_(matrix),
       pen_(pen),
-      opt_(opt),
-      isa_(isa.value_or(simd::best_available_isa())),
-      start_(start_precision(start_width)) {
-  if (core::get_inter_engine(isa_) == nullptr) {
+      opt_(opt) {
+  if (core::get_inter_engine(opt_.query.isa) == nullptr) {
     throw std::invalid_argument(
         "InterSequenceSearch: backend unavailable on this machine");
   }
@@ -113,11 +109,11 @@ InterSequenceSearch::InterSequenceSearch(const score::ScoreMatrix& matrix,
 }
 
 int InterSequenceSearch::lanes() const {
-  return core::get_inter_engine(isa_)->lanes();
+  return core::get_inter_engine(opt_.query.isa)->lanes();
 }
 
 int InterSequenceSearch::lanes(core::InterPrecision p) const {
-  return core::get_inter_engine(isa_)->lanes(p);
+  return core::get_inter_engine(opt_.query.isa)->lanes(p);
 }
 
 InterSearchResult InterSequenceSearch::search(
@@ -126,7 +122,7 @@ InterSearchResult InterSequenceSearch::search(
   if (query.empty()) {
     throw std::invalid_argument("InterSequenceSearch: empty query");
   }
-  const core::InterEngine* engine = core::get_inter_engine(isa_);
+  const core::InterEngine* engine = core::get_inter_engine(opt_.query.isa);
 
   if (opt_.sort_database) db.sort_by_length_desc();
 
@@ -146,8 +142,8 @@ InterSearchResult InterSequenceSearch::search(
   std::iota(pending.begin(), pending.end(), std::size_t{0});
 
   util::Stopwatch total;
-  for (int ti = static_cast<int>(start_); ti < core::kInterPrecisionCount;
-       ++ti) {
+  for (int ti = static_cast<int>(start_precision(opt_.query.width));
+       ti < core::kInterPrecisionCount; ++ti) {
     const auto prec = static_cast<core::InterPrecision>(ti);
     const int W = engine->lanes(prec);
     if (W == 0 || pending.empty()) continue;  // tier absent on this backend

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "core/inter_engine.h"
@@ -46,15 +45,15 @@ struct InterSearchResult : SearchResult {
 
 class InterSequenceSearch {
  public:
-  // Local (Smith-Waterman) alignment only. `start_width` selects the first
-  // rung of the precision ladder: Auto starts at the narrowest tier the
-  // backend offers; W32 reproduces the exact single-tier behaviour (useful
-  // as a baseline). Of `opt`, the threads / top_k / keep_all_scores /
-  // sort_database knobs apply; the striped-kernel QueryOptions are ignored.
+  // Local (Smith-Waterman) alignment only. The backend is opt.query.isa;
+  // opt.query.width is the first rung of the precision ladder: Auto and W8
+  // start at the narrowest tier the backend offers, W16 at int16, and W32
+  // runs the exact single tier (the baseline). Of the rest of `opt`, the
+  // threads / top_k / keep_all_scores / sort_database knobs apply; the
+  // striped-kernel strategy, hybrid and lut fields are ignored. Throws
+  // std::invalid_argument when the backend is unavailable here.
   InterSequenceSearch(const score::ScoreMatrix& matrix, Penalties pen,
-                      SearchOptions opt,
-                      std::optional<simd::IsaKind> isa = {},
-                      ScoreWidth start_width = ScoreWidth::Auto);
+                      SearchOptions opt);
 
   // `cancel` (optional) is polled per lane batch in the pool loop; a fired
   // token aborts within one batch per worker and throws
@@ -72,8 +71,6 @@ class InterSequenceSearch {
   const score::ScoreMatrix& matrix_;
   Penalties pen_;
   SearchOptions opt_;
-  simd::IsaKind isa_;
-  core::InterPrecision start_;
   std::vector<std::int32_t> flat_matrix_;  // (alpha+1) x alpha with pad row
 };
 

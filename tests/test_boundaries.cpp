@@ -48,7 +48,7 @@ TEST_P(Boundaries, QueryLengthsAroundLaneMultiples) {
       const long expect = core::align_sequential(m, cfg, q, s);
       for (Strategy strat : {Strategy::StripedIterate, Strategy::StripedScan,
                              Strategy::Hybrid}) {
-        AlignOptions opt;
+        core::QueryOptions opt;
         opt.isa = isa;
         opt.width = ScoreWidth::W32;
         opt.strategy = strat;
@@ -72,7 +72,7 @@ TEST_P(Boundaries, SubjectShorterThanOneColumnBlock) {
   for (std::size_t n = 1; n <= 4; ++n) {
     const auto q = test::random_protein(rng, 100);
     const auto s = test::random_protein(rng, n);
-    AlignOptions opt;
+    core::QueryOptions opt;
     opt.isa = isa;
     opt.strategy = Strategy::Hybrid;
     opt.hybrid.window = 64;

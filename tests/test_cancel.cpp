@@ -35,7 +35,6 @@ seq::Database make_db(std::uint64_t seed, std::size_t count,
 search::SearchOptions default_opt(int threads = 2) {
   search::SearchOptions opt;
   opt.threads = threads;
-  opt.query.isa = simd::best_available_isa();
   return opt;
 }
 
@@ -83,10 +82,8 @@ TEST(Cancel, QueryContextReturnsCancelledResult) {
   const auto subject =
       score::Alphabet::protein().encode(gen.protein(5000).residues);
 
-  core::QueryOptions qopt;
-  qopt.isa = simd::best_available_isa();
   const core::QueryContext ctx(score::ScoreMatrix::blosum62(), local_cfg(),
-                               qopt, query);
+                               {}, query);
   core::WorkspaceSet ws;
 
   core::CancelToken t;

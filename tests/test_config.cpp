@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/config.h"
+#include "core/query_context.h"
 
 using namespace aalign;
 
@@ -142,6 +143,8 @@ TEST(Isa, NamesAndOrdering) {
   // available.
   EXPECT_TRUE(simd::isa_available(IsaKind::Scalar));
   EXPECT_TRUE(simd::isa_available(simd::best_available_isa()));
+  // Every kernel-choosing option set defaults to the best ISA.
+  EXPECT_EQ(core::QueryOptions{}.isa, simd::best_available_isa());
 }
 
 }  // namespace

@@ -63,7 +63,6 @@ search::SearchOptions search_options(filter::FilterMode mode,
   opt.threads = 1;
   opt.top_k = 8;
   opt.keep_all_scores = true;
-  opt.query.isa = simd::best_available_isa();
   opt.filter.mode = mode;
   opt.filter.threshold = threshold;
   return opt;

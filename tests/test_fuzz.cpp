@@ -57,7 +57,7 @@ TEST(Fuzz, RandomConfigurationsMatchOracle) {
     const auto s = test::random_protein(rng, static_cast<std::size_t>(len_d(rng)));
     const long expect = core::align_sequential(m, cfg, q, s);
 
-    AlignOptions opt;
+    core::QueryOptions opt;
     opt.isa = isas[static_cast<std::size_t>(iter) % isas.size()];
     opt.width = ScoreWidth::W32;
     opt.strategy = static_cast<Strategy>(strat_d(rng));
@@ -95,7 +95,7 @@ TEST(Fuzz, DegenerateSequences) {
         const long expect = core::align_sequential(m, cfg, q, s);
         for (Strategy strat : {Strategy::StripedIterate,
                                Strategy::StripedScan, Strategy::Hybrid}) {
-          AlignOptions opt;
+          core::QueryOptions opt;
           opt.strategy = strat;
           opt.width = ScoreWidth::W32;
           ASSERT_EQ(align_pair(m, cfg, q, s, opt).score, expect)
@@ -128,7 +128,7 @@ TEST(Fuzz, DnaAlignment) {
       const long expect = core::align_sequential(dna, cfg, q, s);
       for (Strategy strat : {Strategy::StripedIterate, Strategy::StripedScan,
                              Strategy::Hybrid}) {
-        AlignOptions opt;
+        core::QueryOptions opt;
         opt.strategy = strat;
         ASSERT_EQ(align_pair(dna, cfg, q, s, opt).score, expect)
             << to_string(kind) << " " << to_string(strat);
@@ -153,7 +153,7 @@ TEST(Fuzz, ExtremeShapeRatios) {
       const auto q = test::random_protein(rng, mm);
       const auto s = test::random_protein(rng, nn);
       const long expect = core::align_sequential(m, cfg, q, s);
-      AlignOptions opt;
+      core::QueryOptions opt;
       opt.width = ScoreWidth::W32;
       opt.strategy = Strategy::Hybrid;
       ASSERT_EQ(align_pair(m, cfg, q, s, opt).score, expect)
@@ -246,7 +246,9 @@ TEST(Fuzz, DifferentialSearchHarness) {
            {ScoreWidth::Auto, ScoreWidth::W16, ScoreWidth::W32}) {
         search::SearchOptions opt;
         opt.threads = 1 + round % 3;
-        search::InterSequenceSearch inter(m, cfg.pen, opt, isa, start);
+        opt.query.isa = isa;
+        opt.query.width = start;
+        search::InterSequenceSearch inter(m, cfg.pen, opt);
         seq::Database dbc = db;
         const auto res = inter.search(query, dbc);
         ASSERT_EQ(res.scores.size(), oracle.size());
@@ -349,7 +351,7 @@ TEST(Fuzz, AdversarialLazyFDifferential) {
             long scores[2];
             for (LazyF lazyf : {LazyF::Fixup, LazyF::Legacy}) {
               cfg.lazyf = lazyf;
-              AlignOptions opt;
+              core::QueryOptions opt;
               opt.isa = isa;
               opt.width = ScoreWidth::Auto;  // exercises 8/16-bit fixup too
               opt.strategy = strat;
@@ -495,7 +497,7 @@ TEST(Fuzz, LongSimilarPairAllBackends) {
   const long expect = core::align_sequential(m, cfg, q, s);
 
   for (simd::IsaKind isa : test::available_isas()) {
-    AlignOptions opt;
+    core::QueryOptions opt;
     opt.isa = isa;
     opt.width = ScoreWidth::Auto;  // will promote to 32-bit
     opt.strategy = Strategy::Hybrid;

@@ -75,7 +75,6 @@ std::vector<std::string> make_queries(std::uint64_t seed, std::size_t n,
 service::ServiceOptions service_opt() {
   service::ServiceOptions opt;
   opt.search.threads = 2;
-  opt.search.query.isa = simd::best_available_isa();
   return opt;
 }
 

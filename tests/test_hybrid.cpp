@@ -32,7 +32,7 @@ struct Fixture {
 AlignResult run_hybrid(Fixture& f, AlignConfig cfg,
                        std::span<const std::uint8_t> subject,
                        HybridParams hp = {}) {
-  AlignOptions opt;
+  core::QueryOptions opt;
   opt.strategy = Strategy::Hybrid;
   opt.width = ScoreWidth::W32;
   opt.hybrid = hp;

@@ -51,8 +51,11 @@ TEST_P(InterPrecisionTest, TieredMatchesInt32OnRandomBatches) {
 
   search::SearchOptions opt;
   opt.threads = 2;
-  search::InterSequenceSearch tiered(m, pen, opt, isa, ScoreWidth::Auto);
-  search::InterSequenceSearch exact(m, pen, opt, isa, ScoreWidth::W32);
+  opt.query.isa = isa;
+  search::InterSequenceSearch tiered(m, pen, opt);
+  search::SearchOptions exact_opt = opt;
+  exact_opt.query.width = ScoreWidth::W32;
+  search::InterSequenceSearch exact(m, pen, exact_opt);
 
   seq::Database db1 = db;
   const auto r_tiered = tiered.search(query, db1);
@@ -100,7 +103,8 @@ TEST_P(InterPrecisionTest, Int8OverflowRequeuesToWiderTiers) {
 
   search::SearchOptions opt;
   opt.threads = 2;
-  search::InterSequenceSearch tiered(m, pen, opt, isa, ScoreWidth::Auto);
+  opt.query.isa = isa;
+  search::InterSequenceSearch tiered(m, pen, opt);
   const auto res = tiered.search(query, db);
 
   ASSERT_EQ(res.scores.size(), db.size());
@@ -151,7 +155,8 @@ TEST_P(InterPrecisionTest, Int16OverflowFallsThroughToInt32) {
 
   search::SearchOptions opt;
   opt.threads = 1;
-  search::InterSequenceSearch tiered(m, pen, opt, isa, ScoreWidth::Auto);
+  opt.query.isa = isa;
+  search::InterSequenceSearch tiered(m, pen, opt);
   const auto res = tiered.search(query, db);
 
   ASSERT_EQ(res.scores.size(), 2u);
@@ -167,6 +172,40 @@ TEST_P(InterPrecisionTest, Int16OverflowFallsThroughToInt32) {
   EXPECT_GE(res.tiers[static_cast<int>(kI32)].subjects, 1u);
 }
 
+// opt.query.width picks the ladder's first rung: W32 never touches the
+// narrow tiers, W16 skips int8. Scores stay exact either way.
+TEST_P(InterPrecisionTest, QueryWidthPicksFirstRung) {
+  const simd::IsaKind isa = GetParam();
+  if (core::get_inter_engine(isa) == nullptr) GTEST_SKIP();
+
+  const auto& m = score::ScoreMatrix::blosum62();
+  const Penalties pen = Penalties::symmetric(10, 2);
+  seq::SequenceGenerator gen(76);
+  const auto query =
+      score::Alphabet::protein().encode(gen.protein(70).residues);
+  seq::Database db(score::Alphabet::protein(), gen.protein_database(40, 90.0));
+
+  search::SearchOptions opt;
+  opt.threads = 2;
+  opt.query.isa = isa;
+  seq::Database db0 = db;
+  const auto r_auto = search::InterSequenceSearch(m, pen, opt).search(query, db0);
+
+  opt.query.width = ScoreWidth::W32;
+  seq::Database db1 = db;
+  const auto r32 = search::InterSequenceSearch(m, pen, opt).search(query, db1);
+  EXPECT_EQ(r32.tiers[static_cast<int>(kI8)].subjects, 0u);
+  EXPECT_EQ(r32.tiers[static_cast<int>(kI16)].subjects, 0u);
+  EXPECT_EQ(r32.tiers[static_cast<int>(kI32)].subjects, db.size());
+  EXPECT_EQ(r32.scores, r_auto.scores);
+
+  opt.query.width = ScoreWidth::W16;
+  seq::Database db2 = db;
+  const auto r16 = search::InterSequenceSearch(m, pen, opt).search(query, db2);
+  EXPECT_EQ(r16.tiers[static_cast<int>(kI8)].subjects, 0u);
+  EXPECT_EQ(r16.scores, r_auto.scores);
+}
+
 TEST_P(InterPrecisionTest, RespectsSearchOptions) {
   const simd::IsaKind isa = GetParam();
   if (core::get_inter_engine(isa) == nullptr) GTEST_SKIP();
@@ -180,7 +219,8 @@ TEST_P(InterPrecisionTest, RespectsSearchOptions) {
 
   search::SearchOptions full;
   full.threads = 1;
-  search::InterSequenceSearch ref(m, pen, full, isa);
+  full.query.isa = isa;
+  search::InterSequenceSearch ref(m, pen, full);
   seq::Database db1 = db;
   const auto r_full = ref.search(query, db1);
 
@@ -188,7 +228,8 @@ TEST_P(InterPrecisionTest, RespectsSearchOptions) {
   trimmed.threads = 1;
   trimmed.top_k = 3;
   trimmed.keep_all_scores = false;
-  search::InterSequenceSearch cut(m, pen, trimmed, isa);
+  trimmed.query.isa = isa;
+  search::InterSequenceSearch cut(m, pen, trimmed);
   seq::Database db2 = db;
   const auto r_cut = cut.search(query, db2);
 

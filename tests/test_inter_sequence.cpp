@@ -16,9 +16,10 @@ using namespace aalign;
 
 namespace {
 
-search::SearchOptions with_threads(int threads) {
+search::SearchOptions inter_opt(simd::IsaKind isa, int threads) {
   search::SearchOptions opt;
   opt.threads = threads;
+  opt.query.isa = isa;
   return opt;
 }
 
@@ -47,7 +48,7 @@ TEST_P(InterSequence, MatchesOracleOnMixedLengthDatabase) {
       seq::make_similar_subject(gen, qseq,
                                 {seq::Level::Hi, seq::Level::Hi})));
 
-  search::InterSequenceSearch inter(m, pen, with_threads(2), isa);
+  search::InterSequenceSearch inter(m, pen, inter_opt(isa, 2));
   const search::SearchResult res = inter.search(query, db);
   ASSERT_EQ(res.scores.size(), db.size());
   for (std::size_t i = 0; i < db.size(); ++i) {
@@ -73,7 +74,7 @@ TEST_P(InterSequence, SingleSubjectBatch) {
   seq::Database db;
   db.add(seq::EncodedSequence{"only", test::random_protein(rng, 33)});
 
-  search::InterSequenceSearch inter(m, pen, with_threads(1), isa);
+  search::InterSequenceSearch inter(m, pen, inter_opt(isa, 1));
   const auto res = inter.search(query, db);
   ASSERT_EQ(res.scores.size(), 1u);
   EXPECT_EQ(res.scores[0],
@@ -96,7 +97,7 @@ TEST_P(InterSequence, AgreesWithIntraSequenceSearch) {
   seq::Database db(score::Alphabet::protein(),
                    gen.protein_database(70, 100.0));
 
-  search::InterSequenceSearch inter(m, pen, with_threads(2), isa);
+  search::InterSequenceSearch inter(m, pen, inter_opt(isa, 2));
   seq::Database db1 = db;
   const auto r_inter = inter.search(query, db1);
 

@@ -82,7 +82,7 @@ TEST_P(KernelVsOracle, MatchesSequentialReference) {
   cfg.kind = c.kind;
   cfg.pen = test::test_penalties()[static_cast<std::size_t>(c.pen_index)];
 
-  AlignOptions opt;
+  core::QueryOptions opt;
   opt.strategy = c.strategy;
   opt.isa = c.isa;
   opt.width = c.width;
@@ -155,7 +155,7 @@ TEST_P(Int8Kernels, ExactWithinRange) {
   cfg.kind = AlignKind::Local;
   cfg.pen = Penalties::symmetric(10, 2);
 
-  AlignOptions opt;
+  core::QueryOptions opt;
   opt.strategy = GetParam().strategy;
   opt.isa = GetParam().isa;
   opt.width = ScoreWidth::W8;
@@ -181,7 +181,7 @@ TEST_P(Int8Kernels, SaturationIsFlagged) {
   cfg.kind = AlignKind::Local;
   cfg.pen = Penalties::symmetric(10, 2);
 
-  AlignOptions opt;
+  core::QueryOptions opt;
   opt.strategy = GetParam().strategy;
   opt.isa = GetParam().isa;
   opt.width = ScoreWidth::W8;
@@ -216,7 +216,7 @@ TEST(AdaptivePromotion, PromotesUntilExact) {
   cfg.pen = Penalties::symmetric(10, 2);
 
   for (simd::IsaKind isa : test::available_isas()) {
-    AlignOptions opt;
+    core::QueryOptions opt;
     opt.isa = isa;
     opt.width = ScoreWidth::Auto;
     PairAligner aligner(matrix, cfg, opt);
@@ -251,7 +251,7 @@ TEST(AdaptivePromotion, GlobalStartsWideEnough) {
   const auto s = test::mutate(rng, q, 0.4, 0.05);
   const long expect = core::align_sequential(matrix, cfg, q, s);
 
-  AlignOptions opt;
+  core::QueryOptions opt;
   opt.width = ScoreWidth::Auto;
   PairAligner aligner(matrix, cfg, opt);
   aligner.set_query(q);

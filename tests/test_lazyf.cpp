@@ -176,7 +176,7 @@ TEST(LazyFWorstCase, FarrarSafeOracle) {
     for (simd::IsaKind isa : test::available_isas()) {
       for (LazyF lazyf : {LazyF::Fixup, LazyF::Legacy}) {
         cfg.lazyf = lazyf;
-        AlignOptions opt;
+        core::QueryOptions opt;
         opt.isa = isa;
         opt.width = ScoreWidth::Auto;
         opt.strategy = Strategy::StripedIterate;

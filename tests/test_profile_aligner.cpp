@@ -191,7 +191,7 @@ TEST(PairAligner, ReportsRequestedIsaAndWidth) {
   const auto s = test::random_protein(rng, 50);
   for (simd::IsaKind isa : test::available_isas()) {
     if (core::get_engine<std::int16_t>(isa) == nullptr) continue;
-    AlignOptions opt;
+    core::QueryOptions opt;
     opt.isa = isa;
     opt.width = ScoreWidth::W16;
     PairAligner a(score::ScoreMatrix::blosum62(), {}, opt);
@@ -239,12 +239,10 @@ TEST(QueryContext, RejectsOutOfAlphabetQuery) {
     for (const int bad : {m.size(), 255}) {
       auto q = test::random_protein(rng, 40);
       q[17] = static_cast<std::uint8_t>(bad);
-      core::QueryOptions qopt;
-      qopt.isa = isa;
-      EXPECT_THROW(core::QueryContext(m, {}, qopt, q), std::invalid_argument)
-          << simd::isa_name(isa) << " byte " << bad;
-      AlignOptions opt;
+      core::QueryOptions opt;
       opt.isa = isa;
+      EXPECT_THROW(core::QueryContext(m, {}, opt, q), std::invalid_argument)
+          << simd::isa_name(isa) << " byte " << bad;
       PairAligner a(m, {}, opt);
       EXPECT_THROW(a.set_query(q), std::invalid_argument)
           << simd::isa_name(isa) << " byte " << bad;
@@ -359,9 +357,7 @@ TEST(QueryContext, SharedAcrossWorkspaces) {
   std::mt19937_64 rng(6);
   const auto q = test::random_protein(rng, 200);
   const auto& m = score::ScoreMatrix::blosum62();
-  core::QueryOptions opt;
-  opt.isa = simd::best_available_isa();
-  const core::QueryContext ctx(m, {}, opt, q);
+  const core::QueryContext ctx(m, {}, {}, q);
 
   core::WorkspaceSet ws1, ws2;
   for (int i = 0; i < 6; ++i) {

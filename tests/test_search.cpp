@@ -3,13 +3,15 @@
 // database ordering; top-k must be correctly ranked.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 #include <thread>
 
-#include "baselines/swaphi_like.h"
-#include "baselines/swps3_like.h"
 #include "core/sequential.h"
 #include "search/database_search.h"
+#include "search/top_k.h"
 #include "seq/generator.h"
 #include "seq/pairgen.h"
 #include "test_helpers.h"
@@ -199,18 +201,28 @@ TEST(DatabaseSearch, ConcurrentCallsOnSharedInstanceMatchOracle) {
   }
 }
 
+// The two Fig. 11 comparators are DatabaseSearch configurations
+// (bench/fig11_database_tools.cpp): SWPS3 is char->short striped-iterate on
+// SSE4.1 (the Auto ladder), SWAPHI is int32 striped-iterate on the 512-bit
+// backend. Both must return oracle scores, including for a subject above
+// the int16 rail that SWPS3 itself would clip.
 TEST(Baselines, Swps3AndSwaphiMatchOracleScores) {
   const auto& m = score::ScoreMatrix::blosum62();
   AlignConfig cfg;
   cfg.kind = AlignKind::Local;
   cfg.pen = Penalties::symmetric(10, 2);
 
+  // A random 130-residue head and a 3100-residue tryptophan tail: the
+  // identical tail scores 3100 * 11 = 34100, above the int16 rail.
   seq::SequenceGenerator gen(51);
   seq::Sequence qseq = gen.protein(130);
-  const auto query = score::Alphabet::protein().encode(qseq.residues);
+  const std::string tail(3100, 'W');
+  const auto query = score::Alphabet::protein().encode(qseq.residues + tail);
 
-  // Include a near-identical subject to force the SWPS3 8->16 promotion.
+  // A near-identical subject of the head forces the 8->16 promotion.
   seq::Database db = make_db(52, 50);
+  db.add(seq::EncodedSequence{"giant",
+                              score::Alphabet::protein().encode(tail)});
   {
     seq::SequenceGenerator g2(53);
     db.add(seq::encode(
@@ -218,35 +230,45 @@ TEST(Baselines, Swps3AndSwaphiMatchOracleScores) {
         seq::make_similar_subject(g2, qseq,
                                   {seq::Level::Hi, seq::Level::Hi})));
   }
+  const std::size_t giant = db.size() - 2;
+  const std::size_t homolog = db.size() - 1;
 
-  baselines::Swps3Like swps3(m, cfg.pen, {}, 2);
-  seq::Database db1 = db;
-  const auto r1 = swps3.search(query, db1);
-  ASSERT_EQ(r1.scores.size(), db1.size());
-  // Original-indexed despite the length sort, like SwaphiLike below.
-  for (std::size_t i = 0; i < db1.size(); ++i) {
-    EXPECT_EQ(r1.scores[i],
-              core::align_sequential(m, cfg, query, db1.by_original(i).view()));
+  std::vector<long> oracle;
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    oracle.push_back(core::align_sequential(m, cfg, query, db[i].view()));
   }
-  EXPECT_GE(r1.promotions, 1u);  // the planted hit overflowed int8
-  // The planted homolog (added last) ranks first, at its original index.
-  ASSERT_FALSE(r1.top.empty());
-  EXPECT_EQ(r1.top.front().index, db.size() - 1);
-  const auto want_top = search::select_top_k(r1.scores, 10);
-  ASSERT_EQ(r1.top.size(), want_top.size());
-  for (std::size_t h = 0; h < want_top.size(); ++h) {
-    EXPECT_EQ(r1.top[h].index, want_top[h].index);
-    EXPECT_EQ(r1.top[h].score, want_top[h].score);
-  }
+  ASSERT_GT(oracle[giant], std::numeric_limits<std::int16_t>::max());
 
-  baselines::SwaphiLike swaphi(m, cfg.pen, {}, 2);
-  seq::Database db2 = db;
-  const auto r2 = swaphi.search(query, db2);
-  // SwaphiLike wraps DatabaseSearch: scores come back original-indexed.
-  for (std::size_t i = 0; i < db2.size(); ++i) {
-    EXPECT_EQ(r2.scores[i],
-              core::align_sequential(m, cfg, query, db2.by_original(i).view()));
-  }
+  const auto tool = [](simd::IsaKind isa, ScoreWidth width) {
+    search::SearchOptions opt;
+    opt.threads = 2;
+    opt.query.strategy = Strategy::StripedIterate;
+    if (simd::isa_available(isa)) opt.query.isa = isa;
+    opt.query.width = width;
+    return opt;
+  };
+  const auto check = [&](const search::SearchOptions& opt) {
+    SCOPED_TRACE(simd::isa_name(opt.query.isa));
+    seq::Database dbc = db;
+    const auto res = search::DatabaseSearch(m, cfg, opt).search(query, dbc);
+    // Original-indexed despite the length sort.
+    EXPECT_EQ(res.scores, oracle);
+    // The giant ranks first, the planted homolog right after it.
+    EXPECT_EQ(res.top.size(), opt.top_k);
+    const auto want_top = search::select_top_k(res.scores, opt.top_k);
+    EXPECT_EQ(want_top[0].index, giant);
+    EXPECT_EQ(want_top[1].index, homolog);
+    for (std::size_t h = 0; h < std::min(res.top.size(), want_top.size());
+         ++h) {
+      EXPECT_EQ(res.top[h].index, want_top[h].index);
+      EXPECT_EQ(res.top[h].score, want_top[h].score);
+    }
+    return res.promotions;
+  };
+  // SWPS3: the homolog overflows int8, the giant int8 and int16.
+  EXPECT_GE(check(tool(simd::IsaKind::Sse41, ScoreWidth::Auto)), 3u);
+  // SWAPHI: one exact int32 pass.
+  EXPECT_EQ(check(tool(simd::IsaKind::Avx512, ScoreWidth::W32)), 0u);
 }
 
 }  // namespace

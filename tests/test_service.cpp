@@ -56,7 +56,6 @@ AlignConfig local_cfg() {
 service::ServiceOptions service_opt(int threads = 2) {
   service::ServiceOptions opt;
   opt.search.threads = threads;
-  opt.search.query.isa = simd::best_available_isa();
   return opt;
 }
 

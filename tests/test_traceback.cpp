@@ -304,8 +304,8 @@ INSTANTIATE_TEST_SUITE_P(Pens, TracebackLongGlobal,
 class TracebackAgreesWithKernel
     : public testing::TestWithParam<simd::IsaKind> {
  protected:
-  AlignOptions backend() const {
-    AlignOptions opt;
+  core::QueryOptions backend() const {
+    core::QueryOptions opt;
     opt.isa = GetParam();
     return opt;
   }

@@ -237,8 +237,7 @@ int main(int argc, char** argv) {
   opt.threads = threads;
   opt.top_k = top_k;
   opt.query.strategy = strategy_by_name(strategy_name);
-  opt.query.isa = isa_name_opt.empty() ? simd::best_available_isa()
-                                       : isa_by_name(isa_name_opt);
+  if (!isa_name_opt.empty()) opt.query.isa = isa_by_name(isa_name_opt);
   if (width_name == "8") opt.query.width = ScoreWidth::W8;
   else if (width_name == "16") opt.query.width = ScoreWidth::W16;
   else if (width_name == "32") opt.query.width = ScoreWidth::W32;

@@ -338,7 +338,6 @@ int main(int argc, char** argv) {
   AlignConfig cfg;
   cfg.kind = AlignKind::Local;
   cfg.pen = Penalties::symmetric(open, ext);
-  sopt.search.query.isa = simd::best_available_isa();
 
   service::AlignService svc(matrix, cfg, std::move(db), sopt);
   service::TcpServer server(svc, topt);
