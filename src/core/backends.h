@@ -1,11 +1,7 @@
-// Factory declarations for the per-backend engine singletons. Each is
-// defined in the matching kernels_<isa>.cpp, compiled with that ISA's
-// flags; dispatch.cpp wires them into the runtime registry.
-//
-// Every inter_engine_* singleton is multi-precision: it bundles the
-// int8/int16/int32 tiers its ISA offers (query via
-// InterEngine::lanes(InterPrecision)); the IMCI-profile AVX-512 backend
-// exposes only the int32 tier.
+// The backend registry: one record per ISA, defined in the matching
+// kernels_<isa>.cpp (compiled with that ISA's flags, built by
+// make_backend in engine_impl.h); dispatch.cpp hands the records out
+// behind compile-time availability and cpuid.
 #pragma once
 
 #include <cstdint>
@@ -15,37 +11,22 @@
 
 namespace aalign::core {
 
-const Engine<std::int8_t>* engine_scalar_i8();
-const Engine<std::int16_t>* engine_scalar_i16();
-const Engine<std::int32_t>* engine_scalar_i32();
-const InterEngine* inter_engine_scalar();
+// Everything one ISA backend provides: its striped engine per lane width
+// (nullptr where the backend has no such lanes) and its inter-sequence
+// engine over the same widths.
+struct Backend {
+  const Engine<std::int8_t>* i8 = nullptr;
+  const Engine<std::int16_t>* i16 = nullptr;
+  const Engine<std::int32_t>* i32 = nullptr;
+  const InterEngine* inter = nullptr;
+};
 
-#if defined(AALIGN_HAVE_SSE41)
-const Engine<std::int8_t>* engine_sse41_i8();
-const Engine<std::int16_t>* engine_sse41_i16();
-const Engine<std::int32_t>* engine_sse41_i32();
-const InterEngine* inter_engine_sse41();
-#endif
-
-#if defined(AALIGN_HAVE_AVX2)
-const Engine<std::int8_t>* engine_avx2_i8();
-const Engine<std::int16_t>* engine_avx2_i16();
-const Engine<std::int32_t>* engine_avx2_i32();
-const InterEngine* inter_engine_avx2();
-#endif
-
-#if defined(AALIGN_HAVE_AVX512)
-// 32-bit only: mirrors the paper's IMCI restriction (Sec. II-A).
-const Engine<std::int32_t>* engine_avx512_i32();
-const InterEngine* inter_engine_avx512();
-#endif
-
-#if defined(AALIGN_HAVE_AVX512BW)
-// Extended 512-bit backend (BW+VBMI): all three lane widths.
-const Engine<std::int8_t>* engine_avx512bw_i8();
-const Engine<std::int16_t>* engine_avx512bw_i16();
-const Engine<std::int32_t>* engine_avx512bw_i32();
-const InterEngine* inter_engine_avx512bw();
-#endif
+// Defined only when the backend is compiled in (AALIGN_HAVE_<ISA>); the
+// scalar backend always is.
+const Backend& backend_scalar();
+const Backend& backend_sse41();
+const Backend& backend_avx2();
+const Backend& backend_avx512();
+const Backend& backend_avx512bw();
 
 }  // namespace aalign::core

@@ -360,7 +360,6 @@ class ColumnEngine {
   }
 
   int segs() const { return segs_; }
-  LazyF lazyf() const { return lazyf_; }
 
   // Deconstructed lazy-F accounting, accumulated across every column this
   // engine processed (kernel.lazyf.* counters; zero under LazyF::Legacy).

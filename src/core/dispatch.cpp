@@ -1,135 +1,59 @@
-// Runtime kernel dispatch: (IsaKind, score type) -> Engine singleton,
-// guarded by compile-time availability and cpuid.
+// Runtime kernel dispatch: IsaKind -> backend record, guarded by
+// compile-time availability and cpuid; the engines are its fields.
 #include "core/backends.h"
-#include "core/engine.h"
 
 namespace aalign::core {
 
-template <>
-const Engine<std::int8_t>* get_engine<std::int8_t>(simd::IsaKind isa) {
-  if (!simd::isa_available(isa)) return nullptr;
-  switch (isa) {
-    case simd::IsaKind::Scalar:
-      return engine_scalar_i8();
-    case simd::IsaKind::Sse41:
-#if defined(AALIGN_HAVE_SSE41)
-      return engine_sse41_i8();
-#else
-      return nullptr;
-#endif
-    case simd::IsaKind::Avx2:
-#if defined(AALIGN_HAVE_AVX2)
-      return engine_avx2_i8();
-#else
-      return nullptr;
-#endif
-    case simd::IsaKind::Avx512:
-      return nullptr;  // IMCI profile: no 8-bit lanes
-    case simd::IsaKind::Avx512Bw:
-#if defined(AALIGN_HAVE_AVX512BW)
-      return engine_avx512bw_i8();
-#else
-      return nullptr;
-#endif
-  }
-  return nullptr;
-}
+namespace {
 
-template <>
-const Engine<std::int16_t>* get_engine<std::int16_t>(simd::IsaKind isa) {
+const Backend* backend(simd::IsaKind isa) {
   if (!simd::isa_available(isa)) return nullptr;
   switch (isa) {
     case simd::IsaKind::Scalar:
-      return engine_scalar_i16();
-    case simd::IsaKind::Sse41:
+      return &backend_scalar();
 #if defined(AALIGN_HAVE_SSE41)
-      return engine_sse41_i16();
-#else
-      return nullptr;
-#endif
-    case simd::IsaKind::Avx2:
-#if defined(AALIGN_HAVE_AVX2)
-      return engine_avx2_i16();
-#else
-      return nullptr;
-#endif
-    case simd::IsaKind::Avx512:
-      return nullptr;  // IMCI profile: no 16-bit lanes
-    case simd::IsaKind::Avx512Bw:
-#if defined(AALIGN_HAVE_AVX512BW)
-      return engine_avx512bw_i16();
-#else
-      return nullptr;
-#endif
-  }
-  return nullptr;
-}
-
-template <>
-const Engine<std::int32_t>* get_engine<std::int32_t>(simd::IsaKind isa) {
-  if (!simd::isa_available(isa)) return nullptr;
-  switch (isa) {
-    case simd::IsaKind::Scalar:
-      return engine_scalar_i32();
     case simd::IsaKind::Sse41:
-#if defined(AALIGN_HAVE_SSE41)
-      return engine_sse41_i32();
-#else
-      return nullptr;
+      return &backend_sse41();
 #endif
-    case simd::IsaKind::Avx2:
 #if defined(AALIGN_HAVE_AVX2)
-      return engine_avx2_i32();
-#else
-      return nullptr;
+    case simd::IsaKind::Avx2:
+      return &backend_avx2();
 #endif
-    case simd::IsaKind::Avx512:
 #if defined(AALIGN_HAVE_AVX512)
-      return engine_avx512_i32();
-#else
-      return nullptr;
+    case simd::IsaKind::Avx512:
+      return &backend_avx512();
 #endif
-    case simd::IsaKind::Avx512Bw:
 #if defined(AALIGN_HAVE_AVX512BW)
-      return engine_avx512bw_i32();
-#else
-      return nullptr;
+    case simd::IsaKind::Avx512Bw:
+      return &backend_avx512bw();
 #endif
+    default:
+      return nullptr;  // compiled out
   }
-  return nullptr;
 }
+
+}  // namespace
+
+template <class T>
+const Engine<T>* get_engine(simd::IsaKind isa) {
+  const Backend* b = backend(isa);
+  if (b == nullptr) return nullptr;
+  if constexpr (sizeof(T) == 1) {
+    return b->i8;
+  } else if constexpr (sizeof(T) == 2) {
+    return b->i16;
+  } else {
+    return b->i32;
+  }
+}
+
+template const Engine<std::int8_t>* get_engine(simd::IsaKind);
+template const Engine<std::int16_t>* get_engine(simd::IsaKind);
+template const Engine<std::int32_t>* get_engine(simd::IsaKind);
 
 const InterEngine* get_inter_engine(simd::IsaKind isa) {
-  if (!simd::isa_available(isa)) return nullptr;
-  switch (isa) {
-    case simd::IsaKind::Scalar:
-      return inter_engine_scalar();
-    case simd::IsaKind::Sse41:
-#if defined(AALIGN_HAVE_SSE41)
-      return inter_engine_sse41();
-#else
-      return nullptr;
-#endif
-    case simd::IsaKind::Avx2:
-#if defined(AALIGN_HAVE_AVX2)
-      return inter_engine_avx2();
-#else
-      return nullptr;
-#endif
-    case simd::IsaKind::Avx512:
-#if defined(AALIGN_HAVE_AVX512)
-      return inter_engine_avx512();
-#else
-      return nullptr;
-#endif
-    case simd::IsaKind::Avx512Bw:
-#if defined(AALIGN_HAVE_AVX512BW)
-      return inter_engine_avx512bw();
-#else
-      return nullptr;
-#endif
-  }
-  return nullptr;
+  const Backend* b = backend(isa);
+  return b != nullptr ? b->inter : nullptr;
 }
 
 }  // namespace aalign::core

@@ -1,10 +1,11 @@
 // Type-erased kernel entry point: one Engine per (ISA, score width).
 //
 // Backend TUs (kernels_*.cpp, each compiled with its own ISA flags)
-// implement Engine via EngineImpl<Ops> and register a singleton; the
-// dispatcher (dispatch.cpp) hands out engines only when the backend is both
-// compiled in and supported by the running CPU, so no illegal instruction
-// can be reached. The virtual call costs one indirection per alignment.
+// implement Engine via EngineImpl<Ops> inside their backend record
+// (core/backends.h); the dispatcher (dispatch.cpp) hands out engines only
+// when the backend is both compiled in and supported by the running CPU,
+// so no illegal instruction can be reached. The virtual call costs one
+// indirection per alignment.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,6 @@ class Engine {
  public:
   virtual ~Engine() = default;
 
-  virtual simd::IsaKind isa() const = 0;
   virtual int lanes() const = 0;
 
   // Builds `profile` for `query` at lanes() lanes from the letter tables.
@@ -45,14 +45,8 @@ class Engine {
 // Returns the engine for (isa, T), or nullptr when that backend is not
 // compiled in, not supported by this CPU, or does not provide T lanes
 // (e.g. the AVX-512/IMCI-profile backend is 32-bit only).
+// Instantiated for int8_t, int16_t and int32_t.
 template <class T>
 const Engine<T>* get_engine(simd::IsaKind isa);
-
-template <>
-const Engine<std::int8_t>* get_engine<std::int8_t>(simd::IsaKind);
-template <>
-const Engine<std::int16_t>* get_engine<std::int16_t>(simd::IsaKind);
-template <>
-const Engine<std::int32_t>* get_engine<std::int32_t>(simd::IsaKind);
 
 }  // namespace aalign::core

@@ -1,9 +1,12 @@
 // EngineImpl: maps the runtime (strategy, kind, gap model) onto the
-// compile-time kernel template instantiations for one Ops backend.
+// compile-time kernel template instantiations for one Ops backend, and
+// make_backend, which bundles one ISA's engines into its Backend record.
 // Include this header ONLY from a TU compiled with the backend's ISA flags.
 #pragma once
 
+#include "core/backends.h"
 #include "core/engine.h"
+#include "core/inter_kernel.h"
 #include "core/kernels.h"
 
 namespace aalign::core {
@@ -13,7 +16,6 @@ class EngineImpl final : public Engine<typename Ops::value_type> {
  public:
   using T = typename Ops::value_type;
 
-  simd::IsaKind isa() const override { return isa_; }
   int lanes() const override { return Ops::kWidth; }
 
   // One table_lookup per vector: the striped index selects each letter's
@@ -78,8 +80,6 @@ class EngineImpl final : public Engine<typename Ops::value_type> {
     return {};
   }
 
-  explicit EngineImpl(simd::IsaKind isa) : isa_(isa) {}
-
  private:
   template <AlignKind K, bool Affine>
   KernelResult run_kind(Strategy strategy, const AlignConfig& cfg,
@@ -101,8 +101,29 @@ class EngineImpl final : public Engine<typename Ops::value_type> {
     }
     return {};
   }
-
-  simd::IsaKind isa_;
 };
+
+// Striped engine of backend Tag at T lanes; nullptr when the backend
+// header defines no VecOps<T, Tag>.
+template <class T, class Tag>
+const Engine<T>* striped_engine() {
+  if constexpr (simd::HasLanes<T, Tag>) {
+    static const EngineImpl<simd::VecOps<T, Tag>> e;
+    return &e;
+  } else {
+    return nullptr;
+  }
+}
+
+// The record of backend Tag: a striped engine for every width its VecOps
+// header defines, and the inter engine over the same widths.
+template <class Tag>
+const Backend& make_backend() {
+  static const InterEngineImpl<Tag> inter;
+  static const Backend b{striped_engine<std::int8_t, Tag>(),
+                         striped_engine<std::int16_t, Tag>(),
+                         striped_engine<std::int32_t, Tag>(), &inter};
+  return b;
+}
 
 }  // namespace aalign::core

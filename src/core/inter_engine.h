@@ -6,8 +6,9 @@
 // lane - the "inter-sequence vectorization" the paper attributes to
 // SWAPHI (Sec. VI-C). Local alignment only: the database-search use case.
 //
-// The engine is multi-precision: every backend exposes up to three lane
-// widths (int8 / int16 / int32; the AVX-512 IMCI profile is int32-only).
+// The engine is multi-precision: every backend exposes the lane widths
+// its VecOps header defines (int8 / int16 / int32; the AVX-512 IMCI
+// profile is int32-only).
 // The narrow tiers use saturating arithmetic, so a lane whose running
 // maximum ends pinned at the positive rail has overflowed - run() reports
 // those lanes in a bitmask and the caller re-queues them at the next wider
@@ -24,6 +25,7 @@
 
 #include "core/config.h"
 #include "core/workspace.h"
+#include "score/profile.h"
 #include "simd/isa.h"
 
 namespace aalign::core {
@@ -32,8 +34,6 @@ namespace aalign::core {
 enum class InterPrecision : std::uint8_t { I8 = 0, I16 = 1, I32 = 2 };
 
 inline constexpr int kInterPrecisionCount = 3;
-inline constexpr InterPrecision kInterPrecisions[] = {
-    InterPrecision::I8, InterPrecision::I16, InterPrecision::I32};
 
 constexpr const char* to_string(InterPrecision p) {
   switch (p) {
@@ -56,42 +56,38 @@ constexpr long inter_score_ceiling(InterPrecision p) {
   return std::numeric_limits<long>::max();
 }
 
-struct InterBatchInput {
-  const std::int32_t* flat_matrix;  // (alpha+1) x alpha, row-major; the
-                                    // extra row is the padding character
-  int alpha;                        // real alphabet size
-  std::span<const std::uint8_t> query;
-  const std::uint8_t* const* subjects;  // lanes() pointers (may repeat)
-  const int* lengths;                   // lanes() lengths
-  int max_len;                          // max of lengths
+// The substitution matrix in the kernel's lookup format, one copy per
+// tier (score::transposed_profile_tables): row q holds matrix.at(c, q) for
+// every subject character c < alpha, and the batch-padding score at
+// c = alpha. It depends only on the matrix, so a search builds it once.
+struct InterTables {
+  score::ProfileTables<std::int8_t> i8;
+  score::ProfileTables<std::int16_t> i16;
+  score::ProfileTables<std::int32_t> i32;
 };
 
-// One per worker thread: the kernel working sets of all three tiers.
-// Buffers grow lazily, so tiers that never run cost nothing.
-struct InterScratch {
-  Workspace<std::int8_t> w8;
-  Workspace<std::int16_t> w16;
-  Workspace<std::int32_t> w32;
+struct InterBatchInput {
+  const InterTables* tables;
+  std::span<const std::uint8_t> query;
+  const std::uint8_t* const* subjects;  // lanes(p) pointers (may repeat)
+  const int* lengths;                   // lanes(p) lengths
+  int max_len;                          // max of lengths
 };
 
 class InterEngine {
  public:
   virtual ~InterEngine() = default;
-  virtual simd::IsaKind isa() const = 0;
 
   // Lane count of a precision tier; 0 when this backend has no such lanes
   // (e.g. the IMCI-profile AVX-512 backend is int32-only).
   virtual int lanes(InterPrecision p) const = 0;
-
-  // Exact-tier lane count (every backend has int32 lanes).
-  int lanes() const { return lanes(InterPrecision::I32); }
 
   // Aligns one batch at precision p, writing lanes(p) scores. Returns the
   // overflow bitmask: bit l set means lane l's score hit the saturation
   // ceiling and must be re-run at wider precision (always 0 for I32).
   // Requesting a tier with lanes(p) == 0 throws.
   virtual std::uint64_t run(InterPrecision p, const InterBatchInput& in,
-                            const Penalties& pen, InterScratch& ws,
+                            const Penalties& pen, WorkspaceSet& ws,
                             long* out_scores) const = 0;
 };
 

@@ -6,7 +6,7 @@
 // scan. The substitution fetch is a per-column SCORE PROFILE: before the
 // inner loop walks the query, the W-lane substitution row of every query
 // residue is materialized once (prof[a][l] = matrix(subject_l[t], a), with
-// finished lanes reading the batch-padding row - strongly negative, so
+// finished lanes reading the batch-padding score - strongly negative, so
 // lanes that ended early decay to zero and stop contributing to the
 // running maximum). The inner loop then does one sequential aligned load
 // per cell instead of a per-lane gather, which is what lets the kernel run
@@ -33,72 +33,56 @@
 
 namespace aalign::core {
 
+// Fills one column's score profile, prof[a * W + l] = tables.row(a)[idx[l]]
+// for every query residue a: one table_lookup per residue where the
+// backend has the primitive and the pad index fits its 32-entry range,
+// else the same lookup lane by lane.
+template <class Ops, class T = typename Ops::value_type>
+void fill_column_profile(const score::ProfileTables<T>& tables, const T* idx,
+                         T* prof) {
+  using reg = typename Ops::reg;
+  constexpr int W = Ops::kWidth;
+  if constexpr (requires(const T* p, reg r) { Ops::table_lookup(p, r); }) {
+    if (tables.alpha < 32) {
+      const reg v_idx = Ops::load(idx);
+      for (int a = 0; a < tables.alpha; ++a) {
+        Ops::store(prof + a * W, Ops::table_lookup(tables.row(a), v_idx));
+      }
+      return;
+    }
+  }
+  using U = std::make_unsigned_t<T>;  // int8 lanes hold symbols up to 255
+  for (int a = 0; a < tables.alpha; ++a) {
+    const T* row = tables.row(a);
+    for (int l = 0; l < W; ++l) prof[a * W + l] = row[static_cast<U>(idx[l])];
+  }
+}
+
 template <class Ops>
-std::uint64_t inter_sequence_local(const InterBatchInput& in,
-                                   const Steps<typename Ops::value_type>& st,
-                                   Workspace<typename Ops::value_type>& ws,
-                                   long* out_scores) {
+std::uint64_t inter_sequence_local(
+    const InterBatchInput& in,
+    const score::ProfileTables<typename Ops::value_type>& tables,
+    const Steps<typename Ops::value_type>& st,
+    Workspace<typename Ops::value_type>& ws, long* out_scores) {
   using T = typename Ops::value_type;
   using reg = typename Ops::reg;
   constexpr int W = Ops::kWidth;
   const int m = static_cast<int>(in.query.size());
-  const int alpha = in.alpha;
+  const int alpha = tables.alpha;
   const T kNegInf = simd::neg_inf<T>();
 
   ws.h_prev.resize(m * W);  // H(prev column) per (j, lane)
   ws.e.resize(m * W);       // E carry per (j, lane)
   ws.scan.resize(alpha * W);  // per-column score profile, one row per residue
+  ws.h_cur.resize(W);       // this column's subject character per lane
   T* h = ws.h_prev.data();
   T* e = ws.e.data();
   T* prof = ws.scan.data();
+  T* idx = ws.h_cur.data();
   for (int j = 0; j < m * W; ++j) {
     h[j] = 0;
     e[j] = kNegInf;
   }
-
-  // The substitution matrix is narrowed to T ONCE per batch, so the
-  // per-column profile build is a pure copy with no clamping in the loop.
-  // Backends with an in-register permute expose `table_lookup`; for them
-  // the matrix is laid out as one kLutStride-entry row per QUERY symbol
-  // (indexed by subject character, pad included) and the per-column build
-  // collapses to one permute per alphabet symbol. Everyone else gets the
-  // scalar layout: one row per SUBJECT character, contiguous in the query
-  // symbol, copied lane by lane.
-  constexpr bool kHasLut =
-      requires(const T* p, reg r) { Ops::table_lookup(p, r); };
-  constexpr int kLutStride = 64;          // entries; every backend's row load fits
-  const bool use_lut = kHasLut && alpha < 32;  // in-register index range
-  T* lut = nullptr;  // [alpha][kLutStride], + W index staging entries
-  T* nm = nullptr;   // [alpha + 1][alpha]
-  if (use_lut) {
-    ws.h_cur.resize(alpha * kLutStride + W);
-    lut = ws.h_cur.data();
-    for (int a = 0; a < alpha; ++a) {
-      T* row = lut + a * kLutStride;
-      for (int c = 0; c <= alpha; ++c) {
-        row[c] =
-            clamp_score<T>(in.flat_matrix[static_cast<std::size_t>(c) * alpha +
-                                          a]);
-      }
-      for (int c = alpha + 1; c < kLutStride; ++c) row[c] = 0;
-    }
-  } else {
-    ws.h_cur.resize((alpha + 1) * alpha);
-    nm = ws.h_cur.data();
-    for (int c = 0; c <= alpha; ++c) {
-      for (int a = 0; a < alpha; ++a) {
-        const std::size_t k = static_cast<std::size_t>(c) * alpha + a;
-        nm[k] = clamp_score<T>(in.flat_matrix[k]);
-      }
-    }
-  }
-  const auto fill_profile_scalar = [&](int t) {
-    for (int l = 0; l < W; ++l) {
-      const int c = t < in.lengths[l] ? in.subjects[l][t] : alpha;
-      const T* row = nm + static_cast<std::size_t>(c) * alpha;
-      for (int a = 0; a < alpha; ++a) prof[a * W + l] = row[a];
-    }
-  };
 
   const reg v_zero = Ops::set1(T{0});
   const reg v_ext_l = Ops::set1(st.ext_left);
@@ -108,28 +92,14 @@ std::uint64_t inter_sequence_local(const InterBatchInput& in,
   reg v_max = v_zero;
 
   for (int t = 0; t < in.max_len; ++t) {
-    // Score profile of this column: transpose one matrix row per lane
-    // (finished lanes use the padding row, index alpha) into W-lane rows
-    // indexed by query residue. Row stride W*sizeof(T) is exactly the
-    // register width, so every row is load-aligned.
-    if constexpr (kHasLut) {
-      if (use_lut) {
-        T* idx = lut + alpha * kLutStride;
-        for (int l = 0; l < W; ++l) {
-          idx[l] =
-              static_cast<T>(t < in.lengths[l] ? in.subjects[l][t] : alpha);
-        }
-        const reg v_idx = Ops::load(idx);
-        for (int a = 0; a < alpha; ++a) {
-          Ops::store(prof + a * W,
-                     Ops::table_lookup(lut + a * kLutStride, v_idx));
-        }
-      } else {
-        fill_profile_scalar(t);
-      }
-    } else {
-      fill_profile_scalar(t);
+    // Score profile of this column: each lane's subject character (the
+    // padding index alpha once the lane's subject has ended) selects one
+    // entry of every residue's table row. Row stride W*sizeof(T) is
+    // exactly the register width, so every row is load-aligned.
+    for (int l = 0; l < W; ++l) {
+      idx[l] = static_cast<T>(t < in.lengths[l] ? in.subjects[l][t] : alpha);
     }
+    fill_column_profile<Ops>(tables, idx, prof);
 
     reg v_f = Ops::set1(kNegInf);
     reg v_hdiag = v_zero;  // local boundary H(., 0) = 0
@@ -167,65 +137,61 @@ std::uint64_t inter_sequence_local(const InterBatchInput& in,
   }
 }
 
-// One engine per backend bundling the tiers the ISA offers; pass `void`
-// for tiers the backend cannot express (the IMCI-profile AVX-512 backend
-// is int32-only, matching the paper's Sec. II-A restriction).
-template <class Ops8, class Ops16, class Ops32>
+// One engine per backend bundling the tiers its VecOps header defines
+// (the IMCI-profile AVX-512 backend is int32-only, matching the paper's
+// Sec. II-A restriction).
+template <class Tag>
 class InterEngineImpl final : public InterEngine {
  public:
-  explicit InterEngineImpl(simd::IsaKind isa) : isa_(isa) {}
-  simd::IsaKind isa() const override { return isa_; }
-
   int lanes(InterPrecision p) const override {
     switch (p) {
-      case InterPrecision::I8: return width_of<Ops8>();
-      case InterPrecision::I16: return width_of<Ops16>();
-      case InterPrecision::I32: return width_of<Ops32>();
+      case InterPrecision::I8: return lanes_of<std::int8_t>();
+      case InterPrecision::I16: return lanes_of<std::int16_t>();
+      case InterPrecision::I32: return lanes_of<std::int32_t>();
     }
     return 0;
   }
 
   std::uint64_t run(InterPrecision p, const InterBatchInput& in,
-                    const Penalties& pen, InterScratch& ws,
+                    const Penalties& pen, WorkspaceSet& ws,
                     long* out_scores) const override {
     AlignConfig cfg;
     cfg.kind = AlignKind::Local;
     cfg.pen = pen;
     switch (p) {
       case InterPrecision::I8:
-        if constexpr (!std::is_void_v<Ops8>) {
-          return inter_sequence_local<Ops8>(
-              in, make_steps<std::int8_t>(cfg), ws.w8, out_scores);
-        }
-        break;
+        return run_tier(in, in.tables->i8, cfg, ws.w8, out_scores);
       case InterPrecision::I16:
-        if constexpr (!std::is_void_v<Ops16>) {
-          return inter_sequence_local<Ops16>(
-              in, make_steps<std::int16_t>(cfg), ws.w16, out_scores);
-        }
-        break;
+        return run_tier(in, in.tables->i16, cfg, ws.w16, out_scores);
       case InterPrecision::I32:
-        if constexpr (!std::is_void_v<Ops32>) {
-          return inter_sequence_local<Ops32>(
-              in, make_steps<std::int32_t>(cfg), ws.w32, out_scores);
-        }
-        break;
+        return run_tier(in, in.tables->i32, cfg, ws.w32, out_scores);
     }
-    throw std::logic_error(
-        "InterEngine: precision tier unavailable on this backend");
+    throw std::logic_error("InterEngine: unknown precision tier");
   }
 
  private:
-  template <class Ops>
-  static constexpr int width_of() {
-    if constexpr (std::is_void_v<Ops>) {
-      return 0;
+  template <class T>
+  static constexpr int lanes_of() {
+    if constexpr (simd::HasLanes<T, Tag>) {
+      return simd::VecOps<T, Tag>::kWidth;
     } else {
-      return Ops::kWidth;
+      return 0;
     }
   }
 
-  simd::IsaKind isa_;
+  template <class T>
+  static std::uint64_t run_tier(const InterBatchInput& in,
+                                const score::ProfileTables<T>& tables,
+                                const AlignConfig& cfg, Workspace<T>& ws,
+                                long* out_scores) {
+    if constexpr (simd::HasLanes<T, Tag>) {
+      return inter_sequence_local<simd::VecOps<T, Tag>>(
+          in, tables, make_steps<T>(cfg), ws, out_scores);
+    } else {
+      throw std::logic_error(
+          "InterEngine: precision tier unavailable on this backend");
+    }
+  }
 };
 
 }  // namespace aalign::core

@@ -1,36 +1,10 @@
-// AVX2-backend kernel instantiations (the paper's "CPU"/Haswell target).
-// Compiled with -mavx2 only; never dispatched unless cpuid reports AVX2.
-#include "core/backends.h"
+// AVX2 backend (the paper's "CPU"/Haswell target). Compiled with -mavx2
+// only; never dispatched unless cpuid reports AVX2.
 #include "core/engine_impl.h"
-#include "core/inter_kernel.h"
 #include "simd/vec_avx2.h"
 
 namespace aalign::core {
 
-const Engine<std::int8_t>* engine_avx2_i8() {
-  static const EngineImpl<simd::VecOps<std::int8_t, simd::Avx2Tag>> e(
-      simd::IsaKind::Avx2);
-  return &e;
-}
-
-const Engine<std::int16_t>* engine_avx2_i16() {
-  static const EngineImpl<simd::VecOps<std::int16_t, simd::Avx2Tag>> e(
-      simd::IsaKind::Avx2);
-  return &e;
-}
-
-const Engine<std::int32_t>* engine_avx2_i32() {
-  static const EngineImpl<simd::VecOps<std::int32_t, simd::Avx2Tag>> e(
-      simd::IsaKind::Avx2);
-  return &e;
-}
-
-const InterEngine* inter_engine_avx2() {
-  static const InterEngineImpl<simd::VecOps<std::int8_t, simd::Avx2Tag>,
-                               simd::VecOps<std::int16_t, simd::Avx2Tag>,
-                               simd::VecOps<std::int32_t, simd::Avx2Tag>>
-      e(simd::IsaKind::Avx2);
-  return &e;
-}
+const Backend& backend_avx2() { return make_backend<simd::Avx2Tag>(); }
 
 }  // namespace aalign::core

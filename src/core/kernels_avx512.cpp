@@ -1,27 +1,13 @@
-// AVX-512-backend kernel instantiations: the stand-in for the paper's
-// IMCI/Knights-Corner "MIC" target, deliberately 32-bit-lanes-only to match
-// IMCI's integer support (Sec. II-A). Compiled with -mavx512f/bw/vl only;
-// never dispatched unless cpuid reports those features.
-#include "core/backends.h"
+// AVX-512 backend: the stand-in for the paper's IMCI/Knights-Corner "MIC"
+// target. vec_avx512.h defines int32 lanes only, matching IMCI's integer
+// support (Sec. II-A), so the record has no int8/int16 engines. Compiled
+// with -mavx512f/bw/vl only; never dispatched unless cpuid reports those
+// features.
 #include "core/engine_impl.h"
-#include "core/inter_kernel.h"
 #include "simd/vec_avx512.h"
 
 namespace aalign::core {
 
-const Engine<std::int32_t>* engine_avx512_i32() {
-  static const EngineImpl<simd::VecOps<std::int32_t, simd::Avx512Tag>> e(
-      simd::IsaKind::Avx512);
-  return &e;
-}
-
-const InterEngine* inter_engine_avx512() {
-  // IMCI profile: no narrow lanes, so the int8/int16 tiers are absent and
-  // the search layer starts this backend directly at int32.
-  static const InterEngineImpl<void, void,
-                               simd::VecOps<std::int32_t, simd::Avx512Tag>>
-      e(simd::IsaKind::Avx512);
-  return &e;
-}
+const Backend& backend_avx512() { return make_backend<simd::Avx512Tag>(); }
 
 }  // namespace aalign::core

@@ -2,37 +2,13 @@
 // 512-bit vectors - the forward-port of the framework to the "incoming
 // AVX-512" the paper anticipates. Compiled with the avx512 f/bw/vl/vbmi
 // flags only; never dispatched unless cpuid reports VBMI.
-#include "core/backends.h"
 #include "core/engine_impl.h"
-#include "core/inter_kernel.h"
 #include "simd/vec_avx512bw.h"
 
 namespace aalign::core {
 
-const Engine<std::int8_t>* engine_avx512bw_i8() {
-  static const EngineImpl<simd::VecOps<std::int8_t, simd::Avx512BwTag>> e(
-      simd::IsaKind::Avx512Bw);
-  return &e;
-}
-
-const Engine<std::int16_t>* engine_avx512bw_i16() {
-  static const EngineImpl<simd::VecOps<std::int16_t, simd::Avx512BwTag>> e(
-      simd::IsaKind::Avx512Bw);
-  return &e;
-}
-
-const Engine<std::int32_t>* engine_avx512bw_i32() {
-  static const EngineImpl<simd::VecOps<std::int32_t, simd::Avx512BwTag>> e(
-      simd::IsaKind::Avx512Bw);
-  return &e;
-}
-
-const InterEngine* inter_engine_avx512bw() {
-  static const InterEngineImpl<simd::VecOps<std::int8_t, simd::Avx512BwTag>,
-                               simd::VecOps<std::int16_t, simd::Avx512BwTag>,
-                               simd::VecOps<std::int32_t, simd::Avx512BwTag>>
-      e(simd::IsaKind::Avx512Bw);
-  return &e;
+const Backend& backend_avx512bw() {
+  return make_backend<simd::Avx512BwTag>();
 }
 
 }  // namespace aalign::core

@@ -1,35 +1,9 @@
-// Scalar-backend kernel instantiations (portable fallback / reference).
-#include "core/backends.h"
+// Scalar backend (portable fallback / reference).
 #include "core/engine_impl.h"
-#include "core/inter_kernel.h"
 #include "simd/vec_scalar.h"
 
 namespace aalign::core {
 
-const Engine<std::int8_t>* engine_scalar_i8() {
-  static const EngineImpl<simd::VecOps<std::int8_t, simd::ScalarTag>> e(
-      simd::IsaKind::Scalar);
-  return &e;
-}
-
-const Engine<std::int16_t>* engine_scalar_i16() {
-  static const EngineImpl<simd::VecOps<std::int16_t, simd::ScalarTag>> e(
-      simd::IsaKind::Scalar);
-  return &e;
-}
-
-const Engine<std::int32_t>* engine_scalar_i32() {
-  static const EngineImpl<simd::VecOps<std::int32_t, simd::ScalarTag>> e(
-      simd::IsaKind::Scalar);
-  return &e;
-}
-
-const InterEngine* inter_engine_scalar() {
-  static const InterEngineImpl<simd::VecOps<std::int8_t, simd::ScalarTag>,
-                               simd::VecOps<std::int16_t, simd::ScalarTag>,
-                               simd::VecOps<std::int32_t, simd::ScalarTag>>
-      e(simd::IsaKind::Scalar);
-  return &e;
-}
+const Backend& backend_scalar() { return make_backend<simd::ScalarTag>(); }
 
 }  // namespace aalign::core

@@ -1,36 +1,10 @@
-// SSE4.1-backend kernel instantiations. Compiled with -msse4.1 only; never
-// dispatched unless cpuid reports SSE4.1.
-#include "core/backends.h"
+// SSE4.1 backend. Compiled with -msse4.1 only; never dispatched unless
+// cpuid reports SSE4.1.
 #include "core/engine_impl.h"
-#include "core/inter_kernel.h"
 #include "simd/vec_sse41.h"
 
 namespace aalign::core {
 
-const Engine<std::int8_t>* engine_sse41_i8() {
-  static const EngineImpl<simd::VecOps<std::int8_t, simd::Sse41Tag>> e(
-      simd::IsaKind::Sse41);
-  return &e;
-}
-
-const Engine<std::int16_t>* engine_sse41_i16() {
-  static const EngineImpl<simd::VecOps<std::int16_t, simd::Sse41Tag>> e(
-      simd::IsaKind::Sse41);
-  return &e;
-}
-
-const Engine<std::int32_t>* engine_sse41_i32() {
-  static const EngineImpl<simd::VecOps<std::int32_t, simd::Sse41Tag>> e(
-      simd::IsaKind::Sse41);
-  return &e;
-}
-
-const InterEngine* inter_engine_sse41() {
-  static const InterEngineImpl<simd::VecOps<std::int8_t, simd::Sse41Tag>,
-                               simd::VecOps<std::int16_t, simd::Sse41Tag>,
-                               simd::VecOps<std::int32_t, simd::Sse41Tag>>
-      e(simd::IsaKind::Sse41);
-  return &e;
-}
+const Backend& backend_sse41() { return make_backend<simd::Sse41Tag>(); }
 
 }  // namespace aalign::core

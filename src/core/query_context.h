@@ -32,12 +32,6 @@ struct QueryOptions {
   score::ProfileLutView lut;
 };
 
-struct WorkspaceSet {
-  Workspace<std::int8_t> w8;
-  Workspace<std::int16_t> w16;
-  Workspace<std::int32_t> w32;
-};
-
 struct AdaptiveResult {
   KernelResult kernel;
   ScoreWidth width = ScoreWidth::W32;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/aligned_buffer.h"
 
@@ -22,6 +23,15 @@ struct Workspace {
     e.resize(padded_len);
     scan.resize(padded_len);
   }
+};
+
+// One per worker thread: the working sets of all three score widths, for
+// the striped kernels and the inter-sequence tiers alike. Buffers grow
+// lazily, so widths that never run cost nothing.
+struct WorkspaceSet {
+  Workspace<std::int8_t> w8;
+  Workspace<std::int16_t> w16;
+  Workspace<std::int32_t> w32;
 };
 
 }  // namespace aalign::core

@@ -39,6 +39,13 @@ ProfileTables<T> profile_tables(const ScoreMatrix& matrix, T pad) {
 }
 
 template <class T>
+ProfileTables<T> transposed_profile_tables(const ScoreMatrix& matrix, T pad) {
+  return make_tables<T>(matrix.size(), pad, [&](int q, int c) {
+    return static_cast<T>(matrix.at(c, q));
+  });
+}
+
+template <class T>
 ProfileTables<T> profile_tables(std::span<const T> lut, std::size_t stride,
                                 int alpha, T pad) {
   if (stride < static_cast<std::size_t>(alpha) ||
@@ -103,17 +110,10 @@ void build_striped_profile(StripedProfile<T>& p,
   build_striped_profile(p, query, profile_tables(matrix, pad), width);
 }
 
-template <class T>
-void build_striped_profile_lut(StripedProfile<T>& p,
-                               std::span<const std::uint8_t> query,
-                               std::span<const T> lut, std::size_t stride,
-                               int alpha, int width, T pad) {
-  build_striped_profile(p, query, profile_tables(lut, stride, alpha, pad),
-                        width);
-}
-
 #define AALIGN_PROFILE_INSTANTIATE(T)                                       \
   template ProfileTables<T> profile_tables<T>(const ScoreMatrix&, T);       \
+  template ProfileTables<T> transposed_profile_tables<T>(                   \
+      const ScoreMatrix&, T);                                               \
   template ProfileTables<T> profile_tables<T>(std::span<const T>,           \
                                               std::size_t, int, T);         \
   template void stripe_query<T>(StripedProfile<T>&,                         \
@@ -124,10 +124,7 @@ void build_striped_profile_lut(StripedProfile<T>& p,
                                          const ProfileTables<T>&, int);     \
   template void build_striped_profile<T>(StripedProfile<T>&,                \
                                          std::span<const std::uint8_t>,     \
-                                         const ScoreMatrix&, int, T);       \
-  template void build_striped_profile_lut<T>(                               \
-      StripedProfile<T>&, std::span<const std::uint8_t>,                    \
-      std::span<const T>, std::size_t, int, int, T);
+                                         const ScoreMatrix&, int, T);
 
 AALIGN_PROFILE_INSTANTIATE(std::int8_t)
 AALIGN_PROFILE_INSTANTIATE(std::int16_t)

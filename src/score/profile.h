@@ -76,6 +76,12 @@ struct ProfileTables {
 template <class T>
 ProfileTables<T> profile_tables(const ScoreMatrix& matrix, T pad);
 
+// The same format transposed, tables[q][c] = matrix.at(c, q): one row per
+// query symbol, indexed by subject character. The inter-sequence kernel
+// (core/inter_kernel.h) looks up every lane's subject character at once.
+template <class T>
+ProfileTables<T> transposed_profile_tables(const ScoreMatrix& matrix, T pad);
+
 // Tables from prebuilt LUT rows, tables[a][c] = lut[c * stride + a].
 // `alpha` is the alphabet (row length actually consumed); `lut` must hold
 // at least alpha rows of `stride` entries.
@@ -101,15 +107,5 @@ template <class T>
 void build_striped_profile(StripedProfile<T>& p,
                            std::span<const std::uint8_t> query,
                            const ScoreMatrix& matrix, int width, T pad);
-
-// LUT-fed variant: identical output, with the letter tables read from the
-// prebuilt rows `lut[query symbol * stride + letter]` instead of the
-// matrix. Padding cells still get `pad` (the stored LUT's pad row is
-// all-zero and is never read here).
-template <class T>
-void build_striped_profile_lut(StripedProfile<T>& p,
-                               std::span<const std::uint8_t> query,
-                               std::span<const T> lut, std::size_t stride,
-                               int alpha, int width, T pad);
 
 }  // namespace aalign::score

@@ -12,9 +12,9 @@
 namespace aalign::search {
 
 namespace {
-// Padding-row score: strongly negative so finished lanes decay to zero,
-// small enough to survive the int8 tier's clamp untouched.
-constexpr std::int32_t kPadScore = -64;
+// Batch-padding score: strongly negative so finished lanes decay to zero,
+// and inside the int8 tier's range.
+constexpr std::int8_t kPadScore = -64;
 
 core::InterPrecision start_precision(ScoreWidth w) {
   switch (w) {
@@ -30,7 +30,7 @@ core::InterPrecision start_precision(ScoreWidth w) {
 // batch marshalling arrays, allocated once and recycled across all batches
 // of all tiers (no per-batch heap traffic in the hot loops).
 struct LadderScratch {
-  core::InterScratch ws;
+  core::WorkspaceSet ws;
   std::vector<const std::uint8_t*> ptrs;
   std::vector<int> lens;
   std::vector<long> lane_scores;
@@ -43,7 +43,7 @@ struct LadderScratch {
 // array; saturated lanes are appended to scratch.requeue; the DP cells
 // actually computed accumulate into scratch.cells.
 void run_one_batch(const core::InterEngine& engine, core::InterPrecision prec,
-                   int W, const std::int32_t* flat_matrix, int alpha,
+                   int W, const core::InterTables& tables,
                    std::span<const std::uint8_t> query, const Penalties& pen,
                    const seq::Database& db,
                    const std::vector<std::size_t>& pending,
@@ -61,8 +61,8 @@ void run_one_batch(const core::InterEngine& engine, core::InterPrecision prec,
     if (l < count) residues += db[idx].size();
   }
 
-  core::InterBatchInput in{flat_matrix, alpha, query, w.ptrs.data(),
-                           w.lens.data(), max_len};
+  core::InterBatchInput in{&tables, query, w.ptrs.data(), w.lens.data(),
+                           max_len};
   const std::uint64_t overflow =
       engine.run(prec, in, pen, w.ws, w.lane_scores.data());
   for (std::size_t l = 0; l < count; ++l) {
@@ -74,6 +74,12 @@ void run_one_batch(const core::InterEngine& engine, core::InterPrecision prec,
     }
   }
   w.cells += query.size() * residues;
+}
+
+core::InterTables inter_tables(const score::ScoreMatrix& matrix) {
+  return {score::transposed_profile_tables<std::int8_t>(matrix, kPadScore),
+          score::transposed_profile_tables<std::int16_t>(matrix, kPadScore),
+          score::transposed_profile_tables<std::int32_t>(matrix, kPadScore)};
 }
 
 // Resets a worker's scratch for a new tier of width W.
@@ -88,32 +94,13 @@ void reset_scratch_for_tier(LadderScratch& w, int W) {
 
 InterSequenceSearch::InterSequenceSearch(const score::ScoreMatrix& matrix,
                                          Penalties pen, SearchOptions opt)
-    : matrix_(matrix),
-      pen_(pen),
-      opt_(opt) {
+    : pen_(pen),
+      opt_(opt),
+      tables_(inter_tables(matrix)) {
   if (core::get_inter_engine(opt_.query.isa) == nullptr) {
     throw std::invalid_argument(
         "InterSequenceSearch: backend unavailable on this machine");
   }
-  const int alpha = matrix_.size();
-  flat_matrix_.resize(static_cast<std::size_t>(alpha + 1) * alpha);
-  for (int a = 0; a < alpha; ++a) {
-    for (int b = 0; b < alpha; ++b) {
-      flat_matrix_[static_cast<std::size_t>(a) * alpha + b] =
-          matrix_.at(a, b);
-    }
-  }
-  for (int b = 0; b < alpha; ++b) {
-    flat_matrix_[static_cast<std::size_t>(alpha) * alpha + b] = kPadScore;
-  }
-}
-
-int InterSequenceSearch::lanes() const {
-  return core::get_inter_engine(opt_.query.isa)->lanes();
-}
-
-int InterSequenceSearch::lanes(core::InterPrecision p) const {
-  return core::get_inter_engine(opt_.query.isa)->lanes(p);
 }
 
 InterSearchResult InterSequenceSearch::search(
@@ -162,9 +149,8 @@ InterSearchResult InterSequenceSearch::search(
       const std::size_t begin = b * static_cast<std::size_t>(W);
       const std::size_t count =
           std::min<std::size_t>(W, pending.size() - begin);
-      run_one_batch(*engine, prec, W, flat_matrix_.data(), matrix_.size(),
-                    query, pen_, db, pending, begin, count, w,
-                    scores.data());
+      run_one_batch(*engine, prec, W, tables_, query, pen_, db, pending,
+                    begin, count, w, scores.data());
     }, nullptr, cancel);
 
     InterTierStats& tier = res.tiers[static_cast<std::size_t>(ti)];

@@ -62,16 +62,10 @@ class InterSequenceSearch {
                            seq::Database& db,
                            const core::CancelToken* cancel = nullptr) const;
 
-  // Lane count of the exact (int32) tier - the historical meaning.
-  int lanes() const;
-  // Lane count of a specific tier; 0 when the backend lacks it.
-  int lanes(core::InterPrecision p) const;
-
  private:
-  const score::ScoreMatrix& matrix_;
   Penalties pen_;
   SearchOptions opt_;
-  std::vector<std::int32_t> flat_matrix_;  // (alpha+1) x alpha with pad row
+  core::InterTables tables_;  // the matrix, built once for every tier
 };
 
 }  // namespace aalign::search

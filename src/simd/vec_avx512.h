@@ -4,7 +4,9 @@
 // Faithfulness notes:
 //  - IMCI supports only 32-bit integer lanes; we keep the same restriction
 //    so kernel behaviour (16 x int32 per vector) matches the paper's MIC
-//    configuration.
+//    configuration. Defining VecOps for int32 only is the whole of it:
+//    the backend record (core::make_backend) gets no int8/int16 engines
+//    and no int8/int16 inter tiers.
 //  - influence_test on IMCI produces a 16-bit mask register that is tested
 //    with a single compare; AVX-512's __mmask16 gives the identical shape
 //    (contrast with AVX2, where the mask lives in a 256-bit vector and

@@ -74,6 +74,12 @@ inline void seg_scan_max_lanes(const T* in, T* out, long step, T fill) {
 template <class T, class Isa>
 struct VecOps;  // primary template intentionally undefined
 
+// True when backend Isa has T lanes, i.e. its vec_*.h header defines
+// VecOps<T, Isa>. Those specializations are the one statement of a
+// backend's widths (vec_avx512.h, the IMCI profile, defines int32 only).
+template <class T, class Isa>
+concept HasLanes = requires { VecOps<T, Isa>::kWidth; };
+
 template <class T>
 struct ScalarReg {
   T lane[8];

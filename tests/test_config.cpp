@@ -2,7 +2,11 @@
 // (min_safe_width), and the Farrar-safety predicate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
 #include "core/config.h"
+#include "core/inter_engine.h"
 #include "core/query_context.h"
 
 using namespace aalign;
@@ -145,6 +149,45 @@ TEST(Isa, NamesAndOrdering) {
   EXPECT_TRUE(simd::isa_available(simd::best_available_isa()));
   // Every kernel-choosing option set defaults to the best ISA.
   EXPECT_EQ(core::QueryOptions{}.isa, simd::best_available_isa());
+}
+
+template <class T>
+int striped_lanes(simd::IsaKind isa) {
+  const core::Engine<T>* e = core::get_engine<T>(isa);
+  return e != nullptr ? e->lanes() : 0;
+}
+
+TEST(Isa, BackendTable) {
+  using simd::IsaKind;
+  // Lanes at int8 / int16 / int32; 0 where the backend has no such lanes
+  // (the AVX-512 IMCI profile is int32-only, Sec. II-A).
+  struct Row {
+    IsaKind isa;
+    int lanes[core::kInterPrecisionCount];
+  };
+  const Row rows[] = {
+      {IsaKind::Scalar, {8, 8, 8}},    {IsaKind::Sse41, {16, 8, 4}},
+      {IsaKind::Avx2, {32, 16, 8}},    {IsaKind::Avx512, {0, 0, 16}},
+      {IsaKind::Avx512Bw, {64, 32, 16}},
+  };
+  ASSERT_EQ(std::size(rows), std::size(simd::kAllIsaKinds));
+  for (const Row& r : rows) {
+    SCOPED_TRACE(simd::isa_name(r.isa));
+    const bool available = simd::isa_available(r.isa);
+    const int striped[] = {striped_lanes<std::int8_t>(r.isa),
+                           striped_lanes<std::int16_t>(r.isa),
+                           striped_lanes<std::int32_t>(r.isa)};
+    const core::InterEngine* inter = core::get_inter_engine(r.isa);
+    EXPECT_EQ(inter != nullptr, available);
+    for (int p = 0; p < core::kInterPrecisionCount; ++p) {
+      EXPECT_EQ(striped[p], available ? r.lanes[p] : 0) << "tier " << p;
+      if (inter != nullptr) {
+        EXPECT_EQ(inter->lanes(static_cast<core::InterPrecision>(p)),
+                  striped[p])
+            << "tier " << p;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -111,6 +111,75 @@ TEST_P(InterSequence, AgreesWithIntraSequenceSearch) {
   EXPECT_EQ(r_inter.scores, r_intra.scores);
 }
 
+// Seeded random protein matrix with at(a, b) != at(b, a) for every a != b
+// and a positive diagonal, so homologs score high enough to climb the
+// precision ladder. A kernel that read the matrix transposed would
+// disagree with the oracle.
+score::ScoreMatrix asymmetric_protein_matrix(std::uint64_t seed) {
+  const score::Alphabet& alpha = score::Alphabet::protein();
+  const int n = alpha.size();
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> off(-6, 5);
+  std::uniform_int_distribution<int> diag(4, 11);
+  std::vector<std::int8_t> v(static_cast<std::size_t>(n) * n);
+  const auto at = [&](int a, int b) -> std::int8_t& {
+    return v[static_cast<std::size_t>(a) * n + b];
+  };
+  for (int a = 0; a < n; ++a) {
+    at(a, a) = static_cast<std::int8_t>(diag(rng));
+    for (int b = 0; b < a; ++b) {
+      at(a, b) = static_cast<std::int8_t>(off(rng));
+      at(b, a) = static_cast<std::int8_t>(off(rng));
+      if (at(a, b) == at(b, a)) ++at(b, a);
+    }
+  }
+  return score::ScoreMatrix(alpha, "ASYM", v);
+}
+
+TEST_P(InterSequence, AsymmetricMatrixMatchesOracleAtEveryStartWidth) {
+  const simd::IsaKind isa = GetParam();
+  if (core::get_inter_engine(isa) == nullptr) GTEST_SKIP();
+
+  const score::ScoreMatrix m = asymmetric_protein_matrix(1729);
+  for (int a = 0; a < m.size(); ++a) {
+    for (int b = 0; b < a; ++b) ASSERT_NE(m.at(a, b), m.at(b, a));
+  }
+  const Penalties pen = Penalties::symmetric(10, 2);
+  AlignConfig cfg;
+  cfg.kind = AlignKind::Local;
+  cfg.pen = pen;
+
+  seq::SequenceGenerator gen(83);
+  const seq::Sequence qseq = gen.protein(150, "Q");
+  const auto query = score::Alphabet::protein().encode(qseq.residues);
+  seq::Database db(score::Alphabet::protein(),
+                   gen.protein_database(70, 120.0, 0.8, 5, 600));
+  for (int i = 0; i < 3; ++i) {
+    db.add(seq::encode(
+        score::Alphabet::protein(),
+        seq::make_similar_subject(gen, qseq,
+                                  {seq::Level::Hi, seq::Level::Hi})));
+  }
+  std::vector<long> expect(db.size());
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    expect[i] =
+        core::align_sequential(m, cfg, query, db.by_original(i).view());
+  }
+
+  for (const ScoreWidth w :
+       {ScoreWidth::Auto, ScoreWidth::W16, ScoreWidth::W32}) {
+    SCOPED_TRACE(to_string(w));
+    search::SearchOptions opt = inter_opt(isa, 2);
+    opt.query.width = w;
+    search::InterSequenceSearch inter(m, pen, opt);
+    const search::SearchResult res = inter.search(query, db);
+    ASSERT_EQ(res.scores.size(), db.size());
+    for (std::size_t i = 0; i < db.size(); ++i) {
+      EXPECT_EQ(res.scores[i], expect[i]) << "subject " << i;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, InterSequence,
                          testing::ValuesIn(test::available_isas()),
                          [](const testing::TestParamInfo<simd::IsaKind>& i) {

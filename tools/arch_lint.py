@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Architecture linter for the aalign repo (CI: the lint job).
 
-Nine checks, all against the working tree, the first eight driven by the
+Ten checks, all against the working tree, the first eight driven by the
 machine-readable blocks in docs/architecture.md ("Checked invariants") so
 the documentation and the linter cannot drift apart:
 
@@ -47,6 +47,10 @@ the documentation and the linter cannot drift apart:
                     file under src/, tools/, bench/ or examples/ other
                     than its own <name>.cpp. A module only tests/ reach is
                     dead code: delete it or give it a consumer.
+ 10. isa-guard    - the backends' compile-time guards (AALIGN_HAVE_<ISA>)
+                    may appear only in the dispatch files listed in
+                    ISA_GUARD_FILES; everything else reaches a backend
+                    through its dispatcher.
 
 Deliberate violations live in tools/arch_lint_allow.txt, one
 "<key>  # justification" per line; entries without a justification and
@@ -78,6 +82,16 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([A-Za-z0-9_]+/[^"]+)"',
 CONSUMER_DIRS = ("src", "tools", "bench", "examples")
 INTRIN_RE = re.compile(
     r"\b_mm\d*\w*\s*\(|\bimmintrin\.h|\b__m(?:64|128|256|512)[di]?\b")
+ISA_GUARD_RE = re.compile(r"\bAALIGN_HAVE_")
+# The runtime dispatchers and the registry they read: the only src/ files
+# that decide which backends exist.
+ISA_GUARD_FILES = frozenset((
+    "simd/isa.cpp",
+    "core/dispatch.cpp",
+    "core/backends.h",
+    "filter/sig_scan.h",
+    "filter/sig_scan.cpp",
+))
 METRIC_RE = re.compile(r'\b(?:counter|histogram|timer)\s*\(\s*"([^"]*)"')
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 BACKTICK_RE = re.compile(r"`([^`]+)`")
@@ -243,6 +257,22 @@ def check_intrinsics(repo):
                     f"intrinsic src/{layer}/{name}",
                     f"src/{layer}/{name}:{lineno}: raw intrinsic outside "
                     f"src/simd/vec_*.h / src/util/saturate.h: {line.strip()}",
+                ))
+                break  # one finding per file is enough
+    return findings
+
+
+def check_isa_guards(repo):
+    findings = []
+    for layer, name, path in iter_src_files(repo):
+        if f"{layer}/{name}" in ISA_GUARD_FILES:
+            continue
+        for lineno, line in enumerate(read(path).splitlines(), 1):
+            if ISA_GUARD_RE.search(line):
+                findings.append((
+                    f"isa-guard src/{layer}/{name}",
+                    f"src/{layer}/{name}:{lineno}: backend guard outside "
+                    f"the dispatch files: {line.strip()}",
                 ))
                 break  # one finding per file is enough
     return findings
@@ -465,6 +495,7 @@ def collect_findings(repo):
     findings += check_mutex_guard(repo)
     findings += check_test_labels(repo)
     findings += check_reachability(repo)
+    findings += check_isa_guards(repo)
     return findings
 
 
@@ -527,6 +558,9 @@ SELF_TEST_FILES = {
     "src/core/bad_include.h": '#include "search/pool.h"\n',
     # raw intrinsic outside simd/vec_*.h.
     "src/core/raw_simd.cpp": "void f() { __m256i x; (void)x; }\n",
+    # backend guard outside the dispatch files; the dispatcher's own is fine.
+    "src/core/guarded.cpp": "#if defined(AALIGN_HAVE_AVX2)\n#endif\n",
+    "src/core/dispatch.cpp": "#if defined(AALIGN_HAVE_AVX2)\n#endif\n",
     # listed in cancel-poll but polls nothing.
     "src/core/kernels.h": "inline void kernel() { /* no poll */ }\n",
     # one bad name, one undocumented name, two fine ones.
@@ -593,6 +627,7 @@ SELF_TEST_EXPECT = [
     "mutex-guard src/service/unannotated.h",
     "test-labels tests/test_threads.cpp",
     "reachability src/core/orphan.h",
+    "isa-guard src/core/guarded.cpp",
 ]
 
 
