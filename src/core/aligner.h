@@ -4,13 +4,14 @@
 //   const auto& blosum = score::ScoreMatrix::blosum62();
 //   PairAligner aligner(blosum, {.kind = AlignKind::Local,
 //                                .pen = Penalties::symmetric(10, 2)});
-//   aligner.set_query(encoded_query);          // builds striped profiles
+//   aligner.set_query(encoded_query);  // builds the first width's profile
 //   AlignResult r = aligner.align(encoded_subject);  // reusable per subject
 //
 // The aligner wraps a QueryContext (striped profiles per width + engines)
 // and a private WorkspaceSet. With ScoreWidth::Auto the adaptive promotion
 // chain runs the narrowest viable width first and retries one width up on
-// saturation (the SWPS3-style 8->16->32 scheme of Fig. 11). For searching
+// saturation (the SWPS3-style 8->16->32 scheme of Fig. 11); a wider
+// width's profile is built on the first promotion to it. For searching
 // a whole database on many threads, use search::DatabaseSearch, which
 // shares one QueryContext across threads.
 #pragma once

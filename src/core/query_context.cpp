@@ -36,8 +36,6 @@ QueryContext::QueryContext(const score::ScoreMatrix& matrix,
       opt_(opt),
       query_(query.begin(), query.end()),
       query_len_(query.size()) {
-  obs::ScopedTimer build_timer(
-      obs::registry().timer("phase.profile_build"));
   cfg_.validate();
   if (query.empty()) throw std::invalid_argument("QueryContext: empty query");
   if (!simd::isa_available(opt_.isa)) {
@@ -46,20 +44,24 @@ QueryContext::QueryContext(const score::ScoreMatrix& matrix,
                                 "' is not available on this machine");
   }
 
-  eng8_ = get_engine<std::int8_t>(opt_.isa);
-  eng16_ = get_engine<std::int16_t>(opt_.isa);
-  eng32_ = get_engine<std::int32_t>(opt_.isa);
+  Tiers& t = *tiers_;
+  t.t8.engine = get_engine<std::int8_t>(opt_.isa);
+  t.t16.engine = get_engine<std::int16_t>(opt_.isa);
+  t.t32.engine = get_engine<std::int32_t>(opt_.isa);
+  t.t8.lut_rows = opt_.lut.i8;
+  t.t16.lut_rows = opt_.lut.i16;
+  t.t32.lut_rows = opt_.lut.i32;
 
   auto want = [&](ScoreWidth w) {
     return opt_.width == ScoreWidth::Auto || opt_.width == w;
   };
-  if (eng8_ != nullptr && want(ScoreWidth::W8)) {
+  if (t.t8.engine != nullptr && want(ScoreWidth::W8)) {
     widths_.push_back(ScoreWidth::W8);
   }
-  if (eng16_ != nullptr && want(ScoreWidth::W16)) {
+  if (t.t16.engine != nullptr && want(ScoreWidth::W16)) {
     widths_.push_back(ScoreWidth::W16);
   }
-  if (eng32_ != nullptr && want(ScoreWidth::W32)) {
+  if (t.t32.engine != nullptr && want(ScoreWidth::W32)) {
     widths_.push_back(ScoreWidth::W32);
   }
   // Reachable widths only: a non-local alignment never starts below
@@ -73,58 +75,72 @@ QueryContext::QueryContext(const score::ScoreMatrix& matrix,
     }
   }
 
-  // A tier builds from the attached LUT rows when they cover the
-  // alphabet, else from the matrix; the outputs are bit-identical
-  // (tests/test_gateway.cpp pins this differentially).
-  const int alpha = matrix_.size();
-  bool attached = false;
-  const auto build = [&](const auto* eng, auto& prof, auto lut_rows) {
-    using T = typename decltype(lut_rows)::value_type;
-    const T pad = cfg_.kind == AlignKind::Local ? simd::neg_inf<T>() : T{0};
-    const bool use_lut =
-        !opt_.lut.empty() &&
-        opt_.lut.stride >= static_cast<std::size_t>(alpha) &&
-        lut_rows.size() >= static_cast<std::size_t>(alpha) * opt_.lut.stride;
-    attached = attached || use_lut;
-    eng->build_profile(prof, query,
-                       use_lut ? score::profile_tables<T>(
-                                     lut_rows, opt_.lut.stride, alpha, pad)
-                               : score::profile_tables<T>(matrix_, pad));
-  };
-  for (const ScoreWidth w : widths_) {
-    switch (w) {
-      case ScoreWidth::W8:
-        build(eng8_, prof8_, opt_.lut.i8);
-        break;
-      case ScoreWidth::W16:
-        build(eng16_, prof16_, opt_.lut.i16);
-        break;
-      default:
-        build(eng32_, prof32_, opt_.lut.i32);
-        break;
-    }
-  }
-  if (attached) obs::registry().counter("cache.profile.lut_attach").add();
   if (widths_.empty()) {
     throw std::invalid_argument(
         "QueryContext: no supported score width for this ISA/width request");
   }
+  // The first tier is built here, so a bad query byte throws now; wider
+  // tiers wait for the first align() that promotes to them.
+  switch (widths_.front()) {
+    case ScoreWidth::W8:
+      profile<std::int8_t>(false);
+      break;
+    case ScoreWidth::W16:
+      profile<std::int16_t>(false);
+      break;
+    default:
+      profile<std::int32_t>(false);
+      break;
+  }
+}
+
+template <class T>
+QueryContext::Tier<T>& QueryContext::tier() const {
+  if constexpr (sizeof(T) == 1) {
+    return tiers_->t8;
+  } else if constexpr (sizeof(T) == 2) {
+    return tiers_->t16;
+  } else {
+    return tiers_->t32;
+  }
+}
+
+template <class T>
+const score::StripedProfile<T>& QueryContext::profile(bool lazy) const {
+  Tier<T>& t = tier<T>();
+  std::call_once(t.built, [&] { build(t, lazy); });
+  return t.profile;
+}
+
+// A tier builds from the attached LUT rows when they cover the alphabet,
+// else from the matrix; the outputs are bit-identical
+// (tests/test_gateway.cpp pins this differentially).
+template <class T>
+void QueryContext::build(Tier<T>& t, bool lazy) const {
+  obs::ScopedTimer build_timer(obs::registry().timer("phase.profile_build"));
+  const int alpha = matrix_.size();
+  const T pad = cfg_.kind == AlignKind::Local ? simd::neg_inf<T>() : T{0};
+  const bool use_lut =
+      !opt_.lut.empty() &&
+      opt_.lut.stride >= static_cast<std::size_t>(alpha) &&
+      t.lut_rows.size() >= static_cast<std::size_t>(alpha) * opt_.lut.stride;
+  t.engine->build_profile(
+      t.profile, query_,
+      use_lut
+          ? score::profile_tables<T>(t.lut_rows, opt_.lut.stride, alpha, pad)
+          : score::profile_tables<T>(matrix_, pad));
+  if (use_lut && !tiers_->lut_counted.exchange(true)) {
+    obs::registry().counter("cache.profile.lut_attach").add();
+  }
+  if (lazy) obs::registry().counter("profile.lazy_builds").add();
 }
 
 template <class T>
 KernelResult QueryContext::run_width(std::span<const std::uint8_t> subject,
-                                     WorkspaceSet& ws,
+                                     Workspace<T>& ws,
                                      const CancelToken* cancel) const {
-  if constexpr (sizeof(T) == 1) {
-    return eng8_->run(opt_.strategy, cfg_, prof8_, subject, ws.w8,
-                      opt_.hybrid, cancel);
-  } else if constexpr (sizeof(T) == 2) {
-    return eng16_->run(opt_.strategy, cfg_, prof16_, subject, ws.w16,
-                       opt_.hybrid, cancel);
-  } else {
-    return eng32_->run(opt_.strategy, cfg_, prof32_, subject, ws.w32,
-                       opt_.hybrid, cancel);
-  }
+  return tier<T>().engine->run(opt_.strategy, cfg_, profile<T>(true), subject,
+                               ws, opt_.hybrid, cancel);
 }
 
 AdaptiveResult QueryContext::align(std::span<const std::uint8_t> subject,
@@ -147,13 +163,13 @@ AdaptiveResult QueryContext::align(std::span<const std::uint8_t> subject,
     KernelResult kr;
     switch (widths_[wi]) {
       case ScoreWidth::W8:
-        kr = run_width<std::int8_t>(subject, ws, cancel);
+        kr = run_width<std::int8_t>(subject, ws.w8, cancel);
         break;
       case ScoreWidth::W16:
-        kr = run_width<std::int16_t>(subject, ws, cancel);
+        kr = run_width<std::int16_t>(subject, ws.w16, cancel);
         break;
       default:
-        kr = run_width<std::int32_t>(subject, ws, cancel);
+        kr = run_width<std::int32_t>(subject, ws.w32, cancel);
         break;
     }
     out.kernel = kr;
@@ -167,12 +183,5 @@ AdaptiveResult QueryContext::align(std::span<const std::uint8_t> subject,
   }
   return out;
 }
-
-template KernelResult QueryContext::run_width<std::int8_t>(
-    std::span<const std::uint8_t>, WorkspaceSet&, const CancelToken*) const;
-template KernelResult QueryContext::run_width<std::int16_t>(
-    std::span<const std::uint8_t>, WorkspaceSet&, const CancelToken*) const;
-template KernelResult QueryContext::run_width<std::int32_t>(
-    std::span<const std::uint8_t>, WorkspaceSet&, const CancelToken*) const;
 
 }  // namespace aalign::core

@@ -1,12 +1,18 @@
 // QueryContext: everything derivable from (matrix, config, options, query)
 // alone - striped profiles per reachable score width plus the engine
 // pointers.
-// Immutable after build and safely shared read-only by every search thread
-// (the paper's Sec. V-E optimization: build the profile once, before
-// launching threads). Mutable per-thread state lives in WorkspaceSet.
+// Logically immutable and safely shared by every search thread (the
+// paper's Sec. V-E optimization: build the profile once, before launching
+// threads). The constructor builds the first width's profile; each wider
+// one is built once, on the first align() that promotes to it, and read
+// without a lock after that. Mutable per-thread state lives in
+// WorkspaceSet.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -72,7 +78,8 @@ class QueryContext {
 
   const AlignConfig& config() const { return cfg_; }
   const QueryOptions& options() const { return opt_; }
-  // The widths with a profile, narrowest first. Under ScoreWidth::Auto a
+  // The widths align() can run, narrowest first; only the first has a
+  // profile before align() needs another. Under ScoreWidth::Auto a
   // non-local context starts at min_safe_width(query length, 0): narrower
   // widths can never run for any subject.
   const std::vector<ScoreWidth>& widths() const { return widths_; }
@@ -82,9 +89,34 @@ class QueryContext {
   std::span<const std::uint8_t> query() const { return query_; }
 
  private:
+  // One score width: its engine (null when the ISA lacks the width), the
+  // LUT rows it may build from, and its profile, built at most once.
+  template <class T>
+  struct Tier {
+    const Engine<T>* engine = nullptr;
+    std::span<const T> lut_rows;
+    std::once_flag built;
+    score::StripedProfile<T> profile;
+  };
+  // Heap-held: std::once_flag cannot move, and the context must.
+  struct Tiers {
+    Tier<std::int8_t> t8;
+    Tier<std::int16_t> t16;
+    Tier<std::int32_t> t32;
+    std::atomic<bool> lut_counted{false};  // cache.profile.lut_attach once
+  };
+
+  template <class T>
+  Tier<T>& tier() const;
+  // The width-T profile, built on the first call; `lazy` = not from the
+  // constructor (counted by profile.lazy_builds).
+  template <class T>
+  const score::StripedProfile<T>& profile(bool lazy) const;
+  template <class T>
+  void build(Tier<T>& t, bool lazy) const;
   template <class T>
   KernelResult run_width(std::span<const std::uint8_t> subject,
-                         WorkspaceSet& ws, const CancelToken* cancel) const;
+                         Workspace<T>& ws, const CancelToken* cancel) const;
 
   const score::ScoreMatrix& matrix_;
   AlignConfig cfg_;
@@ -92,13 +124,7 @@ class QueryContext {
   std::vector<std::uint8_t> query_;
   std::size_t query_len_ = 0;
   std::vector<ScoreWidth> widths_;
-
-  score::StripedProfile<std::int8_t> prof8_;
-  score::StripedProfile<std::int16_t> prof16_;
-  score::StripedProfile<std::int32_t> prof32_;
-  const Engine<std::int8_t>* eng8_ = nullptr;
-  const Engine<std::int16_t>* eng16_ = nullptr;
-  const Engine<std::int32_t>* eng32_ = nullptr;
+  std::unique_ptr<Tiers> tiers_ = std::make_unique<Tiers>();
 };
 
 }  // namespace aalign::core

@@ -10,10 +10,11 @@
 // ANY query still has subjects left, and per-query state is built once and
 // shared:
 //
-//   * immutable per-query state (core::QueryContext: striped score
-//     profiles for every width, engine pointers) lives in an LRU keyed by
-//     (query bytes, config) - repeated queries in a batch skip profile
-//     construction entirely;
+//   * logically immutable per-query state (core::QueryContext: the first
+//     width's striped score profile, the wider ones built once on first
+//     promotion, engine pointers) lives in an LRU keyed by (query bytes,
+//     config) - repeated queries in a batch skip profile construction
+//     entirely;
 //   * per-tile KernelStats / promotion counters accumulate into per-worker
 //     slots and are merged lock-free after the pool drains;
 //   * every worker keeps one WorkspaceSet for the whole batch instead of

@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
+#include <limits>
+#include <random>
+#include <thread>
 #include <vector>
 
 #include "core/sequential.h"
+#include "obs/metrics.h"
 #include "search/batch_scheduler.h"
 #include "search/database_search.h"
 #include "seq/generator.h"
@@ -272,6 +277,45 @@ TEST(BatchScheduler, UnsortedDatabaseStaysUnsorted) {
     EXPECT_EQ(got[qi].scores,
               test::serial_search(m, cfg, opt, queries[qi], db2).scores)
         << "query " << qi;
+  }
+}
+
+// Workers share one QueryContext whose wider tiers are not built yet: when
+// they all promote at the same moment, each tier is still built exactly
+// once and every score is exact (run under TSan by the stress label).
+TEST(BatchScheduler, SharedContextBuildsEachWiderTierOnce) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  std::mt19937_64 rng(91);
+  const auto q = test::int32_scoring_query(rng);
+  const auto subject = test::mutate(rng, q, 0.02, 0.0);
+  const AlignConfig cfg;  // local
+  const long expect = core::align_sequential(m, cfg, q, subject);
+  ASSERT_GT(expect, std::numeric_limits<std::int16_t>::max());
+
+  const core::QueryContext ctx(m, cfg, {}, q);
+  const std::uint64_t wider = ctx.widths().size() - 1;
+  const std::uint64_t before =
+      obs::registry().counter("profile.lazy_builds").value();
+  constexpr int kThreads = 4;
+  std::vector<core::AdaptiveResult> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      core::WorkspaceSet ws;
+      start.arrive_and_wait();
+      got[t] = ctx.align(subject, ws);
+    });
+  }
+  for (std::thread& th : pool) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t].kernel.score, expect) << "thread " << t;
+    EXPECT_EQ(got[t].width, ScoreWidth::W32) << "thread " << t;
+  }
+  if (obs::metrics_enabled()) {
+    EXPECT_EQ(obs::registry().counter("profile.lazy_builds").value(),
+              before + wider);
   }
 }
 

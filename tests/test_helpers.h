@@ -11,6 +11,7 @@
 
 #include "core/config.h"
 #include "core/query_context.h"
+#include "score/alphabet.h"
 #include "score/matrices.h"
 #include "score/profile.h"
 #include "search/database_search.h"
@@ -57,6 +58,17 @@ inline std::vector<std::uint8_t> mutate(std::mt19937_64& rng,
   }
   if (out.empty()) out.push_back(src.empty() ? 0 : src[0]);
   return out;
+}
+
+// A 3,500-residue W/C-only protein query (BLOSUM62 W-W = 11, C-C = 9):
+// its local score against a close copy passes int16's 32,767, so the
+// adaptive chain runs int8, int16 and int32 on that pair.
+inline std::vector<std::uint8_t> int32_scoring_query(std::mt19937_64& rng) {
+  const std::uint8_t w = score::Alphabet::protein().encode("W")[0];
+  const std::uint8_t c = score::Alphabet::protein().encode("C")[0];
+  std::vector<std::uint8_t> v(3500);
+  for (auto& r : v) r = (rng() & 1) != 0 ? w : c;
+  return v;
 }
 
 // Gap configurations used across the property sweeps. All satisfy

@@ -9,6 +9,7 @@
 #include "core/aligner.h"
 #include "core/query_context.h"
 #include "core/sequential.h"
+#include "obs/metrics.h"
 #include "score/profile.h"
 #include "simd/modules.h"
 #include "test_helpers.h"
@@ -346,6 +347,53 @@ TEST(QueryContext, NonLocalWidthsStartAtQueryFloor) {
         local.kind = AlignKind::Local;
         EXPECT_EQ(core::QueryContext(m, local, qopt, q).widths(), full)
             << what;
+      }
+    }
+  }
+}
+
+TEST(QueryContext, WiderTiersBuildOnFirstPromotion) {
+  // A local context builds its first width's profile up front; each wider
+  // one is built by the first align() that promotes to it, and only once.
+  const auto& m = score::ScoreMatrix::blosum62();
+  std::mt19937_64 rng(19);
+  const auto q = test::int32_scoring_query(rng);
+  const auto close = test::mutate(rng, q, 0.02, 0.0);
+  const auto unrelated = test::random_protein(rng, 300);
+  const AlignConfig cfg;  // local
+  const long expect_close = core::align_sequential(m, cfg, q, close);
+  const long expect_unrelated = core::align_sequential(m, cfg, q, unrelated);
+  ASSERT_GT(expect_close, std::numeric_limits<std::int16_t>::max());
+  const auto lazy_builds = [] {
+    return obs::registry().counter("profile.lazy_builds").value();
+  };
+
+  for (simd::IsaKind isa : test::available_isas()) {
+    core::QueryOptions opt;
+    opt.isa = isa;
+    const core::QueryContext ctx(m, cfg, opt, q);
+    const int wider = static_cast<int>(ctx.widths().size()) - 1;
+    const std::string what = simd::isa_name(isa);
+    core::WorkspaceSet ws;
+    const std::uint64_t before = lazy_builds();
+
+    // An empty subject runs no kernel and builds no tier.
+    EXPECT_EQ(ctx.align({}, ws).kernel.score, 0) << what;
+    const core::AdaptiveResult u = ctx.align(unrelated, ws);
+    EXPECT_EQ(u.kernel.score, expect_unrelated) << what;
+    EXPECT_EQ(u.promotions, 0) << what;
+    if (obs::metrics_enabled()) {
+      EXPECT_EQ(lazy_builds(), before) << what;
+    }
+
+    for (int pass = 0; pass < 2; ++pass) {
+      const core::AdaptiveResult r = ctx.align(close, ws);
+      EXPECT_EQ(r.kernel.score, expect_close) << what << " pass " << pass;
+      EXPECT_EQ(r.promotions, wider) << what << " pass " << pass;
+      EXPECT_EQ(r.width, ScoreWidth::W32) << what << " pass " << pass;
+      if (obs::metrics_enabled()) {
+        EXPECT_EQ(lazy_builds(), before + static_cast<std::uint64_t>(wider))
+            << what << " pass " << pass;
       }
     }
   }
