@@ -269,7 +269,8 @@ std::vector<SearchResult> BatchScheduler::run(
       static_cast<std::size_t>(std::max(1, threads)));
   for (auto& w : workers) w.acc.resize(ng);
 
-  // Scores in sorted-database order; remapped per group afterwards.
+  // Scores by ORIGINAL database index: each tile writes subject s at
+  // db.original_index(s), so no remapped copy is needed afterwards.
   std::vector<std::vector<long>> scores(ng);
   for (auto& s : scores) s.assign(ns, 0);
 
@@ -289,14 +290,15 @@ std::vector<SearchResult> BatchScheduler::run(
         const std::uint8_t* mask =
             filtered ? alive[tile.group].data() : nullptr;
         for (std::size_t s = tile.begin; s < tile.end; ++s) {
+          long& slot = out[db.original_index(s)];
           if (mask != nullptr && mask[s] == 0) {
-            out[s] = filter::kDroppedScore;
+            slot = filter::kDroppedScore;
             continue;
           }
           const core::AdaptiveResult ar =
               ctx.align(db[s].view(), w.ws, cancel);
           if (ar.cancelled) core::throw_cancelled(*cancel);
-          out[s] = ar.kernel.score;
+          slot = ar.kernel.score;
           acc.promotions += static_cast<std::uint64_t>(ar.promotions);
           acc.stats += ar.kernel.stats;
         }
@@ -308,7 +310,8 @@ std::vector<SearchResult> BatchScheduler::run(
   batch_timer.stop();
   const double wall_seconds = wall.seconds();
 
-  // Merge per-group, then hand every occurrence of the group a copy. A
+  // Merge per-group, then hand every occurrence of the group its result:
+  // earlier occurrences get a copy and the last one takes the original. A
   // duplicate's result (scores, top-k, stats) is exactly what its own scan
   // would have produced, since the inputs are byte-identical.
   std::vector<SearchResult> merged(ng);
@@ -333,7 +336,6 @@ std::vector<SearchResult> BatchScheduler::run(
     }
     obs::record_kernel_stats(res.stats);
     obs::registry().counter("search.promotions").add(res.promotions);
-    remap_scores_to_original(db, scores[gi]);
     res.top = select_top_k(scores[gi], opt_.top_k);
     // Dropped subjects rank below every real survivor; trimming the
     // sentinels makes the filtered top-k a prefix-consistent subset of the
@@ -342,8 +344,17 @@ std::vector<SearchResult> BatchScheduler::run(
       res.top.pop_back();
     if (opt_.keep_all_scores) res.scores = std::move(scores[gi]);
   }
+  std::vector<std::size_t> group_last(ng);
+  for (std::size_t qi = 0; qi < nq; ++qi) group_last[group_of[qi]] = qi;
   std::vector<SearchResult> out(nq);
-  for (std::size_t qi = 0; qi < nq; ++qi) out[qi] = merged[group_of[qi]];
+  for (std::size_t qi = 0; qi < nq; ++qi) {
+    const std::size_t gi = group_of[qi];
+    if (group_last[gi] == qi) {
+      out[qi] = std::move(merged[gi]);
+    } else {
+      out[qi] = merged[gi];
+    }
+  }
 
   stats_ = BatchStats{};
   stats_.queries = nq;

@@ -39,9 +39,10 @@ struct LadderScratch {
 };
 
 // Marshals lanes [begin, begin+count) of `pending` into one batch at
-// precision `prec` and runs it. Scores land in the (sorted-order) `scores`
-// array; saturated lanes are appended to scratch.requeue; the DP cells
-// actually computed accumulate into scratch.cells.
+// precision `prec` and runs it. Scores land in `scores` at each subject's
+// ORIGINAL database index; saturated lanes are appended to
+// scratch.requeue; the DP cells actually computed accumulate into
+// scratch.cells.
 void run_one_batch(const core::InterEngine& engine, core::InterPrecision prec,
                    int W, const core::InterTables& tables,
                    std::span<const std::uint8_t> query, const Penalties& pen,
@@ -70,7 +71,7 @@ void run_one_batch(const core::InterEngine& engine, core::InterPrecision prec,
     if ((overflow >> l) & 1u) {
       w.requeue.push_back(idx);  // saturated: retry at wider precision
     } else {
-      scores[idx] = w.lane_scores[l];
+      scores[db.original_index(idx)] = w.lane_scores[l];
     }
   }
   w.cells += query.size() * residues;
@@ -114,7 +115,7 @@ InterSearchResult InterSequenceSearch::search(
   if (opt_.sort_database) db.sort_by_length_desc();
 
   const int threads = opt_.threads > 0 ? opt_.threads : default_thread_count();
-  std::vector<long> scores(db.size());
+  std::vector<long> scores(db.size());  // by ORIGINAL database index
 
   std::vector<LadderScratch> workers(
       static_cast<std::size_t>(std::max(1, threads)));
@@ -178,7 +179,6 @@ InterSearchResult InterSequenceSearch::search(
   res.cells = query.size() * db.total_residues();
   res.gcups = util::gcups_cells(res.cells, res.seconds);
 
-  remap_scores_to_original(db, scores);
   res.top = select_top_k(scores, opt_.top_k);
   if (opt_.keep_all_scores) res.scores = std::move(scores);
   return res;

@@ -15,7 +15,9 @@ namespace aalign::search {
 
 // Re-indexes a score vector computed in the database's CURRENT (possibly
 // length-sorted) order back to original insertion order, so results are
-// stable under sort_database. No-op while the database is unpermuted.
+// stable under sort_database. No-op while the database is unpermuted. The
+// search executors write each score at db.original_index(pos) directly
+// and never need this copy; the serial test oracle and bench/ledger do.
 inline void remap_scores_to_original(const seq::Database& db,
                                      std::vector<long>& scores) {
   if (!db.permuted()) return;
@@ -26,24 +28,43 @@ inline void remap_scores_to_original(const seq::Database& db,
   scores = std::move(orig);
 }
 
+// The `k` best hits of `scores` under `better` (a strict total order:
+// better(a, b) when a ranks ahead of b), best first. Holds a k-entry heap
+// whose front is the worst hit kept, so the selection never allocates for
+// the whole score vector; with a total order the result is exactly the
+// first k of a full sort.
+template <class Better>
+std::vector<SearchHit> select_top_k_by(const std::vector<long>& scores,
+                                       std::size_t top_k, Better better) {
+  const std::size_t k = std::min(top_k, scores.size());
+  std::vector<SearchHit> heap;
+  heap.reserve(k);
+  if (k == 0) return heap;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    const SearchHit hit{i, scores[i]};
+    if (heap.size() < k) {
+      heap.push_back(hit);
+      std::push_heap(heap.begin(), heap.end(), better);
+    } else if (better(hit, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), better);
+      heap.back() = hit;
+      std::push_heap(heap.begin(), heap.end(), better);
+    }
+  }
+  std::sort_heap(heap.begin(), heap.end(), better);
+  return heap;
+}
+
 // Best `top_k` subjects by score, descending; ties resolve to the lower
-// database index (partial_sort is not stable, so the index is part of the
-// comparator — the ranking must not depend on the k requested).
+// database index (the index is part of the order, so the ranking does not
+// depend on the k requested).
 inline std::vector<SearchHit> select_top_k(const std::vector<long>& scores,
                                            std::size_t top_k) {
-  std::vector<SearchHit> hits;
-  hits.reserve(scores.size());
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    hits.push_back(SearchHit{i, scores[i]});
-  }
-  const std::size_t k = std::min(top_k, hits.size());
-  std::partial_sort(hits.begin(), hits.begin() + static_cast<long>(k),
-                    hits.end(), [](const SearchHit& a, const SearchHit& b) {
-                      return a.score != b.score ? a.score > b.score
-                                                : a.index < b.index;
-                    });
-  hits.resize(k);
-  return hits;
+  return select_top_k_by(scores, top_k,
+                         [](const SearchHit& a, const SearchHit& b) {
+                           return a.score != b.score ? a.score > b.score
+                                                     : a.index < b.index;
+                         });
 }
 
 // select_top_k under a remapped index order: ties resolve to the lower
@@ -56,21 +77,12 @@ inline std::vector<SearchHit> select_top_k_mapped(
     const std::vector<long>& scores, std::size_t top_k,
     std::span<const std::size_t> index_map) {
   if (index_map.empty()) return select_top_k(scores, top_k);
-  std::vector<SearchHit> hits;
-  hits.reserve(scores.size());
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    hits.push_back(SearchHit{i, scores[i]});
-  }
-  const std::size_t k = std::min(top_k, hits.size());
-  std::partial_sort(hits.begin(), hits.begin() + static_cast<long>(k),
-                    hits.end(),
-                    [index_map](const SearchHit& a, const SearchHit& b) {
-                      return a.score != b.score
-                                 ? a.score > b.score
-                                 : index_map[a.index] < index_map[b.index];
-                    });
-  hits.resize(k);
-  return hits;
+  return select_top_k_by(scores, top_k,
+                         [index_map](const SearchHit& a, const SearchHit& b) {
+                           return a.score != b.score
+                                      ? a.score > b.score
+                                      : index_map[a.index] < index_map[b.index];
+                         });
 }
 
 }  // namespace aalign::search

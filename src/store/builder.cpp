@@ -248,14 +248,20 @@ std::vector<std::uint8_t> build_index_bytes(seq::Database& db,
   hdr.file_bytes = out.offset();
 
   // ---- Patch directories, then checksum everything ------------------------
-  std::memcpy(out.at(seqdir_section->offset), seq_dir.data(),
-              seq_dir.size() * sizeof(SeqEntry));
+  // An empty database's directories have a null data(), which memcpy
+  // must not see.
+  if (!seq_dir.empty()) {
+    std::memcpy(out.at(seqdir_section->offset), seq_dir.data(),
+                seq_dir.size() * sizeof(SeqEntry));
+  }
   for (std::size_t si = 0; si < shard_dir.size(); ++si) {
     shard_dir[si].checksum =
         fnv1a64(out.at(shard_dir[si].blob_offset), shard_dir[si].blob_bytes);
   }
-  std::memcpy(out.at(shard_section->offset), shard_dir.data(),
-              shard_dir.size() * sizeof(ShardEntry));
+  if (!shard_dir.empty()) {
+    std::memcpy(out.at(shard_section->offset), shard_dir.data(),
+                shard_dir.size() * sizeof(ShardEntry));
+  }
   for (SectionEntry& e : sections) {
     if (e.flags & kSectionFlagPerShardChecksum) continue;
     e.checksum = fnv1a64(out.at(e.offset), e.bytes);

@@ -49,8 +49,14 @@ inline constexpr std::uint32_t kProfileLutStride = 64;
 // differing only in trailing zero bytes hash differently. Not
 // cryptographic — the threat model is truncation and bit rot, not an
 // adversary.
+//
+// Chaining is exact at 8-byte boundaries: when `bytes` of the first call
+// is a multiple of 8, fnv1a64(b, n2, fnv1a64(a, n1)) equals one call over
+// the concatenation, which lets the loader hash a large section in
+// windows.
+inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
 inline std::uint64_t fnv1a64(const void* data, std::size_t bytes,
-                             std::uint64_t seed = 14695981039346656037ull) {
+                             std::uint64_t seed = kFnvOffsetBasis) {
   constexpr std::uint64_t kPrime = 1099511628211ull;
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t h = seed;

@@ -1,5 +1,6 @@
 #include "store/loader.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -44,6 +45,36 @@ std::uint64_t expected_payload_bytes(const Header& h, SectionKind kind) {
       return lut_rows * sizeof(std::int32_t);
   }
   return 0;
+}
+
+// Only a filter scan reads the signature sections, and the default
+// (filter off) never does, so open hashes them a window at a time and
+// drops each window's pages once hashed: open's own residency stays one
+// window, whatever the database size. The directory sections stay
+// resident, since database() reads them right after open.
+constexpr std::uint64_t kHashWindow = std::uint64_t{1} << 20;
+
+bool released_after_hash(SectionKind kind) {
+  return kind == SectionKind::SigPopcounts ||
+         kind == SectionKind::SigLengths || kind == SectionKind::SigBlob;
+}
+
+std::uint64_t section_checksum(const MappedFile& f, const SectionEntry& e) {
+  if (!released_after_hash(SectionKind(e.kind))) {
+    return fnv1a64(f.range(e.offset, e.bytes), e.bytes);
+  }
+  // Windows end on kHashWindow-aligned file offsets, so every window but
+  // the last spans a multiple of 8 bytes and the chain equals one call.
+  std::uint64_t h = kFnvOffsetBasis;
+  const std::uint64_t end = e.offset + e.bytes;
+  for (std::uint64_t pos = e.offset; pos < end;) {
+    const std::uint64_t next =
+        std::min(end, (pos / kHashWindow + 1) * kHashWindow);
+    h = fnv1a64(f.range(pos, next - pos), next - pos, h);
+    f.release(pos, next - pos);
+    pos = next;
+  }
+  return h;
 }
 
 }  // namespace
@@ -147,7 +178,7 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
     }
     cursor = e.offset + e.bytes;
     if (e.flags & kSectionFlagPerShardChecksum) continue;
-    if (fnv1a64(f.range(e.offset, e.bytes), e.bytes) != e.checksum) {
+    if (section_checksum(f, e) != e.checksum) {
       throw StoreError(StoreErrc::SectionChecksum,
                        at_path(path, "section " + std::to_string(e.kind) +
                                          " checksum mismatch"));

@@ -1,13 +1,15 @@
 // mmap-backed index loading: the O(1)-startup half of the store layer.
 //
 // MappedIndex::open maps the file and verifies the header + every
-// metadata section checksum — work proportional to the DIRECTORY, never
-// to the residue volume — so a multi-gigabyte database is query-ready in
-// the time it takes to hash a few kilobytes of metadata. The residue
-// blob is verified per shard only under Verify::Full (the
-// `aalign_index verify` / CI corruption-fuzz path); the serving path
-// trusts the page cache and the per-shard checksums stay available for
-// offline audit.
+// metadata section checksum — work proportional to the subject count,
+// never to the residue volume: 32 B of directory plus 256 B of signature
+// per subject are hashed at open. The signature sections are hashed in
+// 1 MiB windows whose pages are released once hashed (only a filter scan
+// reads them, and it faults them back), so open leaves resident only the
+// directory database() reads next. The residue blob is verified per
+// shard only under Verify::Full (the `aalign_index verify` / CI
+// corruption-fuzz path); the serving path trusts the page cache and the
+// per-shard checksums stay available for offline audit.
 //
 // database() materializes a seq::Database whose EncodedSequences view
 // the mapped blob directly (ids are copied — they are tiny), pinned by

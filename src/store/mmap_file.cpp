@@ -58,4 +58,12 @@ const std::uint8_t* MappedFile::range(std::uint64_t offset,
   return data_ + offset;
 }
 
+void MappedFile::release(std::uint64_t offset, std::uint64_t bytes) const {
+  range(offset, bytes);  // bounds check
+  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const std::uint64_t lo = (offset + page - 1) / page * page;
+  const std::uint64_t hi = (offset + bytes) / page * page;
+  if (hi > lo) ::madvise(data_ + lo, hi - lo, MADV_DONTNEED);
+}
+
 }  // namespace aalign::store

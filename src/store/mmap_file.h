@@ -32,6 +32,13 @@ class MappedFile {
   // access throws StoreError(StoreErrc::Truncated) naming the range.
   const std::uint8_t* range(std::uint64_t offset, std::uint64_t bytes) const;
 
+  // Drops this process's resident copy of every page lying wholly inside
+  // [offset, offset + bytes) (MADV_DONTNEED). The contents do not change:
+  // the next read faults the page back in from the page cache. Pages the
+  // range only partly covers stay, so a neighbouring region is never
+  // touched. Advisory; a failure is ignored.
+  void release(std::uint64_t offset, std::uint64_t bytes) const;
+
  private:
   MappedFile() = default;
 

@@ -133,6 +133,47 @@ TEST(BatchScheduler, StatsAreCoherent) {
   }
 }
 
+// A query repeated at the first, a middle and the last batch position,
+// among distinct queries: every occurrence - the copies handed to the
+// earlier ones as well as the result moved into the last - carries the
+// full score vector and top-k of its own serial scan.
+TEST(BatchScheduler, DuplicateQueryOccurrencesMatchOracle) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  AlignConfig cfg;
+  cfg.kind = AlignKind::Local;
+  cfg.pen = Penalties::symmetric(10, 2);
+
+  const auto distinct = make_queries(87);
+  const std::vector<std::uint8_t>& dup = distinct[2];
+  const std::vector<std::vector<std::uint8_t>> queries = {
+      dup, distinct[0], distinct[1], dup, distinct[3], dup};
+  const seq::Database base_db = make_db(88, 70);
+
+  search::SearchOptions opt;
+  opt.threads = 3;
+  opt.shard_size = 9;
+  opt.top_k = 8;
+  opt.keep_all_scores = true;
+  seq::Database db = base_db;
+  search::BatchScheduler sched(m, cfg, opt);
+  const auto got = sched.run(queries, db);
+  EXPECT_EQ(sched.last_stats().dedup_queries, 2u);
+
+  ASSERT_EQ(got.size(), queries.size());
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    seq::Database oracle_db = base_db;
+    const search::SearchResult want =
+        test::serial_search(m, cfg, opt, queries[qi], oracle_db);
+    ASSERT_EQ(got[qi].scores.size(), base_db.size()) << "query " << qi;
+    EXPECT_EQ(got[qi].scores, want.scores) << "query " << qi;
+    ASSERT_EQ(got[qi].top.size(), want.top.size()) << "query " << qi;
+    for (std::size_t k = 0; k < want.top.size(); ++k) {
+      EXPECT_EQ(got[qi].top[k].index, want.top[k].index) << "query " << qi;
+      EXPECT_EQ(got[qi].top[k].score, want.top[k].score) << "query " << qi;
+    }
+  }
+}
+
 // One lookup per query occurrence (the scheduler resolves them in query
 // order), so counters follow the textbook LRU trace exactly.
 TEST(BatchScheduler, ProfileCacheEvictsLeastRecentlyUsed) {

@@ -201,4 +201,64 @@ TEST(FilterBoundaries, TopKTieBreakStableUnderDrops) {
   EXPECT_EQ(trimmed[1].index, 3u);
 }
 
+// The k-entry heap selection against a full stable sort: over seeded
+// score vectors with heavy ties and filter sentinels, and every k from
+// empty past the vector's end, select_top_k is the first k of a stable
+// sort by descending score (ties keep index order), and
+// select_top_k_mapped is the same under a shuffled index map (ties by
+// mapped index, hits keep the local index).
+TEST(TopKBoundaries, HeapSelectionMatchesFullStableSort) {
+  const auto expect_prefix = [](const std::vector<search::SearchHit>& got,
+                                const std::vector<search::SearchHit>& sorted,
+                                std::size_t k, const char* what) {
+    ASSERT_EQ(got.size(), std::min(k, sorted.size())) << what << " k=" << k;
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r].index, sorted[r].index) << what << " k=" << k
+                                               << " rank " << r;
+      EXPECT_EQ(got[r].score, sorted[r].score) << what << " k=" << k
+                                               << " rank " << r;
+    }
+  };
+  std::mt19937_64 rng(2024);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                              std::size_t{37}, std::size_t{500}}) {
+    for (int round = 0; round < 4; ++round) {
+      // Six distinct values plus the sentinel: every rank boundary ties.
+      std::vector<long> scores(n);
+      for (long& s : scores) {
+        const auto v = static_cast<long>(rng() % 7);
+        s = v == 6 ? filter::kDroppedScore : v * 5;
+      }
+      std::vector<std::size_t> map(n);
+      for (std::size_t i = 0; i < n; ++i) map[i] = i;
+      std::shuffle(map.begin(), map.end(), rng);
+
+      std::vector<search::SearchHit> plain;
+      for (std::size_t i = 0; i < n; ++i) plain.push_back({i, scores[i]});
+      std::stable_sort(plain.begin(), plain.end(),
+                       [](const search::SearchHit& a,
+                          const search::SearchHit& b) {
+                         return a.score > b.score;
+                       });
+      // Mapped reference: stable sort in mapped-index order.
+      std::vector<search::SearchHit> mapped(n);
+      for (std::size_t i = 0; i < n; ++i) mapped[map[i]] = {i, scores[i]};
+      std::stable_sort(mapped.begin(), mapped.end(),
+                       [](const search::SearchHit& a,
+                          const search::SearchHit& b) {
+                         return a.score > b.score;
+                       });
+
+      for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{10}, n - 1, n, n + 5}) {
+        expect_prefix(search::select_top_k(scores, k), plain, k, "plain");
+        expect_prefix(search::select_top_k_mapped(scores, k, map), mapped, k,
+                      "mapped");
+        expect_prefix(search::select_top_k_mapped(scores, k, {}), plain, k,
+                      "identity map");
+      }
+    }
+  }
+}
+
 }  // namespace

@@ -421,6 +421,75 @@ TEST_F(StoreCorruption, NewerFormatVersionRejected) {
   }
 }
 
+// Open hashes the signature sections a window at a time and releases each
+// window's pages once hashed; that must defer no check. A database large
+// enough that SigBlob spans several 1 MiB windows: a flip at its first,
+// middle and last byte, and one in each of SigPopcounts and SigLengths,
+// is rejected by a Directory open.
+TEST_F(StoreCorruption, SignatureSectionFlipsRejectedAtOpen) {
+  const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
+  seq::Database db = to_database(make_workload(19, 9000, 0, 8, 24));
+  bytes_ = store::build_index_bytes(db, matrix);
+
+  const auto section = [this](store::SectionKind kind) {
+    store::SectionEntry e;
+    std::memcpy(&e,
+                bytes_.data() + sizeof(store::Header) +
+                    (static_cast<std::size_t>(kind) - 1) * sizeof e,
+                sizeof e);
+    return e;
+  };
+  const store::SectionEntry blob = section(store::SectionKind::SigBlob);
+  ASSERT_GT(blob.bytes, std::uint64_t{2} << 20);  // at least three windows
+  const store::SectionEntry pops = section(store::SectionKind::SigPopcounts);
+  const store::SectionEntry lens = section(store::SectionKind::SigLengths);
+
+  // The pristine file opens, and the released pages read back unchanged.
+  write_file(path_, bytes_);
+  {
+    const store::MappedIndex idx =
+        store::MappedIndex::open(path_, store::Verify::Directory);
+    for (const store::SectionEntry& e : {blob, pops, lens}) {
+      EXPECT_EQ(std::memcmp(idx.file()->range(e.offset, e.bytes),
+                            bytes_.data() + e.offset, e.bytes),
+                0)
+          << "section " << e.kind;
+    }
+  }
+
+  for (const std::uint64_t off :
+       {blob.offset, blob.offset + blob.bytes / 2,
+        blob.offset + blob.bytes - 1, pops.offset + pops.bytes / 2,
+        lens.offset + lens.bytes / 3}) {
+    EXPECT_EQ(open_expecting_error(flipped(off, 3), store::Verify::Directory),
+              store::StoreErrc::SectionChecksum)
+        << "offset " << off;
+  }
+}
+
+// The loader hashes large sections in windows: fnv1a64 chained over
+// 8-byte-multiple windows, the last one ragged, equals one call.
+TEST(StoreFormat, Fnv1a64ChainsOverEightByteWindows) {
+  std::mt19937_64 rng(5);
+  std::vector<std::uint8_t> bytes(4099);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  const std::uint64_t whole = store::fnv1a64(bytes.data(), bytes.size());
+  for (const std::size_t window : {8u, 64u, 1000u, 4096u}) {
+    std::uint64_t h = store::kFnvOffsetBasis;
+    for (std::size_t pos = 0; pos < bytes.size(); pos += window) {
+      const std::size_t n = std::min(window, bytes.size() - pos);
+      h = store::fnv1a64(bytes.data() + pos, n, h);
+    }
+    EXPECT_EQ(h, whole) << "window " << window;
+  }
+  // A ragged window anywhere but last breaks the chain (the byte-wise
+  // tail and the lane loop do not commute), which is why the loader's
+  // windows end on 8-byte boundaries.
+  const std::uint64_t ragged = store::fnv1a64(
+      bytes.data() + 5, bytes.size() - 5, store::fnv1a64(bytes.data(), 5));
+  EXPECT_NE(ragged, whole);
+}
+
 // ---------------------------------------------------------------------------
 // Loader edge cases.
 // ---------------------------------------------------------------------------

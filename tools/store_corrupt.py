@@ -3,8 +3,9 @@
 
 Mutates a known-good index file — truncations at several offsets, single
 bit flips in the header, section table, shard directory, residue blob,
-and final byte — and runs `aalign_index verify` on every mutant. Each
-must be REJECTED the structured way:
+the middle of every metadata section (located through the section
+table), and final byte — and runs `aalign_index verify` on every mutant.
+Each must be REJECTED the structured way:
 
   * nonzero exit code (a mutant that verifies clean is a checksum hole),
   * not killed by a signal (a crash on corrupt input is a loader bug),
@@ -30,12 +31,18 @@ STORE_ERR = re.compile(r"store\.[a-z_]+")
 
 HEADER_BYTES = 176  # sizeof(store::Header); section table follows
 SECTION_ENTRY_BYTES = 32
-SEQ_BLOB_SECTION = 3  # zero-based index of SectionKind::SeqBlob
+# store::SectionKind in kind order; the section table holds one entry each.
+SECTION_NAMES = (
+    "shard_dir", "seq_dir", "id_blob", "seq_blob", "permutation",
+    "sig_popcounts", "sig_lengths", "sig_blob",
+    "profile_lut_i8", "profile_lut_i16", "profile_lut_i32",
+)
+SEQ_BLOB_SECTION = SECTION_NAMES.index("seq_blob")
 
 
-def seq_blob_range(data: bytes):
-    """Reads the SeqBlob section's (offset, bytes) out of the section table."""
-    at = HEADER_BYTES + SEQ_BLOB_SECTION * SECTION_ENTRY_BYTES
+def section_range(data: bytes, index: int):
+    """Reads section `index`'s (offset, bytes) out of the section table."""
+    at = HEADER_BYTES + index * SECTION_ENTRY_BYTES
     _, _, offset, nbytes, _ = struct.unpack_from("<IIQQQ", data, at)
     return offset, nbytes
 
@@ -61,9 +68,14 @@ def mutations(data: bytes):
     yield "flip_section_table", flip(180, 5)
     yield "flip_shard_dir", flip(260, 1)
     yield "flip_blob_mid", flip(n // 2, 7)
-    blob_off, blob_bytes = seq_blob_range(data)
+    blob_off, blob_bytes = section_range(data, SEQ_BLOB_SECTION)
     if blob_bytes > 0:
         yield "flip_residue_blob", flip(blob_off + blob_bytes // 2, 2)
+    # Every metadata section carries its own checksum, verified at open.
+    for index, name in enumerate(SECTION_NAMES):
+        off, nbytes = section_range(data, index)
+        if index != SEQ_BLOB_SECTION and nbytes > 0:
+            yield f"flip_in_{name}", flip(off + nbytes // 2, 4)
     yield "flip_last_byte", flip(n - 1, 6)
     yield "append_trailing_byte", data + b"\x00"
 
