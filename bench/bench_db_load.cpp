@@ -33,10 +33,7 @@ seq::Database cold_load(const std::string& fasta_path,
                         const score::ScoreMatrix& matrix,
                         const filter::FilterParams& params,
                         std::shared_ptr<filter::SignatureIndex>* index_out) {
-  seq::Database db;
-  for (const auto& s : seq::read_fasta_file(fasta_path)) {
-    db.add(seq::EncodedSequence{s.id, matrix.alphabet().encode(s.residues)});
-  }
+  seq::Database db(matrix.alphabet(), seq::read_fasta_file(fasta_path));
   db.sort_by_length_desc();
   auto index = std::make_shared<filter::SignatureIndex>(db, params);
   if (index_out != nullptr) *index_out = std::move(index);
@@ -75,11 +72,7 @@ int main() {
   // later start, so reported but not part of either timed path).
   util::Stopwatch build_sw;
   {
-    seq::Database build_db;
-    for (const auto& s : seqs) {
-      build_db.add(
-          seq::EncodedSequence{s.id, matrix.alphabet().encode(s.residues)});
-    }
+    seq::Database build_db(matrix.alphabet(), seqs);
     store::BuildParams bp;
     bp.filter = params;
     store::write_index(index_path, build_db, matrix, bp);

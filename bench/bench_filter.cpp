@@ -42,7 +42,7 @@ int main() {
   const std::size_t background = std::max<std::size_t>(40, scaled(1200));
 
   std::vector<seq::Sequence> queries;
-  seq::Database db;
+  std::vector<seq::Sequence> subjects;
   for (std::size_t qi = 0; qi < kQueries; ++qi) {
     queries.push_back(gen.protein(query_len, "Q" + std::to_string(qi)));
   }
@@ -52,13 +52,13 @@ int main() {
       {seq::Level::Hi, seq::Level::Md}, {seq::Level::Md, seq::Level::Hi}};
   for (std::size_t qi = 0; qi < kQueries; ++qi) {
     for (const auto& spec : specs) {
-      const auto s = seq::make_similar_subject(gen, queries[qi], spec);
-      db.add(seq::EncodedSequence{s.id, matrix.alphabet().encode(s.residues)});
+      subjects.push_back(seq::make_similar_subject(gen, queries[qi], spec));
     }
   }
-  for (const auto& s : gen.protein_database(background, 290.0, 0.55, 30, 500)) {
-    db.add(seq::EncodedSequence{s.id, matrix.alphabet().encode(s.residues)});
+  for (auto& s : gen.protein_database(background, 290.0, 0.55, 30, 500)) {
+    subjects.push_back(std::move(s));
   }
+  seq::Database db(matrix.alphabet(), subjects);
 
   std::vector<std::vector<std::uint8_t>> enc_queries;
   for (const auto& q : queries) {

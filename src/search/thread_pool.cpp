@@ -64,6 +64,10 @@ void parallel_for_work_stealing(
     WorkerDeque& own = deques[static_cast<std::size_t>(id)];
     std::vector<std::size_t> grabbed;  // steal transfer buffer
     int idle_rounds = 0;
+    // Items this worker ran that started on another worker's deque. Each
+    // item runs once, so counting at run time counts a migrated item once
+    // however many steals moved it.
+    std::uint64_t migrated = 0;
     try {
       while (!abort.load(std::memory_order_acquire) &&
              remaining.load(std::memory_order_acquire) > 0) {
@@ -116,7 +120,6 @@ void parallel_for_work_stealing(
           }
           idle_rounds = 0;
           steals.fetch_add(1, std::memory_order_relaxed);
-          stolen_items.fetch_add(grabbed.size(), std::memory_order_relaxed);
           item = grabbed.front();
           {
             MutexLock lock(own.mu);
@@ -125,6 +128,9 @@ void parallel_for_work_stealing(
           }
         }
         idle_rounds = 0;
+        if (static_cast<int>(item % static_cast<std::size_t>(T)) != id) {
+          ++migrated;
+        }
         fn(id, item);
         remaining.fetch_sub(1, std::memory_order_acq_rel);
       }
@@ -135,6 +141,7 @@ void parallel_for_work_stealing(
       }
       abort.store(true, std::memory_order_release);
     }
+    stolen_items.fetch_add(migrated, std::memory_order_relaxed);
   };
 
   std::vector<std::thread> pool;

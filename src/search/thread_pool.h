@@ -30,7 +30,9 @@ namespace aalign::search {
 // Counters of one parallel run (all-worker totals).
 struct PoolStats {
   std::uint64_t steals = 0;        // successful steal-half operations
-  std::uint64_t stolen_items = 0;  // items migrated by those steals
+  std::uint64_t stolen_items = 0;  // items migrated by those steals: each
+                                   // counted once, when a worker other
+                                   // than its first owner runs it
   std::uint64_t steal_scans = 0;   // victim scans that found nothing
 };
 

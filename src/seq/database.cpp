@@ -8,27 +8,48 @@ namespace aalign::seq {
 
 Database::Database(const score::Alphabet& alphabet,
                    const std::vector<Sequence>& seqs) {
-  seqs_.reserve(seqs.size());
-  for (const Sequence& s : seqs) add(encode(alphabet, s));
+  // One packed buffer for every residue, encoded in place.
+  std::size_t total = 0;
+  for (const Sequence& s : seqs) total += s.size();
+  auto buf = std::make_shared<std::vector<std::uint8_t>>(total);
+  records_.reserve(seqs.size());
+  std::uint8_t* out = buf->data();
+  for (const Sequence& s : seqs) {
+    for (const char c : s.residues) *out++ = alphabet.ctoi(c);
+    records_.push_back({s.id, {out - s.size(), s.size()}});
+  }
+  total_residues_ = total;
+  owned_.push_back(std::move(buf));
+}
+
+Database::Database(std::vector<Record> records,
+                   std::shared_ptr<const void> backing)
+    : records_(std::move(records)), backing_(std::move(backing)) {
+  for (const Record& r : records_) total_residues_ += r.size();
 }
 
 void Database::add(EncodedSequence s) {
-  total_residues_ += s.size();
+  // Moving the vector keeps its heap buffer, so the record's view stays
+  // valid wherever owned_ reallocates to.
+  auto buf =
+      std::make_shared<const std::vector<std::uint8_t>>(std::move(s.data));
+  total_residues_ += buf->size();
   if (!orig_.empty()) {
     // Already permuted: the new sequence's original index is its insertion
     // rank; it lands at the current back.
     orig_.push_back(orig_.size());
     inv_.push_back(inv_.size());
   }
-  seqs_.push_back(std::move(s));
+  records_.push_back({std::move(s.id), *buf});
+  owned_.push_back(std::move(buf));
 }
 
 void Database::sort_by_length_desc() {
-  std::vector<std::size_t> perm(seqs_.size());
+  std::vector<std::size_t> perm(records_.size());
   std::iota(perm.begin(), perm.end(), std::size_t{0});
   std::stable_sort(perm.begin(), perm.end(),
                    [this](std::size_t a, std::size_t b) {
-                     return seqs_[a].size() > seqs_[b].size();
+                     return records_[a].size() > records_[b].size();
                    });
   const bool identity =
       std::is_sorted(perm.begin(), perm.end());
@@ -37,21 +58,21 @@ void Database::sort_by_length_desc() {
   // re-sorting a mapped database must be a true no-op).
   if (identity) return;
 
-  std::vector<EncodedSequence> sorted;
-  sorted.reserve(seqs_.size());
-  std::vector<std::size_t> new_orig(seqs_.size());
+  std::vector<Record> sorted;
+  sorted.reserve(records_.size());
+  std::vector<std::size_t> new_orig(records_.size());
   for (std::size_t i = 0; i < perm.size(); ++i) {
-    sorted.push_back(std::move(seqs_[perm[i]]));
+    sorted.push_back(std::move(records_[perm[i]]));
     new_orig[i] = orig_.empty() ? perm[i] : orig_[perm[i]];
   }
-  seqs_ = std::move(sorted);
+  records_ = std::move(sorted);
   orig_ = std::move(new_orig);
   inv_.assign(orig_.size(), 0);
   for (std::size_t pos = 0; pos < orig_.size(); ++pos) inv_[orig_[pos]] = pos;
 }
 
 void Database::adopt_permutation(std::vector<std::size_t> orig) {
-  if (orig.size() != seqs_.size()) {
+  if (orig.size() != records_.size()) {
     throw std::invalid_argument(
         "Database::adopt_permutation: size mismatch");
   }

@@ -1,9 +1,15 @@
 // Encoded sequence database for multi-threaded search (paper Sec. V-E).
+//
+// One flat table of seq::Record (id + residue span) per database. The
+// residues a record views live in storage the database keeps alive: a
+// FASTA-built database owns them (one packed buffer for the constructor,
+// one buffer per add()); a store-served database pins the mapped index
+// file its records point into (store::MappedIndex::database()). Copies
+// share that storage - it is never written once a record views it.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "score/alphabet.h"
@@ -16,6 +22,9 @@ class Database {
   Database() = default;
   Database(const score::Alphabet& alphabet,
            const std::vector<Sequence>& seqs);
+  // Records whose residues lie in storage `backing` keeps alive (any
+  // opaque owner; the store layer passes its MappedFile).
+  Database(std::vector<Record> records, std::shared_ptr<const void> backing);
 
   void add(EncodedSequence s);
 
@@ -26,9 +35,9 @@ class Database {
   // results are reported in original-index terms regardless of sorting).
   void sort_by_length_desc();
 
-  std::size_t size() const { return seqs_.size(); }
-  bool empty() const { return seqs_.empty(); }
-  const EncodedSequence& operator[](std::size_t i) const { return seqs_[i]; }
+  std::size_t size() const { return records_.size(); }
+  bool empty() const { return records_.empty(); }
+  const Record& operator[](std::size_t i) const { return records_[i]; }
 
   // Original insertion index of the sequence currently at `pos`.
   std::size_t original_index(std::size_t pos) const {
@@ -39,8 +48,8 @@ class Database {
     return inv_.empty() ? original : inv_[original];
   }
   // The sequence originally added at `original` (wherever it now lives).
-  const EncodedSequence& by_original(std::size_t original) const {
-    return seqs_[position_of(original)];
+  const Record& by_original(std::size_t original) const {
+    return records_[position_of(original)];
   }
   // True once a sort has re-ordered the database.
   bool permuted() const { return !orig_.empty(); }
@@ -48,12 +57,8 @@ class Database {
   // Total residue count (for GCUPS accounting).
   std::size_t total_residues() const { return total_residues_; }
 
-  // Zero-copy support (store::MappedIndex): sequences holding external
-  // views need their backing storage pinned for the database's lifetime.
-  // Any opaque owner works; the store layer passes its MappedFile.
-  void set_backing(std::shared_ptr<const void> backing) {
-    backing_ = std::move(backing);
-  }
+  // The external owner the records view (null for a FASTA-built
+  // database, which owns its residues).
   const std::shared_ptr<const void>& backing() const { return backing_; }
 
   // Installs a stored-order -> original-index permutation (store files
@@ -63,17 +68,19 @@ class Database {
   // of [0, size()).
   void adopt_permutation(std::vector<std::size_t> orig);
 
-  auto begin() const { return seqs_.begin(); }
-  auto end() const { return seqs_.end(); }
+  auto begin() const { return records_.begin(); }
+  auto end() const { return records_.end(); }
 
  private:
-  std::vector<EncodedSequence> seqs_;
+  std::vector<Record> records_;
   // orig_[pos] = original index; inv_[original] = pos. Both empty while the
   // database is still in insertion order (identity permutation).
   std::vector<std::size_t> orig_;
   std::vector<std::size_t> inv_;
   std::size_t total_residues_ = 0;
   std::shared_ptr<const void> backing_;
+  // Residue buffers this database owns (shared with its copies).
+  std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> owned_;
 };
 
 }  // namespace aalign::seq

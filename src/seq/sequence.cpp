@@ -6,8 +6,4 @@ EncodedSequence encode(const score::Alphabet& alphabet, const Sequence& s) {
   return EncodedSequence{s.id, alphabet.encode(s.residues)};
 }
 
-Sequence decode(const score::Alphabet& alphabet, const EncodedSequence& s) {
-  return Sequence{s.id, alphabet.decode(s.view())};
-}
-
 }  // namespace aalign::seq

@@ -18,31 +18,25 @@ struct Sequence {
   std::size_t size() const { return residues.size(); }
 };
 
-// A sequence encoded to alphabet indices, ready for the kernels.
-//
-// Two storage modes behind one `view()`: owned (residues in `data`, the
-// FASTA-parse path) and external (residues in memory owned by someone
-// else — store::MappedIndex points these straight into the mmapped
-// residue blob, so a store-served database copies no sequence bytes).
-// External views carry no lifetime of their own; seq::Database keeps the
-// backing mapping alive via its backing() handle.
+// A named sequence encoded to alphabet indices that owns its residues:
+// what encode() returns and what Database::add() takes in.
 struct EncodedSequence {
   std::string id;
   std::vector<std::uint8_t> data;
-  const std::uint8_t* extern_data = nullptr;
-  std::size_t extern_size = 0;
-
-  std::size_t size() const {
-    return extern_data != nullptr ? extern_size : data.size();
-  }
-  std::span<const std::uint8_t> view() const {
-    return extern_data != nullptr
-               ? std::span<const std::uint8_t>(extern_data, extern_size)
-               : std::span<const std::uint8_t>(data);
-  }
 };
 
 EncodedSequence encode(const score::Alphabet& alphabet, const Sequence& s);
-Sequence decode(const score::Alphabet& alphabet, const EncodedSequence& s);
+
+// One database entry, the unit the kernels read: an id plus a view of
+// encoded residues. The record never owns its residues - the Database
+// holding it keeps them alive, whether it owns them (FASTA-built) or pins
+// the mapped index file they lie in (store::MappedIndex::database()).
+struct Record {
+  std::string id;
+  std::span<const std::uint8_t> residues;
+
+  std::size_t size() const { return residues.size(); }
+  std::span<const std::uint8_t> view() const { return residues; }
+};
 
 }  // namespace aalign::seq

@@ -256,7 +256,7 @@ std::vector<std::uint8_t> build_index_bytes(seq::Database& db,
   }
   for (std::size_t si = 0; si < shard_dir.size(); ++si) {
     shard_dir[si].checksum =
-        fnv1a64(out.at(shard_dir[si].blob_offset), shard_dir[si].blob_bytes);
+        checksum(out.at(shard_dir[si].blob_offset), shard_dir[si].blob_bytes);
   }
   if (!shard_dir.empty()) {
     std::memcpy(out.at(shard_section->offset), shard_dir.data(),
@@ -264,7 +264,7 @@ std::vector<std::uint8_t> build_index_bytes(seq::Database& db,
   }
   for (SectionEntry& e : sections) {
     if (e.flags & kSectionFlagPerShardChecksum) continue;
-    e.checksum = fnv1a64(out.at(e.offset), e.bytes);
+    e.checksum = checksum(out.at(e.offset), e.bytes);
   }
   (void)blob_section;
 
@@ -273,7 +273,7 @@ std::vector<std::uint8_t> build_index_bytes(seq::Database& db,
   std::memcpy(out.at(sections_at), sections, sizeof sections);
   hdr.header_checksum = 0;
   std::memcpy(out.at(hdr_at), &hdr, sizeof hdr);
-  hdr.header_checksum = fnv1a64(out.at(0), hdr.header_bytes);
+  hdr.header_checksum = checksum(out.at(0), hdr.header_bytes);
   std::memcpy(out.at(hdr_at), &hdr, sizeof hdr);
 
   return out.take();

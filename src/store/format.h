@@ -32,7 +32,8 @@ namespace aalign::store {
 
 inline constexpr char kMagic[8] = {'A', 'A', 'L', 'N', 'I', 'D', 'X', '1'};
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
-inline constexpr std::uint32_t kFormatVersion = 1;
+// Version 2 introduced the four-lane integrity checksum (Checksum below).
+inline constexpr std::uint32_t kFormatVersion = 2;
 // Every section/sequence start is aligned to this many bytes in the file
 // (matches util::kVectorAlignment so mapped residues can feed aligned
 // vector loads).
@@ -41,23 +42,18 @@ inline constexpr std::size_t kFileAlignment = 64;
 // core/inter_kernel.h's kLutStride (the in-register table_lookup layout).
 inline constexpr std::uint32_t kProfileLutStride = 64;
 
-// The format's checksum and fingerprint hash: FNV-1a run over 64-bit
-// little-endian lanes with a byte-wise tail. Lane-wise rather than
-// byte-wise so Verify::Directory stays cheap on megabyte metadata
-// sections (one multiply per 8 bytes keeps attach time in the O(1)-
-// startup budget); the lane count still advances the state, so inputs
-// differing only in trailing zero bytes hash differently. Not
-// cryptographic — the threat model is truncation and bit rot, not an
-// adversary.
+// The build fingerprint's hash: FNV-1a run over 64-bit little-endian
+// lanes with a byte-wise tail. One multiply per 8 bytes, and the lane
+// count still advances the state, so inputs differing only in trailing
+// zero bytes hash differently. Not cryptographic.
 //
 // Chaining is exact at 8-byte boundaries: when `bytes` of the first call
 // is a multiple of 8, fnv1a64(b, n2, fnv1a64(a, n1)) equals one call over
-// the concatenation, which lets the loader hash a large section in
-// windows.
+// the concatenation.
 inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 inline std::uint64_t fnv1a64(const void* data, std::size_t bytes,
                              std::uint64_t seed = kFnvOffsetBasis) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t h = seed;
   std::size_t i = 0;
@@ -65,13 +61,63 @@ inline std::uint64_t fnv1a64(const void* data, std::size_t bytes,
     std::uint64_t w;
     std::memcpy(&w, p + i, sizeof w);
     h ^= w;
-    h *= kPrime;
+    h *= kFnvPrime;
   }
   for (; i < bytes; ++i) {
     h ^= p[i];
-    h *= kPrime;
+    h *= kFnvPrime;
   }
   return h;
+}
+
+// The format's integrity checksum (header, metadata sections, residue
+// shards): FNV-1a on four independent 64-bit lanes over 32-byte strides
+// (word k of every stride feeds lane k, lane k seeded with the offset
+// basis XOR k), folded at the end by fnv1a64 over the four lane states.
+// A single fnv1a64 chain waits on one multiply per 8 bytes; four chains
+// keep four multiplies in flight, so verifying megabytes of metadata at
+// open runs near memory speed. A ragged tail (never present in a
+// well-formed file: every checksummed range is a multiple of
+// kFileAlignment) continues lane 0 through fnv1a64. Not cryptographic -
+// the threat model is truncation and bit rot, not an adversary.
+//
+// Streaming: the state is the four lanes, so update() calls chain
+// exactly when every call but the last is a multiple of kChecksumStride
+// bytes; the loader hashes large sections in windows that way.
+inline constexpr std::size_t kChecksumStride = 32;
+
+class Checksum {
+ public:
+  void update(const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    std::uint64_t l0 = lane_[0], l1 = lane_[1], l2 = lane_[2], l3 = lane_[3];
+    std::size_t i = 0;
+    for (; i + kChecksumStride <= bytes; i += kChecksumStride) {
+      std::uint64_t w[4];
+      std::memcpy(w, p + i, sizeof w);
+      l0 = (l0 ^ w[0]) * kFnvPrime;
+      l1 = (l1 ^ w[1]) * kFnvPrime;
+      l2 = (l2 ^ w[2]) * kFnvPrime;
+      l3 = (l3 ^ w[3]) * kFnvPrime;
+    }
+    if (i < bytes) l0 = fnv1a64(p + i, bytes - i, l0);
+    lane_[0] = l0;
+    lane_[1] = l1;
+    lane_[2] = l2;
+    lane_[3] = l3;
+  }
+
+  std::uint64_t digest() const { return fnv1a64(lane_, sizeof lane_); }
+
+ private:
+  std::uint64_t lane_[4] = {kFnvOffsetBasis, kFnvOffsetBasis ^ 1,
+                            kFnvOffsetBasis ^ 2, kFnvOffsetBasis ^ 3};
+};
+
+inline std::uint64_t checksum(const void* data, std::size_t bytes) {
+  Checksum h;
+  h.update(data, bytes);
+  return h.digest();
 }
 
 // Section identities; the section table always holds all of them in this
@@ -111,7 +157,7 @@ struct ShardEntry {
   std::uint64_t blob_bytes = 0;   // padded (checksummed) size
   std::uint64_t max_len = 0;      // residue bounds (length-sorted: the
   std::uint64_t min_len = 0;      // shard directory is itself sorted)
-  std::uint64_t checksum = 0;     // fnv1a64 of [blob_offset, +blob_bytes)
+  std::uint64_t checksum = 0;     // checksum() of [blob_offset, +blob_bytes)
   std::uint64_t reserved = 0;
 };
 static_assert(sizeof(ShardEntry) == 64);

@@ -61,20 +61,21 @@ bool released_after_hash(SectionKind kind) {
 
 std::uint64_t section_checksum(const MappedFile& f, const SectionEntry& e) {
   if (!released_after_hash(SectionKind(e.kind))) {
-    return fnv1a64(f.range(e.offset, e.bytes), e.bytes);
+    return checksum(f.range(e.offset, e.bytes), e.bytes);
   }
   // Windows end on kHashWindow-aligned file offsets, so every window but
-  // the last spans a multiple of 8 bytes and the chain equals one call.
-  std::uint64_t h = kFnvOffsetBasis;
+  // the last spans a multiple of kChecksumStride bytes and the chain
+  // equals one call.
+  Checksum h;
   const std::uint64_t end = e.offset + e.bytes;
   for (std::uint64_t pos = e.offset; pos < end;) {
     const std::uint64_t next =
         std::min(end, (pos / kHashWindow + 1) * kHashWindow);
-    h = fnv1a64(f.range(pos, next - pos), next - pos, h);
+    h.update(f.range(pos, next - pos), next - pos);
     f.release(pos, next - pos);
     pos = next;
   }
-  return h;
+  return h.digest();
 }
 
 }  // namespace
@@ -145,7 +146,7 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
                                    f.range(0, h.header_bytes) + h.header_bytes);
     Header* zeroed = reinterpret_cast<Header*>(copy.data());
     zeroed->header_checksum = 0;
-    if (fnv1a64(copy.data(), copy.size()) != h.header_checksum) {
+    if (checksum(copy.data(), copy.size()) != h.header_checksum) {
       throw StoreError(StoreErrc::HeaderChecksum,
                        at_path(path, "header/section-table checksum mismatch"));
     }
@@ -197,8 +198,8 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
   for (const SeqEntry& s : seqs) {
     if (s.blob_offset < blob.offset || s.length > blob.bytes ||
         s.blob_offset + s.length > blob.offset + blob.bytes ||
-        s.blob_offset % kFileAlignment != 0 ||
-        s.id_offset + s.id_bytes > ids.bytes) {
+        s.blob_offset % kFileAlignment != 0 || s.id_offset > ids.bytes ||
+        s.id_bytes > ids.bytes - s.id_offset) {
       throw StoreError(StoreErrc::BadLayout,
                        at_path(path, "sequence directory entry out of range"));
     }
@@ -270,22 +271,26 @@ filter::FilterParams MappedIndex::filter_params() const {
 }
 
 seq::Database MappedIndex::database() const {
-  const SectionEntry& ids = section(SectionKind::IdBlob);
-  const char* id_base =
-      reinterpret_cast<const char*>(file_->range(ids.offset, ids.bytes));
-  seq::Database db;
-  for (const SeqEntry& s : seq_dir()) {
-    seq::EncodedSequence enc;
-    enc.id.assign(id_base + s.id_offset, s.id_bytes);
-    enc.extern_data = file_->range(s.blob_offset, s.length);
-    enc.extern_size = s.length;
-    db.add(std::move(enc));
-  }
+  seq::Database db = make_database(0, hdr_.seq_count);
   const auto perm =
       typed_section<std::uint64_t>(SectionKind::Permutation, hdr_.seq_count);
   db.adopt_permutation(std::vector<std::size_t>(perm.begin(), perm.end()));
-  db.set_backing(file_);
   return db;
+}
+
+seq::Database MappedIndex::make_database(std::size_t first,
+                                         std::size_t count) const {
+  // open() checked every directory entry's id and residue ranges against
+  // their sections, so the records address the mapping directly.
+  const char* id_base = reinterpret_cast<const char*>(file_->data()) +
+                        section(SectionKind::IdBlob).offset;
+  std::vector<seq::Record> out;
+  out.reserve(count);
+  for (const SeqEntry& s : seq_dir().subspan(first, count)) {
+    out.push_back({std::string(id_base + s.id_offset, s.id_bytes),
+                   {file_->data() + s.blob_offset, s.length}});
+  }
+  return seq::Database(std::move(out), file_);
 }
 
 std::shared_ptr<const filter::SignatureIndex> MappedIndex::signatures() const {
@@ -350,20 +355,7 @@ ShardSlice MappedIndex::shard_slice(std::size_t i, std::size_t n) const {
 }
 
 seq::Database MappedIndex::database(const ShardSlice& slice) const {
-  const SectionEntry& ids = section(SectionKind::IdBlob);
-  const char* id_base =
-      reinterpret_cast<const char*>(file_->range(ids.offset, ids.bytes));
-  const auto seqs = seq_dir().subspan(slice.first_seq, slice.seq_count);
-  seq::Database db;
-  for (const SeqEntry& s : seqs) {
-    seq::EncodedSequence enc;
-    enc.id.assign(id_base + s.id_offset, s.id_bytes);
-    enc.extern_data = file_->range(s.blob_offset, s.length);
-    enc.extern_size = s.length;
-    db.add(std::move(enc));
-  }
-  db.set_backing(file_);
-  return db;
+  return make_database(slice.first_seq, slice.seq_count);
 }
 
 std::shared_ptr<const filter::SignatureIndex> MappedIndex::signatures(
@@ -416,7 +408,7 @@ void MappedIndex::verify_shards() const {
   const auto all = shards();
   for (std::size_t i = 0; i < all.size(); ++i) {
     const ShardEntry& sh = all[i];
-    if (fnv1a64(file_->range(sh.blob_offset, sh.blob_bytes), sh.blob_bytes) !=
+    if (checksum(file_->range(sh.blob_offset, sh.blob_bytes), sh.blob_bytes) !=
         sh.checksum) {
       throw StoreError(
           StoreErrc::ShardChecksum,

@@ -3,20 +3,23 @@
 // MappedIndex::open maps the file and verifies the header + every
 // metadata section checksum — work proportional to the subject count,
 // never to the residue volume: 32 B of directory plus 256 B of signature
-// per subject are hashed at open. The signature sections are hashed in
-// 1 MiB windows whose pages are released once hashed (only a filter scan
-// reads them, and it faults them back), so open leaves resident only the
-// directory database() reads next. The residue blob is verified per
-// shard only under Verify::Full (the `aalign_index verify` / CI
-// corruption-fuzz path); the serving path trusts the page cache and the
-// per-shard checksums stay available for offline audit.
+// per subject are hashed at open, by the format's four-lane checksum
+// (store/format.h), so open costs about one pass over the metadata at
+// memory speed. The signature sections are hashed in 1 MiB windows whose
+// pages are released once hashed (only a filter scan reads them, and it
+// faults them back), so open leaves resident only the directory
+// database() reads next. The residue blob is verified per shard only
+// under Verify::Full (the `aalign_index verify` / CI corruption-fuzz
+// path); the serving path trusts the page cache and the per-shard
+// checksums stay available for offline audit.
 //
-// database() materializes a seq::Database whose EncodedSequences view
-// the mapped blob directly (ids are copied — they are tiny), pinned by
-// the shared MappedFile; signatures() rehydrates the persisted
-// SignatureIndex without hashing a single k-mer. Both are bit-identical
-// to what the FASTA-parse path would produce (tests/test_store.cpp
-// enforces this differentially).
+// database() fills one flat seq::Record table, reserved once: each
+// record's residue span points straight into the mapped blob and only its
+// id is copied (an allocation only past the std::string small-buffer
+// size); the shared MappedFile is pinned as the database's backing.
+// signatures() rehydrates the persisted SignatureIndex without hashing a
+// single k-mer. Both are bit-identical to what the FASTA-parse path would
+// produce (tests/test_store.cpp enforces this differentially).
 #pragma once
 
 #include <cstdint>
@@ -75,8 +78,8 @@ class MappedIndex {
   filter::FilterParams filter_params() const;
 
   // Zero-copy database in stored (length-sorted) order, with the
-  // original-index permutation installed and the mapping pinned via
-  // Database::set_backing.
+  // original-index permutation installed and the mapping pinned as the
+  // database's backing().
   seq::Database database() const;
 
   // Prebuilt signature index (never bumps filter.index_builds).
@@ -122,6 +125,9 @@ class MappedIndex {
   MappedIndex() = default;
 
   const SectionEntry& section(SectionKind kind) const;
+  // Unpermuted database over stored positions [first, first + count): the
+  // one builder behind both database() overloads.
+  seq::Database make_database(std::size_t first, std::size_t count) const;
   template <class T>
   std::span<const T> typed_section(SectionKind kind,
                                    std::size_t count) const;

@@ -9,10 +9,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "score/matrices.h"
 #include "search/batch_scheduler.h"
 #include "search/database_search.h"
+#include "seq/fasta.h"
 #include "store/builder.h"
 #include "store/loader.h"
 #include "test_helpers.h"
@@ -409,7 +412,7 @@ TEST_F(StoreCorruption, NewerFormatVersionRejected) {
   hdr.format_version = store::kFormatVersion + 1;
   hdr.header_checksum = 0;
   std::memcpy(m.data(), &hdr, sizeof hdr);
-  const std::uint64_t sum = store::fnv1a64(m.data(), hdr.header_bytes);
+  const std::uint64_t sum = store::checksum(m.data(), hdr.header_bytes);
   hdr.header_checksum = sum;
   std::memcpy(m.data(), &hdr, sizeof hdr);
 
@@ -467,6 +470,74 @@ TEST_F(StoreCorruption, SignatureSectionFlipsRejectedAtOpen) {
   }
 }
 
+// Every byte of the first 64 of SeqDir and of SigBlob feeds one of the
+// checksum's four lanes (word k of each 32-byte stride feeds lane k): a
+// single-bit flip at each of them, so all four lanes in both halves of a
+// 64-byte line, is rejected by a Directory open.
+TEST_F(StoreCorruption, EveryChecksumLaneGuardsItsSection) {
+  const auto section = [this](store::SectionKind kind) {
+    store::SectionEntry e;
+    std::memcpy(&e,
+                bytes_.data() + sizeof(store::Header) +
+                    (static_cast<std::size_t>(kind) - 1) * sizeof e,
+                sizeof e);
+    return e;
+  };
+  for (const store::SectionKind kind :
+       {store::SectionKind::SeqDir, store::SectionKind::SigBlob}) {
+    const store::SectionEntry e = section(kind);
+    ASSERT_GE(e.bytes, 64u);
+    for (std::size_t off = 0; off < 64; ++off) {
+      EXPECT_EQ(open_expecting_error(flipped(e.offset + off, int(off % 8)),
+                                     store::Verify::Directory),
+                store::StoreErrc::SectionChecksum)
+          << "section " << e.kind << " byte " << off;
+    }
+  }
+}
+
+// A version-1 file (the single-chain checksum) is rejected by the version
+// gate with the rebuild hint, before any checksum is read.
+TEST_F(StoreCorruption, VersionOneFileRejected) {
+  auto m = bytes_;
+  const std::uint32_t v1 = 1;
+  std::memcpy(m.data() + offsetof(store::Header, format_version), &v1,
+              sizeof v1);
+  write_file(path_, m);
+  try {
+    store::MappedIndex::open(path_);
+    FAIL() << "loader accepted a version-1 file";
+  } catch (const store::StoreError& e) {
+    EXPECT_EQ(e.errc(), store::StoreErrc::BadVersion);
+    EXPECT_NE(std::string(e.what()).find("rebuild with aalign_index"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The loader hashes the signature sections in windows: the checksum's
+// lane state chained over stride-multiple windows, the last one ragged,
+// equals one call; a ragged window anywhere but last breaks the chain.
+TEST(StoreFormat, ChecksumChainsOverStrideWindows) {
+  std::mt19937_64 rng(6);
+  std::vector<std::uint8_t> bytes(4099);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  const std::uint64_t whole = store::checksum(bytes.data(), bytes.size());
+  for (const std::size_t window : {32u, 64u, 1024u, 4096u}) {
+    store::Checksum h;
+    for (std::size_t pos = 0; pos < bytes.size(); pos += window) {
+      h.update(bytes.data() + pos, std::min(window, bytes.size() - pos));
+    }
+    EXPECT_EQ(h.digest(), whole) << "window " << window;
+  }
+  store::Checksum ragged;
+  ragged.update(bytes.data(), 40);
+  ragged.update(bytes.data() + 40, bytes.size() - 40);
+  EXPECT_NE(ragged.digest(), whole);
+  // Not the single-chain hash of version 1.
+  EXPECT_NE(whole, store::fnv1a64(bytes.data(), bytes.size()));
+}
+
 // The loader hashes large sections in windows: fnv1a64 chained over
 // 8-byte-multiple windows, the last one ragged, equals one call.
 TEST(StoreFormat, Fnv1a64ChainsOverEightByteWindows) {
@@ -488,6 +559,107 @@ TEST(StoreFormat, Fnv1a64ChainsOverEightByteWindows) {
   const std::uint64_t ragged = store::fnv1a64(
       bytes.data() + 5, bytes.size() - 5, store::fnv1a64(bytes.data(), 5));
   EXPECT_NE(ragged, whole);
+}
+
+// ---------------------------------------------------------------------------
+// The record table: one flat seq::Record per sequence, residues viewed in
+// place.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Sequences with an empty member and ids of 0, 15, 16 and 40 bytes (either
+// side of the std::string small-buffer size), through the FASTA parser.
+std::vector<seq::Sequence> record_workload() {
+  std::mt19937_64 rng(24);
+  std::vector<seq::Sequence> seqs;
+  const auto& alphabet = score::Alphabet::protein();
+  const auto residues = [&](std::size_t n) {
+    return alphabet.decode(test::random_protein(rng, n));
+  };
+  seqs.push_back({"", residues(50)});
+  seqs.push_back({std::string(15, 'a'), residues(120)});
+  seqs.push_back({std::string(16, 'b'), ""});
+  seqs.push_back({std::string(40, 'c'), residues(120)});
+  for (int i = 0; i < 60; ++i) {
+    seqs.push_back({"r" + std::to_string(i), residues(20 + (i * 37) % 300)});
+  }
+  std::stringstream fasta;
+  seq::write_fasta(fasta, seqs);
+  return seq::read_fasta(fasta);
+}
+
+bool inside(std::span<const std::uint8_t> v, const store::MappedFile& f) {
+  return v.data() >= f.data() && v.data() + v.size() <= f.data() + f.size();
+}
+
+}  // namespace
+
+TEST(StoreRecords, ResiduesLieInsideTheMapping) {
+  const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
+  const auto parsed = record_workload();
+  seq::Database db(matrix.alphabet(), parsed);
+  store::BuildParams params;
+  params.shard_target_residues = 2000;  // several shards, two slices
+  TempIndex tmp(db, matrix, params);
+  const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
+  const store::MappedFile& f = *idx.file();
+
+  const seq::Database whole = idx.database();
+  ASSERT_EQ(whole.size(), parsed.size());
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    EXPECT_TRUE(inside(whole[i].view(), f)) << "position " << i;
+  }
+  std::size_t covered = 0;
+  for (std::size_t s = 0; s < 2; ++s) {
+    const store::ShardSlice slice = idx.shard_slice(s, 2);
+    const seq::Database part = idx.database(slice);
+    ASSERT_EQ(part.size(), slice.seq_count);
+    EXPECT_EQ(part.total_residues(), slice.residues);
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      EXPECT_TRUE(inside(part[i].view(), f)) << "slice " << s << " " << i;
+      EXPECT_EQ(part[i].view().data(),
+                whole[slice.first_seq + i].view().data());
+    }
+    covered += part.size();
+  }
+  EXPECT_EQ(covered, whole.size());
+}
+
+TEST(StoreRecords, MatchTheFastaParsedDatabase) {
+  const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
+  const auto parsed = record_workload();
+  seq::Database build_db(matrix.alphabet(), parsed);
+  TempIndex tmp(build_db, matrix);
+  seq::Database fasta_db(matrix.alphabet(), parsed);
+  fasta_db.sort_by_length_desc();
+
+  const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
+  const seq::Database mapped = idx.database();
+  expect_same_database(fasta_db, mapped);
+  for (std::size_t orig = 0; orig < parsed.size(); ++orig) {
+    EXPECT_EQ(mapped.position_of(orig), fasta_db.position_of(orig));
+    EXPECT_EQ(mapped.by_original(orig).id, parsed[orig].id);
+    EXPECT_EQ(matrix.alphabet().decode(mapped.by_original(orig).view()),
+              parsed[orig].residues);
+  }
+}
+
+TEST(StoreRecords, DatabaseOutlivesItsIndex) {
+  const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
+  const auto parsed = record_workload();
+  seq::Database build_db(matrix.alphabet(), parsed);
+  TempIndex tmp(build_db, matrix);
+  seq::Database fasta_db(matrix.alphabet(), parsed);
+  fasta_db.sort_by_length_desc();
+
+  seq::Database mapped;
+  {
+    const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
+    mapped = idx.database();
+  }
+  ASSERT_NE(mapped.backing(), nullptr);  // the mapping is pinned
+  expect_same_database(fasta_db, mapped);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 Mutates a known-good index file — truncations at several offsets, single
 bit flips in the header, section table, shard directory, residue blob,
 the middle of every metadata section (located through the section
-table), and final byte — and runs `aalign_index verify` on every mutant.
+table), each 8-byte word of one 32-byte stride of the signature blob
+(one per checksum lane), and final byte, plus a version-1 header — and
+runs `aalign_index verify` on every mutant.
 Each must be REJECTED the structured way:
 
   * nonzero exit code (a mutant that verifies clean is a checksum hole),
@@ -38,6 +40,12 @@ SECTION_NAMES = (
     "profile_lut_i8", "profile_lut_i16", "profile_lut_i32",
 )
 SEQ_BLOB_SECTION = SECTION_NAMES.index("seq_blob")
+SIG_BLOB_SECTION = SECTION_NAMES.index("sig_blob")
+FORMAT_VERSION_OFFSET = 12  # store::Header::format_version (u32)
+# The integrity checksum runs four FNV-1a lanes over 32-byte strides: word
+# k of every stride feeds lane k.
+CHECKSUM_STRIDE = 32
+CHECKSUM_LANES = 4
 
 
 def section_range(data: bytes, index: int):
@@ -76,7 +84,18 @@ def mutations(data: bytes):
         off, nbytes = section_range(data, index)
         if index != SEQ_BLOB_SECTION and nbytes > 0:
             yield f"flip_in_{name}", flip(off + nbytes // 2, 4)
+    # One flip per checksum lane: each 8-byte word of the 32-byte stride in
+    # the middle of sig_blob (sections start 64-byte aligned, so the stride
+    # is lane-aligned).
+    off, nbytes = section_range(data, SIG_BLOB_SECTION)
+    if nbytes >= CHECKSUM_STRIDE:
+        stride = off + nbytes // 2 // CHECKSUM_STRIDE * CHECKSUM_STRIDE
+        for lane in range(CHECKSUM_LANES):
+            yield f"flip_sig_blob_lane{lane}", flip(stride + 8 * lane + 3, lane)
     yield "flip_last_byte", flip(n - 1, 6)
+    m = bytearray(data)
+    struct.pack_into("<I", m, FORMAT_VERSION_OFFSET, 1)
+    yield "format_version_1", bytes(m)
     yield "append_trailing_byte", data + b"\x00"
 
 
