@@ -19,6 +19,7 @@
 // is the cost of a gap's first character, ext_* = -extend each further one.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -59,6 +60,10 @@ class ColumnEngine {
   using reg = typename Ops::reg;
   using M = simd::Modules<Ops>;
   static constexpr int W = Ops::kWidth;
+  // The running max of H: local's score, and every narrow type's positive
+  // rail check (saturated()).
+  static constexpr bool kTrackMax =
+      K == AlignKind::Local || sizeof(T) < sizeof(std::int32_t);
 
   ColumnEngine(const score::StripedProfile<T>& prof, Steps<T> st,
                Workspace<T>& ws, LazyF lazyf = LazyF::Fixup)
@@ -117,10 +122,8 @@ class ColumnEngine {
       }
       v_h = Ops::max(v_h, v_e);
       v_h = Ops::max(v_h, v_f);
-      if constexpr (K == AlignKind::Local) {
-        v_h = Ops::max(v_h, v_zero);
-        v_max_ = Ops::max(v_max_, v_h);
-      }
+      if constexpr (K == AlignKind::Local) v_h = Ops::max(v_h, v_zero);
+      if constexpr (kTrackMax) v_max_ = Ops::max(v_max_, v_h);
       Ops::store(h_cur_ + j * W, v_h);
       if constexpr (Affine) {
         v_e = Ops::max(Ops::adds(v_e, v_ext_l), Ops::adds(v_h, v_first_l));
@@ -152,7 +155,7 @@ class ColumnEngine {
         for (int j = 0; j < segs_; ++j) {
           reg v_h = Ops::load(h_cur_ + j * W);
           v_h = Ops::max(v_h, v_fc);
-          if constexpr (K == AlignKind::Local) v_max_ = Ops::max(v_max_, v_h);
+          if constexpr (kTrackMax) v_max_ = Ops::max(v_max_, v_h);
           Ops::store(h_cur_ + j * W, v_h);
           ++steps;
           const reg v_open = Ops::adds(v_h, v_first_u);
@@ -174,7 +177,7 @@ class ColumnEngine {
           ++steps;
           if (!M::influence_test(v_fc, v_h)) return steps;
           v_h = Ops::max(v_h, v_fc);
-          if constexpr (K == AlignKind::Local) v_max_ = Ops::max(v_max_, v_h);
+          if constexpr (kTrackMax) v_max_ = Ops::max(v_max_, v_h);
           Ops::store(h_cur_ + j * W, v_h);
           v_fc = Ops::adds(v_h, v_ext_u);
         }
@@ -203,7 +206,7 @@ class ColumnEngine {
       for (int j = 0; j < segs_; ++j) {
         reg v_h = Ops::load(h_cur_ + j * W);
         v_h = Ops::max(v_h, v_fc);
-        if constexpr (K == AlignKind::Local) v_max_ = Ops::max(v_max_, v_h);
+        if constexpr (kTrackMax) v_max_ = Ops::max(v_max_, v_h);
         Ops::store(h_cur_ + j * W, v_h);
         ++steps;
         const reg v_open = Ops::adds(v_h, v_first_u);
@@ -216,7 +219,7 @@ class ColumnEngine {
         ++steps;
         if (!M::influence_test(v_fc, v_h)) break;
         v_h = Ops::max(v_h, v_fc);
-        if constexpr (K == AlignKind::Local) v_max_ = Ops::max(v_max_, v_h);
+        if constexpr (kTrackMax) v_max_ = Ops::max(v_max_, v_h);
         Ops::store(h_cur_ + j * W, v_h);
         v_fc = Ops::adds(v_fc, v_ext_u);
       }
@@ -266,7 +269,7 @@ class ColumnEngine {
     // Correction pass + E carry for the next column.
     for (int j = 0; j < segs_; ++j) {
       reg v_h = Ops::max(Ops::load(h_cur_ + j * W), Ops::load(scan_ + j * W));
-      if constexpr (K == AlignKind::Local) v_max_ = Ops::max(v_max_, v_h);
+      if constexpr (kTrackMax) v_max_ = Ops::max(v_max_, v_h);
       Ops::store(h_cur_ + j * W, v_h);
       if constexpr (Affine) {
         const reg v_e = Ops::max(Ops::adds(Ops::load(e_ + j * W), v_ext_l),
@@ -330,29 +333,31 @@ class ColumnEngine {
     }
   }
 
-  // Conservative saturation check for narrow score types: flags both the
-  // high rail (score near +max) and, for gapped boundaries, the low rail.
-  bool saturated(long score, long n) const {
+  // Saturation check for narrow score types (min_safe_width's comment in
+  // core/config.cpp has the proof). The positive rail: no H came within
+  // kRailMargin of the maximum, so no add clipped high. The negative rail,
+  // non-local kinds only: the all-gap bound of this m x n problem, one
+  // gap-first step lower, stays kRailMargin above the rail, so no value
+  // that can win a max clipped low - the test min_safe_width admits by.
+  bool saturated(long n) const {
     if constexpr (sizeof(T) >= 4) {
-      (void)score;
       (void)n;
       return false;
     } else {
-      constexpr long kMargin = 32;  // > any matrix entry or single gap step
-      if (score >= std::numeric_limits<T>::max() - kMargin) return true;
+      if (static_cast<long>(M::hmax(v_max_)) >=
+          std::numeric_limits<T>::max() - kRailMargin) {
+        return true;
+      }
       if constexpr (K != AlignKind::Local) {
-        const long low_rail = static_cast<long>(simd::neg_inf<T>()) + kMargin;
-        if constexpr (!kind_row_free(K)) {
-          const long worst_row = static_cast<long>(st_.first_up) +
-                                 static_cast<long>(prof_.padded_len() - 1) *
-                                     static_cast<long>(st_.ext_up);
-          if (worst_row <= low_rail) return true;
-        }
-        if constexpr (!kind_col_free(K)) {
-          const long worst_col =
-              static_cast<long>(st_.first_left) +
-              (n - 1) * static_cast<long>(st_.ext_left);
-          if (worst_col <= low_rail) return true;
+        const long first = std::min<long>(st_.first_up, st_.first_left);
+        const long all_gaps =
+            static_cast<long>(st_.first_up) +
+            (prof_.m - 1) * static_cast<long>(st_.ext_up) +
+            static_cast<long>(st_.first_left) +
+            (n - 1) * static_cast<long>(st_.ext_left);
+        if (all_gaps + first <=
+            static_cast<long>(simd::neg_inf<T>()) + kRailMargin) {
+          return true;
         }
       }
       return false;

@@ -52,40 +52,46 @@ bool farrar_safe(const score::ScoreMatrix& m, const Penalties& p) {
   return m.min_score() >= -(p.query.extend + p.subject.extend);
 }
 
-namespace {
-
-// Worst-case |score| bound over every cell of the DP tables.
-long score_magnitude_bound(const AlignConfig& cfg, const score::ScoreMatrix& m,
-                           std::size_t query_len, std::size_t subject_len) {
-  const long len = static_cast<long>(std::max(query_len, subject_len));
-  const long max_sub = std::max(0, m.max_score());
-  const long hi = len * max_sub;
-  long lo = 0;
-  if (cfg.kind != AlignKind::Local) {
-    // Boundary gaps dominate the negative range.
-    const long worst_ext =
-        std::max(cfg.pen.query.extend, cfg.pen.subject.extend);
-    const long worst_open = std::max(cfg.pen.query.open, cfg.pen.subject.open);
-    lo = worst_open + (len + 1) * worst_ext +
-         static_cast<long>(std::max(0, -m.min_score())) * len;
-  }
-  return std::max(hi, lo);
-}
-
-}  // namespace
-
-ScoreWidth min_safe_width(const AlignConfig& cfg, const score::ScoreMatrix& m,
-                          std::size_t query_len, std::size_t subject_len) {
-  const long bound = score_magnitude_bound(cfg, m, query_len, subject_len);
-  // Keep headroom of one matrix entry plus one gap step so saturating adds
-  // cannot mask a real overflow right at the rail.
-  const long headroom = m.max_score() + cfg.pen.query.open +
-                        cfg.pen.query.extend + cfg.pen.subject.open +
-                        cfg.pen.subject.extend;
-  if (bound + headroom < std::numeric_limits<std::int8_t>::max())
-    return ScoreWidth::W8;
-  if (bound + headroom < std::numeric_limits<std::int16_t>::max())
-    return ScoreWidth::W16;
+// The start width is chosen from the negative range alone; the positive
+// rail is caught at run time (ColumnEngine::saturated flags a running max
+// of H near the type's maximum), so one promotion rule covers every kind.
+//
+// Why the negative bound below suffices. Write G = (open_q + ext_q*m) +
+// (open_s + ext_s*n) and F1 = max(open_q + ext_q, open_s + ext_s), the
+// larger gap-first step.
+//  - Local: H >= 0 everywhere, so no value that can win a max is near the
+//    negative rail at any width.
+//  - Non-local: every real cell H(i, j) is at least the score of the
+//    all-gap path into it from H(0, 0) = 0, which is
+//    -(open_q + ext_q*j) - (open_s + ext_s*i) >= -G. Kinds with free
+//    leading overhangs only add paths, which can only raise H.
+//  - E(i, j) >= H(i-1, j) - F1 and F(i, j) >= H(i, j-1) - F1, so every E
+//    and F is >= -G - F1.
+//  - Every other value a kernel forms (a diagonal sum, an extended E or F,
+//    a lazy-F or scan carry, a boundary ramp) is only a candidate of a max
+//    whose exact winner is one of the values above. A saturating add that
+//    pins such a candidate at the rail raises it to a value still below
+//    that winner, so the max comes out exactly as unclamped.
+//  - Striped pad cells (logical rows m..m_pad-1) feed only later pad
+//    cells, never a real cell or a result, so the bound uses m, not m_pad.
+// Hence, when G + F1 stays kRailMargin above a width's negative rail, that
+// width computes every real H, E and F exactly unless its positive side
+// saturated. ColumnEngine::saturated() flags the negative rail by the same
+// test, so a width admitted here never reports a negative saturation.
+// Int32 lanes keep their rail at min/2 and are taken to hold any problem.
+ScoreWidth min_safe_width(const AlignConfig& cfg, std::size_t query_len,
+                          std::size_t subject_len) {
+  if (cfg.kind == AlignKind::Local) return ScoreWidth::W8;
+  const Penalties& p = cfg.pen;
+  const long first = std::max(p.query.open + p.query.extend,
+                              p.subject.open + p.subject.extend);
+  const long low = p.query.open +
+                   static_cast<long>(query_len) * p.query.extend +
+                   p.subject.open +
+                   static_cast<long>(subject_len) * p.subject.extend + first;
+  const auto fits = [low](long rail) { return low < -rail - kRailMargin; };
+  if (fits(std::numeric_limits<std::int8_t>::min())) return ScoreWidth::W8;
+  if (fits(std::numeric_limits<std::int16_t>::min())) return ScoreWidth::W16;
   return ScoreWidth::W32;
 }
 

@@ -173,10 +173,21 @@ struct KernelResult {
 // and adaptive paths check it. (Identical caveat to SSW/parasail.)
 bool farrar_safe(const score::ScoreMatrix& m, const Penalties& p);
 
-// Smallest score width whose range is guaranteed to hold every
-// intermediate value for an (m x n) problem under this config, or
-// ScoreWidth::W32 if even 16-bit could overflow.
-ScoreWidth min_safe_width(const AlignConfig& cfg, const score::ScoreMatrix& m,
-                          std::size_t query_len, std::size_t subject_len);
+// Distance a narrow kernel keeps from its type's rails: larger than any
+// matrix entry or single gap step, so a value this close to a rail may
+// have been clipped.
+inline constexpr long kRailMargin = 32;
+
+// Smallest score width whose NEGATIVE range holds every DP value of an
+// (m x n) problem under this config that can win a max, or
+// ScoreWidth::W32 if even 16-bit could clip. Local alignment never needs
+// more than W8. The non-local kinds are bounded by the all-gap path,
+// (open_q + ext_q*m) + (open_s + ext_s*n), plus one gap-first step and
+// kRailMargin: with 10/2 gaps that admits int8 up to m + n = 31 and int16
+// up to m + n = 16,351. The positive range is not bounded here: every
+// narrow kernel tracks its running max and reports saturation, and the
+// caller promotes.
+ScoreWidth min_safe_width(const AlignConfig& cfg, std::size_t query_len,
+                          std::size_t subject_len);
 
 }  // namespace aalign

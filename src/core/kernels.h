@@ -56,7 +56,7 @@ KernelResult run_striped_iterate(
   res.stats.iterate_columns = n;
   harvest_lazyf_stats(eng, res);
   res.score = eng.finalize();
-  res.saturated = eng.saturated(res.score, n);
+  res.saturated = eng.saturated(n);
   return res;
 }
 
@@ -85,7 +85,7 @@ KernelResult run_striped_scan(
   res.stats.columns = n;
   res.stats.scan_columns = n;
   res.score = eng.finalize();
-  res.saturated = eng.saturated(res.score, n);
+  res.saturated = eng.saturated(n);
   return res;
 }
 
@@ -165,7 +165,7 @@ KernelResult run_hybrid(
   res.stats.columns = n;
   harvest_lazyf_stats(eng, res);
   res.score = eng.finalize();
-  res.saturated = eng.saturated(res.score, n);
+  res.saturated = eng.saturated(n);
   return res;
 }
 

@@ -9,17 +9,13 @@
 
 namespace aalign::core {
 
-ScoreWidth choose_start_width(const AlignConfig& cfg,
-                              const score::ScoreMatrix& matrix,
-                              std::size_t query_len, std::size_t subject_len,
+ScoreWidth choose_start_width(const AlignConfig& cfg, std::size_t query_len,
+                              std::size_t subject_len,
                               const std::vector<ScoreWidth>& supported) {
   if (supported.empty()) {
     throw std::logic_error("choose_start_width: no supported widths");
   }
-  ScoreWidth need = ScoreWidth::W8;
-  if (cfg.kind != AlignKind::Local) {
-    need = min_safe_width(cfg, matrix, query_len, subject_len);
-  }
+  const ScoreWidth need = min_safe_width(cfg, query_len, subject_len);
   for (ScoreWidth w : supported) {
     if (w >= need) return w;
   }
@@ -64,12 +60,12 @@ QueryContext::QueryContext(const score::ScoreMatrix& matrix,
   if (t.t32.engine != nullptr && want(ScoreWidth::W32)) {
     widths_.push_back(ScoreWidth::W32);
   }
-  // Reachable widths only: a non-local alignment never starts below
+  // Reachable widths only: an alignment never starts below
   // min_safe_width(query, subject), which only grows with the subject, so
   // choose_start_width never picks a width below the query's own floor and
   // its profile would never be read. The widest width always stays.
-  if (opt_.width == ScoreWidth::Auto && cfg_.kind != AlignKind::Local) {
-    const ScoreWidth floor = min_safe_width(cfg_, matrix_, query_len_, 0);
+  if (opt_.width == ScoreWidth::Auto) {
+    const ScoreWidth floor = min_safe_width(cfg_, query_len_, 0);
     while (widths_.size() > 1 && widths_.front() < floor) {
       widths_.erase(widths_.begin());
     }
@@ -155,8 +151,8 @@ AdaptiveResult QueryContext::align(std::span<const std::uint8_t> subject,
     out.width = widths_.back();
     return out;
   }
-  const ScoreWidth start = choose_start_width(cfg_, matrix_, query_len_,
-                                              subject.size(), widths_);
+  const ScoreWidth start =
+      choose_start_width(cfg_, query_len_, subject.size(), widths_);
   AdaptiveResult out;
   for (std::size_t wi = 0; wi < widths_.size(); ++wi) {
     if (widths_[wi] < start && wi + 1 < widths_.size()) continue;

@@ -48,15 +48,14 @@ struct AdaptiveResult {
 };
 
 // The narrowest width worth trying first for one subject, given what is
-// knowable before running the kernel. For local alignment the final score
-// is input-dependent, so the narrowest supported width is always worth an
-// optimistic first try (saturation triggers promotion). For
-// global/semiglobal the gapped boundaries alone can overflow a narrow
-// type, which min_safe_width() rules out up front. `supported` is
-// narrowest first; throws std::logic_error when it is empty.
-ScoreWidth choose_start_width(const AlignConfig& cfg,
-                              const score::ScoreMatrix& matrix,
-                              std::size_t query_len, std::size_t subject_len,
+// knowable before running the kernel. The positive range depends on the
+// input and is caught at run time (a saturated kernel promotes), so only
+// the negative range is ruled out up front: min_safe_width(), which is the
+// narrowest width for local alignment and grows with m + n for the
+// non-local kinds. `supported` is narrowest first; throws std::logic_error
+// when it is empty.
+ScoreWidth choose_start_width(const AlignConfig& cfg, std::size_t query_len,
+                              std::size_t subject_len,
                               const std::vector<ScoreWidth>& supported);
 
 class QueryContext {
@@ -79,9 +78,9 @@ class QueryContext {
   const AlignConfig& config() const { return cfg_; }
   const QueryOptions& options() const { return opt_; }
   // The widths align() can run, narrowest first; only the first has a
-  // profile before align() needs another. Under ScoreWidth::Auto a
-  // non-local context starts at min_safe_width(query length, 0): narrower
-  // widths can never run for any subject.
+  // profile before align() needs another. Under ScoreWidth::Auto the list
+  // starts at min_safe_width(query length, 0): narrower widths can never
+  // run for any subject (a no-op for local alignment).
   const std::vector<ScoreWidth>& widths() const { return widths_; }
   std::size_t query_length() const { return query_len_; }
   // The encoded query this context was built from (the batch layer keys

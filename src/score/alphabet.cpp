@@ -1,5 +1,6 @@
 #include "score/alphabet.h"
 
+#include <algorithm>
 #include <cctype>
 
 namespace aalign::score {
@@ -29,9 +30,9 @@ const Alphabet& Alphabet::dna() {
 }
 
 std::vector<std::uint8_t> Alphabet::encode(std::string_view residues) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(residues.size());
-  for (char c : residues) out.push_back(ctoi(c));
+  std::vector<std::uint8_t> out(residues.size());
+  std::transform(residues.begin(), residues.end(), out.begin(),
+                 [this](char c) { return ctoi(c); });
   return out;
 }
 

@@ -253,12 +253,13 @@ std::vector<SearchResult> BatchScheduler::run(
   }
 
   // Per-worker accumulation: one workspace for the whole batch, one
-  // (stats, promotions) slot per query group, one busy-time integral.
-  // Merged single-threaded after the pool drains - no locks on the hot
-  // path.
+  // (stats, promotions, saturated) slot per query group, one busy-time
+  // integral. Merged single-threaded after the pool drains - no locks on
+  // the hot path.
   struct QueryAcc {
     KernelStats stats;
     std::uint64_t promotions = 0;
+    std::uint64_t saturated = 0;
   };
   struct WorkerState {
     core::WorkspaceSet ws;
@@ -300,6 +301,7 @@ std::vector<SearchResult> BatchScheduler::run(
           if (ar.cancelled) core::throw_cancelled(*cancel);
           slot = ar.kernel.score;
           acc.promotions += static_cast<std::uint64_t>(ar.promotions);
+          acc.saturated += ar.kernel.saturated ? 1 : 0;
           acc.stats += ar.kernel.stats;
         }
         const double tile_seconds = tile_timer.seconds();
@@ -332,6 +334,7 @@ std::vector<SearchResult> BatchScheduler::run(
     res.gcups = util::gcups_cells(res.cells, wall_seconds);
     for (const WorkerState& w : workers) {
       res.promotions += w.acc[gi].promotions;
+      res.saturated += w.acc[gi].saturated;
       res.stats += w.acc[gi].stats;
     }
     obs::record_kernel_stats(res.stats);

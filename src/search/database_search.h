@@ -53,6 +53,9 @@ struct SearchResult {
   std::size_t cells = 0;  // total m*n DP cells computed
   double gcups = 0.0;
   std::uint64_t promotions = 0;  // adaptive width retries over all subjects
+  // Subjects still saturated at the widest width they ran (a forced narrow
+  // width): their scores are clipped at the rail, not exact.
+  std::uint64_t saturated = 0;
   KernelStats stats;             // aggregated kernel statistics
   bool filtered = false;         // the signature pre-filter stage ran
   filter::FilterStats filter_stats;  // meaningful only when `filtered`

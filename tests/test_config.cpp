@@ -1,9 +1,10 @@
-// Configuration layer: validation, gap-model derivation, width pre-checks
-// (min_safe_width), and the Farrar-safety predicate.
+// Configuration layer: validation, gap-model derivation, the start-width
+// floor (min_safe_width), and the Farrar-safety predicate.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <iterator>
+#include <string>
 
 #include "core/config.h"
 #include "core/inter_engine.h"
@@ -51,36 +52,49 @@ TEST(Config, FarrarSafety) {
   EXPECT_TRUE(farrar_safe(dna, Penalties::symmetric(10, 1)));
 }
 
-TEST(Config, MinSafeWidthLocal) {
-  const auto& m = score::ScoreMatrix::blosum62();
+TEST(Config, MinSafeWidthLocalIsNarrowest) {
+  // Local H never goes below 0 and the positive rail is caught at run
+  // time, so every local problem may start at int8.
   AlignConfig cfg;
   cfg.kind = AlignKind::Local;
-  // Tiny problem: max score ~ 10*11 = 110 < 127-headroom? headroom ~35 ->
-  // needs int16. Slightly conservative is fine; must never be wider than
-  // int16 here and never narrower than what the bound implies.
-  const ScoreWidth w_small = min_safe_width(cfg, m, 5, 5);
-  EXPECT_LE(static_cast<int>(w_small), static_cast<int>(ScoreWidth::W16));
-  // 10k identical residues: bound ~110k -> int32.
-  EXPECT_EQ(min_safe_width(cfg, m, 10000, 10000), ScoreWidth::W32);
-  // 1k: bound ~11k -> int16.
-  EXPECT_EQ(min_safe_width(cfg, m, 1000, 1000), ScoreWidth::W16);
+  for (const std::size_t len : {1, 5, 1000, 10000, 60000}) {
+    EXPECT_EQ(min_safe_width(cfg, len, len), ScoreWidth::W8) << len;
+  }
 }
 
-TEST(Config, MinSafeWidthGlobalCountsBoundaries) {
-  const auto& m = score::ScoreMatrix::blosum62();
-  AlignConfig cfg;
-  cfg.kind = AlignKind::Global;
-  cfg.pen = Penalties::symmetric(10, 2);
-  // Local would allow narrow widths at this size, but global boundary
-  // gaps reach -(10 + 600*2) and mismatches can stack: needs wider.
-  const ScoreWidth local_w = [&] {
-    AlignConfig c = cfg;
-    c.kind = AlignKind::Local;
-    return min_safe_width(c, m, 40, 40);
-  }();
-  const ScoreWidth global_w = min_safe_width(cfg, m, 40, 40);
-  EXPECT_GE(static_cast<int>(global_w), static_cast<int>(local_w));
-  EXPECT_EQ(min_safe_width(cfg, m, 60000, 60000), ScoreWidth::W32);
+TEST(Config, MinSafeWidthNonLocalNegativeFloor) {
+  // The floor is the all-gap path (open_q + ext_q*m) + (open_s + ext_s*n)
+  // plus one gap-first step, kept kRailMargin off the rail. With 10/2 gaps
+  // that is 32 + 2(m + n): int8 up to m + n = 31 and int16 up to
+  // m + n = 16351, however the sum splits between query and subject.
+  for (const AlignKind kind :
+       {AlignKind::Global, AlignKind::SemiGlobal, AlignKind::SemiGlobalQuery,
+        AlignKind::Overlap}) {
+    AlignConfig cfg;
+    cfg.kind = kind;
+    cfg.pen = Penalties::symmetric(10, 2);
+    const std::string what = to_string(kind);
+    for (const std::size_t m : {0, 1, 15, 31}) {
+      EXPECT_EQ(min_safe_width(cfg, m, 31 - m), ScoreWidth::W8) << what;
+      EXPECT_EQ(min_safe_width(cfg, m, 32 - m), ScoreWidth::W16) << what;
+    }
+    for (const std::size_t m : {0, 1, 3000, 8175, 16351}) {
+      EXPECT_EQ(min_safe_width(cfg, m, 16351 - m), ScoreWidth::W16) << what;
+      EXPECT_EQ(min_safe_width(cfg, m, 16352 - m), ScoreWidth::W32) << what;
+    }
+    // The positive range does not count: a 3000 x 3000 pair can score
+    // 33,000 under BLOSUM62, past the int16 rail, and still starts there.
+    EXPECT_EQ(min_safe_width(cfg, 3000, 3000), ScoreWidth::W16) << what;
+    EXPECT_EQ(min_safe_width(cfg, 60000, 60000), ScoreWidth::W32) << what;
+
+    // Each side is charged its own gaps: query 5/1, subject 20/3, so
+    // low = 25 + m + 3n + 23 against 32768 - 32.
+    cfg.pen = Penalties{{5, 1}, {20, 3}};
+    EXPECT_EQ(min_safe_width(cfg, 32687, 0), ScoreWidth::W16) << what;
+    EXPECT_EQ(min_safe_width(cfg, 32688, 0), ScoreWidth::W32) << what;
+    EXPECT_EQ(min_safe_width(cfg, 0, 10895), ScoreWidth::W16) << what;
+    EXPECT_EQ(min_safe_width(cfg, 0, 10896), ScoreWidth::W32) << what;
+  }
 }
 
 TEST(Config, ToStringCoverage) {

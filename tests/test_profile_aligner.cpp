@@ -2,6 +2,7 @@
 // edges (errors, ISA forcing, width listing, query reuse).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <random>
 #include <string>
@@ -251,11 +252,43 @@ TEST(QueryContext, RejectsOutOfAlphabetQuery) {
   }
 }
 
+// `n` copies of residue `c`, encoded with `alphabet`.
+std::vector<std::uint8_t> poly(
+    char c, std::size_t n,
+    const score::Alphabet& alphabet = score::Alphabet::protein()) {
+  return std::vector<std::uint8_t>(n, alphabet.ctoi(c));
+}
+
+std::vector<std::uint8_t> concat(std::vector<std::uint8_t> a,
+                                 const std::vector<std::uint8_t>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+// The widths an ISA has engines for, narrowest first.
+std::vector<ScoreWidth> engine_widths(simd::IsaKind isa) {
+  std::vector<ScoreWidth> out;
+  if (core::get_engine<std::int8_t>(isa)) out.push_back(ScoreWidth::W8);
+  if (core::get_engine<std::int16_t>(isa)) out.push_back(ScoreWidth::W16);
+  if (core::get_engine<std::int32_t>(isa)) out.push_back(ScoreWidth::W32);
+  return out;
+}
+
+bool has_width(simd::IsaKind isa, ScoreWidth w) {
+  const std::vector<ScoreWidth> widths = engine_widths(isa);
+  return std::find(widths.begin(), widths.end(), w) != widths.end();
+}
+
+constexpr AlignKind kNonLocalKinds[] = {
+    AlignKind::Global, AlignKind::SemiGlobal, AlignKind::SemiGlobalQuery,
+    AlignKind::Overlap};
+constexpr Strategy kStrategies[] = {
+    Strategy::StripedIterate, Strategy::StripedScan, Strategy::Hybrid};
+
 // The shortest query length whose min_safe_width(., 0) exceeds `w`.
-std::size_t first_length_above(const AlignConfig& cfg,
-                               const score::ScoreMatrix& m, ScoreWidth w) {
+std::size_t first_length_above(const AlignConfig& cfg, ScoreWidth w) {
   std::size_t len = 1;
-  while (min_safe_width(cfg, m, len, 0) <= w) ++len;
+  while (min_safe_width(cfg, len, 0) <= w) ++len;
   return len;
 }
 
@@ -266,13 +299,17 @@ TEST(QueryContext, NonLocalWidthsStartAtQueryFloor) {
        {AlignKind::Global, AlignKind::SemiGlobal, AlignKind::Overlap}) {
     AlignConfig cfg;
     cfg.kind = kind;
-    const std::size_t f16 = first_length_above(cfg, m, ScoreWidth::W8);
-    const std::size_t f32 = first_length_above(cfg, m, ScoreWidth::W16);
+    const std::size_t f16 = first_length_above(cfg, ScoreWidth::W8);
+    const std::size_t f32 = first_length_above(cfg, ScoreWidth::W16);
     for (const std::size_t len : {f16 - 1, f16, f32 - 1, f32}) {
       const auto q = test::random_protein(rng, len);
+      // Past the int16 floor (~16k residues) every non-empty subject starts
+      // at int32 whatever its length, so short ones cover the ladder there.
+      const std::vector<std::size_t> lengths =
+          len < 64 ? std::vector<std::size_t>{0, 1, len / 2, len, 2 * len}
+                   : std::vector<std::size_t>{0, 1, 32, 64};
       std::vector<std::vector<std::uint8_t>> subjects;
-      for (const std::size_t n : {std::size_t{0}, std::size_t{1}, len / 2,
-                                  len, 2 * len}) {
+      for (const std::size_t n : lengths) {
         subjects.push_back(test::mutate(rng, q, 0.3, 0.05));
         subjects.back().resize(n, 3);
       }
@@ -280,16 +317,9 @@ TEST(QueryContext, NonLocalWidthsStartAtQueryFloor) {
       for (const auto& s : subjects) {
         expect.push_back(core::align_sequential(m, cfg, q, s));
       }
-      const ScoreWidth floor = min_safe_width(cfg, m, len, 0);
+      const ScoreWidth floor = min_safe_width(cfg, len, 0);
       for (simd::IsaKind isa : test::available_isas()) {
-        std::vector<ScoreWidth> full;
-        if (core::get_engine<std::int8_t>(isa)) full.push_back(ScoreWidth::W8);
-        if (core::get_engine<std::int16_t>(isa)) {
-          full.push_back(ScoreWidth::W16);
-        }
-        if (core::get_engine<std::int32_t>(isa)) {
-          full.push_back(ScoreWidth::W32);
-        }
+        const std::vector<ScoreWidth> full = engine_widths(isa);
         std::vector<ScoreWidth> suffix;
         for (ScoreWidth w : full) {
           if (w >= floor) suffix.push_back(w);
@@ -329,7 +359,7 @@ TEST(QueryContext, NonLocalWidthsStartAtQueryFloor) {
           // The full list starts at choose_start_width and promotes on
           // saturation: the trimmed context must take the same steps.
           const ScoreWidth start =
-              core::choose_start_width(cfg, m, len, s.size(), full);
+              core::choose_start_width(cfg, len, s.size(), full);
           ScoreWidth width = start;
           int promotions = -1;
           for (std::size_t wi = 0; wi < full.size(); ++wi) {
@@ -347,6 +377,143 @@ TEST(QueryContext, NonLocalWidthsStartAtQueryFloor) {
         local.kind = AlignKind::Local;
         EXPECT_EQ(core::QueryContext(m, local, qopt, q).widths(), full)
             << what;
+      }
+    }
+  }
+}
+
+// Runs one pair forced to `width` and under Auto: the forced run must
+// report saturation, and Auto must promote past `width` to `expect`.
+void expect_forced_flags(const score::ScoreMatrix& m, const AlignConfig& cfg,
+                         Strategy strategy, simd::IsaKind isa,
+                         ScoreWidth width, std::span<const std::uint8_t> q,
+                         std::span<const std::uint8_t> s, long expect) {
+  const std::string what = std::string(simd::isa_name(isa)) + " " +
+                           to_string(cfg.kind) + " " + to_string(strategy) +
+                           " " + to_string(width) +
+                           " m=" + std::to_string(q.size());
+  core::QueryOptions opt;
+  opt.isa = isa;
+  opt.strategy = strategy;
+  opt.width = width;
+  const AlignResult forced = align_pair(m, cfg, q, s, opt);
+  EXPECT_TRUE(forced.saturated) << what << " scored " << forced.score;
+  opt.width = ScoreWidth::Auto;
+  const AlignResult adaptive = align_pair(m, cfg, q, s, opt);
+  EXPECT_EQ(adaptive.score, expect) << what;
+  EXPECT_FALSE(adaptive.saturated) << what;
+  EXPECT_GT(adaptive.width, width) << what;
+}
+
+// A non-local score can climb past a narrow type's positive rail and come
+// back below it. Query W x 3000 + A x 5000 against subject W x 8000 peaks
+// at 33,000 and ends at 18,000 under BLOSUM62 10/2 (W/W = 11, A/W = -3):
+// a forced int16 run once returned 17868 unflagged. The running max must
+// flag the forced run, and Auto must promote to the exact score.
+TEST(QueryContext, ForcedNarrowWidthFlagsPositiveRail) {
+  const auto& blosum = score::ScoreMatrix::blosum62();
+  AlignConfig global;
+  global.kind = AlignKind::Global;
+  const auto q = concat(poly('W', 3000), poly('A', 5000));
+  const auto s = poly('W', 8000);
+  ASSERT_EQ(core::align_sequential(blosum, global, q, s), 18000);
+  for (simd::IsaKind isa : test::available_isas()) {
+    if (!has_width(isa, ScoreWidth::W16)) continue;
+    expect_forced_flags(blosum, global, Strategy::Hybrid, isa,
+                        ScoreWidth::W16, q, s, 18000);
+  }
+
+  // The same shape, 40x fewer cells, for every kind and strategy: a DNA
+  // matrix scoring 30 a match passes the int16 rail after 1,100 residues
+  // (and the int8 rail after 5), then mismatches at -4 bring it back.
+  const score::ScoreMatrix dna = score::ScoreMatrix::dna(30, 4);
+  const score::Alphabet& nt = score::Alphabet::dna();
+  struct Case {
+    ScoreWidth width;
+    std::vector<std::uint8_t> query, subject;
+  };
+  const Case cases[] = {
+      {ScoreWidth::W16, concat(poly('A', 1100, nt), poly('C', 100, nt)),
+       poly('A', 1200, nt)},
+      {ScoreWidth::W8, concat(poly('A', 5, nt), poly('C', 20, nt)),
+       poly('A', 25, nt)},
+  };
+  for (const AlignKind kind : kNonLocalKinds) {
+    AlignConfig cfg;
+    cfg.kind = kind;
+    for (const Case& c : cases) {
+      const long expect =
+          core::align_sequential(dna, cfg, c.query, c.subject);
+      for (simd::IsaKind isa : test::available_isas()) {
+        if (!has_width(isa, c.width)) continue;
+        for (const Strategy strategy : kStrategies) {
+          expect_forced_flags(dna, cfg, strategy, isa, c.width, c.query,
+                              c.subject, expect);
+        }
+      }
+    }
+  }
+}
+
+// The worst case for the negative rail: poly-residue pairs scoring -4 a
+// pair (W/D), so every cell sits near the all-gap bound, at the last m + n
+// each narrow width admits and one above it. Admitted, the width runs
+// exact and unflagged under every strategy; one above, Auto starts wider
+// and a forced run reports saturation.
+TEST(QueryContext, NegativeRailAtWidthFloor) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  struct Floor {
+    ScoreWidth width;
+    std::size_t last_sum;  // the largest m + n admitted at `width`
+    std::size_t short_side;
+  };
+  for (const Floor f : {Floor{ScoreWidth::W8, 31, 5},
+                        Floor{ScoreWidth::W16, 16351, 351}}) {
+    for (const AlignKind kind : kNonLocalKinds) {
+      AlignConfig cfg;
+      cfg.kind = kind;
+      for (const std::size_t sum : {f.last_sum, f.last_sum + 1}) {
+        const bool admitted = sum == f.last_sum;
+        ASSERT_EQ(min_safe_width(cfg, f.short_side, sum - f.short_side) ==
+                      f.width,
+                  admitted);
+        for (const bool short_query : {true, false}) {
+          const std::size_t qlen =
+              short_query ? f.short_side : sum - f.short_side;
+          const auto q = poly('W', qlen);
+          const auto s = poly('D', sum - qlen);
+          const long expect = core::align_sequential(m, cfg, q, s);
+          for (simd::IsaKind isa : test::available_isas()) {
+            const std::string what =
+                std::string(simd::isa_name(isa)) + " " + to_string(kind) +
+                " m=" + std::to_string(q.size()) +
+                " n=" + std::to_string(s.size());
+            core::QueryOptions opt;
+            opt.isa = isa;
+            const AlignResult r = align_pair(m, cfg, q, s, opt);
+            EXPECT_EQ(r.score, expect) << what;
+            EXPECT_EQ(r.promotions, 0) << what;
+            EXPECT_EQ(r.width,
+                      core::choose_start_width(cfg, q.size(), s.size(),
+                                               engine_widths(isa)))
+                << what;
+            if (!has_width(isa, f.width)) continue;
+            if (admitted) {
+              EXPECT_EQ(r.width, f.width) << what;
+            }
+            opt.width = f.width;
+            for (const Strategy strategy : kStrategies) {
+              opt.strategy = strategy;
+              const AlignResult forced = align_pair(m, cfg, q, s, opt);
+              EXPECT_EQ(forced.saturated, !admitted)
+                  << what << " " << to_string(strategy);
+              if (admitted) {
+                EXPECT_EQ(forced.score, expect)
+                    << what << " " << to_string(strategy);
+              }
+            }
+          }
+        }
       }
     }
   }

@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 
+#include "core/engine.h"
 #include "core/sequential.h"
 #include "search/database_search.h"
 #include "search/top_k.h"
@@ -76,6 +77,51 @@ TEST(DatabaseSearch, MatchesSerialOracle) {
   }
   EXPECT_GT(res.gcups, 0.0);
   EXPECT_EQ(res.cells, query.size() * db.total_residues());
+}
+
+TEST(DatabaseSearch, ReportsSaturatedSubjects) {
+  // A search forced to int8 clips every local score that reaches the rail;
+  // the planted homolog of a 150-residue query scores far past it. The
+  // result counts exactly the subjects whose true score is within
+  // kRailMargin of the int8 maximum, and Auto reports none.
+  const auto& m = score::ScoreMatrix::blosum62();
+  const AlignConfig cfg;  // local
+  seq::SequenceGenerator gen(91);
+  const seq::Sequence q = gen.protein(150);
+  const auto query = score::Alphabet::protein().encode(q.residues);
+  seq::Database db = make_db(92, 60);
+  const auto homolog =
+      seq::make_similar_subject(gen, q, {seq::Level::Hi, seq::Level::Hi});
+  db.add(seq::encode(score::Alphabet::protein(), homolog));
+  const long homolog_score = core::align_sequential(
+      m, cfg, query, db.by_original(db.size() - 1).view());
+  ASSERT_GT(homolog_score, std::numeric_limits<std::int8_t>::max());
+
+  std::uint64_t near_rail = 0;
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    const long exact =
+        core::align_sequential(m, cfg, query, db.by_original(i).view());
+    if (exact >= std::numeric_limits<std::int8_t>::max() - kRailMargin) {
+      ++near_rail;
+    }
+  }
+
+  for (simd::IsaKind isa : test::available_isas()) {
+    if (!core::get_engine<std::int8_t>(isa)) continue;
+    search::SearchOptions opt;
+    opt.threads = 2;
+    opt.query.isa = isa;
+    opt.query.width = ScoreWidth::W8;
+    const search::SearchResult forced =
+        search::DatabaseSearch(m, cfg, opt).search(query, db);
+    EXPECT_EQ(forced.saturated, near_rail) << simd::isa_name(isa);
+    opt.query.width = ScoreWidth::Auto;
+    const search::SearchResult adaptive =
+        search::DatabaseSearch(m, cfg, opt).search(query, db);
+    EXPECT_EQ(adaptive.saturated, 0u) << simd::isa_name(isa);
+    EXPECT_EQ(adaptive.top.front().score, homolog_score)
+        << simd::isa_name(isa);
+  }
 }
 
 TEST(DatabaseSearch, ThreadCountInvariance) {

@@ -3,6 +3,8 @@
 // measurements), and the database container.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "core/stats.h"
@@ -26,6 +28,7 @@ TEST(Alphabet, ProteinRoundTripAndWildcards) {
   EXPECT_EQ(a.ctoi('!'), a.wildcard());
   const auto enc = a.encode("ARNDX*");
   EXPECT_EQ(a.decode(enc), "ARNDX*");
+  EXPECT_TRUE(a.encode("").empty());
 }
 
 TEST(Alphabet, DnaRoundTrip) {
@@ -87,6 +90,76 @@ TEST(Fasta, HandlesCrlfAndBlankLines) {
 TEST(Fasta, RejectsDataBeforeHeader) {
   std::istringstream in("MKVLAA\n>a\nWW\n");
   EXPECT_THROW(read_fasta(in), std::runtime_error);
+}
+
+TEST(Fasta, SkipsCommentLines) {
+  // Old-style ';' comments are skipped anywhere, even before the first
+  // header; they never end a record.
+  std::istringstream in(";file comment\n>a\nMK\n;mid-record\nVL\n>b\nW\n");
+  const auto seqs = read_fasta(in);
+  ASSERT_EQ(seqs.size(), 2u);
+  EXPECT_EQ(seqs[0].residues, "MKVL");
+  EXPECT_EQ(seqs[1].residues, "W");
+}
+
+TEST(Fasta, DropsEmbeddedWhitespace) {
+  std::istringstream in(">a b\nMK V\tL\vAA  \n   \nW W\n");
+  const auto seqs = read_fasta(in);
+  ASSERT_EQ(seqs.size(), 1u);
+  EXPECT_EQ(seqs[0].id, "a b");  // header text is kept verbatim
+  EXPECT_EQ(seqs[0].residues, "MKVLAAWW");
+}
+
+TEST(Fasta, ReadsMissingFinalNewline) {
+  std::istringstream in(">a\nMKV\nLAA");
+  auto seqs = read_fasta(in);
+  ASSERT_EQ(seqs.size(), 1u);
+  EXPECT_EQ(seqs[0].residues, "MKVLAA");
+
+  std::istringstream header_only(">a\nMK\n>b");
+  seqs = read_fasta(header_only);
+  ASSERT_EQ(seqs.size(), 2u);
+  EXPECT_EQ(seqs[1].id, "b");
+  EXPECT_EQ(seqs[1].residues, "");
+}
+
+TEST(Fasta, RejectsWhitespaceLineBeforeHeader) {
+  // A line of blanks is data, not a blank line: before any header it is
+  // the same structural error as residues there.
+  std::istringstream in("  \n>a\nWW\n");
+  EXPECT_THROW(read_fasta(in), std::runtime_error);
+}
+
+TEST(Fasta, FileMatchesStream) {
+  const std::string text =
+      ";comment\r\n>a one\r\nMK V\r\n\r\nLAA\r\n>b\nW\n\n>c\n;x\nAC\tGT";
+  const std::string path = ::testing::TempDir() + "fasta_file_matches.fa";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  const auto from_file = read_fasta_file(path);
+  std::istringstream in(text);
+  const auto from_stream = read_fasta(in);
+  std::remove(path.c_str());
+  ASSERT_EQ(from_file.size(), 3u);
+  ASSERT_EQ(from_stream.size(), 3u);
+  const char* ids[] = {"a one", "b", "c"};
+  const char* residues[] = {"MKVLAA", "W", "ACGT"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(from_file[i].id, ids[i]);
+    EXPECT_EQ(from_file[i].residues, residues[i]);
+    EXPECT_EQ(from_stream[i].id, ids[i]);
+    EXPECT_EQ(from_stream[i].residues, residues[i]);
+  }
+  EXPECT_THROW(read_fasta_file(path), std::runtime_error);  // now gone
+
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "MK\n>a\nW\n";
+  }
+  EXPECT_THROW(read_fasta_file(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(Generator, ProteinLengthAndAlphabet) {

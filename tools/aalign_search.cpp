@@ -306,6 +306,16 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     die(e.what());
   }
+  for (std::size_t qi = 0; qi < results.size(); ++qi) {
+    if (results[qi].saturated == 0) continue;
+    std::fprintf(stderr,
+                 "aalign_search: warning: query '%s': %llu subject(s) "
+                 "saturated at --width %s; their scores are clipped, not "
+                 "exact (use --width auto)\n",
+                 query_records[qi].id.c_str(),
+                 static_cast<unsigned long long>(results[qi].saturated),
+                 width_name.c_str());
+  }
 
   if (!metrics_json_path.empty()) {
     obs::RunMeta meta;
