@@ -34,7 +34,6 @@ seq::Database cold_load(const std::string& fasta_path,
                         const filter::FilterParams& params,
                         std::shared_ptr<filter::SignatureIndex>* index_out) {
   seq::Database db(matrix.alphabet(), seq::read_fasta_file(fasta_path));
-  db.sort_by_length_desc();
   auto index = std::make_shared<filter::SignatureIndex>(db, params);
   if (index_out != nullptr) *index_out = std::move(index);
   return db;

@@ -96,8 +96,7 @@ int main() {
   const double cells = static_cast<double>(query_len) * kQueries *
                        static_cast<double>(db.total_residues());
 
-  // Stage 0: exhaustive baseline (also sorts the database in place, so
-  // the index built below matches the order the scans will see).
+  // Stage 0: exhaustive baseline.
   search::DatabaseSearch exhaustive(matrix, cfg, exh_opt);
   std::vector<search::SearchResult> exh_res(kQueries);
   const double t_exh = time_median(

@@ -122,8 +122,8 @@ struct QuerySignature {
 class SignatureIndex {
  public:
   SignatureIndex() = default;
-  // Builds one signature per subject in the database's CURRENT order
-  // (build after sort_by_length_desc so positions stay stable).
+  // Builds one signature per subject in the database's stored order,
+  // which is fixed when the database is built.
   explicit SignatureIndex(const seq::Database& db, FilterParams params = {});
 
   // Rehydrates a prebuilt index (store::MappedIndex deserialization):
@@ -165,9 +165,9 @@ class SignatureIndex {
     return {len_data(), count_};
   }
 
-  // True when this index plausibly describes `db` as currently ordered
-  // (size + residue-total fingerprint; a re-added or re-sorted database
-  // fails and must be re-indexed).
+  // True when this index plausibly describes `db` (size + residue-total
+  // fingerprint). The check cannot tell two databases of the same size and
+  // residue total apart; it only catches an index built for another one.
   bool matches(const seq::Database& db) const {
     return win_count_ == db.size() && residues_ == db.total_residues();
   }

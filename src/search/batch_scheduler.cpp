@@ -153,14 +153,12 @@ BatchScheduler::BatchScheduler(const score::ScoreMatrix& matrix,
 
 std::vector<SearchResult> BatchScheduler::run(
     const std::vector<std::vector<std::uint8_t>>& queries,
-    seq::Database& db, const core::CancelToken* cancel) {
+    const seq::Database& db, const core::CancelToken* cancel) {
   if (core::stop_requested(cancel)) core::throw_cancelled(*cancel);
   const int threads =
       opt_.threads > 0 ? opt_.threads : default_thread_count();
   const std::size_t nq = queries.size();
   const std::size_t ns = db.size();
-
-  if (opt_.sort_database) db.sort_by_length_desc();
 
   const std::uint64_t hits0 = cache_.hits();
   const std::uint64_t misses0 = cache_.misses();
@@ -195,7 +193,7 @@ std::vector<SearchResult> BatchScheduler::run(
   const std::size_t ng = group_primary.size();
 
   // Stage one, per distinct query: signature screening over the sorted
-  // database (docs/search.md). Masks live in CURRENT database positions;
+  // database (docs/search.md). Masks live in stored database positions;
   // dropped subjects are skipped in the tile loop and carry
   // filter::kDroppedScore sentinels, trimmed after top-k selection.
   const bool filtered =

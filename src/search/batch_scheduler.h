@@ -114,14 +114,14 @@ class BatchScheduler {
   static constexpr std::size_t kProfileCacheCapacity = 64;
 
   // Of `opt`, the scheduling knobs (threads, shard_size), the query kernel
-  // options, the filter, and the result knobs (top_k, keep_all_scores,
-  // sort_database) all apply.
+  // options, the filter, and the result knobs (top_k, keep_all_scores) all
+  // apply.
   BatchScheduler(const score::ScoreMatrix& matrix, AlignConfig cfg,
                  SearchOptions opt = {});
 
-  // Runs every query against db (sorted in place once when
-  // opt.sort_database). Results are in query order, scores/hits indexed by
-  // ORIGINAL database position. Occurrences of byte-identical queries
+  // Runs every query against db, in its stored (longest-first) order;
+  // db is only read. Results are in query order, scores/hits indexed by
+  // ORIGINAL database index. Occurrences of byte-identical queries
   // (same cached context) are scanned once and share the result - still
   // bit-identical to scanning each occurrence, since the inputs are the
   // same. The profile cache persists across run() calls, so repeated
@@ -135,7 +135,7 @@ class BatchScheduler {
   // for the next run().
   std::vector<SearchResult> run(
       const std::vector<std::vector<std::uint8_t>>& queries,
-      seq::Database& db, const core::CancelToken* cancel = nullptr);
+      const seq::Database& db, const core::CancelToken* cancel = nullptr);
 
   const BatchStats& last_stats() const { return stats_; }
   const QueryProfileCache& cache() const { return cache_; }

@@ -16,7 +16,7 @@ DatabaseSearch::DatabaseSearch(const score::ScoreMatrix& matrix,
 // a lazily built signature index, so a per-call instance keeps this class
 // stateless and safe to share across threads.
 SearchResult DatabaseSearch::search(std::span<const std::uint8_t> query,
-                                    seq::Database& db,
+                                    const seq::Database& db,
                                     const core::CancelToken* cancel) const {
   std::vector<SearchResult> out = BatchScheduler(matrix_, cfg_, opt_).run(
       {std::vector<std::uint8_t>(query.begin(), query.end())}, db, cancel);
@@ -25,7 +25,7 @@ SearchResult DatabaseSearch::search(std::span<const std::uint8_t> query,
 
 std::vector<SearchResult> DatabaseSearch::search_many(
     const std::vector<std::vector<std::uint8_t>>& queries,
-    seq::Database& db, const core::CancelToken* cancel) const {
+    const seq::Database& db, const core::CancelToken* cancel) const {
   return BatchScheduler(matrix_, cfg_, opt_).run(queries, db, cancel);
 }
 

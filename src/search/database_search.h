@@ -1,9 +1,9 @@
 // Multi-threaded query-vs-database search (paper Sec. V-E): the query
-// profile is built once (QueryContext), the database is sorted longest
-// first, and worker threads pull subject shards from work-stealing deques,
-// each with its own kernel workspace. DatabaseSearch is the stable
-// front-end; every call runs on one search executor, BatchScheduler
-// (search/batch_scheduler.h).
+// profile is built once (QueryContext), the database arrives stored
+// longest first (seq::Database sorts when built), and worker threads pull
+// subject shards from work-stealing deques, each with its own kernel
+// workspace. DatabaseSearch is the stable front-end; every call runs on
+// one search executor, BatchScheduler (search/batch_scheduler.h).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,6 @@ struct SearchOptions {
   core::QueryOptions query;
   std::size_t top_k = 10;
   bool keep_all_scores = true;  // retain the per-subject score vector
-  bool sort_database = true;    // length-sort for load balance
 
   // Subjects per (query, subject-shard) tile (search/batch_scheduler.h);
   // 0 = auto. Scores never depend on it.
@@ -37,16 +36,16 @@ struct SearchOptions {
 };
 
 struct SearchHit {
-  // ORIGINAL database position (insertion order), even when
-  // sort_database re-ordered the storage: resolve the record with
+  // ORIGINAL database index (the input order the database was built
+  // from, not its longest-first storage): resolve the record with
   // db.by_original(index). Scores vectors use the same original indexing.
   std::size_t index = 0;
   long score = 0;
 };
 
 struct SearchResult {
-  // Per subject, indexed by ORIGINAL database position (empty if
-  // !keep_all_scores); independent of sort_database re-ordering.
+  // Per subject, indexed by ORIGINAL database index (empty if
+  // !keep_all_scores).
   std::vector<long> scores;
   std::vector<SearchHit> top;  // best top_k, descending score
   double seconds = 0.0;
@@ -67,13 +66,14 @@ class DatabaseSearch {
                  SearchOptions opt = {});
 
   // One query: BatchScheduler::run({query}, db, cancel)[0] on a scheduler
-  // built for this call, so a DatabaseSearch is stateless and safe to call
-  // from several threads. db is length-sorted in place when
-  // opt.sort_database is set. `cancel` (optional) is polled per tile in the
-  // pool loop and per stride-chunk inside the kernels; a fired token
-  // aborts the scan within one chunk per worker and throws
-  // core::CancelledError - a cancelled search never returns partial scores.
-  SearchResult search(std::span<const std::uint8_t> query, seq::Database& db,
+  // built for this call; db is only read, so a DatabaseSearch is stateless
+  // and safe to call from several threads, on one database too. `cancel`
+  // (optional) is polled per tile in the pool loop and per stride-chunk
+  // inside the kernels; a fired token aborts the scan within one chunk per
+  // worker and throws core::CancelledError - a cancelled search never
+  // returns partial scores.
+  SearchResult search(std::span<const std::uint8_t> query,
+                      const seq::Database& db,
                       const core::CancelToken* cancel = nullptr) const;
 
   // Many-vs-all: BatchScheduler::run over the whole batch, (query,
@@ -82,7 +82,8 @@ class DatabaseSearch {
   // `seconds` is the whole batch's wall clock.
   std::vector<SearchResult> search_many(
       const std::vector<std::vector<std::uint8_t>>& queries,
-      seq::Database& db, const core::CancelToken* cancel = nullptr) const;
+      const seq::Database& db,
+      const core::CancelToken* cancel = nullptr) const;
 
  private:
   const score::ScoreMatrix& matrix_;

@@ -105,14 +105,12 @@ InterSequenceSearch::InterSequenceSearch(const score::ScoreMatrix& matrix,
 }
 
 InterSearchResult InterSequenceSearch::search(
-    std::span<const std::uint8_t> query, seq::Database& db,
+    std::span<const std::uint8_t> query, const seq::Database& db,
     const core::CancelToken* cancel) const {
   if (query.empty()) {
     throw std::invalid_argument("InterSequenceSearch: empty query");
   }
   const core::InterEngine* engine = core::get_inter_engine(opt_.query.isa);
-
-  if (opt_.sort_database) db.sort_by_length_desc();
 
   const int threads = opt_.threads > 0 ? opt_.threads : default_thread_count();
   std::vector<long> scores(db.size());  // by ORIGINAL database index
@@ -125,7 +123,7 @@ InterSearchResult InterSequenceSearch::search(
   // Indices (into the sorted database) still needing a score. The ladder
   // walks narrow -> wide; whatever saturates a tier is re-batched for the
   // next one. Ascending index order keeps re-queued batches as
-  // length-homogeneous as the original sort made them.
+  // length-homogeneous as the stored order made them.
   std::vector<std::size_t> pending(db.size());
   std::iota(pending.begin(), pending.end(), std::size_t{0});
 

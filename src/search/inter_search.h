@@ -1,8 +1,8 @@
 // Inter-sequence database search: batches of `lanes` subjects aligned
 // simultaneously, one per vector lane. Complements the intra-sequence
 // (striped) DatabaseSearch - the two SWAPHI modes the paper contrasts in
-// Sec. VI-C. Length-sorting the database makes batches length-homogeneous,
-// minimizing padding waste.
+// Sec. VI-C. The database's longest-first storage order makes batches
+// length-homogeneous, minimizing padding waste.
 //
 // One query per call, timed tier by tier: bench_inter_precision and
 // ablate_inter_vs_intra read the per-tier numbers. It is not a many-query
@@ -49,8 +49,8 @@ class InterSequenceSearch {
   // opt.query.width is the first rung of the precision ladder: Auto and W8
   // start at the narrowest tier the backend offers, W16 at int16, and W32
   // runs the exact single tier (the baseline). Of the rest of `opt`, the
-  // threads / top_k / keep_all_scores / sort_database knobs apply; the
-  // striped-kernel strategy, hybrid and lut fields are ignored. Throws
+  // threads / top_k / keep_all_scores knobs apply; the striped-kernel
+  // strategy, hybrid and lut fields are ignored. Throws
   // std::invalid_argument when the backend is unavailable here.
   InterSequenceSearch(const score::ScoreMatrix& matrix, Penalties pen,
                       SearchOptions opt);
@@ -59,7 +59,7 @@ class InterSequenceSearch {
   // token aborts within one batch per worker and throws
   // core::CancelledError - a cancelled search never returns partial scores.
   InterSearchResult search(std::span<const std::uint8_t> query,
-                           seq::Database& db,
+                           const seq::Database& db,
                            const core::CancelToken* cancel = nullptr) const;
 
  private:

@@ -13,11 +13,11 @@
 
 namespace aalign::search {
 
-// Re-indexes a score vector computed in the database's CURRENT (possibly
-// length-sorted) order back to original insertion order, so results are
-// stable under sort_database. No-op while the database is unpermuted. The
-// search executors write each score at db.original_index(pos) directly
-// and never need this copy; the serial test oracle and bench/ledger do.
+// Re-indexes a score vector computed in the database's stored
+// (longest-first) order back to original input order. No-op while the
+// database is unpermuted. The search executors write each score at
+// db.original_index(pos) directly and never need this copy; the serial
+// test oracle and bench/ledger do.
 inline void remap_scores_to_original(const seq::Database& db,
                                      std::vector<long>& scores) {
   if (!db.permuted()) return;

@@ -19,10 +19,12 @@ struct Sequence {
 };
 
 // A named sequence encoded to alphabet indices that owns its residues:
-// what encode() returns and what Database::add() takes in.
+// what encode() returns and what a Database can be built from.
 struct EncodedSequence {
   std::string id;
   std::vector<std::uint8_t> data;
+
+  std::size_t size() const { return data.size(); }
 };
 
 EncodedSequence encode(const score::Alphabet& alphabet, const Sequence& s);

@@ -47,15 +47,11 @@ AlignService::AlignService(const score::ScoreMatrix& matrix, AlignConfig cfg,
     throw std::invalid_argument(
         "ServiceOptions::global_index_map size does not match the database");
   }
-  // Sort once at startup; every request then searches the same permuted
-  // storage (results are reported in original-index terms regardless).
-  if (opt_.search.sort_database) db_.sort_by_length_desc();
-  opt_.search.sort_database = false;
   // Hit selection is per request (top_k varies); the schedulers always
   // keep the full score vector and skip their own selection.
   opt_.search.top_k = 0;
   opt_.search.keep_all_scores = true;
-  // Signature index over the sorted storage, built once here and shared
+  // Signature index over the stored order, built once here and shared
   // read-only by every executor's scheduler. Requests route around it per
   // call ("filter": off|on|auto); Auto only activates for local alignment,
   // so other configs skip the build entirely.

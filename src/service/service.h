@@ -57,7 +57,7 @@ struct ServiceOptions {
 
 class AlignService : public RequestHandler {
  public:
-  // Takes ownership of the database (sorted longest-first once, here).
+  // Takes ownership of the database.
   AlignService(const score::ScoreMatrix& matrix, AlignConfig cfg,
                seq::Database db, ServiceOptions opt = {});
   ~AlignService() override;  // implies shutdown()

@@ -89,7 +89,7 @@ std::uint64_t input_fingerprint(const seq::Database& db,
 
 }  // namespace
 
-std::vector<std::uint8_t> build_index_bytes(seq::Database& db,
+std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
                                             const score::ScoreMatrix& matrix,
                                             const BuildParams& params) {
   if (matrix.name().size() >= sizeof(Header{}.matrix_name)) {
@@ -98,14 +98,13 @@ std::vector<std::uint8_t> build_index_bytes(seq::Database& db,
   if (params.shard_target_residues == 0) {
     throw std::invalid_argument("store: shard_target_residues must be > 0");
   }
-  // The stored order IS the serving order: sort exactly as the search
-  // layer would, so mmap-served positions, permutation, and signature
-  // index line up bit for bit with the FASTA-parse path.
-  db.sort_by_length_desc();
+  // The stored order IS the database's (longest-first) order, so
+  // mmap-served positions, permutation, and signature index line up bit
+  // for bit with the FASTA-parse path.
   const std::size_t n = db.size();
 
-  // The signature index is built on the sorted database — the expensive
-  // part of service startup that the store precomputes (beside parsing).
+  // The signature index is the expensive part of service startup that the
+  // store precomputes (beside parsing).
   const filter::SignatureIndex sig(db, params.filter);
 
   // ---- Assemble section payloads -----------------------------------------
@@ -279,7 +278,7 @@ std::vector<std::uint8_t> build_index_bytes(seq::Database& db,
   return out.take();
 }
 
-void write_index(const std::string& path, seq::Database& db,
+void write_index(const std::string& path, const seq::Database& db,
                  const score::ScoreMatrix& matrix, const BuildParams& params) {
   const std::vector<std::uint8_t> bytes =
       build_index_bytes(db, matrix, params);

@@ -22,17 +22,17 @@ struct BuildParams {
   std::size_t shard_target_residues = 1u << 20;
 };
 
-// Serializes `db` (length-sorted in place first, exactly as
-// DatabaseSearch would sort it, so stored positions and the permutation
-// match the FASTA-parse path bit for bit). Throws StoreError on internal
+// Serializes `db` in its stored (longest-first) order with its
+// permutation, so mapped positions and original indices match the
+// FASTA-parse path bit for bit. Throws StoreError on internal
 // inconsistencies and std::invalid_argument on bad params.
-std::vector<std::uint8_t> build_index_bytes(seq::Database& db,
+std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
                                             const score::ScoreMatrix& matrix,
                                             const BuildParams& params = {});
 
 // build_index_bytes + atomic-ish write (temp file + rename) to `path`.
 // Throws StoreError(StoreErrc::IoError) on write failure.
-void write_index(const std::string& path, seq::Database& db,
+void write_index(const std::string& path, const seq::Database& db,
                  const score::ScoreMatrix& matrix,
                  const BuildParams& params = {});
 

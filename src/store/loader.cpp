@@ -195,7 +195,8 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
   const SectionEntry& ids = idx.section(SectionKind::IdBlob);
   const auto seqs = idx.seq_dir();
   std::uint64_t residues = 0;
-  for (const SeqEntry& s : seqs) {
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    const SeqEntry& s = seqs[i];
     if (s.blob_offset < blob.offset || s.length > blob.bytes ||
         s.blob_offset + s.length > blob.offset + blob.bytes ||
         s.blob_offset % kFileAlignment != 0 || s.id_offset > ids.bytes ||
@@ -203,11 +204,28 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
       throw StoreError(StoreErrc::BadLayout,
                        at_path(path, "sequence directory entry out of range"));
     }
+    // Stored order is the serving order the signatures were built in.
+    if (i > 0 && s.length > seqs[i - 1].length) {
+      throw StoreError(StoreErrc::BadLayout,
+                       at_path(path, "sequence directory not longest first"));
+    }
     residues += s.length;
   }
   if (residues != h.residue_total) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "residue total disagrees with directory"));
+  }
+  // Each original index exactly once. Byte marks, not bits: about twice as
+  // fast on a 26k-entry index.
+  std::vector<std::uint8_t> seen(seqs.size());
+  for (const std::uint64_t orig : idx.typed_section<std::uint64_t>(
+           SectionKind::Permutation, seqs.size())) {
+    if (orig >= seen.size() || seen[orig] != 0) {
+      throw StoreError(StoreErrc::BadLayout,
+                       at_path(path, "permutation section is not a "
+                                     "permutation of the sequences"));
+    }
+    seen[orig] = 1;
   }
   std::uint64_t seq_cursor = 0;
   for (const ShardEntry& sh : idx.shards()) {
@@ -271,15 +289,14 @@ filter::FilterParams MappedIndex::filter_params() const {
 }
 
 seq::Database MappedIndex::database() const {
-  seq::Database db = make_database(0, hdr_.seq_count);
   const auto perm =
       typed_section<std::uint64_t>(SectionKind::Permutation, hdr_.seq_count);
-  db.adopt_permutation(std::vector<std::size_t>(perm.begin(), perm.end()));
-  return db;
+  return make_database(0, hdr_.seq_count,
+                       std::vector<std::size_t>(perm.begin(), perm.end()));
 }
 
-seq::Database MappedIndex::make_database(std::size_t first,
-                                         std::size_t count) const {
+seq::Database MappedIndex::make_database(std::size_t first, std::size_t count,
+                                         std::vector<std::size_t> orig) const {
   // open() checked every directory entry's id and residue ranges against
   // their sections, so the records address the mapping directly.
   const char* id_base = reinterpret_cast<const char*>(file_->data()) +
@@ -290,7 +307,7 @@ seq::Database MappedIndex::make_database(std::size_t first,
     out.push_back({std::string(id_base + s.id_offset, s.id_bytes),
                    {file_->data() + s.blob_offset, s.length}});
   }
-  return seq::Database(std::move(out), file_);
+  return seq::Database(std::move(out), std::move(orig), file_);
 }
 
 std::shared_ptr<const filter::SignatureIndex> MappedIndex::signatures() const {
@@ -355,7 +372,7 @@ ShardSlice MappedIndex::shard_slice(std::size_t i, std::size_t n) const {
 }
 
 seq::Database MappedIndex::database(const ShardSlice& slice) const {
-  return make_database(slice.first_seq, slice.seq_count);
+  return make_database(slice.first_seq, slice.seq_count, {});
 }
 
 std::shared_ptr<const filter::SignatureIndex> MappedIndex::signatures(

@@ -77,9 +77,9 @@ class MappedIndex {
   // Filter parameters the signature sections were built with.
   filter::FilterParams filter_params() const;
 
-  // Zero-copy database in stored (length-sorted) order, with the
-  // original-index permutation installed and the mapping pinned as the
-  // database's backing().
+  // Zero-copy database in stored order - longest first, as the builder
+  // wrote it and open() checked - with the stored original-index
+  // permutation and the mapping pinned as the database's backing().
   seq::Database database() const;
 
   // Prebuilt signature index (never bumps filter.index_builds).
@@ -125,9 +125,11 @@ class MappedIndex {
   MappedIndex() = default;
 
   const SectionEntry& section(SectionKind kind) const;
-  // Unpermuted database over stored positions [first, first + count): the
-  // one builder behind both database() overloads.
-  seq::Database make_database(std::size_t first, std::size_t count) const;
+  // Database over stored positions [first, first + count) with original
+  // indices `orig` (empty = identity): the one builder behind both
+  // database() overloads.
+  seq::Database make_database(std::size_t first, std::size_t count,
+                              std::vector<std::size_t> orig) const;
   template <class T>
   std::span<const T> typed_section(SectionKind kind,
                                    std::size_t count) const;

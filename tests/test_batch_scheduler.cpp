@@ -24,11 +24,16 @@ using namespace aalign;
 
 namespace {
 
+std::vector<seq::Sequence> make_seqs(std::uint64_t seed, std::size_t count,
+                                     double median_len = 100.0) {
+  seq::SequenceGenerator gen(seed);
+  return gen.protein_database(count, median_len, 0.6, 10, 400);
+}
+
 seq::Database make_db(std::uint64_t seed, std::size_t count,
                       double median_len = 100.0) {
-  seq::SequenceGenerator gen(seed);
   return seq::Database(score::Alphabet::protein(),
-                       gen.protein_database(count, median_len, 0.6, 10, 400));
+                       make_seqs(seed, count, median_len));
 }
 
 std::vector<std::vector<std::uint8_t>> make_queries(std::uint64_t seed) {
@@ -239,8 +244,8 @@ TEST(BatchScheduler, CacheKeyIncludesConfig) {
   EXPECT_EQ(cache.hits(), 1u);
 }
 
-// Hits must report ORIGINAL insertion indices even though the scheduler
-// length-sorts the database internally.
+// Hits must report ORIGINAL input indices even though the database stores
+// its subjects longest first.
 TEST(BatchScheduler, HitsCarryOriginalIndices) {
   const auto& m = score::ScoreMatrix::blosum62();
   AlignConfig cfg;
@@ -251,13 +256,13 @@ TEST(BatchScheduler, HitsCarryOriginalIndices) {
   const seq::Sequence qseq = gen.protein(120, "Q");
   const auto query = score::Alphabet::protein().encode(qseq.residues);
 
-  // Short planted homolog inside longer decoys: length-sorting moves it,
+  // Short planted homolog after longer decoys: length-sorting moves it,
   // original index must survive.
-  seq::Database db = make_db(89, 40, 300.0);
-  const std::size_t planted = db.size();
-  db.add(seq::encode(
-      score::Alphabet::protein(),
-      seq::make_similar_subject(gen, qseq, {seq::Level::Hi, seq::Level::Hi})));
+  std::vector<seq::Sequence> seqs = make_seqs(89, 40, 300.0);
+  const std::size_t planted = seqs.size();
+  seqs.push_back(
+      seq::make_similar_subject(gen, qseq, {seq::Level::Hi, seq::Level::Hi}));
+  const seq::Database db(score::Alphabet::protein(), seqs);
 
   search::SearchOptions opt;
   opt.threads = 3;
@@ -297,28 +302,6 @@ TEST(BatchScheduler, EmptyBatchAndEmptyDatabase) {
 
   // A zero-length query is rejected (QueryContext's own check).
   EXPECT_THROW(engine.search_many({{}}, db), std::invalid_argument);
-}
-
-TEST(BatchScheduler, UnsortedDatabaseStaysUnsorted) {
-  const auto& m = score::ScoreMatrix::blosum62();
-  AlignConfig cfg;
-  cfg.pen = Penalties::symmetric(10, 2);
-
-  search::SearchOptions opt;
-  opt.threads = 2;
-  opt.sort_database = false;
-  seq::Database db = make_db(92, 20);
-  const auto queries = make_queries(93);
-
-  const auto got =
-      search::DatabaseSearch(m, cfg, opt).search_many(queries, db);
-  EXPECT_FALSE(db.permuted());
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    seq::Database db2 = db;
-    EXPECT_EQ(got[qi].scores,
-              test::serial_search(m, cfg, opt, queries[qi], db2).scores)
-        << "query " << qi;
-  }
 }
 
 // Workers share one QueryContext whose wider tiers are not built yet: when

@@ -100,29 +100,27 @@ TEST(FilterBoundaries, DegenerateSubjectsSurviveAndRescore) {
   cfg.pen = Penalties::symmetric(10, 2);
 
   const auto query = test::random_protein(rng, 150);
-  seq::Database db;
-  db.add(seq::EncodedSequence{"empty", {}});
-  db.add(seq::EncodedSequence{"one", test::random_protein(rng, 1)});
-  db.add(seq::EncodedSequence{"two", test::random_protein(rng, 2)});
+  std::vector<seq::EncodedSequence> seqs;
+  seqs.push_back({"empty", {}});
+  seqs.push_back({"one", test::random_protein(rng, 1)});
+  seqs.push_back({"two", test::random_protein(rng, 2)});
   // All-identical subject (homopolymer): its signature is a single bit.
-  db.add(seq::EncodedSequence{"homopoly",
-                              std::vector<std::uint8_t>(120, 7)});
-  db.add(seq::EncodedSequence{"self", query});
+  seqs.push_back({"homopoly", std::vector<std::uint8_t>(120, 7)});
+  seqs.push_back({"self", query});
   for (int i = 0; i < 20; ++i) {
-    db.add(seq::EncodedSequence{"bg" + std::to_string(i),
-                                test::random_protein(rng, 200)});
+    seqs.push_back({"bg" + std::to_string(i), test::random_protein(rng, 200)});
   }
+  const seq::Database db(seqs);
 
   search::SearchOptions exhaustive_opt;
   exhaustive_opt.threads = 1;
   search::SearchOptions filtered_opt = exhaustive_opt;
   filtered_opt.filter.mode = filter::FilterMode::On;
 
-  seq::Database db_e = db, db_f = db;
   const auto base =
-      search::DatabaseSearch(m, cfg, exhaustive_opt).search(query, db_e);
+      search::DatabaseSearch(m, cfg, exhaustive_opt).search(query, db);
   const auto res =
-      search::DatabaseSearch(m, cfg, filtered_opt).search(query, db_f);
+      search::DatabaseSearch(m, cfg, filtered_opt).search(query, db);
   ASSERT_TRUE(res.filtered);
   // The degenerate subjects (original indices 0..3) and the identical
   // copy (4) all survive with exhaustive-identical scores.
@@ -145,12 +143,12 @@ TEST(FilterBoundaries, AllGuardDatabaseDropsNothing) {
   cfg.pen = Penalties::symmetric(10, 2);
 
   const auto query = test::random_protein(rng, 100);
-  seq::Database db;
+  std::vector<seq::EncodedSequence> seqs;
   for (int i = 0; i < 12; ++i) {
-    db.add(seq::EncodedSequence{
-        "s" + std::to_string(i),
-        test::random_protein(rng, static_cast<std::size_t>(i))});
+    seqs.push_back({"s" + std::to_string(i),
+                    test::random_protein(rng, static_cast<std::size_t>(i))});
   }
+  const seq::Database db(seqs);
   search::SearchOptions opt;
   opt.threads = 1;
   opt.filter.mode = filter::FilterMode::On;

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sequential.h"
 #include "filter/signature.h"
 #include "obs/metrics.h"
 #include "score/matrices.h"
@@ -31,11 +32,11 @@ AlignConfig local_config() {
 }
 
 seq::Database encoded_db(const std::vector<std::vector<std::uint8_t>>& seqs) {
-  seq::Database db;
+  std::vector<seq::EncodedSequence> named;
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    db.add(seq::EncodedSequence{"s" + std::to_string(i), seqs[i]});
+    named.push_back({"s" + std::to_string(i), seqs[i]});
   }
-  return db;
+  return seq::Database(named);
 }
 
 // A background database with `homologs` mutated copies of `query` planted
@@ -138,14 +139,15 @@ TEST(Filter, IndexValidatesParams) {
 
 TEST(Filter, IndexFingerprintMatches) {
   std::mt19937_64 rng(2);
-  seq::Database db = encoded_db(
-      {test::random_protein(rng, 80), test::random_protein(rng, 120)});
+  const auto a = test::random_protein(rng, 80);
+  const auto b = test::random_protein(rng, 120);
+  const seq::Database db = encoded_db({a, b});
   const filter::SignatureIndex idx(db);
   EXPECT_TRUE(idx.matches(db));
-  seq::Database other = encoded_db({test::random_protein(rng, 80)});
+  const seq::Database other = encoded_db({test::random_protein(rng, 80)});
   EXPECT_FALSE(idx.matches(other));
-  db.add(seq::EncodedSequence{"extra", test::random_protein(rng, 64)});
-  EXPECT_FALSE(idx.matches(db));
+  EXPECT_FALSE(
+      idx.matches(encoded_db({a, b, test::random_protein(rng, 64)})));
 }
 
 TEST(Filter, ShortQueryAutoPassesEverything) {
@@ -325,7 +327,6 @@ TEST(Filter, PrebuiltIndexSkipsRebuild) {
   const auto query = test::random_protein(rng, 200);
   seq::Database db =
       encoded_db(planted_workload(rng, query, 120, 4, 0.2, 0.02));
-  db.sort_by_length_desc();  // index the storage order searches will see
 
   search::SearchOptions opt = search_options(filter::FilterMode::On);
   opt.filter.index = std::make_shared<filter::SignatureIndex>(db);
@@ -342,6 +343,34 @@ TEST(Filter, PrebuiltIndexSkipsRebuild) {
   const search::DatabaseSearch rebuilding(matrix, local_config(), opt);
   rebuilding.search(query, db);
   EXPECT_EQ(builds.value(), before + (obs::metrics_enabled() ? 1 : 0));
+}
+
+// An index the caller builds before searching describes the database's
+// stored order, so its masks land on the subjects they were built for: a
+// short homolog put first stays the top hit after the longer decoys are
+// stored ahead of it.
+TEST(Filter, PrebuiltIndexFollowsStoredOrder) {
+  const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
+  std::mt19937_64 rng(9);
+  const auto query = test::random_protein(rng, 150);
+  std::vector<std::vector<std::uint8_t>> seqs = {
+      test::mutate(rng, query, 0.1, 0.0)};
+  std::uniform_int_distribution<std::size_t> len(200, 400);
+  for (int i = 0; i < 300; ++i) {
+    seqs.push_back(test::random_protein(rng, len(rng)));
+  }
+  const seq::Database db = encoded_db(seqs);
+  ASSERT_TRUE(db.permuted());
+
+  search::SearchOptions opt = search_options(filter::FilterMode::On);
+  opt.filter.index = std::make_shared<filter::SignatureIndex>(db);
+  const search::SearchResult res =
+      search::DatabaseSearch(matrix, local_config(), opt).search(query, db);
+  ASSERT_TRUE(res.filtered);
+  ASSERT_FALSE(res.top.empty());
+  EXPECT_EQ(res.top[0].index, 0u);
+  EXPECT_EQ(res.top[0].score, core::align_sequential(matrix, local_config(),
+                                                     query, seqs[0]));
 }
 
 TEST(Filter, BatchedAndSerialAgreeWithFilter) {

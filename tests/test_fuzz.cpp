@@ -184,12 +184,11 @@ TEST(Fuzz, DifferentialSearchHarness) {
     const auto query =
         test::random_protein(rng, static_cast<std::size_t>(qlen_d(rng)));
 
-    seq::Database db;
-    int n = 0;
+    std::vector<seq::EncodedSequence> seqs;
     auto add = [&](std::vector<std::uint8_t> s) {
       char id[32];
-      std::snprintf(id, sizeof(id), "s%d", n++);
-      db.add(seq::EncodedSequence{id, std::move(s)});
+      std::snprintf(id, sizeof(id), "s%zu", seqs.size());
+      seqs.push_back({id, std::move(s)});
     };
     // Stride boundaries: one below, at, and above each power-of-two lane
     // granularity up to 128.
@@ -202,10 +201,11 @@ TEST(Fuzz, DifferentialSearchHarness) {
       add(test::random_protein(rng, static_cast<std::size_t>(slen_d(rng))));
     }
     add(test::mutate(rng, query, 0.1, 0.02));  // saturates int8 lanes
+    const seq::Database db(seqs);
 
     std::vector<long> oracle(db.size());
     for (std::size_t i = 0; i < db.size(); ++i) {
-      oracle[i] = core::align_sequential(m, cfg, query, db[i].view());
+      oracle[i] = core::align_sequential(m, cfg, query, seqs[i].data);
     }
 
     // Intra-sequence engine: every ISA x adaptive start width (skipping
@@ -234,7 +234,7 @@ TEST(Fuzz, DifferentialSearchHarness) {
           ASSERT_EQ(res.scores[i], oracle[i])
               << "round " << round << " intra isa=" << simd::isa_name(isa)
               << " width=" << static_cast<int>(width) << " subject " << i
-              << " len " << db[i].size();
+              << " len " << seqs[i].size();
         }
       }
     }
@@ -256,7 +256,7 @@ TEST(Fuzz, DifferentialSearchHarness) {
           ASSERT_EQ(res.scores[i], oracle[i])
               << "round " << round << " inter isa=" << simd::isa_name(isa)
               << " start=" << static_cast<int>(start) << " subject " << i
-              << " len " << db[i].size();
+              << " len " << seqs[i].size();
         }
       }
     }
@@ -396,12 +396,11 @@ TEST(Fuzz, FilterRecallDifferential) {
     const auto query =
         test::random_protein(rng, static_cast<std::size_t>(qlen_d(rng)));
 
-    seq::Database db;
-    int n = 0;
+    std::vector<seq::EncodedSequence> seqs;
     auto add = [&](std::vector<std::uint8_t> s) {
       char id[32];
-      std::snprintf(id, sizeof(id), "s%d", n++);
-      db.add(seq::EncodedSequence{id, std::move(s)});
+      std::snprintf(id, sizeof(id), "s%zu", seqs.size());
+      seqs.push_back({id, std::move(s)});
     };
     // Planted homologs first (original indices 0..kTopK-1): identity
     // bands from near-identical down to the calibration edge.
@@ -417,6 +416,7 @@ TEST(Fuzz, FilterRecallDifferential) {
     for (int i = 0; i < 80; ++i) {
       add(test::random_protein(rng, static_cast<std::size_t>(slen_d(rng))));
     }
+    const seq::Database db(seqs);
 
     for (simd::IsaKind isa : isas) {
       for (ScoreWidth width : {ScoreWidth::Auto, ScoreWidth::W32}) {

@@ -87,14 +87,13 @@ inline std::vector<Penalties> test_penalties() {
 // at a time, then the library's remap and top-k selection. It shares no
 // scheduling code with search::BatchScheduler (no tiles, pool, profile
 // cache or dedup), so the executor is checked against plain per-subject
-// alignment. Honors sort_database, top_k and keep_all_scores; the filter
-// and the timing/stat fields are not modelled.
+// alignment. Honors top_k and keep_all_scores; the filter and the
+// timing/stat fields are not modelled.
 inline search::SearchResult serial_search(const score::ScoreMatrix& matrix,
                                           const AlignConfig& cfg,
                                           const search::SearchOptions& opt,
                                           std::span<const std::uint8_t> query,
-                                          seq::Database& db) {
-  if (opt.sort_database) db.sort_by_length_desc();
+                                          const seq::Database& db) {
   const core::QueryContext ctx(matrix, cfg, opt.query, query);
   core::WorkspaceSet ws;
   std::vector<long> scores(db.size());

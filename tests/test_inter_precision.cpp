@@ -95,11 +95,13 @@ TEST_P(InterPrecisionTest, Int8OverflowRequeuesToWiderTiers) {
   const std::uint8_t hot = best_diagonal_residue(m);
   query.insert(query.end(), 60, hot);
 
-  seq::Database db(score::Alphabet::protein(),
-                   gen.protein_database(30, 90.0, 0.7, 20, 160));
-  db.add(seq::EncodedSequence{"homolog", query});
-  db.add(seq::EncodedSequence{"half-homolog",
-                              {query.begin() + 20, query.end()}});
+  std::vector<seq::EncodedSequence> seqs;
+  for (const seq::Sequence& s : gen.protein_database(30, 90.0, 0.7, 20, 160)) {
+    seqs.push_back(seq::encode(score::Alphabet::protein(), s));
+  }
+  seqs.push_back({"homolog", query});
+  seqs.push_back({"half-homolog", {query.begin() + 20, query.end()}});
+  const seq::Database db(seqs);
 
   search::SearchOptions opt;
   opt.threads = 2;
@@ -149,9 +151,8 @@ TEST_P(InterPrecisionTest, Int16OverflowFallsThroughToInt32) {
   const std::vector<std::uint8_t> query(3100, hot);
 
   std::mt19937_64 rng(74);
-  seq::Database db;
-  db.add(seq::EncodedSequence{"giant", query});
-  db.add(seq::EncodedSequence{"noise", test::random_protein(rng, 120)});
+  const seq::Database db(std::vector<seq::EncodedSequence>{
+      {"giant", query}, {"noise", test::random_protein(rng, 120)}});
 
   search::SearchOptions opt;
   opt.threads = 1;

@@ -41,12 +41,11 @@ TEST_P(InterSequence, MatchesOracleOnMixedLengthDatabase) {
 
   // Deliberately awkward database size (not a lane multiple) with wildly
   // mixed lengths and one strong homolog.
-  seq::Database db(score::Alphabet::protein(),
-                   gen.protein_database(45, 80.0, 0.8, 5, 700));
-  db.add(seq::encode(
-      score::Alphabet::protein(),
-      seq::make_similar_subject(gen, qseq,
-                                {seq::Level::Hi, seq::Level::Hi})));
+  std::vector<seq::Sequence> seqs =
+      gen.protein_database(45, 80.0, 0.8, 5, 700);
+  seqs.push_back(
+      seq::make_similar_subject(gen, qseq, {seq::Level::Hi, seq::Level::Hi}));
+  const seq::Database db(score::Alphabet::protein(), seqs);
 
   search::InterSequenceSearch inter(m, pen, inter_opt(isa, 2));
   const search::SearchResult res = inter.search(query, db);
@@ -71,8 +70,8 @@ TEST_P(InterSequence, SingleSubjectBatch) {
   std::mt19937_64 rng(62);
   const auto query = test::random_protein(rng, 70);
 
-  seq::Database db;
-  db.add(seq::EncodedSequence{"only", test::random_protein(rng, 33)});
+  const seq::Database db(std::vector<seq::EncodedSequence>{
+      {"only", test::random_protein(rng, 33)}});
 
   search::InterSequenceSearch inter(m, pen, inter_opt(isa, 1));
   const auto res = inter.search(query, db);
@@ -152,14 +151,13 @@ TEST_P(InterSequence, AsymmetricMatrixMatchesOracleAtEveryStartWidth) {
   seq::SequenceGenerator gen(83);
   const seq::Sequence qseq = gen.protein(150, "Q");
   const auto query = score::Alphabet::protein().encode(qseq.residues);
-  seq::Database db(score::Alphabet::protein(),
-                   gen.protein_database(70, 120.0, 0.8, 5, 600));
+  std::vector<seq::Sequence> seqs =
+      gen.protein_database(70, 120.0, 0.8, 5, 600);
   for (int i = 0; i < 3; ++i) {
-    db.add(seq::encode(
-        score::Alphabet::protein(),
-        seq::make_similar_subject(gen, qseq,
-                                  {seq::Level::Hi, seq::Level::Hi})));
+    seqs.push_back(seq::make_similar_subject(
+        gen, qseq, {seq::Level::Hi, seq::Level::Hi}));
   }
+  const seq::Database db(score::Alphabet::protein(), seqs);
   std::vector<long> expect(db.size());
   for (std::size_t i = 0; i < db.size(); ++i) {
     expect[i] =

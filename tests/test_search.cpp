@@ -21,11 +21,16 @@ using namespace aalign;
 
 namespace {
 
+std::vector<seq::Sequence> make_seqs(std::uint64_t seed, std::size_t count,
+                                     double median_len = 120.0) {
+  seq::SequenceGenerator gen(seed);
+  return gen.protein_database(count, median_len, 0.5, 20, 600);
+}
+
 seq::Database make_db(std::uint64_t seed, std::size_t count,
                       double median_len = 120.0) {
-  seq::SequenceGenerator gen(seed);
   return seq::Database(score::Alphabet::protein(),
-                       gen.protein_database(count, median_len, 0.5, 20, 600));
+                       make_seqs(seed, count, median_len));
 }
 
 TEST(DatabaseSearch, MatchesSerialOracle) {
@@ -38,19 +43,18 @@ TEST(DatabaseSearch, MatchesSerialOracle) {
   const auto query =
       score::Alphabet::protein().encode(gen.protein(150).residues);
 
-  seq::Database db = make_db(22, 120);
+  std::vector<seq::Sequence> seqs = make_seqs(22, 120);
   // Plant two strong hits.
   {
     seq::SequenceGenerator g2(23);
     seq::Sequence q;
     q.residues = score::Alphabet::protein().decode(query);
-    const auto hit1 = seq::make_similar_subject(
-        g2, q, {seq::Level::Hi, seq::Level::Hi});
-    const auto hit2 = seq::make_similar_subject(
-        g2, q, {seq::Level::Md, seq::Level::Hi});
-    db.add(seq::encode(score::Alphabet::protein(), hit1));
-    db.add(seq::encode(score::Alphabet::protein(), hit2));
+    seqs.push_back(seq::make_similar_subject(
+        g2, q, {seq::Level::Hi, seq::Level::Hi}));
+    seqs.push_back(seq::make_similar_subject(
+        g2, q, {seq::Level::Md, seq::Level::Hi}));
   }
+  const seq::Database db(score::Alphabet::protein(), seqs);
 
   search::SearchOptions opt;
   opt.threads = 4;
@@ -59,8 +63,8 @@ TEST(DatabaseSearch, MatchesSerialOracle) {
   const search::SearchResult res = search.search(query, db);
 
   ASSERT_EQ(res.scores.size(), db.size());
-  // scores are indexed by ORIGINAL database position even though the
-  // search length-sorted db in place.
+  // scores are indexed by ORIGINAL database position even though db
+  // stores its subjects longest first.
   for (std::size_t i = 0; i < db.size(); ++i) {
     EXPECT_EQ(res.scores[i],
               core::align_sequential(m, cfg, query, db.by_original(i).view()))
@@ -89,10 +93,10 @@ TEST(DatabaseSearch, ReportsSaturatedSubjects) {
   seq::SequenceGenerator gen(91);
   const seq::Sequence q = gen.protein(150);
   const auto query = score::Alphabet::protein().encode(q.residues);
-  seq::Database db = make_db(92, 60);
-  const auto homolog =
-      seq::make_similar_subject(gen, q, {seq::Level::Hi, seq::Level::Hi});
-  db.add(seq::encode(score::Alphabet::protein(), homolog));
+  std::vector<seq::Sequence> seqs = make_seqs(92, 60);
+  seqs.push_back(
+      seq::make_similar_subject(gen, q, {seq::Level::Hi, seq::Level::Hi}));
+  const seq::Database db(score::Alphabet::protein(), seqs);
   const long homolog_score = core::align_sequential(
       m, cfg, query, db.by_original(db.size() - 1).view());
   ASSERT_GT(homolog_score, std::numeric_limits<std::int8_t>::max());
@@ -247,6 +251,47 @@ TEST(DatabaseSearch, ConcurrentCallsOnSharedInstanceMatchOracle) {
   }
 }
 
+// Searches only read the database, so two threads may search one
+// FASTA-built database at once (the stress label runs this under TSan).
+TEST(DatabaseSearch, ConcurrentSearchesShareOneDatabase) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  AlignConfig cfg;
+  cfg.kind = AlignKind::Local;
+  cfg.pen = Penalties::symmetric(10, 2);
+
+  seq::SequenceGenerator gen(85);
+  std::vector<std::vector<std::uint8_t>> queries;
+  for (std::size_t len : {90, 140}) {
+    queries.push_back(
+        score::Alphabet::protein().encode(gen.protein(len).residues));
+  }
+  const seq::Database db = make_db(86, 60);
+  ASSERT_TRUE(db.permuted());
+
+  search::SearchOptions opt;
+  opt.threads = 2;
+  opt.top_k = 4;
+  const search::DatabaseSearch engine(m, cfg, opt);
+  std::vector<search::SearchResult> got(queries.size());
+  std::vector<std::thread> callers;
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    callers.emplace_back(
+        [&, qi] { got[qi] = engine.search(queries[qi], db); });
+  }
+  for (std::thread& t : callers) t.join();
+
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const search::SearchResult ref =
+        test::serial_search(m, cfg, opt, queries[qi], db);
+    EXPECT_EQ(got[qi].scores, ref.scores) << "query " << qi;
+    ASSERT_EQ(got[qi].top.size(), ref.top.size()) << "query " << qi;
+    for (std::size_t k = 0; k < ref.top.size(); ++k) {
+      EXPECT_EQ(got[qi].top[k].index, ref.top[k].index) << "query " << qi;
+      EXPECT_EQ(got[qi].top[k].score, ref.top[k].score) << "query " << qi;
+    }
+  }
+}
+
 // The two Fig. 11 comparators are DatabaseSearch configurations
 // (bench/fig11_database_tools.cpp): SWPS3 is char->short striped-iterate on
 // SSE4.1 (the Auto ladder), SWAPHI is int32 striped-iterate on the 512-bit
@@ -266,22 +311,21 @@ TEST(Baselines, Swps3AndSwaphiMatchOracleScores) {
   const auto query = score::Alphabet::protein().encode(qseq.residues + tail);
 
   // A near-identical subject of the head forces the 8->16 promotion.
-  seq::Database db = make_db(52, 50);
-  db.add(seq::EncodedSequence{"giant",
-                              score::Alphabet::protein().encode(tail)});
+  std::vector<seq::Sequence> seqs = make_seqs(52, 50);
+  seqs.push_back({"giant", tail});
   {
     seq::SequenceGenerator g2(53);
-    db.add(seq::encode(
-        score::Alphabet::protein(),
-        seq::make_similar_subject(g2, qseq,
-                                  {seq::Level::Hi, seq::Level::Hi})));
+    seqs.push_back(seq::make_similar_subject(
+        g2, qseq, {seq::Level::Hi, seq::Level::Hi}));
   }
+  const seq::Database db(score::Alphabet::protein(), seqs);
   const std::size_t giant = db.size() - 2;
   const std::size_t homolog = db.size() - 1;
 
   std::vector<long> oracle;
   for (std::size_t i = 0; i < db.size(); ++i) {
-    oracle.push_back(core::align_sequential(m, cfg, query, db[i].view()));
+    oracle.push_back(
+        core::align_sequential(m, cfg, query, db.by_original(i).view()));
   }
   ASSERT_GT(oracle[giant], std::numeric_limits<std::int16_t>::max());
 
@@ -297,7 +341,7 @@ TEST(Baselines, Swps3AndSwaphiMatchOracleScores) {
     SCOPED_TRACE(simd::isa_name(opt.query.isa));
     seq::Database dbc = db;
     const auto res = search::DatabaseSearch(m, cfg, opt).search(query, dbc);
-    // Original-indexed despite the length sort.
+    // Original-indexed despite the longest-first storage.
     EXPECT_EQ(res.scores, oracle);
     // The giant ranks first, the planted homolog right after it.
     EXPECT_EQ(res.top.size(), opt.top_k);

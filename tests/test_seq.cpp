@@ -242,18 +242,31 @@ TEST(PairGen, LowIdentityIsDissimilar) {
   EXPECT_LT(st.max_identity, 0.5);
 }
 
+// Building stores the sequences longest first; equal lengths keep their
+// input order, and every stored position maps back to its input.
 TEST(Database, SortAndTotals) {
   SequenceGenerator gen(3);
-  Database db(score::Alphabet::protein(), gen.protein_database(50, 100));
-  const std::size_t total = db.total_residues();
-  EXPECT_GT(total, 0u);
-  db.sort_by_length_desc();
+  std::vector<Sequence> seqs = gen.protein_database(50, 100);
+  seqs.push_back(seqs[7]);  // a length tie, input order 7 then 50
+  const Database db(score::Alphabet::protein(), seqs);
+  ASSERT_EQ(db.size(), seqs.size());
+  std::size_t total = 0;
+  for (const Sequence& s : seqs) total += s.size();
+  EXPECT_EQ(db.total_residues(), total);
   for (std::size_t i = 1; i < db.size(); ++i) {
     EXPECT_GE(db[i - 1].size(), db[i].size());
+    if (db[i - 1].size() == db[i].size()) {
+      EXPECT_LT(db.original_index(i - 1), db.original_index(i));
+    }
   }
-  std::size_t sum = 0;
-  for (const auto& s : db) sum += s.size();
-  EXPECT_EQ(sum, total);
+  for (std::size_t pos = 0; pos < db.size(); ++pos) {
+    const Sequence& in = seqs[db.original_index(pos)];
+    EXPECT_EQ(db[pos].id, in.id);
+    EXPECT_EQ(score::Alphabet::protein().decode(db[pos].view()),
+              in.residues);
+    EXPECT_EQ(db.position_of(db.original_index(pos)), pos);
+  }
+  EXPECT_LT(db.position_of(7), db.position_of(50));
 }
 
 }  // namespace

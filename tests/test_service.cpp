@@ -29,11 +29,16 @@ using service::WireResponse;
 
 namespace {
 
+std::vector<seq::Sequence> make_seqs(std::uint64_t seed, std::size_t count,
+                                     double median_len = 120.0) {
+  seq::SequenceGenerator gen(seed);
+  return gen.protein_database(count, median_len, 0.5, 30, 400);
+}
+
 seq::Database make_db(std::uint64_t seed, std::size_t count,
                       double median_len = 120.0) {
-  seq::SequenceGenerator gen(seed);
   return seq::Database(score::Alphabet::protein(),
-                       gen.protein_database(count, median_len, 0.5, 30, 400));
+                       make_seqs(seed, count, median_len));
 }
 
 std::vector<std::string> make_queries(std::uint64_t seed, std::size_t n,
@@ -489,9 +494,9 @@ TEST(Service, ExactUnderLoad) {
   // the int8 rail, so a clipped answer cannot pass for the exact one.
   const auto queries = make_queries(162, 1, 120);
   auto make_loaded_db = [&] {
-    seq::Database db = make_db(161, 600, 250.0);
-    db.add(seq::encode(m.alphabet(), seq::Sequence{"planted", queries[0]}));
-    return db;
+    std::vector<seq::Sequence> seqs = make_seqs(161, 600, 250.0);
+    seqs.push_back({"planted", queries[0]});
+    return seq::Database(m.alphabet(), seqs);
   };
   const std::size_t top_k = 5;
   const auto want =

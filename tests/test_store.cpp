@@ -59,16 +59,10 @@ std::vector<seq::EncodedSequence> make_workload(std::uint64_t seed,
   return out;
 }
 
-seq::Database to_database(const std::vector<seq::EncodedSequence>& seqs) {
-  seq::Database db;
-  for (const auto& s : seqs) db.add(s);
-  return db;
-}
-
 // RAII temp index file: built once, deleted at scope exit.
 class TempIndex {
  public:
-  TempIndex(seq::Database& db, const score::ScoreMatrix& matrix,
+  TempIndex(const seq::Database& db, const score::ScoreMatrix& matrix,
             store::BuildParams params = {}) {
     path_ = ::testing::TempDir() + "store_test_" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".aidx";
@@ -106,11 +100,10 @@ void expect_same_database(const seq::Database& a, const seq::Database& b) {
 TEST(Store, RoundTripPreservesDatabase) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(11, 60, 4);
-  seq::Database fasta_db = to_database(seqs);
-  seq::Database build_db = to_database(seqs);
+  const seq::Database fasta_db(seqs);
+  const seq::Database build_db(seqs);
   TempIndex tmp(build_db, matrix);
 
-  fasta_db.sort_by_length_desc();  // what the search layer would do
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
   const seq::Database mapped = idx.database();
   expect_same_database(fasta_db, mapped);
@@ -130,8 +123,8 @@ TEST(Store, RoundTripPreservesDatabase) {
 TEST(Store, RoundTripPreservesSignatures) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(12, 40, 2);
-  seq::Database db = to_database(seqs);
-  TempIndex tmp(db, matrix);  // sorts db in place
+  const seq::Database db(seqs);
+  TempIndex tmp(db, matrix);
 
   const filter::SignatureIndex fresh(db);
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
@@ -152,7 +145,7 @@ TEST(Store, RoundTripPreservesSignatures) {
 TEST(Store, ProfileLutsMatchMatrix) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(13, 10, 0);
-  seq::Database db = to_database(seqs);
+  const seq::Database db(seqs);
   TempIndex tmp(db, matrix);
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
 
@@ -181,8 +174,8 @@ TEST(Store, ProfileLutsMatchMatrix) {
 TEST(Store, RebuildsAreByteIdentical) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(14, 50, 3);
-  seq::Database db1 = to_database(seqs);
-  seq::Database db2 = to_database(seqs);
+  const seq::Database db1(seqs);
+  const seq::Database db2(seqs);
   const auto bytes1 = store::build_index_bytes(db1, matrix);
   const auto bytes2 = store::build_index_bytes(db2, matrix);
   EXPECT_EQ(bytes1, bytes2);
@@ -190,7 +183,7 @@ TEST(Store, RebuildsAreByteIdentical) {
   // And the fingerprint moves when the input does.
   auto changed = seqs;
   changed.front().data.push_back(3);
-  seq::Database db3 = to_database(changed);
+  const seq::Database db3(changed);
   const auto bytes3 = store::build_index_bytes(db3, matrix);
   EXPECT_NE(bytes1, bytes3);
 }
@@ -203,7 +196,7 @@ TEST(Store, RebuildsAreByteIdentical) {
 TEST(Store, MmapSearchBitIdenticalToFastaPath) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(15, 80, 6);
-  seq::Database build_db = to_database(seqs);
+  const seq::Database build_db(seqs);
   TempIndex tmp(build_db, matrix);
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
 
@@ -227,7 +220,7 @@ TEST(Store, MmapSearchBitIdenticalToFastaPath) {
       opt.filter.mode = mode;
 
       // FASTA path: parse-order database, search sorts + indexes itself.
-      seq::Database fasta_db = to_database(seqs);
+      const seq::Database fasta_db(seqs);
       const search::DatabaseSearch fasta_engine(matrix, local_config(), opt);
 
       // mmap path: stored order + prebuilt signatures.
@@ -270,7 +263,7 @@ TEST(Store, PrebuiltIndexCountsReuseNotBuild) {
   if (!obs::metrics_enabled()) GTEST_SKIP() << "metrics compiled out";
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(16, 50, 3);
-  seq::Database db = to_database(seqs);
+  const seq::Database db(seqs);
   TempIndex tmp(db, matrix);
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
   seq::Database mapped = idx.database();
@@ -301,7 +294,7 @@ class StoreCorruption : public ::testing::Test {
   void SetUp() override {
     const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
     const auto seqs = make_workload(17, 40, 2);
-    seq::Database db = to_database(seqs);
+    const seq::Database db(seqs);
     bytes_ = store::build_index_bytes(db, matrix);
     // Unique per process AND fixture instance: ctest runs each case as
     // its own concurrent process, so a shared name would race (and the
@@ -333,6 +326,32 @@ class StoreCorruption : public ::testing::Test {
     auto m = bytes_;
     m[offset] ^= static_cast<std::uint8_t>(1 << bit);
     return m;
+  }
+
+  static std::size_t section_at(store::SectionKind kind) {
+    return sizeof(store::Header) +
+           (static_cast<std::size_t>(kind) - 1) * sizeof(store::SectionEntry);
+  }
+
+  static store::SectionEntry section(const std::vector<std::uint8_t>& m,
+                                     store::SectionKind kind) {
+    store::SectionEntry e;
+    std::memcpy(&e, m.data() + section_at(kind), sizeof e);
+    return e;
+  }
+
+  // Recomputes section `kind`'s checksum, then the header checksum, so an
+  // edited section passes every checksum and reaches the layout checks.
+  static void reseal(std::vector<std::uint8_t>& m, store::SectionKind kind) {
+    store::SectionEntry e = section(m, kind);
+    e.checksum = store::checksum(m.data() + e.offset, e.bytes);
+    std::memcpy(m.data() + section_at(kind), &e, sizeof e);
+    store::Header hdr{};
+    std::memcpy(&hdr, m.data(), sizeof hdr);
+    hdr.header_checksum = 0;
+    std::memcpy(m.data(), &hdr, sizeof hdr);
+    hdr.header_checksum = store::checksum(m.data(), hdr.header_bytes);
+    std::memcpy(m.data(), &hdr, sizeof hdr);
   }
 
   std::vector<std::uint8_t> bytes_;
@@ -424,6 +443,37 @@ TEST_F(StoreCorruption, NewerFormatVersionRejected) {
   }
 }
 
+// The stored order is the order the signatures were built in, so a
+// sequence directory that is not longest first is a layout defect even
+// with every checksum intact.
+TEST_F(StoreCorruption, UnsortedSeqDirRejected) {
+  auto m = bytes_;
+  store::Header hdr{};
+  std::memcpy(&hdr, m.data(), sizeof hdr);
+  const store::SectionEntry dir = section(m, store::SectionKind::SeqDir);
+  const std::size_t last =
+      dir.offset + (hdr.seq_count - 1) * sizeof(store::SeqEntry);
+  store::SeqEntry first_entry, last_entry;
+  std::memcpy(&first_entry, m.data() + dir.offset, sizeof first_entry);
+  std::memcpy(&last_entry, m.data() + last, sizeof last_entry);
+  ASSERT_GT(first_entry.length, last_entry.length);
+  std::memcpy(m.data() + dir.offset, &last_entry, sizeof last_entry);
+  std::memcpy(m.data() + last, &first_entry, sizeof first_entry);
+  reseal(m, store::SectionKind::SeqDir);
+  EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
+}
+
+// A Permutation section that names one original index twice.
+TEST_F(StoreCorruption, DuplicatePermutationEntryRejected) {
+  auto m = bytes_;
+  const store::SectionEntry perm =
+      section(m, store::SectionKind::Permutation);
+  std::memcpy(m.data() + perm.offset + sizeof(std::uint64_t),
+              m.data() + perm.offset, sizeof(std::uint64_t));
+  reseal(m, store::SectionKind::Permutation);
+  EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
+}
+
 // Open hashes the signature sections a window at a time and releases each
 // window's pages once hashed; that must defer no check. A database large
 // enough that SigBlob spans several 1 MiB windows: a flip at its first,
@@ -431,21 +481,16 @@ TEST_F(StoreCorruption, NewerFormatVersionRejected) {
 // is rejected by a Directory open.
 TEST_F(StoreCorruption, SignatureSectionFlipsRejectedAtOpen) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
-  seq::Database db = to_database(make_workload(19, 9000, 0, 8, 24));
+  const seq::Database db(make_workload(19, 9000, 0, 8, 24));
   bytes_ = store::build_index_bytes(db, matrix);
 
-  const auto section = [this](store::SectionKind kind) {
-    store::SectionEntry e;
-    std::memcpy(&e,
-                bytes_.data() + sizeof(store::Header) +
-                    (static_cast<std::size_t>(kind) - 1) * sizeof e,
-                sizeof e);
-    return e;
-  };
-  const store::SectionEntry blob = section(store::SectionKind::SigBlob);
+  const store::SectionEntry blob =
+      section(bytes_, store::SectionKind::SigBlob);
   ASSERT_GT(blob.bytes, std::uint64_t{2} << 20);  // at least three windows
-  const store::SectionEntry pops = section(store::SectionKind::SigPopcounts);
-  const store::SectionEntry lens = section(store::SectionKind::SigLengths);
+  const store::SectionEntry pops =
+      section(bytes_, store::SectionKind::SigPopcounts);
+  const store::SectionEntry lens =
+      section(bytes_, store::SectionKind::SigLengths);
 
   // The pristine file opens, and the released pages read back unchanged.
   write_file(path_, bytes_);
@@ -475,17 +520,9 @@ TEST_F(StoreCorruption, SignatureSectionFlipsRejectedAtOpen) {
 // single-bit flip at each of them, so all four lanes in both halves of a
 // 64-byte line, is rejected by a Directory open.
 TEST_F(StoreCorruption, EveryChecksumLaneGuardsItsSection) {
-  const auto section = [this](store::SectionKind kind) {
-    store::SectionEntry e;
-    std::memcpy(&e,
-                bytes_.data() + sizeof(store::Header) +
-                    (static_cast<std::size_t>(kind) - 1) * sizeof e,
-                sizeof e);
-    return e;
-  };
   for (const store::SectionKind kind :
        {store::SectionKind::SeqDir, store::SectionKind::SigBlob}) {
-    const store::SectionEntry e = section(kind);
+    const store::SectionEntry e = section(bytes_, kind);
     ASSERT_GE(e.bytes, 64u);
     for (std::size_t off = 0; off < 64; ++off) {
       EXPECT_EQ(open_expecting_error(flipped(e.offset + off, int(off % 8)),
@@ -632,7 +669,6 @@ TEST(StoreRecords, MatchTheFastaParsedDatabase) {
   seq::Database build_db(matrix.alphabet(), parsed);
   TempIndex tmp(build_db, matrix);
   seq::Database fasta_db(matrix.alphabet(), parsed);
-  fasta_db.sort_by_length_desc();
 
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
   const seq::Database mapped = idx.database();
@@ -651,7 +687,6 @@ TEST(StoreRecords, DatabaseOutlivesItsIndex) {
   seq::Database build_db(matrix.alphabet(), parsed);
   TempIndex tmp(build_db, matrix);
   seq::Database fasta_db(matrix.alphabet(), parsed);
-  fasta_db.sort_by_length_desc();
 
   seq::Database mapped;
   {
@@ -684,7 +719,7 @@ TEST(StoreEdge, EmptyDatabaseRoundTrips) {
 TEST(StoreEdge, SingleSequencePerShard) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(18, 7, 0);
-  seq::Database db = to_database(seqs);
+  const seq::Database db(seqs);
   store::BuildParams params;
   params.shard_target_residues = 1;  // every sequence overflows the budget
   TempIndex tmp(db, matrix, params);
@@ -705,13 +740,13 @@ TEST(StoreEdge, ShardBoundaryExactlyAtPageSize) {
   // split a sequence nor leak one across the budget.
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   std::mt19937_64 rng(19);
-  seq::Database db;
+  std::vector<seq::EncodedSequence> seqs;
   for (int i = 0; i < 64; ++i) {
-    db.add({"pg" + std::to_string(i), test::random_protein(rng, 64)});
+    seqs.push_back({"pg" + std::to_string(i), test::random_protein(rng, 64)});
   }
   store::BuildParams params;
   params.shard_target_residues = 4096;
-  TempIndex tmp(db, matrix, params);
+  TempIndex tmp(seq::Database(seqs), matrix, params);
   const store::MappedIndex idx =
       store::MappedIndex::open(tmp.path(), store::Verify::Full);
   ASSERT_EQ(idx.header().shard_count, 1u);  // 64 * 64 == 4096 fits exactly
@@ -720,8 +755,8 @@ TEST(StoreEdge, ShardBoundaryExactlyAtPageSize) {
   EXPECT_EQ(sh.blob_bytes, 4096u);  // exactly one page of residues
 
   // One residue more than the budget: the 65th sequence starts shard 2.
-  db.add({"pg64", test::random_protein(rng, 64)});
-  TempIndex tmp2(db, matrix, params);
+  seqs.push_back({"pg64", test::random_protein(rng, 64)});
+  TempIndex tmp2(seq::Database(seqs), matrix, params);
   const store::MappedIndex idx2 =
       store::MappedIndex::open(tmp2.path(), store::Verify::Full);
   EXPECT_EQ(idx2.header().shard_count, 2u);
@@ -732,7 +767,7 @@ TEST(StoreEdge, ShardBoundaryExactlyAtPageSize) {
 TEST(StoreEdge, TwoDatabasesShareOneMapping) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(20, 30, 2);
-  seq::Database db = to_database(seqs);
+  const seq::Database db(seqs);
   TempIndex tmp(db, matrix);
 
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
@@ -764,36 +799,35 @@ TEST(StoreEdge, TwoDatabasesShareOneMapping) {
   }
 }
 
-TEST(StoreEdge, SortingAMappedDatabaseIsANoOp) {
-  const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
-  const auto seqs = make_workload(22, 25, 1);
-  seq::Database db = to_database(seqs);
-  TempIndex tmp(db, matrix);
-  const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
-  seq::Database mapped = idx.database();
-  std::vector<const std::uint8_t*> ptrs;
-  for (std::size_t i = 0; i < mapped.size(); ++i) {
-    ptrs.push_back(mapped[i].view().data());
-  }
-  mapped.sort_by_length_desc();  // already length-sorted: must not move
-  for (std::size_t i = 0; i < mapped.size(); ++i) {
-    EXPECT_EQ(mapped[i].view().data(), ptrs[i]) << "position " << i;
-    EXPECT_EQ(mapped.original_index(i), db.original_index(i));
-  }
-}
-
-TEST(StoreEdge, AdoptPermutationValidates) {
-  seq::Database db;
+// The records constructor (the store's) checks what it is handed: a
+// permutation of every position, records already longest first. An
+// identity permutation folds back to the unpermuted state.
+TEST(StoreEdge, RecordsConstructorValidates) {
   std::mt19937_64 rng(23);
-  for (int i = 0; i < 4; ++i) {
-    db.add({"s" + std::to_string(i), test::random_protein(rng, 10)});
-  }
-  EXPECT_THROW(db.adopt_permutation({0, 1, 2}), std::invalid_argument);
-  EXPECT_THROW(db.adopt_permutation({0, 1, 2, 2}), std::invalid_argument);
-  EXPECT_THROW(db.adopt_permutation({0, 1, 2, 7}), std::invalid_argument);
-  db.adopt_permutation({3, 1, 0, 2});
+  const auto buf =
+      std::make_shared<const std::vector<std::uint8_t>>(
+          test::random_protein(rng, 40));
+  const auto records = [&buf] {  // four 10-residue records over buf
+    std::vector<seq::Record> out;
+    for (std::size_t i = 0; i < 4; ++i) {
+      out.push_back({"s" + std::to_string(i), {buf->data() + 10 * i, 10}});
+    }
+    return out;
+  };
+  const auto build = [&](std::vector<std::size_t> orig) {
+    return seq::Database(records(), std::move(orig), buf);
+  };
+  EXPECT_THROW(build({0, 1, 2}), std::invalid_argument);
+  EXPECT_THROW(build({0, 1, 2, 2}), std::invalid_argument);
+  EXPECT_THROW(build({0, 1, 2, 7}), std::invalid_argument);
+  const seq::Database db = build({3, 1, 0, 2});
   EXPECT_EQ(db.original_index(0), 3u);
   EXPECT_EQ(db.position_of(3), 0u);
-  db.adopt_permutation({0, 1, 2, 3});  // identity folds back to unpermuted
-  EXPECT_FALSE(db.permuted());
+  EXPECT_EQ(db.total_residues(), 40u);
+  EXPECT_FALSE(build({0, 1, 2, 3}).permuted());
+  EXPECT_FALSE(build({}).permuted());
+
+  std::vector<seq::Record> rising = records();
+  rising[0].residues = rising[0].residues.first(5);
+  EXPECT_THROW(seq::Database(rising, {}, buf), std::invalid_argument);
 }

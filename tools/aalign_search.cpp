@@ -104,8 +104,8 @@ void print_help() {
       "  --metrics-json FILE  machine-readable run document\n");
 }
 
-// Prints one query's hit table/TSV rows. `db` may have been re-sorted by
-// the search: hits carry ORIGINAL indices, resolved via db.by_original.
+// Prints one query's hit table/TSV rows. `db` stores its subjects longest
+// first: hits carry ORIGINAL indices, resolved via db.by_original.
 void print_result(const seq::Sequence& query,
                   const std::vector<std::uint8_t>& qenc,
                   const seq::Database& db, const search::SearchResult& res,
