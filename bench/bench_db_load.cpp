@@ -3,13 +3,15 @@
 // startup work a search daemon must finish before it can answer its
 // first query: on the cold path that is parse FASTA + encode + sort +
 // build the signature index; on the mmap path it is attach the index
-// file (Verify::Directory), materialize the zero-copy Database, and
+// file (Verify::Directory), view its directory as a Database, and
 // rehydrate the persisted SignatureIndex. Both paths are timed from the
 // same on-disk inputs, median-of-5, and the bench asserts the mapped
-// database is the same database (count/residues/ids) before reporting.
+// database is the same database (ids, residue bytes, order, permutation)
+// before reporting.
 //
 // Headline: db_load_speedup (cold / mmap) - higher is better, gated
 // against BENCH_db_load.quick.json. The issue's acceptance floor is 10x.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -92,14 +94,17 @@ int main() {
       },
       reps);
 
-  // Same-database gate: the fast path must serve the same subjects in
-  // the same (length-sorted) order, or the speedup is meaningless.
+  // Same-database gate: the fast path must serve the same subjects, with
+  // the same residue bytes, in the same (length-sorted) order and with the
+  // same permutation both ways, or the speedup is meaningless.
   bool same = cold_db.size() == mmap_db.size() &&
               cold_db.total_residues() == mmap_db.total_residues();
   for (std::size_t i = 0; same && i < cold_db.size(); ++i) {
-    same = cold_db[i].id == mmap_db[i].id &&
-           cold_db[i].size() == mmap_db[i].size() &&
-           cold_db.original_index(i) == mmap_db.original_index(i);
+    const auto cold = cold_db.residues(i), mmap = mmap_db.residues(i);
+    same = cold_db.id(i) == mmap_db.id(i) &&
+           std::equal(cold.begin(), cold.end(), mmap.begin(), mmap.end()) &&
+           cold_db.original_index(i) == mmap_db.original_index(i) &&
+           cold_db.position_of(i) == mmap_db.position_of(i);
   }
   if (!same) {
     std::fprintf(stderr, "FAIL: mmap-loaded database differs from the "

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
               "len", "QC", "MI");
   int rank = 1;
   for (const search::SearchHit& hit : res.top) {
-    const seq::Record& subj = db.by_original(hit.index);
+    const seq::Record subj = db.by_original(hit.index);
     const core::SimilarityStats st =
         core::measure_similarity(matrix, qenc, subj.view());
     std::printf("%-4d %-24.24s %7ld %7zu %5.0f%% %5.0f%%\n", rank++,

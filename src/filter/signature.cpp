@@ -68,7 +68,7 @@ SignatureIndex::SignatureIndex(const seq::Database& db, FilterParams params)
   popcounts_.resize(count_);
   lengths_.resize(count_);
   for (std::size_t i = 0; i < count_; ++i) {
-    const auto view = db[i].view();
+    const auto view = db.residues(i);
     lengths_[i] = static_cast<std::uint32_t>(view.size());
     std::uint64_t pc = 0;
     build_signature(view, blob_.data() + i * words_, &pc);

@@ -295,7 +295,7 @@ std::vector<SearchResult> BatchScheduler::run(
             continue;
           }
           const core::AdaptiveResult ar =
-              ctx.align(db[s].view(), w.ws, cancel);
+              ctx.align(db.residues(s), w.ws, cancel);
           if (ar.cancelled) core::throw_cancelled(*cancel);
           slot = ar.kernel.score;
           acc.promotions += static_cast<std::uint64_t>(ar.promotions);
@@ -323,7 +323,7 @@ std::vector<SearchResult> BatchScheduler::run(
     if (filtered) {
       scanned_residues = 0;
       for (std::size_t s = 0; s < ns; ++s)
-        if (alive[gi][s] != 0) scanned_residues += db[s].size();
+        if (alive[gi][s] != 0) scanned_residues += db.residues(s).size();
       res.filtered = true;
       res.filter_stats = fstats[gi];
     }

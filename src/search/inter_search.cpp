@@ -56,10 +56,11 @@ void run_one_batch(const core::InterEngine& engine, core::InterPrecision prec,
     // Tail batch: repeat the first subject in unused lanes (their scores
     // are simply discarded).
     const std::size_t idx = pending[begin + (l < count ? l : 0)];
-    w.ptrs[l] = db[idx].view().data();
-    w.lens[l] = static_cast<int>(db[idx].size());
+    const auto subject = db.residues(idx);
+    w.ptrs[l] = subject.data();
+    w.lens[l] = static_cast<int>(subject.size());
     max_len = std::max(max_len, w.lens[l]);
-    if (l < count) residues += db[idx].size();
+    if (l < count) residues += subject.size();
   }
 
   core::InterBatchInput in{&tables, query, w.ptrs.data(), w.lens.data(),

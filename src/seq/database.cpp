@@ -1,31 +1,71 @@
 #include "seq/database.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
 namespace aalign::seq {
 
+namespace {
+
+// The arrays a FASTA-built database owns, under one shared owner.
+struct Owned {
+  std::vector<DirEntry> dir;
+  std::vector<std::uint64_t> orig;
+  std::vector<std::uint32_t> inv;
+  std::string ids;
+  std::vector<std::uint8_t> residues;
+};
+
+}  // namespace
+
 template <class Seq, class Encode>
 void Database::pack(const std::vector<Seq>& seqs, Encode encode) {
-  std::vector<std::size_t> orig(seqs.size());
-  std::iota(orig.begin(), orig.end(), std::size_t{0});
-  std::stable_sort(orig.begin(), orig.end(),
+  const std::size_t n = seqs.size();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("Database: more sequences than a u32 indexes");
+  }
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
                    [&seqs](std::size_t a, std::size_t b) {
                      return seqs[a].size() > seqs[b].size();
                    });
-  for (const Seq& s : seqs) total_residues_ += s.size();
-  auto buf = std::make_shared<std::vector<std::uint8_t>>(total_residues_);
-  records_.reserve(seqs.size());
-  std::uint8_t* out = buf->data();
-  for (const std::size_t i : orig) {
-    const Seq& s = seqs[i];
-    encode(s, out);
-    records_.push_back({s.id, {out, s.size()}});
-    out += s.size();
+
+  auto owned = std::make_shared<Owned>();
+  std::size_t id_bytes = 0;
+  for (const Seq& s : seqs) {
+    l_.total_residues += s.size();
+    id_bytes += s.id.size();
   }
-  backing_ = std::move(buf);
-  set_order(std::move(orig));
+  owned->dir.resize(n);
+  owned->ids.reserve(id_bytes);
+  owned->residues.resize(l_.total_residues);
+  std::uint64_t at = 0;
+  bool identity = true;
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const Seq& s = seqs[order[pos]];
+    owned->dir[pos] = {at, s.size(), owned->ids.size(),
+                       static_cast<std::uint32_t>(s.id.size()), 0};
+    owned->ids += s.id;
+    encode(s, owned->residues.data() + at);
+    at += s.size();
+    identity = identity && order[pos] == pos;
+  }
+  if (!identity) {
+    owned->orig.assign(order.begin(), order.end());
+    owned->inv.resize(n);
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      owned->inv[order[pos]] = static_cast<std::uint32_t>(pos);
+    }
+    l_.orig = owned->orig;
+    l_.inv = std::shared_ptr<const std::uint32_t[]>(owned, owned->inv.data());
+  }
+  l_.dir = owned->dir;
+  l_.residues = owned->residues.data();
+  l_.ids = owned->ids.data();
+  l_.backing = std::move(owned);
 }
 
 Database::Database(const score::Alphabet& alphabet,
@@ -39,40 +79,6 @@ Database::Database(const std::vector<EncodedSequence>& seqs) {
   pack(seqs, [](const EncodedSequence& s, std::uint8_t* out) {
     std::copy(s.data.begin(), s.data.end(), out);
   });
-}
-
-Database::Database(std::vector<Record> records, std::vector<std::size_t> orig,
-                   std::shared_ptr<const void> backing)
-    : records_(std::move(records)), backing_(std::move(backing)) {
-  for (std::size_t pos = 0; pos < records_.size(); ++pos) {
-    if (pos > 0 && records_[pos].size() > records_[pos - 1].size()) {
-      throw std::invalid_argument("Database: records not longest first");
-    }
-    total_residues_ += records_[pos].size();
-  }
-  if (!orig.empty()) set_order(std::move(orig));
-}
-
-void Database::set_order(std::vector<std::size_t> orig) {
-  const std::size_t n = records_.size();
-  if (orig.size() != n) {
-    throw std::invalid_argument("Database: permutation size mismatch");
-  }
-  // inv_ doubles as the seen-marker: n means "no position yet".
-  inv_.assign(n, n);
-  bool identity = true;
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    if (orig[pos] >= n || inv_[orig[pos]] != n) {
-      throw std::invalid_argument("Database: not a permutation");
-    }
-    inv_[orig[pos]] = pos;
-    identity = identity && orig[pos] == pos;
-  }
-  if (identity) {
-    inv_ = {};
-  } else {
-    orig_ = std::move(orig);
-  }
 }
 
 }  // namespace aalign::seq

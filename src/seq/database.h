@@ -1,22 +1,28 @@
 // Encoded sequence database for multi-threaded search (paper Sec. V-E).
 //
-// One flat table of seq::Record (id + residue span) per database, stored
-// longest first: building sorts (stably, so equal lengths keep their input
-// order) and records the permutation, and nothing re-orders a database
-// afterwards. With a dynamic work queue that order gives near-perfect load
-// balance - the paper's sort + dynamic binding, done once per database
-// instead of once per search - and every search and store entry point
-// takes the database by const&.
+// A database is stored longest first: building sorts (stably, so equal
+// lengths keep their input order) and records the permutation, and nothing
+// re-orders a database afterwards. With a dynamic work queue that order
+// gives near-perfect load balance - the paper's sort + dynamic binding,
+// done once per database instead of once per search - and every search and
+// store entry point takes the database by const&.
 //
-// The residues a record views live in the one buffer backing() keeps
-// alive: the packed buffer a FASTA-built database owns, or the mapped
-// index file a store-served database points into
-// (store::MappedIndex::database()). Copies share that storage - it is never
-// written once a record views it.
+// One layout, the index file's own directory (docs/database_format.md): a
+// DirEntry per sequence locating its residues and id from two base
+// pointers, the u64 original-index permutation, and a shared u32 inverse.
+// A store-served database (store::MappedIndex::database()) points straight
+// at the mapped sections; a FASTA-built one owns the same arrays. Either
+// way backing() keeps the storage alive, nothing writes it once built, and
+// copying a database is O(1): copies share that storage.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "score/alphabet.h"
@@ -24,67 +30,90 @@
 
 namespace aalign::seq {
 
+// Where one sequence lies: residues at residue base + residue_offset, its
+// id at id base + id_offset. Exactly the index file's SeqDir entry
+// (store::SeqEntry is this type), so a mapped database reads the mapped
+// directory in place.
+struct DirEntry {
+  std::uint64_t residue_offset = 0;
+  std::uint64_t length = 0;  // residue count
+  std::uint64_t id_offset = 0;
+  std::uint32_t id_bytes = 0;
+  std::uint32_t reserved = 0;
+};
+static_assert(sizeof(DirEntry) == 32);
+
 class Database {
  public:
+  // Everything a database reads, and the owner that keeps it alive.
+  struct Layout {
+    std::span<const DirEntry> dir;  // stored order, longest first
+    const std::uint8_t* residues = nullptr;
+    const char* ids = nullptr;
+    // orig[pos] = original index; empty while the stored order is the
+    // input order. inv[orig[pos]] == pos; null exactly when orig is empty.
+    std::span<const std::uint64_t> orig;
+    std::shared_ptr<const std::uint32_t[]> inv;
+    std::uint64_t total_residues = 0;
+    std::shared_ptr<const void> backing;  // any opaque owner
+  };
+
   Database() = default;
-  // Encodes `seqs` into one packed buffer, longest first.
+  // Encodes `seqs` into owned arrays, longest first.
   Database(const score::Alphabet& alphabet,
            const std::vector<Sequence>& seqs);
-  // Packs already-encoded sequences into one buffer, longest first.
+  // Packs already-encoded sequences into owned arrays, longest first.
   explicit Database(const std::vector<EncodedSequence>& seqs);
-  // Records already in stored order (non-increasing length) whose residues
-  // lie in storage `backing` keeps alive (any opaque owner; the store layer
-  // passes its MappedFile). `orig[pos]` is the original index of the
-  // record at `pos`; empty means identity (a shard slice). Throws
-  // std::invalid_argument unless the records are length-sorted and `orig`
-  // is empty or a permutation of [0, records.size()).
-  Database(std::vector<Record> records, std::vector<std::size_t> orig,
-           std::shared_ptr<const void> backing);
+  // A view of `layout`, trusted as given: the store checks a mapped
+  // directory's ranges, order and permutation once, at open.
+  explicit Database(Layout layout) : l_(std::move(layout)) {}
 
-  std::size_t size() const { return records_.size(); }
-  bool empty() const { return records_.empty(); }
-  const Record& operator[](std::size_t i) const { return records_[i]; }
+  std::size_t size() const { return l_.dir.size(); }
+  bool empty() const { return l_.dir.empty(); }
+
+  // The residues of the sequence stored at `pos`: what the kernels read.
+  std::span<const std::uint8_t> residues(std::size_t pos) const {
+    const DirEntry& e = l_.dir[pos];
+    return {l_.residues + e.residue_offset, e.length};
+  }
+  std::string_view id(std::size_t pos) const {
+    const DirEntry& e = l_.dir[pos];
+    return {l_.ids + e.id_offset, e.id_bytes};
+  }
+  // The sequence stored at `pos`, its id copied.
+  Record operator[](std::size_t pos) const {
+    return {std::string(id(pos)), residues(pos)};
+  }
 
   // Original (input) index of the sequence stored at `pos`.
   std::size_t original_index(std::size_t pos) const {
-    return orig_.empty() ? pos : orig_[pos];
+    return l_.orig.empty() ? pos : l_.orig[pos];
   }
   // Stored position of the sequence with original index `original`.
   std::size_t position_of(std::size_t original) const {
-    return inv_.empty() ? original : inv_[original];
+    return l_.inv ? l_.inv[original] : original;
   }
   // The sequence with original index `original`.
-  const Record& by_original(std::size_t original) const {
-    return records_[position_of(original)];
+  Record by_original(std::size_t original) const {
+    return (*this)[position_of(original)];
   }
   // True when the stored order differs from the input order.
-  bool permuted() const { return !orig_.empty(); }
+  bool permuted() const { return !l_.orig.empty(); }
 
   // Total residue count (for GCUPS accounting).
-  std::size_t total_residues() const { return total_residues_; }
+  std::size_t total_residues() const { return l_.total_residues; }
 
-  // The owner of the residues the records view (null for a default-
+  // The owner of the storage the layout points into (null for a default-
   // constructed database).
-  const std::shared_ptr<const void>& backing() const { return backing_; }
-
-  auto begin() const { return records_.begin(); }
-  auto end() const { return records_.end(); }
+  const std::shared_ptr<const void>& backing() const { return l_.backing; }
 
  private:
-  // Stores `seqs` longest first in one owned buffer; `encode(s, out)`
-  // writes sequence s's residues at `out`.
+  // Stores `seqs` longest first in owned arrays; `encode(s, out)` writes
+  // sequence s's residues at `out`.
   template <class Seq, class Encode>
   void pack(const std::vector<Seq>& seqs, Encode encode);
-  // Validates and installs `orig` (an identity folds to the empty state).
-  void set_order(std::vector<std::size_t> orig);
 
-  std::vector<Record> records_;
-  // orig_[pos] = original index; inv_[original] = pos. Both empty while the
-  // stored order is the input order (identity permutation).
-  std::vector<std::size_t> orig_;
-  std::vector<std::size_t> inv_;
-  std::size_t total_residues_ = 0;
-  std::shared_ptr<const void> backing_;
+  Layout l_;
 };
 
 }  // namespace aalign::seq

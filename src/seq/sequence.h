@@ -29,10 +29,10 @@ struct EncodedSequence {
 
 EncodedSequence encode(const score::Alphabet& alphabet, const Sequence& s);
 
-// One database entry, the unit the kernels read: an id plus a view of
-// encoded residues. The record never owns its residues - the Database
-// holding it keeps them alive, whether it owns them (FASTA-built) or pins
-// the mapped index file they lie in (store::MappedIndex::database()).
+// One database entry as Database::operator[] hands it out: a copied id
+// plus a view of encoded residues. The record never owns its residues -
+// the Database it came from keeps them alive (Database::backing()). Hot
+// loops read Database::residues(pos) instead, which copies nothing.
 struct Record {
   std::string id;
   std::span<const std::uint8_t> residues;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string_view>
 
 #include "store/format.h"
 
@@ -79,9 +80,9 @@ std::uint64_t input_fingerprint(const seq::Database& db,
   const std::uint64_t shard = params.shard_target_residues;
   h = fnv1a64(&shard, sizeof shard, h);
   for (std::size_t i = 0; i < db.size(); ++i) {
-    const auto& s = db[i];
-    h = fnv1a64(s.id.data(), s.id.size(), h);
-    const auto view = s.view();
+    const std::string_view id = db.id(i);
+    h = fnv1a64(id.data(), id.size(), h);
+    const auto view = db.residues(i);
     h = fnv1a64(view.data(), view.size(), h);
   }
   return h;
@@ -112,8 +113,9 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
   std::vector<std::uint8_t> id_blob;
   for (std::size_t i = 0; i < n; ++i) {
     seq_dir[i].id_offset = id_blob.size();
-    seq_dir[i].id_bytes = static_cast<std::uint32_t>(db[i].id.size());
-    id_blob.insert(id_blob.end(), db[i].id.begin(), db[i].id.end());
+    const std::string_view id = db.id(i);
+    seq_dir[i].id_bytes = static_cast<std::uint32_t>(id.size());
+    id_blob.insert(id_blob.end(), id.begin(), id.end());
   }
 
   std::vector<std::uint64_t> perm(n);
@@ -131,11 +133,12 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
   for (std::size_t i = 0; i < n; ++i) {
     if (shards.empty() ||
         (shards.back().count > 0 &&
-         shards.back().residues + db[i].size() > params.shard_target_residues)) {
+         shards.back().residues + db.residues(i).size() >
+             params.shard_target_residues)) {
       shards.push_back({i, 0, 0});
     }
     shards.back().count += 1;
-    shards.back().residues += db[i].size();
+    shards.back().residues += db.residues(i).size();
   }
 
   // ---- Lay out the file ---------------------------------------------------
@@ -208,12 +211,12 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
       sh.first_seq = shards[si].first;
       sh.seq_count = shards[si].count;
       sh.blob_offset = out.offset();
-      sh.max_len = db[shards[si].first].size();
-      sh.min_len = db[shards[si].first + shards[si].count - 1].size();
+      sh.max_len = db.residues(shards[si].first).size();
+      sh.min_len = db.residues(shards[si].first + shards[si].count - 1).size();
       for (std::size_t i = shards[si].first;
            i < shards[si].first + shards[si].count; ++i) {
-        const auto view = db[i].view();
-        seq_dir[i].blob_offset = out.offset();
+        const auto view = db.residues(i);
+        seq_dir[i].residue_offset = out.offset();
         seq_dir[i].length = view.size();
         out.append(view.data(), view.size());
         out.pad_to_alignment();

@@ -28,6 +28,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "seq/database.h"
+
 namespace aalign::store {
 
 inline constexpr char kMagic[8] = {'A', 'A', 'L', 'N', 'I', 'D', 'X', '1'};
@@ -162,13 +164,11 @@ struct ShardEntry {
 };
 static_assert(sizeof(ShardEntry) == 64);
 
-struct SeqEntry {
-  std::uint64_t blob_offset = 0;  // absolute file offset of the residues
-  std::uint64_t length = 0;       // residue count (unpadded)
-  std::uint64_t id_offset = 0;    // into the IdBlob section payload
-  std::uint32_t id_bytes = 0;
-  std::uint32_t reserved = 0;
-};
+// A SeqDir entry is the database's own directory entry, so a mapped
+// seq::Database reads the section in place: residue_offset is the
+// absolute file offset of the residues (unpadded `length` of them),
+// id_offset an offset into the IdBlob section payload.
+using SeqEntry = seq::DirEntry;
 static_assert(sizeof(SeqEntry) == 32);
 
 // Fixed-size header at offset 0, followed immediately by the section

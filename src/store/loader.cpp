@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -49,15 +50,28 @@ std::uint64_t expected_payload_bytes(const Header& h, SectionKind kind) {
 
 // Only a filter scan reads the signature sections, and the default
 // (filter off) never does, so open hashes them a window at a time and
-// drops each window's pages once hashed: open's own residency stays one
-// window, whatever the database size. The directory sections stay
-// resident, since database() reads them right after open.
+// drops each window's pages once hashed. The directory sections are not
+// released: every search reads SeqDir through its database() view. The
+// kernel may still map more than open touched (loader.h).
 constexpr std::uint64_t kHashWindow = std::uint64_t{1} << 20;
 
 bool released_after_hash(SectionKind kind) {
   return kind == SectionKind::SigPopcounts ||
          kind == SectionKind::SigLengths || kind == SectionKind::SigBlob;
 }
+
+// True when [offset, offset + bytes) lies inside section `e`. Written in
+// subtraction form: offset + bytes can wrap past 2^64 and land back inside
+// the section.
+bool inside_section(std::uint64_t offset, std::uint64_t bytes,
+                    const SectionEntry& e) {
+  return offset >= e.offset && offset - e.offset <= e.bytes &&
+         bytes <= e.bytes - (offset - e.offset);
+}
+
+// Marks an original index no position has claimed yet in open()'s inverse
+// permutation, so the index must hold fewer sequences than this.
+constexpr std::uint32_t kUnplaced = std::numeric_limits<std::uint32_t>::max();
 
 std::uint64_t section_checksum(const MappedFile& f, const SectionEntry& e) {
   if (!released_after_hash(SectionKind(e.kind))) {
@@ -196,10 +210,11 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
   const auto seqs = idx.seq_dir();
   std::uint64_t residues = 0;
   for (std::size_t i = 0; i < seqs.size(); ++i) {
+    // The only guard on Database::residues(): a mapped database trusts
+    // these ranges.
     const SeqEntry& s = seqs[i];
-    if (s.blob_offset < blob.offset || s.length > blob.bytes ||
-        s.blob_offset + s.length > blob.offset + blob.bytes ||
-        s.blob_offset % kFileAlignment != 0 || s.id_offset > ids.bytes ||
+    if (!inside_section(s.residue_offset, s.length, blob) ||
+        s.residue_offset % kFileAlignment != 0 || s.id_offset > ids.bytes ||
         s.id_bytes > ids.bytes - s.id_offset) {
       throw StoreError(StoreErrc::BadLayout,
                        at_path(path, "sequence directory entry out of range"));
@@ -215,23 +230,33 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "residue total disagrees with directory"));
   }
-  // Each original index exactly once. Byte marks, not bits: about twice as
-  // fast on a 26k-entry index.
-  std::vector<std::uint8_t> seen(seqs.size());
-  for (const std::uint64_t orig : idx.typed_section<std::uint64_t>(
-           SectionKind::Permutation, seqs.size())) {
-    if (orig >= seen.size() || seen[orig] != 0) {
+  // Each original index exactly once, checked while building the inverse
+  // every database() shares: inv[orig] = pos, kUnplaced until claimed. An
+  // identity permutation keeps no inverse.
+  if (seqs.size() >= kUnplaced) {
+    throw StoreError(StoreErrc::BadLayout,
+                     at_path(path, "more sequences than the u32 inverse "
+                                   "permutation indexes"));
+  }
+  const auto perm = idx.permutation();
+  const auto inv = std::make_shared<std::uint32_t[]>(seqs.size(), kUnplaced);
+  bool identity = true;
+  for (std::size_t pos = 0; pos < perm.size(); ++pos) {
+    const std::uint64_t orig = perm[pos];
+    if (orig >= perm.size() || inv[orig] != kUnplaced) {
       throw StoreError(StoreErrc::BadLayout,
                        at_path(path, "permutation section is not a "
                                      "permutation of the sequences"));
     }
-    seen[orig] = 1;
+    inv[orig] = static_cast<std::uint32_t>(pos);
+    identity = identity && orig == pos;
   }
+  if (!identity) idx.inv_ = inv;
   std::uint64_t seq_cursor = 0;
   for (const ShardEntry& sh : idx.shards()) {
     if (sh.first_seq != seq_cursor || sh.seq_count == 0 ||
-        sh.blob_offset < blob.offset ||
-        sh.blob_offset + sh.blob_bytes > blob.offset + blob.bytes) {
+        sh.seq_count > h.seq_count - seq_cursor ||
+        !inside_section(sh.blob_offset, sh.blob_bytes, blob)) {
       throw StoreError(StoreErrc::BadLayout,
                        at_path(path, "shard directory entry out of range"));
     }
@@ -288,26 +313,32 @@ filter::FilterParams MappedIndex::filter_params() const {
   return p;
 }
 
-seq::Database MappedIndex::database() const {
-  const auto perm =
-      typed_section<std::uint64_t>(SectionKind::Permutation, hdr_.seq_count);
-  return make_database(0, hdr_.seq_count,
-                       std::vector<std::size_t>(perm.begin(), perm.end()));
+std::span<const std::uint64_t> MappedIndex::permutation() const {
+  return typed_section<std::uint64_t>(SectionKind::Permutation,
+                                      hdr_.seq_count);
 }
 
-seq::Database MappedIndex::make_database(std::size_t first, std::size_t count,
-                                         std::vector<std::size_t> orig) const {
-  // open() checked every directory entry's id and residue ranges against
-  // their sections, so the records address the mapping directly.
-  const char* id_base = reinterpret_cast<const char*>(file_->data()) +
-                        section(SectionKind::IdBlob).offset;
-  std::vector<seq::Record> out;
-  out.reserve(count);
-  for (const SeqEntry& s : seq_dir().subspan(first, count)) {
-    out.push_back({std::string(id_base + s.id_offset, s.id_bytes),
-                   {file_->data() + s.blob_offset, s.length}});
+seq::Database MappedIndex::view(std::span<const SeqEntry> dir,
+                                std::uint64_t residues,
+                                bool with_order) const {
+  // open() checked every entry's residue and id ranges, the order and the
+  // permutation, so the view addresses the mapping as it stands.
+  seq::Database::Layout l;
+  l.dir = dir;
+  l.residues = file_->data();  // SeqDir residue offsets are absolute
+  l.ids = reinterpret_cast<const char*>(file_->data()) +
+          section(SectionKind::IdBlob).offset;
+  if (with_order && inv_) {
+    l.orig = permutation();
+    l.inv = inv_;
   }
-  return seq::Database(std::move(out), std::move(orig), file_);
+  l.total_residues = residues;
+  l.backing = file_;
+  return seq::Database(std::move(l));
+}
+
+seq::Database MappedIndex::database() const {
+  return view(seq_dir(), hdr_.residue_total, true);
 }
 
 std::shared_ptr<const filter::SignatureIndex> MappedIndex::signatures() const {
@@ -372,7 +403,8 @@ ShardSlice MappedIndex::shard_slice(std::size_t i, std::size_t n) const {
 }
 
 seq::Database MappedIndex::database(const ShardSlice& slice) const {
-  return make_database(slice.first_seq, slice.seq_count, {});
+  return view(seq_dir().subspan(slice.first_seq, slice.seq_count),
+              slice.residues, false);
 }
 
 std::shared_ptr<const filter::SignatureIndex> MappedIndex::signatures(
@@ -397,9 +429,7 @@ std::shared_ptr<const filter::SignatureIndex> MappedIndex::signatures(
 
 std::vector<std::size_t> MappedIndex::original_indices(
     const ShardSlice& slice) const {
-  const auto perm =
-      typed_section<std::uint64_t>(SectionKind::Permutation, hdr_.seq_count);
-  const auto sub = perm.subspan(slice.first_seq, slice.seq_count);
+  const auto sub = permutation().subspan(slice.first_seq, slice.seq_count);
   return std::vector<std::size_t>(sub.begin(), sub.end());
 }
 

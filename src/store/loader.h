@@ -7,19 +7,24 @@
 // (store/format.h), so open costs about one pass over the metadata at
 // memory speed. The signature sections are hashed in 1 MiB windows whose
 // pages are released once hashed (only a filter scan reads them, and it
-// faults them back), so open leaves resident only the directory
-// database() reads next. The residue blob is verified per shard only
-// under Verify::Full (the `aalign_index verify` / CI corruption-fuzz
-// path); the serving path trusts the page cache and the per-shard
-// checksums stay available for offline audit.
+// faults them back). Open reads no residue, but residency is the page
+// cache's call: on a 26,032-subject index (Linux 6.18, ext4) 4.21 MB of
+// the mapping is resident after open against a 1.2 MB directory, since
+// page-cache folios of up to 2 MiB are mapped whole (docs/
+// database_format.md). The residue blob is verified per shard only under
+// Verify::Full (the `aalign_index verify` / CI corruption-fuzz path); the
+// serving path trusts the page cache and the per-shard checksums stay
+// available for offline audit.
 //
-// database() fills one flat seq::Record table, reserved once: each
-// record's residue span points straight into the mapped blob and only its
-// id is copied (an allocation only past the std::string small-buffer
-// size); the shared MappedFile is pinned as the database's backing.
-// signatures() rehydrates the persisted SignatureIndex without hashing a
-// single k-mer. Both are bit-identical to what the FASTA-parse path would
-// produce (tests/test_store.cpp enforces this differentially).
+// open() also checks the directory's ranges and longest-first order and
+// that the Permutation section is a permutation, building its u32 inverse
+// in the same pass. database() then does no per-subject work: the
+// seq::Database it returns views the mapped SeqDir, IdBlob, SeqBlob and
+// Permutation sections in place and shares that inverse, with the
+// MappedFile pinned as its backing(). signatures() rehydrates the
+// persisted SignatureIndex without hashing a single k-mer. Both are
+// bit-identical to what the FASTA-parse path would produce
+// (tests/test_store.cpp enforces this differentially).
 #pragma once
 
 #include <cstdint>
@@ -79,7 +84,8 @@ class MappedIndex {
 
   // Zero-copy database in stored order - longest first, as the builder
   // wrote it and open() checked - with the stored original-index
-  // permutation and the mapping pinned as the database's backing().
+  // permutation and the mapping pinned as the database's backing(). O(1):
+  // a view of the mapped directory, not a copy of it.
   seq::Database database() const;
 
   // Prebuilt signature index (never bumps filter.index_builds).
@@ -92,7 +98,8 @@ class MappedIndex {
   // refuses to serve one (docs/deployment.md covers sizing n).
   ShardSlice shard_slice(std::size_t i, std::size_t n) const;
 
-  // Zero-copy database over one slice, in stored order and UNPERMUTED:
+  // Zero-copy O(1) database over `slice`, which shard_slice() made (its
+  // range and residue total are trusted), in stored order and UNPERMUTED:
   // a slice cannot carry the global permutation (its values fall outside
   // [0, seq_count)), so the fleet-global original indices travel
   // separately via original_indices() and are re-attached at the wire
@@ -125,17 +132,23 @@ class MappedIndex {
   MappedIndex() = default;
 
   const SectionEntry& section(SectionKind kind) const;
-  // Database over stored positions [first, first + count) with original
-  // indices `orig` (empty = identity): the one builder behind both
-  // database() overloads.
-  seq::Database make_database(std::size_t first, std::size_t count,
-                              std::vector<std::size_t> orig) const;
+  // The Permutation section: orig[pos] = original index.
+  std::span<const std::uint64_t> permutation() const;
+  // Database viewing directory run `dir` (`residues` residues in all) in
+  // the mapping, carrying the stored permutation when `with_order`: the
+  // one builder behind both database() overloads.
+  seq::Database view(std::span<const SeqEntry> dir, std::uint64_t residues,
+                     bool with_order) const;
   template <class T>
   std::span<const T> typed_section(SectionKind kind,
                                    std::size_t count) const;
 
   std::shared_ptr<const MappedFile> file_;
   Header hdr_{};
+  // inv_[orig] = stored position, built by open() while it checks the
+  // permutation and shared by every database(); null when the stored
+  // order is the input order.
+  std::shared_ptr<const std::uint32_t[]> inv_;
 };
 
 }  // namespace aalign::store

@@ -395,7 +395,7 @@ TEST_F(StoreCorruption, PayloadFlipsRejected) {
     write_file(path_, bytes_);
     const store::MappedIndex idx = store::MappedIndex::open(path_);
     const store::SeqEntry first = idx.seq_dir().front();
-    blob_mid = first.blob_offset + first.length / 2;
+    blob_mid = first.residue_offset + first.length / 2;
   }
   const store::StoreErrc in_blob = open_expecting_error(flipped(blob_mid));
   EXPECT_EQ(in_blob, StoreErrc::ShardChecksum);
@@ -413,7 +413,7 @@ TEST_F(StoreCorruption, DirectoryVerifySkipsResidueBlob) {
     write_file(path_, bytes_);
     const store::MappedIndex idx = store::MappedIndex::open(path_);
     const store::SeqEntry first = idx.seq_dir().front();
-    blob_mid = first.blob_offset + first.length / 2;
+    blob_mid = first.residue_offset + first.length / 2;
   }
   write_file(path_, flipped(blob_mid));
   EXPECT_NO_THROW(store::MappedIndex::open(path_, store::Verify::Directory));
@@ -471,6 +471,39 @@ TEST_F(StoreCorruption, DuplicatePermutationEntryRejected) {
   std::memcpy(m.data() + perm.offset + sizeof(std::uint64_t),
               m.data() + perm.offset, sizeof(std::uint64_t));
   reseal(m, store::SectionKind::Permutation);
+  EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
+}
+
+// A residue range whose end wraps past 2^64 back inside the blob: offset
+// 2^64 - 64 passes an additive `offset + length <= blob end` test. A
+// mapped database trusts the directory, so this range check is the only
+// guard on its residue reads.
+TEST_F(StoreCorruption, WrappedSeqDirOffsetRejected) {
+  auto m = bytes_;
+  const store::SectionEntry dir = section(m, store::SectionKind::SeqDir);
+  store::SeqEntry first;
+  std::memcpy(&first, m.data() + dir.offset, sizeof first);
+  ASSERT_GE(first.length, 64u);  // long enough for the end to wrap
+  first.residue_offset = ~std::uint64_t{0} - 63;
+  std::memcpy(m.data() + dir.offset, &first, sizeof first);
+  reseal(m, store::SectionKind::SeqDir);
+  EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
+            store::StoreErrc::BadLayout);
+  EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
+}
+
+// The same wrap in the shard directory's residue range.
+TEST_F(StoreCorruption, WrappedShardOffsetRejected) {
+  auto m = bytes_;
+  const store::SectionEntry dir = section(m, store::SectionKind::ShardDir);
+  store::ShardEntry first;
+  std::memcpy(&first, m.data() + dir.offset, sizeof first);
+  ASSERT_GE(first.blob_bytes, 64u);
+  first.blob_offset = ~std::uint64_t{0} - 63;
+  std::memcpy(m.data() + dir.offset, &first, sizeof first);
+  reseal(m, store::SectionKind::ShardDir);
+  EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
+            store::StoreErrc::BadLayout);
   EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
 }
 
@@ -780,6 +813,18 @@ TEST(StoreEdge, TwoDatabasesShareOneMapping) {
   }
   EXPECT_EQ(a.backing(), b.backing());
 
+  // Copying a database copies no residues either: the copy views the same
+  // bytes and shares the same backing and order.
+  const seq::Database copy = a;
+  ASSERT_EQ(copy.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(copy.residues(i).data(), a.residues(i).data()) << "position "
+                                                             << i;
+    EXPECT_EQ(copy.id(i).data(), a.id(i).data()) << "position " << i;
+    EXPECT_EQ(copy.original_index(i), a.original_index(i));
+  }
+  EXPECT_EQ(copy.backing(), a.backing());
+
   // Both stay valid and searchable after the MappedIndex handle dies.
   search::SearchOptions opt;
   opt.threads = 1;
@@ -799,35 +844,3 @@ TEST(StoreEdge, TwoDatabasesShareOneMapping) {
   }
 }
 
-// The records constructor (the store's) checks what it is handed: a
-// permutation of every position, records already longest first. An
-// identity permutation folds back to the unpermuted state.
-TEST(StoreEdge, RecordsConstructorValidates) {
-  std::mt19937_64 rng(23);
-  const auto buf =
-      std::make_shared<const std::vector<std::uint8_t>>(
-          test::random_protein(rng, 40));
-  const auto records = [&buf] {  // four 10-residue records over buf
-    std::vector<seq::Record> out;
-    for (std::size_t i = 0; i < 4; ++i) {
-      out.push_back({"s" + std::to_string(i), {buf->data() + 10 * i, 10}});
-    }
-    return out;
-  };
-  const auto build = [&](std::vector<std::size_t> orig) {
-    return seq::Database(records(), std::move(orig), buf);
-  };
-  EXPECT_THROW(build({0, 1, 2}), std::invalid_argument);
-  EXPECT_THROW(build({0, 1, 2, 2}), std::invalid_argument);
-  EXPECT_THROW(build({0, 1, 2, 7}), std::invalid_argument);
-  const seq::Database db = build({3, 1, 0, 2});
-  EXPECT_EQ(db.original_index(0), 3u);
-  EXPECT_EQ(db.position_of(3), 0u);
-  EXPECT_EQ(db.total_residues(), 40u);
-  EXPECT_FALSE(build({0, 1, 2, 3}).permuted());
-  EXPECT_FALSE(build({}).permuted());
-
-  std::vector<seq::Record> rising = records();
-  rising[0].residues = rising[0].residues.first(5);
-  EXPECT_THROW(seq::Database(rising, {}, buf), std::invalid_argument);
-}

@@ -115,7 +115,7 @@ void print_result(const seq::Sequence& query,
   if (format == "tsv") {
     int rank = 1;
     for (const search::SearchHit& hit : res.top) {
-      const auto& subj = db.by_original(hit.index);
+      const seq::Record subj = db.by_original(hit.index);
       if (ka) {
         std::printf("%s\t%d\t%s\t%ld\t%zu\t%.1f\t%.3g\n", query.id.c_str(),
                     rank++, subj.id.c_str(), hit.score, subj.size(),
@@ -133,7 +133,7 @@ void print_result(const seq::Sequence& query,
               "score", "length", "bits", "E-value", "QC%", "MI%");
   int rank = 1;
   for (const search::SearchHit& hit : res.top) {
-    const auto& subj = db.by_original(hit.index);
+    const seq::Record subj = db.by_original(hit.index);
     const core::SimilarityStats st =
         core::measure_similarity(matrix, qenc, subj.view());
     if (ka) {

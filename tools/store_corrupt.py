@@ -7,11 +7,22 @@ the middle of every metadata section (located through the section
 table), each 8-byte word of one 32-byte stride of the signature blob
 (one per checksum lane), and final byte, plus a version-1 header — and
 runs `aalign_index verify` on every mutant.
-Each must be REJECTED the structured way:
 
-  * nonzero exit code (a mutant that verifies clean is a checksum hole),
+Four more mutants are *resealed*: an edit to the shard directory, the
+sequence directory or the permutation, after which the edited section's
+checksum and the header checksum are recomputed (a Python port of the
+format's four-lane FNV-1a, store/format.h `Checksum`). They get past
+every checksum and reach the layout checks: a residue range whose end
+wraps past 2^64 (sequence and shard directory), a sequence directory out
+of longest-first order, and a permutation naming one index twice.
+
+Each mutant must be REJECTED the structured way:
+
+  * nonzero exit code (a mutant that verifies clean is a checksum or
+    layout-check hole),
   * not killed by a signal (a crash on corrupt input is a loader bug),
-  * stderr naming a `store.<code>` token (the documented error contract).
+  * stderr naming a `store.<code>` token (the documented error contract);
+    a resealed mutant must name `store.bad_layout`.
 
 Usage:
   store_corrupt.py --tool build/tools/aalign_index --index db.aidx
@@ -39,13 +50,62 @@ SECTION_NAMES = (
     "sig_popcounts", "sig_lengths", "sig_blob",
     "profile_lut_i8", "profile_lut_i16", "profile_lut_i32",
 )
+SHARD_DIR_SECTION = SECTION_NAMES.index("shard_dir")
+SEQ_DIR_SECTION = SECTION_NAMES.index("seq_dir")
 SEQ_BLOB_SECTION = SECTION_NAMES.index("seq_blob")
+PERMUTATION_SECTION = SECTION_NAMES.index("permutation")
 SIG_BLOB_SECTION = SECTION_NAMES.index("sig_blob")
 FORMAT_VERSION_OFFSET = 12  # store::Header::format_version (u32)
+HEADER_BYTES_OFFSET = 16  # store::Header::header_bytes (u64)
+HEADER_CHECKSUM_OFFSET = 168  # store::Header::header_checksum (u64)
+SECTION_CHECKSUM_OFFSET = 24  # store::SectionEntry::checksum (u64)
+SEQ_COUNT_OFFSET = 40  # store::Header::seq_count (u64)
+SEQ_ENTRY_BYTES = 32  # store::SeqEntry: residue_offset, length, id range
+SHARD_BLOB_OFFSET = 16  # store::ShardEntry::blob_offset (u64)
 # The integrity checksum runs four FNV-1a lanes over 32-byte strides: word
 # k of every stride feeds lane k.
 CHECKSUM_STRIDE = 32
 CHECKSUM_LANES = 4
+FNV_OFFSET_BASIS = 14695981039346656037
+FNV_PRIME = 1099511628211
+U64 = (1 << 64) - 1
+# A residue offset whose end wraps past 2^64 for any length >= 64.
+WRAPPING_OFFSET = (1 << 64) - 64
+
+
+def fnv1a64(data: bytes, seed: int = FNV_OFFSET_BASIS) -> int:
+    """store::fnv1a64: FNV-1a over little-endian u64 words, byte-wise tail."""
+    h = seed
+    whole = len(data) // 8 * 8
+    for (word,) in struct.iter_unpack("<Q", data[:whole]):
+        h = ((h ^ word) * FNV_PRIME) & U64
+    for byte in data[whole:]:
+        h = ((h ^ byte) * FNV_PRIME) & U64
+    return h
+
+
+def checksum(data: bytes) -> int:
+    """store::checksum: four FNV-1a lanes over 32-byte strides, folded."""
+    lanes = [FNV_OFFSET_BASIS ^ k for k in range(CHECKSUM_LANES)]
+    whole = len(data) // CHECKSUM_STRIDE * CHECKSUM_STRIDE
+    for words in struct.iter_unpack("<4Q", data[:whole]):
+        lanes = [((lane ^ w) * FNV_PRIME) & U64 for lane, w in zip(lanes, words)]
+    if whole < len(data):
+        lanes[0] = fnv1a64(data[whole:], lanes[0])
+    return fnv1a64(struct.pack("<4Q", *lanes))
+
+
+def reseal(m: bytearray, index: int) -> bytes:
+    """Recomputes section `index`'s checksum, then the header checksum."""
+    offset, nbytes = section_range(m, index)
+    entry = HEADER_BYTES + index * SECTION_ENTRY_BYTES
+    struct.pack_into("<Q", m, entry + SECTION_CHECKSUM_OFFSET,
+                     checksum(bytes(m[offset:offset + nbytes])))
+    (header_bytes,) = struct.unpack_from("<Q", m, HEADER_BYTES_OFFSET)
+    struct.pack_into("<Q", m, HEADER_CHECKSUM_OFFSET, 0)
+    struct.pack_into("<Q", m, HEADER_CHECKSUM_OFFSET,
+                     checksum(bytes(m[:header_bytes])))
+    return bytes(m)
 
 
 def section_range(data: bytes, index: int):
@@ -53,6 +113,33 @@ def section_range(data: bytes, index: int):
     at = HEADER_BYTES + index * SECTION_ENTRY_BYTES
     _, _, offset, nbytes, _ = struct.unpack_from("<IIQQQ", data, at)
     return offset, nbytes
+
+
+def resealed_mutations(data: bytes):
+    """Yields (name, mutated_bytes) pairs that every checksum accepts."""
+    (seq_count,) = struct.unpack_from("<Q", data, SEQ_COUNT_OFFSET)
+    shard_dir, _ = section_range(data, SHARD_DIR_SECTION)
+    seq_dir, _ = section_range(data, SEQ_DIR_SECTION)
+    perm, _ = section_range(data, PERMUTATION_SECTION)
+    last = seq_dir + (seq_count - 1) * SEQ_ENTRY_BYTES
+
+    m = bytearray(data)
+    struct.pack_into("<Q", m, seq_dir, WRAPPING_OFFSET)
+    yield "resealed_wrapped_seq_dir_offset", reseal(m, SEQ_DIR_SECTION)
+
+    m = bytearray(data)
+    struct.pack_into("<Q", m, shard_dir + SHARD_BLOB_OFFSET, WRAPPING_OFFSET)
+    yield "resealed_wrapped_shard_offset", reseal(m, SHARD_DIR_SECTION)
+
+    m = bytearray(data)
+    first_entry = data[seq_dir:seq_dir + SEQ_ENTRY_BYTES]
+    m[seq_dir:seq_dir + SEQ_ENTRY_BYTES] = data[last:last + SEQ_ENTRY_BYTES]
+    m[last:last + SEQ_ENTRY_BYTES] = first_entry
+    yield "resealed_seq_dir_unsorted", reseal(m, SEQ_DIR_SECTION)
+
+    m = bytearray(data)
+    m[perm + 8:perm + 16] = data[perm:perm + 8]
+    yield "resealed_duplicate_permutation", reseal(m, PERMUTATION_SECTION)
 
 
 def mutations(data: bytes):
@@ -118,10 +205,24 @@ def main():
     if clean.returncode != 0:
         print(f"store_corrupt: pristine index failed verify: {clean.stderr.strip()}")
         return 1
+    # Resealing an untouched file must reproduce it, or the checksum port
+    # is wrong and the resealed mutants test nothing.
+    (seq_count,) = struct.unpack_from("<Q", data, SEQ_COUNT_OFFSET)
+    if seq_count < 2:
+        print(f"store_corrupt: {args.index} holds fewer than 2 sequences")
+        return 1
+    for index in (SHARD_DIR_SECTION, SEQ_DIR_SECTION, PERMUTATION_SECTION):
+        if reseal(bytearray(data), index) != data:
+            print(f"store_corrupt: resealing section {SECTION_NAMES[index]} "
+                  "changed a pristine file (checksum port is wrong)")
+            return 1
 
+    cases = [(name, m, None) for name, m in mutations(data)]
+    cases += [(name, m, "store.bad_layout")
+              for name, m in resealed_mutations(data)]
     failures = []
     with tempfile.TemporaryDirectory() as td:
-        for name, mutated in mutations(data):
+        for name, mutated, want in cases:
             mutant = Path(td) / f"{name}.aidx"
             mutant.write_bytes(mutated)
             proc = subprocess.run(
@@ -139,9 +240,14 @@ def main():
                     f"{name}: exit {proc.returncode} without a store.* token: "
                     f"{proc.stderr.strip()!r}"
                 )
+            elif want is not None and STORE_ERR.search(proc.stderr).group(0) != want:
+                failures.append(
+                    f"{name}: rejected with "
+                    f"{STORE_ERR.search(proc.stderr).group(0)}, expected {want}"
+                )
             else:
                 token = STORE_ERR.search(proc.stderr).group(0)
-                print(f"store_corrupt: {name:24s} rejected with {token}")
+                print(f"store_corrupt: {name:32s} rejected with {token}")
 
     if failures:
         for f in failures:
