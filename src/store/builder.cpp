@@ -197,8 +197,10 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
       SectionKind::SeqDir, seq_dir.data(), seq_dir.size() * sizeof(SeqEntry));
   add_section(SectionKind::IdBlob, id_blob.data(), id_blob.size());
 
-  // Residue blob: every sequence start 64-byte aligned so mapped views
-  // can feed aligned vector loads; shard ranges tile the section exactly.
+  // Residue blob: each shard starts 64-byte aligned and holds its
+  // sequences back to back, zero-padded at its end only, so shard ranges
+  // tile the section exactly and no residue lies outside its shard's
+  // checksum.
   SectionEntry* blob_section = nullptr;
   {
     SectionEntry& e = sections[next_section++];
@@ -219,8 +221,8 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
         seq_dir[i].residue_offset = out.offset();
         seq_dir[i].length = view.size();
         out.append(view.data(), view.size());
-        out.pad_to_alignment();
       }
+      out.pad_to_alignment();
       sh.blob_bytes = out.offset() - sh.blob_offset;
     }
     e.bytes = out.offset() - e.offset;

@@ -28,6 +28,34 @@ const char* store_errc_name(StoreErrc errc) {
   return "store.unknown";
 }
 
+const char* section_kind_name(SectionKind kind) {
+  switch (kind) {
+    case SectionKind::ShardDir:
+      return "ShardDir";
+    case SectionKind::SeqDir:
+      return "SeqDir";
+    case SectionKind::IdBlob:
+      return "IdBlob";
+    case SectionKind::SeqBlob:
+      return "SeqBlob";
+    case SectionKind::Permutation:
+      return "Permutation";
+    case SectionKind::SigPopcounts:
+      return "SigPopcounts";
+    case SectionKind::SigLengths:
+      return "SigLengths";
+    case SectionKind::SigBlob:
+      return "SigBlob";
+    case SectionKind::ProfileLutI8:
+      return "ProfileLutI8";
+    case SectionKind::ProfileLutI16:
+      return "ProfileLutI16";
+    case SectionKind::ProfileLutI32:
+      return "ProfileLutI32";
+  }
+  return "unknown";
+}
+
 void count_fallback_parse() {
   obs::registry().counter("store.fallback_parses").add(1);
 }

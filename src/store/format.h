@@ -2,9 +2,10 @@
 // database_format.md). One file holds everything a serving process needs
 // to become query-ready: the length-sorted shard directory, the packed
 // residue blob, the original-index permutation, the PR-7 signature index,
-// and the per-precision-tier score profile tables — all 64-byte aligned
-// so the loader can `mmap` the file and serve `seq::Database` zero-copy
-// straight off the page cache.
+// and the per-precision-tier score profile tables — every section and
+// every residue shard 64-byte aligned, the residues within a shard packed
+// back to back — so the loader can `mmap` the file and serve
+// `seq::Database` zero-copy straight off the page cache.
 //
 // Integrity model: the header (including the section table) carries one
 // checksum; every metadata section carries its own; the residue blob is
@@ -34,11 +35,13 @@ namespace aalign::store {
 
 inline constexpr char kMagic[8] = {'A', 'A', 'L', 'N', 'I', 'D', 'X', '1'};
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
-// Version 2 introduced the four-lane integrity checksum (Checksum below).
-inline constexpr std::uint32_t kFormatVersion = 2;
-// Every section/sequence start is aligned to this many bytes in the file
-// (matches util::kVectorAlignment so mapped residues can feed aligned
-// vector loads).
+// Version 2 introduced the four-lane integrity checksum (Checksum below);
+// version 3 packs the residues within each shard back to back.
+inline constexpr std::uint32_t kFormatVersion = 3;
+// Every section and every residue shard starts aligned to this many bytes
+// in the file (util::kVectorAlignment, so signature rows can feed aligned
+// vector loads) and is zero-padded to a multiple of it. Sequences inside a
+// shard are not aligned: nothing reads residues with aligned loads.
 inline constexpr std::size_t kFileAlignment = 64;
 // Entries per row of the per-tier score profile tables; mirrors
 // core/inter_kernel.h's kLutStride (the in-register table_lookup layout).
@@ -139,6 +142,19 @@ enum class SectionKind : std::uint32_t {
 };
 inline constexpr std::uint32_t kSectionCount = 11;
 
+// The cold sections, SigPopcounts through the profile tables: the file's
+// tail that a filter-off search never reads. Only a filter scan reads the
+// signatures, and only a service wired to the stored LUTs reads the
+// profile tables. MappedIndex::open gives the tail its own mapping and
+// releases its pages once hashed (loader.h).
+inline constexpr SectionKind kFirstColdSection = SectionKind::SigPopcounts;
+constexpr bool cold_section(SectionKind kind) {
+  return kind >= kFirstColdSection;
+}
+
+// "ShardDir", "SeqDir", ...: the SectionKind's enumerator name.
+const char* section_kind_name(SectionKind kind);
+
 // Per-shard checksum flag on the SeqBlob section: its section-level
 // checksum field is unused (0); integrity lives in ShardEntry::checksum.
 inline constexpr std::uint32_t kSectionFlagPerShardChecksum = 1;
@@ -156,7 +172,8 @@ struct ShardEntry {
   std::uint64_t first_seq = 0;   // position of the shard's first sequence
   std::uint64_t seq_count = 0;
   std::uint64_t blob_offset = 0;  // absolute file offset of the residues
-  std::uint64_t blob_bytes = 0;   // padded (checksummed) size
+  std::uint64_t blob_bytes = 0;   // align_up(residue count): padded and
+                                  // checksummed size
   std::uint64_t max_len = 0;      // residue bounds (length-sorted: the
   std::uint64_t min_len = 0;      // shard directory is itself sorted)
   std::uint64_t checksum = 0;     // checksum() of [blob_offset, +blob_bytes)
@@ -166,8 +183,9 @@ static_assert(sizeof(ShardEntry) == 64);
 
 // A SeqDir entry is the database's own directory entry, so a mapped
 // seq::Database reads the section in place: residue_offset is the
-// absolute file offset of the residues (unpadded `length` of them),
-// id_offset an offset into the IdBlob section payload.
+// absolute file offset of the residues (`length` of them, the next entry
+// of the shard starting right after), id_offset an offset into the IdBlob
+// section payload.
 using SeqEntry = seq::DirEntry;
 static_assert(sizeof(SeqEntry) == 32);
 

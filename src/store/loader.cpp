@@ -48,17 +48,11 @@ std::uint64_t expected_payload_bytes(const Header& h, SectionKind kind) {
   return 0;
 }
 
-// Only a filter scan reads the signature sections, and the default
-// (filter off) never does, so open hashes them a window at a time and
-// drops each window's pages once hashed. The directory sections are not
-// released: every search reads SeqDir through its database() view. The
-// kernel may still map more than open touched (loader.h).
+// A filter-off search never reads the cold sections (format.h), so open
+// hashes them a window at a time and drops each window's pages once
+// hashed: the windows bound open's transient peak. The hot sections are
+// not released: every search reads SeqDir through its database() view.
 constexpr std::uint64_t kHashWindow = std::uint64_t{1} << 20;
-
-bool released_after_hash(SectionKind kind) {
-  return kind == SectionKind::SigPopcounts ||
-         kind == SectionKind::SigLengths || kind == SectionKind::SigBlob;
-}
 
 // True when [offset, offset + bytes) lies inside section `e`. Written in
 // subtraction form: offset + bytes can wrap past 2^64 and land back inside
@@ -74,7 +68,7 @@ bool inside_section(std::uint64_t offset, std::uint64_t bytes,
 constexpr std::uint32_t kUnplaced = std::numeric_limits<std::uint32_t>::max();
 
 std::uint64_t section_checksum(const MappedFile& f, const SectionEntry& e) {
-  if (!released_after_hash(SectionKind(e.kind))) {
+  if (!cold_section(SectionKind(e.kind))) {
     return checksum(f.range(e.offset, e.bytes), e.bytes);
   }
   // Windows end on kHashWindow-aligned file offsets, so every window but
@@ -166,9 +160,8 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
     }
   }
 
-  // ---- Section table -----------------------------------------------------
-  const auto* sections = reinterpret_cast<const SectionEntry*>(
-      f.range(sizeof(Header), kSectionCount * sizeof(SectionEntry)));
+  // ---- Section table: geometry, then checksums ----------------------------
+  const auto sections = idx.sections();
   std::uint64_t cursor = h.header_bytes;
   for (std::uint32_t i = 0; i < kSectionCount; ++i) {
     const SectionEntry& e = sections[i];
@@ -192,6 +185,16 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
                                          "counts"));
     }
     cursor = e.offset + e.bytes;
+  }
+  if (cursor != h.file_bytes) {
+    throw StoreError(StoreErrc::BadLayout,
+                     at_path(path, "sections do not tile the file"));
+  }
+  // The offsets now tile the file, so the cold tail can get its own
+  // mapping before it is hashed: no later fault on the hot side maps it.
+  const std::uint64_t cold = idx.section(kFirstColdSection).offset;
+  f.split_at(cold);
+  for (const SectionEntry& e : sections) {
     if (e.flags & kSectionFlagPerShardChecksum) continue;
     if (section_checksum(f, e) != e.checksum) {
       throw StoreError(StoreErrc::SectionChecksum,
@@ -199,10 +202,9 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
                                          " checksum mismatch"));
     }
   }
-  if (cursor != h.file_bytes) {
-    throw StoreError(StoreErrc::BadLayout,
-                     at_path(path, "sections do not tile the file"));
-  }
+  // A window releases only the pages wholly inside its section, so pages
+  // two cold sections share are still resident: drop the range once.
+  f.release(cold, h.file_bytes - cold);
 
   // ---- Directory cross-checks (still O(seq_count), no residue reads) -----
   const SectionEntry& blob = idx.section(SectionKind::SeqBlob);
@@ -210,12 +212,8 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
   const auto seqs = idx.seq_dir();
   std::uint64_t residues = 0;
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    // The only guard on Database::residues(): a mapped database trusts
-    // these ranges.
     const SeqEntry& s = seqs[i];
-    if (!inside_section(s.residue_offset, s.length, blob) ||
-        s.residue_offset % kFileAlignment != 0 || s.id_offset > ids.bytes ||
-        s.id_bytes > ids.bytes - s.id_offset) {
+    if (s.id_offset > ids.bytes || s.id_bytes > ids.bytes - s.id_offset) {
       throw StoreError(StoreErrc::BadLayout,
                        at_path(path, "sequence directory entry out of range"));
     }
@@ -252,19 +250,46 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
     identity = identity && orig == pos;
   }
   if (!identity) idx.inv_ = inv;
+  // The only guard on Database::residues(), since a mapped database
+  // trusts these ranges: shards tile SeqBlob in order, and each shard's
+  // entries run back to back from its start and fill it up to its padding.
+  // So every residue a database reads lies in exactly one shard, under
+  // that shard's checksum, and no two subjects share a byte.
   std::uint64_t seq_cursor = 0;
+  std::uint64_t blob_cursor = blob.offset;
   for (const ShardEntry& sh : idx.shards()) {
     if (sh.first_seq != seq_cursor || sh.seq_count == 0 ||
         sh.seq_count > h.seq_count - seq_cursor ||
+        sh.blob_offset != blob_cursor ||
         !inside_section(sh.blob_offset, sh.blob_bytes, blob)) {
       throw StoreError(StoreErrc::BadLayout,
                        at_path(path, "shard directory entry out of range"));
     }
+    const std::uint64_t end = sh.blob_offset + sh.blob_bytes;
+    std::uint64_t at = sh.blob_offset;
+    for (const SeqEntry& s : seqs.subspan(sh.first_seq, sh.seq_count)) {
+      if (s.residue_offset != at || s.length > end - at) {
+        throw StoreError(StoreErrc::BadLayout,
+                         at_path(path, "sequence directory entry out of "
+                                       "range of its shard"));
+      }
+      at += s.length;
+    }
+    if (sh.blob_bytes != align_up(at - sh.blob_offset)) {
+      throw StoreError(StoreErrc::BadLayout,
+                       at_path(path, "shard size disagrees with its "
+                                     "residues"));
+    }
     seq_cursor += sh.seq_count;
+    blob_cursor = end;
   }
   if (seq_cursor != h.seq_count) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "shards do not cover every sequence"));
+  }
+  if (blob_cursor != blob.offset + blob.bytes) {
+    throw StoreError(StoreErrc::BadLayout,
+                     at_path(path, "shards do not tile the residue blob"));
   }
 
   if (verify == Verify::Full) idx.verify_shards();
@@ -278,10 +303,14 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
   return idx;
 }
 
+std::span<const SectionEntry> MappedIndex::sections() const {
+  return {reinterpret_cast<const SectionEntry*>(file_->range(
+              sizeof(Header), kSectionCount * sizeof(SectionEntry))),
+          kSectionCount};
+}
+
 const SectionEntry& MappedIndex::section(SectionKind kind) const {
-  const auto* sections = reinterpret_cast<const SectionEntry*>(
-      file_->range(sizeof(Header), kSectionCount * sizeof(SectionEntry)));
-  return sections[static_cast<std::uint32_t>(kind) - 1];
+  return sections()[static_cast<std::uint32_t>(kind) - 1];
 }
 
 template <class T>
@@ -360,7 +389,7 @@ ShardSlice MappedIndex::shard_slice(std::size_t i, std::size_t n) const {
   const auto all = shards();
   const auto seqs = seq_dir();
   // Exact per-shard residue totals from the sequence directory (blob_bytes
-  // includes per-sequence padding, so it is only an approximation).
+  // includes the shard's tail padding).
   std::vector<std::uint64_t> shard_residues(all.size(), 0);
   for (std::size_t s = 0; s < all.size(); ++s) {
     for (std::uint64_t k = 0; k < all[s].seq_count; ++k) {

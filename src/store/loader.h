@@ -5,23 +5,27 @@
 // never to the residue volume: 32 B of directory plus 256 B of signature
 // per subject are hashed at open, by the format's four-lane checksum
 // (store/format.h), so open costs about one pass over the metadata at
-// memory speed. The signature sections are hashed in 1 MiB windows whose
-// pages are released once hashed (only a filter scan reads them, and it
-// faults them back). Open reads no residue, but residency is the page
-// cache's call: on a 26,032-subject index (Linux 6.18, ext4) 4.21 MB of
-// the mapping is resident after open against a 1.2 MB directory, since
-// page-cache folios of up to 2 MiB are mapped whole (docs/
-// database_format.md). The residue blob is verified per shard only under
+// memory speed. It checks the section geometry first, then gives the cold
+// sections (format.h: the signatures and profile tables, which a
+// filter-off search never reads) a mapping of their own, hashes them in
+// 1 MiB windows whose pages are released once hashed, and releases the
+// whole cold range at the end. The kernel maps page-cache folios of up to
+// 2 MiB whole but clips them at mapping bounds, so after a filter-off
+// search on a 26,032-subject index (Linux 6.18, ext4) no signature page
+// is resident and the mapping's resident bytes are the hot sections the
+// search read (docs/database_format.md). A filter scan faults the
+// signature pages back. The residue blob is verified per shard only under
 // Verify::Full (the `aalign_index verify` / CI corruption-fuzz path); the
 // serving path trusts the page cache and the per-shard checksums stay
 // available for offline audit.
 //
-// open() also checks the directory's ranges and longest-first order and
-// that the Permutation section is a permutation, building its u32 inverse
-// in the same pass. database() then does no per-subject work: the
-// seq::Database it returns views the mapped SeqDir, IdBlob, SeqBlob and
-// Permutation sections in place and shares that inverse, with the
-// MappedFile pinned as its backing(). signatures() rehydrates the
+// open() also checks the directory's ranges and longest-first order, that
+// the shards tile the residue blob with their subjects packed back to back
+// inside them, and that the Permutation section is a permutation, building
+// its u32 inverse in the same pass. database() then does no per-subject
+// work: the seq::Database it returns views the mapped SeqDir, IdBlob,
+// SeqBlob and Permutation sections in place and shares that inverse, with
+// the MappedFile pinned as its backing(). signatures() rehydrates the
 // persisted SignatureIndex without hashing a single k-mer. Both are
 // bit-identical to what the FASTA-parse path would produce
 // (tests/test_store.cpp enforces this differentially).
@@ -76,6 +80,8 @@ class MappedIndex {
   const std::string& path() const { return file_->path(); }
   std::uint64_t file_bytes() const { return hdr_.file_bytes; }
 
+  // The section table, one entry per SectionKind in kind order.
+  std::span<const SectionEntry> sections() const;
   std::span<const ShardEntry> shards() const;
   std::span<const SeqEntry> seq_dir() const;
 

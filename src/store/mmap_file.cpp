@@ -58,12 +58,35 @@ const std::uint8_t* MappedFile::range(std::uint64_t offset,
   return data_ + offset;
 }
 
+namespace {
+
+std::uint64_t page_bytes() {
+  return static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+std::uint64_t page_ceil(std::uint64_t n, std::uint64_t page) {
+  return (n + page - 1) / page * page;
+}
+
+}  // namespace
+
 void MappedFile::release(std::uint64_t offset, std::uint64_t bytes) const {
   range(offset, bytes);  // bounds check
-  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-  const std::uint64_t lo = (offset + page - 1) / page * page;
-  const std::uint64_t hi = (offset + bytes) / page * page;
+  const std::uint64_t page = page_bytes();
+  const std::uint64_t end = offset + bytes;
+  const std::uint64_t lo = page_ceil(offset, page);
+  // Past the end of the file the last page has no neighbour to spare.
+  const std::uint64_t hi = end == size_ ? page_ceil(end, page)
+                                        : end / page * page;
   if (hi > lo) ::madvise(data_ + lo, hi - lo, MADV_DONTNEED);
+}
+
+void MappedFile::split_at(std::uint64_t offset) const {
+  range(offset, 0);  // bounds check
+  const std::uint64_t page = page_bytes();
+  const std::uint64_t lo = page_ceil(offset, page);
+  const std::uint64_t hi = page_ceil(size_, page);
+  if (hi > lo) ::madvise(data_ + lo, hi - lo, MADV_DONTDUMP);
 }
 
 }  // namespace aalign::store

@@ -33,11 +33,21 @@ class MappedFile {
   const std::uint8_t* range(std::uint64_t offset, std::uint64_t bytes) const;
 
   // Drops this process's resident copy of every page lying wholly inside
-  // [offset, offset + bytes) (MADV_DONTNEED). The contents do not change:
-  // the next read faults the page back in from the page cache. Pages the
-  // range only partly covers stay, so a neighbouring region is never
-  // touched. Advisory; a failure is ignored.
+  // [offset, offset + bytes) (MADV_DONTNEED); a range that runs to the end
+  // of the file also takes the file's last, partial page. The contents do
+  // not change: the next read faults the page back in from the page
+  // cache. Pages the range only partly covers stay, so a neighbouring
+  // region is never touched. Advisory; a failure is ignored.
   void release(std::uint64_t offset, std::uint64_t bytes) const;
+
+  // Makes the pages from the first page boundary at or after `offset` to
+  // the end of the file a mapping (VMA) of their own, so a fault below
+  // the boundary never maps a page above it: the kernel maps page-cache
+  // folios of up to 2 MiB whole, but clips them at VMA bounds. A second
+  // mmap of the range would merge back into its neighbour, so this marks
+  // the range MADV_DONTDUMP (Linux), a VMA flag that keeps it apart and
+  // changes no read. Advisory; a failure leaves the mapping whole.
+  void split_at(std::uint64_t offset) const;
 
  private:
   MappedFile() = default;

@@ -5,6 +5,7 @@
 // the mmapped index is BIT-IDENTICAL - scores, top-k order, original
 // indices - to one served from the FASTA-parse path, across ISAs and
 // filter modes, single and batched.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -566,23 +567,67 @@ TEST_F(StoreCorruption, EveryChecksumLaneGuardsItsSection) {
   }
 }
 
-// A version-1 file (the single-chain checksum) is rejected by the version
-// gate with the rebuild hint, before any checksum is read.
+// A version-1 file (the single-chain checksum) or a version-2 one (each
+// sequence padded to 64 bytes) is rejected by the version gate with the
+// rebuild hint, before any checksum is read.
 TEST_F(StoreCorruption, VersionOneFileRejected) {
-  auto m = bytes_;
-  const std::uint32_t v1 = 1;
-  std::memcpy(m.data() + offsetof(store::Header, format_version), &v1,
-              sizeof v1);
-  write_file(path_, m);
-  try {
-    store::MappedIndex::open(path_);
-    FAIL() << "loader accepted a version-1 file";
-  } catch (const store::StoreError& e) {
-    EXPECT_EQ(e.errc(), store::StoreErrc::BadVersion);
-    EXPECT_NE(std::string(e.what()).find("rebuild with aalign_index"),
-              std::string::npos)
-        << e.what();
+  for (const std::uint32_t version : {1u, 2u}) {
+    auto m = bytes_;
+    std::memcpy(m.data() + offsetof(store::Header, format_version), &version,
+                sizeof version);
+    write_file(path_, m);
+    try {
+      store::MappedIndex::open(path_);
+      ADD_FAILURE() << "loader accepted a version-" << version << " file";
+    } catch (const store::StoreError& e) {
+      EXPECT_EQ(e.errc(), store::StoreErrc::BadVersion) << version;
+      EXPECT_NE(std::string(e.what()).find("rebuild with aalign_index"),
+                std::string::npos)
+          << e.what();
+    }
   }
+}
+
+// A SeqDir entry pointed at another subject's residues, every checksum
+// resealed: a mapped database would serve subject 0's residues as subject
+// 1's. Subject 1 is no longer where its shard's packing puts it.
+TEST_F(StoreCorruption, SeqDirEntryAliasesAnotherSubjectRejected) {
+  auto m = bytes_;
+  const store::SectionEntry dir = section(m, store::SectionKind::SeqDir);
+  store::SeqEntry first, second;
+  std::memcpy(&first, m.data() + dir.offset, sizeof first);
+  std::memcpy(&second, m.data() + dir.offset + sizeof first, sizeof second);
+  ASSERT_GE(first.length, second.length);  // the alias stays in range
+  second.residue_offset = first.residue_offset;
+  std::memcpy(m.data() + dir.offset + sizeof first, &second, sizeof second);
+  reseal(m, store::SectionKind::SeqDir);
+  EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
+            store::StoreErrc::BadLayout);
+  EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
+}
+
+// Shard 1 of several starts 64 bytes late, resealed: its range stays in
+// the blob, but the shards no longer tile it, so the 64 bytes before it
+// belong to no shard's checksum and its subjects' residues start outside
+// its own.
+TEST_F(StoreCorruption, ShardBlobGapRejected) {
+  const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
+  store::BuildParams params;
+  params.shard_target_residues = 2000;
+  bytes_ = store::build_index_bytes(seq::Database(make_workload(17, 40, 2)),
+                                    matrix, params);
+  auto m = bytes_;
+  const store::SectionEntry dir = section(m, store::SectionKind::ShardDir);
+  ASSERT_GE(dir.bytes, 3 * sizeof(store::ShardEntry));  // shard 1 is inner
+  const std::size_t at = dir.offset + sizeof(store::ShardEntry);
+  store::ShardEntry shard;
+  std::memcpy(&shard, m.data() + at, sizeof shard);
+  shard.blob_offset += 64;
+  std::memcpy(m.data() + at, &shard, sizeof shard);
+  reseal(m, store::SectionKind::ShardDir);
+  EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
+            store::StoreErrc::BadLayout);
+  EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
 }
 
 // The loader hashes the signature sections in windows: the checksum's
@@ -767,10 +812,10 @@ TEST(StoreEdge, SingleSequencePerShard) {
 }
 
 TEST(StoreEdge, ShardBoundaryExactlyAtPageSize) {
-  // 64 sequences x 64 residues, budget 4096: each sequence occupies one
-  // aligned 64-byte slot, shards fill to exactly the 4096-byte page, and
-  // every boundary lands on a page edge. The greedy packer must neither
-  // split a sequence nor leak one across the budget.
+  // 64 sequences x 64 residues, budget 4096: the sequences pack back to
+  // back, shards fill to exactly the 4096-byte page, and every boundary
+  // lands on a page edge. The greedy packer must neither split a sequence
+  // nor leak one across the budget.
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   std::mt19937_64 rng(19);
   std::vector<seq::EncodedSequence> seqs;
@@ -844,3 +889,89 @@ TEST(StoreEdge, TwoDatabasesShareOneMapping) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Residency: what a search keeps of the mapping.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Pages of [begin, end) present in this process, read from the present
+// bit (63) of /proc/self/pagemap, which an unprivileged reader sees; -1
+// when the page table cannot be read.
+long present_pages(const std::uint8_t* begin, const std::uint8_t* end) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const int fd = ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return -1;
+  long present = 0;
+  for (std::uintptr_t a = reinterpret_cast<std::uintptr_t>(begin) / page;
+       a * page < reinterpret_cast<std::uintptr_t>(end); ++a) {
+    std::uint64_t entry = 0;
+    if (::pread(fd, &entry, sizeof entry,
+                static_cast<off_t>(a * sizeof entry)) != sizeof entry) {
+      ::close(fd);
+      return -1;
+    }
+    present += static_cast<long>(entry >> 63);
+  }
+  ::close(fd);
+  return present;
+}
+
+}  // namespace
+
+// A filter-off search reads the hot sections only, and the kernel maps
+// page-cache folios of up to 2 MiB whole: with SigBlob wider than one
+// folio, a fault near the end of the hot sections would map signature
+// pages unless open() gave the cold tail a mapping of its own. After the
+// search no page from the first page boundary in SigPopcounts to the end
+// of the file is present; a filter-on search then faults the signatures
+// back and returns the FASTA path's hits.
+TEST(StoreResidency, FilterOffSearchLeavesSignaturesUnmapped) {
+  const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
+  const auto seqs = make_workload(23, 9000, 40, 8, 24);
+  TempIndex tmp(seq::Database(seqs), matrix);
+  const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
+  const auto section = [&](store::SectionKind kind) {
+    return idx.sections()[static_cast<std::size_t>(kind) - 1];
+  };
+  ASSERT_GT(section(store::SectionKind::SigBlob).bytes,
+            std::uint64_t{2} << 20);
+  const seq::Database db = idx.database();
+
+  std::mt19937_64 rng(31);
+  std::vector<std::vector<std::uint8_t>> queries = {
+      seqs[9003].data, test::random_protein(rng, 60)};
+  search::SearchOptions opt;
+  opt.threads = 2;
+  opt.top_k = 10;
+  opt.filter.mode = filter::FilterMode::Off;
+  search::BatchScheduler(matrix, local_config(), opt).run(queries, db);
+
+  const std::uint8_t* base = idx.file()->data();
+  const store::SectionEntry dir = section(store::SectionKind::SeqDir);
+  if (present_pages(base + dir.offset, base + dir.offset + dir.bytes) <= 0) {
+    GTEST_SKIP() << "/proc/self/pagemap shows no present bit";
+  }
+  const std::uint64_t cold =
+      store::align_up(section(store::kFirstColdSection).offset,
+                      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)));
+  EXPECT_EQ(present_pages(base + cold, base + idx.file_bytes()), 0);
+
+  opt.filter.mode = filter::FilterMode::On;
+  search::SearchOptions mopt = opt;
+  mopt.filter.index = idx.signatures();
+  const auto mapped =
+      search::BatchScheduler(matrix, local_config(), mopt).run(queries, db);
+  const seq::Database fasta_db(seqs);
+  search::BatchScheduler fasta_engine(matrix, local_config(), opt);
+  const auto fasta = fasta_engine.run(queries, fasta_db);
+  ASSERT_EQ(mapped.size(), fasta.size());
+  for (std::size_t q = 0; q < fasta.size(); ++q) {
+    ASSERT_EQ(mapped[q].top.size(), fasta[q].top.size()) << "query " << q;
+    EXPECT_FALSE(fasta[q].top.empty());
+    for (std::size_t r = 0; r < fasta[q].top.size(); ++r) {
+      EXPECT_EQ(mapped[q].top[r].index, fasta[q].top[r].index) << q << "/" << r;
+      EXPECT_EQ(mapped[q].top[r].score, fasta[q].top[r].score) << q << "/" << r;
+    }
+  }
+}

@@ -4,7 +4,7 @@
 // Usage:
 //   aalign_index build -d db.fasta -o db.aidx [options]
 //   aalign_index verify db.aidx        # full per-shard checksum audit
-//   aalign_index inspect db.aidx       # header + shard directory dump
+//   aalign_index inspect db.aidx       # header, section table, shards
 //
 // Build options:
 //   --matrix NAME        blosum45|blosum62|blosum80|pam250   [blosum62]
@@ -112,6 +112,17 @@ int run_inspect(const std::string& path) {
   std::printf("filter          k=%u bits=%llu threshold=%g\n", h.filter_k,
               static_cast<unsigned long long>(h.filter_bits),
               h.filter_threshold);
+  // Hot sections stay mapped after open(); open() releases the cold ones
+  // (a filter scan or a LUT-wired service faults them back).
+  std::printf("sections        %u\n", h.section_count);
+  for (const store::SectionEntry& e : idx.sections()) {
+    const auto kind = static_cast<store::SectionKind>(e.kind);
+    std::printf("  %-14s offset %-10llu %10llu B  %s\n",
+                store::section_kind_name(kind),
+                static_cast<unsigned long long>(e.offset),
+                static_cast<unsigned long long>(e.bytes),
+                store::cold_section(kind) ? "cold" : "hot");
+  }
   std::printf("shards          %llu\n",
               static_cast<unsigned long long>(h.shard_count));
   const auto shards = idx.shards();

@@ -5,16 +5,18 @@ Mutates a known-good index file — truncations at several offsets, single
 bit flips in the header, section table, shard directory, residue blob,
 the middle of every metadata section (located through the section
 table), each 8-byte word of one 32-byte stride of the signature blob
-(one per checksum lane), and final byte, plus a version-1 header — and
-runs `aalign_index verify` on every mutant.
+(one per checksum lane), and final byte, plus version-1 and version-2
+headers — and runs `aalign_index verify` on every mutant.
 
-Four more mutants are *resealed*: an edit to the shard directory, the
+Six more mutants are *resealed*: an edit to the shard directory, the
 sequence directory or the permutation, after which the edited section's
 checksum and the header checksum are recomputed (a Python port of the
 format's four-lane FNV-1a, store/format.h `Checksum`). They get past
 every checksum and reach the layout checks: a residue range whose end
 wraps past 2^64 (sequence and shard directory), a sequence directory out
-of longest-first order, and a permutation naming one index twice.
+of longest-first order, a permutation naming one index twice, a
+sequence directory entry aliasing the previous subject's residues, and
+a shard that starts 64 bytes late (a gap the shards no longer tile).
 
 Each mutant must be REJECTED the structured way:
 
@@ -61,7 +63,10 @@ HEADER_CHECKSUM_OFFSET = 168  # store::Header::header_checksum (u64)
 SECTION_CHECKSUM_OFFSET = 24  # store::SectionEntry::checksum (u64)
 SEQ_COUNT_OFFSET = 40  # store::Header::seq_count (u64)
 SEQ_ENTRY_BYTES = 32  # store::SeqEntry: residue_offset, length, id range
+SHARD_ENTRY_BYTES = 64  # store::ShardEntry
 SHARD_BLOB_OFFSET = 16  # store::ShardEntry::blob_offset (u64)
+SHARD_BLOB_BYTES = 24  # store::ShardEntry::blob_bytes (u64)
+SHARD_COUNT_OFFSET = 56  # store::Header::shard_count (u64)
 # The integrity checksum runs four FNV-1a lanes over 32-byte strides: word
 # k of every stride feeds lane k.
 CHECKSUM_STRIDE = 32
@@ -141,6 +146,23 @@ def resealed_mutations(data: bytes):
     m[perm + 8:perm + 16] = data[perm:perm + 8]
     yield "resealed_duplicate_permutation", reseal(m, PERMUTATION_SECTION)
 
+    # Subject 1 reads subject 0's residues (no longer than them: the
+    # directory is longest first, so the range stays inside the blob).
+    m = bytearray(data)
+    m[seq_dir + SEQ_ENTRY_BYTES:seq_dir + SEQ_ENTRY_BYTES + 8] = \
+        data[seq_dir:seq_dir + 8]
+    yield "resealed_seq_dir_alias", reseal(m, SEQ_DIR_SECTION)
+
+    # The second shard (the first, in a one-shard index) starts 64 bytes
+    # late and ends where it did, so its range stays inside the blob.
+    (shard_count,) = struct.unpack_from("<Q", data, SHARD_COUNT_OFFSET)
+    entry = shard_dir + min(1, shard_count - 1) * SHARD_ENTRY_BYTES
+    m = bytearray(data)
+    for field, delta in ((SHARD_BLOB_OFFSET, 64), (SHARD_BLOB_BYTES, -64)):
+        (value,) = struct.unpack_from("<Q", data, entry + field)
+        struct.pack_into("<Q", m, entry + field, value + delta)
+    yield "resealed_shard_blob_gap", reseal(m, SHARD_DIR_SECTION)
+
 
 def mutations(data: bytes):
     """Yields (name, mutated_bytes) pairs covering every layout region."""
@@ -180,9 +202,10 @@ def mutations(data: bytes):
         for lane in range(CHECKSUM_LANES):
             yield f"flip_sig_blob_lane{lane}", flip(stride + 8 * lane + 3, lane)
     yield "flip_last_byte", flip(n - 1, 6)
-    m = bytearray(data)
-    struct.pack_into("<I", m, FORMAT_VERSION_OFFSET, 1)
-    yield "format_version_1", bytes(m)
+    for version in (1, 2):
+        m = bytearray(data)
+        struct.pack_into("<I", m, FORMAT_VERSION_OFFSET, version)
+        yield f"format_version_{version}", bytes(m)
     yield "append_trailing_byte", data + b"\x00"
 
 
