@@ -93,9 +93,10 @@ void bench_lazyf_carry_scan(benchmark::State& state) {
 // One local striped profile of a 2,000-residue BLOSUM62 query at the
 // engine's width. `engine` = false times the per-cell reference loop (one
 // matrix lookup per cell, the build before the table fill); true times
-// Engine::build_profile (letter tables included): one in-register
-// table_lookup per vector where the backend has it, the scalar table fill
-// elsewhere.
+// Engine::build_profile (letter tables included): the striped index alone
+// where the backend scores by a one-instruction lookup, else the rows,
+// one in-register lookup per vector where the backend has one and the
+// scalar table fill elsewhere.
 template <class T>
 void bench_profile_build(benchmark::State& state, IsaKind isa, bool engine) {
   const core::Engine<T>* eng = core::get_engine<T>(isa);
@@ -134,6 +135,7 @@ void bench_profile_build(benchmark::State& state, IsaKind isa, bool engine) {
       }
     }
     benchmark::DoNotOptimize(p.data.data());
+    benchmark::DoNotOptimize(p.index.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * matrix.size() *

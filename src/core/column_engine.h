@@ -17,12 +17,19 @@
 //
 // Gap steps are pre-negated (see simd/modules.h): first_* = -(open+extend)
 // is the cost of a gap's first character, ext_* = -extend each further one.
+//
+// Scores come from the profile in its own layout (score/profile.h):
+// Lookup = false loads vector j of the column letter's row; Lookup = true
+// loads the letter's table into registers once per column and looks
+// vector j up by the striped query index. The values are identical, so
+// every H, score, flag and counter is too.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <stdexcept>
 
 #include "core/config.h"
 #include "core/workspace.h"
@@ -53,8 +60,29 @@ Steps<T> make_steps(const AlignConfig& cfg) {
       clamp_score<T>(-cfg.pen.subject.extend)};
 }
 
-template <class Ops, AlignKind K, bool Affine>
+// Out of line and cold, so the check adds no throw sequence to the
+// inlined drivers.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_layout_mismatch() {
+  throw std::invalid_argument(
+      "ColumnEngine: profile layout or index code does not match the backend");
+}
+
+// The index code Ops's register lookup reads (score/profile.h); the
+// identity where Ops has no lookup.
+template <class Ops>
+constexpr score::IndexCode index_code() {
+  if constexpr (simd::HasLookup<Ops>) {
+    return {Ops::kIndexMul, Ops::kIndexAdd};
+  } else {
+    return {};
+  }
+}
+
+template <class Ops, AlignKind K, bool Affine, bool Lookup = false>
 class ColumnEngine {
+  static_assert(!Lookup || simd::HasLookup<Ops>,
+                "the lookup layout needs a backend with a register lookup");
+
  public:
   using T = typename Ops::value_type;
   using reg = typename Ops::reg;
@@ -65,9 +93,14 @@ class ColumnEngine {
   static constexpr bool kTrackMax =
       K == AlignKind::Local || sizeof(T) < sizeof(std::int32_t);
 
+  // `prof` must be in the layout Lookup names (std::invalid_argument).
   ColumnEngine(const score::StripedProfile<T>& prof, Steps<T> st,
                Workspace<T>& ws, LazyF lazyf = LazyF::Fixup)
       : prof_(prof), st_(st), segs_(prof.segs), lazyf_(lazyf) {
+    if (prof.lookup() != Lookup ||
+        (Lookup && prof.code != index_code<Ops>())) {
+      throw_layout_mismatch();
+    }
     ws.prepare(prof.padded_len());
     h_prev_ = ws.h_prev.data();
     h_cur_ = ws.h_cur.data();
@@ -95,7 +128,7 @@ class ColumnEngine {
   // Returns the number of lazy-F corrective vector steps (the hybrid
   // method's re-computation counter).
   int column_iterate(long i, std::uint8_t c) {
-    const T* pr = prof_.row(c);
+    const auto scores = column_scores(c);
     const T init_prev = init_T(i - 1);
     const T init_cur = init_T(i);
     const reg v_ext_u = Ops::set1(st_.ext_up);
@@ -113,7 +146,7 @@ class ColumnEngine {
     reg v_f = Ops::adds(Ops::set1(init_cur), f_ramp_);
 
     for (int j = 0; j < segs_; ++j) {
-      reg v_h = Ops::adds(v_dia, Ops::load(pr + j * W));
+      reg v_h = Ops::adds(v_dia, scores(j));
       reg v_e;
       if constexpr (Affine) {
         v_e = Ops::load(e_ + j * W);
@@ -237,7 +270,7 @@ class ColumnEngine {
 
   // --- striped-scan column (Alg. 3) ---------------------------------------
   void column_scan(long i, std::uint8_t c) {
-    const T* pr = prof_.row(c);
+    const auto scores = column_scores(c);
     const T init_prev = init_T(i - 1);
     const T init_cur = init_T(i);
     const reg v_ext_l = Ops::set1(st_.ext_left);
@@ -248,7 +281,7 @@ class ColumnEngine {
     reg v_dia =
         M::rshift_x_fill(Ops::load(h_prev_ + (segs_ - 1) * W), 1, init_prev);
     for (int j = 0; j < segs_; ++j) {
-      reg v_h = Ops::adds(v_dia, Ops::load(pr + j * W));
+      reg v_h = Ops::adds(v_dia, scores(j));
       reg v_e;
       if constexpr (Affine) {
         v_e = Ops::load(e_ + j * W);
@@ -372,6 +405,20 @@ class ColumnEngine {
   std::uint64_t saved_iters() const { return saved_iters_; }
 
  private:
+  // Letter c's column scores: scores(j) is vector j of them.
+  auto column_scores(std::uint8_t c) const {
+    if constexpr (Lookup) {
+      const auto table = Ops::load_table(prof_.tables.row(c));
+      const T* idx = prof_.index.data();
+      return [table, idx](int j) {
+        return Ops::lookup(table, Ops::load(idx + j * W));
+      };
+    } else {
+      const T* pr = prof_.row(c);
+      return [pr](int j) { return Ops::load(pr + j * W); };
+    }
+  }
+
   void init_buffers() {
     const int mpad = prof_.padded_len();
     for (int j = 0; j < segs_; ++j) {

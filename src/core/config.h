@@ -123,7 +123,9 @@ struct AlignConfig {
 // - the corrective sweep is a single bounded pass - which compresses the
 // whole scale: re-measured with the fixup (bench/ablate_hybrid_threshold),
 // dissimilar inputs sit near 0.03-0.08 passes/column, high-identity
-// inputs near 0.73-0.84, and iterate beats scan across that entire range.
+// inputs near 0.73-0.84, and at Q2000 iterate beats scan across that
+// entire range (short queries, whose segs is small, favour scan; see
+// EXPERIMENTS.md, Sec. V-B).
 // The re-derived default therefore sits just above the high-identity band:
 // only the degenerate regime where nearly every column runs a full-length
 // sweep (counter pinned at ~1.0, where scan's input-independent cost

@@ -26,15 +26,20 @@ class Engine {
 
   virtual int lanes() const = 0;
 
-  // Builds `profile` for `query` at lanes() lanes from the letter tables.
-  // Backends with an in-register table lookup fill one vector per lookup;
-  // the rest run the scalar fill (score/profile.h). Same bytes either way.
+  // Builds `profile` for `query` at lanes() lanes from the letter tables,
+  // in the layout run() reads fastest (score/profile.h): the lookup layout,
+  // which keeps `tables`, on backends with a one-instruction register
+  // lookup when the alphabet fits it; else the rows, filled one lookup per
+  // vector where the backend has a lookup at all and by the scalar fill
+  // elsewhere. The same score(a, k) for every cell either way.
   virtual void build_profile(score::StripedProfile<T>& profile,
                              std::span<const std::uint8_t> query,
-                             const score::ProfileTables<T>& tables) const = 0;
+                             score::ProfileTables<T> tables) const = 0;
 
-  // cancel: optional cooperative stop, polled once per stride-chunk of
-  // columns; a fired token returns KernelResult::cancelled (invalid score).
+  // Takes `profile` in either layout. Every subject byte must be below
+  // the profile's alphabet (QueryContext::align checks). cancel: optional
+  // cooperative stop, polled once per stride-chunk of columns; a fired
+  // token returns KernelResult::cancelled (invalid score).
   virtual KernelResult run(Strategy strategy, const AlignConfig& cfg,
                            const score::StripedProfile<T>& profile,
                            std::span<const std::uint8_t> subject,

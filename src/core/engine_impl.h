@@ -4,6 +4,8 @@
 // Include this header ONLY from a TU compiled with the backend's ISA flags.
 #pragma once
 
+#include <utility>
+
 #include "core/backends.h"
 #include "core/engine.h"
 #include "core/inter_kernel.h"
@@ -18,24 +20,29 @@ class EngineImpl final : public Engine<typename Ops::value_type> {
 
   int lanes() const override { return Ops::kWidth; }
 
-  // One table_lookup per vector: the striped index selects each letter's
-  // score in-register. The lookup covers indices 0..31, so alphabets whose
-  // pad symbol does not fit (alpha >= 32) and backends without the
-  // primitive take the scalar fill.
+  // The lookup layout where the kernels score by a one-instruction lookup;
+  // else the rows, one lookup per vector where the backend has a lookup at
+  // all. The lookup covers indices 0..31, so alphabets whose pad symbol
+  // does not fit (alpha >= 32) take the scalar rows fill.
   void build_profile(score::StripedProfile<T>& profile,
                      std::span<const std::uint8_t> query,
-                     const score::ProfileTables<T>& tables) const override {
-    using reg = typename Ops::reg;
-    if constexpr (requires(const T* p, reg r) { Ops::table_lookup(p, r); }) {
-      if (tables.alpha < 32) {
+                     score::ProfileTables<T> tables) const override {
+    if (tables.alpha < score::kLookupEntries) {
+      if constexpr (simd::HasOneOpLookup<Ops>) {
+        score::build_lookup_profile(profile, query, std::move(tables),
+                                    Ops::kWidth, index_code<Ops>());
+        return;
+      } else if constexpr (simd::HasLookup<Ops>) {
         util::AlignedBuffer<T> idx;
-        score::stripe_query(profile, query, tables.alpha, Ops::kWidth, idx);
+        score::stripe_query(profile, query, tables.alpha, Ops::kWidth, idx,
+                            index_code<Ops>());
+        profile.use_rows();
         const std::size_t n = idx.size();
         for (int a = 0; a < tables.alpha; ++a) {
-          const T* tab = tables.row(a);
+          const auto tab = Ops::load_table(tables.row(a));
           T* row = profile.data.data() + static_cast<std::size_t>(a) * n;
           for (std::size_t k = 0; k < n; k += Ops::kWidth) {
-            Ops::store(row + k, Ops::table_lookup(tab, Ops::load(&idx[k])));
+            Ops::store(row + k, Ops::lookup(tab, Ops::load(&idx[k])));
           }
         }
         return;

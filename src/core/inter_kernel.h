@@ -26,6 +26,7 @@
 #pragma once
 
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "core/column_engine.h"
@@ -33,20 +34,37 @@
 
 namespace aalign::core {
 
+// Out of line and cold: the lane fill below is inlined into every tier.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_bad_subject_symbol(
+    int c) {
+  throw std::invalid_argument("inter kernel: subject symbol " +
+                              std::to_string(c) + " outside the alphabet");
+}
+
 // Fills one column's score profile, prof[a * W + l] = tables.row(a)[idx[l]]
-// for every query residue a: one table_lookup per residue where the
-// backend has the primitive and the pad index fits its 32-entry range,
-// else the same lookup lane by lane.
+// for every query residue a: one lookup per residue (idx put in the
+// backend's index code first) where the backend has the primitive and the
+// pad index fits its 32-entry range, else the same lookup lane by lane.
+// Every idx[l] must be <= alpha (the pad symbol).
 template <class Ops, class T = typename Ops::value_type>
 void fill_column_profile(const score::ProfileTables<T>& tables, const T* idx,
                          T* prof) {
   using reg = typename Ops::reg;
   constexpr int W = Ops::kWidth;
-  if constexpr (requires(const T* p, reg r) { Ops::table_lookup(p, r); }) {
-    if (tables.alpha < 32) {
-      const reg v_idx = Ops::load(idx);
+  if constexpr (simd::HasLookup<Ops>) {
+    if (tables.alpha < score::kLookupEntries) {
+      reg v_idx = Ops::load(idx);
+      constexpr score::IndexCode code = index_code<Ops>();
+      if constexpr (code != score::IndexCode{}) {
+        alignas(64) T coded[W];
+        for (int l = 0; l < W; ++l) {
+          coded[l] = static_cast<T>(idx[l] * code.mul + code.add);
+        }
+        v_idx = Ops::load(coded);
+      }
       for (int a = 0; a < tables.alpha; ++a) {
-        Ops::store(prof + a * W, Ops::table_lookup(tables.row(a), v_idx));
+        Ops::store(prof + a * W,
+                   Ops::lookup(Ops::load_table(tables.row(a)), v_idx));
       }
       return;
     }
@@ -95,9 +113,15 @@ std::uint64_t inter_sequence_local(
     // Score profile of this column: each lane's subject character (the
     // padding index alpha once the lane's subject has ended) selects one
     // entry of every residue's table row. Row stride W*sizeof(T) is
-    // exactly the register width, so every row is load-aligned.
+    // exactly the register width, so every row is load-aligned. A
+    // character outside the alphabet would select past the tables.
     for (int l = 0; l < W; ++l) {
-      idx[l] = static_cast<T>(t < in.lengths[l] ? in.subjects[l][t] : alpha);
+      int c = alpha;
+      if (t < in.lengths[l]) {
+        c = in.subjects[l][t];
+        if (c >= alpha) throw_bad_subject_symbol(c);
+      }
+      idx[l] = static_cast<T>(c);
     }
     fill_column_profile<Ops>(tables, idx, prof);
 

@@ -4,6 +4,11 @@
 // column beyond its window/stride decisions. Header is included only by
 // backend TUs (each compiled with its ISA flags) via engine_impl.h.
 //
+// Layout: a driver runs the ColumnEngine that reads its profile's layout
+// (score/profile.h). Its Lookup parameter starts false; on a backend with
+// a one-instruction lookup, a lookup-layout profile re-enters the driver
+// with Lookup = true. Rows profiles run on every backend.
+//
 // Cancellation: every driver takes an optional CancelToken and polls it
 // once per stride-chunk of columns (kCancelStrideColumns; the hybrid polls
 // at its own window/stride boundaries, which are finer). A fired token
@@ -31,14 +36,20 @@ void harvest_lazyf_stats(const Eng& eng, KernelResult& res) {
   res.stats.lazyf_saved_iters = eng.saved_iters();
 }
 
-template <class Ops, AlignKind K, bool Affine>
+template <class Ops, AlignKind K, bool Affine, bool Lookup = false>
 KernelResult run_striped_iterate(
     const score::StripedProfile<typename Ops::value_type>& prof,
     std::span<const std::uint8_t> subject,
     Steps<typename Ops::value_type> st,
     Workspace<typename Ops::value_type>& ws, LazyF lazyf = LazyF::Fixup,
     const CancelToken* cancel = nullptr) {
-  ColumnEngine<Ops, K, Affine> eng(prof, st, ws, lazyf);
+  if constexpr (!Lookup && simd::HasOneOpLookup<Ops>) {
+    if (prof.lookup()) {
+      return run_striped_iterate<Ops, K, Affine, true>(prof, subject, st, ws,
+                                                       lazyf, cancel);
+    }
+  }
+  ColumnEngine<Ops, K, Affine, Lookup> eng(prof, st, ws, lazyf);
   KernelResult res;
   const long n = static_cast<long>(subject.size());
   // One accumulation per block for both the polled and unpolled shapes:
@@ -60,14 +71,20 @@ KernelResult run_striped_iterate(
   return res;
 }
 
-template <class Ops, AlignKind K, bool Affine>
+template <class Ops, AlignKind K, bool Affine, bool Lookup = false>
 KernelResult run_striped_scan(
     const score::StripedProfile<typename Ops::value_type>& prof,
     std::span<const std::uint8_t> subject,
     Steps<typename Ops::value_type> st,
     Workspace<typename Ops::value_type>& ws,
     const CancelToken* cancel = nullptr) {
-  ColumnEngine<Ops, K, Affine> eng(prof, st, ws);
+  if constexpr (!Lookup && simd::HasOneOpLookup<Ops>) {
+    if (prof.lookup()) {
+      return run_striped_scan<Ops, K, Affine, true>(prof, subject, st, ws,
+                                                    cancel);
+    }
+  }
+  ColumnEngine<Ops, K, Affine, Lookup> eng(prof, st, ws);
   KernelResult res;
   const long n = static_cast<long>(subject.size());
   if (cancel == nullptr) {
@@ -96,14 +113,20 @@ KernelResult run_striped_scan(
 // again. Under LazyF::Fixup the counter is bounded by one extra pass per
 // column (the fixup sweep), so thresholds live in (0, 1) - see the
 // HybridParams re-derivation note and bench/ablate_hybrid_threshold.
-template <class Ops, AlignKind K, bool Affine>
+template <class Ops, AlignKind K, bool Affine, bool Lookup = false>
 KernelResult run_hybrid(
     const score::StripedProfile<typename Ops::value_type>& prof,
     std::span<const std::uint8_t> subject,
     Steps<typename Ops::value_type> st,
     Workspace<typename Ops::value_type>& ws, const HybridParams& hp,
     LazyF lazyf = LazyF::Fixup, const CancelToken* cancel = nullptr) {
-  ColumnEngine<Ops, K, Affine> eng(prof, st, ws, lazyf);
+  if constexpr (!Lookup && simd::HasOneOpLookup<Ops>) {
+    if (prof.lookup()) {
+      return run_hybrid<Ops, K, Affine, true>(prof, subject, st, ws, hp,
+                                              lazyf, cancel);
+    }
+  }
+  ColumnEngine<Ops, K, Affine, Lookup> eng(prof, st, ws, lazyf);
   KernelResult res;
   const long n = static_cast<long>(subject.size());
   const double segs = static_cast<double>(eng.segs());

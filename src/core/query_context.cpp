@@ -1,5 +1,6 @@
 #include "core/query_context.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -142,6 +143,15 @@ KernelResult QueryContext::run_width(std::span<const std::uint8_t> subject,
 AdaptiveResult QueryContext::align(std::span<const std::uint8_t> subject,
                                    WorkspaceSet& ws,
                                    const CancelToken* cancel) const {
+  // The kernels index a letter table or row with every subject byte. A
+  // plain max reduction, so the check vectorizes.
+  std::uint8_t top = 0;
+  for (const std::uint8_t c : subject) top = std::max(top, c);
+  if (!subject.empty() && top >= matrix_.size()) {
+    throw std::invalid_argument("QueryContext: subject symbol " +
+                                std::to_string(top) +
+                                " outside the alphabet");
+  }
   if (subject.empty()) {
     // Boundary case the striped kernels never see: the exact score is the
     // oracle's degenerate boundary value (0 for local, full-length query

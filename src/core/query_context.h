@@ -1,6 +1,10 @@
 // QueryContext: everything derivable from (matrix, config, options, query)
 // alone - striped profiles per reachable score width plus the engine
-// pointers.
+// pointers. A tier's profile is in the layout its engine reads
+// (score/profile.h): on AVX-512BW (and AVX-512F int32) the striped query
+// index plus the letter tables, m_pad * sizeof(T) bytes; elsewhere, and
+// for alphabets of 32 or more letters, the per-letter rows,
+// alpha * m_pad * sizeof(T) bytes.
 // Logically immutable and safely shared by every search thread (the
 // paper's Sec. V-E optimization: build the profile once, before launching
 // threads). The constructor builds the first width's profile; each wider
@@ -70,6 +74,8 @@ class QueryContext {
   // Runs the kernel at the narrowest viable width, promoting on
   // saturation. Thread-safe given a per-thread WorkspaceSet.
   // An empty subject is legal and scored exactly (boundary conditions).
+  // Throws std::invalid_argument on a subject byte outside the matrix
+  // alphabet (>= matrix.size()), before any kernel reads with it.
   // A fired `cancel` token returns AdaptiveResult::cancelled within one
   // kernel stride-chunk; the result carries no valid score.
   AdaptiveResult align(std::span<const std::uint8_t> subject, WorkspaceSet& ws,

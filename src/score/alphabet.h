@@ -21,6 +21,11 @@ class Alphabet {
   static const Alphabet& protein();
   static const Alphabet& dna();
 
+  // A custom alphabet: `letters` in index order (matched case-blind),
+  // every other character mapping to index `wildcard`. Profiles take at
+  // most 255 letters.
+  Alphabet(AlphabetKind kind, std::string letters, int wildcard);
+
   AlphabetKind kind() const { return kind_; }
   int size() const { return static_cast<int>(letters_.size()); }
   int wildcard() const { return wildcard_; }
@@ -34,8 +39,6 @@ class Alphabet {
   std::string decode(std::span<const std::uint8_t> indices) const;
 
  private:
-  Alphabet(AlphabetKind kind, std::string letters, int wildcard);
-
   AlphabetKind kind_;
   std::string letters_;
   int wildcard_;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 namespace aalign::score {
 
@@ -60,7 +61,8 @@ ProfileTables<T> profile_tables(std::span<const T> lut, std::size_t stride,
 
 template <class T>
 void stripe_query(StripedProfile<T>& p, std::span<const std::uint8_t> query,
-                  int alpha, int width, util::AlignedBuffer<T>& idx) {
+                  int alpha, int width, util::AlignedBuffer<T>& idx,
+                  IndexCode code) {
   if (query.empty()) throw std::invalid_argument("profile: empty query");
   if (width <= 0) throw std::invalid_argument("profile: bad vector width");
 
@@ -68,7 +70,6 @@ void stripe_query(StripedProfile<T>& p, std::span<const std::uint8_t> query,
   p.width = width;
   p.segs = (p.m + width - 1) / width;
   p.alpha = alpha;
-  p.data.resize(static_cast<std::size_t>(p.alpha) * p.segs * width);
 
   idx.resize(static_cast<std::size_t>(p.segs) * width);
   for (int l = 0; l < width; ++l) {
@@ -83,9 +84,25 @@ void stripe_query(StripedProfile<T>& p, std::span<const std::uint8_t> query,
                                       " outside the alphabet");
         }
       }
-      idx[static_cast<std::size_t>(j) * width + l] = static_cast<T>(c);
+      idx[static_cast<std::size_t>(j) * width + l] =
+          static_cast<T>(c * code.mul + code.add);
     }
   }
+}
+
+template <class T>
+void build_lookup_profile(StripedProfile<T>& p,
+                          std::span<const std::uint8_t> query,
+                          ProfileTables<T> tables, int width,
+                          IndexCode code) {
+  if (tables.alpha >= kLookupEntries) {
+    throw std::invalid_argument(
+        "profile: alphabet too large for the lookup layout");
+  }
+  stripe_query(p, query, tables.alpha, width, p.index, code);
+  p.code = code;
+  p.data = {};
+  p.tables = std::move(tables);
 }
 
 template <class T>
@@ -94,6 +111,7 @@ void build_striped_profile(StripedProfile<T>& p,
                            const ProfileTables<T>& tables, int width) {
   util::AlignedBuffer<T> idx;
   stripe_query(p, query, tables.alpha, width, idx);
+  p.use_rows();
   using U = std::make_unsigned_t<T>;  // int8 lanes hold symbols up to 255
   const std::size_t n = idx.size();
   for (int a = 0; a < p.alpha; ++a) {
@@ -118,7 +136,10 @@ void build_striped_profile(StripedProfile<T>& p,
                                               std::size_t, int, T);         \
   template void stripe_query<T>(StripedProfile<T>&,                         \
                                 std::span<const std::uint8_t>, int, int,    \
-                                util::AlignedBuffer<T>&);                   \
+                                util::AlignedBuffer<T>&, IndexCode);        \
+  template void build_lookup_profile<T>(StripedProfile<T>&,                 \
+                                        std::span<const std::uint8_t>,      \
+                                        ProfileTables<T>, int, IndexCode);  \
   template void build_striped_profile<T>(StripedProfile<T>&,                \
                                          std::span<const std::uint8_t>,     \
                                          const ProfileTables<T>&, int);     \

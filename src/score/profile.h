@@ -1,23 +1,31 @@
 // Striped query profile (paper Fig. 4 layout, the `prof` array of Alg. 2/3).
 //
-// For each alphabet letter `a`, row `a` holds the substitution scores of
-// `a` against every query position, pre-arranged in the striped layout so
-// the kernels' inner loop is a single aligned vector load:
-//   row[a][j*width + l] = matrix(a, query[l*segs + j])   (logical l*segs+j)
+// The profile gives the substitution score of every alphabet letter `a`
+// against every query position, pre-arranged in the striped layout:
+//   score(a, j*width + l) = matrix(a, query[l*segs + j])  (logical l*segs+j)
 // Padding cells (logical index >= m) get `pad`: neg_inf-like for local
 // alignment (pad cells must never win) and 0 for global/semiglobal (pad
 // cells are never read and must not wrap 32-bit arithmetic).
 //
-// Every build is one fill: stripe the query into an index vector once
-// (idx[j*width + l] = query[l*segs + j], or the pad symbol `alpha` past m),
-// then each letter row is a table lookup, row[a][k] = table_a[idx[k]].
-// The scalar fill here is the reference and the fallback; the engines
-// (core/engine.h) do the same lookup one vector at a time.
+// Every build starts from the striped query index (idx[j*width + l] =
+// query[l*segs + j], or the pad symbol `alpha` past m) and the per-letter
+// tables (table_a[c] = matrix(a, c), table_a[alpha] = pad), so that
+// score(a, k) = table_a[idx[k]]. A profile holds one of two layouts:
+//   - lookup: the index and the tables, m_pad * sizeof(T) bytes plus a few
+//     KB of tables. The kernels load letter a's table into registers once
+//     per column and look each vector's scores up by the index (one
+//     vpermb for int8 and int16, one vpermt2d for int32, on AVX-512). Backends with a one-instruction
+//     lookup (simd::HasOneOpLookup) use it when alpha < kLookupEntries.
+//   - rows: row(a)[k] = score(a, k) written out for every letter,
+//     alpha * m_pad * sizeof(T) bytes, so the inner loop is one aligned
+//     load. Every other backend, and alphabets too large for the register
+//     table, use it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 
 #include "score/matrices.h"
 #include "util/aligned_buffer.h"
@@ -41,26 +49,11 @@ struct ProfileLutView {
   bool empty() const { return stride == 0; }
 };
 
-template <class T>
-struct StripedProfile {
-  int m = 0;      // query length (unpadded)
-  int width = 0;  // vector lanes V
-  int segs = 0;   // vector count k = ceil(m / width)
-  int alpha = 0;  // alphabet size
-  util::AlignedBuffer<T> data;
-
-  const T* row(int letter) const {
-    return data.data() +
-           static_cast<std::size_t>(letter) * segs * width;
-  }
-  int padded_len() const { return segs * width; }
-};
-
 // Per-letter lookup tables the fill reads: row(a)[c] = the score of
 // letter a against query symbol c for every c < alpha, and row(a)[alpha] =
 // pad (the symbol the striped index carries past m). Rows are 64-byte
 // aligned and at least 64 entries apart, zero past alpha: the layout the
-// backends' in-register 32-entry table lookup loads.
+// backends' in-register table lookup (simd::HasLookup) loads.
 template <class T>
 struct ProfileTables {
   int alpha = 0;
@@ -69,6 +62,60 @@ struct ProfileTables {
 
   const T* row(int letter) const {
     return data.data() + static_cast<std::size_t>(letter) * stride;
+  }
+};
+
+// Entries the in-register lookup covers (indices 0..31): a profile can
+// take the lookup layout only when the letters plus the pad symbol fit,
+// alpha < kLookupEntries.
+inline constexpr int kLookupEntries = 32;
+
+// How a striped index stores symbol c: as c * mul + add, the lane value
+// the backend's register lookup reads (simd::HasLookup's kIndexMul and
+// kIndexAdd; the identity except on AVX-512BW int16).
+struct IndexCode {
+  int mul = 1;
+  int add = 0;
+  bool operator==(const IndexCode&) const = default;
+};
+
+template <class T>
+struct StripedProfile {
+  int m = 0;      // query length (unpadded)
+  int width = 0;  // vector lanes V
+  int segs = 0;   // vector count k = ceil(m / width)
+  int alpha = 0;  // alphabet size
+  // Rows layout: alpha rows of padded_len() scores. Empty in the lookup
+  // layout.
+  util::AlignedBuffer<T> data;
+  // Lookup layout: the striped query index (padded_len() symbols, stored
+  // in `code`) and the letter tables. Both empty in the rows layout.
+  util::AlignedBuffer<T> index;
+  IndexCode code;
+  ProfileTables<T> tables;
+
+  bool lookup() const { return tables.alpha != 0; }
+  const T* row(int letter) const {  // rows layout only
+    return data.data() +
+           static_cast<std::size_t>(letter) * segs * width;
+  }
+  int padded_len() const { return segs * width; }
+  // Switches to the rows layout at the current shape (set by
+  // stripe_query); the rows are left for the caller to fill.
+  void use_rows() {
+    index = {};
+    code = {};
+    tables = {};
+    data.resize(static_cast<std::size_t>(alpha) * padded_len());
+  }
+  // The score of `letter` at striped cell k, under either layout.
+  T score(int letter, int k) const {
+    if (lookup()) {
+      using U = std::make_unsigned_t<T>;  // int8 lanes hold symbols to 255
+      const int c = (static_cast<U>(index[k]) - code.add) / code.mul;
+      return tables.row(letter)[c];
+    }
+    return row(letter)[k];
   }
 };
 
@@ -89,15 +136,27 @@ template <class T>
 ProfileTables<T> profile_tables(std::span<const T> lut, std::size_t stride,
                                 int alpha, T pad);
 
-// Sizes `p` for `query` at `width` lanes over `alpha` letters and writes
-// the striped index vector into `idx` (p.padded_len() entries). Throws
-// std::invalid_argument on an empty query, a bad width, or a query byte
-// >= alpha (a lookup with it would read outside the letter tables).
+// Sets p's shape for `query` at `width` lanes over `alpha` letters and
+// writes the striped index vector, in `code`, into `idx` (p.padded_len()
+// entries). Throws std::invalid_argument on an empty query, a bad width,
+// or a query byte >= alpha (a lookup with it would read outside the
+// letter tables).
 template <class T>
 void stripe_query(StripedProfile<T>& p, std::span<const std::uint8_t> query,
-                  int alpha, int width, util::AlignedBuffer<T>& idx);
+                  int alpha, int width, util::AlignedBuffer<T>& idx,
+                  IndexCode code = {});
 
-// The scalar build: stripe_query, then row[a][k] = tables.row(a)[idx[k]].
+// The lookup layout: stripe_query into p.index in `code` (the reading
+// backend's), and p keeps `tables`. Throws std::invalid_argument when
+// alpha >= kLookupEntries.
+template <class T>
+void build_lookup_profile(StripedProfile<T>& p,
+                          std::span<const std::uint8_t> query,
+                          ProfileTables<T> tables, int width,
+                          IndexCode code = {});
+
+// The rows layout, scalar build: stripe_query, then
+// row[a][k] = tables.row(a)[idx[k]].
 template <class T>
 void build_striped_profile(StripedProfile<T>& p,
                            std::span<const std::uint8_t> query,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "obs/instrument.h"
 #include "search/thread_pool.h"
@@ -110,6 +111,15 @@ InterSearchResult InterSequenceSearch::search(
     const core::CancelToken* cancel) const {
   if (query.empty()) {
     throw std::invalid_argument("InterSequenceSearch: empty query");
+  }
+  // The kernel reads one column-profile row per query byte (subject bytes
+  // are checked as the kernel fills its lanes).
+  for (const std::uint8_t c : query) {
+    if (c >= tables_.i32.alpha) {
+      throw std::invalid_argument("InterSequenceSearch: query symbol " +
+                                  std::to_string(c) +
+                                  " outside the alphabet");
+    }
   }
   const core::InterEngine* engine = core::get_inter_engine(opt_.query.isa);
 

@@ -19,6 +19,7 @@
 //    lanes (headroom instead of saturation, range-checked at config time).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <limits>
 
@@ -40,6 +41,25 @@ constexpr int striped_offset(int logical, int segs, int width) {
   (void)width;
   return (logical % segs) * width + (logical / segs);
 }
+
+// Backends with an in-register table lookup (optional): load_table(row)
+// holds one table row (64-byte aligned, >= 64 readable entries) in
+// registers, and lookup(table, idx) selects row[c] in every lane whose
+// index is c * kIndexMul + kIndexAdd, for c in 0..31 (most backends read
+// c itself). kLookupOps counts lookup's instructions.
+template <class Ops>
+concept HasLookup = requires(const typename Ops::value_type* row,
+                             typename Ops::reg idx) {
+  { Ops::lookup(Ops::load_table(row), idx) } -> std::same_as<typename Ops::reg>;
+  { Ops::kLookupOps } -> std::convertible_to<int>;
+  { Ops::kIndexMul } -> std::convertible_to<int>;
+  { Ops::kIndexAdd } -> std::convertible_to<int>;
+};
+
+// A one-instruction lookup: cheap enough to stand in for a load, so the
+// striped kernels score each vector by it instead of reading a profile row.
+template <class Ops>
+concept HasOneOpLookup = HasLookup<Ops> && (Ops::kLookupOps == 1);
 
 template <class Ops>
 struct Modules {

@@ -98,17 +98,25 @@ struct VecOps<std::int8_t, Avx2Tag> {
     return from_array(r);
   }
   // In-register 32-entry table lookup (indices 0..31, bit 7 clear; `row`
-  // 64-byte aligned): pshufb only sees 16-byte windows, so both table
-  // halves are broadcast to the two 128-bit lanes, shuffled by the low
-  // 4 index bits, and blended on idx < 16.
-  static reg table_lookup(const value_type* row, reg idx) {
-    const reg t0 = _mm256_broadcastsi128_si256(
-        _mm_load_si128(reinterpret_cast<const __m128i*>(row)));
-    const reg t1 = _mm256_broadcastsi128_si256(
-        _mm_load_si128(reinterpret_cast<const __m128i*>(row + 16)));
+  // 64-byte aligned): pshufb only sees 16-byte windows, so load_table
+  // broadcasts both table halves to the two 128-bit lanes, and lookup
+  // shuffles by the low 4 index bits and blends on idx < 16 - four
+  // instructions.
+  struct table {
+    reg lo, hi;
+  };
+  static constexpr int kLookupOps = 4;
+  static constexpr int kIndexMul = 1, kIndexAdd = 0;
+  static table load_table(const value_type* row) {
+    return {_mm256_broadcastsi128_si256(
+                _mm_load_si128(reinterpret_cast<const __m128i*>(row))),
+            _mm256_broadcastsi128_si256(
+                _mm_load_si128(reinterpret_cast<const __m128i*>(row + 16)))};
+  }
+  static reg lookup(const table& t, reg idx) {
     const reg in_lo = _mm256_cmpgt_epi8(_mm256_set1_epi8(16), idx);
-    return _mm256_blendv_epi8(_mm256_shuffle_epi8(t1, idx),
-                              _mm256_shuffle_epi8(t0, idx), in_lo);
+    return _mm256_blendv_epi8(_mm256_shuffle_epi8(t.hi, idx),
+                              _mm256_shuffle_epi8(t.lo, idx), in_lo);
   }
   static std::uint64_t popcount_and(reg a, reg b) {
     return detail::popcnt_and_256(a, b);

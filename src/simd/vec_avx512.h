@@ -107,12 +107,20 @@ struct VecOps<std::int32_t, Avx512Tag> {
     return _mm512_i32gather_epi32(idx, base, 4);
   }
   // In-register 32-entry table lookup (indices 0..31; `row` 64-byte
-  // aligned with >= 32 readable entries): vpermt2d's index bit 4 selects
-  // the second table half. IMCI would spell this permutevar + a blend on
-  // the high index bit - same two-register shape.
-  static reg table_lookup(const value_type* row, reg idx) {
-    return _mm512_permutex2var_epi32(_mm512_load_si512(row), idx,
-                                     _mm512_load_si512(row + 16));
+  // aligned with >= 32 readable entries): load_table holds both 16-entry
+  // halves, and one vpermt2d selects, its index bit 4 picking the half.
+  // IMCI would spell this permutevar + a blend on the high index bit -
+  // same two-register shape.
+  struct table {
+    reg lo, hi;
+  };
+  static constexpr int kLookupOps = 1;
+  static constexpr int kIndexMul = 1, kIndexAdd = 0;
+  static table load_table(const value_type* row) {
+    return {_mm512_load_si512(row), _mm512_load_si512(row + 16)};
+  }
+  static reg lookup(const table& t, reg idx) {
+    return _mm512_permutex2var_epi32(t.lo, idx, t.hi);
   }
 };
 

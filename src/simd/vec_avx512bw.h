@@ -80,11 +80,17 @@ struct VecOps<std::int8_t, Avx512BwTag> {
     const reg r = _mm512_permutexvar_epi8(idx, v);
     return _mm512_mask_mov_epi8(r, __mmask64{1}, _mm512_set1_epi8(fill));
   }
-  // In-register 32-entry table lookup (indices 0..31; `row` 64-byte
-  // aligned with >= 64 readable entries): vpermb makes the inter kernel's
-  // score-profile build one permute per alphabet symbol. Needs VBMI.
-  static reg table_lookup(const value_type* row, reg idx) {
-    return _mm512_permutexvar_epi8(idx, _mm512_load_si512(row));
+  // In-register table lookup (indices 0..31; `row` 64-byte aligned with
+  // >= 64 readable entries): one register holds the table, one vpermb
+  // selects per lane. Needs VBMI.
+  using table = reg;
+  static constexpr int kLookupOps = 1;
+  static constexpr int kIndexMul = 1, kIndexAdd = 0;
+  static table load_table(const value_type* row) {
+    return _mm512_load_si512(row);
+  }
+  static reg lookup(table t, reg idx) {
+    return _mm512_permutexvar_epi8(idx, t);
   }
   static std::uint64_t popcount_and(reg a, reg b) {
     return detail::popcnt_and_512(a, b);
@@ -133,10 +139,19 @@ struct VecOps<std::int16_t, Avx512BwTag> {
     const reg r = _mm512_permutexvar_epi16(idx, v);
     return _mm512_mask_mov_epi16(r, __mmask32{1}, _mm512_set1_epi16(fill));
   }
-  // 32-entry table lookup: one register holds all 32 int16 entries, vpermw
-  // selects per lane (indices 0..31).
-  static reg table_lookup(const value_type* row, reg idx) {
-    return _mm512_permutexvar_epi16(idx, _mm512_load_si512(row));
+  // 32-entry table lookup: one register holds all 32 int16 entries (64
+  // bytes). vpermw is two uops (measured 1.5x vpermb's cost per lookup on
+  // Sapphire Rapids), so lookup is one vpermb instead, and an index lane
+  // for entry c carries that entry's byte pair, (2c, 2c+1) =
+  // c * kIndexMul + kIndexAdd.
+  using table = reg;
+  static constexpr int kLookupOps = 1;
+  static constexpr int kIndexMul = 0x0202, kIndexAdd = 0x0100;
+  static table load_table(const value_type* row) {
+    return _mm512_load_si512(row);
+  }
+  static reg lookup(table t, reg idx) {
+    return _mm512_permutexvar_epi8(idx, t);
   }
   static std::uint64_t popcount_and(reg a, reg b) {
     return detail::popcnt_and_512(a, b);
@@ -215,9 +230,16 @@ struct VecOps<std::int32_t, Avx512BwTag> {
   }
   // 32-entry table lookup across two registers: vpermt2d's index bit 4
   // selects the second table half (indices 0..31).
-  static reg table_lookup(const value_type* row, reg idx) {
-    return _mm512_permutex2var_epi32(_mm512_load_si512(row), idx,
-                                     _mm512_load_si512(row + 16));
+  struct table {
+    reg lo, hi;
+  };
+  static constexpr int kLookupOps = 1;
+  static constexpr int kIndexMul = 1, kIndexAdd = 0;
+  static table load_table(const value_type* row) {
+    return {_mm512_load_si512(row), _mm512_load_si512(row + 16)};
+  }
+  static reg lookup(const table& t, reg idx) {
+    return _mm512_permutex2var_epi32(t.lo, idx, t.hi);
   }
 };
 

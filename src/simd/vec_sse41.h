@@ -79,14 +79,21 @@ struct VecOps<std::int8_t, Sse41Tag> {
     return from_array(r);
   }
   // In-register 32-entry table lookup (indices 0..31, bit 7 clear; `row`
-  // 64-byte aligned): two pshufbs over the 16-entry halves, blended on
-  // idx < 16.
-  static reg table_lookup(const value_type* row, reg idx) {
-    const reg t0 = _mm_load_si128(reinterpret_cast<const __m128i*>(row));
-    const reg t1 = _mm_load_si128(reinterpret_cast<const __m128i*>(row + 16));
+  // 64-byte aligned): load_table holds the two 16-entry halves, lookup is
+  // two pshufbs blended on idx < 16 - four instructions.
+  struct table {
+    reg lo, hi;
+  };
+  static constexpr int kLookupOps = 4;
+  static constexpr int kIndexMul = 1, kIndexAdd = 0;
+  static table load_table(const value_type* row) {
+    return {_mm_load_si128(reinterpret_cast<const __m128i*>(row)),
+            _mm_load_si128(reinterpret_cast<const __m128i*>(row + 16))};
+  }
+  static reg lookup(const table& t, reg idx) {
     const reg in_lo = _mm_cmplt_epi8(idx, _mm_set1_epi8(16));
-    return _mm_blendv_epi8(_mm_shuffle_epi8(t1, idx), _mm_shuffle_epi8(t0, idx),
-                           in_lo);
+    return _mm_blendv_epi8(_mm_shuffle_epi8(t.hi, idx),
+                           _mm_shuffle_epi8(t.lo, idx), in_lo);
   }
   static std::uint64_t popcount_and(reg a, reg b) {
     return detail::popcnt_and_128(a, b);

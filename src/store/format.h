@@ -44,7 +44,7 @@ inline constexpr std::uint32_t kFormatVersion = 3;
 // shard are not aligned: nothing reads residues with aligned loads.
 inline constexpr std::size_t kFileAlignment = 64;
 // Entries per row of the per-tier score profile tables; mirrors
-// core/inter_kernel.h's kLutStride (the in-register table_lookup layout).
+// core/inter_kernel.h's kLutStride (the in-register table-lookup layout).
 inline constexpr std::uint32_t kProfileLutStride = 64;
 
 // The build fingerprint's hash: FNV-1a run over 64-bit little-endian

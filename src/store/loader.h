@@ -122,7 +122,7 @@ class MappedIndex {
   std::vector<std::size_t> original_indices(const ShardSlice& slice) const;
 
   // Per-precision-tier substitution tables, [alphabet_size][lut_stride]
-  // in core/inter_kernel.h's table_lookup row layout.
+  // in core/inter_kernel.h's table-lookup row layout.
   std::span<const std::int8_t> profile_lut_i8() const;
   std::span<const std::int16_t> profile_lut_i16() const;
   std::span<const std::int32_t> profile_lut_i32() const;

@@ -37,6 +37,39 @@ inline std::vector<std::uint8_t> random_protein(std::mt19937_64& rng,
   return v;
 }
 
+// A 40-letter alphabet and matrix: letters plus the pad symbol overflow
+// the 32-entry register lookup, so every backend scores from rows and the
+// inter kernel fills its column profile lane by lane. Matches score +4..+9,
+// mismatches -4..+1, symmetric.
+inline const score::ScoreMatrix& matrix40() {
+  static const score::Alphabet alphabet(
+      score::AlphabetKind::Protein, "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789*-.+",
+      /*wildcard=*/39);
+  static const score::ScoreMatrix m = [] {
+    std::mt19937_64 rng(40);
+    std::vector<std::int8_t> v(40 * 40);
+    for (int a = 0; a < 40; ++a) {
+      v[a * 40 + a] = static_cast<std::int8_t>(4 + rng() % 6);
+      for (int b = 0; b < a; ++b) {
+        const auto s = static_cast<std::int8_t>(static_cast<int>(rng() % 6) - 4);
+        v[a * 40 + b] = s;
+        v[b * 40 + a] = s;
+      }
+    }
+    return score::ScoreMatrix(alphabet, "M40", v);
+  }();
+  return m;
+}
+
+// Random residues over the first `alpha` letters.
+inline std::vector<std::uint8_t> random_symbols(std::mt19937_64& rng,
+                                                std::size_t len, int alpha) {
+  std::uniform_int_distribution<int> d(0, alpha - 1);
+  std::vector<std::uint8_t> v(len);
+  for (auto& c : v) c = static_cast<std::uint8_t>(d(rng));
+  return v;
+}
+
 // A mutated copy: high-identity pairs stress the lazy-F loop and the scan
 // correction much harder than independent random pairs.
 inline std::vector<std::uint8_t> mutate(std::mt19937_64& rng,

@@ -178,6 +178,78 @@ TEST_P(InterSequence, AsymmetricMatrixMatchesOracleAtEveryStartWidth) {
   }
 }
 
+// A subject byte at or past the alphabet size must throw from the lane
+// fill before any column profile is built from it, at every start tier
+// and wherever in the batch the bad subject lands.
+TEST_P(InterSequence, RejectsSubjectSymbolOutsideAlphabet) {
+  const simd::IsaKind isa = GetParam();
+  if (core::get_inter_engine(isa) == nullptr) GTEST_SKIP();
+
+  const auto& m = score::ScoreMatrix::blosum62();
+  const Penalties pen = Penalties::symmetric(10, 2);
+  std::mt19937_64 rng(25);
+  const auto query = test::random_protein(rng, 60);
+  for (const int bad : {m.size(), 200, 255}) {
+    std::vector<seq::EncodedSequence> subjects;
+    for (int i = 0; i < 70; ++i) {
+      subjects.push_back({std::to_string(i),
+                          test::random_protein(rng, 20 + i % 40)});
+    }
+    subjects[33].data[5] = static_cast<std::uint8_t>(bad);
+    const seq::Database db(subjects);
+    for (const ScoreWidth w :
+         {ScoreWidth::Auto, ScoreWidth::W16, ScoreWidth::W32}) {
+      search::SearchOptions opt = inter_opt(isa, 2);
+      opt.query.width = w;
+      const search::InterSequenceSearch inter(m, pen, opt);
+      EXPECT_THROW((void)inter.search(query, db), std::invalid_argument)
+          << to_string(w) << " byte " << bad;
+    }
+    auto bad_query = query;
+    bad_query[7] = static_cast<std::uint8_t>(bad);
+    const search::InterSequenceSearch inter(m, pen, inter_opt(isa, 1));
+    EXPECT_THROW((void)inter.search(bad_query, db), std::invalid_argument)
+        << "query byte " << bad;
+  }
+}
+
+// The 40-letter matrix: the pad symbol is past the 32-entry register
+// lookup, so every backend fills its column profiles lane by lane.
+TEST_P(InterSequence, FortyLetterAlphabetMatchesOracle) {
+  const simd::IsaKind isa = GetParam();
+  if (core::get_inter_engine(isa) == nullptr) GTEST_SKIP();
+
+  const score::ScoreMatrix& m = test::matrix40();
+  const Penalties pen = Penalties::symmetric(6, 2);
+  AlignConfig cfg;
+  cfg.kind = AlignKind::Local;
+  cfg.pen = pen;
+  std::mt19937_64 rng(40);
+  const auto query = test::random_symbols(rng, 120, 40);
+  std::vector<seq::EncodedSequence> subjects;
+  for (int i = 0; i < 75; ++i) {
+    subjects.push_back(
+        {std::to_string(i),
+         i % 10 == 0 ? test::mutate(rng, query, 0.1, 0.02)
+                     : test::random_symbols(rng, 10 + (i * 37) % 300, 40)});
+  }
+  const seq::Database db(subjects);
+  for (const ScoreWidth w :
+       {ScoreWidth::Auto, ScoreWidth::W16, ScoreWidth::W32}) {
+    search::SearchOptions opt = inter_opt(isa, 2);
+    opt.query.width = w;
+    const search::InterSequenceSearch inter(m, pen, opt);
+    const search::SearchResult res = inter.search(query, db);
+    ASSERT_EQ(res.scores.size(), db.size());
+    for (std::size_t i = 0; i < db.size(); ++i) {
+      EXPECT_EQ(res.scores[i],
+                core::align_sequential(m, cfg, query,
+                                       db.by_original(i).view()))
+          << to_string(w) << " subject " << i;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, InterSequence,
                          testing::ValuesIn(test::available_isas()),
                          [](const testing::TestParamInfo<simd::IsaKind>& i) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
 
@@ -70,6 +71,8 @@ TEST(StripedProfile, RejectsEmptyQuery) {
                std::invalid_argument);
 }
 
+// Same shape and the same logical score for every (letter, striped cell),
+// whichever layout `got` holds (the oracle `want` is always rows).
 template <class T>
 void expect_same_profile(const score::StripedProfile<T>& got,
                          const score::StripedProfile<T>& want,
@@ -78,17 +81,27 @@ void expect_same_profile(const score::StripedProfile<T>& got,
   ASSERT_EQ(got.width, want.width) << what;
   ASSERT_EQ(got.segs, want.segs) << what;
   ASSERT_EQ(got.alpha, want.alpha) << what;
-  ASSERT_EQ(got.data.size(), want.data.size()) << what;
-  for (std::size_t k = 0; k < want.data.size(); ++k) {
-    ASSERT_EQ(got.data[k], want.data[k]) << what << " cell " << k;
+  if (got.lookup()) {
+    ASSERT_EQ(got.index.size(), static_cast<std::size_t>(got.padded_len()))
+        << what;
+    ASSERT_TRUE(got.data.empty()) << what;
+  } else {
+    ASSERT_EQ(got.data.size(), want.data.size()) << what;
+  }
+  for (int a = 0; a < want.alpha; ++a) {
+    for (int k = 0; k < want.padded_len(); ++k) {
+      ASSERT_EQ(got.score(a, k), want.score(a, k))
+          << what << " letter " << a << " cell " << k;
+    }
   }
 }
 
-// Every engine's build (in-register table lookup where the backend has
-// one, the scalar fill elsewhere) against the per-cell oracle, from both
-// letter-table sources. The LUT rows hold random full-range values so a
-// build that read the matrix instead would show; alpha 40 forces the
-// vector backends onto their scalar fallback.
+// Every engine's build (the lookup layout where the backend's register
+// lookup is one instruction, rows filled by the lookup or the scalar fill
+// elsewhere) against the per-cell oracle, from both letter-table sources.
+// The LUT rows hold random full-range values so a build that read the
+// matrix instead would show; alpha 40 forces every backend onto the
+// scalar rows fill.
 template <class T>
 void engine_build_matches_reference(simd::IsaKind isa) {
   const core::Engine<T>* eng = core::get_engine<T>(isa);
@@ -118,9 +131,14 @@ void engine_build_matches_reference(simd::IsaKind isa) {
                                    std::to_string(alpha) + " pad=" +
                                    std::to_string(pad) + " m=" +
                                    std::to_string(len);
+          // The AVX-512 backends' lookups are one instruction each.
+          const bool want_lookup =
+              alpha < score::kLookupEntries &&
+              (isa == simd::IsaKind::Avx512 || isa == simd::IsaKind::Avx512Bw);
           score::StripedProfile<T> got;
           if (alpha == m->size()) {
             eng->build_profile(got, q, score::profile_tables<T>(*m, pad));
+            EXPECT_EQ(got.lookup(), want_lookup) << what;
             expect_same_profile(
                 got,
                 test::reference_striped_profile<T>(
@@ -130,6 +148,7 @@ void engine_build_matches_reference(simd::IsaKind isa) {
           }
           eng->build_profile(got, q,
                              score::profile_tables<T>(lut, stride, alpha, pad));
+          EXPECT_EQ(got.lookup(), want_lookup) << what;
           expect_same_profile(
               got,
               test::reference_striped_profile<T>(
@@ -147,6 +166,110 @@ TEST(Profile, EngineBuildMatchesReference) {
     engine_build_matches_reference<std::int8_t>(isa);
     engine_build_matches_reference<std::int16_t>(isa);
     engine_build_matches_reference<std::int32_t>(isa);
+  }
+}
+
+// A subject byte at or past the alphabet size must throw before any
+// kernel indexes a letter table or row with it: on every backend, width,
+// strategy and kind, with the aligner still usable afterwards.
+TEST(PairAligner, RejectsSubjectSymbolOutsideAlphabet) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  std::mt19937_64 rng(25);
+  const auto q = test::random_protein(rng, 40);
+  const auto good = test::random_protein(rng, 40);
+  for (simd::IsaKind isa : test::available_isas()) {
+    for (ScoreWidth width : {ScoreWidth::Auto, ScoreWidth::W8,
+                             ScoreWidth::W16, ScoreWidth::W32}) {
+      for (Strategy strategy : {Strategy::StripedIterate,
+                                Strategy::StripedScan, Strategy::Hybrid}) {
+        for (AlignKind kind : {AlignKind::Local, AlignKind::Global}) {
+          core::QueryOptions opt;
+          opt.isa = isa;
+          opt.width = width;
+          opt.strategy = strategy;
+          AlignConfig cfg;
+          cfg.kind = kind;
+          std::optional<PairAligner> a;
+          try {
+            a.emplace(m, cfg, opt);
+            a->set_query(q);
+          } catch (const std::invalid_argument&) {
+            continue;  // the backend has no lanes of this width
+          }
+          for (const int bad : {m.size(), 200, 255}) {
+            auto s = good;
+            s[17] = static_cast<std::uint8_t>(bad);
+            EXPECT_THROW(a->align(s), std::invalid_argument)
+                << simd::isa_name(isa) << " byte " << bad;
+          }
+          EXPECT_EQ(a->align(good).score,
+                    core::align_sequential(m, cfg, q, good))
+              << simd::isa_name(isa);
+        }
+      }
+    }
+  }
+}
+
+// The 40-letter matrix end to end (rows on every backend, including the
+// ones that otherwise score by lookup) against the sequential oracle:
+// every available ISA x width x kind x strategy. A fixed narrow width may
+// saturate, and then only the flag is checked; Auto must always be exact.
+TEST(PairAligner, FortyLetterAlphabetMatchesSequential) {
+  const score::ScoreMatrix& m = test::matrix40();
+  std::mt19937_64 rng(40);
+  struct Pair {
+    std::vector<std::uint8_t> q, s;
+  };
+  std::vector<Pair> pairs;
+  for (const std::size_t len : {1, 31, 64, 65, 150}) {
+    const auto q = test::random_symbols(rng, len, 40);
+    pairs.push_back({q, test::mutate(rng, q, 0.15, 0.03)});
+    pairs.push_back({q, test::random_symbols(rng, 70, 40)});
+  }
+  for (simd::IsaKind isa : test::available_isas()) {
+    for (ScoreWidth width : {ScoreWidth::Auto, ScoreWidth::W8,
+                             ScoreWidth::W16, ScoreWidth::W32}) {
+      for (Strategy strategy : {Strategy::StripedIterate,
+                                Strategy::StripedScan, Strategy::Hybrid}) {
+        for (AlignKind kind :
+             {AlignKind::Local, AlignKind::Global, AlignKind::SemiGlobal,
+              AlignKind::SemiGlobalQuery, AlignKind::Overlap}) {
+          core::QueryOptions opt;
+          opt.isa = isa;
+          opt.width = width;
+          opt.strategy = strategy;
+          opt.hybrid.window = 2;
+          opt.hybrid.stride = 4;
+          opt.hybrid.threshold = 0.05;
+          AlignConfig cfg;
+          cfg.kind = kind;
+          cfg.pen = Penalties::symmetric(6, 2);
+          std::optional<PairAligner> a;
+          try {
+            a.emplace(m, cfg, opt);
+            a->set_query(pairs.front().q);
+          } catch (const std::invalid_argument&) {
+            continue;  // the backend has no lanes of this width
+          }
+          for (const Pair& p : pairs) {
+            a->set_query(p.q);
+            const AlignResult got = a->align(p.s);
+            const std::string what =
+                std::string(simd::isa_name(isa)) + " width " +
+                std::to_string(static_cast<int>(width)) + " m=" +
+                std::to_string(p.q.size()) + " n=" +
+                std::to_string(p.s.size());
+            if (width == ScoreWidth::Auto) {
+              ASSERT_FALSE(got.saturated) << what;
+            }
+            if (got.saturated) continue;
+            ASSERT_EQ(got.score, core::align_sequential(m, cfg, p.q, p.s))
+                << what;
+          }
+        }
+      }
+    }
   }
 }
 

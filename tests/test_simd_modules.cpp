@@ -253,24 +253,30 @@ void gather_semantics() {
 }
 
 template <class Ops>
-void table_lookup_semantics() {
+void lookup_semantics() {
   // Optional primitive (backends with an in-register permute): 32-entry
-  // table select, the inter-sequence score-profile build.
+  // table select, the score-profile builds and the striped kernels'
+  // lookup-layout scores.
   using T = typename Ops::value_type;
-  using reg = typename Ops::reg;
-  if constexpr (requires(const T* p, reg r) { Ops::table_lookup(p, r); }) {
+  if constexpr (simd::HasLookup<Ops>) {
     constexpr int W = Ops::kWidth;
     std::mt19937_64 rng(66);
     alignas(64) T table[64] = {};
     for (int c = 0; c < 32; ++c) {
       table[c] = static_cast<T>(static_cast<int>(rng() % 200) - 100);
     }
+    table[30] = simd::neg_inf<T>();  // a pad entry: every byte matters
+    table[31] = std::numeric_limits<T>::max();
     std::uniform_int_distribution<int> idx_d(0, 31);
     for (int iter = 0; iter < 30; ++iter) {
       alignas(64) T idx[W], out[W];
-      for (int l = 0; l < W; ++l) idx[l] = static_cast<T>(idx_d(rng));
-      Ops::store(out, Ops::table_lookup(table, Ops::load(idx)));
-      for (int l = 0; l < W; ++l) ASSERT_EQ(out[l], table[idx[l]]);
+      int sym[W];
+      for (int l = 0; l < W; ++l) {
+        sym[l] = idx_d(rng);
+        idx[l] = static_cast<T>(sym[l] * Ops::kIndexMul + Ops::kIndexAdd);
+      }
+      Ops::store(out, Ops::lookup(Ops::load_table(table), Ops::load(idx)));
+      for (int l = 0; l < W; ++l) ASSERT_EQ(out[l], table[sym[l]]);
     }
   }
 }
@@ -370,7 +376,7 @@ void run_all() {
   influence_and_hmax<Ops>();
   eq_mask_semantics<Ops>();
   gather_semantics<Ops>();
-  table_lookup_semantics<Ops>();
+  lookup_semantics<Ops>();
   popcount_and_matches_reference<Ops>();
 }
 

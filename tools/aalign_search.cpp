@@ -16,7 +16,7 @@
 //   --open N         gap open penalty                    [10]
 //   --ext N          gap extend penalty                  [2]
 //   --strategy NAME  iterate|scan|hybrid                 [hybrid]
-//   --isa NAME       scalar|sse41|avx2|avx512            [best]
+//   --isa NAME       scalar|sse41|avx2|avx512|avx512bw   [best]
 //   --width N        8|16|32|auto                        [auto]
 //   --threads N      worker threads                      [hardware]
 //   --top K          hits to report                      [10]
@@ -93,7 +93,7 @@ void print_help() {
       "  --kind local|global|semiglobal               [local]\n"
       "  --open N / --ext N                           [10 / 2]\n"
       "  --strategy iterate|scan|hybrid               [hybrid]\n"
-      "  --isa scalar|sse41|avx2|avx512               [best available]\n"
+      "  --isa scalar|sse41|avx2|avx512|avx512bw      [best available]\n"
       "  --width 8|16|32|auto                         [auto]\n"
       "  --threads N / --top K                        [hardware / 10]\n"
       "  --filter on|off|auto  signature pre-filter   [off]\n"
