@@ -1,19 +1,30 @@
 // Micro-benchmarks of the vector modules (paper Table I) across backends:
 // per-column cost of wgt_max_scan, rshift_x_fill, and the influence test.
 // These quantify the fixed scan overhead vs. the data-dependent lazy-F
-// cost that the hybrid method trades off (Sec. V-B). The ProfileBuild rows
-// time one striped query profile per backend and width, the set-up cost
-// paid once per query (Sec. V-E).
+// cost that the hybrid method trades off (Sec. V-B). Every primitive row
+// feeds each call's result into the next call's input, so the compiler
+// cannot hoist a call out of the loop and the row reads one call's
+// latency. The ProfileBuild rows time one striped query profile per
+// backend and width, and the Encode and FastaParse rows the two steps
+// before it: the set-up cost paid once per query or database (Sec. V-E).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <random>
+#include <sstream>
+#include <string>
 
 #include "bench_common.h"
 #include "core/engine.h"
+#include "score/alphabet.h"
 #include "score/profile.h"
+#include "seq/fasta.h"
+#include "seq/generator.h"
 #include "simd/modules.h"
+#include "simd/translate.h"
 #include "simd/vec_avx2.h"
 #include "simd/vec_avx512.h"
+#include "simd/vec_avx512bw.h"
 #include "simd/vec_scalar.h"
 #include "simd/vec_sse41.h"
 #include "util/aligned_buffer.h"
@@ -36,8 +47,10 @@ void bench_wgt_max_scan(benchmark::State& state) {
   std::uniform_int_distribution<int> d(-50, 80);
   for (int i = 0; i < mpad; ++i) in[i] = static_cast<T>(d(rng));
 
+  // The next call's first input is this call's last output.
   for (auto _ : state) {
     Modules<Ops>::wgt_max_scan(in.data(), out.data(), segs, T{0}, -12, -2);
+    in[0] = out[mpad - 1];
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * mpad);
@@ -65,11 +78,14 @@ void bench_influence_test(benchmark::State& state) {
     b[l] = static_cast<T>(l + 1);  // never influences: worst case, no exit
   }
   const auto va = Ops::load(a);
-  const auto vb = Ops::load(b);
+  auto vb = Ops::load(b);
+  // The verdict (always false) is folded back into vb by a max with 0,
+  // which leaves vb as it was but makes the next test wait for this one.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        aalign::simd::Modules<Ops>::influence_test(va, vb));
+    const bool hit = aalign::simd::Modules<Ops>::influence_test(va, vb);
+    vb = Ops::max(vb, Ops::set1(static_cast<T>(hit)));
   }
+  benchmark::DoNotOptimize(vb);
   state.SetItemsProcessed(state.iterations());
 }
 
@@ -82,11 +98,15 @@ void bench_lazyf_carry_scan(benchmark::State& state) {
   using T = typename Ops::value_type;
   alignas(64) T buf[Ops::kWidth];
   for (int l = 0; l < Ops::kWidth; ++l) buf[l] = static_cast<T>(40 - 3 * l);
-  auto v = Ops::load(buf);
+  const auto exits = Ops::load(buf);
+  // Each scan's output, maxed with the lane exits (which keeps the input
+  // the same from call to call), is the next scan's input.
+  auto v = exits;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        aalign::simd::Modules<Ops>::lazyf_carry_scan(v, 16, T{-2}));
+    v = Ops::max(aalign::simd::Modules<Ops>::lazyf_carry_scan(v, 16, T{-2}),
+                 exits);
   }
+  benchmark::DoNotOptimize(v);
   state.SetItemsProcessed(state.iterations());
 }
 
@@ -142,6 +162,38 @@ void bench_profile_build(benchmark::State& state, IsaKind isa, bool engine) {
                           static_cast<std::int64_t>(query.size()));
 }
 
+// One alphabet encode of 1 MiB of residue letters through the requested
+// backend's byte translation (simd/translate.h).
+void bench_encode(benchmark::State& state, IsaKind isa) {
+  const score::Alphabet& a = score::Alphabet::protein();
+  std::array<std::uint8_t, 256> table{};
+  for (int c = 0; c < 256; ++c) table[c] = a.ctoi(static_cast<char>(c));
+  seq::SequenceGenerator gen(1);
+  const std::string residues = gen.protein(std::size_t{1} << 20).residues;
+  std::vector<std::uint8_t> out(residues.size());
+  const simd::TranslateFn translate = simd::translate_fn(isa);
+  for (auto _ : state) {
+    translate(table.data(), residues.data(), out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(residues.size()));
+}
+
+// One parse of a 2,000-record Swiss-Prot-shaped FASTA text (lines of 60).
+void bench_fasta_parse(benchmark::State& state) {
+  seq::SequenceGenerator gen(1);
+  std::ostringstream text;
+  seq::write_fasta(text, gen.protein_database(2000), 60);
+  const std::string bytes = std::move(text).str();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(seq::parse_fasta(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+
 }  // namespace
 
 // The cross-lane shift and the re-computation gate: the two per-column
@@ -184,6 +236,10 @@ BENCH_PRIM(std::int32_t, Avx2, avx2_i32)
 #if defined(AALIGN_HAVE_AVX512)
 BENCH_PRIM(std::int32_t, Avx512, avx512_i32)
 #endif
+#if defined(AALIGN_HAVE_AVX512BW)
+BENCH_PRIM(std::int8_t, Avx512Bw, avx512bw_i8)
+BENCH_PRIM(std::int16_t, Avx512Bw, avx512bw_i16)
+#endif
 
 // Registration helper: skips silently when the ISA is unavailable.
 #define BENCH_SCAN(T, TAG, NAME)                                          \
@@ -207,6 +263,10 @@ BENCH_SCAN(std::int32_t, Avx2, WgtMaxScan_avx2_i32)
 #endif
 #if defined(AALIGN_HAVE_AVX512)
 BENCH_SCAN(std::int32_t, Avx512, WgtMaxScan_avx512_i32)
+#endif
+#if defined(AALIGN_HAVE_AVX512BW)
+BENCH_SCAN(std::int8_t, Avx512Bw, WgtMaxScan_avx512bw_i8)
+BENCH_SCAN(std::int16_t, Avx512Bw, WgtMaxScan_avx512bw_i16)
 #endif
 
 // Rows ProfileBuild_<isa>_<T>/reference and /engine; unavailable ISAs
@@ -243,6 +303,21 @@ BENCH_PROFILE(std::int8_t, Avx512Bw, avx512bw_i8)
 BENCH_PROFILE(std::int16_t, Avx512Bw, avx512bw_i16)
 BENCH_PROFILE(std::int32_t, Avx512Bw, avx512bw_i32)
 #endif
+
+// Rows Encode_<isa> (unavailable ISAs skip) and FastaParse.
+#define BENCH_ENCODE(KIND, NAME)                                          \
+  static void Encode_##NAME(benchmark::State& state) {                    \
+    if (!isa_available(IsaKind::KIND)) {                                  \
+      state.SkipWithError(#KIND " unavailable");                          \
+      return;                                                             \
+    }                                                                     \
+    bench_encode(state, IsaKind::KIND);                                   \
+  }                                                                       \
+  BENCHMARK(Encode_##NAME);
+
+BENCH_ENCODE(Scalar, scalar)
+BENCH_ENCODE(Avx512Bw, avx512bw)
+BENCHMARK(bench_fasta_parse)->Name("FastaParse");
 
 namespace {
 

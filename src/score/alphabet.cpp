@@ -1,7 +1,10 @@
 #include "score/alphabet.h"
 
-#include <algorithm>
 #include <cctype>
+#include <utility>
+
+#include "simd/isa.h"
+#include "simd/translate.h"
 
 namespace aalign::score {
 
@@ -29,10 +32,15 @@ const Alphabet& Alphabet::dna() {
   return a;
 }
 
+void Alphabet::encode(std::string_view residues, std::uint8_t* out) const {
+  static const simd::TranslateFn translate =
+      simd::translate_fn(simd::best_available_isa());
+  translate(ctoi_.data(), residues.data(), out, residues.size());
+}
+
 std::vector<std::uint8_t> Alphabet::encode(std::string_view residues) const {
   std::vector<std::uint8_t> out(residues.size());
-  std::transform(residues.begin(), residues.end(), out.begin(),
-                 [this](char c) { return ctoi(c); });
+  encode(residues, out.data());
   return out;
 }
 

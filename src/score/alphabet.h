@@ -35,6 +35,11 @@ class Alphabet {
   }
   char itoc(std::uint8_t i) const { return letters_[i]; }
 
+  // ctoi over every byte of `residues`, into out[0, residues.size()). The
+  // translation runs through the 256-entry ctoi table 64 bytes at a time
+  // where the CPU has AVX-512 VBMI (simd/translate.h), else one byte at a
+  // time; the bytes are the same.
+  void encode(std::string_view residues, std::uint8_t* out) const;
   std::vector<std::uint8_t> encode(std::string_view residues) const;
   std::string decode(std::span<const std::uint8_t> indices) const;
 

@@ -140,7 +140,12 @@ ProfileTables<T> profile_tables(std::span<const T> lut, std::size_t stride,
 // writes the striped index vector, in `code`, into `idx` (p.padded_len()
 // entries). Throws std::invalid_argument on an empty query, a bad width,
 // or a query byte >= alpha (a lookup with it would read outside the
-// letter tables).
+// letter tables; the message names the first such byte). The striped
+// index is the transpose of the query read as `width` rows of `segs`
+// bytes: one max over the query checks it, 8x8 byte tiles of 64-bit swaps
+// transpose its whole rows, and the cells left over (and the pad) are
+// written one by one. Lanes wider than a byte, or a code other than the
+// identity, are coded from the transposed bytes row by row.
 template <class T>
 void stripe_query(StripedProfile<T>& p, std::span<const std::uint8_t> query,
                   int alpha, int width, util::AlignedBuffer<T>& idx,

@@ -71,7 +71,7 @@ void Database::pack(const std::vector<Seq>& seqs, Encode encode) {
 Database::Database(const score::Alphabet& alphabet,
                    const std::vector<Sequence>& seqs) {
   pack(seqs, [&alphabet](const Sequence& s, std::uint8_t* out) {
-    for (const char c : s.residues) *out++ = alphabet.ctoi(c);
+    alphabet.encode(s.residues, out);
   });
 }
 

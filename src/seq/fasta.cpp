@@ -1,12 +1,17 @@
 #include "seq/fasta.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <filesystem>
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
 namespace aalign::seq {
 
@@ -16,18 +21,47 @@ namespace {
 // inlined: ' ' and '\t' '\n' '\v' '\f' '\r'.
 bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
-// One pass over the whole text: lines are split with find, and a residue
-// line without embedded whitespace (the common case) is appended whole.
+// Whether `line` holds any is_space byte: an OR reduction without an early
+// exit, so the compiler vectorizes it.
+bool has_space(std::string_view line) {
+  unsigned char any = 0;
+  for (const char ch : line) {
+    const auto c = static_cast<unsigned char>(ch);
+    any |= static_cast<unsigned char>(
+        (c == ' ') | (static_cast<unsigned char>(c - '\t') <= '\r' - '\t'));
+  }
+  return any != 0;
+}
+
+// The first line at or after the line start `p` that starts with '>', or
+// `end`: the bytes before it bound the current record's residues.
+const char* next_header(const char* p, const char* end) {
+  for (const char* s = p; s < end; ++s) {
+    s = static_cast<const char*>(
+        std::memchr(s, '>', static_cast<std::size_t>(end - s)));
+    if (s == nullptr) return end;
+    if (s == p || s[-1] == '\n') return s;
+  }
+  return end;
+}
+
+}  // namespace
+
 std::vector<Sequence> parse_fasta(std::string_view text) {
   std::vector<Sequence> out;
-  while (!text.empty()) {
-    const std::size_t nl = text.find('\n');
-    std::string_view line = text.substr(0, nl);
-    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p < end) {
+    const char* nl = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    std::string_view line(p, static_cast<std::size_t>((nl ? nl : end) - p));
+    p = nl ? nl + 1 : end;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
     if (line[0] == '>') {
       out.push_back(Sequence{std::string(line.substr(1)), ""});
+      out.back().residues.reserve(
+          static_cast<std::size_t>(next_header(p, end) - p));
       continue;
     }
     if (line[0] == ';') continue;  // old-style comment lines
@@ -35,7 +69,7 @@ std::vector<Sequence> parse_fasta(std::string_view text) {
       throw std::runtime_error("FASTA: sequence data before any '>' header");
     }
     std::string& residues = out.back().residues;
-    if (std::none_of(line.begin(), line.end(), is_space)) {
+    if (!has_space(line)) {
       residues.append(line);
     } else {
       std::copy_if(line.begin(), line.end(), std::back_inserter(residues),
@@ -45,8 +79,6 @@ std::vector<Sequence> parse_fasta(std::string_view text) {
   return out;
 }
 
-}  // namespace
-
 std::vector<Sequence> read_fasta(std::istream& in) {
   std::ostringstream text;
   text << in.rdbuf();
@@ -54,19 +86,42 @@ std::vector<Sequence> read_fasta(std::istream& in) {
 }
 
 std::vector<Sequence> read_fasta_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("FASTA: cannot open " + path);
-  // One sized read of what the file reports, then a stream for any rest:
-  // a pipe reports no size, and a procfs file reports 0.
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  std::string text(ec ? 0 : static_cast<std::size_t>(size), '\0');
-  in.read(text.data(), static_cast<std::streamsize>(text.size()));
-  text.resize(static_cast<std::size_t>(in.gcount()));
-  std::ostringstream rest;
-  rest << in.rdbuf();
-  text += std::move(rest).str();
-  return parse_fasta(text);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    throw std::runtime_error("FASTA: cannot open " + path + ": " +
+                             std::strerror(errno));
+  }
+  const struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  // One read of the size fstat reports, plus one byte so that the next
+  // read sees the end; a pipe or procfs file reports no size and is read
+  // on, the buffer doubling as it fills.
+  struct stat st {};
+  std::size_t cap = std::size_t{1} << 16;
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    cap = std::max(cap, static_cast<std::size_t>(st.st_size) + 1);
+  }
+  auto buf = std::make_unique_for_overwrite<char[]>(cap);
+  std::size_t len = 0;
+  for (;;) {
+    if (len == cap) {
+      auto grown = std::make_unique_for_overwrite<char[]>(cap * 2);
+      std::memcpy(grown.get(), buf.get(), len);
+      buf = std::move(grown);
+      cap *= 2;
+    }
+    const ssize_t n = ::read(fd, buf.get() + len, cap - len);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error("FASTA: cannot read " + path + ": " +
+                               std::strerror(errno));
+    }
+    len += static_cast<std::size_t>(n);
+  }
+  return parse_fasta(std::string_view(buf.get(), len));
 }
 
 void write_fasta(std::ostream& out, const std::vector<Sequence>& seqs,

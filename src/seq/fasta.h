@@ -5,17 +5,29 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "seq/sequence.h"
 
 namespace aalign::seq {
 
-// Parses all records from a stream/file. Accepts multi-line records, CRLF
-// line endings, and '*'-terminated protein records; skips blank lines.
-// Throws std::runtime_error on structural errors (data before any header,
-// unreadable file).
+// Parses all records from FASTA text. Accepts multi-line records, CRLF
+// line endings, old-style ';' comment lines and '*'-terminated protein
+// records; skips blank lines and drops whitespace inside residue lines.
+// One pass over the text: lines are split with memchr, a residue line is
+// appended whole unless a vectorized whitespace test finds a blank in it,
+// and each record's residue string is reserved once, up to the next line
+// that starts with '>'. Throws std::runtime_error on data before the first
+// header.
+std::vector<Sequence> parse_fasta(std::string_view text);
+
+// parse_fasta over a whole stream.
 std::vector<Sequence> read_fasta(std::istream& in);
+// parse_fasta over a whole file, read with one open, fstat and read into
+// one buffer; a pipe or procfs file, which reports no size, is read on to
+// its end. Throws std::runtime_error naming the path and the system error
+// when the file cannot be opened or any read fails (a directory included).
 std::vector<Sequence> read_fasta_file(const std::string& path);
 
 void write_fasta(std::ostream& out, const std::vector<Sequence>& seqs,

@@ -1,5 +1,6 @@
 #include "simd/isa.h"
 
+#include "simd/translate.h"
 #include "util/cpuinfo.h"
 
 namespace aalign::simd {
@@ -65,6 +66,22 @@ IsaKind best_available_isa() {
   if (isa_available(IsaKind::Avx2)) return IsaKind::Avx2;
   if (isa_available(IsaKind::Sse41)) return IsaKind::Sse41;
   return IsaKind::Scalar;
+}
+
+void translate_scalar(const std::uint8_t* table, const char* in,
+                      std::uint8_t* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = table[static_cast<unsigned char>(in[i])];
+  }
+}
+
+TranslateFn translate_fn([[maybe_unused]] IsaKind isa) {
+#if defined(AALIGN_HAVE_AVX512BW)
+  if (isa == IsaKind::Avx512Bw && isa_available(isa)) {
+    return &translate_avx512bw;
+  }
+#endif
+  return &translate_scalar;
 }
 
 }  // namespace aalign::simd

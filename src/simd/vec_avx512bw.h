@@ -20,6 +20,7 @@
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 
+#include <cstddef>
 #include <cstdint>
 
 #include "simd/isa.h"
@@ -47,6 +48,32 @@ inline std::uint64_t popcnt_and_512(__m512i a, __m512i b) {
 }
 
 }  // namespace detail
+
+// out[i] = table[in[i]] for i < n, through a 256-entry table: two vpermi2b
+// over the table's low and high 128 entries, blended on each input byte's
+// bit 7, 64 bytes per step; the tail is one masked step (masked-off bytes
+// are neither read nor written).
+inline void translate_bytes(const std::uint8_t* table, const char* in,
+                            std::uint8_t* out, std::size_t n) {
+  const __m512i t0 = _mm512_loadu_si512(table);
+  const __m512i t1 = _mm512_loadu_si512(table + 64);
+  const __m512i t2 = _mm512_loadu_si512(table + 128);
+  const __m512i t3 = _mm512_loadu_si512(table + 192);
+  const auto step = [&](__m512i x) {
+    const __m512i lo = _mm512_permutex2var_epi8(t0, x, t1);
+    const __m512i hi = _mm512_permutex2var_epi8(t2, x, t3);
+    return _mm512_mask_blend_epi8(_mm512_movepi8_mask(x), lo, hi);
+  };
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    _mm512_storeu_si512(out + i, step(_mm512_loadu_si512(in + i)));
+  }
+  if (i < n) {
+    const __mmask64 m = (std::uint64_t{1} << (n - i)) - 1;
+    _mm512_mask_storeu_epi8(out + i, m,
+                            step(_mm512_maskz_loadu_epi8(m, in + i)));
+  }
+}
 
 template <class T, class Isa>
 struct VecOps;

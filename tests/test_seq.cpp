@@ -1,9 +1,14 @@
 // Sequence substrate: alphabets, FASTA round-trips, generators, the
 // controlled-similarity pair generator (verified with real QC/MI
 // measurements), and the database container.
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -160,6 +165,49 @@ TEST(Fasta, FileMatchesStream) {
   }
   EXPECT_THROW(read_fasta_file(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+TEST(Fasta, DirectoryPathThrows) {
+  // A directory opens but cannot be read: the error names the path and
+  // the system's reason, where it used to read as an empty database.
+  const std::string dir = ::testing::TempDir();
+  try {
+    read_fasta_file(dir);
+    FAIL() << "read_fasta_file returned for a directory";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(dir), std::string::npos) << what;
+    EXPECT_NE(what.find(std::strerror(EISDIR)), std::string::npos) << what;
+  }
+}
+
+TEST(Fasta, ReadsPipeToItsEnd) {
+  // A pipe reports no size: the reader goes on past its first buffer
+  // (64 KiB) to the end. The pipe is sized to hold the whole text, so no
+  // writer has to run alongside.
+  std::vector<Sequence> seqs;
+  for (int i = 0; i < 40; ++i) {
+    seqs.push_back({std::to_string(i),
+                    std::string(4000, static_cast<char>('A' + i % 20))});
+  }
+  std::ostringstream text;
+  write_fasta(text, seqs, 60);
+  const std::string bytes = text.str();
+  ASSERT_GT(bytes.size(), std::size_t{1} << 17);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_GE(::fcntl(fds[1], F_SETPIPE_SZ, 1 << 20),
+            static_cast<int>(bytes.size()));
+  ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fds[1]);
+  const auto back = read_fasta_file("/dev/fd/" + std::to_string(fds[0]));
+  ::close(fds[0]);
+  ASSERT_EQ(back.size(), seqs.size());
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    EXPECT_EQ(back[i].id, seqs[i].id);
+    EXPECT_EQ(back[i].residues, seqs[i].residues);
+  }
 }
 
 TEST(Generator, ProteinLengthAndAlphabet) {

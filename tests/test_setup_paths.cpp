@@ -1,0 +1,262 @@
+// Differential tests of the set-up path against the implementations it
+// replaced (tests/setup_oracles.h): the FASTA parser over seeded random
+// texts, the alphabet encode over every byte value, alignment and length,
+// and the query striping at every width and index code.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <fstream>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "score/alphabet.h"
+#include "score/profile.h"
+#include "seq/database.h"
+#include "seq/fasta.h"
+#include "setup_oracles.h"
+#include "simd/isa.h"
+#include "simd/translate.h"
+#include "test_helpers.h"
+
+using namespace aalign;
+
+namespace {
+
+// ------------------------------------------------------------------ FASTA
+
+// One random FASTA text: headers, residue lines with every whitespace
+// byte mid-line, CRLF endings, blank and whitespace-only lines, ';'
+// comments, empty records, lines over 64 KiB, and (sometimes) data before
+// the first header or no final newline.
+std::string random_fasta_text(std::mt19937_64& rng) {
+  const auto pick = [&](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  static constexpr char kSpaces[] = {' ', '\t', '\n', '\v', '\f', '\r'};
+  static constexpr char kResidues[] = "ACDEFGHIKLMNPQRSTVWYXBZ*acgtn-.";
+  const auto eol = [&] { return pick(4) == 0 ? "\r\n" : "\n"; };
+  std::string text;
+  if (pick(8) == 0) text += "MKV\n";  // data before any header
+  if (pick(3) == 0) text += ";file comment\n";
+  const int records = pick(12);
+  for (int r = 0; r < records; ++r) {
+    text += '>';
+    for (int i = pick(20); i > 0; --i) {
+      text += static_cast<char>(pick(4) == 0 ? ' ' : 'a' + pick(26));
+    }
+    text += eol();
+    const int lines = pick(6) == 0 ? 0 : pick(8);  // empty records too
+    for (int k = 0; k < lines; ++k) {
+      switch (pick(10)) {
+        case 0: text += eol(); continue;                     // blank
+        case 1: text += ";comment > x"; text += eol(); continue;
+        case 2: text += "  \t"; text += eol(); continue;     // blanks only
+        case 3: text += "\r"; text += eol(); continue;       // lone CR
+        default: break;
+      }
+      const int len = pick(40) == 0 ? (1 << 16) + pick(3000) : pick(90);
+      for (int i = 0; i < len; ++i) {
+        text += pick(25) == 0 ? kSpaces[pick(6)]
+                              : kResidues[pick(sizeof kResidues - 1)];
+      }
+      text += eol();
+    }
+  }
+  if (!text.empty() && pick(4) == 0) text.pop_back();  // no final newline
+  return text;
+}
+
+void expect_same_records(const std::vector<seq::Sequence>& got,
+                         const std::vector<seq::Sequence>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "record " << i;
+    EXPECT_EQ(got[i].residues, want[i].residues) << "record " << i;
+  }
+}
+
+TEST(FastaOracle, RandomTextsParseAsBefore) {
+  std::mt19937_64 rng(2701);
+  int thrown = 0;
+  for (int round = 0; round < 400; ++round) {
+    SCOPED_TRACE(round);
+    const std::string text = random_fasta_text(rng);
+    std::vector<seq::Sequence> want;
+    try {
+      want = test::parse_fasta_oracle(text);
+    } catch (const std::runtime_error&) {
+      ++thrown;
+      EXPECT_THROW(seq::parse_fasta(text), std::runtime_error);
+      continue;
+    }
+    expect_same_records(seq::parse_fasta(text), want);
+    std::istringstream in(text);
+    expect_same_records(seq::read_fasta(in), want);
+  }
+  EXPECT_GT(thrown, 0);  // the data-before-header path was exercised
+}
+
+TEST(FastaOracle, FilesReadAsBefore) {
+  std::mt19937_64 rng(2702);
+  const std::string path = ::testing::TempDir() + "fasta_oracle.fa";
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(round);
+    const std::string text = random_fasta_text(rng);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    bool oracle_threw = false;
+    std::vector<seq::Sequence> want;
+    try {
+      want = test::read_fasta_file_oracle(path);
+    } catch (const std::runtime_error&) {
+      oracle_threw = true;
+    }
+    if (oracle_threw) {
+      EXPECT_THROW(seq::read_fasta_file(path), std::runtime_error);
+    } else {
+      expect_same_records(seq::read_fasta_file(path), want);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// ----------------------------------------------------------------- encode
+
+TEST(EncodeOracle, EveryByteLengthAndOffset) {
+  const score::Alphabet* alphabets[] = {&score::Alphabet::protein(),
+                                        &score::Alphabet::dna(),
+                                        &test::matrix40().alphabet()};
+  // Every byte value, in a shuffled order, then the same again.
+  std::string bytes(256, '\0');
+  for (int i = 0; i < 256; ++i) bytes[i] = static_cast<char>(i);
+  std::shuffle(bytes.begin(), bytes.end(), std::mt19937_64(2703));
+  bytes += bytes;
+  std::vector<simd::TranslateFn> fns;
+  for (simd::IsaKind k : test::available_isas()) {
+    fns.push_back(simd::translate_fn(k));
+  }
+  for (const score::Alphabet* a : alphabets) {
+    std::array<std::uint8_t, 256> table{};
+    for (int c = 0; c < 256; ++c) table[c] = a->ctoi(static_cast<char>(c));
+    for (int off = 0; off < 64; ++off) {
+      for (int len = 0; len <= 257; ++len) {
+        const std::string_view in(bytes.data() + off, len);
+        const std::vector<std::uint8_t> want = test::encode_oracle(*a, in);
+        ASSERT_EQ(a->encode(in), want) << "offset " << off << " len " << len;
+        for (simd::TranslateFn fn : fns) {
+          // Guard bytes on both sides: the masked tail writes nothing past
+          // `len`.
+          std::vector<std::uint8_t> out(len + 2, 0xA5);
+          fn(table.data(), in.data(), out.data() + 1, in.size());
+          ASSERT_EQ(out.front(), 0xA5);
+          ASSERT_EQ(out.back(), 0xA5);
+          ASSERT_TRUE(std::equal(want.begin(), want.end(), out.begin() + 1))
+              << "offset " << off << " len " << len;
+        }
+      }
+    }
+  }
+}
+
+TEST(EncodeOracle, FastaBuiltDatabaseEncodesAsBefore) {
+  // Database(alphabet, seqs) encodes each subject in place through the
+  // same translation.
+  std::mt19937_64 rng(2707);
+  std::vector<seq::Sequence> seqs;
+  for (int i = 0; i < 50; ++i) {
+    std::string residues(rng() % 300, '\0');
+    for (char& c : residues) c = static_cast<char>(rng() & 0xFF);
+    seqs.push_back({std::to_string(i), residues});
+  }
+  const score::Alphabet& a = score::Alphabet::protein();
+  const seq::Database db(a, seqs);
+  ASSERT_EQ(db.size(), seqs.size());
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    const auto got = db.by_original(i).residues;
+    const std::vector<std::uint8_t> want =
+        test::encode_oracle(a, seqs[i].residues);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "subject " << i;
+  }
+}
+
+// ----------------------------------------------------------------- stripe
+
+template <class T>
+void check_stripe(int width, score::IndexCode code, int m, int alpha,
+                  std::mt19937_64& rng) {
+  SCOPED_TRACE(::testing::Message() << "bytes " << sizeof(T) << " width "
+                                    << width << " code " << code.mul << "/"
+                                    << code.add << " m " << m << " alpha "
+                                    << alpha);
+  std::vector<std::uint8_t> query = test::random_symbols(rng, m, alpha);
+  score::StripedProfile<T> got, want;
+  util::AlignedBuffer<T> got_idx, want_idx;
+  score::stripe_query(got, query, alpha, width, got_idx, code);
+  test::stripe_query_oracle(want, query, alpha, width, want_idx, code);
+  ASSERT_EQ(got.m, want.m);
+  ASSERT_EQ(got.width, want.width);
+  ASSERT_EQ(got.segs, want.segs);
+  ASSERT_EQ(got.alpha, want.alpha);
+  ASSERT_EQ(got_idx.size(), want_idx.size());
+  for (std::size_t k = 0; k < got_idx.size(); ++k) {
+    ASSERT_EQ(got_idx[k], want_idx[k]) << "cell " << k;
+  }
+
+  // An out-of-alphabet byte throws the same message from both; with two,
+  // the message names the first in query order.
+  const std::size_t first = rng() % query.size();
+  query[first] = static_cast<std::uint8_t>(std::min(alpha + 1, 255));
+  query.back() = 255;
+  std::string got_msg, want_msg;
+  try {
+    score::stripe_query(got, query, alpha, width, got_idx, code);
+  } catch (const std::invalid_argument& e) {
+    got_msg = e.what();
+  }
+  try {
+    test::stripe_query_oracle(want, query, alpha, width, want_idx, code);
+  } catch (const std::invalid_argument& e) {
+    want_msg = e.what();
+  }
+  EXPECT_FALSE(want_msg.empty());
+  EXPECT_EQ(got_msg, want_msg);
+}
+
+template <class T>
+void check_stripe_all(std::mt19937_64& rng) {
+  const score::IndexCode codes[] = {{1, 0}, {0x0202, 0x0100}, {3, 7}};
+  for (int width : {1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 24, 32, 40, 64}) {
+    for (const score::IndexCode& code : codes) {
+      for (int m : {1, width - 1, width, width + 1, 2 * width + 1, 8000}) {
+        if (m < 1) continue;
+        for (int alpha : {5, 24, 40, 255}) {
+          check_stripe<T>(width, code, m, alpha, rng);
+        }
+      }
+    }
+  }
+}
+
+TEST(StripeOracle, EveryWidthAndCodeInt8) {
+  std::mt19937_64 rng(2704);
+  check_stripe_all<std::int8_t>(rng);
+}
+
+TEST(StripeOracle, EveryWidthAndCodeInt16) {
+  std::mt19937_64 rng(2705);
+  check_stripe_all<std::int16_t>(rng);
+}
+
+TEST(StripeOracle, EveryWidthAndCodeInt32) {
+  std::mt19937_64 rng(2706);
+  check_stripe_all<std::int32_t>(rng);
+}
+
+}  // namespace
