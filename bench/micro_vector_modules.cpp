@@ -7,12 +7,16 @@
 // latency. The ProfileBuild rows time one striped query profile per
 // backend and width, and the Encode and FastaParse rows the two steps
 // before it: the set-up cost paid once per query or database (Sec. V-E).
+// The Checksum rows time the index checksum's lane update per backend
+// next to a plain read of the same bytes: the cost of opening an index.
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cstdint>
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/engine.h"
@@ -20,6 +24,7 @@
 #include "score/profile.h"
 #include "seq/fasta.h"
 #include "seq/generator.h"
+#include "simd/fnv_lanes.h"
 #include "simd/modules.h"
 #include "simd/translate.h"
 #include "simd/vec_avx2.h"
@@ -194,6 +199,39 @@ void bench_fasta_parse(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 
+// The index checksum's lane update (simd/fnv_lanes.h) over a warm buffer
+// of range(0) bytes, one call per iteration: the layer below
+// store.open_ms, which hashes the index metadata at open.
+void bench_checksum(benchmark::State& state, IsaKind isa) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> buf(n);
+  std::mt19937_64 rng(1);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  std::uint64_t lanes[kFnvLanes] = {};
+  const FnvLanesFn update = fnv_lanes_fn(isa);
+  for (auto _ : state) {
+    update(lanes, buf.data(), n / kFnvStride);
+    benchmark::DoNotOptimize(lanes);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+// A plain read of a buffer the Checksum rows' size, summing its 64-bit
+// words (vectorized to the widest ISA this TU is built for): the memory
+// speed the checksum rows are measured against.
+void bench_plain_read(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint64_t> buf(n / sizeof(std::uint64_t));
+  std::mt19937_64 rng(1);
+  for (auto& w : buf) w = rng();
+  for (auto _ : state) {
+    std::uint64_t sum = 0;
+    for (const std::uint64_t w : buf) sum += w;
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
 }  // namespace
 
 // The cross-lane shift and the re-computation gate: the two per-column
@@ -319,6 +357,25 @@ BENCH_ENCODE(Scalar, scalar)
 BENCH_ENCODE(Avx512Bw, avx512bw)
 BENCHMARK(bench_fasta_parse)->Name("FastaParse");
 
+// Rows Checksum_<isa> (each lane-update form; unavailable ISAs skip) and
+// ChecksumPlainRead, over 8 MiB (the order of a 26k-subject index's
+// metadata) and 512 KiB (a 1.5k-subject one), in bytes per second.
+#define BENCH_CHECKSUM(KIND, NAME)                                        \
+  static void Checksum_##NAME(benchmark::State& state) {                  \
+    if (!isa_available(IsaKind::KIND)) {                                  \
+      state.SkipWithError(#KIND " unavailable");                          \
+      return;                                                             \
+    }                                                                     \
+    bench_checksum(state, IsaKind::KIND);                                 \
+  }                                                                       \
+  BENCHMARK(Checksum_##NAME)->Arg(8 << 20)->Arg(512 << 10);
+
+BENCH_CHECKSUM(Scalar, scalar)
+BENCH_CHECKSUM(Avx2, avx2)
+BENCH_CHECKSUM(Avx512, avx512)
+BENCHMARK(bench_plain_read)->Name("ChecksumPlainRead")->Arg(8 << 20)->Arg(
+    512 << 10);
+
 namespace {
 
 // Console output as usual, plus one "benchmarks" series row per run so
@@ -337,6 +394,10 @@ class CollectingReporter : public benchmark::ConsoleReporter {
       const auto items = r.counters.find("items_per_second");
       if (items != r.counters.end()) {
         row.set("items_per_second", static_cast<double>(items->second));
+      }
+      const auto bytes = r.counters.find("bytes_per_second");
+      if (bytes != r.counters.end()) {
+        row.set("gb_per_second", static_cast<double>(bytes->second) / 1e9);
       }
       rows.push_back(std::move(row));
     }

@@ -1,5 +1,8 @@
 #include "simd/isa.h"
 
+#include <cstring>
+
+#include "simd/fnv_lanes.h"
 #include "simd/translate.h"
 #include "util/cpuinfo.h"
 
@@ -82,6 +85,33 @@ TranslateFn translate_fn([[maybe_unused]] IsaKind isa) {
   }
 #endif
   return &translate_scalar;
+}
+
+void fnv_lanes_scalar(std::uint64_t* lanes, const void* data,
+                      std::size_t strides) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t s = 0; s < strides; ++s, p += kFnvStride) {
+    std::uint64_t w[kFnvLanes];
+    std::memcpy(w, p, sizeof w);
+    for (std::size_t k = 0; k < kFnvLanes; ++k) {
+      lanes[k] = (lanes[k] ^ w[k]) * kFnvPrime;
+    }
+  }
+}
+
+FnvLanesFn fnv_lanes_fn([[maybe_unused]] IsaKind isa) {
+#if defined(AALIGN_HAVE_AVX512)
+  if ((isa == IsaKind::Avx512 || isa == IsaKind::Avx512Bw) &&
+      isa_available(IsaKind::Avx512)) {
+    return &fnv_lanes_avx512;
+  }
+#endif
+#if defined(AALIGN_HAVE_AVX2)
+  if (isa >= IsaKind::Avx2 && isa_available(IsaKind::Avx2)) {
+    return &fnv_lanes_avx2;
+  }
+#endif
+  return &fnv_lanes_scalar;
 }
 
 }  // namespace aalign::simd

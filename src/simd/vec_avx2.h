@@ -24,10 +24,46 @@
 
 #include <cstdint>
 
+#include "simd/fnv_lanes.h"
 #include "simd/isa.h"
 #include "simd/vec_scalar.h"  // detail::seg_scan_max_lanes
 
 namespace aalign::simd {
+
+// The checksum lane update (simd/fnv_lanes.h) on 4 x u64 per register,
+// the 32 lanes in eight registers. A lane step multiplies by the prime
+// 2^40 + 0x1b3 as (x << 40) + lo32(x) * 0x1b3 + (hi32(x) * 0x1b3 << 32):
+// two mul_epu32, no 64-bit multiply.
+inline __m256i fnv_step_256(__m256i x, __m256i w) {
+  const __m256i c = _mm256_set1_epi64x(0x1b3);
+  x = _mm256_xor_si256(x, w);
+  const __m256i lo = _mm256_mul_epu32(x, c);
+  const __m256i hi = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), c);
+  return _mm256_add_epi64(_mm256_add_epi64(lo, _mm256_slli_epi64(hi, 32)),
+                          _mm256_slli_epi64(x, 40));
+}
+
+inline void fnv_lanes_256(std::uint64_t* lanes, const void* data,
+                          std::size_t strides) {
+  constexpr int kRegs = kFnvLanes / 4;
+  __m256i l[kRegs];
+#pragma GCC unroll 8
+  for (int r = 0; r < kRegs; ++r) {
+    l[r] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes + 4 * r));
+  }
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t s = 0; s < strides; ++s, p += kFnvStride) {
+#pragma GCC unroll 8
+    for (int r = 0; r < kRegs; ++r) {
+      l[r] = fnv_step_256(
+          l[r], _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p) + r));
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kRegs; ++r) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes + 4 * r), l[r]);
+  }
+}
 
 namespace detail {
 
@@ -217,9 +253,9 @@ struct VecOps<std::int32_t, Avx2Tag> {
   // log2(8) Kogge-Stone rounds over the (max, +) semiring, lane shifts via
   // the same cross-lane permutevar8x32 as shift_insert. Plain 32-bit adds
   // are associative, so the tree evaluates the same
-  // max_d(v[l-1-d] + d*step) as the serial recurrence, exactly.
+  // max_d(v[l-1-d] + d*step) as the serial recurrence, exactly. Vacated
+  // low lanes blend in their own value, so any fill is exact.
   static reg seg_scan_max(reg v, long step, value_type fill) {
-    const reg vfill = _mm256_set1_epi32(fill);
     const reg i1 = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
     const reg i2 = _mm256_setr_epi32(0, 0, 0, 1, 2, 3, 4, 5);
     const reg i4 = _mm256_setr_epi32(0, 0, 0, 0, 0, 1, 2, 3);
@@ -227,17 +263,17 @@ struct VecOps<std::int32_t, Avx2Tag> {
     reg t = _mm256_blend_epi32(
         _mm256_add_epi32(_mm256_permutevar8x32_epi32(s, i1),
                          _mm256_set1_epi32(static_cast<value_type>(step))),
-        vfill, 0x01);
+        s, 0x01);
     s = _mm256_max_epi32(s, t);
     t = _mm256_blend_epi32(
         _mm256_add_epi32(_mm256_permutevar8x32_epi32(s, i2),
                          _mm256_set1_epi32(static_cast<value_type>(2 * step))),
-        vfill, 0x03);
+        s, 0x03);
     s = _mm256_max_epi32(s, t);
     t = _mm256_blend_epi32(
         _mm256_add_epi32(_mm256_permutevar8x32_epi32(s, i4),
                          _mm256_set1_epi32(static_cast<value_type>(4 * step))),
-        vfill, 0x0F);
+        s, 0x0F);
     s = _mm256_max_epi32(s, t);
     return s;
   }

@@ -29,9 +29,39 @@
 #include <bit>
 #include <cstdint>
 
+#include "simd/fnv_lanes.h"
 #include "simd/isa.h"
 
 namespace aalign::simd {
+
+// The checksum lane update (simd/fnv_lanes.h) on 8 x u64 per register,
+// the 32 lanes in four registers; AVX-512F only. The multiply by the
+// prime 2^40 + 0x1b3 splits as in vec_avx2.h's fnv_step_256.
+inline __m512i fnv_step_512(__m512i x, __m512i w) {
+  const __m512i c = _mm512_set1_epi64(0x1b3);
+  x = _mm512_xor_si512(x, w);
+  const __m512i lo = _mm512_mul_epu32(x, c);
+  const __m512i hi = _mm512_mul_epu32(_mm512_srli_epi64(x, 32), c);
+  return _mm512_add_epi64(_mm512_add_epi64(lo, _mm512_slli_epi64(hi, 32)),
+                          _mm512_slli_epi64(x, 40));
+}
+
+inline void fnv_lanes_512(std::uint64_t* lanes, const void* data,
+                          std::size_t strides) {
+  constexpr int kRegs = kFnvLanes / 8;
+  __m512i l[kRegs];
+#pragma GCC unroll 4
+  for (int r = 0; r < kRegs; ++r) l[r] = _mm512_loadu_si512(lanes + 8 * r);
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t s = 0; s < strides; ++s, p += kFnvStride) {
+#pragma GCC unroll 4
+    for (int r = 0; r < kRegs; ++r) {
+      l[r] = fnv_step_512(l[r], _mm512_loadu_si512(p + 64 * r));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < kRegs; ++r) _mm512_storeu_si512(lanes + 8 * r, l[r]);
+}
 
 template <class T, class Isa>
 struct VecOps;
@@ -63,20 +93,20 @@ struct VecOps<std::int32_t, Avx512Tag> {
   }
   // Exclusive shifted max-scan (deconstructed lazy-F carry), in-register:
   // log2(16) Kogge-Stone rounds over the (max, +) semiring - each round
-  // folds in candidates 2^r lanes back, weighted by 2^r * step, with the
-  // vacated low lanes masked to the absorbing fill. Plain 32-bit adds are
+  // folds in candidates 2^r lanes back, weighted by 2^r * step, and the
+  // vacated low lanes, which have no candidate, keep their value (a masked
+  // max), so any fill is exact, not only one that absorbs under max.
+  // Plain 32-bit adds are
   // associative, so the tree evaluates the same max_d(v[l-1-d] + d*step)
   // as the serial recurrence, exactly. IMCI would spell each round
-  // permutevar + masked blend - the same shape as shift_insert.
+  // permutevar + masked max - the same shape as shift_insert.
   static reg seg_scan_max(reg v, long step, value_type fill) {
-    const reg vfill = _mm512_set1_epi32(fill);
     reg s = shift_insert(v, fill);
     const auto round = [&](reg idx, __mmask16 low, long w) {
-      const reg t = _mm512_mask_mov_epi32(
+      const reg t =
           _mm512_add_epi32(_mm512_permutexvar_epi32(idx, s),
-                           _mm512_set1_epi32(static_cast<value_type>(w))),
-          low, vfill);
-      s = _mm512_max_epi32(s, t);
+                           _mm512_set1_epi32(static_cast<value_type>(w)));
+      s = _mm512_mask_max_epi32(s, __mmask16(~low), s, t);
     };
     round(_mm512_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
                             14),

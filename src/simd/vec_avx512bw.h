@@ -226,14 +226,12 @@ struct VecOps<std::int32_t, Avx512BwTag> {
   // vec_avx512.h for the derivation. Plain 32-bit adds keep the tree exact
   // against the serial recurrence.
   static reg seg_scan_max(reg v, long step, value_type fill) {
-    const reg vfill = _mm512_set1_epi32(fill);
     reg s = shift_insert(v, fill);
     const auto round = [&](reg idx, __mmask16 low, long w) {
-      const reg t = _mm512_mask_mov_epi32(
+      const reg t =
           _mm512_add_epi32(_mm512_permutexvar_epi32(idx, s),
-                           _mm512_set1_epi32(static_cast<value_type>(w))),
-          low, vfill);
-      s = _mm512_max_epi32(s, t);
+                           _mm512_set1_epi32(static_cast<value_type>(w)));
+      s = _mm512_mask_max_epi32(s, __mmask16(~low), s, t);
     };
     round(_mm512_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
                             14),

@@ -190,19 +190,19 @@ struct VecOps<std::int32_t, Sse41Tag> {
   // log2(4) Kogge-Stone rounds over the (max, +) semiring. Plain 32-bit
   // adds are associative, so the tree evaluates the same
   // max_d(v[l-1-d] + d*step) as the serial recurrence, exactly. The
-  // byte-shift zeroes vacated lanes; blend_epi16 re-inserts the fill.
+  // byte-shift zeroes vacated lanes; blend_epi16 puts back their own
+  // value, so any fill is exact.
   static reg seg_scan_max(reg v, long step, value_type fill) {
-    const reg vfill = _mm_set1_epi32(fill);
     reg s = shift_insert(v, fill);
     reg t = _mm_blend_epi16(
         _mm_add_epi32(_mm_slli_si128(s, 4),
                       _mm_set1_epi32(static_cast<value_type>(step))),
-        vfill, 0x03);
+        s, 0x03);
     s = _mm_max_epi32(s, t);
     t = _mm_blend_epi16(
         _mm_add_epi32(_mm_slli_si128(s, 8),
                       _mm_set1_epi32(static_cast<value_type>(2 * step))),
-        vfill, 0x0F);
+        s, 0x0F);
     s = _mm_max_epi32(s, t);
     return s;
   }

@@ -30,14 +30,16 @@
 #include <string>
 
 #include "seq/database.h"
+#include "simd/fnv_lanes.h"
 
 namespace aalign::store {
 
 inline constexpr char kMagic[8] = {'A', 'A', 'L', 'N', 'I', 'D', 'X', '1'};
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
-// Version 2 introduced the four-lane integrity checksum (Checksum below);
-// version 3 packs the residues within each shard back to back.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// Version 2 introduced the four-lane integrity checksum, version 3 packs
+// the residues within each shard back to back, and version 4 widens the
+// checksum to 32 lanes over 256-byte strides (Checksum below).
+inline constexpr std::uint32_t kFormatVersion = 4;
 // Every section and every residue shard starts aligned to this many bytes
 // in the file (util::kVectorAlignment, so signature rows can feed aligned
 // vector loads) and is zero-padded to a multiple of it. Sequences inside a
@@ -56,7 +58,6 @@ inline constexpr std::uint32_t kProfileLutStride = 64;
 // is a multiple of 8, fnv1a64(b, n2, fnv1a64(a, n1)) equals one call over
 // the concatenation.
 inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 inline std::uint64_t fnv1a64(const void* data, std::size_t bytes,
                              std::uint64_t seed = kFnvOffsetBasis) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -66,57 +67,43 @@ inline std::uint64_t fnv1a64(const void* data, std::size_t bytes,
     std::uint64_t w;
     std::memcpy(&w, p + i, sizeof w);
     h ^= w;
-    h *= kFnvPrime;
+    h *= simd::kFnvPrime;
   }
   for (; i < bytes; ++i) {
     h ^= p[i];
-    h *= kFnvPrime;
+    h *= simd::kFnvPrime;
   }
   return h;
 }
 
 // The format's integrity checksum (header, metadata sections, residue
-// shards): FNV-1a on four independent 64-bit lanes over 32-byte strides
-// (word k of every stride feeds lane k, lane k seeded with the offset
-// basis XOR k), folded at the end by fnv1a64 over the four lane states.
-// A single fnv1a64 chain waits on one multiply per 8 bytes; four chains
-// keep four multiplies in flight, so verifying megabytes of metadata at
-// open runs near memory speed. A ragged tail (never present in a
-// well-formed file: every checksummed range is a multiple of
-// kFileAlignment) continues lane 0 through fnv1a64. Not cryptographic -
-// the threat model is truncation and bit rot, not an adversary.
+// shards), version 4: FNV-1a on 32 independent 64-bit lanes over 256-byte
+// strides (word k of every stride feeds lane k, lane k seeded with the
+// offset basis XOR k), folded at the end by fnv1a64 over the 32 lane
+// states. Each lane step is a bijection of the lane, so any single bit
+// flip changes the digest. The 32 chains are independent, so the lane
+// update (simd/fnv_lanes.h) runs as vector code on every backend that
+// has it - AVX2 and AVX-512F - with the same digest as the scalar loop.
+// A ragged tail (a well-formed file's checksummed ranges are multiples of
+// kFileAlignment, so a tail of 64, 128 or 192 bytes) continues lane 0
+// through fnv1a64. Not cryptographic - the threat model is truncation and
+// bit rot, not an adversary.
 //
-// Streaming: the state is the four lanes, so update() calls chain
-// exactly when every call but the last is a multiple of kChecksumStride
-// bytes; the loader hashes large sections in windows that way.
-inline constexpr std::size_t kChecksumStride = 32;
+// Streaming: the state is the lanes, so update() calls chain exactly when
+// every call but the last is a multiple of kChecksumStride bytes; the
+// loader hashes large sections in windows cut that way from the
+// section's start.
+inline constexpr std::size_t kChecksumLanes = simd::kFnvLanes;
+inline constexpr std::size_t kChecksumStride = simd::kFnvStride;
 
 class Checksum {
  public:
-  void update(const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    std::uint64_t l0 = lane_[0], l1 = lane_[1], l2 = lane_[2], l3 = lane_[3];
-    std::size_t i = 0;
-    for (; i + kChecksumStride <= bytes; i += kChecksumStride) {
-      std::uint64_t w[4];
-      std::memcpy(w, p + i, sizeof w);
-      l0 = (l0 ^ w[0]) * kFnvPrime;
-      l1 = (l1 ^ w[1]) * kFnvPrime;
-      l2 = (l2 ^ w[2]) * kFnvPrime;
-      l3 = (l3 ^ w[3]) * kFnvPrime;
-    }
-    if (i < bytes) l0 = fnv1a64(p + i, bytes - i, l0);
-    lane_[0] = l0;
-    lane_[1] = l1;
-    lane_[2] = l2;
-    lane_[3] = l3;
-  }
-
+  Checksum();
+  void update(const void* data, std::size_t bytes);
   std::uint64_t digest() const { return fnv1a64(lane_, sizeof lane_); }
 
  private:
-  std::uint64_t lane_[4] = {kFnvOffsetBasis, kFnvOffsetBasis ^ 1,
-                            kFnvOffsetBasis ^ 2, kFnvOffsetBasis ^ 3};
+  std::uint64_t lane_[kChecksumLanes];
 };
 
 inline std::uint64_t checksum(const void* data, std::size_t bytes) {

@@ -71,17 +71,19 @@ std::uint64_t section_checksum(const MappedFile& f, const SectionEntry& e) {
   if (!cold_section(SectionKind(e.kind))) {
     return checksum(f.range(e.offset, e.bytes), e.bytes);
   }
-  // Windows end on kHashWindow-aligned file offsets, so every window but
-  // the last spans a multiple of kChecksumStride bytes and the chain
-  // equals one call.
+  // Windows are cut every kHashWindow bytes from the section's start, so
+  // every window but the last spans a multiple of kChecksumStride bytes
+  // and the chain equals one call. (Sections start 64-byte aligned, not
+  // stride-aligned: file-aligned cuts would break the chain.) A page a
+  // window boundary splits stays resident until open() releases the
+  // whole cold range.
+  static_assert(kHashWindow % kChecksumStride == 0);
   Checksum h;
-  const std::uint64_t end = e.offset + e.bytes;
-  for (std::uint64_t pos = e.offset; pos < end;) {
-    const std::uint64_t next =
-        std::min(end, (pos / kHashWindow + 1) * kHashWindow);
-    h.update(f.range(pos, next - pos), next - pos);
-    f.release(pos, next - pos);
-    pos = next;
+  for (std::uint64_t done = 0; done < e.bytes;) {
+    const std::uint64_t n = std::min(kHashWindow, e.bytes - done);
+    h.update(f.range(e.offset + done, n), n);
+    f.release(e.offset + done, n);
+    done += n;
   }
   return h.digest();
 }
@@ -146,6 +148,15 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
       h.alphabet_size == 0) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "inconsistent filter/profile geometry"));
+  }
+  // Every count a section size is derived from fits the file, so those
+  // products cannot wrap past 2^64 onto a well-formed size and hand out a
+  // directory span longer than its section.
+  if (h.sig_words > h.file_bytes / sizeof(std::int32_t) ||
+      h.seq_count > h.file_bytes / (h.sig_words * sizeof(std::int32_t)) ||
+      h.shard_count > h.file_bytes / sizeof(ShardEntry)) {
+    throw StoreError(StoreErrc::BadLayout,
+                     at_path(path, "header counts exceed the file size"));
   }
 
   // Header checksum covers [0, header_bytes) with the field zeroed.

@@ -3,13 +3,15 @@
 // MappedIndex::open maps the file and verifies the header + every
 // metadata section checksum — work proportional to the subject count,
 // never to the residue volume: 32 B of directory plus 256 B of signature
-// per subject are hashed at open, by the format's four-lane checksum
-// (store/format.h), so open costs about one pass over the metadata at
-// memory speed. It checks the section geometry first, then gives the cold
+// per subject are hashed at open, by the format's 32-lane checksum
+// (store/format.h), whose lane update runs as AVX-512F or AVX2 vector
+// code where the CPU has it, near the speed of a plain read of the same
+// bytes. It checks the section geometry first, then gives the cold
 // sections (format.h: the signatures and profile tables, which a
 // filter-off search never reads) a mapping of their own, hashes them in
-// 1 MiB windows whose pages are released once hashed, and releases the
-// whole cold range at the end. The kernel maps page-cache folios of up to
+// 1 MiB windows cut from each section's start (so each window but the
+// last is whole checksum strides) whose pages are released once hashed,
+// and releases the whole cold range at the end. The kernel maps page-cache folios of up to
 // 2 MiB whole but clips them at mapping bounds, so after a filter-off
 // search on a 26,032-subject index (Linux 6.18, ext4) no signature page
 // is resident and the mapping's resident bytes are the hot sections the

@@ -286,31 +286,42 @@ void lookup_semantics() {
 // saturating add for narrow types and a plain add for int32. The reference
 // below runs the recurrence in long arithmetic with an explicit clamp -
 // the in-register Kogge-Stone trees and the spill paths must both match
-// it, including full-range inputs that hit the rails.
+// it, including full-range inputs that hit the rails, for any fill (not
+// only the absorbing neg_inf every caller passes today) and, at the
+// narrow widths, steps below -2^bits.
 template <class Ops>
 void seg_scan_max_matches_reference() {
   using T = typename Ops::value_type;
   constexpr int W = Ops::kWidth;
   std::mt19937_64 rng(0x5Ca9);
 
+  std::vector<long> steps = {-1L, -3L, -40L, -300L, 0L};
+  if (sizeof(T) < 4) {
+    steps.push_back(-(1L << (8 * sizeof(T))) - 1);
+    steps.push_back(-(1L << 40));
+  }
   // Full-range (rail-hitting) inputs are defined behaviour only for the
   // saturating narrow types; int32 uses plain adds and relies on the
   // neg_inf = min/2 headroom invariant, so it is tested in score range.
   for (const bool full_range : {false, sizeof(T) < 4}) {
-    for (const long step : {-1L, -3L, -40L, -300L, 0L}) {
-      for (int iter = 0; iter < 20; ++iter) {
+    for (const long step : steps) {
+      for (int iter = 0; iter < 30; ++iter) {
         const auto raw = random_values<Ops>(rng, W, full_range);
         util::AlignedBuffer<T> vals(W);
         for (int l = 0; l < W; ++l) vals[l] = raw[static_cast<std::size_t>(l)];
         typename Ops::reg v = Ops::load(vals.data());
-        const T fill = neg_inf<T>();
+        // A third of the runs use the absorbing fill, the rest a random
+        // one from the same range as the lanes.
+        const T fill = iter % 3 == 0 ? neg_inf<T>()
+                                     : random_values<Ops>(rng, 1, full_range)[0];
         alignas(64) T out[W];
         Ops::to_array(Ops::seg_scan_max(v, step, fill), out);
 
         long carry = fill;
         for (int l = 0; l < W; ++l) {
           ASSERT_EQ(out[l], static_cast<T>(carry))
-              << "lane " << l << " step " << step << " full=" << full_range;
+              << "lane " << l << " step " << step << " fill " << long{fill}
+              << " full=" << full_range;
           long ext = carry + step;
           if (sizeof(T) < 4) {
             const long lo = std::numeric_limits<T>::min();

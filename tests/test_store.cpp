@@ -549,16 +549,16 @@ TEST_F(StoreCorruption, SignatureSectionFlipsRejectedAtOpen) {
   }
 }
 
-// Every byte of the first 64 of SeqDir and of SigBlob feeds one of the
-// checksum's four lanes (word k of each 32-byte stride feeds lane k): a
-// single-bit flip at each of them, so all four lanes in both halves of a
-// 64-byte line, is rejected by a Directory open.
+// Every byte of the first 256-byte stride of SeqDir and of SigBlob feeds
+// one of the checksum's 32 lanes (word k of each stride feeds lane k): a
+// single-bit flip at each of them, so every bit position of every lane's
+// word, is rejected by a Directory open.
 TEST_F(StoreCorruption, EveryChecksumLaneGuardsItsSection) {
   for (const store::SectionKind kind :
        {store::SectionKind::SeqDir, store::SectionKind::SigBlob}) {
     const store::SectionEntry e = section(bytes_, kind);
-    ASSERT_GE(e.bytes, 64u);
-    for (std::size_t off = 0; off < 64; ++off) {
+    ASSERT_GE(e.bytes, store::kChecksumStride);
+    for (std::size_t off = 0; off < store::kChecksumStride; ++off) {
       EXPECT_EQ(open_expecting_error(flipped(e.offset + off, int(off % 8)),
                                      store::Verify::Directory),
                 store::StoreErrc::SectionChecksum)
@@ -567,11 +567,36 @@ TEST_F(StoreCorruption, EveryChecksumLaneGuardsItsSection) {
   }
 }
 
-// A version-1 file (the single-chain checksum) or a version-2 one (each
-// sequence padded to 64 bytes) is rejected by the version gate with the
-// rebuild hint, before any checksum is read.
+// A sequence count with bit 63 set, the header resealed: every section
+// size derived from it wraps past 2^64 back onto the well-formed size, so
+// only the count-against-file-size check stands between it and a
+// directory span longer than its section.
+TEST_F(StoreCorruption, WrappingHeaderCountRejected) {
+  auto m = bytes_;
+  store::Header hdr{};
+  std::memcpy(&hdr, m.data(), sizeof hdr);
+  hdr.seq_count |= std::uint64_t{1} << 63;
+  hdr.header_checksum = 0;
+  std::memcpy(m.data(), &hdr, sizeof hdr);
+  hdr.header_checksum = store::checksum(m.data(), hdr.header_bytes);
+  std::memcpy(m.data(), &hdr, sizeof hdr);
+  write_file(path_, m);
+  try {
+    store::MappedIndex::open(path_);
+    ADD_FAILURE() << "loader accepted a wrapping sequence count";
+  } catch (const store::StoreError& e) {
+    EXPECT_EQ(e.errc(), store::StoreErrc::BadLayout);
+    EXPECT_NE(std::string(e.what()).find("header counts"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A version-1 file (the single-chain checksum), a version-2 one (each
+// sequence padded to 64 bytes) or a version-3 one (the four-lane
+// checksum) is rejected by the version gate with the rebuild hint, before
+// any checksum is read.
 TEST_F(StoreCorruption, VersionOneFileRejected) {
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     auto m = bytes_;
     std::memcpy(m.data() + offsetof(store::Header, format_version), &version,
                 sizeof version);
@@ -638,7 +663,7 @@ TEST(StoreFormat, ChecksumChainsOverStrideWindows) {
   std::vector<std::uint8_t> bytes(4099);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
   const std::uint64_t whole = store::checksum(bytes.data(), bytes.size());
-  for (const std::size_t window : {32u, 64u, 1024u, 4096u}) {
+  for (const std::size_t window : {256u, 512u, 1024u, 4096u}) {
     store::Checksum h;
     for (std::size_t pos = 0; pos < bytes.size(); pos += window) {
       h.update(bytes.data() + pos, std::min(window, bytes.size() - pos));
@@ -649,6 +674,14 @@ TEST(StoreFormat, ChecksumChainsOverStrideWindows) {
   ragged.update(bytes.data(), 40);
   ragged.update(bytes.data() + 40, bytes.size() - 40);
   EXPECT_NE(ragged.digest(), whole);
+  // So does a window of whole file-alignment units short of a stride:
+  // sections start 64-byte aligned, which is why the loader cuts its
+  // windows from each section's start, not on file offsets.
+  store::Checksum aligned;
+  aligned.update(bytes.data(), store::kFileAlignment);
+  aligned.update(bytes.data() + store::kFileAlignment,
+                 bytes.size() - store::kFileAlignment);
+  EXPECT_NE(aligned.digest(), whole);
   // Not the single-chain hash of version 1.
   EXPECT_NE(whole, store::fnv1a64(bytes.data(), bytes.size()));
 }

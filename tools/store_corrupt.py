@@ -4,14 +4,15 @@
 Mutates a known-good index file — truncations at several offsets, single
 bit flips in the header, section table, shard directory, residue blob,
 the middle of every metadata section (located through the section
-table), each 8-byte word of one 32-byte stride of the signature blob
-(one per checksum lane), and final byte, plus version-1 and version-2
-headers — and runs `aalign_index verify` on every mutant.
+table), each 8-byte word of one 256-byte stride of the signature blob
+(one per checksum lane, 32 in all), and final byte, plus version-1,
+version-2 and version-3 headers — and runs `aalign_index verify` on every
+mutant.
 
 Six more mutants are *resealed*: an edit to the shard directory, the
 sequence directory or the permutation, after which the edited section's
 checksum and the header checksum are recomputed (a Python port of the
-format's four-lane FNV-1a, store/format.h `Checksum`). They get past
+format's 32-lane FNV-1a, store/format.h `Checksum`). They get past
 every checksum and reach the layout checks: a residue range whose end
 wraps past 2^64 (sequence and shard directory), a sequence directory out
 of longest-first order, a permutation naming one index twice, a
@@ -67,10 +68,10 @@ SHARD_ENTRY_BYTES = 64  # store::ShardEntry
 SHARD_BLOB_OFFSET = 16  # store::ShardEntry::blob_offset (u64)
 SHARD_BLOB_BYTES = 24  # store::ShardEntry::blob_bytes (u64)
 SHARD_COUNT_OFFSET = 56  # store::Header::shard_count (u64)
-# The integrity checksum runs four FNV-1a lanes over 32-byte strides: word
+# The integrity checksum runs 32 FNV-1a lanes over 256-byte strides: word
 # k of every stride feeds lane k.
-CHECKSUM_STRIDE = 32
-CHECKSUM_LANES = 4
+CHECKSUM_LANES = 32
+CHECKSUM_STRIDE = 8 * CHECKSUM_LANES
 FNV_OFFSET_BASIS = 14695981039346656037
 FNV_PRIME = 1099511628211
 U64 = (1 << 64) - 1
@@ -90,14 +91,15 @@ def fnv1a64(data: bytes, seed: int = FNV_OFFSET_BASIS) -> int:
 
 
 def checksum(data: bytes) -> int:
-    """store::checksum: four FNV-1a lanes over 32-byte strides, folded."""
+    """store::checksum: 32 FNV-1a lanes over 256-byte strides, folded."""
     lanes = [FNV_OFFSET_BASIS ^ k for k in range(CHECKSUM_LANES)]
     whole = len(data) // CHECKSUM_STRIDE * CHECKSUM_STRIDE
-    for words in struct.iter_unpack("<4Q", data[:whole]):
+    stride = f"<{CHECKSUM_LANES}Q"
+    for words in struct.iter_unpack(stride, data[:whole]):
         lanes = [((lane ^ w) * FNV_PRIME) & U64 for lane, w in zip(lanes, words)]
     if whole < len(data):
         lanes[0] = fnv1a64(data[whole:], lanes[0])
-    return fnv1a64(struct.pack("<4Q", *lanes))
+    return fnv1a64(struct.pack(stride, *lanes))
 
 
 def reseal(m: bytearray, index: int) -> bytes:
@@ -193,16 +195,16 @@ def mutations(data: bytes):
         off, nbytes = section_range(data, index)
         if index != SEQ_BLOB_SECTION and nbytes > 0:
             yield f"flip_in_{name}", flip(off + nbytes // 2, 4)
-    # One flip per checksum lane: each 8-byte word of the 32-byte stride in
-    # the middle of sig_blob (sections start 64-byte aligned, so the stride
-    # is lane-aligned).
+    # One flip per checksum lane: each 8-byte word of the 256-byte stride
+    # in the middle of sig_blob (strides are counted from the section's
+    # start, so the stride is lane-aligned).
     off, nbytes = section_range(data, SIG_BLOB_SECTION)
     if nbytes >= CHECKSUM_STRIDE:
         stride = off + nbytes // 2 // CHECKSUM_STRIDE * CHECKSUM_STRIDE
         for lane in range(CHECKSUM_LANES):
-            yield f"flip_sig_blob_lane{lane}", flip(stride + 8 * lane + 3, lane)
+            yield f"flip_sig_blob_lane{lane}", flip(stride + 8 * lane + 3, lane % 8)
     yield "flip_last_byte", flip(n - 1, 6)
-    for version in (1, 2):
+    for version in (1, 2, 3):
         m = bytearray(data)
         struct.pack_into("<I", m, FORMAT_VERSION_OFFSET, version)
         yield f"format_version_{version}", bytes(m)
