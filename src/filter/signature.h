@@ -44,6 +44,7 @@
 
 #include "seq/database.h"
 #include "simd/isa.h"
+#include "simd/modules.h"
 #include "util/aligned_buffer.h"
 
 namespace aalign::filter {
@@ -107,10 +108,14 @@ struct FilterOptions {
 };
 
 // Sentinel score for subjects the filter dropped (never produced by a
-// kernel; local scores are >= 0). Search layers strip trailing sentinel
-// hits after top-k selection, making filtered top-k a prefix-consistent
-// subset of the exhaustive ranking.
-inline constexpr long kDroppedScore = std::numeric_limits<long>::min();
+// kernel: local scores are >= 0, and a 32-bit lane bottoms out at its
+// neg_inf rail, min/2). Search layers strip trailing sentinel hits after
+// top-k selection, making filtered top-k a prefix-consistent subset of the
+// exhaustive ranking.
+inline constexpr std::int32_t kDroppedScore =
+    std::numeric_limits<std::int32_t>::min();
+static_assert(kDroppedScore < simd::neg_inf<std::int32_t>(),
+              "the dropped sentinel must rank below every kernel score");
 
 // The query-side signature; build once, scan against many databases.
 struct QuerySignature {

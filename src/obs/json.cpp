@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace aalign::obs {
 
@@ -25,6 +26,15 @@ const Json* Json::find(std::string_view key) const {
     if (keys_[i] == key) return &items_[i];
   }
   return nullptr;
+}
+
+std::int64_t Json::as_int() const {
+  if (type_ == Type::Int) return int_;
+  if (type_ != Type::Double || std::isnan(double_)) return 0;
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (double_ >= kTwo63) return std::numeric_limits<std::int64_t>::max();
+  if (double_ < -kTwo63) return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(double_);
 }
 
 const Json& Json::operator[](std::string_view key) const {
@@ -159,6 +169,7 @@ struct Parser {
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
+  int depth = 0;  // containers open around the current position
 
   bool fail(const std::string& msg) {
     if (error.empty()) {
@@ -248,6 +259,38 @@ struct Parser {
     return fail("unterminated string");
   }
 
+  bool parse_array(Json& out) {
+    out = Json::array();
+    skip_ws();
+    if (consume(']')) return true;
+    while (true) {
+      Json item;
+      if (!parse_value(item)) return false;
+      out.push_back(std::move(item));
+      if (consume(',')) continue;
+      if (consume(']')) return true;
+      return fail("expected ',' or ']'");
+    }
+  }
+
+  bool parse_object(Json& out) {
+    out = Json::object();
+    skip_ws();
+    if (consume('}')) return true;
+    while (true) {
+      skip_ws();
+      std::string key;
+      if (!parse_string(key)) return false;
+      if (!consume(':')) return fail("expected ':'");
+      Json value;
+      if (!parse_value(value)) return false;
+      out.set(key, std::move(value));
+      if (consume(',')) continue;
+      if (consume('}')) return true;
+      return fail("expected ',' or '}'");
+    }
+  }
+
   bool parse_value(Json& out) {
     skip_ws();
     if (pos >= text.size()) return fail("unexpected end of input");
@@ -273,37 +316,16 @@ struct Parser {
       out = Json(std::move(s));
       return true;
     }
-    if (c == '[') {
-      ++pos;
-      out = Json::array();
-      skip_ws();
-      if (consume(']')) return true;
-      while (true) {
-        Json item;
-        if (!parse_value(item)) return false;
-        out.push_back(std::move(item));
-        if (consume(',')) continue;
-        if (consume(']')) return true;
-        return fail("expected ',' or ']'");
+    if (c == '[' || c == '{') {
+      // Containers recurse; the cap bounds the stack one line can claim.
+      if (depth == Json::kMaxDepth) {
+        return fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
       }
-    }
-    if (c == '{') {
       ++pos;
-      out = Json::object();
-      skip_ws();
-      if (consume('}')) return true;
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!parse_string(key)) return false;
-        if (!consume(':')) return fail("expected ':'");
-        Json value;
-        if (!parse_value(value)) return false;
-        out.set(key, std::move(value));
-        if (consume(',')) continue;
-        if (consume('}')) return true;
-        return fail("expected ',' or '}'");
-      }
+      ++depth;
+      const bool ok = c == '[' ? parse_array(out) : parse_object(out);
+      --depth;
+      return ok;
     }
     // Number.
     const std::size_t start = pos;

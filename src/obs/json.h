@@ -56,11 +56,9 @@ class Json {
   bool is_object() const { return type_ == Type::Object; }
 
   bool as_bool() const { return type_ == Type::Bool && bool_; }
-  std::int64_t as_int() const {
-    return type_ == Type::Int    ? int_
-           : type_ == Type::Double ? static_cast<std::int64_t>(double_)
-                                   : 0;
-  }
+  // Doubles truncate toward zero and saturate at the int64 range (NaN
+  // reads 0), so reading any parsed number is defined.
+  std::int64_t as_int() const;
   double as_double() const {
     return type_ == Type::Double ? double_
            : type_ == Type::Int  ? static_cast<double>(int_)
@@ -95,7 +93,10 @@ class Json {
 
   // Parses a complete document (surrounding whitespace allowed). On
   // failure returns Null and, when err != nullptr, a position-annotated
-  // message.
+  // message. Arrays and objects nest at most kMaxDepth deep (the wire
+  // documents nest 4): a deeper document is a parse error, not a stack
+  // overflow.
+  static constexpr int kMaxDepth = 64;
   static Json parse(std::string_view text, std::string* err = nullptr);
 
   bool operator==(const Json& other) const;

@@ -270,7 +270,7 @@ std::vector<SearchResult> BatchScheduler::run(
 
   // Scores by ORIGINAL database index: each tile writes subject s at
   // db.original_index(s), so no remapped copy is needed afterwards.
-  std::vector<std::vector<long>> scores(ng);
+  std::vector<std::vector<std::int32_t>> scores(ng);
   for (auto& s : scores) s.assign(ns, 0);
 
   obs::Histogram& tile_us = obs::registry().histogram("batch.tile_us");
@@ -285,11 +285,11 @@ std::vector<SearchResult> BatchScheduler::run(
         const Tile& tile = tiles[ti];
         const core::QueryContext& ctx = *ctxs[group_primary[tile.group]];
         QueryAcc& acc = w.acc[tile.group];
-        long* out = scores[tile.group].data();
+        std::int32_t* out = scores[tile.group].data();
         const std::uint8_t* mask =
             filtered ? alive[tile.group].data() : nullptr;
         for (std::size_t s = tile.begin; s < tile.end; ++s) {
-          long& slot = out[db.original_index(s)];
+          std::int32_t& slot = out[db.original_index(s)];
           if (mask != nullptr && mask[s] == 0) {
             slot = filter::kDroppedScore;
             continue;
@@ -297,7 +297,7 @@ std::vector<SearchResult> BatchScheduler::run(
           const core::AdaptiveResult ar =
               ctx.align(db.residues(s), w.ws, cancel);
           if (ar.cancelled) core::throw_cancelled(*cancel);
-          slot = ar.kernel.score;
+          slot = static_cast<std::int32_t>(ar.kernel.score);
           acc.promotions += static_cast<std::uint64_t>(ar.promotions);
           acc.saturated += ar.kernel.saturated ? 1 : 0;
           acc.stats += ar.kernel.stats;

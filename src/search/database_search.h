@@ -45,8 +45,11 @@ struct SearchHit {
 
 struct SearchResult {
   // Per subject, indexed by ORIGINAL database index (empty if
-  // !keep_all_scores).
-  std::vector<long> scores;
+  // !keep_all_scores). Four bytes a subject, and exact: every score leaves
+  // a kernel lane of 32 bits or fewer (intra widths int8/16/32, inter
+  // precisions i8/i16/i32), so narrowing the kernels' `long` result loses
+  // nothing. SearchHit::score and the wire's score stay `long`.
+  std::vector<std::int32_t> scores;
   std::vector<SearchHit> top;  // best top_k, descending score
   double seconds = 0.0;
   std::size_t cells = 0;  // total m*n DP cells computed

@@ -50,7 +50,7 @@ void run_one_batch(const core::InterEngine& engine, core::InterPrecision prec,
                    const seq::Database& db,
                    const std::vector<std::size_t>& pending,
                    std::size_t begin, std::size_t count, LadderScratch& w,
-                   long* scores) {
+                   std::int32_t* scores) {
   int max_len = 0;
   std::size_t residues = 0;
   for (std::size_t l = 0; l < static_cast<std::size_t>(W); ++l) {
@@ -73,7 +73,8 @@ void run_one_batch(const core::InterEngine& engine, core::InterPrecision prec,
     if ((overflow >> l) & 1u) {
       w.requeue.push_back(idx);  // saturated: retry at wider precision
     } else {
-      scores[db.original_index(idx)] = w.lane_scores[l];
+      scores[db.original_index(idx)] =
+          static_cast<std::int32_t>(w.lane_scores[l]);
     }
   }
   w.cells += query.size() * residues;
@@ -124,7 +125,7 @@ InterSearchResult InterSequenceSearch::search(
   const core::InterEngine* engine = core::get_inter_engine(opt_.query.isa);
 
   const int threads = opt_.threads > 0 ? opt_.threads : default_thread_count();
-  std::vector<long> scores(db.size());  // by ORIGINAL database index
+  std::vector<std::int32_t> scores(db.size());  // by ORIGINAL database index
 
   std::vector<LadderScratch> workers(
       static_cast<std::size_t>(std::max(1, threads)));

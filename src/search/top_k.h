@@ -18,10 +18,11 @@ namespace aalign::search {
 // database is unpermuted. The search executors write each score at
 // db.original_index(pos) directly and never need this copy; the serial
 // test oracle and bench/ledger do.
-inline void remap_scores_to_original(const seq::Database& db,
-                                     std::vector<long>& scores) {
+template <class T>
+void remap_scores_to_original(const seq::Database& db,
+                              std::vector<T>& scores) {
   if (!db.permuted()) return;
-  std::vector<long> orig(scores.size());
+  std::vector<T> orig(scores.size());
   for (std::size_t pos = 0; pos < scores.size(); ++pos) {
     orig[db.original_index(pos)] = scores[pos];
   }
@@ -32,9 +33,10 @@ inline void remap_scores_to_original(const seq::Database& db,
 // better(a, b) when a ranks ahead of b), best first. Holds a k-entry heap
 // whose front is the worst hit kept, so the selection never allocates for
 // the whole score vector; with a total order the result is exactly the
-// first k of a full sort.
-template <class Better>
-std::vector<SearchHit> select_top_k_by(const std::vector<long>& scores,
+// first k of a full sort. The element type is the executors' int32_t or a
+// caller's long; hits widen it to SearchHit::score.
+template <class T, class Better>
+std::vector<SearchHit> select_top_k_by(const std::vector<T>& scores,
                                        std::size_t top_k, Better better) {
   const std::size_t k = std::min(top_k, scores.size());
   std::vector<SearchHit> heap;
@@ -58,8 +60,9 @@ std::vector<SearchHit> select_top_k_by(const std::vector<long>& scores,
 // Best `top_k` subjects by score, descending; ties resolve to the lower
 // database index (the index is part of the order, so the ranking does not
 // depend on the k requested).
-inline std::vector<SearchHit> select_top_k(const std::vector<long>& scores,
-                                           std::size_t top_k) {
+template <class T>
+std::vector<SearchHit> select_top_k(const std::vector<T>& scores,
+                                    std::size_t top_k) {
   return select_top_k_by(scores, top_k,
                          [](const SearchHit& a, const SearchHit& b) {
                            return a.score != b.score ? a.score > b.score
@@ -73,8 +76,9 @@ inline std::vector<SearchHit> select_top_k(const std::vector<long>& scores,
 // caller can still address its own database. With per-shard maps drawn
 // from one global order, per-slice top-k lists merge into exactly the
 // single-database select_top_k result. An empty map means identity.
-inline std::vector<SearchHit> select_top_k_mapped(
-    const std::vector<long>& scores, std::size_t top_k,
+template <class T>
+std::vector<SearchHit> select_top_k_mapped(
+    const std::vector<T>& scores, std::size_t top_k,
     std::span<const std::size_t> index_map) {
   if (index_map.empty()) return select_top_k(scores, top_k);
   return select_top_k_by(scores, top_k,

@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "search/batch_scheduler.h"
 #include "search/database_search.h"
+#include "search/inter_search.h"
 #include "seq/generator.h"
 #include "seq/pairgen.h"
 #include "test_helpers.h"
@@ -340,6 +341,138 @@ TEST(BatchScheduler, SharedContextBuildsEachWiderTierOnce) {
   if (obs::metrics_enabled()) {
     EXPECT_EQ(obs::registry().counter("profile.lazy_builds").value(),
               before + wider);
+  }
+}
+
+// The per-subject score vector holds int32_t. The narrowing from the
+// kernels' `long` is exact: a local score past int16's rail (the W/C query
+// against its close copy) and global scores far below int16's (a short
+// query against very long subjects, forced onto the int32 tier) both equal
+// the sequential oracle in every entry, from both executors.
+TEST(BatchScheduler, Int32ScoreVectorsMatchSequential) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  std::mt19937_64 rng(95);
+
+  AlignConfig local;
+  local.kind = AlignKind::Local;
+  local.pen = Penalties::symmetric(10, 2);
+  const auto big = test::int32_scoring_query(rng);
+  std::vector<std::vector<std::uint8_t>> local_seqs = {
+      test::mutate(rng, big, 0.02, 0.0)};
+  std::uniform_int_distribution<std::size_t> len(60, 320);
+  for (int i = 0; i < 30; ++i) {
+    local_seqs.push_back(test::random_protein(rng, len(rng)));
+  }
+
+  AlignConfig global;
+  global.kind = AlignKind::Global;
+  global.pen = Penalties::symmetric(10, 2);
+  const auto small = test::random_protein(rng, 100);
+  std::vector<std::vector<std::uint8_t>> global_seqs;
+  for (std::size_t n : {20000, 40000, 26000, 33000}) {
+    global_seqs.push_back(test::random_protein(rng, n));
+  }
+
+  struct Case {
+    const char* name;
+    AlignConfig cfg;
+    ScoreWidth width;
+    const std::vector<std::uint8_t>& query;
+    const std::vector<std::vector<std::uint8_t>>& seqs;
+  };
+  for (const Case& c :
+       {Case{"local", local, ScoreWidth::Auto, big, local_seqs},
+        Case{"global_w32", global, ScoreWidth::W32, small, global_seqs}}) {
+    SCOPED_TRACE(c.name);
+    std::vector<seq::EncodedSequence> named;
+    for (std::size_t i = 0; i < c.seqs.size(); ++i) {
+      named.push_back({"s" + std::to_string(i), c.seqs[i]});
+    }
+    const seq::Database db(named);
+    std::vector<long> expect(db.size());
+    for (std::size_t i = 0; i < db.size(); ++i) {
+      expect[i] = core::align_sequential(m, c.cfg, c.query, c.seqs[i]);
+    }
+
+    search::SearchOptions opt;
+    opt.threads = 2;
+    opt.top_k = db.size();
+    opt.keep_all_scores = true;
+    opt.query.width = c.width;
+    const auto got =
+        search::BatchScheduler(m, c.cfg, opt).run({c.query}, db);
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_EQ(got[0].scores.size(), db.size());
+    for (std::size_t i = 0; i < db.size(); ++i) {
+      EXPECT_EQ(got[0].scores[i], expect[i]) << "subject " << i;
+    }
+    ASSERT_EQ(got[0].top.size(), db.size());
+    EXPECT_EQ(got[0].top[0].score, *std::max_element(expect.begin(),
+                                                     expect.end()));
+    if (c.cfg.kind == AlignKind::Local) {
+      EXPECT_GT(got[0].top[0].score, std::numeric_limits<std::int16_t>::max());
+      // The inter engine is local only: every rung of its ladder, and the
+      // int32 tier alone.
+      for (const ScoreWidth w : {ScoreWidth::Auto, ScoreWidth::W32}) {
+        search::SearchOptions iopt = opt;
+        iopt.query.width = w;
+        const auto inter =
+            search::InterSequenceSearch(m, c.cfg.pen, iopt).search(c.query, db);
+        ASSERT_EQ(inter.scores.size(), db.size());
+        for (std::size_t i = 0; i < db.size(); ++i) {
+          EXPECT_EQ(inter.scores[i], expect[i])
+              << "inter " << to_string(w) << " subject " << i;
+        }
+      }
+    } else {
+      EXPECT_LT(got[0].top[0].score, std::numeric_limits<std::int16_t>::min());
+    }
+  }
+}
+
+// Filter-dropped subjects carry the int32 sentinel, which ranks below
+// every kernel score: with top_k covering the whole database the sentinels
+// are exactly the trimmed suffix, and every survivor is ranked.
+TEST(BatchScheduler, DroppedSentinelIsTrimmedFromTopK) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  AlignConfig cfg;
+  cfg.kind = AlignKind::Local;
+  cfg.pen = Penalties::symmetric(10, 2);
+  std::mt19937_64 rng(96);
+  const auto query = test::random_protein(rng, 150);
+  std::vector<seq::EncodedSequence> named;
+  std::uniform_int_distribution<std::size_t> len(60, 320);
+  for (int i = 0; i < 60; ++i) {
+    named.push_back({"s" + std::to_string(i),
+                     i < 4 ? test::mutate(rng, query, 0.1, 0.02)
+                           : test::random_protein(rng, len(rng))});
+  }
+  const seq::Database db(named);
+
+  search::SearchOptions opt;
+  opt.threads = 2;
+  opt.top_k = db.size();
+  opt.keep_all_scores = true;
+  opt.filter.mode = filter::FilterMode::On;
+  const auto got = search::BatchScheduler(m, cfg, opt).run({query}, db);
+  ASSERT_EQ(got.size(), 1u);
+  const search::SearchResult& res = got[0];
+  ASSERT_TRUE(res.filtered);
+  std::size_t survivors = 0;
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    if (res.scores[i] == filter::kDroppedScore) continue;
+    ++survivors;
+    EXPECT_EQ(res.scores[i],
+              core::align_sequential(m, cfg, query, named[i].data))
+        << "subject " << i;
+  }
+  ASSERT_GT(survivors, 0u);
+  ASSERT_LT(survivors, db.size()) << "the filter dropped nothing";
+  EXPECT_EQ(survivors, res.filter_stats.survivors);
+  ASSERT_EQ(res.top.size(), survivors);
+  for (const search::SearchHit& hit : res.top) {
+    EXPECT_NE(hit.score, filter::kDroppedScore);
+    EXPECT_EQ(hit.score, res.scores[hit.index]);
   }
 }
 

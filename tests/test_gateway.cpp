@@ -240,7 +240,7 @@ TEST(Gateway, MappedShardSlicesFilterBitIdentical) {
   const auto want = whole_search.search(q, whole);
 
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    std::vector<long> assembled(want.scores.size(), 0);
+    std::vector<std::int32_t> assembled(want.scores.size(), 0);
     for (std::size_t s = 0; s < shards; ++s) {
       const store::ShardSlice slice = idx.shard_slice(s, shards);
       seq::Database slice_db = idx.database(slice);

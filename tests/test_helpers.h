@@ -129,7 +129,7 @@ inline search::SearchResult serial_search(const score::ScoreMatrix& matrix,
                                           const seq::Database& db) {
   const core::QueryContext ctx(matrix, cfg, opt.query, query);
   core::WorkspaceSet ws;
-  std::vector<long> scores(db.size());
+  std::vector<std::int32_t> scores(db.size());
   for (std::size_t i = 0; i < db.size(); ++i) {
     scores[i] = ctx.align(db[i].view(), ws).kernel.score;
   }

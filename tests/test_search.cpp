@@ -72,7 +72,7 @@ TEST(DatabaseSearch, MatchesSerialOracle) {
   }
 
   // top-k is the true k best, descending.
-  std::vector<long> sorted(res.scores);
+  std::vector<std::int32_t> sorted(res.scores);
   std::sort(sorted.rbegin(), sorted.rend());
   ASSERT_EQ(res.top.size(), 5u);
   for (std::size_t k = 0; k < res.top.size(); ++k) {
@@ -138,7 +138,7 @@ TEST(DatabaseSearch, ThreadCountInvariance) {
   const auto query =
       score::Alphabet::protein().encode(gen.protein(90).residues);
 
-  std::vector<long> first;
+  std::vector<std::int32_t> first;
   for (int threads : {1, 3, 8}) {
     seq::Database db = make_db(32, 80);
     search::SearchOptions opt;
@@ -163,7 +163,7 @@ TEST(DatabaseSearch, StrategiesAgree) {
   const auto query =
       score::Alphabet::protein().encode(gen.protein(200).residues);
 
-  std::vector<long> reference;
+  std::vector<std::int32_t> reference;
   for (Strategy s : {Strategy::StripedIterate, Strategy::StripedScan,
                      Strategy::Hybrid}) {
     seq::Database db = make_db(42, 60);
@@ -322,7 +322,7 @@ TEST(Baselines, Swps3AndSwaphiMatchOracleScores) {
   const std::size_t giant = db.size() - 2;
   const std::size_t homolog = db.size() - 1;
 
-  std::vector<long> oracle;
+  std::vector<std::int32_t> oracle;
   for (std::size_t i = 0; i < db.size(); ++i) {
     oracle.push_back(
         core::align_sequential(m, cfg, query, db.by_original(i).view()));

@@ -176,6 +176,55 @@ TEST(ServiceProtocol, ParseRejectsBadShapes) {
   }
 }
 
+// Containers nest at most Json::kMaxDepth deep: a deeper line is a parse
+// error, never unbounded recursion (a 1 MiB line of '[' once overflowed
+// the stack).
+TEST(ServiceProtocol, DeepNestingIsAParseError) {
+  const int cap = obs::Json::kMaxDepth;
+  std::string e;
+  EXPECT_TRUE(obs::Json::parse(std::string(cap, '[') + std::string(cap, ']'),
+                               &e)
+                  .is_array())
+      << e;
+  EXPECT_TRUE(
+      obs::Json::parse(std::string(cap + 1, '[') + std::string(cap + 1, ']'),
+                       &e)
+          .is_null());
+  EXPECT_NE(e.find("nesting"), std::string::npos) << e;
+
+  std::string objects;
+  for (int i = 0; i <= cap; ++i) objects += R"({"a":)";
+  objects += "1" + std::string(cap + 1, '}');
+  EXPECT_TRUE(obs::Json::parse(objects, &e).is_null());
+  EXPECT_NE(e.find("nesting"), std::string::npos) << e;
+
+  const std::string deep(std::size_t{1} << 20, '[');
+  EXPECT_TRUE(obs::Json::parse(deep, &e).is_null());
+  EXPECT_NE(e.find("nesting"), std::string::npos) << e;
+  WireRequest out;
+  EXPECT_NE(service::parse_request(obs::Json::parse(deep), out), "");
+  EXPECT_FALSE(service::parse_response(obs::Json::parse(deep)).ok);
+}
+
+// Numbers past the int64 range read saturated, not through an undefined
+// double-to-integer cast.
+TEST(ServiceProtocol, OutOfRangeNumbersReadSaturated) {
+  WireRequest out;
+  ASSERT_EQ(service::parse_request(
+                obs::Json::parse(
+                    R"({"id": 1e300, "queries": ["M"], "top_k": 1e999})"),
+                out),
+            "");
+  EXPECT_EQ(out.id, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(out.top_k,
+            static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max()));
+  ASSERT_EQ(service::parse_request(
+                obs::Json::parse(R"({"id": -1e300, "queries": ["M"]})"), out),
+            "");
+  EXPECT_EQ(out.id, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(obs::Json::parse("-2.9").as_int(), -2);
+}
+
 // Older clients still send the retired degraded-mode flag, with any value.
 // The parser ignores it like any unknown field, and the request is served
 // exactly.
@@ -368,6 +417,69 @@ TEST(Service, MalformedLinesAnswerInvalidRequest) {
   resp = client.call(good);
   EXPECT_TRUE(resp.ok);
   EXPECT_EQ(resp.id, 4);
+}
+
+// A 1 MiB line of '[' is answered with invalid_request on the same
+// connection, and the server keeps serving.
+TEST(Service, DeeplyNestedLineAnswersInvalidRequest) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  service::AlignService svc(m, local_cfg(), make_db(93, 30), service_opt());
+  service::TcpServer server(svc);
+  server.start();
+  service::ServiceClient client("127.0.0.1", server.port());
+
+  ASSERT_TRUE(client.send_raw(std::string(std::size_t{1} << 20, '[')));
+  WireResponse resp = client.read_response();
+  EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.error, ErrorCode::InvalidRequest);
+  EXPECT_NE(resp.message.find("nesting"), std::string::npos) << resp.message;
+
+  WireRequest good;
+  good.id = 5;
+  good.queries = make_queries(94, 1, 80);
+  resp = client.call(good);
+  EXPECT_TRUE(resp.ok) << resp.message;
+  EXPECT_EQ(resp.id, 5);
+}
+
+// Filter-dropped subjects carry the int32 sentinel in the score vector;
+// with top_k past the survivor count the service stops at the first
+// sentinel, so its hits are exactly the library's ranked survivors.
+TEST(Service, FilterSentinelNeverSurfacesAsHit) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  const AlignConfig cfg = local_cfg();
+  const auto queries = make_queries(95, 2, 120);
+  const std::size_t n = 150;
+  search::SearchOptions lopt = service_opt().search;
+  lopt.filter.mode = filter::FilterMode::On;
+  const auto want = library_scores(m, cfg, lopt, queries, make_db(96, n));
+
+  service::AlignService svc(m, cfg, make_db(96, n), service_opt());
+  WireRequest req;
+  req.id = 6;
+  req.queries = queries;
+  req.top_k = n;
+  req.filter = filter::FilterMode::On;
+  req.filter_explicit = true;
+  const WireResponse resp = svc.execute(req);
+  ASSERT_TRUE(resp.ok) << resp.message;
+  ASSERT_EQ(resp.results.size(), queries.size());
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    ASSERT_TRUE(want[qi].filtered);
+    std::vector<std::int32_t> survivors;
+    for (const std::int32_t s : want[qi].scores) {
+      if (s != filter::kDroppedScore) survivors.push_back(s);
+    }
+    ASSERT_LT(survivors.size(), n) << "the filter dropped nothing";
+    const auto hits = search::select_top_k(survivors, n);
+    ASSERT_EQ(resp.results[qi].hits.size(), hits.size()) << "query " << qi;
+    for (std::size_t h = 0; h < hits.size(); ++h) {
+      EXPECT_EQ(resp.results[qi].hits[h].score, hits[h].score)
+          << "query " << qi << " hit " << h;
+      EXPECT_EQ(want[qi].scores[resp.results[qi].hits[h].index],
+                resp.results[qi].hits[h].score);
+    }
+  }
 }
 
 // A request whose deadline expires never returns partial scores: the
