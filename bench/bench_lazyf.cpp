@@ -6,10 +6,10 @@
 // legacy convergence loop re-runs the column over and over.
 //
 // Per platform: single-pair striped-iterate GCUPS under the scan-fixup
-// path vs the legacy loop (LazyF knob), plus the kernel.lazyf.* counters
-// that explain the difference. Headline: adversarial_fixup_gcups on the
-// last (widest) platform - higher is better, gated by CI against
-// BENCH_bench_lazyf.quick.json.
+// path vs the legacy loop (LazyF knob), plus the fixup_cols counter and
+// each path's lazy steps, which explain the difference. Headline:
+// adversarial_fixup_gcups on the last (widest) platform - higher is
+// better, gated by CI against BENCH_bench_lazyf.quick.json.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -47,8 +47,8 @@ int main() {
   std::printf("adversarial pair: q=%zu s=%zu (identity %.2f, gaps %zu-%zu)\n",
               query.size(), subject.size(), spec.identity, spec.min_gap,
               spec.max_gap);
-  std::printf("%-14s %14s %14s %9s %12s %12s\n", "platform", "fixup-GCUPS",
-              "legacy-GCUPS", "speedup", "fixup_cols", "saved_iters");
+  std::printf("%-14s %14s %14s %9s %12s\n", "platform", "fixup-GCUPS",
+              "legacy-GCUPS", "speedup", "fixup_cols");
 
   for (const Platform& plat : platforms()) {
     double gcups[2] = {0.0, 0.0};
@@ -73,12 +73,10 @@ int main() {
       return 1;
     }
     const double speedup = gcups[1] > 0 ? gcups[0] / gcups[1] : 0.0;
-    std::printf("%-14s %14.3f %14.3f %8.2fx %12llu %12llu\n", plat.label,
-                gcups[0], gcups[1], speedup,
+    std::printf("%-14s %14.3f %14.3f %8.2fx %12llu\n", plat.label, gcups[0],
+                gcups[1], speedup,
                 static_cast<unsigned long long>(
-                    results[0].stats.lazyf_fixup_cols),
-                static_cast<unsigned long long>(
-                    results[0].stats.lazyf_saved_iters));
+                    results[0].stats.lazyf_fixup_cols));
 
     obs::Json row = obs::Json::object();
     row.set("platform", plat.label);
@@ -88,7 +86,6 @@ int main() {
     row.set("lazy_steps_fixup", results[0].stats.lazy_steps);
     row.set("lazy_steps_legacy", results[1].stats.lazy_steps);
     row.set("lazyf_fixup_cols", results[0].stats.lazyf_fixup_cols);
-    row.set("lazyf_saved_iters", results[0].stats.lazyf_saved_iters);
     report.add_row("adversarial", std::move(row));
 
     headline_gcups = gcups[0];  // last platform = widest available ISA

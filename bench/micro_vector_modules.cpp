@@ -265,9 +265,12 @@ void bench_plain_read(benchmark::State& state) {
 
 BENCH_PRIM(std::int32_t, Scalar, scalar_i32)
 #if defined(AALIGN_HAVE_SSE41)
+BENCH_PRIM(std::int8_t, Sse41, sse41_i8)
 BENCH_PRIM(std::int16_t, Sse41, sse41_i16)
+BENCH_PRIM(std::int32_t, Sse41, sse41_i32)
 #endif
 #if defined(AALIGN_HAVE_AVX2)
+BENCH_PRIM(std::int8_t, Avx2, avx2_i8)
 BENCH_PRIM(std::int16_t, Avx2, avx2_i16)
 BENCH_PRIM(std::int32_t, Avx2, avx2_i32)
 #endif
@@ -277,6 +280,7 @@ BENCH_PRIM(std::int32_t, Avx512, avx512_i32)
 #if defined(AALIGN_HAVE_AVX512BW)
 BENCH_PRIM(std::int8_t, Avx512Bw, avx512bw_i8)
 BENCH_PRIM(std::int16_t, Avx512Bw, avx512bw_i16)
+BENCH_PRIM(std::int32_t, Avx512Bw, avx512bw_i32)
 #endif
 
 // Registration helper: skips silently when the ISA is unavailable.
@@ -292,10 +296,12 @@ BENCH_PRIM(std::int16_t, Avx512Bw, avx512bw_i16)
 
 BENCH_SCAN(std::int32_t, Scalar, WgtMaxScan_scalar_i32)
 #if defined(AALIGN_HAVE_SSE41)
+BENCH_SCAN(std::int8_t, Sse41, WgtMaxScan_sse41_i8)
 BENCH_SCAN(std::int16_t, Sse41, WgtMaxScan_sse41_i16)
 BENCH_SCAN(std::int32_t, Sse41, WgtMaxScan_sse41_i32)
 #endif
 #if defined(AALIGN_HAVE_AVX2)
+BENCH_SCAN(std::int8_t, Avx2, WgtMaxScan_avx2_i8)
 BENCH_SCAN(std::int16_t, Avx2, WgtMaxScan_avx2_i16)
 BENCH_SCAN(std::int32_t, Avx2, WgtMaxScan_avx2_i32)
 #endif
@@ -305,6 +311,7 @@ BENCH_SCAN(std::int32_t, Avx512, WgtMaxScan_avx512_i32)
 #if defined(AALIGN_HAVE_AVX512BW)
 BENCH_SCAN(std::int8_t, Avx512Bw, WgtMaxScan_avx512bw_i8)
 BENCH_SCAN(std::int16_t, Avx512Bw, WgtMaxScan_avx512bw_i16)
+BENCH_SCAN(std::int32_t, Avx512Bw, WgtMaxScan_avx512bw_i32)
 #endif
 
 // Rows ProfileBuild_<isa>_<T>/reference and /engine; unavailable ISAs

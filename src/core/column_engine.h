@@ -232,8 +232,7 @@ class ColumnEngine {
   // The early exits are the legacy tests verbatim and skip only dominated
   // updates.
   int lazyf_fixup(reg v_f, reg v_ext_u, reg v_first_u) {
-    int depth = 0;
-    reg v_fc = M::lazyf_carry_scan(v_f, segs_, st_.ext_up, depth);
+    reg v_fc = M::lazyf_carry_scan(v_f, segs_, st_.ext_up);
     int steps = 0;
     if constexpr (Affine) {
       for (int j = 0; j < segs_; ++j) {
@@ -258,13 +257,6 @@ class ColumnEngine {
       }
     }
     ++fixup_cols_;
-    if (depth > 0) {
-      // The legacy loop spends about one full column pass per lane of
-      // carry propagation (plus the pass the fixup itself still runs).
-      const long est = (static_cast<long>(depth) + 1) * segs_;
-      if (est > steps)
-        saved_iters_ += static_cast<std::uint64_t>(est - steps);
-    }
     return steps;
   }
 
@@ -400,9 +392,8 @@ class ColumnEngine {
   int segs() const { return segs_; }
 
   // Deconstructed lazy-F accounting, accumulated across every column this
-  // engine processed (kernel.lazyf.* counters; zero under LazyF::Legacy).
+  // engine processed (kernel.lazyf.fixup_cols; zero under LazyF::Legacy).
   std::uint64_t fixup_cols() const { return fixup_cols_; }
-  std::uint64_t saved_iters() const { return saved_iters_; }
 
  private:
   // Letter c's column scores: scores(j) is vector j of them.
@@ -449,7 +440,6 @@ class ColumnEngine {
   int segs_;
   LazyF lazyf_;
   std::uint64_t fixup_cols_ = 0;
-  std::uint64_t saved_iters_ = 0;
   T* h_prev_;
   T* h_cur_;
   T* e_;

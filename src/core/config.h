@@ -147,8 +147,7 @@ struct KernelStats {
   std::uint64_t scan_columns = 0;     // columns processed by striped-scan
   std::uint64_t switches = 0;         // hybrid mode changes
   // Deconstructed lazy-F accounting (LazyF::Fixup only):
-  std::uint64_t lazyf_fixup_cols = 0;   // columns corrected via the scan fixup
-  std::uint64_t lazyf_saved_iters = 0;  // est. legacy corrective steps avoided
+  std::uint64_t lazyf_fixup_cols = 0;  // columns corrected via the scan fixup
 
   KernelStats& operator+=(const KernelStats& o) {
     columns += o.columns;
@@ -157,7 +156,6 @@ struct KernelStats {
     scan_columns += o.scan_columns;
     switches += o.switches;
     lazyf_fixup_cols += o.lazyf_fixup_cols;
-    lazyf_saved_iters += o.lazyf_saved_iters;
     return *this;
   }
 };

@@ -33,7 +33,6 @@ namespace aalign::core {
 template <class Eng>
 void harvest_lazyf_stats(const Eng& eng, KernelResult& res) {
   res.stats.lazyf_fixup_cols = eng.fixup_cols();
-  res.stats.lazyf_saved_iters = eng.saved_iters();
 }
 
 template <class Ops, AlignKind K, bool Affine, bool Lookup = false>

@@ -8,8 +8,6 @@
 //   kernel.columns / kernel.lazy_steps          lazy-F corrective steps run
 //   kernel.lazyf.fixup_cols                      columns corrected by the
 //                                                deconstructed scan fixup
-//   kernel.lazyf.saved_iters                     est. legacy retry steps the
-//                                                fixup avoided
 //   kernel.iterate_columns / kernel.scan_columns  strategy column mix
 //   hybrid.switches                              mode changes (Sec. V-B)
 //   search.align_calls / search.promotions       adaptive-width retries
@@ -39,7 +37,6 @@ inline void record_kernel_stats(const KernelStats& stats) {
   r.counter("kernel.iterate_columns").add(stats.iterate_columns);
   r.counter("kernel.scan_columns").add(stats.scan_columns);
   r.counter("kernel.lazyf.fixup_cols").add(stats.lazyf_fixup_cols);
-  r.counter("kernel.lazyf.saved_iters").add(stats.lazyf_saved_iters);
   r.counter("hybrid.switches").add(stats.switches);
 }
 

@@ -19,6 +19,8 @@
 //    lanes (headroom instead of saturation, range-checked at config time).
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <concepts>
 #include <cstdint>
 #include <limits>
@@ -115,14 +117,13 @@ struct Modules {
   }
 
   // Right-shift by n lanes (elements move to higher lane indices), filling
-  // vacated lanes with `fill`. n == 1 is the hot path every kernel column
-  // uses; larger n (used only by cold paths and tests) spills to memory.
+  // vacated lanes with `fill`. n == 1, the hot path every kernel column
+  // uses, is one shift_lanes<1>; any other n composes the power-of-two
+  // shifts of its set bits, in registers.
   static reg rshift_x_fill(reg v, int n, T fill) {
-    if (n == 1) return Ops::shift_insert(v, fill);
-    alignas(64) T tmp[2 * kWidth];
-    for (int l = 0; l < kWidth; ++l) tmp[l] = fill;
-    Ops::to_array(v, tmp + kWidth);
-    return Ops::from_array(tmp + kWidth - n);
+    const reg f = Ops::set1(fill);
+    if (n >= kWidth) return f;
+    return shift_by_bits(v, n, f);
   }
 
   static reg rshift_x_fill(const T* ad, int n, T fill) {
@@ -133,6 +134,32 @@ struct Modules {
   // striped-iterate re-computation gate.
   static bool influence_test(reg va, reg vb) { return Ops::any_gt(va, vb); }
 
+  // --- seg_scan_max: the one cross-lane scan ------------------------------
+  //
+  // Exclusive shifted max-scan across lanes:
+  //   out[0] = fill;  out[l] = max(v[l-1], out[l-1] (+) step)
+  // where (+) is Ops::adds - saturating at int8/int16, plain at int32.
+  // `step` is passed wide because a stride weight segs*ext can exceed the
+  // narrow lane range. It must be <= 0: every caller passes a multiple of
+  // a gap extension, which is negative (AlignConfig::validate and aalignc
+  // both require extend > 0).
+  //
+  // log2(kWidth) Kogge-Stone rounds over the (max, +) semiring: after the
+  // round of distance d, lane l holds the best candidate from up to 2d
+  // lanes back. Each round is
+  //   s = max(s, shift_lanes<d>(s (+) d*step, s)),
+  // and the vacated low lanes keep their own value, so any fill is exact.
+  // At int32 the plain adds are associative, so the tree equals the serial
+  // recurrence. At int8/int16 it does too: for y >= MIN and a, b <= 0,
+  // sat(sat(y+a)+b) = max(MIN, y+a+b), so a round weight is applied as two
+  // saturating adds of in-range halves; a weight below -2^bits only adds
+  // candidates that saturate to MIN anyway, so it is clamped there.
+  static reg seg_scan_max(reg v, long step, T fill) {
+    assert(step <= 0);
+    return scan_rounds<1>(Ops::template shift_lanes<1>(v, Ops::set1(fill)),
+                          step);
+  }
+
   // --- lazy-F carry scan (deconstructed lazy-F loop) ----------------------
   //
   // Snytsar ("De(con)struction of the lazy-F loop", arXiv:1909.00899): the
@@ -142,45 +169,16 @@ struct Modules {
   // lane l's chunk after the first vertical pass; the carry ENTERING lane
   // l's chunk is then
   //   fin[0] = -inf;  fin[l] = max(exit[l-1], fin[l-1] + segs*gap_ext)
-  // - an exclusive shifted max-scan with stride weight segs*gap_ext, the
-  // same cross-lane recurrence as wgt_max_scan's phase 2, provided by each
-  // backend as seg_scan_max. One corrective sweep seeded with fin finishes
-  // the column: re-opening F from a fixup-raised H is dominated because
-  // gap_first <= gap_ext (both negative), which is exactly the legacy
-  // loop's convergence argument, so H converges bit-identically.
+  // - seg_scan_max with stride weight segs*gap_ext, the same cross-lane
+  // recurrence as wgt_max_scan's phase 2. One corrective sweep seeded with
+  // fin finishes the column: re-opening F from a fixup-raised H is
+  // dominated because gap_first <= gap_ext (both negative), which is
+  // exactly the legacy loop's convergence argument, so H converges
+  // bit-identically.
   static reg lazyf_carry_scan(reg v_exit, int segs, T gap_ext) {
-    return Ops::seg_scan_max(
+    return seg_scan_max(
         v_exit, static_cast<long>(segs) * static_cast<long>(gap_ext),
         neg_inf<T>());
-  }
-
-  // Overload reporting a carry-depth estimate: the longest run of lanes
-  // the winning carry propagated through. The legacy loop needs roughly
-  // one extra column pass per lane of propagation, so depth feeds the
-  // kernel.lazyf.saved_iters accounting (ties and saturated lanes may
-  // overcount - it is an estimate, not an invariant).
-  static reg lazyf_carry_scan(reg v_exit, int segs, T gap_ext,
-                              int& depth_out) {
-    const long seg_step =
-        static_cast<long>(segs) * static_cast<long>(gap_ext);
-    const reg fin = Ops::seg_scan_max(v_exit, seg_step, neg_inf<T>());
-    alignas(64) T f[kWidth];
-    Ops::to_array(fin, f);
-    const T kNegInf = neg_inf<T>();
-    int depth = 0;
-    int run = 0;
-    for (int l = 1; l < kWidth; ++l) {
-      long ext = static_cast<long>(f[l - 1]) + seg_step;
-      if constexpr (sizeof(T) < 4) {
-        if (ext < std::numeric_limits<T>::min())
-          ext = std::numeric_limits<T>::min();
-      }
-      const bool carried = f[l] > kNegInf && static_cast<long>(f[l]) == ext;
-      run = carried ? run + 1 : 0;
-      if (run > depth) depth = run;
-    }
-    depth_out = depth;
-    return fin;
   }
 
   // Horizontal max; cold path (once per alignment).
@@ -206,7 +204,7 @@ struct Modules {
   //     (k vector ops); R_j is parked in `out`.
   //  2. intra-vector: exclusive weighted scan across lanes of the lane
   //     aggregates with stride weight segs*ext, folding in the boundary
-  //     term; O(kWidth) scalar work once per column.
+  //     term; one seg_scan_max, log2(kWidth) rounds in registers.
   //  3. inter-vector: combine the same-lane prefix (R_{j-1}+gap_first) with
   //     the cross-lane/boundary carry (S2 + gap_first + j*ext).
   static void wgt_max_scan(const T* in, T* out, int segs, T init, T gap_first,
@@ -224,22 +222,10 @@ struct Modules {
     // Phase 2: lane aggregates A[l] = R_{segs-1}[l]; compute
     //   S2[l] = max( max_{l'<l} A[l'] + (l-l'-1)*segs*ext,
     //                init + l*segs*ext )           (boundary folded in)
-    alignas(64) T a[kWidth];
-    alignas(64) T s2[kWidth];
-    Ops::to_array(r, a);
-    long carry = std::numeric_limits<long>::min() / 4;  // S[0] = -inf
-    long boundary = init;
-    const long seg_step = static_cast<long>(segs) * gap_ext;
-    for (int l = 0; l < kWidth; ++l) {
-      s2[l] = clamp_to(carry > boundary ? carry : boundary);
-      // Next lane: S[l+1] = max(A[l], S[l] + segs*ext)
-      const long ext_carry = carry + seg_step;
-      carry = a[l] > ext_carry ? static_cast<long>(a[l]) : ext_carry;
-      if (carry < std::numeric_limits<long>::min() / 4)
-        carry = std::numeric_limits<long>::min() / 4;
-      boundary += seg_step;
-    }
-    const reg v_s2 = Ops::from_array(s2);
+    // i.e. seg_scan_max seeded with init. At int32 the max with neg_inf
+    // is the clamp that saturation gives the narrow widths.
+    reg v_s2 = seg_scan_max(r, static_cast<long>(segs) * gap_ext, init);
+    if constexpr (sizeof(T) >= 4) v_s2 = Ops::max(v_s2, Ops::set1(kNegInf));
 
     // Phase 3.
     const reg v_first = Ops::set1(gap_first);
@@ -255,6 +241,38 @@ struct Modules {
   }
 
  private:
+  // shift_lanes<D> for each set bit D of n (n < kWidth).
+  template <int D = 1>
+  static reg shift_by_bits(reg v, int n, reg fill) {
+    if constexpr (D < kWidth) {
+      if (n & D) v = Ops::template shift_lanes<D>(v, fill);
+      return shift_by_bits<2 * D>(v, n, fill);
+    } else {
+      return v;
+    }
+  }
+
+  // seg_scan_max's rounds from distance D up (see there).
+  template <int D>
+  static reg scan_rounds(reg s, long step) {
+    if constexpr (D < kWidth) {
+      reg t;
+      if constexpr (sizeof(T) < 4) {
+        constexpr long kFloor = 2L * std::numeric_limits<T>::min();  // -2^bits
+        const long w = std::max(D * step, kFloor);
+        const long half = w / 2;
+        t = Ops::adds(Ops::adds(s, Ops::set1(static_cast<T>(half))),
+                      Ops::set1(static_cast<T>(w - half)));
+      } else {
+        t = Ops::adds(s, Ops::set1(static_cast<T>(D * step)));
+      }
+      s = Ops::max(s, Ops::template shift_lanes<D>(t, s));
+      return scan_rounds<2 * D>(s, step);
+    } else {
+      return s;
+    }
+  }
+
   static T clamp_to(long v) {
     if (v > std::numeric_limits<T>::max()) return std::numeric_limits<T>::max();
     if (v < static_cast<long>(neg_inf<T>())) return neg_inf<T>();

@@ -1,11 +1,11 @@
 // AVX2 backend (256-bit): 32 x int8, 16 x int16, 8 x int32.
 //
 // This is the paper's "CPU"/Haswell target. The interesting primitive is
-// shift_insert (the paper's rshift_x_fill, Fig. 7): AVX2 has no cross-lane
+// shift_lanes (the paper's rshift_x_fill, Fig. 7): AVX2 has no cross-lane
 // byte shift, so for 8/16-bit lanes we splice the two 128-bit lanes with
 // permute2x128 + alignr, and for 32-bit lanes we use the cross-lane
-// permutevar8x32 followed by a blend of the fill value - exactly the
-// instruction selection the paper describes.
+// permutevar8x32; the vacated low lanes then come from a second register -
+// exactly the instruction selection the paper describes.
 #pragma once
 
 #if defined(__AVX2__)
@@ -26,7 +26,6 @@
 
 #include "simd/fnv_lanes.h"
 #include "simd/isa.h"
-#include "simd/vec_scalar.h"  // detail::seg_scan_max_lanes
 
 namespace aalign::simd {
 
@@ -88,6 +87,25 @@ inline std::uint64_t popcnt_and_256(__m256i a, __m256i b) {
          static_cast<std::uint64_t>(_mm_extract_epi64(fold, 1));
 }
 
+// shift_lanes over B = N * sizeof(T) bytes, 16 at most (int8 N = 16,
+// int16 N = 8). At 16 one permute2x128 makes [lo_low ; x_low]. Below it,
+// [0 ; x_low] lets alignr stitch the bytes that cross the 128-bit lanes
+// and zero the low B bytes, and an OR puts back lo's, masked by a
+// constant.
+template <int B>
+inline __m256i shift_bytes_256(__m256i x, __m256i lo) {
+  if constexpr (B == 16) {
+    return _mm256_permute2x128_si256(lo, x, 0x20);
+  } else {
+    static_assert(B <= 8);
+    const __m256i t = _mm256_permute2x128_si256(x, x, 0x08);
+    const __m256i low = _mm256_setr_epi64x(
+        static_cast<long long>(~0ull >> (64 - 8 * B)), 0, 0, 0);
+    return _mm256_or_si256(_mm256_alignr_epi8(x, t, 16 - B),
+                           _mm256_and_si256(lo, low));
+  }
+}
+
 }  // namespace detail
 
 template <class T, class Isa>
@@ -117,21 +135,9 @@ struct VecOps<std::int8_t, Avx2Tag> {
     return static_cast<std::uint32_t>(
         _mm256_movemask_epi8(_mm256_cmpeq_epi8(a, b)));
   }
-  static reg shift_insert(reg v, value_type fill) {
-    // t = [0 ; v_low]; alignr stitches the lane-crossing byte.
-    const reg t = _mm256_permute2x128_si256(v, v, 0x08);
-    reg r = _mm256_alignr_epi8(v, t, 15);
-    return _mm256_insert_epi8(r, fill, 0);
-  }
-  // Exclusive shifted max-scan (deconstructed lazy-F carry): saturating
-  // lanes spill and run the scalar core - per-step stride weights can
-  // exceed the 8-bit range, which the wide scalar carry handles exactly.
-  static reg seg_scan_max(reg v, long step, value_type fill) {
-    alignas(32) value_type a[kWidth];
-    alignas(32) value_type r[kWidth];
-    to_array(v, a);
-    detail::seg_scan_max_lanes<value_type, kWidth>(a, r, step, fill);
-    return from_array(r);
+  template <int N>
+  static reg shift_lanes(reg x, reg lo) {
+    return detail::shift_bytes_256<N * sizeof(value_type)>(x, lo);
   }
   // In-register 32-entry table lookup (indices 0..31, bit 7 clear; `row`
   // 64-byte aligned): pshufb only sees 16-byte windows, so load_table
@@ -195,19 +201,9 @@ struct VecOps<std::int16_t, Avx2Tag> {
         static_cast<std::uint32_t>(_mm256_movemask_epi8(c));
     return (m & 0xFFu) | ((m >> 8) & 0xFF00u);
   }
-  static reg shift_insert(reg v, value_type fill) {
-    const reg t = _mm256_permute2x128_si256(v, v, 0x08);
-    reg r = _mm256_alignr_epi8(v, t, 14);
-    return _mm256_insert_epi16(r, fill, 0);
-  }
-  // See the int8 specialization: spilled scalar scan keeps the saturating
-  // stepwise semantics exact for out-of-range stride weights.
-  static reg seg_scan_max(reg v, long step, value_type fill) {
-    alignas(32) value_type a[kWidth];
-    alignas(32) value_type r[kWidth];
-    to_array(v, a);
-    detail::seg_scan_max_lanes<value_type, kWidth>(a, r, step, fill);
-    return from_array(r);
+  template <int N>
+  static reg shift_lanes(reg x, reg lo) {
+    return detail::shift_bytes_256<N * sizeof(value_type)>(x, lo);
   }
   static std::uint64_t popcount_and(reg a, reg b) {
     return detail::popcnt_and_256(a, b);
@@ -244,38 +240,14 @@ struct VecOps<std::int32_t, Avx2Tag> {
     return static_cast<std::uint64_t>(
         _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(a, b))));
   }
-  static reg shift_insert(reg v, value_type fill) {
-    const reg idx = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
-    const reg r = _mm256_permutevar8x32_epi32(v, idx);
-    return _mm256_blend_epi32(r, _mm256_set1_epi32(fill), 0x01);
-  }
-  // Exclusive shifted max-scan (deconstructed lazy-F carry), in-register:
-  // log2(8) Kogge-Stone rounds over the (max, +) semiring, lane shifts via
-  // the same cross-lane permutevar8x32 as shift_insert. Plain 32-bit adds
-  // are associative, so the tree evaluates the same
-  // max_d(v[l-1-d] + d*step) as the serial recurrence, exactly. Vacated
-  // low lanes blend in their own value, so any fill is exact.
-  static reg seg_scan_max(reg v, long step, value_type fill) {
-    const reg i1 = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
-    const reg i2 = _mm256_setr_epi32(0, 0, 0, 1, 2, 3, 4, 5);
-    const reg i4 = _mm256_setr_epi32(0, 0, 0, 0, 0, 1, 2, 3);
-    reg s = shift_insert(v, fill);
-    reg t = _mm256_blend_epi32(
-        _mm256_add_epi32(_mm256_permutevar8x32_epi32(s, i1),
-                         _mm256_set1_epi32(static_cast<value_type>(step))),
-        s, 0x01);
-    s = _mm256_max_epi32(s, t);
-    t = _mm256_blend_epi32(
-        _mm256_add_epi32(_mm256_permutevar8x32_epi32(s, i2),
-                         _mm256_set1_epi32(static_cast<value_type>(2 * step))),
-        s, 0x03);
-    s = _mm256_max_epi32(s, t);
-    t = _mm256_blend_epi32(
-        _mm256_add_epi32(_mm256_permutevar8x32_epi32(s, i4),
-                         _mm256_set1_epi32(static_cast<value_type>(4 * step))),
-        s, 0x0F);
-    s = _mm256_max_epi32(s, t);
-    return s;
+  // One permutevar8x32 and a blend at every N (the lanes below N read a
+  // wrapped index and are blended away).
+  template <int N>
+  static reg shift_lanes(reg x, reg lo) {
+    const reg idx = _mm256_sub_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                                     _mm256_set1_epi32(N));
+    return _mm256_blend_epi32(_mm256_permutevar8x32_epi32(x, idx), lo,
+                              (1 << N) - 1);
   }
   static std::uint64_t popcount_and(reg a, reg b) {
     return detail::popcnt_and_256(a, b);

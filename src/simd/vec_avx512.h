@@ -11,7 +11,7 @@
 //    with a single compare; AVX-512's __mmask16 gives the identical shape
 //    (contrast with AVX2, where the mask lives in a 256-bit vector and
 //    needs movemask - the exact asymmetry Sec. V-C discusses).
-//  - rshift_x_fill uses a cross-lane permutexvar plus a masked broadcast,
+//  - rshift_x_fill (shift_lanes) is one masked cross-lane permutexvar,
 //    the AVX-512 equivalent of IMCI's permutevar + swizzle combination.
 #pragma once
 
@@ -26,7 +26,9 @@
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 
+#include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "simd/fnv_lanes.h"
@@ -63,6 +65,24 @@ inline void fnv_lanes_512(std::uint64_t* lanes, const void* data,
   for (int r = 0; r < kRegs; ++r) _mm512_storeu_si512(lanes + 8 * r, l[r]);
 }
 
+namespace detail {
+
+// Permute indices for shift_lanes<N> over a 512-bit register of T: lane l
+// reads lane l - N. The lanes below N are masked off (they keep `lo`).
+template <class T, int N>
+alignas(64) inline constexpr auto kShiftIndex = [] {
+  std::array<T, 64 / sizeof(T)> idx{};
+  for (std::size_t l = N; l < idx.size(); ++l) idx[l] = static_cast<T>(l - N);
+  return idx;
+}();
+
+template <class T, int N>
+inline __m512i shift_index() {
+  return _mm512_load_si512(kShiftIndex<T, N>.data());
+}
+
+}  // namespace detail
+
 template <class T, class Isa>
 struct VecOps;
 
@@ -85,40 +105,11 @@ struct VecOps<std::int32_t, Avx512Tag> {
   static std::uint64_t eq_mask(reg a, reg b) {
     return _mm512_cmpeq_epi32_mask(a, b);
   }
-  static reg shift_insert(reg v, value_type fill) {
-    const reg idx = _mm512_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
-                                      12, 13, 14);
-    const reg r = _mm512_permutexvar_epi32(idx, v);
-    return _mm512_mask_mov_epi32(r, __mmask16(1), _mm512_set1_epi32(fill));
-  }
-  // Exclusive shifted max-scan (deconstructed lazy-F carry), in-register:
-  // log2(16) Kogge-Stone rounds over the (max, +) semiring - each round
-  // folds in candidates 2^r lanes back, weighted by 2^r * step, and the
-  // vacated low lanes, which have no candidate, keep their value (a masked
-  // max), so any fill is exact, not only one that absorbs under max.
-  // Plain 32-bit adds are
-  // associative, so the tree evaluates the same max_d(v[l-1-d] + d*step)
-  // as the serial recurrence, exactly. IMCI would spell each round
-  // permutevar + masked max - the same shape as shift_insert.
-  static reg seg_scan_max(reg v, long step, value_type fill) {
-    reg s = shift_insert(v, fill);
-    const auto round = [&](reg idx, __mmask16 low, long w) {
-      const reg t =
-          _mm512_add_epi32(_mm512_permutexvar_epi32(idx, s),
-                           _mm512_set1_epi32(static_cast<value_type>(w)));
-      s = _mm512_mask_max_epi32(s, __mmask16(~low), s, t);
-    };
-    round(_mm512_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
-                            14),
-          __mmask16(0x0001), step);
-    round(_mm512_setr_epi32(0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                            13),
-          __mmask16(0x0003), 2 * step);
-    round(_mm512_setr_epi32(0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-          __mmask16(0x000F), 4 * step);
-    round(_mm512_setr_epi32(0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7),
-          __mmask16(0x00FF), 8 * step);
-    return s;
+  template <int N>
+  static reg shift_lanes(reg x, reg lo) {
+    return _mm512_mask_permutexvar_epi32(
+        lo, static_cast<__mmask16>(~0u << N),
+        detail::shift_index<value_type, N>(), x);
   }
   // Popcount of the 512-bit AND, over raw bits. Plain AVX-512F has no
   // vector popcount (VPOPCNTDQ is a separate extension we do not compile

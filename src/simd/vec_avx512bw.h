@@ -24,7 +24,7 @@
 #include <cstdint>
 
 #include "simd/isa.h"
-#include "simd/vec_scalar.h"  // detail::seg_scan_max_lanes
+#include "simd/vec_avx512.h"  // detail::shift_index
 
 namespace aalign::simd {
 
@@ -97,15 +97,10 @@ struct VecOps<std::int8_t, Avx512BwTag> {
   static std::uint64_t eq_mask(reg a, reg b) {
     return _mm512_cmpeq_epi8_mask(a, b);
   }
-  static reg shift_insert(reg v, value_type fill) {
-    static const reg idx = [] {
-      alignas(64) std::int8_t a[64];
-      a[0] = 0;
-      for (int l = 1; l < 64; ++l) a[l] = static_cast<std::int8_t>(l - 1);
-      return _mm512_load_si512(a);
-    }();
-    const reg r = _mm512_permutexvar_epi8(idx, v);
-    return _mm512_mask_mov_epi8(r, __mmask64{1}, _mm512_set1_epi8(fill));
+  template <int N>
+  static reg shift_lanes(reg x, reg lo) {
+    return _mm512_mask_permutexvar_epi8(lo, static_cast<__mmask64>(~0ull << N),
+                                       detail::shift_index<value_type, N>(), x);
   }
   // In-register table lookup (indices 0..31; `row` 64-byte aligned with
   // >= 64 readable entries): one register holds the table, one vpermb
@@ -124,17 +119,6 @@ struct VecOps<std::int8_t, Avx512BwTag> {
   }
   static void to_array(reg v, value_type* out) { _mm512_storeu_si512(out, v); }
   static reg from_array(const value_type* p) { return _mm512_loadu_si512(p); }
-  // Exclusive shifted max-scan (deconstructed lazy-F carry): saturating
-  // lanes spill and run the scalar core - per-step stride weights can
-  // exceed the 8-bit range, which the wide scalar carry handles exactly
-  // (a Kogge-Stone tree could not represent its 2^r-weighted steps).
-  static reg seg_scan_max(reg v, long step, value_type fill) {
-    alignas(64) value_type a[kWidth];
-    alignas(64) value_type r[kWidth];
-    to_array(v, a);
-    detail::seg_scan_max_lanes<value_type, kWidth>(a, r, step, fill);
-    return from_array(r);
-  }
 };
 
 template <>
@@ -156,15 +140,10 @@ struct VecOps<std::int16_t, Avx512BwTag> {
   static std::uint64_t eq_mask(reg a, reg b) {
     return _mm512_cmpeq_epi16_mask(a, b);
   }
-  static reg shift_insert(reg v, value_type fill) {
-    static const reg idx = [] {
-      alignas(64) std::int16_t a[32];
-      a[0] = 0;
-      for (int l = 1; l < 32; ++l) a[l] = static_cast<std::int16_t>(l - 1);
-      return _mm512_load_si512(a);
-    }();
-    const reg r = _mm512_permutexvar_epi16(idx, v);
-    return _mm512_mask_mov_epi16(r, __mmask32{1}, _mm512_set1_epi16(fill));
+  template <int N>
+  static reg shift_lanes(reg x, reg lo) {
+    return _mm512_mask_permutexvar_epi16(lo, static_cast<__mmask32>(~0u << N),
+                                       detail::shift_index<value_type, N>(), x);
   }
   // 32-entry table lookup: one register holds all 32 int16 entries (64
   // bytes). vpermw is two uops (measured 1.5x vpermb's cost per lookup on
@@ -185,15 +164,6 @@ struct VecOps<std::int16_t, Avx512BwTag> {
   }
   static void to_array(reg v, value_type* out) { _mm512_storeu_si512(out, v); }
   static reg from_array(const value_type* p) { return _mm512_loadu_si512(p); }
-  // See the int8 specialization: spilled scalar scan keeps the saturating
-  // stepwise semantics exact for out-of-range stride weights.
-  static reg seg_scan_max(reg v, long step, value_type fill) {
-    alignas(64) value_type a[kWidth];
-    alignas(64) value_type r[kWidth];
-    to_array(v, a);
-    detail::seg_scan_max_lanes<value_type, kWidth>(a, r, step, fill);
-    return from_array(r);
-  }
 };
 
 template <>
@@ -215,35 +185,10 @@ struct VecOps<std::int32_t, Avx512BwTag> {
   static std::uint64_t eq_mask(reg a, reg b) {
     return _mm512_cmpeq_epi32_mask(a, b);
   }
-  static reg shift_insert(reg v, value_type fill) {
-    const reg idx = _mm512_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
-                                      12, 13, 14);
-    const reg r = _mm512_permutexvar_epi32(idx, v);
-    return _mm512_mask_mov_epi32(r, __mmask16{1}, _mm512_set1_epi32(fill));
-  }
-  // Exclusive shifted max-scan (deconstructed lazy-F carry), in-register:
-  // log2(16) Kogge-Stone rounds over the (max, +) semiring; see
-  // vec_avx512.h for the derivation. Plain 32-bit adds keep the tree exact
-  // against the serial recurrence.
-  static reg seg_scan_max(reg v, long step, value_type fill) {
-    reg s = shift_insert(v, fill);
-    const auto round = [&](reg idx, __mmask16 low, long w) {
-      const reg t =
-          _mm512_add_epi32(_mm512_permutexvar_epi32(idx, s),
-                           _mm512_set1_epi32(static_cast<value_type>(w)));
-      s = _mm512_mask_max_epi32(s, __mmask16(~low), s, t);
-    };
-    round(_mm512_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
-                            14),
-          __mmask16(0x0001), step);
-    round(_mm512_setr_epi32(0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                            13),
-          __mmask16(0x0003), 2 * step);
-    round(_mm512_setr_epi32(0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-          __mmask16(0x000F), 4 * step);
-    round(_mm512_setr_epi32(0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7),
-          __mmask16(0x00FF), 8 * step);
-    return s;
+  template <int N>
+  static reg shift_lanes(reg x, reg lo) {
+    return _mm512_mask_permutexvar_epi32(lo, static_cast<__mmask16>(~0u << N),
+                                       detail::shift_index<value_type, N>(), x);
   }
   static std::uint64_t popcount_and(reg a, reg b) {
     return detail::popcnt_and_512(a, b);

@@ -12,17 +12,12 @@
 //   adds/subs       : saturating for 8/16-bit lanes, wrapping for 32-bit
 //   max/min         : per-lane signed
 //   any_gt(a, b)    : true if a[l] > b[l] in any lane (influence_test core)
-//   shift_insert    : lane l -> lane l+1, lane 0 = fill (the paper's
-//                     rshift_x_fill with n = 1; "right" is in element-index
-//                     order, i.e. a byte-wise left shift of the register)
-//   seg_scan_max(v, step, fill) : exclusive shifted max-scan across lanes,
-//                     out[0] = fill; out[l] = max(v[l-1], out[l-1] (+) step)
-//                     where (+) matches adds' semantics (saturating for
-//                     8/16-bit lanes, plain for 32-bit). `step` is passed
-//                     wide so segment strides beyond the lane range behave
-//                     exactly like repeated saturating adds would. This is
-//                     the cross-lane carry of the deconstructed lazy-F
-//                     fixup (simd/modules.h, lazyf_carry_scan).
+//   shift_lanes<N>(x, lo) : the one cross-lane primitive, for power-of-two
+//                     N < kWidth: lane l >= N takes x[l-N], lane l < N
+//                     keeps lo[l] (the paper's rshift_x_fill held in
+//                     registers; "right" is in element-index order, i.e.
+//                     a byte-wise left shift of the register). Every
+//                     cross-lane module (simd/modules.h) is built on it.
 //   popcount_and(a, b) : population count of the bitwise AND of the two
 //                     registers, taken over the raw register bits (lane
 //                     type is irrelevant). The signature-intersection core
@@ -35,41 +30,12 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <type_traits>
 
 #include "simd/isa.h"
 #include "util/saturate.h"
 
 namespace aalign::simd {
-
-namespace detail {
-
-// Shared scalar core of seg_scan_max (see the contract above), over a
-// spilled register image. The carry is widened to long and re-clamped per
-// step exactly as a chain of saturating `adds` would behave, so hardware
-// backends that spill to memory (cross-lane scans have no SSE/AVX2
-// instruction at lane granularity) stay bit-compatible with in-register
-// stepwise evaluation. 32-bit lanes use plain adds in the kernels, so no
-// per-step clamp is applied - range discipline is the caller's, as
-// everywhere else at that width.
-template <class T, int W>
-inline void seg_scan_max_lanes(const T* in, T* out, long step, T fill) {
-  long carry = fill;
-  out[0] = fill;
-  for (int l = 1; l < W; ++l) {
-    long ext = carry + step;
-    if constexpr (sizeof(T) < 4) {
-      if (ext < std::numeric_limits<T>::min()) ext = std::numeric_limits<T>::min();
-      if (ext > std::numeric_limits<T>::max()) ext = std::numeric_limits<T>::max();
-    }
-    carry = static_cast<long>(in[l - 1]) > ext ? static_cast<long>(in[l - 1])
-                                               : ext;
-    out[l] = static_cast<T>(carry);
-  }
-}
-
-}  // namespace detail
 
 template <class T, class Isa>
 struct VecOps;  // primary template intentionally undefined
@@ -143,18 +109,12 @@ struct VecOps<T, ScalarTag> {
     return m;
   }
 
-  static reg shift_insert(reg v, T fill) {
+  template <int N>
+  static reg shift_lanes(reg x, reg lo) {
+    static_assert(N > 0 && N < kWidth && (N & (N - 1)) == 0);
     reg r;
-    r.lane[0] = fill;
-    for (int l = 1; l < kWidth; ++l) r.lane[l] = v.lane[l - 1];
-    return r;
-  }
-
-  // Exclusive shifted max-scan (the deconstructed lazy-F carry); the
-  // semantic reference for the hardware implementations.
-  static reg seg_scan_max(reg v, long step, T fill) {
-    reg r;
-    detail::seg_scan_max_lanes<T, kWidth>(v.lane, r.lane, step, fill);
+    for (int l = 0; l < kWidth; ++l)
+      r.lane[l] = l < N ? lo.lane[l] : x.lane[l - N];
     return r;
   }
 

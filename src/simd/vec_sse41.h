@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "simd/isa.h"
-#include "simd/vec_scalar.h"  // detail::seg_scan_max_lanes
 
 namespace aalign::simd {
 
@@ -33,6 +32,16 @@ inline std::uint64_t popcnt_and_128(__m128i a, __m128i b) {
   const __m128i sum = _mm_sad_epu8(_mm_add_epi8(lo, hi), _mm_setzero_si128());
   return static_cast<std::uint64_t>(_mm_extract_epi64(sum, 0)) +
          static_cast<std::uint64_t>(_mm_extract_epi64(sum, 1));
+}
+
+// shift_lanes over B = N * sizeof(T) bytes (B <= 8): the byte shift zeroes
+// the low B bytes, and an OR puts back lo's, masked by a constant.
+template <int B>
+inline __m128i shift_bytes_128(__m128i x, __m128i lo) {
+  static_assert(B <= 8);
+  const __m128i low = _mm_cvtsi64_si128(
+      static_cast<long long>(~0ull >> (64 - 8 * B)));
+  return _mm_or_si128(_mm_slli_si128(x, B), _mm_and_si128(lo, low));
 }
 
 }  // namespace detail
@@ -64,19 +73,9 @@ struct VecOps<std::int8_t, Sse41Tag> {
     return static_cast<std::uint16_t>(
         _mm_movemask_epi8(_mm_cmpeq_epi8(a, b)));
   }
-  static reg shift_insert(reg v, value_type fill) {
-    reg r = _mm_slli_si128(v, 1);  // byte left-shift = lane l -> l+1
-    return _mm_insert_epi8(r, fill, 0);
-  }
-  // Exclusive shifted max-scan (deconstructed lazy-F carry): saturating
-  // lanes spill and run the scalar core - per-step stride weights can
-  // exceed the 8-bit range, which the wide scalar carry handles exactly.
-  static reg seg_scan_max(reg v, long step, value_type fill) {
-    alignas(16) value_type a[kWidth];
-    alignas(16) value_type r[kWidth];
-    to_array(v, a);
-    detail::seg_scan_max_lanes<value_type, kWidth>(a, r, step, fill);
-    return from_array(r);
+  template <int N>
+  static reg shift_lanes(reg x, reg lo) {
+    return detail::shift_bytes_128<N * sizeof(value_type)>(x, lo);
   }
   // In-register 32-entry table lookup (indices 0..31, bit 7 clear; `row`
   // 64-byte aligned): load_table holds the two 16-entry halves, lookup is
@@ -132,18 +131,9 @@ struct VecOps<std::int16_t, Sse41Tag> {
     const reg c = _mm_packs_epi16(_mm_cmpeq_epi16(a, b), _mm_setzero_si128());
     return static_cast<std::uint64_t>(_mm_movemask_epi8(c)) & 0xFFu;
   }
-  static reg shift_insert(reg v, value_type fill) {
-    reg r = _mm_slli_si128(v, 2);
-    return _mm_insert_epi16(r, fill, 0);
-  }
-  // See the int8 specialization: spilled scalar scan keeps the saturating
-  // stepwise semantics exact for out-of-range stride weights.
-  static reg seg_scan_max(reg v, long step, value_type fill) {
-    alignas(16) value_type a[kWidth];
-    alignas(16) value_type r[kWidth];
-    to_array(v, a);
-    detail::seg_scan_max_lanes<value_type, kWidth>(a, r, step, fill);
-    return from_array(r);
+  template <int N>
+  static reg shift_lanes(reg x, reg lo) {
+    return detail::shift_bytes_128<N * sizeof(value_type)>(x, lo);
   }
   static std::uint64_t popcount_and(reg a, reg b) {
     return detail::popcnt_and_128(a, b);
@@ -182,29 +172,9 @@ struct VecOps<std::int32_t, Sse41Tag> {
     return static_cast<std::uint64_t>(
         _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(a, b))));
   }
-  static reg shift_insert(reg v, value_type fill) {
-    reg r = _mm_slli_si128(v, 4);
-    return _mm_insert_epi32(r, fill, 0);
-  }
-  // Exclusive shifted max-scan (deconstructed lazy-F carry), in-register:
-  // log2(4) Kogge-Stone rounds over the (max, +) semiring. Plain 32-bit
-  // adds are associative, so the tree evaluates the same
-  // max_d(v[l-1-d] + d*step) as the serial recurrence, exactly. The
-  // byte-shift zeroes vacated lanes; blend_epi16 puts back their own
-  // value, so any fill is exact.
-  static reg seg_scan_max(reg v, long step, value_type fill) {
-    reg s = shift_insert(v, fill);
-    reg t = _mm_blend_epi16(
-        _mm_add_epi32(_mm_slli_si128(s, 4),
-                      _mm_set1_epi32(static_cast<value_type>(step))),
-        s, 0x03);
-    s = _mm_max_epi32(s, t);
-    t = _mm_blend_epi16(
-        _mm_add_epi32(_mm_slli_si128(s, 8),
-                      _mm_set1_epi32(static_cast<value_type>(2 * step))),
-        s, 0x0F);
-    s = _mm_max_epi32(s, t);
-    return s;
+  template <int N>
+  static reg shift_lanes(reg x, reg lo) {
+    return detail::shift_bytes_128<N * sizeof(value_type)>(x, lo);
   }
   static std::uint64_t popcount_and(reg a, reg b) {
     return detail::popcnt_and_128(a, b);

@@ -129,7 +129,6 @@ TEST(Config, KernelStatsAccumulateEveryField) {
   a.scan_columns = 4;
   a.switches = 5;
   a.lazyf_fixup_cols = 6;
-  a.lazyf_saved_iters = 7;
   KernelStats b;
   b.columns = 10;
   b.lazy_steps = 20;
@@ -137,7 +136,6 @@ TEST(Config, KernelStatsAccumulateEveryField) {
   b.scan_columns = 40;
   b.switches = 50;
   b.lazyf_fixup_cols = 60;
-  b.lazyf_saved_iters = 70;
 
   KernelStats& ret = (a += b);
   EXPECT_EQ(&ret, &a);
@@ -147,10 +145,8 @@ TEST(Config, KernelStatsAccumulateEveryField) {
   EXPECT_EQ(a.scan_columns, 44u);
   EXPECT_EQ(a.switches, 55u);
   EXPECT_EQ(a.lazyf_fixup_cols, 66u);
-  EXPECT_EQ(a.lazyf_saved_iters, 77u);
   // The right-hand side is left untouched.
   EXPECT_EQ(b.columns, 10u);
-  EXPECT_EQ(b.lazyf_saved_iters, 70u);
 }
 
 TEST(Isa, NamesAndOrdering) {

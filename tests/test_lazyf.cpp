@@ -9,10 +9,15 @@
 //   - the legacy loop really retries: >= 2 * segs corrective steps/column
 //   - the fixup stays within one pass: <= segs steps/column
 //   - H, E, and the workspace buffers end BIT-IDENTICAL between the paths
-//   - kernel.lazyf.* accounting: fixup_cols == columns, saved_iters > 0
+//   - kernel.lazyf.fixup_cols accounting: fixup_cols == columns
+// The narrow widths (int8/int16, where the carry scan's rounds are pairs of
+// saturating adds) run a scaled worst case, plus a shape whose widest
+// round weight lies below -2^bits, so the clamped weight runs in a real
+// column.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/aligner.h"
@@ -35,18 +40,22 @@ namespace {
 // score far above the query length, every column's F chain from H(i,1)
 // dominates the rest of the column.
 struct WorstCase {
-  score::ScoreMatrix m = score::ScoreMatrix::dna(200, 4);
+  score::ScoreMatrix m;
   std::vector<std::uint8_t> q;
   std::vector<std::uint8_t> s;
   AlignConfig cfg;
 
-  explicit WorstCase(std::size_t qlen = 64, std::size_t cols = 4) {
+  explicit WorstCase(std::size_t qlen = 64, std::size_t cols = 4,
+                     int match = 200, AlignKind kind = AlignKind::Global,
+                     int extend = 1)
+      : m(score::ScoreMatrix::dna(match, 4)) {
     const auto& alpha = m.alphabet();
     q.assign(qlen, static_cast<std::uint8_t>(alpha.ctoi('C')));
     q[0] = static_cast<std::uint8_t>(alpha.ctoi('A'));
     s.assign(cols, static_cast<std::uint8_t>(alpha.ctoi('A')));
-    cfg.kind = AlignKind::Global;
-    cfg.pen = Penalties::symmetric(2, 1);  // slow F decay -> deep carries
+    cfg.kind = kind;
+    // extend 1: slow F decay -> deep carries
+    cfg.pen = Penalties::symmetric(2, extend);
   }
 };
 
@@ -55,32 +64,45 @@ struct EngineRun {
   core::Workspace<typename Ops::value_type> ws;
   std::uint64_t lazy_steps = 0;
   std::uint64_t fixup_cols = 0;
-  std::uint64_t saved_iters = 0;
   long score = 0;
   int segs = 0;
+  bool saturated = false;
 };
 
-template <class Ops>
+template <class Ops, AlignKind K = AlignKind::Global>
 EngineRun<Ops> run_engine(const WorstCase& wc, LazyF lazyf) {
   using T = typename Ops::value_type;
   score::StripedProfile<T> prof;
   score::build_striped_profile<T>(prof, wc.q, wc.m, Ops::kWidth, T{0});
   EngineRun<Ops> out;
-  core::ColumnEngine<Ops, AlignKind::Global, true> eng(
+  core::ColumnEngine<Ops, K, true> eng(
       prof, core::make_steps<T>(wc.cfg), out.ws, lazyf);
   for (long i = 1; i <= static_cast<long>(wc.s.size()); ++i) {
     out.lazy_steps += eng.run_iterate_block(i, wc.s.data(), 1);
   }
   out.fixup_cols = eng.fixup_cols();
-  out.saved_iters = eng.saved_iters();
   out.score = eng.finalize();
   out.segs = eng.segs();
+  out.saturated = eng.saturated(static_cast<long>(wc.s.size()));
   return out;
 }
 
+// Bit-identical DP state: both H generations and the E carry. Both runs
+// processed the same column count, so buffer parity matches.
 template <class Ops>
-void check_worst_case() {
-  const WorstCase wc;
+void expect_same_state(const EngineRun<Ops>& fixup,
+                       const EngineRun<Ops>& legacy) {
+  EXPECT_EQ(fixup.score, legacy.score);
+  const int padded = legacy.segs * Ops::kWidth;
+  for (int off = 0; off < padded; ++off) {
+    ASSERT_EQ(fixup.ws.h_prev[off], legacy.ws.h_prev[off]) << "H off " << off;
+    ASSERT_EQ(fixup.ws.h_cur[off], legacy.ws.h_cur[off]) << "H' off " << off;
+    ASSERT_EQ(fixup.ws.e[off], legacy.ws.e[off]) << "E off " << off;
+  }
+}
+
+template <class Ops>
+void check_worst_case(const WorstCase& wc = WorstCase()) {
   const auto legacy = run_engine<Ops>(wc, LazyF::Legacy);
   const auto fixup = run_engine<Ops>(wc, LazyF::Fixup);
   const auto cols = static_cast<std::uint64_t>(wc.s.size());
@@ -92,23 +114,34 @@ void check_worst_case() {
   EXPECT_GE(legacy.lazy_steps, cols * 2 * segs) << "legacy did not retry";
   EXPECT_LE(fixup.lazy_steps, cols * segs) << "fixup exceeded one pass";
 
-  // Accounting: every column went through the fixup, and the saved-iters
-  // estimate reflects the retries the legacy loop actually spent.
+  // Accounting: every column went through the fixup.
   EXPECT_EQ(legacy.fixup_cols, 0u);
-  EXPECT_EQ(legacy.saved_iters, 0u);
   EXPECT_EQ(fixup.fixup_cols, cols);
-  EXPECT_GT(fixup.saved_iters, 0u);
 
-  EXPECT_EQ(fixup.score, legacy.score);
+  expect_same_state(fixup, legacy);
+}
 
-  // Bit-identical DP state: both H generations and the E carry. Both runs
-  // processed the same column count, so buffer parity matches.
-  const int padded = legacy.segs * Ops::kWidth;
-  for (int off = 0; off < padded; ++off) {
-    ASSERT_EQ(fixup.ws.h_prev[off], legacy.ws.h_prev[off]) << "H off " << off;
-    ASSERT_EQ(fixup.ws.h_cur[off], legacy.ws.h_cur[off]) << "H' off " << off;
-    ASSERT_EQ(fixup.ws.e[off], legacy.ws.e[off]) << "E off " << off;
-  }
+// The narrow widths: the worst case with a match that fits the int8
+// matrix and keeps every score off the rails, then a local shape whose
+// widest round weight, segs * extend * kWidth / 2, lies below -2^bits.
+template <class Ops>
+void check_narrow() {
+  using T = typename Ops::value_type;
+  const WorstCase flood(64, 4, 60);
+  check_worst_case<Ops>(flood);
+  EXPECT_FALSE(run_engine<Ops>(flood, LazyF::Fixup).saturated);
+
+  const int extend = sizeof(T) == 1 ? 3 : 600;
+  const WorstCase clamped(sizeof(T) == 1 ? 192 : 256, 4, 60, AlignKind::Local,
+                          extend);
+  const auto legacy =
+      run_engine<Ops, AlignKind::Local>(clamped, LazyF::Legacy);
+  const auto fixup = run_engine<Ops, AlignKind::Local>(clamped, LazyF::Fixup);
+  ASSERT_LT(-static_cast<long>(fixup.segs) * extend * Ops::kWidth / 2,
+            2L * std::numeric_limits<T>::min());
+  EXPECT_FALSE(fixup.saturated);
+  EXPECT_GT(fixup.score, 0);
+  expect_same_state(fixup, legacy);
 }
 
 // Driver-level counters on the same worst case: the stats a search run
@@ -129,9 +162,7 @@ void check_driver_stats() {
 
   EXPECT_EQ(rf.score, rl.score);
   EXPECT_EQ(rf.stats.lazyf_fixup_cols, wc.s.size());
-  EXPECT_GT(rf.stats.lazyf_saved_iters, 0u);
   EXPECT_EQ(rl.stats.lazyf_fixup_cols, 0u);
-  EXPECT_EQ(rl.stats.lazyf_saved_iters, 0u);
   EXPECT_GT(rl.stats.lazy_steps, rf.stats.lazy_steps);
 }
 
@@ -143,18 +174,33 @@ void check_driver_stats() {
     check_driver_stats<simd::VecOps<std::int32_t, simd::TAG##Tag>>(); \
   }
 
+#define AALIGN_LAZYF_NARROW_TEST(T, TAG)                             \
+  TEST(LazyFWorstCase, T##_##TAG) {                                  \
+    if (!simd::isa_available(simd::isa_kind<simd::TAG##Tag>()))      \
+      GTEST_SKIP() << #TAG " not available on this machine";         \
+    check_narrow<simd::VecOps<std::T, simd::TAG##Tag>>();            \
+  }
+
 AALIGN_LAZYF_TEST(Scalar)
+AALIGN_LAZYF_NARROW_TEST(int8_t, Scalar)
+AALIGN_LAZYF_NARROW_TEST(int16_t, Scalar)
 #if defined(AALIGN_HAVE_SSE41)
 AALIGN_LAZYF_TEST(Sse41)
+AALIGN_LAZYF_NARROW_TEST(int8_t, Sse41)
+AALIGN_LAZYF_NARROW_TEST(int16_t, Sse41)
 #endif
 #if defined(AALIGN_HAVE_AVX2)
 AALIGN_LAZYF_TEST(Avx2)
+AALIGN_LAZYF_NARROW_TEST(int8_t, Avx2)
+AALIGN_LAZYF_NARROW_TEST(int16_t, Avx2)
 #endif
 #if defined(AALIGN_HAVE_AVX512)
 AALIGN_LAZYF_TEST(Avx512)
 #endif
 #if defined(AALIGN_HAVE_AVX512BW) && defined(__AVX512VBMI__)
 AALIGN_LAZYF_TEST(Avx512Bw)
+AALIGN_LAZYF_NARROW_TEST(int8_t, Avx512Bw)
+AALIGN_LAZYF_NARROW_TEST(int16_t, Avx512Bw)
 #endif
 
 // Farrar-safe oracle round: the worst-case matrix above is deliberately

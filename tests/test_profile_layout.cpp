@@ -39,8 +39,6 @@ void expect_same_result(const KernelResult& rows, const KernelResult& lookup,
   EXPECT_EQ(rows.stats.switches, lookup.stats.switches) << what;
   EXPECT_EQ(rows.stats.lazyf_fixup_cols, lookup.stats.lazyf_fixup_cols)
       << what;
-  EXPECT_EQ(rows.stats.lazyf_saved_iters, lookup.stats.lazyf_saved_iters)
-      << what;
 }
 
 template <class Ops, AlignKind K, bool Affine>

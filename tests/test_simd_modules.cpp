@@ -97,6 +97,7 @@ void primitive_roundtrip_and_arith() {
 template <class Ops>
 void shift_insert_semantics() {
   using T = typename Ops::value_type;
+  using M = Modules<Ops>;
   constexpr int W = Ops::kWidth;
   std::mt19937_64 rng(7);
 
@@ -106,12 +107,11 @@ void shift_insert_semantics() {
     std::copy(a.begin(), a.end(), abuf);
     const T fill = static_cast<T>(iter - 25);
 
-    Ops::store(out, Ops::shift_insert(Ops::load(abuf), fill));
+    Ops::store(out, M::rshift_x_fill(Ops::load(abuf), 1, fill));
     ASSERT_EQ(out[0], fill);
     for (int l = 1; l < W; ++l) ASSERT_EQ(out[l], a[l - 1]) << "lane " << l;
 
     // Generic n-lane shift agrees for every n.
-    using M = Modules<Ops>;
     for (int n = 1; n < W; ++n) {
       Ops::store(out, M::rshift_x_fill(Ops::load(abuf), n, fill));
       for (int l = 0; l < W; ++l) {
@@ -119,6 +119,32 @@ void shift_insert_semantics() {
         ASSERT_EQ(out[l], expect) << "n=" << n << " lane " << l;
       }
     }
+  }
+}
+
+// shift_lanes<N>, the backend's one cross-lane primitive: lane l >= N
+// takes x[l-N], lane l < N keeps lo[l]. lo is random, not a broadcast,
+// so each vacated lane must keep its own value.
+template <class Ops, int N = 1>
+void shift_lanes_semantics() {
+  using T = typename Ops::value_type;
+  constexpr int W = Ops::kWidth;
+  if constexpr (N < W) {
+    std::mt19937_64 rng(11 + N);
+    for (int iter = 0; iter < 20; ++iter) {
+      const auto x = random_values<Ops>(rng, W, true);
+      const auto lo = random_values<Ops>(rng, W, true);
+      alignas(64) T xbuf[W], lobuf[W], out[W];
+      std::copy(x.begin(), x.end(), xbuf);
+      std::copy(lo.begin(), lo.end(), lobuf);
+      Ops::store(out, Ops::template shift_lanes<N>(Ops::load(xbuf),
+                                                   Ops::load(lobuf)));
+      for (int l = 0; l < W; ++l) {
+        ASSERT_EQ(out[l], l < N ? lo[l] : x[l - N]) << "N=" << N << " lane "
+                                                    << l;
+      }
+    }
+    shift_lanes_semantics<Ops, 2 * N>();
   }
 }
 
@@ -281,12 +307,12 @@ void lookup_semantics() {
   }
 }
 
-// seg_scan_max: the lazy-F carry scan primitive. Contract (vec_scalar.h):
+// seg_scan_max: the lazy-F carry scan. Contract (simd/modules.h):
 // out[0] = fill; out[l] = max(in[l-1], out[l-1] (+) step), where (+) is a
 // saturating add for narrow types and a plain add for int32. The reference
 // below runs the recurrence in long arithmetic with an explicit clamp -
-// the in-register Kogge-Stone trees and the spill paths must both match
-// it, including full-range inputs that hit the rails, for any fill (not
+// the in-register Kogge-Stone tree must match it at every width,
+// including full-range inputs that hit the rails, for any fill (not
 // only the absorbing neg_inf every caller passes today) and, at the
 // narrow widths, steps below -2^bits.
 template <class Ops>
@@ -377,13 +403,25 @@ void popcount_and_matches_reference() {
   }
 }
 
+// seg_scan_max is written once, in Modules, over the backend's
+// shift_lanes; this view gives seg_scan_max_matches_reference the backend's
+// other members plus that one scan.
+template <class Ops>
+struct WithModuleScan : Ops {
+  static typename Ops::reg seg_scan_max(typename Ops::reg v, long step,
+                                        typename Ops::value_type fill) {
+    return Modules<Ops>::seg_scan_max(v, step, fill);
+  }
+};
+
 template <class Ops>
 void run_all() {
   primitive_roundtrip_and_arith<Ops>();
   shift_insert_semantics<Ops>();
+  shift_lanes_semantics<Ops>();
   set_vector_semantics<Ops>();
   wgt_max_scan_matches_reference<Ops>();
-  seg_scan_max_matches_reference<Ops>();
+  seg_scan_max_matches_reference<WithModuleScan<Ops>>();
   influence_and_hmax<Ops>();
   eq_mask_semantics<Ops>();
   gather_semantics<Ops>();
