@@ -44,7 +44,8 @@ int main() {
   std::vector<seq::Sequence> queries;
   std::vector<seq::Sequence> subjects;
   for (std::size_t qi = 0; qi < kQueries; ++qi) {
-    queries.push_back(gen.protein(query_len, "Q" + std::to_string(qi)));
+    queries.push_back(
+        gen.protein(query_len, std::string("Q").append(std::to_string(qi))));
   }
   const seq::SimilaritySpec specs[kHomologsPerQuery] = {
       {seq::Level::Hi, seq::Level::Hi}, {seq::Level::Hi, seq::Level::Md},

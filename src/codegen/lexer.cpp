@@ -1,6 +1,9 @@
 #include "codegen/lexer.h"
 
+#include <algorithm>
 #include <cctype>
+#include <string>
+#include <utility>
 
 namespace aalign::codegen {
 
@@ -77,11 +80,34 @@ std::vector<Token> lex(const std::string& source, DiagnosticEngine& diags) {
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
+      // Accumulation stops once the value passes kMaxLiteral, so it never
+      // overflows however many digits follow.
       std::size_t j = i;
       long v = 0;
+      bool in_range = true;
       while (j < n && std::isdigit(static_cast<unsigned char>(source[j]))) {
-        v = v * 10 + (source[j] - '0');
+        if (in_range) {
+          v = v * 10 + (source[j] - '0');
+          in_range = v <= kMaxLiteral;
+        }
         ++j;
+      }
+      if (!in_range) {
+        // The span and the quoted digits are capped: a literal may be
+        // arbitrarily long.
+        const std::size_t digits = j - i;
+        std::string message = "integer literal ";
+        message.append(source, i, std::min<std::size_t>(digits, 24));
+        if (digits > 24) message += "...";
+        message += " is out of range (at most ";
+        message += std::to_string(kMaxLiteral);
+        message += ')';
+        diags.error("AA012",
+                    SourceSpan{line, col,
+                               static_cast<int>(std::min<std::size_t>(
+                                   digits, 64))},
+                    std::move(message));
+        v = kMaxLiteral;
       }
       push(Tok::Number, source.substr(i, j - i), v);
       advance(j - i);

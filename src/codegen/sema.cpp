@@ -1,6 +1,7 @@
 #include "codegen/sema.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -78,6 +79,13 @@ void flatten_into(const Expr& e, const std::map<std::string, long>& consts,
       out.resolvable = false;
       break;
   }
+}
+
+// True when `v` fits the KernelSpec's int weight fields exactly. Sums of
+// literals (each at most kMaxLiteral) can leave that range.
+bool fits_int(long v) {
+  return v >= std::numeric_limits<int>::min() &&
+         v <= std::numeric_limits<int>::max();
 }
 
 FlatAdd flatten_add(const Expr& e, const std::map<std::string, long>& consts) {
@@ -447,6 +455,12 @@ KernelSpec verify(const Program& program, DiagnosticEngine& diags) {
                       "|first| >= |extend|)");
       return;
     }
+    if (!fits_int(open) || !fits_int(ext)) {
+      diags.error("AA027", assign_span(a),
+                  "gap recurrence for '" + target +
+                      "' has constants outside the int range");
+      return;
+    }
     if (axis_dout == -1 && axis_din == 0) {
       spec.open_subject = static_cast<int>(open);
       spec.ext_subject = static_cast<int>(ext);
@@ -482,6 +496,11 @@ KernelSpec verify(const Program& program, DiagnosticEngine& diags) {
       long dout, din;
       if (!cell_offsets(*flat.cells[0], ov, iv, dout, din)) continue;
       if (flat.cells[0]->name != spec.table) continue;
+      if (!fits_int(-flat.const_sum)) {
+        diags.error("AA027", flat.cells[0]->span(),
+                    "inline gap arm has a constant outside the int range");
+        continue;
+      }
       // Inline linear arm: T[prev] + GAP.
       if (dout == -1 && din == 0 && !have_l) {
         spec.open_subject = 0;

@@ -14,7 +14,7 @@
 //                             variables with the [outer][inner] axis order
 //                             (AA031)
 //   4. Table II extraction  - the D / U / L recurrences and the working-
-//                             table max (AA021..AA026), gap-shape
+//                             table max (AA021..AA027), gap-shape
 //                             classification against the affine (Eqs. 3-4)
 //                             and linear (Eqs. 5-6) forms (AA032), and the
 //                             boundary-initialization consistency warnings

@@ -24,7 +24,8 @@ class ScoreMatrix {
   static const ScoreMatrix& pam250();
 
   // Simple DNA scoring: +match on the diagonal, -mismatch elsewhere,
-  // 0 against the wildcard N.
+  // 0 against the wildcard N. Throws std::invalid_argument when match or
+  // -mismatch lies outside the int8 range the table stores.
   static ScoreMatrix dna(int match, int mismatch);
 
   const Alphabet& alphabet() const { return *alphabet_; }

@@ -11,8 +11,9 @@ namespace {
 
 // The arrays a FASTA-built database owns, under one shared owner.
 struct Owned {
-  std::vector<DirEntry> dir;
-  std::vector<std::uint64_t> orig;
+  std::vector<std::uint64_t> offsets;
+  std::vector<std::uint64_t> id_offsets;
+  std::vector<std::uint32_t> orig;
   std::vector<std::uint32_t> inv;
   std::string ids;
   std::vector<std::uint8_t> residues;
@@ -23,7 +24,9 @@ struct Owned {
 template <class Seq, class Encode>
 void Database::pack(const std::vector<Seq>& seqs, Encode encode) {
   const std::size_t n = seqs.size();
-  if (n > std::numeric_limits<std::uint32_t>::max()) {
+  // The u32 permutation indexes fewer than 2^32 - 1 sequences: the store's
+  // loader keeps that value to mark an unclaimed slot.
+  if (n >= std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("Database: more sequences than a u32 indexes");
   }
   std::vector<std::size_t> order(n);
@@ -34,25 +37,29 @@ void Database::pack(const std::vector<Seq>& seqs, Encode encode) {
                    });
 
   auto owned = std::make_shared<Owned>();
+  std::size_t residues = 0;
   std::size_t id_bytes = 0;
   for (const Seq& s : seqs) {
-    l_.total_residues += s.size();
+    residues += s.size();
     id_bytes += s.id.size();
   }
-  owned->dir.resize(n);
+  owned->offsets.resize(n + 1);
+  owned->id_offsets.resize(n + 1);
   owned->ids.reserve(id_bytes);
-  owned->residues.resize(l_.total_residues);
+  owned->residues.resize(residues);
   std::uint64_t at = 0;
   bool identity = true;
   for (std::size_t pos = 0; pos < n; ++pos) {
     const Seq& s = seqs[order[pos]];
-    owned->dir[pos] = {at, s.size(), owned->ids.size(),
-                       static_cast<std::uint32_t>(s.id.size()), 0};
+    owned->offsets[pos] = at;
+    owned->id_offsets[pos] = owned->ids.size();
     owned->ids += s.id;
     encode(s, owned->residues.data() + at);
     at += s.size();
     identity = identity && order[pos] == pos;
   }
+  owned->offsets[n] = at;
+  owned->id_offsets[n] = owned->ids.size();
   if (!identity) {
     owned->orig.assign(order.begin(), order.end());
     owned->inv.resize(n);
@@ -62,8 +69,9 @@ void Database::pack(const std::vector<Seq>& seqs, Encode encode) {
     l_.orig = owned->orig;
     l_.inv = std::shared_ptr<const std::uint32_t[]>(owned, owned->inv.data());
   }
-  l_.dir = owned->dir;
+  l_.offsets = owned->offsets;
   l_.residues = owned->residues.data();
+  l_.id_offsets = owned->id_offsets;
   l_.ids = owned->ids.data();
   l_.backing = std::move(owned);
 }

@@ -7,13 +7,17 @@
 // done once per database instead of once per search - and every search and
 // store entry point takes the database by const&.
 //
-// One layout, the index file's own directory (docs/database_format.md): a
-// DirEntry per sequence locating its residues and id from two base
-// pointers, the u64 original-index permutation, and a shared u32 inverse.
-// A store-served database (store::MappedIndex::database()) points straight
-// at the mapped sections; a FASTA-built one owns the same arrays. Either
-// way backing() keeps the storage alive, nothing writes it once built, and
-// copying a database is O(1): copies share that storage.
+// One layout, the index file's own (docs/database_format.md), that of an
+// Arrow variable-length column: the residues packed back to back and
+// u64[size() + 1] offsets into them, so sequence pos is [off[pos],
+// off[pos + 1]); the ids the same way; the u32 original-index permutation
+// and a shared u32 inverse. A store-served database
+// (store::MappedIndex::database()) points straight at the mapped sections;
+// a FASTA-built one owns the same arrays, which the builder writes
+// verbatim. Either way backing() keeps the storage alive, nothing writes
+// it once built, and copying a database is O(1): copies share that
+// storage. A contiguous run of a database is a database over subspans of
+// the same offset arrays (store::MappedIndex::database(slice)).
 #pragma once
 
 #include <cstddef>
@@ -30,31 +34,22 @@
 
 namespace aalign::seq {
 
-// Where one sequence lies: residues at residue base + residue_offset, its
-// id at id base + id_offset. Exactly the index file's SeqDir entry
-// (store::SeqEntry is this type), so a mapped database reads the mapped
-// directory in place.
-struct DirEntry {
-  std::uint64_t residue_offset = 0;
-  std::uint64_t length = 0;  // residue count
-  std::uint64_t id_offset = 0;
-  std::uint32_t id_bytes = 0;
-  std::uint32_t reserved = 0;
-};
-static_assert(sizeof(DirEntry) == 32);
-
 class Database {
  public:
   // Everything a database reads, and the owner that keeps it alive.
   struct Layout {
-    std::span<const DirEntry> dir;  // stored order, longest first
+    // Stored order, longest first: sequence pos is residues[offsets[pos],
+    // offsets[pos + 1]) and ids[id_offsets[pos], id_offsets[pos + 1]).
+    // Each holds size() + 1 entries, or none for an empty database; they
+    // need not start at 0 (a slice's do not).
+    std::span<const std::uint64_t> offsets;
     const std::uint8_t* residues = nullptr;
+    std::span<const std::uint64_t> id_offsets;
     const char* ids = nullptr;
     // orig[pos] = original index; empty while the stored order is the
     // input order. inv[orig[pos]] == pos; null exactly when orig is empty.
-    std::span<const std::uint64_t> orig;
+    std::span<const std::uint32_t> orig;
     std::shared_ptr<const std::uint32_t[]> inv;
-    std::uint64_t total_residues = 0;
     std::shared_ptr<const void> backing;  // any opaque owner
   };
 
@@ -65,20 +60,22 @@ class Database {
   // Packs already-encoded sequences into owned arrays, longest first.
   explicit Database(const std::vector<EncodedSequence>& seqs);
   // A view of `layout`, trusted as given: the store checks a mapped
-  // directory's ranges, order and permutation once, at open.
+  // index's offsets, order and permutation once, at open.
   explicit Database(Layout layout) : l_(std::move(layout)) {}
 
-  std::size_t size() const { return l_.dir.size(); }
-  bool empty() const { return l_.dir.empty(); }
+  std::size_t size() const {
+    return l_.offsets.empty() ? 0 : l_.offsets.size() - 1;
+  }
+  bool empty() const { return size() == 0; }
 
   // The residues of the sequence stored at `pos`: what the kernels read.
   std::span<const std::uint8_t> residues(std::size_t pos) const {
-    const DirEntry& e = l_.dir[pos];
-    return {l_.residues + e.residue_offset, e.length};
+    return {l_.residues + l_.offsets[pos],
+            l_.offsets[pos + 1] - l_.offsets[pos]};
   }
   std::string_view id(std::size_t pos) const {
-    const DirEntry& e = l_.dir[pos];
-    return {l_.ids + e.id_offset, e.id_bytes};
+    return {l_.ids + l_.id_offsets[pos],
+            l_.id_offsets[pos + 1] - l_.id_offsets[pos]};
   }
   // The sequence stored at `pos`, its id copied.
   Record operator[](std::size_t pos) const {
@@ -101,7 +98,12 @@ class Database {
   bool permuted() const { return !l_.orig.empty(); }
 
   // Total residue count (for GCUPS accounting).
-  std::size_t total_residues() const { return l_.total_residues; }
+  std::size_t total_residues() const {
+    return l_.offsets.empty() ? 0 : l_.offsets.back() - l_.offsets.front();
+  }
+
+  // The arrays the database reads, as the store's builder writes them.
+  const Layout& layout() const { return l_; }
 
   // The owner of the storage the layout points into (null for a default-
   // constructed database).

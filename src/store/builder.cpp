@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "store/format.h"
 
@@ -109,36 +111,42 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
   const filter::SignatureIndex sig(db, params.filter);
 
   // ---- Assemble section payloads -----------------------------------------
-  std::vector<SeqEntry> seq_dir(n);
-  std::vector<std::uint8_t> id_blob;
-  for (std::size_t i = 0; i < n; ++i) {
-    seq_dir[i].id_offset = id_blob.size();
-    const std::string_view id = db.id(i);
-    seq_dir[i].id_bytes = static_cast<std::uint32_t>(id.size());
-    id_blob.insert(id_blob.end(), id.begin(), id.end());
-  }
+  // The database's own arrays: its offsets rebased to start at 0 (a
+  // slice's do not; a whole database's already do, so they are written as
+  // they are) and its permutation.
+  const seq::Database::Layout& l = db.layout();
+  const auto rebased = [n](std::span<const std::uint64_t> off) {
+    std::vector<std::uint64_t> out(n + 1, 0);
+    for (std::size_t i = 0; i < off.size(); ++i) out[i] = off[i] - off[0];
+    return out;
+  };
+  const std::vector<std::uint64_t> offsets = rebased(l.offsets);
+  const std::vector<std::uint64_t> id_offsets = rebased(l.id_offsets);
+  const std::uint8_t* residues =
+      n == 0 ? nullptr : l.residues + l.offsets.front();
+  const char* ids = n == 0 ? nullptr : l.ids + l.id_offsets.front();
 
-  std::vector<std::uint64_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = db.original_index(i);
+  std::vector<std::uint32_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    perm[i] = static_cast<std::uint32_t>(db.original_index(i));
+  }
 
   const auto lut8 = make_profile_lut<std::int8_t>(matrix);
   const auto lut16 = make_profile_lut<std::int16_t>(matrix);
   const auto lut32 = make_profile_lut<std::int32_t>(matrix);
 
   // ---- Greedy length-sorted sharding -------------------------------------
-  struct ShardPlan {
-    std::size_t first = 0, count = 0, residues = 0;
-  };
-  std::vector<ShardPlan> shards;
+  std::vector<ShardEntry> shard_dir;
+  std::uint64_t shard_residues = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (shards.empty() ||
-        (shards.back().count > 0 &&
-         shards.back().residues + db.residues(i).size() >
-             params.shard_target_residues)) {
-      shards.push_back({i, 0, 0});
+    const std::uint64_t len = offsets[i + 1] - offsets[i];
+    if (shard_dir.empty() ||
+        shard_residues + len > params.shard_target_residues) {
+      shard_dir.push_back({});
+      shard_residues = 0;
     }
-    shards.back().count += 1;
-    shards.back().residues += db.residues(i).size();
+    shard_dir.back().seq_count += 1;
+    shard_residues += len;
   }
 
   // ---- Lay out the file ---------------------------------------------------
@@ -150,7 +158,7 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
   hdr.build_fingerprint = input_fingerprint(db, matrix, params);
   hdr.seq_count = n;
   hdr.residue_total = db.total_residues();
-  hdr.shard_count = shards.size();
+  hdr.shard_count = shard_dir.size();
   hdr.alphabet_size = static_cast<std::uint32_t>(matrix.size());
   hdr.section_count = kSectionCount;
   std::memcpy(hdr.matrix_name, matrix.name().data(), matrix.name().size());
@@ -184,53 +192,21 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
     return &e;
   };
 
-  // Shard directory first (checksummed last: its entries reference blob
-  // offsets assigned below).
-  std::vector<ShardEntry> shard_dir(shards.size());
-  SectionEntry* shard_section =
+  // Shard directory first (checksummed last: its entries hold the residue
+  // checksums computed below).
+  const SectionEntry* shard_section =
       add_section(SectionKind::ShardDir, shard_dir.data(),
                   shard_dir.size() * sizeof(ShardEntry));
-
-  // Sequence directory placeholder: blob offsets are patched in once the
-  // residue blob is laid out.
-  SectionEntry* seqdir_section = add_section(
-      SectionKind::SeqDir, seq_dir.data(), seq_dir.size() * sizeof(SeqEntry));
-  add_section(SectionKind::IdBlob, id_blob.data(), id_blob.size());
-
-  // Residue blob: each shard starts 64-byte aligned and holds its
-  // sequences back to back, zero-padded at its end only, so shard ranges
-  // tile the section exactly and no residue lies outside its shard's
-  // checksum.
-  SectionEntry* blob_section = nullptr;
-  {
-    SectionEntry& e = sections[next_section++];
-    blob_section = &e;
-    e.kind = static_cast<std::uint32_t>(SectionKind::SeqBlob);
-    e.flags = kSectionFlagPerShardChecksum;
-    e.offset = out.offset();
-    for (std::size_t si = 0; si < shards.size(); ++si) {
-      ShardEntry& sh = shard_dir[si];
-      sh.first_seq = shards[si].first;
-      sh.seq_count = shards[si].count;
-      sh.blob_offset = out.offset();
-      sh.max_len = db.residues(shards[si].first).size();
-      sh.min_len = db.residues(shards[si].first + shards[si].count - 1).size();
-      for (std::size_t i = shards[si].first;
-           i < shards[si].first + shards[si].count; ++i) {
-        const auto view = db.residues(i);
-        seq_dir[i].residue_offset = out.offset();
-        seq_dir[i].length = view.size();
-        out.append(view.data(), view.size());
-      }
-      out.pad_to_alignment();
-      sh.blob_bytes = out.offset() - sh.blob_offset;
-    }
-    e.bytes = out.offset() - e.offset;
-    e.checksum = 0;  // per-shard checksums below
-  }
-
+  add_section(SectionKind::SeqOffsets, offsets.data(),
+              offsets.size() * sizeof(std::uint64_t));
+  const SectionEntry* blob_section =
+      add_section(SectionKind::SeqBlob, residues, offsets.back(),
+                  kSectionFlagPerShardChecksum);
   add_section(SectionKind::Permutation, perm.data(),
-              perm.size() * sizeof(std::uint64_t));
+              perm.size() * sizeof(std::uint32_t));
+  add_section(SectionKind::IdOffsets, id_offsets.data(),
+              id_offsets.size() * sizeof(std::uint64_t));
+  add_section(SectionKind::IdBlob, ids, id_offsets.back());
   add_section(SectionKind::SigPopcounts, sig.popcounts().data(),
               sig.popcounts().size() * sizeof(std::uint32_t));
   add_section(SectionKind::SigLengths, sig.lengths().data(),
@@ -251,17 +227,19 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
   }
   hdr.file_bytes = out.offset();
 
-  // ---- Patch directories, then checksum everything ------------------------
-  // An empty database's directories have a null data(), which memcpy
+  // ---- Shard checksums, then section checksums ---------------------------
+  // The last shard's range runs on through the blob's zero tail, so every
+  // blob byte is under one shard's checksum.
+  std::uint64_t first_seq = 0;
+  for (ShardEntry& sh : shard_dir) {
+    const ShardRange r =
+        shard_range(first_seq, sh.seq_count, offsets, blob_section->bytes);
+    sh.checksum =
+        checksum(out.at(blob_section->offset + r.begin), r.end - r.begin);
+    first_seq += sh.seq_count;
+  }
+  // An empty database's shard directory has a null data(), which memcpy
   // must not see.
-  if (!seq_dir.empty()) {
-    std::memcpy(out.at(seqdir_section->offset), seq_dir.data(),
-                seq_dir.size() * sizeof(SeqEntry));
-  }
-  for (std::size_t si = 0; si < shard_dir.size(); ++si) {
-    shard_dir[si].checksum =
-        checksum(out.at(shard_dir[si].blob_offset), shard_dir[si].blob_bytes);
-  }
   if (!shard_dir.empty()) {
     std::memcpy(out.at(shard_section->offset), shard_dir.data(),
                 shard_dir.size() * sizeof(ShardEntry));
@@ -270,7 +248,6 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
     if (e.flags & kSectionFlagPerShardChecksum) continue;
     e.checksum = checksum(out.at(e.offset), e.bytes);
   }
-  (void)blob_section;
 
   // Header checksum covers [0, header_bytes) with the field zeroed; the
   // section table is written before hashing so it is covered too.

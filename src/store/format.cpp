@@ -58,14 +58,16 @@ const char* section_kind_name(SectionKind kind) {
   switch (kind) {
     case SectionKind::ShardDir:
       return "ShardDir";
-    case SectionKind::SeqDir:
-      return "SeqDir";
-    case SectionKind::IdBlob:
-      return "IdBlob";
+    case SectionKind::SeqOffsets:
+      return "SeqOffsets";
     case SectionKind::SeqBlob:
       return "SeqBlob";
     case SectionKind::Permutation:
       return "Permutation";
+    case SectionKind::IdOffsets:
+      return "IdOffsets";
+    case SectionKind::IdBlob:
+      return "IdBlob";
     case SectionKind::SigPopcounts:
       return "SigPopcounts";
     case SectionKind::SigLengths:

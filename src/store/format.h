@@ -1,15 +1,19 @@
 // On-disk layout of the versioned aalign database index (docs/
 // database_format.md). One file holds everything a serving process needs
-// to become query-ready: the length-sorted shard directory, the packed
-// residue blob, the original-index permutation, the PR-7 signature index,
-// and the per-precision-tier score profile tables — every section and
-// every residue shard 64-byte aligned, the residues within a shard packed
-// back to back — so the loader can `mmap` the file and serve
-// `seq::Database` zero-copy straight off the page cache.
+// to become query-ready: the shard directory, the residue offsets and the
+// residues packed back to back longest first, the original-index
+// permutation, the ids (offsets and bytes), the signature index, and the
+// per-precision-tier score profile tables — every section 64-byte aligned
+// — so the loader can `mmap` the file and serve `seq::Database` zero-copy
+// straight off the page cache: the offset sections are the database's own
+// arrays.
 //
 // Integrity model: the header (including the section table) carries one
 // checksum; every metadata section carries its own; the residue blob is
-// checksummed PER SHARD so a corrupt shard is named, not just detected.
+// checksummed PER SHARD so a corrupt shard is named, not just detected. A
+// shard is a cut of the one packed run of residues: its range is the
+// residue offsets of its first sequence and the one past its last, and
+// the last shard's also takes the blob's zero tail.
 // Every byte of a well-formed file is covered by exactly one of those
 // checksums (alignment padding is zero-filled and checksummed with its
 // owning region), so any single bit flip is detectable. The loader
@@ -26,10 +30,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 
-#include "seq/database.h"
 #include "simd/fnv_lanes.h"
 
 namespace aalign::store {
@@ -37,13 +41,18 @@ namespace aalign::store {
 inline constexpr char kMagic[8] = {'A', 'A', 'L', 'N', 'I', 'D', 'X', '1'};
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 // Version 2 introduced the four-lane integrity checksum, version 3 packs
-// the residues within each shard back to back, and version 4 widens the
-// checksum to 32 lanes over 256-byte strides (Checksum below).
-inline constexpr std::uint32_t kFormatVersion = 4;
-// Every section and every residue shard starts aligned to this many bytes
-// in the file (util::kVectorAlignment, so signature rows can feed aligned
-// vector loads) and is zero-padded to a multiple of it. Sequences inside a
-// shard are not aligned: nothing reads residues with aligned loads.
+// the residues within each shard back to back, version 4 widens the
+// checksum to 32 lanes over 256-byte strides (Checksum below), and
+// version 5 replaces the 32-byte directory entries with offset arrays,
+// packs all residues in one run, narrows the permutation to u32, drops
+// each shard's stored first sequence (the counts before it give it) and
+// moves the ids to the cold tail.
+inline constexpr std::uint32_t kFormatVersion = 5;
+// Every section starts aligned to this many bytes in the file
+// (util::kVectorAlignment, so signature rows can feed aligned vector
+// loads) and is zero-padded to a multiple of it. Sequences and shards
+// inside the residue blob are not aligned: nothing reads residues with
+// aligned loads.
 inline constexpr std::size_t kFileAlignment = 64;
 // Entries per row of the per-tier score profile tables; mirrors
 // core/inter_kernel.h's kLutStride (the in-register table-lookup layout).
@@ -84,10 +93,9 @@ inline std::uint64_t fnv1a64(const void* data, std::size_t bytes,
 // flip changes the digest. The 32 chains are independent, so the lane
 // update (simd/fnv_lanes.h) runs as vector code on every backend that
 // has it - AVX2 and AVX-512F - with the same digest as the scalar loop.
-// A ragged tail (a well-formed file's checksummed ranges are multiples of
-// kFileAlignment, so a tail of 64, 128 or 192 bytes) continues lane 0
-// through fnv1a64. Not cryptographic - the threat model is truncation and
-// bit rot, not an adversary.
+// A ragged tail (a section's is 64, 128 or 192 bytes; a residue shard's
+// any length) continues lane 0 through fnv1a64. Not cryptographic - the
+// threat model is truncation and bit rot, not an adversary.
 //
 // Streaming: the state is the lanes, so update() calls chain exactly when
 // every call but the last is a multiple of kChecksumStride bytes; the
@@ -116,30 +124,33 @@ inline std::uint64_t checksum(const void* data, std::size_t bytes) {
 // order (a section absent from a particular database has bytes == 0).
 enum class SectionKind : std::uint32_t {
   ShardDir = 1,       // ShardEntry[shard_count]
-  SeqDir = 2,         // SeqEntry[seq_count]
-  IdBlob = 3,         // concatenated sequence ids (no terminators)
-  SeqBlob = 4,        // packed residues, per-shard checksums
-  Permutation = 5,    // u64[seq_count]: orig[pos] = original index
-  SigPopcounts = 6,   // u32[seq_count]
-  SigLengths = 7,     // u32[seq_count]
-  SigBlob = 8,        // i32[seq_count * sig_words]
-  ProfileLutI8 = 9,   // i8 [alpha][kProfileLutStride]
-  ProfileLutI16 = 10, // i16[alpha][kProfileLutStride]
-  ProfileLutI32 = 11, // i32[alpha][kProfileLutStride]
+  SeqOffsets = 2,     // u64[seq_count + 1]: residue offsets into SeqBlob
+  SeqBlob = 3,        // packed residues, per-shard checksums
+  Permutation = 4,    // u32[seq_count]: orig[pos] = original index
+  IdOffsets = 5,      // u64[seq_count + 1]: id offsets into IdBlob
+  IdBlob = 6,         // concatenated sequence ids (no terminators)
+  SigPopcounts = 7,   // u32[seq_count]
+  SigLengths = 8,     // u32[seq_count]
+  SigBlob = 9,        // i32[seq_count * sig_words]
+  ProfileLutI8 = 10,  // i8 [alpha][kProfileLutStride]
+  ProfileLutI16 = 11, // i16[alpha][kProfileLutStride]
+  ProfileLutI32 = 12, // i32[alpha][kProfileLutStride]
 };
-inline constexpr std::uint32_t kSectionCount = 11;
+inline constexpr std::uint32_t kSectionCount = 12;
 
-// The cold sections, SigPopcounts through the profile tables: the file's
-// tail that a filter-off search never reads. Only a filter scan reads the
-// signatures, and only a service wired to the stored LUTs reads the
-// profile tables. MappedIndex::open gives the tail its own mapping and
-// releases its pages once hashed (loader.h).
-inline constexpr SectionKind kFirstColdSection = SectionKind::SigPopcounts;
+// The cold sections, IdOffsets through the profile tables: the file's
+// tail that a filter-off search never reads. Only hit reporting reads the
+// ids, only a filter scan reads the signatures, and only a service wired
+// to the stored LUTs reads the profile tables. The hot head is what a
+// search reads per subject: 12 bytes of it (a u64 residue offset and a
+// u32 permutation entry) besides the residues. MappedIndex::open gives
+// the tail its own mapping and releases its pages once hashed (loader.h).
+inline constexpr SectionKind kFirstColdSection = SectionKind::IdOffsets;
 constexpr bool cold_section(SectionKind kind) {
   return kind >= kFirstColdSection;
 }
 
-// "ShardDir", "SeqDir", ...: the SectionKind's enumerator name.
+// "ShardDir", "SeqOffsets", ...: the SectionKind's enumerator name.
 const char* section_kind_name(SectionKind kind);
 
 // Per-shard checksum flag on the SeqBlob section: its section-level
@@ -155,26 +166,32 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 32);
 
+// A shard is a cut of the stored order: the shards tile the sequences in
+// order, so shard i's first sequence is the sum of the seq_counts before
+// it, and its residues are SeqBlob bytes [off[first], off[first +
+// seq_count]) of the SeqOffsets array `off` - through the end of the
+// section, zero tail included, for the last shard. Shards that tile the
+// sequences tile the blob too.
 struct ShardEntry {
-  std::uint64_t first_seq = 0;   // position of the shard's first sequence
   std::uint64_t seq_count = 0;
-  std::uint64_t blob_offset = 0;  // absolute file offset of the residues
-  std::uint64_t blob_bytes = 0;   // align_up(residue count): padded and
-                                  // checksummed size
-  std::uint64_t max_len = 0;      // residue bounds (length-sorted: the
-  std::uint64_t min_len = 0;      // shard directory is itself sorted)
-  std::uint64_t checksum = 0;     // checksum() of [blob_offset, +blob_bytes)
-  std::uint64_t reserved = 0;
+  std::uint64_t checksum = 0;  // checksum() of the shard's residue range
 };
-static_assert(sizeof(ShardEntry) == 64);
+static_assert(sizeof(ShardEntry) == 16);
 
-// A SeqDir entry is the database's own directory entry, so a mapped
-// seq::Database reads the section in place: residue_offset is the
-// absolute file offset of the residues (`length` of them, the next entry
-// of the shard starting right after), id_offset an offset into the IdBlob
-// section payload.
-using SeqEntry = seq::DirEntry;
-static_assert(sizeof(SeqEntry) == 32);
+// The SeqBlob payload bytes [begin, end) the shard of `seq_count`
+// sequences from position `first_seq` checksums, from the SeqOffsets array
+// `off` of a blob section of `blob_bytes`: the shard that ends at the
+// last sequence runs on through the blob's zero tail.
+struct ShardRange {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+};
+inline ShardRange shard_range(std::uint64_t first_seq, std::uint64_t seq_count,
+                              std::span<const std::uint64_t> off,
+                              std::uint64_t blob_bytes) {
+  const std::uint64_t past = first_seq + seq_count;
+  return {off[first_seq], past + 1 == off.size() ? blob_bytes : off[past]};
+}
 
 // Fixed-size header at offset 0, followed immediately by the section
 // table; `header_bytes` spans both (plus padding to kFileAlignment) and

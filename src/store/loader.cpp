@@ -19,23 +19,24 @@ std::string at_path(const std::string& path, const std::string& what) {
 }
 
 // Payload (unpadded) byte count each section must hold for this header.
+// IdBlob's is the last entry of IdOffsets, checked once that is hashed.
 std::uint64_t expected_payload_bytes(const Header& h, SectionKind kind) {
   const std::uint64_t lut_rows =
       static_cast<std::uint64_t>(h.alphabet_size) * h.lut_stride;
   switch (kind) {
     case SectionKind::ShardDir:
       return h.shard_count * sizeof(ShardEntry);
-    case SectionKind::SeqDir:
-      return h.seq_count * sizeof(SeqEntry);
-    case SectionKind::IdBlob:
-      return 0;  // variable; validated via SeqDir id ranges
+    case SectionKind::SeqOffsets:
+    case SectionKind::IdOffsets:
+      return (h.seq_count + 1) * sizeof(std::uint64_t);
     case SectionKind::SeqBlob:
-      return 0;  // variable; validated via shard/seq ranges
+      return h.residue_total;
     case SectionKind::Permutation:
-      return h.seq_count * sizeof(std::uint64_t);
     case SectionKind::SigPopcounts:
     case SectionKind::SigLengths:
       return h.seq_count * sizeof(std::uint32_t);
+    case SectionKind::IdBlob:
+      return 0;
     case SectionKind::SigBlob:
       return h.seq_count * h.sig_words * sizeof(std::int32_t);
     case SectionKind::ProfileLutI8:
@@ -48,20 +49,28 @@ std::uint64_t expected_payload_bytes(const Header& h, SectionKind kind) {
   return 0;
 }
 
-// A filter-off search never reads the cold sections (format.h), so open
-// hashes them a window at a time and drops each window's pages once
-// hashed: the windows bound open's transient peak. The hot sections are
-// not released: every search reads SeqDir through its database() view.
-constexpr std::uint64_t kHashWindow = std::uint64_t{1} << 20;
-
-// True when [offset, offset + bytes) lies inside section `e`. Written in
-// subtraction form: offset + bytes can wrap past 2^64 and land back inside
-// the section.
-bool inside_section(std::uint64_t offset, std::uint64_t bytes,
-                    const SectionEntry& e) {
-  return offset >= e.offset && offset - e.offset <= e.bytes &&
-         bytes <= e.bytes - (offset - e.offset);
+// True when `payload` bytes zero-padded to kFileAlignment span exactly
+// `bytes`, a kFileAlignment multiple. Written in subtraction form:
+// align_up(payload) wraps past 2^64 for a payload near it.
+bool pads_to(std::uint64_t payload, std::uint64_t bytes) {
+  return payload <= bytes && bytes - payload < kFileAlignment;
 }
+
+// True when `off` starts at 0 and never decreases: an offset array whose
+// every range lies inside a payload of off.back() bytes.
+bool rises_from_zero(std::span<const std::uint64_t> off) {
+  if (off.front() != 0) return false;
+  for (std::size_t i = 1; i < off.size(); ++i) {
+    if (off[i] < off[i - 1]) return false;
+  }
+  return true;
+}
+
+// A filter-off search never reads the cold sections (format.h), so open
+// hashes a large one a window at a time and drops each window's pages once
+// hashed: the windows bound open's transient peak. The hot sections are
+// not released: every search reads SeqOffsets through its database() view.
+constexpr std::uint64_t kHashWindow = std::uint64_t{1} << 20;
 
 // Marks an original index no position has claimed yet in open()'s inverse
 // permutation, so the index must hold fewer sequences than this.
@@ -154,7 +163,8 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
   // directory span longer than its section.
   if (h.sig_words > h.file_bytes / sizeof(std::int32_t) ||
       h.seq_count > h.file_bytes / (h.sig_words * sizeof(std::int32_t)) ||
-      h.shard_count > h.file_bytes / sizeof(ShardEntry)) {
+      h.shard_count > h.file_bytes / sizeof(ShardEntry) ||
+      h.residue_total > h.file_bytes) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "header counts exceed the file size"));
   }
@@ -188,8 +198,8 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
                        at_path(path, "section " + std::to_string(e.kind) +
                                          " breaks the file tiling"));
     }
-    const std::uint64_t need = expected_payload_bytes(h, SectionKind(e.kind));
-    if (need != 0 && e.bytes != align_up(need)) {
+    if (SectionKind(e.kind) != SectionKind::IdBlob &&
+        !pads_to(expected_payload_bytes(h, SectionKind(e.kind)), e.bytes)) {
       throw StoreError(StoreErrc::BadLayout,
                        at_path(path, "section " + std::to_string(e.kind) +
                                          " size disagrees with the header "
@@ -213,46 +223,59 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
                                          " checksum mismatch"));
     }
   }
-  // A window releases only the pages wholly inside its section, so pages
-  // two cold sections share are still resident: drop the range once.
-  f.release(cold, h.file_bytes - cold);
 
-  // ---- Directory cross-checks (still O(seq_count), no residue reads) -----
-  const SectionEntry& blob = idx.section(SectionKind::SeqBlob);
-  const SectionEntry& ids = idx.section(SectionKind::IdBlob);
-  const auto seqs = idx.seq_dir();
-  std::uint64_t residues = 0;
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    const SeqEntry& s = seqs[i];
-    if (s.id_offset > ids.bytes || s.id_bytes > ids.bytes - s.id_offset) {
-      throw StoreError(StoreErrc::BadLayout,
-                       at_path(path, "sequence directory entry out of range"));
-    }
-    // Stored order is the serving order the signatures were built in.
-    if (i > 0 && s.length > seqs[i - 1].length) {
-      throw StoreError(StoreErrc::BadLayout,
-                       at_path(path, "sequence directory not longest first"));
-    }
-    residues += s.length;
-  }
-  if (residues != h.residue_total) {
+  // ---- Offsets, order, shards, permutation (O(seq_count), no residues) ---
+  // A mapped database trusts these arrays, so they are the only guard on
+  // its residue and id reads: both offset arrays tile their payloads.
+  const std::uint64_t n = h.seq_count;
+  const auto off = idx.residue_offsets();
+  if (!rises_from_zero(off) || off.back() != h.residue_total) {
     throw StoreError(StoreErrc::BadLayout,
-                     at_path(path, "residue total disagrees with directory"));
+                     at_path(path, "residue offsets do not tile the residue "
+                                   "blob"));
+  }
+  // Stored order is the serving order the signatures were built in.
+  for (std::size_t i = 1; i < n; ++i) {
+    if (off[i + 1] - off[i] > off[i] - off[i - 1]) {
+      throw StoreError(StoreErrc::BadLayout,
+                       at_path(path, "sequences not longest first"));
+    }
+  }
+  const auto id_off = idx.id_offsets();
+  if (!rises_from_zero(id_off) ||
+      !pads_to(id_off.back(), idx.section(SectionKind::IdBlob).bytes)) {
+    throw StoreError(StoreErrc::BadLayout,
+                     at_path(path, "id offsets do not tile the id blob"));
+  }
+  // Each shard starts where the one before it ends, so nonzero counts that
+  // sum to the sequence count tile the sequences, and the shards' residue
+  // ranges (the offsets') tile the blob.
+  std::uint64_t seq_cursor = 0;
+  for (const ShardEntry& sh : idx.shards()) {
+    if (sh.seq_count == 0 || sh.seq_count > n - seq_cursor) {
+      throw StoreError(StoreErrc::BadLayout,
+                       at_path(path, "shards do not tile the sequences"));
+    }
+    seq_cursor += sh.seq_count;
+  }
+  if (seq_cursor != n) {
+    throw StoreError(StoreErrc::BadLayout,
+                     at_path(path, "shards do not cover every sequence"));
   }
   // Each original index exactly once, checked while building the inverse
   // every database() shares: inv[orig] = pos, kUnplaced until claimed. An
   // identity permutation keeps no inverse.
-  if (seqs.size() >= kUnplaced) {
+  if (n >= kUnplaced) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "more sequences than the u32 inverse "
                                    "permutation indexes"));
   }
   const auto perm = idx.permutation();
-  const auto inv = std::make_shared<std::uint32_t[]>(seqs.size(), kUnplaced);
+  const auto inv = std::make_shared<std::uint32_t[]>(n, kUnplaced);
   bool identity = true;
   for (std::size_t pos = 0; pos < perm.size(); ++pos) {
-    const std::uint64_t orig = perm[pos];
-    if (orig >= perm.size() || inv[orig] != kUnplaced) {
+    const std::uint32_t orig = perm[pos];
+    if (orig >= n || inv[orig] != kUnplaced) {
       throw StoreError(StoreErrc::BadLayout,
                        at_path(path, "permutation section is not a "
                                      "permutation of the sequences"));
@@ -261,47 +284,10 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
     identity = identity && orig == pos;
   }
   if (!identity) idx.inv_ = inv;
-  // The only guard on Database::residues(), since a mapped database
-  // trusts these ranges: shards tile SeqBlob in order, and each shard's
-  // entries run back to back from its start and fill it up to its padding.
-  // So every residue a database reads lies in exactly one shard, under
-  // that shard's checksum, and no two subjects share a byte.
-  std::uint64_t seq_cursor = 0;
-  std::uint64_t blob_cursor = blob.offset;
-  for (const ShardEntry& sh : idx.shards()) {
-    if (sh.first_seq != seq_cursor || sh.seq_count == 0 ||
-        sh.seq_count > h.seq_count - seq_cursor ||
-        sh.blob_offset != blob_cursor ||
-        !inside_section(sh.blob_offset, sh.blob_bytes, blob)) {
-      throw StoreError(StoreErrc::BadLayout,
-                       at_path(path, "shard directory entry out of range"));
-    }
-    const std::uint64_t end = sh.blob_offset + sh.blob_bytes;
-    std::uint64_t at = sh.blob_offset;
-    for (const SeqEntry& s : seqs.subspan(sh.first_seq, sh.seq_count)) {
-      if (s.residue_offset != at || s.length > end - at) {
-        throw StoreError(StoreErrc::BadLayout,
-                         at_path(path, "sequence directory entry out of "
-                                       "range of its shard"));
-      }
-      at += s.length;
-    }
-    if (sh.blob_bytes != align_up(at - sh.blob_offset)) {
-      throw StoreError(StoreErrc::BadLayout,
-                       at_path(path, "shard size disagrees with its "
-                                     "residues"));
-    }
-    seq_cursor += sh.seq_count;
-    blob_cursor = end;
-  }
-  if (seq_cursor != h.seq_count) {
-    throw StoreError(StoreErrc::BadLayout,
-                     at_path(path, "shards do not cover every sequence"));
-  }
-  if (blob_cursor != blob.offset + blob.bytes) {
-    throw StoreError(StoreErrc::BadLayout,
-                     at_path(path, "shards do not tile the residue blob"));
-  }
+  // A window releases only the pages wholly inside its section, so pages
+  // two cold sections share are still resident, and the id offset check
+  // faulted IdOffsets back: drop the range once.
+  f.release(cold, h.file_bytes - cold);
 
   if (verify == Verify::Full) idx.verify_shards();
 
@@ -336,8 +322,14 @@ std::span<const ShardEntry> MappedIndex::shards() const {
   return typed_section<ShardEntry>(SectionKind::ShardDir, hdr_.shard_count);
 }
 
-std::span<const SeqEntry> MappedIndex::seq_dir() const {
-  return typed_section<SeqEntry>(SectionKind::SeqDir, hdr_.seq_count);
+std::span<const std::uint64_t> MappedIndex::residue_offsets() const {
+  return typed_section<std::uint64_t>(SectionKind::SeqOffsets,
+                                      hdr_.seq_count + 1);
+}
+
+std::span<const std::uint64_t> MappedIndex::id_offsets() const {
+  return typed_section<std::uint64_t>(SectionKind::IdOffsets,
+                                      hdr_.seq_count + 1);
 }
 
 filter::FilterParams MappedIndex::filter_params() const {
@@ -353,32 +345,32 @@ filter::FilterParams MappedIndex::filter_params() const {
   return p;
 }
 
-std::span<const std::uint64_t> MappedIndex::permutation() const {
-  return typed_section<std::uint64_t>(SectionKind::Permutation,
+std::span<const std::uint32_t> MappedIndex::permutation() const {
+  return typed_section<std::uint32_t>(SectionKind::Permutation,
                                       hdr_.seq_count);
 }
 
-seq::Database MappedIndex::view(std::span<const SeqEntry> dir,
-                                std::uint64_t residues,
+seq::Database MappedIndex::view(std::size_t first, std::size_t count,
                                 bool with_order) const {
-  // open() checked every entry's residue and id ranges, the order and the
-  // permutation, so the view addresses the mapping as it stands.
+  // open() checked both offset arrays, the order and the permutation, so
+  // the view addresses the mapping as it stands: subspans of the mapped
+  // offsets, based at their blobs.
   seq::Database::Layout l;
-  l.dir = dir;
-  l.residues = file_->data();  // SeqDir residue offsets are absolute
+  l.offsets = residue_offsets().subspan(first, count + 1);
+  l.residues = file_->data() + section(SectionKind::SeqBlob).offset;
+  l.id_offsets = id_offsets().subspan(first, count + 1);
   l.ids = reinterpret_cast<const char*>(file_->data()) +
           section(SectionKind::IdBlob).offset;
   if (with_order && inv_) {
     l.orig = permutation();
     l.inv = inv_;
   }
-  l.total_residues = residues;
   l.backing = file_;
   return seq::Database(std::move(l));
 }
 
 seq::Database MappedIndex::database() const {
-  return view(seq_dir(), hdr_.residue_total, true);
+  return view(0, hdr_.seq_count, true);
 }
 
 std::shared_ptr<const filter::SignatureIndex> MappedIndex::signatures() const {
@@ -398,41 +390,37 @@ ShardSlice MappedIndex::shard_slice(std::size_t i, std::size_t n) const {
                                 std::to_string(i) + "/" + std::to_string(n));
   }
   const auto all = shards();
-  const auto seqs = seq_dir();
-  // Exact per-shard residue totals from the sequence directory (blob_bytes
-  // includes the shard's tail padding).
-  std::vector<std::uint64_t> shard_residues(all.size(), 0);
-  for (std::size_t s = 0; s < all.size(); ++s) {
-    for (std::uint64_t k = 0; k < all[s].seq_count; ++k) {
-      shard_residues[s] += seqs[all[s].first_seq + k].length;
-    }
-  }
+  const auto off = residue_offsets();
   // Greedy contiguous residue balancing: cut each slice once it holds its
   // fair share of what remains. Deterministic, and every slice gets at
-  // least one shard while shards remain.
+  // least one shard while shards remain. The shards tile the sequences in
+  // order (open() checked), so a slice's sequences run from where the one
+  // before it ended, and its exact residue count is the offsets'
+  // difference across them.
   std::uint64_t remaining = hdr_.residue_total;
   std::size_t shard = 0;
+  std::size_t seq = 0;
   ShardSlice out;
   for (std::size_t slice = 0; slice < n; ++slice) {
     const std::size_t slices_left = n - slice;
     const std::uint64_t target = remaining / slices_left;
     const std::size_t first = shard;
+    const std::size_t first_seq = seq;
     std::uint64_t taken = 0;
     while (shard < all.size()) {
       // Leave at least one shard per remaining slice.
       if (shard - first > 0 && all.size() - shard <= slices_left - 1) break;
       if (shard - first > 0 && taken >= target) break;
-      taken += shard_residues[shard];
+      seq += all[shard].seq_count;
+      taken = off[seq] - off[first_seq];
       ++shard;
     }
     if (slice == i) {
       out.first_shard = first;
       out.shard_count = shard - first;
       if (out.shard_count > 0) {
-        out.first_seq = all[first].first_seq;
-        for (std::size_t s = first; s < shard; ++s) {
-          out.seq_count += all[s].seq_count;
-        }
+        out.first_seq = first_seq;
+        out.seq_count = seq - first_seq;
         out.residues = taken;
       }
       return out;
@@ -443,8 +431,7 @@ ShardSlice MappedIndex::shard_slice(std::size_t i, std::size_t n) const {
 }
 
 seq::Database MappedIndex::database(const ShardSlice& slice) const {
-  return view(seq_dir().subspan(slice.first_seq, slice.seq_count),
-              slice.residues, false);
+  return view(slice.first_seq, slice.seq_count, false);
 }
 
 std::shared_ptr<const filter::SignatureIndex> MappedIndex::signatures(
@@ -493,18 +480,23 @@ std::span<const std::int32_t> MappedIndex::profile_lut_i32() const {
 
 void MappedIndex::verify_shards() const {
   const auto all = shards();
+  const auto off = residue_offsets();
+  const SectionEntry& blob = section(SectionKind::SeqBlob);
+  std::uint64_t first_seq = 0;
   for (std::size_t i = 0; i < all.size(); ++i) {
     const ShardEntry& sh = all[i];
-    if (checksum(file_->range(sh.blob_offset, sh.blob_bytes), sh.blob_bytes) !=
-        sh.checksum) {
+    const ShardRange r = shard_range(first_seq, sh.seq_count, off, blob.bytes);
+    if (checksum(file_->range(blob.offset + r.begin, r.end - r.begin),
+                 r.end - r.begin) != sh.checksum) {
       throw StoreError(
           StoreErrc::ShardChecksum,
           at_path(file_->path(),
                   "shard " + std::to_string(i) + " (sequences [" +
-                      std::to_string(sh.first_seq) + ", +" +
+                      std::to_string(first_seq) + ", +" +
                       std::to_string(sh.seq_count) +
                       ")) residue checksum mismatch"));
     }
+    first_seq += sh.seq_count;
   }
 }
 

@@ -2,35 +2,38 @@
 //
 // MappedIndex::open maps the file and verifies the header + every
 // metadata section checksum — work proportional to the subject count,
-// never to the residue volume: 32 B of directory plus 256 B of signature
-// per subject are hashed at open, by the format's 32-lane checksum
-// (store/format.h), whose lane update runs as AVX-512F or AVX2 vector
-// code where the CPU has it, near the speed of a plain read of the same
-// bytes. It checks the section geometry first, then gives the cold
-// sections (format.h: the signatures and profile tables, which a
+// never to the residue volume: 12 B of hot metadata (a u64 residue offset
+// and a u32 permutation entry), 8 B of id offset plus the id, and 256 B
+// of signature per subject are hashed at open, by the format's 32-lane
+// checksum (store/format.h), whose lane update runs as AVX-512F or AVX2
+// vector code where the CPU has it, near the speed of a plain read of the
+// same bytes. It checks the section geometry first, then gives the cold
+// sections (format.h: the ids, signatures and profile tables, which a
 // filter-off search never reads) a mapping of their own, hashes them in
 // 1 MiB windows cut from each section's start (so each window but the
 // last is whole checksum strides) whose pages are released once hashed,
-// and releases the whole cold range at the end. The kernel maps page-cache folios of up to
-// 2 MiB whole but clips them at mapping bounds, so after a filter-off
-// search on a 26,032-subject index (Linux 6.18, ext4) no signature page
-// is resident and the mapping's resident bytes are the hot sections the
-// search read (docs/database_format.md). A filter scan faults the
-// signature pages back. The residue blob is verified per shard only under
-// Verify::Full (the `aalign_index verify` / CI corruption-fuzz path); the
-// serving path trusts the page cache and the per-shard checksums stay
-// available for offline audit.
+// and releases the whole cold range once the layout checks below are
+// done. The kernel maps page-cache folios of up to 2 MiB whole but clips
+// them at mapping bounds, so after a filter-off search on a
+// 26,032-subject index (Linux 6.18, ext4) no id or signature page is
+// resident and the mapping's resident bytes are the hot sections the
+// search read (docs/database_format.md). Reporting a hit faults its id's
+// pages back; a filter scan faults the signature pages back. The residue
+// blob is verified per shard only under Verify::Full (the `aalign_index
+// verify` / CI corruption-fuzz path); the serving path trusts the page
+// cache and the per-shard checksums stay available for offline audit.
 //
-// open() also checks the directory's ranges and longest-first order, that
-// the shards tile the residue blob with their subjects packed back to back
-// inside them, and that the Permutation section is a permutation, building
-// its u32 inverse in the same pass. database() then does no per-subject
-// work: the seq::Database it returns views the mapped SeqDir, IdBlob,
-// SeqBlob and Permutation sections in place and shares that inverse, with
-// the MappedFile pinned as its backing(). signatures() rehydrates the
-// persisted SignatureIndex without hashing a single k-mer. Both are
-// bit-identical to what the FASTA-parse path would produce
-// (tests/test_store.cpp enforces this differentially).
+// open() also checks that both offset arrays (residues and ids) start at
+// 0, never decrease and end at their blob's payload, that the sequences
+// are longest first, that the shards tile the sequences in order (so
+// their residue ranges tile the blob), and that the Permutation section
+// is a permutation, building its u32 inverse in the same pass. database()
+// then does no per-subject work: the seq::Database it returns views the
+// mapped SeqOffsets, SeqBlob, IdOffsets, IdBlob and Permutation sections
+// in place and shares that inverse, with the MappedFile pinned as its
+// backing(). signatures() rehydrates the persisted SignatureIndex without
+// hashing a single k-mer. Both are bit-identical to what the FASTA-parse
+// path would produce (tests/test_store.cpp enforces this differentially).
 #pragma once
 
 #include <cstdint>
@@ -85,7 +88,6 @@ class MappedIndex {
   // The section table, one entry per SectionKind in kind order.
   std::span<const SectionEntry> sections() const;
   std::span<const ShardEntry> shards() const;
-  std::span<const SeqEntry> seq_dir() const;
 
   // Filter parameters the signature sections were built with.
   filter::FilterParams filter_params() const;
@@ -93,7 +95,7 @@ class MappedIndex {
   // Zero-copy database in stored order - longest first, as the builder
   // wrote it and open() checked - with the stored original-index
   // permutation and the mapping pinned as the database's backing(). O(1):
-  // a view of the mapped directory, not a copy of it.
+  // a view of the mapped offset arrays, not a copy of them.
   seq::Database database() const;
 
   // Prebuilt signature index (never bumps filter.index_builds).
@@ -101,13 +103,14 @@ class MappedIndex {
 
   // Slice i of n: a residue-balanced contiguous partition of the shard
   // directory (deterministic for a given index, so every fleet member
-  // computes the same split). Throws std::invalid_argument unless
+  // computes the same split), in O(shards). Throws std::invalid_argument unless
   // i < n. Slices beyond the shard count come back empty - aalignd
   // refuses to serve one (docs/deployment.md covers sizing n).
   ShardSlice shard_slice(std::size_t i, std::size_t n) const;
 
   // Zero-copy O(1) database over `slice`, which shard_slice() made (its
-  // range and residue total are trusted), in stored order and UNPERMUTED:
+  // range is trusted): subspans of the mapped offset arrays, in stored
+  // order and UNPERMUTED:
   // a slice cannot carry the global permutation (its values fall outside
   // [0, seq_count)), so the fleet-global original indices travel
   // separately via original_indices() and are re-attached at the wire
@@ -140,12 +143,15 @@ class MappedIndex {
   MappedIndex() = default;
 
   const SectionEntry& section(SectionKind kind) const;
+  // The offset sections, seq_count + 1 entries each.
+  std::span<const std::uint64_t> residue_offsets() const;
+  std::span<const std::uint64_t> id_offsets() const;
   // The Permutation section: orig[pos] = original index.
-  std::span<const std::uint64_t> permutation() const;
-  // Database viewing directory run `dir` (`residues` residues in all) in
-  // the mapping, carrying the stored permutation when `with_order`: the
-  // one builder behind both database() overloads.
-  seq::Database view(std::span<const SeqEntry> dir, std::uint64_t residues,
+  std::span<const std::uint32_t> permutation() const;
+  // Database viewing stored positions [first, first + count) of the
+  // mapping, carrying the stored permutation when `with_order`: the one
+  // builder behind both database() overloads.
+  seq::Database view(std::size_t first, std::size_t count,
                      bool with_order) const;
   template <class T>
   std::span<const T> typed_section(SectionKind kind,

@@ -443,7 +443,7 @@ TEST(BatchScheduler, DroppedSentinelIsTrimmedFromTopK) {
   std::vector<seq::EncodedSequence> named;
   std::uniform_int_distribution<std::size_t> len(60, 320);
   for (int i = 0; i < 60; ++i) {
-    named.push_back({"s" + std::to_string(i),
+    named.push_back({std::string("s").append(std::to_string(i)),
                      i < 4 ? test::mutate(rng, query, 0.1, 0.02)
                            : test::random_protein(rng, len(rng))});
   }

@@ -145,7 +145,7 @@ TEST(FilterBoundaries, AllGuardDatabaseDropsNothing) {
   const auto query = test::random_protein(rng, 100);
   std::vector<seq::EncodedSequence> seqs;
   for (int i = 0; i < 12; ++i) {
-    seqs.push_back({"s" + std::to_string(i),
+    seqs.push_back({std::string("s").append(std::to_string(i)),
                     test::random_protein(rng, static_cast<std::size_t>(i))});
   }
   const seq::Database db(seqs);

@@ -141,6 +141,78 @@ TEST(Diagnostics, LexerAccumulatesAndParserContinues) {
   EXPECT_EQ(p.consts.at("B"), 2);
 }
 
+TEST(Diagnostics, OutOfRangeLiteralIsAA012) {
+  // INT32_MAX lexes; one more, and a 20-digit literal that would wrap a
+  // 64-bit accumulator, are AA012 errors at the literal, and the parse
+  // goes on with the token clamped, so the later statements still count.
+  DiagnosticEngine diags;
+  const Program p = parse(
+      "const int A = 2147483647;\n"
+      "const int B = -2147483648;\n"
+      "const int C = 99999999999999999999;\n"
+      "const int D = 7;",
+      diags);
+  std::vector<std::tuple<int, int, int>> spans;  // line, col, length
+  for (const Diagnostic& d : diags.diagnostics()) {
+    EXPECT_EQ(d.code, "AA012") << d.message;
+    EXPECT_EQ(d.severity, Severity::Error);
+    spans.emplace_back(d.span.line, d.span.col, d.span.len);
+  }
+  EXPECT_EQ(spans, (std::vector<std::tuple<int, int, int>>{{2, 16, 10},
+                                                          {3, 15, 20}}));
+  EXPECT_EQ(p.consts.at("A"), 2147483647);
+  EXPECT_EQ(p.consts.at("D"), 7);
+  const std::string text = diags.render(
+      "const int A = 2147483647;\nconst int B = -2147483648;\n"
+      "const int C = 99999999999999999999;\nconst int D = 7;",
+      "kernel.c");
+  EXPECT_NE(text.find("kernel.c:3:15: error[AA012]: integer literal "
+                      "99999999999999999999 is out of range (at most "
+                      "2147483647)"),
+            std::string::npos)
+      << text;
+}
+
+TEST(Diagnostics, GapWeightOutsideIntIsAA027) {
+  // Every literal is in range, but a gap arm's sum of them is not: it is
+  // an AA027 error at the recurrence, or at an inline arm's cell, and not
+  // AA023 (the weight is a penalty, just too large for the int fields).
+  const std::string loops =
+      "for (i = 1; i < n + 1; i++) {\n"
+      "  for (j = 1; j < m + 1; j++) {\n";
+  const std::string u_and_d =
+      "    U[i][j] = max(U[i][j - 1] - 4, T[i][j - 1] - 4);\n"
+      "    D[i][j] = T[i - 1][j - 1] + "
+      "BLOSUM62[ctoi(S[i - 1])][ctoi(Q[j - 1])];\n";
+  const std::string close = "  }\n}\n";
+  const std::string recurrence =
+      std::string(loops)
+          .append("    L[i][j] = max(L[i - 1][j] - 2147483647 - 2147483647, "
+                  "T[i - 1][j] - 2147483647 - 2147483647);\n")
+          .append(u_and_d)
+          .append("    T[i][j] = max(0, L[i][j], U[i][j], D[i][j]);\n")
+          .append(close);
+  const std::string inline_arm =
+      std::string(loops)
+          .append(u_and_d)
+          .append("    T[i][j] = max(0, T[i - 1][j] - 2147483647 - "
+                  "2147483647, U[i][j], D[i][j]);\n")
+          .append(close);
+  for (const auto& [source, line, col] :
+       {std::tuple<std::string, int, int>{recurrence, 3, 5},
+        std::tuple<std::string, int, int>{inline_arm, 5, 22}}) {
+    DiagnosticEngine diags;
+    const Program p = parse(source, diags);
+    ASSERT_FALSE(diags.has_errors());
+    verify(p, diags);
+    const std::multiset<Key> keys = keys_of(diags);
+    EXPECT_EQ(keys.count(Key{"AA027", "error", line, col}), 1u) << source;
+    for (const Diagnostic& d : diags.diagnostics()) {
+      EXPECT_NE(d.code, "AA023") << d.message;
+    }
+  }
+}
+
 TEST(Diagnostics, ParserRecoversAcrossStatements) {
   // Three independent parse errors; one run reports all of them.
   DiagnosticEngine diags;

@@ -91,14 +91,36 @@ void reseal(Bytes& m) {
     if (!read_at(m, at, e)) return;
     sections.push_back(e);
   }
-  const store::SectionEntry& dir =
-      sections[static_cast<std::uint32_t>(store::SectionKind::ShardDir) - 1];
+  // A shard's range is derived: it starts at the sequence where the shard
+  // before it ended, and spans SeqBlob bytes from the residue offset of its
+  // first sequence to the one past its last, or to the section's end for
+  // the shard that ends at the last sequence.
+  const auto at_kind = [&](store::SectionKind kind) -> store::SectionEntry& {
+    return sections[static_cast<std::uint32_t>(kind) - 1];
+  };
+  const store::SectionEntry& dir = at_kind(store::SectionKind::ShardDir);
+  const store::SectionEntry& off = at_kind(store::SectionKind::SeqOffsets);
+  const store::SectionEntry& blob = at_kind(store::SectionKind::SeqBlob);
+  const auto offset = [&](std::uint64_t seq, std::uint64_t& out) {
+    return seq <= (~std::uint64_t{0} - off.offset) / sizeof out &&
+           read_at(m, off.offset + seq * sizeof out, out);
+  };
+  std::uint64_t first_seq = 0;
   for (std::uint64_t s = 0; s < hdr.shard_count; ++s) {
     const std::uint64_t at = dir.offset + s * sizeof(store::ShardEntry);
     store::ShardEntry sh{};
     if (at < dir.offset || !read_at(m, at, sh)) break;
-    if (!in_file(m, sh.blob_offset, sh.blob_bytes)) continue;
-    sh.checksum = store::checksum(m.data() + sh.blob_offset, sh.blob_bytes);
+    const std::uint64_t first = first_seq;
+    if (sh.seq_count > ~std::uint64_t{0} - first) break;
+    first_seq += sh.seq_count;
+    std::uint64_t begin = 0, end = blob.bytes;
+    if (!offset(first, begin)) continue;
+    if (first_seq != hdr.seq_count && !offset(first_seq, end)) continue;
+    if (end < begin || blob.offset > ~std::uint64_t{0} - begin ||
+        !in_file(m, blob.offset + begin, end - begin)) {
+      continue;
+    }
+    sh.checksum = store::checksum(m.data() + blob.offset + begin, end - begin);
     std::memcpy(m.data() + at, &sh, sizeof sh);
   }
   for (std::uint32_t i = 0; i < store::kSectionCount; ++i) {
@@ -184,8 +206,8 @@ Bytes mutate(std::mt19937_64& rng, Bytes m, const Bytes& donor,
   return m;
 }
 
-// The end of the hot directories (header, section table, ShardDir, SeqDir,
-// IdBlob): the region where most byte edits land.
+// The end of the hot directories (header, section table, ShardDir,
+// SeqOffsets): the region where most byte edits land.
 std::uint64_t structure_end(const Bytes& m) {
   store::SectionEntry blob{};
   read_at(m,

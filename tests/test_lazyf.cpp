@@ -46,7 +46,7 @@ struct WorstCase {
   AlignConfig cfg;
 
   explicit WorstCase(std::size_t qlen = 64, std::size_t cols = 4,
-                     int match = 200, AlignKind kind = AlignKind::Global,
+                     int match = 127, AlignKind kind = AlignKind::Global,
                      int extend = 1)
       : m(score::ScoreMatrix::dna(match, 4)) {
     const auto& alpha = m.alphabet();

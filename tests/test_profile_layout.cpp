@@ -113,10 +113,14 @@ void rows_and_lookup_agree() {
       ASSERT_FALSE(rows.lookup());
       ASSERT_TRUE(lookup.lookup());
       for (std::size_t s = 0; s < subjects.size(); ++s) {
-        const std::string what = "T" + std::to_string(sizeof(T) * 8) +
-                                 " m=" + std::to_string(len) +
-                                 " pad=" + std::to_string(pad) +
-                                 " subject " + std::to_string(s);
+        const std::string what = std::string("T")
+                                     .append(std::to_string(sizeof(T) * 8))
+                                     .append(" m=")
+                                     .append(std::to_string(len))
+                                     .append(" pad=")
+                                     .append(std::to_string(pad))
+                                     .append(" subject ")
+                                     .append(std::to_string(s));
         const auto& subj = subjects[s];
         compare_kind<Ops, AlignKind::Local>(rows, lookup, subj,
                                             what + " local");

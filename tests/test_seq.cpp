@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/stats.h"
 #include "score/matrices.h"
@@ -67,6 +68,23 @@ TEST(Matrices, DnaMatrix) {
   EXPECT_EQ(m.score('A', 'A'), 5);
   EXPECT_EQ(m.score('A', 'C'), -4);
   EXPECT_EQ(m.score('A', 'N'), 0);
+}
+
+// The table stores int8 scores: a match or -mismatch outside [-128, 127]
+// is rejected instead of wrapping (dna(200, 4) once scored a match -56).
+TEST(Matrices, DnaMatrixRejectsScoresOutsideInt8) {
+  EXPECT_THROW(score::ScoreMatrix::dna(128, 1), std::invalid_argument);
+  EXPECT_THROW(score::ScoreMatrix::dna(1, 129), std::invalid_argument);
+  EXPECT_THROW(score::ScoreMatrix::dna(200, 4), std::invalid_argument);
+  try {
+    score::ScoreMatrix::dna(1, 129);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("-129"), std::string::npos)
+        << e.what();
+  }
+  const score::ScoreMatrix edge = score::ScoreMatrix::dna(127, 128);
+  EXPECT_EQ(edge.score('A', 'A'), 127);
+  EXPECT_EQ(edge.score('A', 'C'), -128);
 }
 
 TEST(Fasta, RoundTrip) {

@@ -194,7 +194,7 @@ TEST(ServiceProtocol, DeepNestingIsAParseError) {
 
   std::string objects;
   for (int i = 0; i <= cap; ++i) objects += R"({"a":)";
-  objects += "1" + std::string(cap + 1, '}');
+  objects.append("1").append(cap + 1, '}');
   EXPECT_TRUE(obs::Json::parse(objects, &e).is_null());
   EXPECT_NE(e.find("nesting"), std::string::npos) << e;
 

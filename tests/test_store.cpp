@@ -113,12 +113,14 @@ TEST(Store, RoundTripPreservesDatabase) {
   EXPECT_EQ(idx.header().residue_total, fasta_db.total_residues());
   EXPECT_STREQ(idx.header().matrix_name, matrix.name().c_str());
 
-  // Stored order is length-sorted: every shard's bounds must agree.
+  // Stored order is length-sorted and the shards cut it in order: each
+  // shard starts where the last ended, its first subject its longest.
+  std::uint64_t next = 0;
   for (const store::ShardEntry& sh : idx.shards()) {
-    EXPECT_GE(sh.max_len, sh.min_len);
-    EXPECT_EQ(mapped[sh.first_seq].size(), sh.max_len);
-    EXPECT_EQ(mapped[sh.first_seq + sh.seq_count - 1].size(), sh.min_len);
+    EXPECT_GE(mapped[next].size(), mapped[next + sh.seq_count - 1].size());
+    next += sh.seq_count;
   }
+  EXPECT_EQ(next, mapped.size());
 }
 
 TEST(Store, RoundTripPreservesSignatures) {
@@ -395,8 +397,9 @@ TEST_F(StoreCorruption, PayloadFlipsRejected) {
   {
     write_file(path_, bytes_);
     const store::MappedIndex idx = store::MappedIndex::open(path_);
-    const store::SeqEntry first = idx.seq_dir().front();
-    blob_mid = first.residue_offset + first.length / 2;
+    const auto first = idx.database().residues(0);
+    blob_mid = static_cast<std::size_t>(first.data() - idx.file()->data()) +
+               first.size() / 2;
   }
   const store::StoreErrc in_blob = open_expecting_error(flipped(blob_mid));
   EXPECT_EQ(in_blob, StoreErrc::ShardChecksum);
@@ -413,8 +416,9 @@ TEST_F(StoreCorruption, DirectoryVerifySkipsResidueBlob) {
   {
     write_file(path_, bytes_);
     const store::MappedIndex idx = store::MappedIndex::open(path_);
-    const store::SeqEntry first = idx.seq_dir().front();
-    blob_mid = first.residue_offset + first.length / 2;
+    const auto first = idx.database().residues(0);
+    blob_mid = static_cast<std::size_t>(first.data() - idx.file()->data()) +
+               first.size() / 2;
   }
   write_file(path_, flipped(blob_mid));
   EXPECT_NO_THROW(store::MappedIndex::open(path_, store::Verify::Directory));
@@ -444,23 +448,26 @@ TEST_F(StoreCorruption, NewerFormatVersionRejected) {
   }
 }
 
-// The stored order is the order the signatures were built in, so a
-// sequence directory that is not longest first is a layout defect even
-// with every checksum intact.
+// The stored order is the order the signatures were built in, so
+// residue offsets that are not longest first are a layout defect even
+// with every checksum intact. Subject 0 is given the last subject's
+// length, so subject 1 takes up the rest of their residues and is longer.
 TEST_F(StoreCorruption, UnsortedSeqDirRejected) {
   auto m = bytes_;
   store::Header hdr{};
   std::memcpy(&hdr, m.data(), sizeof hdr);
-  const store::SectionEntry dir = section(m, store::SectionKind::SeqDir);
-  const std::size_t last =
-      dir.offset + (hdr.seq_count - 1) * sizeof(store::SeqEntry);
-  store::SeqEntry first_entry, last_entry;
-  std::memcpy(&first_entry, m.data() + dir.offset, sizeof first_entry);
-  std::memcpy(&last_entry, m.data() + last, sizeof last_entry);
-  ASSERT_GT(first_entry.length, last_entry.length);
-  std::memcpy(m.data() + dir.offset, &last_entry, sizeof last_entry);
-  std::memcpy(m.data() + last, &first_entry, sizeof first_entry);
-  reseal(m, store::SectionKind::SeqDir);
+  const store::SectionEntry dir = section(m, store::SectionKind::SeqOffsets);
+  const auto off = [&](std::size_t i) {
+    std::uint64_t v;
+    std::memcpy(&v, m.data() + dir.offset + i * sizeof v, sizeof v);
+    return v;
+  };
+  const std::uint64_t first_len = off(1) - off(0);
+  const std::uint64_t last_len = off(hdr.seq_count) - off(hdr.seq_count - 1);
+  ASSERT_GT(first_len, last_len);
+  const std::uint64_t cut = off(0) + last_len;
+  std::memcpy(m.data() + dir.offset + sizeof cut, &cut, sizeof cut);
+  reseal(m, store::SectionKind::SeqOffsets);
   EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
 }
 
@@ -469,43 +476,89 @@ TEST_F(StoreCorruption, DuplicatePermutationEntryRejected) {
   auto m = bytes_;
   const store::SectionEntry perm =
       section(m, store::SectionKind::Permutation);
-  std::memcpy(m.data() + perm.offset + sizeof(std::uint64_t),
-              m.data() + perm.offset, sizeof(std::uint64_t));
+  std::memcpy(m.data() + perm.offset + sizeof(std::uint32_t),
+              m.data() + perm.offset, sizeof(std::uint32_t));
   reseal(m, store::SectionKind::Permutation);
   EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
 }
 
-// A residue range whose end wraps past 2^64 back inside the blob: offset
-// 2^64 - 64 passes an additive `offset + length <= blob end` test. A
-// mapped database trusts the directory, so this range check is the only
-// guard on its residue reads.
+// A residue offset near 2^64: 2^64 - 64 plus any length of 64 or more
+// wraps back inside the blob, so an additive `offset + length <= blob
+// end` test would pass it. A mapped database trusts the offsets, so the
+// check that they never decrease is the only guard on its residue reads.
 TEST_F(StoreCorruption, WrappedSeqDirOffsetRejected) {
   auto m = bytes_;
-  const store::SectionEntry dir = section(m, store::SectionKind::SeqDir);
-  store::SeqEntry first;
-  std::memcpy(&first, m.data() + dir.offset, sizeof first);
-  ASSERT_GE(first.length, 64u);  // long enough for the end to wrap
-  first.residue_offset = ~std::uint64_t{0} - 63;
-  std::memcpy(m.data() + dir.offset, &first, sizeof first);
-  reseal(m, store::SectionKind::SeqDir);
+  const store::SectionEntry dir = section(m, store::SectionKind::SeqOffsets);
+  std::uint64_t second;
+  std::memcpy(&second, m.data() + dir.offset + 2 * sizeof second,
+              sizeof second);
+  ASSERT_GE(second, 64u);  // long enough for the end to wrap
+  const std::uint64_t wrapped = ~std::uint64_t{0} - 63;
+  std::memcpy(m.data() + dir.offset + sizeof wrapped, &wrapped,
+              sizeof wrapped);
+  reseal(m, store::SectionKind::SeqOffsets);
   EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
             store::StoreErrc::BadLayout);
   EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
 }
 
-// The same wrap in the shard directory's residue range.
+// The same wrap in the shard directory: shard 0's and shard 1's sequence
+// counts raised by 2^63, so the running total wraps past 2^64 back onto
+// the true one and the shards after them still tile. Only the check of
+// each count against what is left stands between it and offsets read far
+// past the SeqOffsets section.
 TEST_F(StoreCorruption, WrappedShardOffsetRejected) {
+  const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
+  store::BuildParams params;
+  params.shard_target_residues = 2000;
+  bytes_ = store::build_index_bytes(seq::Database(make_workload(17, 40, 2)),
+                                    matrix, params);
   auto m = bytes_;
   const store::SectionEntry dir = section(m, store::SectionKind::ShardDir);
-  store::ShardEntry first;
+  ASSERT_GE(dir.bytes, 3 * sizeof(store::ShardEntry));
+  store::ShardEntry first, second;
   std::memcpy(&first, m.data() + dir.offset, sizeof first);
-  ASSERT_GE(first.blob_bytes, 64u);
-  first.blob_offset = ~std::uint64_t{0} - 63;
+  std::memcpy(&second, m.data() + dir.offset + sizeof first, sizeof second);
+  const std::uint64_t half = std::uint64_t{1} << 63;
+  first.seq_count += half;
+  second.seq_count += half;
   std::memcpy(m.data() + dir.offset, &first, sizeof first);
+  std::memcpy(m.data() + dir.offset + sizeof first, &second, sizeof second);
   reseal(m, store::SectionKind::ShardDir);
   EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
             store::StoreErrc::BadLayout);
   EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
+}
+
+// Residue offsets that rise from 0 but stop one residue short of the
+// blob's payload: the last subject loses its last residue.
+TEST_F(StoreCorruption, ResidueOffsetsShortOfBlobRejected) {
+  auto m = bytes_;
+  store::Header hdr{};
+  std::memcpy(&hdr, m.data(), sizeof hdr);
+  const store::SectionEntry dir = section(m, store::SectionKind::SeqOffsets);
+  const std::uint64_t short_end = hdr.residue_total - 1;
+  std::memcpy(m.data() + dir.offset + hdr.seq_count * sizeof short_end,
+              &short_end, sizeof short_end);
+  reseal(m, store::SectionKind::SeqOffsets);
+  EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
+            store::StoreErrc::BadLayout);
+}
+
+// Id offsets whose last entry runs one byte past the IdBlob section: the
+// last id would be read from the next section.
+TEST_F(StoreCorruption, IdOffsetsPastIdBlobRejected) {
+  auto m = bytes_;
+  store::Header hdr{};
+  std::memcpy(&hdr, m.data(), sizeof hdr);
+  const store::SectionEntry dir = section(m, store::SectionKind::IdOffsets);
+  const std::uint64_t past =
+      section(m, store::SectionKind::IdBlob).bytes + 1;
+  std::memcpy(m.data() + dir.offset + hdr.seq_count * sizeof past, &past,
+              sizeof past);
+  reseal(m, store::SectionKind::IdOffsets);
+  EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
+            store::StoreErrc::BadLayout);
 }
 
 // Open hashes the signature sections a window at a time and releases each
@@ -549,13 +602,15 @@ TEST_F(StoreCorruption, SignatureSectionFlipsRejectedAtOpen) {
   }
 }
 
-// Every byte of the first 256-byte stride of SeqDir and of SigBlob feeds
-// one of the checksum's 32 lanes (word k of each stride feeds lane k): a
-// single-bit flip at each of them, so every bit position of every lane's
-// word, is rejected by a Directory open.
+// Every byte of the first 256-byte stride of SeqOffsets, IdOffsets and
+// SigBlob feeds one of the checksum's 32 lanes (word k of each stride
+// feeds lane k): a single-bit flip at each of them, so every bit position
+// of every lane's word, is rejected by a Directory open - in a hot section
+// and in cold ones, which open hashes in released windows.
 TEST_F(StoreCorruption, EveryChecksumLaneGuardsItsSection) {
   for (const store::SectionKind kind :
-       {store::SectionKind::SeqDir, store::SectionKind::SigBlob}) {
+       {store::SectionKind::SeqOffsets, store::SectionKind::IdOffsets,
+        store::SectionKind::SigBlob}) {
     const store::SectionEntry e = section(bytes_, kind);
     ASSERT_GE(e.bytes, store::kChecksumStride);
     for (std::size_t off = 0; off < store::kChecksumStride; ++off) {
@@ -592,11 +647,11 @@ TEST_F(StoreCorruption, WrappingHeaderCountRejected) {
 }
 
 // A version-1 file (the single-chain checksum), a version-2 one (each
-// sequence padded to 64 bytes) or a version-3 one (the four-lane
-// checksum) is rejected by the version gate with the rebuild hint, before
-// any checksum is read.
+// sequence padded to 64 bytes), a version-3 one (the four-lane checksum)
+// or a version-4 one (32-byte directory entries) is rejected by the
+// version gate with the rebuild hint, before any checksum is read.
 TEST_F(StoreCorruption, VersionOneFileRejected) {
-  for (const std::uint32_t version : {1u, 2u, 3u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u}) {
     auto m = bytes_;
     std::memcpy(m.data() + offsetof(store::Header, format_version), &version,
                 sizeof version);
@@ -613,28 +668,30 @@ TEST_F(StoreCorruption, VersionOneFileRejected) {
   }
 }
 
-// A SeqDir entry pointed at another subject's residues, every checksum
-// resealed: a mapped database would serve subject 0's residues as subject
-// 1's. Subject 1 is no longer where its shard's packing puts it.
+// Subject 1 pointed at subject 0's residues, every checksum resealed. An
+// offset array cannot state an alias - a subject's range is the gap
+// between its offsets - so the nearest mutant moves subject 1's start
+// back onto subject 0's: subject 0 comes out empty, and the order is no
+// longer longest first.
 TEST_F(StoreCorruption, SeqDirEntryAliasesAnotherSubjectRejected) {
   auto m = bytes_;
-  const store::SectionEntry dir = section(m, store::SectionKind::SeqDir);
-  store::SeqEntry first, second;
+  const store::SectionEntry dir = section(m, store::SectionKind::SeqOffsets);
+  std::uint64_t first, second;
   std::memcpy(&first, m.data() + dir.offset, sizeof first);
   std::memcpy(&second, m.data() + dir.offset + sizeof first, sizeof second);
-  ASSERT_GE(first.length, second.length);  // the alias stays in range
-  second.residue_offset = first.residue_offset;
-  std::memcpy(m.data() + dir.offset + sizeof first, &second, sizeof second);
-  reseal(m, store::SectionKind::SeqDir);
+  ASSERT_GT(second, first);  // subject 0 is not empty
+  std::memcpy(m.data() + dir.offset + sizeof first, &first, sizeof first);
+  reseal(m, store::SectionKind::SeqOffsets);
   EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
             store::StoreErrc::BadLayout);
   EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
 }
 
-// Shard 1 of several starts 64 bytes late, resealed: its range stays in
-// the blob, but the shards no longer tile it, so the 64 bytes before it
-// belong to no shard's checksum and its subjects' residues start outside
-// its own.
+// A shard starts where the one before it ends, so only the counts can
+// break the tiling. Resealed: shard 1 of several one subject short leaves
+// the last subject in no shard's checksum; shard 1 emptied, with shard 2
+// taking its subjects, keeps the sum (so only the nonzero-count check
+// stands in the way).
 TEST_F(StoreCorruption, ShardBlobGapRejected) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   store::BuildParams params;
@@ -645,14 +702,25 @@ TEST_F(StoreCorruption, ShardBlobGapRejected) {
   const store::SectionEntry dir = section(m, store::SectionKind::ShardDir);
   ASSERT_GE(dir.bytes, 3 * sizeof(store::ShardEntry));  // shard 1 is inner
   const std::size_t at = dir.offset + sizeof(store::ShardEntry);
-  store::ShardEntry shard;
+  store::ShardEntry shard, next;
   std::memcpy(&shard, m.data() + at, sizeof shard);
-  shard.blob_offset += 64;
-  std::memcpy(m.data() + at, &shard, sizeof shard);
-  reseal(m, store::SectionKind::ShardDir);
-  EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
-            store::StoreErrc::BadLayout);
-  EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
+  std::memcpy(&next, m.data() + at + sizeof shard, sizeof next);
+  ASSERT_GE(shard.seq_count, 2u);
+  const std::uint64_t short_by_one[2] = {shard.seq_count - 1, next.seq_count};
+  const std::uint64_t emptied[2] = {0, next.seq_count + shard.seq_count};
+  for (const auto* counts : {short_by_one, emptied}) {
+    store::ShardEntry a = shard, b = next;
+    a.seq_count = counts[0];
+    b.seq_count = counts[1];
+    std::memcpy(m.data() + at, &a, sizeof a);
+    std::memcpy(m.data() + at + sizeof a, &b, sizeof b);
+    reseal(m, store::SectionKind::ShardDir);
+    EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
+              store::StoreErrc::BadLayout)
+        << "count " << counts[0];
+    EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout)
+        << "count " << counts[0];
+  }
 }
 
 // The loader hashes the signature sections in windows: the checksum's
@@ -730,7 +798,8 @@ std::vector<seq::Sequence> record_workload() {
   seqs.push_back({std::string(16, 'b'), ""});
   seqs.push_back({std::string(40, 'c'), residues(120)});
   for (int i = 0; i < 60; ++i) {
-    seqs.push_back({"r" + std::to_string(i), residues(20 + (i * 37) % 300)});
+    seqs.push_back({std::string("r").append(std::to_string(i)),
+                    residues(20 + (i * 37) % 300)});
   }
   std::stringstream fasta;
   seq::write_fasta(fasta, seqs);
@@ -792,6 +861,77 @@ TEST(StoreRecords, MatchTheFastaParsedDatabase) {
   }
 }
 
+// The builder writes a FASTA-built database's arrays verbatim: the mapped
+// SeqOffsets, IdOffsets and Permutation payloads are its offsets and
+// permutation byte for byte, and the blobs its residues and ids.
+TEST(StoreRecords, MappedArraysAreTheDatabaseArrays) {
+  const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
+  const auto parsed = record_workload();
+  const seq::Database db(matrix.alphabet(), parsed);
+  ASSERT_TRUE(db.permuted());
+  TempIndex tmp(db, matrix);
+  const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
+  const auto payload = [&](store::SectionKind kind) {
+    const store::SectionEntry& e =
+        idx.sections()[static_cast<std::size_t>(kind) - 1];
+    return idx.file()->range(e.offset, e.bytes);
+  };
+  const seq::Database::Layout& l = db.layout();
+  const auto same = [](const std::uint8_t* mapped, const void* owned,
+                       std::size_t bytes) {
+    return std::memcmp(mapped, owned, bytes) == 0;
+  };
+  ASSERT_EQ(l.offsets.size(), db.size() + 1);
+  ASSERT_EQ(l.offsets.front(), 0u);
+  EXPECT_TRUE(same(payload(store::SectionKind::SeqOffsets), l.offsets.data(),
+                   l.offsets.size_bytes()));
+  EXPECT_TRUE(same(payload(store::SectionKind::IdOffsets),
+                   l.id_offsets.data(), l.id_offsets.size_bytes()));
+  EXPECT_TRUE(same(payload(store::SectionKind::Permutation), l.orig.data(),
+                   l.orig.size_bytes()));
+  EXPECT_TRUE(same(payload(store::SectionKind::SeqBlob), l.residues,
+                   db.total_residues()));
+  EXPECT_TRUE(same(payload(store::SectionKind::IdBlob), l.ids,
+                   l.id_offsets.back()));
+}
+
+// A slice's database views subspans of the mapped offset arrays: at every
+// slice's first and last subject, its id and residues are those of the
+// whole database's subject with the same original index.
+TEST(StoreRecords, SliceIdsMatchTheWholeDatabase) {
+  const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
+  const auto parsed = record_workload();
+  store::BuildParams params;
+  params.shard_target_residues = 1500;  // several shards
+  TempIndex tmp(seq::Database(matrix.alphabet(), parsed), matrix, params);
+  const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
+  const seq::Database whole = idx.database();
+  ASSERT_GE(idx.header().shard_count, 4u);
+  for (const std::size_t n : {1u, 2u, 3u, 4u}) {
+    std::size_t covered = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const store::ShardSlice slice = idx.shard_slice(i, n);
+      const seq::Database part = idx.database(slice);
+      const std::vector<std::size_t> orig = idx.original_indices(slice);
+      ASSERT_EQ(part.size(), slice.seq_count);
+      ASSERT_EQ(orig.size(), slice.seq_count);
+      ASSERT_FALSE(part.empty()) << i << "/" << n;
+      EXPECT_FALSE(part.permuted());
+      EXPECT_EQ(part.total_residues(), slice.residues);
+      for (const std::size_t local : {std::size_t{0}, part.size() - 1}) {
+        const seq::Record want = whole.by_original(orig[local]);
+        EXPECT_EQ(part.by_original(local).id, want.id)
+            << i << "/" << n << " subject " << local;
+        EXPECT_EQ(part.by_original(local).view().data(), want.view().data())
+            << i << "/" << n << " subject " << local;
+        EXPECT_EQ(want.id, parsed[orig[local]].id);
+      }
+      covered += part.size();
+    }
+    EXPECT_EQ(covered, whole.size()) << n;
+  }
+}
+
 TEST(StoreRecords, DatabaseOutlivesItsIndex) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto parsed = record_workload();
@@ -839,7 +979,9 @@ TEST(StoreEdge, SingleSequencePerShard) {
   EXPECT_EQ(idx.header().shard_count, seqs.size());
   for (const store::ShardEntry& sh : idx.shards()) {
     EXPECT_EQ(sh.seq_count, 1u);
-    EXPECT_EQ(sh.min_len, sh.max_len);
+  }
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    EXPECT_EQ(idx.shard_slice(i, seqs.size()).first_seq, i);
   }
   expect_same_database(db, idx.database());
 }
@@ -863,7 +1005,11 @@ TEST(StoreEdge, ShardBoundaryExactlyAtPageSize) {
   ASSERT_EQ(idx.header().shard_count, 1u);  // 64 * 64 == 4096 fits exactly
   const store::ShardEntry sh = idx.shards().front();
   EXPECT_EQ(sh.seq_count, 64u);
-  EXPECT_EQ(sh.blob_bytes, 4096u);  // exactly one page of residues
+  // Exactly one page of residues, with no zero tail.
+  EXPECT_EQ(idx.shard_slice(0, 1).residues, 4096u);
+  EXPECT_EQ(idx.sections()[static_cast<std::size_t>(
+                               store::SectionKind::SeqBlob) - 1].bytes,
+            4096u);
 
   // One residue more than the budget: the 65th sequence starts shard 2.
   seqs.push_back({"pg64", test::random_protein(rng, 64)});
@@ -956,9 +1102,10 @@ long present_pages(const std::uint8_t* begin, const std::uint8_t* end) {
 // page-cache folios of up to 2 MiB whole: with SigBlob wider than one
 // folio, a fault near the end of the hot sections would map signature
 // pages unless open() gave the cold tail a mapping of its own. After the
-// search no page from the first page boundary in SigPopcounts to the end
-// of the file is present; a filter-on search then faults the signatures
-// back and returns the FASTA path's hits.
+// search no page from the first page boundary in IdOffsets to the end of
+// the file is present - no id page and no signature page; a filter-on
+// search then faults the signatures back and returns the FASTA path's
+// hits.
 TEST(StoreResidency, FilterOffSearchLeavesSignaturesUnmapped) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(23, 9000, 40, 8, 24);
@@ -981,14 +1128,25 @@ TEST(StoreResidency, FilterOffSearchLeavesSignaturesUnmapped) {
   search::BatchScheduler(matrix, local_config(), opt).run(queries, db);
 
   const std::uint8_t* base = idx.file()->data();
-  const store::SectionEntry dir = section(store::SectionKind::SeqDir);
+  const store::SectionEntry dir = section(store::SectionKind::SeqOffsets);
   if (present_pages(base + dir.offset, base + dir.offset + dir.bytes) <= 0) {
     GTEST_SKIP() << "/proc/self/pagemap shows no present bit";
   }
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   const std::uint64_t cold =
-      store::align_up(section(store::kFirstColdSection).offset,
-                      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)));
+      store::align_up(section(store::kFirstColdSection).offset, page);
   EXPECT_EQ(present_pages(base + cold, base + idx.file_bytes()), 0);
+  // The ids lead the cold tail: no page wholly inside IdOffsets or IdBlob
+  // is present either, though the database() the search ran on views them.
+  for (const store::SectionKind kind :
+       {store::SectionKind::IdOffsets, store::SectionKind::IdBlob}) {
+    const store::SectionEntry e = section(kind);
+    ASSERT_GE(e.bytes, 2 * page) << "section " << e.kind;
+    EXPECT_EQ(present_pages(base + store::align_up(e.offset, page),
+                            base + e.offset + e.bytes),
+              0)
+        << "section " << e.kind;
+  }
 
   opt.filter.mode = filter::FilterMode::On;
   search::SearchOptions mopt = opt;

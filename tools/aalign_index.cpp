@@ -125,15 +125,20 @@ int run_inspect(const std::string& path) {
   }
   std::printf("shards          %llu\n",
               static_cast<unsigned long long>(h.shard_count));
+  // A shard is a cut of the longest-first order: its first subject is its
+  // longest, its last its shortest, and its residues run between them.
+  const seq::Database db = idx.database();
   const auto shards = idx.shards();
+  std::size_t first_seq = 0;
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    const store::ShardEntry& sh = shards[i];
-    std::printf("  shard %-4zu seqs [%llu, +%llu)  len %llu..%llu  %llu B\n",
-                i, static_cast<unsigned long long>(sh.first_seq),
-                static_cast<unsigned long long>(sh.seq_count),
-                static_cast<unsigned long long>(sh.min_len),
-                static_cast<unsigned long long>(sh.max_len),
-                static_cast<unsigned long long>(sh.blob_bytes));
+    const std::size_t count = shards[i].seq_count;
+    const auto longest = db.residues(first_seq);
+    const auto shortest = db.residues(first_seq + count - 1);
+    std::printf("  shard %-4zu seqs [%zu, +%zu)  len %zu..%zu  %zu B\n", i,
+                first_seq, count, shortest.size(), longest.size(),
+                static_cast<std::size_t>(shortest.data() + shortest.size() -
+                                         longest.data()));
+    first_seq += count;
   }
   return 0;
 }

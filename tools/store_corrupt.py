@@ -4,20 +4,24 @@
 Mutates a known-good index file — truncations at several offsets, single
 bit flips in the header, section table, shard directory, residue blob,
 the middle of every metadata section (located through the section
-table), each 8-byte word of one 256-byte stride of the signature blob
-(one per checksum lane, 32 in all), and final byte, plus version-1,
-version-2 and version-3 headers — and runs `aalign_index verify` on every
-mutant.
+table), each 8-byte word of one 256-byte stride of the signature blob and
+of the first stride of the SeqOffsets, Permutation and IdOffsets
+sections (one per checksum lane, 32 each), and final byte, plus
+version-1 through version-4 headers — and runs `aalign_index verify` on
+every mutant.
 
-Six more mutants are *resealed*: an edit to the shard directory, the
-sequence directory or the permutation, after which the edited section's
-checksum and the header checksum are recomputed (a Python port of the
-format's 32-lane FNV-1a, store/format.h `Checksum`). They get past
-every checksum and reach the layout checks: a residue range whose end
-wraps past 2^64 (sequence and shard directory), a sequence directory out
-of longest-first order, a permutation naming one index twice, a
-sequence directory entry aliasing the previous subject's residues, and
-a shard that starts 64 bytes late (a gap the shards no longer tile).
+The *resealed* mutants edit an offset array, the shard directory or the
+permutation, then recompute the edited section's checksum and the header
+checksum (a Python port of the format's 32-lane FNV-1a, store/format.h
+`Checksum`). They get past every checksum and reach the layout checks:
+a residue offset that decreases, one near 2^64 (whose range would wrap
+back inside the blob), a final residue offset short of the blob payload,
+two lengths out of longest-first order, an id offset that decreases, a
+final id offset past the IdBlob, a permutation naming one index twice, a
+shard count that wraps past 2^64, shard counts that sum to one sequence
+fewer or one more than the index holds, and an empty shard whose
+neighbour takes its sequences (the counts still add up). One more
+reseals a version-4 header, which the version gate rejects.
 
 Each mutant must be REJECTED the structured way:
 
@@ -25,7 +29,8 @@ Each mutant must be REJECTED the structured way:
     layout-check hole),
   * not killed by a signal (a crash on corrupt input is a loader bug),
   * stderr naming a `store.<code>` token (the documented error contract);
-    a resealed mutant must name `store.bad_layout`.
+    a resealed layout mutant must name `store.bad_layout`, the resealed
+    version-4 header `store.bad_version`.
 
 Usage:
   store_corrupt.py --tool build/tools/aalign_index --index db.aidx
@@ -49,25 +54,27 @@ HEADER_BYTES = 176  # sizeof(store::Header); section table follows
 SECTION_ENTRY_BYTES = 32
 # store::SectionKind in kind order; the section table holds one entry each.
 SECTION_NAMES = (
-    "shard_dir", "seq_dir", "id_blob", "seq_blob", "permutation",
+    "shard_dir", "seq_offsets", "seq_blob", "permutation",
+    "id_offsets", "id_blob",
     "sig_popcounts", "sig_lengths", "sig_blob",
     "profile_lut_i8", "profile_lut_i16", "profile_lut_i32",
 )
 SHARD_DIR_SECTION = SECTION_NAMES.index("shard_dir")
-SEQ_DIR_SECTION = SECTION_NAMES.index("seq_dir")
+SEQ_OFFSETS_SECTION = SECTION_NAMES.index("seq_offsets")
 SEQ_BLOB_SECTION = SECTION_NAMES.index("seq_blob")
 PERMUTATION_SECTION = SECTION_NAMES.index("permutation")
+ID_OFFSETS_SECTION = SECTION_NAMES.index("id_offsets")
+ID_BLOB_SECTION = SECTION_NAMES.index("id_blob")
 SIG_BLOB_SECTION = SECTION_NAMES.index("sig_blob")
 FORMAT_VERSION_OFFSET = 12  # store::Header::format_version (u32)
 HEADER_BYTES_OFFSET = 16  # store::Header::header_bytes (u64)
 HEADER_CHECKSUM_OFFSET = 168  # store::Header::header_checksum (u64)
 SECTION_CHECKSUM_OFFSET = 24  # store::SectionEntry::checksum (u64)
 SEQ_COUNT_OFFSET = 40  # store::Header::seq_count (u64)
-SEQ_ENTRY_BYTES = 32  # store::SeqEntry: residue_offset, length, id range
-SHARD_ENTRY_BYTES = 64  # store::ShardEntry
-SHARD_BLOB_OFFSET = 16  # store::ShardEntry::blob_offset (u64)
-SHARD_BLOB_BYTES = 24  # store::ShardEntry::blob_bytes (u64)
+RESIDUE_TOTAL_OFFSET = 48  # store::Header::residue_total (u64)
 SHARD_COUNT_OFFSET = 56  # store::Header::shard_count (u64)
+SHARD_ENTRY_BYTES = 16  # store::ShardEntry: seq_count, checksum
+SHARD_SEQ_COUNT = 0  # store::ShardEntry::seq_count (u64)
 # The integrity checksum runs 32 FNV-1a lanes over 256-byte strides: word
 # k of every stride feeds lane k.
 CHECKSUM_LANES = 32
@@ -102,17 +109,22 @@ def checksum(data: bytes) -> int:
     return fnv1a64(struct.pack(stride, *lanes))
 
 
+def seal_header(m: bytearray) -> bytes:
+    """Recomputes the header checksum over the header and section table."""
+    (header_bytes,) = struct.unpack_from("<Q", m, HEADER_BYTES_OFFSET)
+    struct.pack_into("<Q", m, HEADER_CHECKSUM_OFFSET, 0)
+    struct.pack_into("<Q", m, HEADER_CHECKSUM_OFFSET,
+                     checksum(bytes(m[:header_bytes])))
+    return bytes(m)
+
+
 def reseal(m: bytearray, index: int) -> bytes:
     """Recomputes section `index`'s checksum, then the header checksum."""
     offset, nbytes = section_range(m, index)
     entry = HEADER_BYTES + index * SECTION_ENTRY_BYTES
     struct.pack_into("<Q", m, entry + SECTION_CHECKSUM_OFFSET,
                      checksum(bytes(m[offset:offset + nbytes])))
-    (header_bytes,) = struct.unpack_from("<Q", m, HEADER_BYTES_OFFSET)
-    struct.pack_into("<Q", m, HEADER_CHECKSUM_OFFSET, 0)
-    struct.pack_into("<Q", m, HEADER_CHECKSUM_OFFSET,
-                     checksum(bytes(m[:header_bytes])))
-    return bytes(m)
+    return seal_header(m)
 
 
 def section_range(data: bytes, index: int):
@@ -123,47 +135,83 @@ def section_range(data: bytes, index: int):
 
 
 def resealed_mutations(data: bytes):
-    """Yields (name, mutated_bytes) pairs that every checksum accepts."""
+    """Yields (name, mutated_bytes) pairs that every checksum accepts and
+    the layout checks must reject."""
     (seq_count,) = struct.unpack_from("<Q", data, SEQ_COUNT_OFFSET)
+    (residue_total,) = struct.unpack_from("<Q", data, RESIDUE_TOTAL_OFFSET)
     shard_dir, _ = section_range(data, SHARD_DIR_SECTION)
-    seq_dir, _ = section_range(data, SEQ_DIR_SECTION)
+    seqs, _ = section_range(data, SEQ_OFFSETS_SECTION)
+    ids, _ = section_range(data, ID_OFFSETS_SECTION)
+    _, id_blob_bytes = section_range(data, ID_BLOB_SECTION)
     perm, _ = section_range(data, PERMUTATION_SECTION)
-    last = seq_dir + (seq_count - 1) * SEQ_ENTRY_BYTES
+
+    def offset(base, i):
+        return struct.unpack_from("<Q", data, base + 8 * i)[0]
+
+    def set_offset(name, base, i, value, section):
+        m = bytearray(data)
+        struct.pack_into("<Q", m, base + 8 * i, value)
+        return name, reseal(m, section)
+
+    # Subject 1's range would start before subject 0's end.
+    yield set_offset("resealed_seq_offset_decreases", seqs, 2,
+                     offset(seqs, 1) - 1, SEQ_OFFSETS_SECTION)
+    # Subject 0's range would end past 2^64 - 64: its end and subject 1's
+    # range wrap back inside the blob.
+    yield set_offset("resealed_wrapped_seq_offset", seqs, 1, WRAPPING_OFFSET,
+                     SEQ_OFFSETS_SECTION)
+    # The last subject loses its last residue: the offsets no longer end
+    # at the blob payload.
+    yield set_offset("resealed_seq_offsets_short", seqs, seq_count,
+                     residue_total - 1, SEQ_OFFSETS_SECTION)
+    # Subject 0 takes the last subject's length and subject 1 the rest of
+    # their residues: no longer longest first.
+    last_len = offset(seqs, seq_count) - offset(seqs, seq_count - 1)
+    yield set_offset("resealed_seq_lengths_unsorted", seqs, 1,
+                     offset(seqs, 0) + last_len, SEQ_OFFSETS_SECTION)
+    yield set_offset("resealed_id_offset_decreases", ids, 2,
+                     offset(ids, 1) - 1, ID_OFFSETS_SECTION)
+    yield set_offset("resealed_id_offsets_past_blob", ids, seq_count,
+                     id_blob_bytes + 1, ID_OFFSETS_SECTION)
 
     m = bytearray(data)
-    struct.pack_into("<Q", m, seq_dir, WRAPPING_OFFSET)
-    yield "resealed_wrapped_seq_dir_offset", reseal(m, SEQ_DIR_SECTION)
-
-    m = bytearray(data)
-    struct.pack_into("<Q", m, shard_dir + SHARD_BLOB_OFFSET, WRAPPING_OFFSET)
-    yield "resealed_wrapped_shard_offset", reseal(m, SHARD_DIR_SECTION)
-
-    m = bytearray(data)
-    first_entry = data[seq_dir:seq_dir + SEQ_ENTRY_BYTES]
-    m[seq_dir:seq_dir + SEQ_ENTRY_BYTES] = data[last:last + SEQ_ENTRY_BYTES]
-    m[last:last + SEQ_ENTRY_BYTES] = first_entry
-    yield "resealed_seq_dir_unsorted", reseal(m, SEQ_DIR_SECTION)
-
-    m = bytearray(data)
-    m[perm + 8:perm + 16] = data[perm:perm + 8]
+    m[perm + 4:perm + 8] = data[perm:perm + 4]
     yield "resealed_duplicate_permutation", reseal(m, PERMUTATION_SECTION)
 
-    # Subject 1 reads subject 0's residues (no longer than them: the
-    # directory is longest first, so the range stays inside the blob).
     m = bytearray(data)
-    m[seq_dir + SEQ_ENTRY_BYTES:seq_dir + SEQ_ENTRY_BYTES + 8] = \
-        data[seq_dir:seq_dir + 8]
-    yield "resealed_seq_dir_alias", reseal(m, SEQ_DIR_SECTION)
+    struct.pack_into("<Q", m, shard_dir + SHARD_SEQ_COUNT, WRAPPING_OFFSET)
+    yield "resealed_wrapped_shard_count", reseal(m, SHARD_DIR_SECTION)
 
-    # The second shard (the first, in a one-shard index) starts 64 bytes
-    # late and ends where it did, so its range stays inside the blob.
+    # A shard starts where the one before it ends, so its first sequence
+    # is derived, not stored: the counts are what can break the tiling.
+    # The first shard's count one short leaves the last sequence in no
+    # shard; one long runs the shards past the last sequence. An empty
+    # first shard whose successor takes its sequences keeps the sum (in a
+    # one-shard index it also comes up short).
     (shard_count,) = struct.unpack_from("<Q", data, SHARD_COUNT_OFFSET)
-    entry = shard_dir + min(1, shard_count - 1) * SHARD_ENTRY_BYTES
-    m = bytearray(data)
-    for field, delta in ((SHARD_BLOB_OFFSET, 64), (SHARD_BLOB_BYTES, -64)):
-        (value,) = struct.unpack_from("<Q", data, entry + field)
-        struct.pack_into("<Q", m, entry + field, value + delta)
-    yield "resealed_shard_blob_gap", reseal(m, SHARD_DIR_SECTION)
+    counts = [struct.unpack_from("<Q", data, shard_dir + s * SHARD_ENTRY_BYTES
+                                 + SHARD_SEQ_COUNT)[0]
+              for s in range(min(2, shard_count))]
+
+    def set_counts(name, new_counts):
+        m = bytearray(data)
+        for s, count in enumerate(new_counts):
+            struct.pack_into("<Q", m, shard_dir + s * SHARD_ENTRY_BYTES +
+                             SHARD_SEQ_COUNT, count)
+        return f"resealed_shard_counts_{name}", reseal(m, SHARD_DIR_SECTION)
+
+    yield set_counts("short", [counts[0] - 1])
+    yield set_counts("long", [counts[0] + 1])
+    yield set_counts("empty_shard", [0] + [counts[0] + c for c in counts[1:]])
+
+
+def lane_flips(data: bytes, name: str, stride: int):
+    """One bit flip in each 8-byte word of the 256-byte stride at `stride`:
+    word k of every stride feeds checksum lane k."""
+    for lane in range(CHECKSUM_LANES):
+        m = bytearray(data)
+        m[stride + 8 * lane + 3] ^= 1 << (lane % 8)
+        yield f"flip_{name}_lane{lane}", bytes(m)
 
 
 def mutations(data: bytes):
@@ -185,7 +233,8 @@ def mutations(data: bytes):
     yield "flip_version", flip(12)
     yield "flip_header_mid", flip(100, 3)
     yield "flip_section_table", flip(180, 5)
-    yield "flip_shard_dir", flip(260, 1)
+    shard_dir, _ = section_range(data, SHARD_DIR_SECTION)
+    yield "flip_shard_dir", flip(shard_dir + 4, 1)
     yield "flip_blob_mid", flip(n // 2, 7)
     blob_off, blob_bytes = section_range(data, SEQ_BLOB_SECTION)
     if blob_bytes > 0:
@@ -195,16 +244,22 @@ def mutations(data: bytes):
         off, nbytes = section_range(data, index)
         if index != SEQ_BLOB_SECTION and nbytes > 0:
             yield f"flip_in_{name}", flip(off + nbytes // 2, 4)
-    # One flip per checksum lane: each 8-byte word of the 256-byte stride
-    # in the middle of sig_blob (strides are counted from the section's
-    # start, so the stride is lane-aligned).
+    # One flip per checksum lane in the stride in the middle of sig_blob
+    # (strides are counted from the section's start, so the stride is
+    # lane-aligned) and in the first stride of each offset array and the
+    # permutation.
     off, nbytes = section_range(data, SIG_BLOB_SECTION)
     if nbytes >= CHECKSUM_STRIDE:
-        stride = off + nbytes // 2 // CHECKSUM_STRIDE * CHECKSUM_STRIDE
-        for lane in range(CHECKSUM_LANES):
-            yield f"flip_sig_blob_lane{lane}", flip(stride + 8 * lane + 3, lane % 8)
+        yield from lane_flips(
+            data, "sig_blob",
+            off + nbytes // 2 // CHECKSUM_STRIDE * CHECKSUM_STRIDE)
+    for index in (SEQ_OFFSETS_SECTION, PERMUTATION_SECTION,
+                  ID_OFFSETS_SECTION):
+        off, nbytes = section_range(data, index)
+        if nbytes >= CHECKSUM_STRIDE:
+            yield from lane_flips(data, SECTION_NAMES[index], off)
     yield "flip_last_byte", flip(n - 1, 6)
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         m = bytearray(data)
         struct.pack_into("<I", m, FORMAT_VERSION_OFFSET, version)
         yield f"format_version_{version}", bytes(m)
@@ -236,7 +291,8 @@ def main():
     if seq_count < 2:
         print(f"store_corrupt: {args.index} holds fewer than 2 sequences")
         return 1
-    for index in (SHARD_DIR_SECTION, SEQ_DIR_SECTION, PERMUTATION_SECTION):
+    for index in (SHARD_DIR_SECTION, SEQ_OFFSETS_SECTION, PERMUTATION_SECTION,
+                  ID_OFFSETS_SECTION):
         if reseal(bytearray(data), index) != data:
             print(f"store_corrupt: resealing section {SECTION_NAMES[index]} "
                   "changed a pristine file (checksum port is wrong)")
@@ -245,6 +301,10 @@ def main():
     cases = [(name, m, None) for name, m in mutations(data)]
     cases += [(name, m, "store.bad_layout")
               for name, m in resealed_mutations(data)]
+    m = bytearray(data)
+    struct.pack_into("<I", m, FORMAT_VERSION_OFFSET, 4)
+    cases.append(("resealed_format_version_4", seal_header(m),
+                  "store.bad_version"))
     failures = []
     with tempfile.TemporaryDirectory() as td:
         for name, mutated, want in cases:
