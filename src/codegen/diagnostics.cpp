@@ -37,12 +37,6 @@ Diagnostic& DiagnosticEngine::warn(std::string code, SourceSpan span,
                         std::move(message), {}});
 }
 
-Diagnostic& DiagnosticEngine::note(std::string code, SourceSpan span,
-                                   std::string message) {
-  return add(Diagnostic{std::move(code), Severity::Note, span,
-                        std::move(message), {}});
-}
-
 std::vector<Diagnostic> DiagnosticEngine::sorted() const {
   std::vector<Diagnostic> out = diags_;
   std::stable_sort(out.begin(), out.end(),

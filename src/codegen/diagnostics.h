@@ -47,7 +47,6 @@ class DiagnosticEngine {
   Diagnostic& add(Diagnostic d);
   Diagnostic& error(std::string code, SourceSpan span, std::string message);
   Diagnostic& warn(std::string code, SourceSpan span, std::string message);
-  Diagnostic& note(std::string code, SourceSpan span, std::string message);
 
   bool has_errors() const { return errors_ > 0; }
   int error_count() const { return errors_; }

@@ -5,12 +5,6 @@
 
 namespace aalign::codegen {
 
-bool Expr::is_cell(const std::string& table, long di, long dj) const {
-  return kind == Kind::Cell && name == table && index.size() == 2 &&
-         index[0].seq.empty() && index[1].seq.empty() && index[0].off == di &&
-         index[1].off == dj;
-}
-
 namespace {
 
 // Panic-mode unwinding: a parse rule throws the diagnostic it would report,

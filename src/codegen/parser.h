@@ -42,7 +42,6 @@ struct Expr {
   std::vector<Expr> args;       // Add/Mul/Neg/Max children
   int line = 0, col = 0;        // source span anchor (the leading token)
 
-  bool is_cell(const std::string& table, long di, long dj) const;
   SourceSpan span() const {
     return SourceSpan{line, col, static_cast<int>(name.empty() ? 1
                                                                : name.size())};

@@ -15,10 +15,6 @@ PairAligner::PairAligner(const score::ScoreMatrix& matrix, AlignConfig cfg,
   }
 }
 
-std::size_t PairAligner::query_length() const {
-  return ctx_ ? ctx_->query_length() : 0;
-}
-
 void PairAligner::set_query(std::span<const std::uint8_t> query) {
   ctx_.emplace(matrix_, cfg_, opt_, query);
 }

@@ -49,7 +49,6 @@ class PairAligner {
 
   const AlignConfig& config() const { return cfg_; }
   const core::QueryOptions& options() const { return opt_; }
-  std::size_t query_length() const;
 
  private:
   const score::ScoreMatrix& matrix_;

@@ -40,18 +40,6 @@ const char* to_string(ScoreWidth w) {
   return "?";
 }
 
-const char* to_string(LazyF l) {
-  return l == LazyF::Fixup ? "fixup" : "legacy";
-}
-
-bool farrar_safe(const score::ScoreMatrix& m, const Penalties& p) {
-  // Removing one query-gap character and one subject-gap character from an
-  // adjacent insertion/deletion pair saves at most extend+extend (when both
-  // gaps are longer than one) and replaces them with one substitution; the
-  // shortcut is exact when the substitution can never lose to that saving.
-  return m.min_score() >= -(p.query.extend + p.subject.extend);
-}
-
 // The start width is chosen from the negative range alone; the positive
 // rail is caught at run time (ColumnEngine::saturated flags a running max
 // of H near the type's maximum), so one promotion rule covers every kind.

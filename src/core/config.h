@@ -73,7 +73,6 @@ const char* to_string(AlignKind k);
 const char* to_string(GapModel g);
 const char* to_string(Strategy s);
 const char* to_string(ScoreWidth w);
-const char* to_string(LazyF l);
 
 struct GapScheme {
   int open = 10;    // theta: charged once when a gap starts
@@ -166,12 +165,6 @@ struct KernelResult {
   bool cancelled = false;  // run stopped by a CancelToken; score is invalid
   KernelStats stats;
 };
-
-// True when Farrar's lazy-F shortcut (E not refreshed from corrected H) is
-// exact: no optimal alignment can require an insertion adjacent to a
-// deletion. Holds for all standard matrices with typical gap costs; test
-// and adaptive paths check it. (Identical caveat to SSW/parasail.)
-bool farrar_safe(const score::ScoreMatrix& m, const Penalties& p);
 
 // Distance a narrow kernel keeps from its type's rails: larger than any
 // matrix entry or single gap step, so a value this close to a rail may

@@ -88,7 +88,6 @@ class QueryContext {
   // starts at min_safe_width(query length, 0): narrower widths can never
   // run for any subject (a no-op for local alignment).
   const std::vector<ScoreWidth>& widths() const { return widths_; }
-  std::size_t query_length() const { return query_len_; }
   // The encoded query this context was built from (the batch layer keys
   // its profile cache on these bytes).
   std::span<const std::uint8_t> query() const { return query_; }

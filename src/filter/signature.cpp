@@ -82,28 +82,6 @@ SignatureIndex::SignatureIndex(FilterParams params, std::size_t count,
                                std::size_t residues,
                                std::span<const std::int32_t> blob,
                                std::span<const std::uint32_t> popcounts,
-                               std::span<const std::uint32_t> lengths)
-    : params_(params), count_(count), residues_(residues) {
-  if (params_.k < 1) throw std::invalid_argument("filter: k must be >= 1");
-  if (params_.bits == 0 || params_.bits % 512 != 0)
-    throw std::invalid_argument("filter: bits must be a multiple of 512");
-  words_ = params_.bits / 32;
-  if (blob.size() != count_ * words_ || popcounts.size() != count_ ||
-      lengths.size() != count_) {
-    throw std::invalid_argument(
-        "filter: prebuilt signature arrays disagree with count/bits");
-  }
-  blob_.resize(count_ * words_);
-  std::copy(blob.begin(), blob.end(), blob_.data());
-  popcounts_.assign(popcounts.begin(), popcounts.end());
-  lengths_.assign(lengths.begin(), lengths.end());
-  win_count_ = count_;
-}
-
-SignatureIndex::SignatureIndex(FilterParams params, std::size_t count,
-                               std::size_t residues,
-                               std::span<const std::int32_t> blob,
-                               std::span<const std::uint32_t> popcounts,
                                std::span<const std::uint32_t> lengths,
                                std::shared_ptr<const void> backing)
     : params_(params), count_(count), residues_(residues) {

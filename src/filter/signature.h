@@ -131,20 +131,14 @@ class SignatureIndex {
   // which is fixed when the database is built.
   explicit SignatureIndex(const seq::Database& db, FilterParams params = {});
 
-  // Rehydrates a prebuilt index (store::MappedIndex deserialization):
-  // copies the persisted arrays into aligned storage without re-hashing a
-  // single k-mer — and without touching the filter.index_builds counter,
-  // so reuse is observable. `residues` is the fingerprint matches() tests.
-  SignatureIndex(FilterParams params, std::size_t count, std::size_t residues,
-                 std::span<const std::int32_t> blob,
-                 std::span<const std::uint32_t> popcounts,
-                 std::span<const std::uint32_t> lengths);
-
-  // Zero-copy rehydration: scans run directly over the caller's arrays
-  // (the mapped index file), pinned alive by `backing`. The blob must be
-  // 64-byte aligned with signatures packed at words-per-signature stride
-  // — exactly the store section layout. Copies of this index stay valid;
-  // they share the backing.
+  // Rehydrates a prebuilt index (store::MappedIndex deserialization)
+  // without re-hashing a single k-mer - and without touching the
+  // filter.index_builds counter, so reuse is observable. `residues` is the
+  // fingerprint matches() tests. Zero-copy: scans run directly over the
+  // caller's arrays (the mapped index file), pinned alive by `backing`.
+  // The blob must be 64-byte aligned with signatures packed at
+  // words-per-signature stride - exactly the store section layout. Copies
+  // of this index stay valid; they share the backing.
   SignatureIndex(FilterParams params, std::size_t count, std::size_t residues,
                  std::span<const std::int32_t> blob,
                  std::span<const std::uint32_t> popcounts,

@@ -152,12 +152,4 @@ bool write_json_file(const std::string& path, const Json& doc) {
   return std::fclose(f) == 0 && ok;
 }
 
-bool append_jsonl(const std::string& path, const Json& doc) {
-  FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return false;
-  const std::string text = doc.dump(-1);
-  const bool ok = std::fputs(text.c_str(), f) >= 0 && std::fputc('\n', f) >= 0;
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace aalign::obs

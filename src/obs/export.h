@@ -65,7 +65,5 @@ std::string validate_run_document(const Json& doc);
 
 // Pretty-printed write (trailing newline). False on I/O failure.
 bool write_json_file(const std::string& path, const Json& doc);
-// Compact single-line append - the JSONL accumulation mode.
-bool append_jsonl(const std::string& path, const Json& doc);
 
 }  // namespace aalign::obs

@@ -43,27 +43,6 @@ const Json& Json::operator[](std::string_view key) const {
   return v != nullptr ? *v : null_value;
 }
 
-bool Json::operator==(const Json& other) const {
-  if (type_ != other.type_) {
-    // Int/Double compare numerically (1 == 1.0).
-    if (is_number() && other.is_number()) {
-      return as_double() == other.as_double();
-    }
-    return false;
-  }
-  switch (type_) {
-    case Type::Null: return true;
-    case Type::Bool: return bool_ == other.bool_;
-    case Type::Int: return int_ == other.int_;
-    case Type::Double: return double_ == other.double_;
-    case Type::String: return string_ == other.string_;
-    case Type::Array: return items_ == other.items_;
-    case Type::Object:
-      return keys_ == other.keys_ && items_ == other.items_;
-  }
-  return false;
-}
-
 namespace {
 
 void escape_into(std::string& out, const std::string& s) {

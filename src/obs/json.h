@@ -99,8 +99,6 @@ class Json {
   static constexpr int kMaxDepth = 64;
   static Json parse(std::string_view text, std::string* err = nullptr);
 
-  bool operator==(const Json& other) const;
-
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 

@@ -24,13 +24,6 @@ const HistogramSnapshot* Snapshot::histogram(std::string_view name) const {
   return nullptr;
 }
 
-const TimerSnapshot* Snapshot::timer(std::string_view name) const {
-  for (const TimerSnapshot& t : timers) {
-    if (t.name == name) return &t;
-  }
-  return nullptr;
-}
-
 #if AALIGN_METRICS
 
 int this_thread_shard() {

@@ -77,7 +77,6 @@ struct Snapshot {
   // Convenience lookups for tests/tools; 0 / nullptr when absent.
   std::uint64_t counter(std::string_view name) const;
   const HistogramSnapshot* histogram(std::string_view name) const;
-  const TimerSnapshot* timer(std::string_view name) const;
 };
 
 #if AALIGN_METRICS

@@ -44,11 +44,4 @@ std::vector<std::uint8_t> Alphabet::encode(std::string_view residues) const {
   return out;
 }
 
-std::string Alphabet::decode(std::span<const std::uint8_t> indices) const {
-  std::string out;
-  out.reserve(indices.size());
-  for (std::uint8_t i : indices) out.push_back(itoc(i));
-  return out;
-}
-
 }  // namespace aalign::score

@@ -41,7 +41,6 @@ class Alphabet {
   // time; the bytes are the same.
   void encode(std::string_view residues, std::uint8_t* out) const;
   std::vector<std::uint8_t> encode(std::string_view residues) const;
-  std::string decode(std::span<const std::uint8_t> indices) const;
 
  private:
   AlphabetKind kind_;

@@ -226,15 +226,18 @@ void build_striped_profile(StripedProfile<T>& p,
                                         ProfileTables<T>, int, IndexCode);  \
   template void build_striped_profile<T>(StripedProfile<T>&,                \
                                          std::span<const std::uint8_t>,     \
-                                         const ProfileTables<T>&, int);     \
-  template void build_striped_profile<T>(StripedProfile<T>&,                \
-                                         std::span<const std::uint8_t>,     \
-                                         const ScoreMatrix&, int, T);
+                                         const ProfileTables<T>&, int);
 
 AALIGN_PROFILE_INSTANTIATE(std::int8_t)
 AALIGN_PROFILE_INSTANTIATE(std::int16_t)
 AALIGN_PROFILE_INSTANTIATE(std::int32_t)
 
 #undef AALIGN_PROFILE_INSTANTIATE
+
+// The matrix overload is for int32 callers (aalignc-generated kernels,
+// examples/hybrid_trace); narrower lanes build from profile_tables().
+template void build_striped_profile<std::int32_t>(
+    StripedProfile<std::int32_t>&, std::span<const std::uint8_t>,
+    const ScoreMatrix&, int, std::int32_t);
 
 }  // namespace aalign::score

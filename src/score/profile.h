@@ -167,6 +167,7 @@ void build_striped_profile(StripedProfile<T>& p,
                            std::span<const std::uint8_t> query,
                            const ProfileTables<T>& tables, int width);
 
+// The same from profile_tables(matrix, pad); instantiated for int32 only.
 template <class T>
 void build_striped_profile(StripedProfile<T>& p,
                            std::span<const std::uint8_t> query,

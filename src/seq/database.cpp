@@ -21,8 +21,8 @@ struct Owned {
 
 }  // namespace
 
-template <class Seq, class Encode>
-void Database::pack(const std::vector<Seq>& seqs, Encode encode) {
+Database::Database(const score::Alphabet& alphabet,
+                   const std::vector<Sequence>& seqs) {
   const std::size_t n = seqs.size();
   // The u32 permutation indexes fewer than 2^32 - 1 sequences: the store's
   // loader keeps that value to mark an unclaimed slot.
@@ -39,7 +39,7 @@ void Database::pack(const std::vector<Seq>& seqs, Encode encode) {
   auto owned = std::make_shared<Owned>();
   std::size_t residues = 0;
   std::size_t id_bytes = 0;
-  for (const Seq& s : seqs) {
+  for (const Sequence& s : seqs) {
     residues += s.size();
     id_bytes += s.id.size();
   }
@@ -50,11 +50,11 @@ void Database::pack(const std::vector<Seq>& seqs, Encode encode) {
   std::uint64_t at = 0;
   bool identity = true;
   for (std::size_t pos = 0; pos < n; ++pos) {
-    const Seq& s = seqs[order[pos]];
+    const Sequence& s = seqs[order[pos]];
     owned->offsets[pos] = at;
     owned->id_offsets[pos] = owned->ids.size();
     owned->ids += s.id;
-    encode(s, owned->residues.data() + at);
+    alphabet.encode(s.residues, owned->residues.data() + at);
     at += s.size();
     identity = identity && order[pos] == pos;
   }
@@ -74,19 +74,6 @@ void Database::pack(const std::vector<Seq>& seqs, Encode encode) {
   l_.id_offsets = owned->id_offsets;
   l_.ids = owned->ids.data();
   l_.backing = std::move(owned);
-}
-
-Database::Database(const score::Alphabet& alphabet,
-                   const std::vector<Sequence>& seqs) {
-  pack(seqs, [&alphabet](const Sequence& s, std::uint8_t* out) {
-    alphabet.encode(s.residues, out);
-  });
-}
-
-Database::Database(const std::vector<EncodedSequence>& seqs) {
-  pack(seqs, [](const EncodedSequence& s, std::uint8_t* out) {
-    std::copy(s.data.begin(), s.data.end(), out);
-  });
 }
 
 }  // namespace aalign::seq

@@ -57,8 +57,6 @@ class Database {
   // Encodes `seqs` into owned arrays, longest first.
   Database(const score::Alphabet& alphabet,
            const std::vector<Sequence>& seqs);
-  // Packs already-encoded sequences into owned arrays, longest first.
-  explicit Database(const std::vector<EncodedSequence>& seqs);
   // A view of `layout`, trusted as given: the store checks a mapped
   // index's offsets, order and permutation once, at open.
   explicit Database(Layout layout) : l_(std::move(layout)) {}
@@ -110,11 +108,6 @@ class Database {
   const std::shared_ptr<const void>& backing() const { return l_.backing; }
 
  private:
-  // Stores `seqs` longest first in owned arrays; `encode(s, out)` writes
-  // sequence s's residues at `out`.
-  template <class Seq, class Encode>
-  void pack(const std::vector<Seq>& seqs, Encode encode);
-
   Layout l_;
 };
 

@@ -10,7 +10,6 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 namespace aalign::seq {
@@ -77,12 +76,6 @@ std::vector<Sequence> parse_fasta(std::string_view text) {
     }
   }
   return out;
-}
-
-std::vector<Sequence> read_fasta(std::istream& in) {
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_fasta(std::move(text).str());
 }
 
 std::vector<Sequence> read_fasta_file(const std::string& path) {

@@ -22,8 +22,6 @@ namespace aalign::seq {
 // header.
 std::vector<Sequence> parse_fasta(std::string_view text);
 
-// parse_fasta over a whole stream.
-std::vector<Sequence> read_fasta(std::istream& in);
 // parse_fasta over a whole file, read with one open, fstat and read into
 // one buffer; a pipe or procfs file, which reports no size, is read on to
 // its end. Throws std::runtime_error naming the path and the system error

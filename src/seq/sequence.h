@@ -4,9 +4,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
-
-#include "score/alphabet.h"
 
 namespace aalign::seq {
 
@@ -17,17 +14,6 @@ struct Sequence {
 
   std::size_t size() const { return residues.size(); }
 };
-
-// A named sequence encoded to alphabet indices that owns its residues:
-// what encode() returns and what a Database can be built from.
-struct EncodedSequence {
-  std::string id;
-  std::vector<std::uint8_t> data;
-
-  std::size_t size() const { return data.size(); }
-};
-
-EncodedSequence encode(const score::Alphabet& alphabet, const Sequence& s);
 
 // One database entry as Database::operator[] hands it out: a copied id
 // plus a view of encoded residues. The record never owns its residues -

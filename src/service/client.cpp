@@ -83,11 +83,6 @@ ServiceClient::ServiceClient(const std::string& host, std::uint16_t port,
 
 ServiceClient::~ServiceClient() { close(); }
 
-ServiceClient::ServiceClient(ServiceClient&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
-  other.fd_ = -1;
-}
-
 void ServiceClient::close() {
   if (fd_ >= 0) {
     ::close(fd_);

@@ -28,7 +28,6 @@ class ServiceClient {
 
   ServiceClient(const ServiceClient&) = delete;
   ServiceClient& operator=(const ServiceClient&) = delete;
-  ServiceClient(ServiceClient&& other) noexcept;
 
   // Round trip: send the request line, block for the response line.
   // Transport failures come back as ok=false / Internal responses (the

@@ -330,10 +330,6 @@ std::shared_ptr<PendingRequest> Gateway::submit(WireRequest req) {
   return p;
 }
 
-WireResponse Gateway::execute(WireRequest req) {
-  return submit(std::move(req))->wait();
-}
-
 void Gateway::merge_and_complete(Scatter& s) {
   // Last finisher: no other thread touches this scatter any more, but
   // the responses are formally guarded, so hold the lock for the read

@@ -80,9 +80,6 @@ class Gateway : public RequestHandler {
   // AlignService::submit.
   std::shared_ptr<PendingRequest> submit(WireRequest req) override;
 
-  // Synchronous convenience: submit + wait.
-  WireResponse execute(WireRequest req);
-
   // Stops the shard workers: queued scatters complete as server_shutdown,
   // in-flight shard calls are abandoned (their connections close).
   // Idempotent; the destructor calls it.

@@ -33,11 +33,6 @@ bool PendingRequest::wait_for(std::chrono::milliseconds timeout) {
   return true;
 }
 
-bool PendingRequest::done() const {
-  MutexLock lock(mu_);
-  return done_;
-}
-
 std::shared_ptr<PendingRequest> make_pending(WireRequest req) {
   auto p = std::make_shared<PendingRequest>();
   p->arrival = std::chrono::steady_clock::now();
@@ -103,11 +98,6 @@ void RequestQueue::close() {
 std::size_t RequestQueue::depth() const {
   MutexLock lock(mu_);
   return items_.size();
-}
-
-bool RequestQueue::closed() const {
-  MutexLock lock(mu_);
-  return closed_;
 }
 
 }  // namespace aalign::service

@@ -44,7 +44,6 @@ struct PendingRequest {
   const WireResponse& wait();
   // Bounded wait for disconnect-polling loops; true once completed.
   bool wait_for(std::chrono::milliseconds timeout);
-  bool done() const;
 
  private:
   // service.pending is near the bottom of the hierarchy: completion paths
@@ -86,7 +85,6 @@ class RequestQueue {
   void close();
 
   std::size_t depth() const;
-  bool closed() const;
 
  private:
   const std::size_t capacity_;

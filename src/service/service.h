@@ -80,7 +80,6 @@ class AlignService : public RequestHandler {
   void shutdown();
 
   std::size_t queue_depth() const { return queue_.depth(); }
-  bool accepting() const { return !queue_.closed(); }
   const seq::Database& database() const { return db_; }
   const ServiceOptions& options() const { return opt_; }
 

@@ -4,12 +4,6 @@
 
 namespace aalign::util {
 
-double gcups(std::size_t query_len, std::size_t subject_len, double seconds) {
-  if (seconds <= 0.0) return 0.0;
-  return static_cast<double>(query_len) * static_cast<double>(subject_len) /
-         seconds / 1e9;
-}
-
 double gcups_cells(std::size_t cells, double seconds) {
   if (seconds <= 0.0) return 0.0;
   return static_cast<double>(cells) / seconds / 1e9;

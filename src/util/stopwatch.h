@@ -24,11 +24,9 @@ class Stopwatch {
   clock::time_point start_;
 };
 
-// Giga cell updates per second: the standard throughput metric for
-// alignment kernels (query length x subject length cells).
-double gcups(std::size_t query_len, std::size_t subject_len, double seconds);
-
-// Accumulated variant for database search (sum of m*n over subjects).
+// Giga cell updates per second, the standard throughput metric for
+// alignment kernels: `cells` is query length x subject length, summed
+// over the subjects of a database search.
 double gcups_cells(std::size_t cells, double seconds);
 
 }  // namespace aalign::util

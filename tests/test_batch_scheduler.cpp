@@ -384,11 +384,7 @@ TEST(BatchScheduler, Int32ScoreVectorsMatchSequential) {
        {Case{"local", local, ScoreWidth::Auto, big, local_seqs},
         Case{"global_w32", global, ScoreWidth::W32, small, global_seqs}}) {
     SCOPED_TRACE(c.name);
-    std::vector<seq::EncodedSequence> named;
-    for (std::size_t i = 0; i < c.seqs.size(); ++i) {
-      named.push_back({"s" + std::to_string(i), c.seqs[i]});
-    }
-    const seq::Database db(named);
+    const seq::Database db = test::encoded_database(m.alphabet(), c.seqs);
     std::vector<long> expect(db.size());
     for (std::size_t i = 0; i < db.size(); ++i) {
       expect[i] = core::align_sequential(m, c.cfg, c.query, c.seqs[i]);
@@ -440,14 +436,13 @@ TEST(BatchScheduler, DroppedSentinelIsTrimmedFromTopK) {
   cfg.pen = Penalties::symmetric(10, 2);
   std::mt19937_64 rng(96);
   const auto query = test::random_protein(rng, 150);
-  std::vector<seq::EncodedSequence> named;
+  std::vector<std::vector<std::uint8_t>> seqs;
   std::uniform_int_distribution<std::size_t> len(60, 320);
   for (int i = 0; i < 60; ++i) {
-    named.push_back({std::string("s").append(std::to_string(i)),
-                     i < 4 ? test::mutate(rng, query, 0.1, 0.02)
-                           : test::random_protein(rng, len(rng))});
+    seqs.push_back(i < 4 ? test::mutate(rng, query, 0.1, 0.02)
+                         : test::random_protein(rng, len(rng)));
   }
-  const seq::Database db(named);
+  const seq::Database db = test::encoded_database(m.alphabet(), seqs);
 
   search::SearchOptions opt;
   opt.threads = 2;
@@ -463,7 +458,7 @@ TEST(BatchScheduler, DroppedSentinelIsTrimmedFromTopK) {
     if (res.scores[i] == filter::kDroppedScore) continue;
     ++survivors;
     EXPECT_EQ(res.scores[i],
-              core::align_sequential(m, cfg, query, named[i].data))
+              core::align_sequential(m, cfg, query, seqs[i]))
         << "subject " << i;
   }
   ASSERT_GT(survivors, 0u);

@@ -100,17 +100,21 @@ TEST(FilterBoundaries, DegenerateSubjectsSurviveAndRescore) {
   cfg.pen = Penalties::symmetric(10, 2);
 
   const auto query = test::random_protein(rng, 150);
-  std::vector<seq::EncodedSequence> seqs;
-  seqs.push_back({"empty", {}});
-  seqs.push_back({"one", test::random_protein(rng, 1)});
-  seqs.push_back({"two", test::random_protein(rng, 2)});
+  const score::Alphabet& protein = m.alphabet();
+  std::vector<seq::Sequence> seqs;
+  auto add = [&](std::string id, const std::vector<std::uint8_t>& s) {
+    seqs.push_back(test::sequence(protein, std::move(id), s));
+  };
+  add("empty", {});
+  add("one", test::random_protein(rng, 1));
+  add("two", test::random_protein(rng, 2));
   // All-identical subject (homopolymer): its signature is a single bit.
-  seqs.push_back({"homopoly", std::vector<std::uint8_t>(120, 7)});
-  seqs.push_back({"self", query});
+  add("homopoly", std::vector<std::uint8_t>(120, 7));
+  add("self", query);
   for (int i = 0; i < 20; ++i) {
-    seqs.push_back({"bg" + std::to_string(i), test::random_protein(rng, 200)});
+    add("bg" + std::to_string(i), test::random_protein(rng, 200));
   }
-  const seq::Database db(seqs);
+  const seq::Database db(protein, seqs);
 
   search::SearchOptions exhaustive_opt;
   exhaustive_opt.threads = 1;
@@ -143,12 +147,11 @@ TEST(FilterBoundaries, AllGuardDatabaseDropsNothing) {
   cfg.pen = Penalties::symmetric(10, 2);
 
   const auto query = test::random_protein(rng, 100);
-  std::vector<seq::EncodedSequence> seqs;
+  std::vector<std::vector<std::uint8_t>> seqs;
   for (int i = 0; i < 12; ++i) {
-    seqs.push_back({std::string("s").append(std::to_string(i)),
-                    test::random_protein(rng, static_cast<std::size_t>(i))});
+    seqs.push_back(test::random_protein(rng, static_cast<std::size_t>(i)));
   }
-  const seq::Database db(seqs);
+  const seq::Database db = test::encoded_database(m.alphabet(), seqs);
   search::SearchOptions opt;
   opt.threads = 1;
   opt.filter.mode = filter::FilterMode::On;

@@ -9,6 +9,7 @@
 #include "core/config.h"
 #include "core/inter_engine.h"
 #include "core/query_context.h"
+#include "test_helpers.h"
 
 using namespace aalign;
 
@@ -42,6 +43,7 @@ TEST(Config, ValidationRejectsBadPenalties) {
 }
 
 TEST(Config, FarrarSafety) {
+  using test::farrar_safe;
   const auto& blosum = score::ScoreMatrix::blosum62();  // min -4
   EXPECT_TRUE(farrar_safe(blosum, Penalties::symmetric(10, 2)));   // -4 >= -4
   EXPECT_TRUE(farrar_safe(blosum, Penalties::symmetric(0, 4)));    // -4 >= -8

@@ -32,11 +32,7 @@ AlignConfig local_config() {
 }
 
 seq::Database encoded_db(const std::vector<std::vector<std::uint8_t>>& seqs) {
-  std::vector<seq::EncodedSequence> named;
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    named.push_back({std::string("s").append(std::to_string(i)), seqs[i]});
-  }
-  return seq::Database(named);
+  return test::encoded_database(score::Alphabet::protein(), seqs);
 }
 
 // A background database with `homologs` mutated copies of `query` planted

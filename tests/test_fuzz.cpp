@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <random>
 
@@ -27,6 +26,11 @@
 using namespace aalign;
 
 namespace {
+
+// Names a lazy-F variant in a failure message.
+const char* lazyf_name(LazyF l) {
+  return l == LazyF::Fixup ? "fixup" : "legacy";
+}
 
 int fuzz_rounds(int fallback) {
   if (const char* env = std::getenv("AALIGN_FUZZ_ROUNDS")) {
@@ -51,7 +55,7 @@ TEST(Fuzz, RandomConfigurationsMatchOracle) {
     const bool linear = (iter % 3) == 0;
     cfg.pen.query = GapScheme{linear ? 0 : open_d(rng), ext_d(rng)};
     cfg.pen.subject = GapScheme{linear ? 0 : open_d(rng), ext_d(rng)};
-    if (!farrar_safe(m, cfg.pen)) continue;
+    if (!test::farrar_safe(m, cfg.pen)) continue;
 
     const auto q = test::random_protein(rng, static_cast<std::size_t>(len_d(rng)));
     const auto s = test::random_protein(rng, static_cast<std::size_t>(len_d(rng)));
@@ -117,7 +121,7 @@ TEST(Fuzz, DnaAlignment) {
     AlignConfig cfg;
     cfg.kind = kind;
     cfg.pen = Penalties::symmetric(10, 4);  // farrar-safe for min=-4
-    ASSERT_TRUE(farrar_safe(dna, cfg.pen));
+    ASSERT_TRUE(test::farrar_safe(dna, cfg.pen));
     for (int iter = 0; iter < 8; ++iter) {
       std::vector<std::uint8_t> q(50 + iter * 31), s(80 + iter * 17);
       for (auto& c : q) c = static_cast<std::uint8_t>(base(rng));
@@ -184,11 +188,9 @@ TEST(Fuzz, DifferentialSearchHarness) {
     const auto query =
         test::random_protein(rng, static_cast<std::size_t>(qlen_d(rng)));
 
-    std::vector<seq::EncodedSequence> seqs;
+    std::vector<std::vector<std::uint8_t>> seqs;
     auto add = [&](std::vector<std::uint8_t> s) {
-      char id[32];
-      std::snprintf(id, sizeof(id), "s%zu", seqs.size());
-      seqs.push_back({id, std::move(s)});
+      seqs.push_back(std::move(s));
     };
     // Stride boundaries: one below, at, and above each power-of-two lane
     // granularity up to 128.
@@ -201,11 +203,11 @@ TEST(Fuzz, DifferentialSearchHarness) {
       add(test::random_protein(rng, static_cast<std::size_t>(slen_d(rng))));
     }
     add(test::mutate(rng, query, 0.1, 0.02));  // saturates int8 lanes
-    const seq::Database db(seqs);
+    const seq::Database db = test::encoded_database(m.alphabet(), seqs);
 
     std::vector<long> oracle(db.size());
     for (std::size_t i = 0; i < db.size(); ++i) {
-      oracle[i] = core::align_sequential(m, cfg, query, seqs[i].data);
+      oracle[i] = core::align_sequential(m, cfg, query, seqs[i]);
     }
 
     // Intra-sequence engine: every ISA x adaptive start width (skipping
@@ -358,7 +360,7 @@ TEST(Fuzz, AdversarialLazyFDifferential) {
               scores[lazyf == LazyF::Legacy] = align_pair(m, cfg, q, s, opt).score;
               ASSERT_EQ(scores[lazyf == LazyF::Legacy], expect)
                   << "round " << round << " " << to_string(kind) << " "
-                  << to_string(strat) << " " << to_string(lazyf) << " "
+                  << to_string(strat) << " " << lazyf_name(lazyf) << " "
                   << (linear ? "linear" : "affine") << " isa "
                   << simd::isa_name(isa);
             }
@@ -396,11 +398,9 @@ TEST(Fuzz, FilterRecallDifferential) {
     const auto query =
         test::random_protein(rng, static_cast<std::size_t>(qlen_d(rng)));
 
-    std::vector<seq::EncodedSequence> seqs;
+    std::vector<std::vector<std::uint8_t>> seqs;
     auto add = [&](std::vector<std::uint8_t> s) {
-      char id[32];
-      std::snprintf(id, sizeof(id), "s%zu", seqs.size());
-      seqs.push_back({id, std::move(s)});
+      seqs.push_back(std::move(s));
     };
     // Planted homologs first (original indices 0..kTopK-1): identity
     // bands from near-identical down to the calibration edge.
@@ -416,7 +416,7 @@ TEST(Fuzz, FilterRecallDifferential) {
     for (int i = 0; i < 80; ++i) {
       add(test::random_protein(rng, static_cast<std::size_t>(slen_d(rng))));
     }
-    const seq::Database db(seqs);
+    const seq::Database db = test::encoded_database(m.alphabet(), seqs);
 
     for (simd::IsaKind isa : isas) {
       for (ScoreWidth width : {ScoreWidth::Auto, ScoreWidth::W32}) {

@@ -186,7 +186,7 @@ TEST(Gateway, DifferentialBitIdenticalAcrossShardCounts) {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}}) {
     InProcessFleet fleet = make_fleet(m, cfg, seqs, shards);
-    const WireResponse resp = fleet.gateway->execute(req);
+    const WireResponse resp = fleet.gateway->submit(req)->wait();
     ASSERT_TRUE(resp.ok) << shards << " shards: " << resp.message;
     EXPECT_FALSE(resp.incomplete);
     ASSERT_EQ(resp.results.size(), queries.size());
@@ -316,7 +316,7 @@ TEST(Gateway, ShardDeathYieldsIncompleteNeverSilentPartial) {
   req.queries = queries;
   req.top_k = 5;
   req.deadline_ms = 30000;  // generous: failure comes from the EOF, fast
-  const WireResponse resp = gw.execute(req);
+  const WireResponse resp = gw.submit(req)->wait();
 
   ASSERT_TRUE(resp.ok) << resp.message;
   EXPECT_TRUE(resp.incomplete)
@@ -373,7 +373,7 @@ TEST(Gateway, AllShardsDownIsStructuredError) {
   req.id = 9;
   req.queries = {"MKVAWWDDAEAG"};
   req.deadline_ms = 1000;
-  const WireResponse resp = gw.execute(req);
+  const WireResponse resp = gw.submit(req)->wait();
   EXPECT_FALSE(resp.ok);
   EXPECT_TRUE(resp.error == ErrorCode::DeadlineExceeded ||
               resp.error == ErrorCode::Internal)
@@ -390,16 +390,16 @@ TEST(Gateway, ValidatesLocally) {
   service::Gateway gw(gopt);
 
   WireRequest none;  // no queries
-  EXPECT_EQ(gw.execute(none).error, ErrorCode::InvalidRequest);
+  EXPECT_EQ(gw.submit(none)->wait().error, ErrorCode::InvalidRequest);
 
   WireRequest many;
   many.queries.assign(3, "MKVA");
-  EXPECT_EQ(gw.execute(many).error, ErrorCode::InvalidRequest);
+  EXPECT_EQ(gw.submit(many)->wait().error, ErrorCode::InvalidRequest);
 
   WireRequest zero_k;
   zero_k.queries = {"MKVA"};
   zero_k.top_k = 0;
-  EXPECT_EQ(gw.execute(zero_k).error, ErrorCode::InvalidRequest);
+  EXPECT_EQ(gw.submit(zero_k)->wait().error, ErrorCode::InvalidRequest);
 
   EXPECT_THROW(service::Gateway(service::GatewayOptions{}),
                std::invalid_argument);

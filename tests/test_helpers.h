@@ -1,11 +1,12 @@
 // Shared helpers for the test suite: available-ISA enumeration, random
-// sequence/config generation, Farrar-safety filtering, and the serial
-// database-search and striped-profile oracles.
+// sequence/config generation, Farrar-safety filtering, residue decoding,
+// and the serial database-search and striped-profile oracles.
 #pragma once
 
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -102,6 +103,49 @@ inline std::vector<std::uint8_t> int32_scoring_query(std::mt19937_64& rng) {
   std::vector<std::uint8_t> v(3500);
   for (auto& r : v) r = (rng() & 1) != 0 ? w : c;
   return v;
+}
+
+// True when Farrar's lazy-F shortcut (E not refreshed from corrected H) is
+// exact: no optimal alignment can require an insertion adjacent to a
+// deletion. Removing one query-gap and one subject-gap character from an
+// adjacent insertion/deletion pair saves at most extend+extend (when both
+// gaps are longer than one) and replaces them with one substitution; the
+// shortcut is exact when the substitution can never lose to that saving.
+// (Identical caveat to SSW/parasail.)
+inline bool farrar_safe(const score::ScoreMatrix& m, const Penalties& p) {
+  return m.min_score() >= -(p.query.extend + p.subject.extend);
+}
+
+// Encoded residues back to their letters (Alphabet::itoc), for comparing
+// residues as text.
+inline std::string decode(const score::Alphabet& alphabet,
+                          std::span<const std::uint8_t> indices) {
+  std::string out;
+  out.reserve(indices.size());
+  for (std::uint8_t i : indices) out.push_back(alphabet.itoc(i));
+  return out;
+}
+
+// A named sequence of encoded residues, as letters: what
+// seq::Database(alphabet, sequences) takes and encodes back, so every byte
+// must be a letter of `alphabet`.
+inline seq::Sequence sequence(const score::Alphabet& alphabet, std::string id,
+                              std::span<const std::uint8_t> residues) {
+  return {std::move(id), decode(alphabet, residues)};
+}
+
+// A database of encoded residues with ids "s0", "s1", ... in input order.
+inline seq::Database encoded_database(
+    const score::Alphabet& alphabet,
+    const std::vector<std::vector<std::uint8_t>>& residues) {
+  std::vector<seq::Sequence> seqs;
+  seqs.reserve(residues.size());
+  for (std::size_t i = 0; i < residues.size(); ++i) {
+    seqs.push_back(
+        sequence(alphabet, std::string("s").append(std::to_string(i)),
+                 residues[i]));
+  }
+  return seq::Database(alphabet, seqs);
 }
 
 // Gap configurations used across the property sweeps. All satisfy

@@ -95,13 +95,12 @@ TEST_P(InterPrecisionTest, Int8OverflowRequeuesToWiderTiers) {
   const std::uint8_t hot = best_diagonal_residue(m);
   query.insert(query.end(), 60, hot);
 
-  std::vector<seq::EncodedSequence> seqs;
-  for (const seq::Sequence& s : gen.protein_database(30, 90.0, 0.7, 20, 160)) {
-    seqs.push_back(seq::encode(score::Alphabet::protein(), s));
-  }
-  seqs.push_back({"homolog", query});
-  seqs.push_back({"half-homolog", {query.begin() + 20, query.end()}});
-  const seq::Database db(seqs);
+  const score::Alphabet& protein = score::Alphabet::protein();
+  auto seqs = gen.protein_database(30, 90.0, 0.7, 20, 160);
+  seqs.push_back(test::sequence(protein, "homolog", query));
+  seqs.push_back(test::sequence(protein, "half-homolog",
+                                std::span(query).subspan(20)));
+  const seq::Database db(protein, seqs);
 
   search::SearchOptions opt;
   opt.threads = 2;
@@ -151,8 +150,11 @@ TEST_P(InterPrecisionTest, Int16OverflowFallsThroughToInt32) {
   const std::vector<std::uint8_t> query(3100, hot);
 
   std::mt19937_64 rng(74);
-  const seq::Database db(std::vector<seq::EncodedSequence>{
-      {"giant", query}, {"noise", test::random_protein(rng, 120)}});
+  const score::Alphabet& protein = score::Alphabet::protein();
+  const seq::Database db(
+      protein,
+      {test::sequence(protein, "giant", query),
+       test::sequence(protein, "noise", test::random_protein(rng, 120))});
 
   search::SearchOptions opt;
   opt.threads = 1;

@@ -70,8 +70,9 @@ TEST_P(InterSequence, SingleSubjectBatch) {
   std::mt19937_64 rng(62);
   const auto query = test::random_protein(rng, 70);
 
-  const seq::Database db(std::vector<seq::EncodedSequence>{
-      {"only", test::random_protein(rng, 33)}});
+  const seq::Database db(
+      m.alphabet(),
+      {test::sequence(m.alphabet(), "only", test::random_protein(rng, 33))});
 
   search::InterSequenceSearch inter(m, pen, inter_opt(isa, 1));
   const auto res = inter.search(query, db);
@@ -190,13 +191,17 @@ TEST_P(InterSequence, RejectsSubjectSymbolOutsideAlphabet) {
   std::mt19937_64 rng(25);
   const auto query = test::random_protein(rng, 60);
   for (const int bad : {m.size(), 200, 255}) {
-    std::vector<seq::EncodedSequence> subjects;
+    // The protein letters, with every other character encoded as `bad`.
+    const score::Alphabet with_bad(score::AlphabetKind::Protein,
+                                   "ARNDCQEGHILKMFPSTWYVBZX*", bad);
+    std::vector<seq::Sequence> subjects;
     for (int i = 0; i < 70; ++i) {
-      subjects.push_back({std::to_string(i),
-                          test::random_protein(rng, 20 + i % 40)});
+      subjects.push_back(test::sequence(
+          m.alphabet(), std::to_string(i),
+          test::random_protein(rng, 20 + i % 40)));
     }
-    subjects[33].data[5] = static_cast<std::uint8_t>(bad);
-    const seq::Database db(subjects);
+    subjects[33].residues[5] = '?';
+    const seq::Database db(with_bad, subjects);
     for (const ScoreWidth w :
          {ScoreWidth::Auto, ScoreWidth::W16, ScoreWidth::W32}) {
       search::SearchOptions opt = inter_opt(isa, 2);
@@ -226,14 +231,14 @@ TEST_P(InterSequence, FortyLetterAlphabetMatchesOracle) {
   cfg.pen = pen;
   std::mt19937_64 rng(40);
   const auto query = test::random_symbols(rng, 120, 40);
-  std::vector<seq::EncodedSequence> subjects;
+  std::vector<seq::Sequence> subjects;
   for (int i = 0; i < 75; ++i) {
-    subjects.push_back(
-        {std::to_string(i),
-         i % 10 == 0 ? test::mutate(rng, query, 0.1, 0.02)
-                     : test::random_symbols(rng, 10 + (i * 37) % 300, 40)});
+    subjects.push_back(test::sequence(
+        m.alphabet(), std::to_string(i),
+        i % 10 == 0 ? test::mutate(rng, query, 0.1, 0.02)
+                    : test::random_symbols(rng, 10 + (i * 37) % 300, 40)));
   }
-  const seq::Database db(subjects);
+  const seq::Database db(m.alphabet(), subjects);
   for (const ScoreWidth w :
        {ScoreWidth::Auto, ScoreWidth::W16, ScoreWidth::W32}) {
     search::SearchOptions opt = inter_opt(isa, 2);

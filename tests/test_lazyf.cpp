@@ -36,6 +36,11 @@ using namespace aalign;
 
 namespace {
 
+// Names a lazy-F variant in a failure message.
+const char* lazyf_name(LazyF l) {
+  return l == LazyF::Fixup ? "fixup" : "legacy";
+}
+
 // Query: one 'A' then mismatching 'C's; subject: all 'A'. With a match
 // score far above the query length, every column's F chain from H(i,1)
 // dominates the rest of the column.
@@ -73,7 +78,8 @@ template <class Ops, AlignKind K = AlignKind::Global>
 EngineRun<Ops> run_engine(const WorstCase& wc, LazyF lazyf) {
   using T = typename Ops::value_type;
   score::StripedProfile<T> prof;
-  score::build_striped_profile<T>(prof, wc.q, wc.m, Ops::kWidth, T{0});
+  score::build_striped_profile<T>(
+      prof, wc.q, score::profile_tables<T>(wc.m, T{0}), Ops::kWidth);
   EngineRun<Ops> out;
   core::ColumnEngine<Ops, K, true> eng(
       prof, core::make_steps<T>(wc.cfg), out.ws, lazyf);
@@ -151,7 +157,8 @@ void check_driver_stats() {
   using T = typename Ops::value_type;
   const WorstCase wc;
   score::StripedProfile<T> prof;
-  score::build_striped_profile<T>(prof, wc.q, wc.m, Ops::kWidth, T{0});
+  score::build_striped_profile<T>(
+      prof, wc.q, score::profile_tables<T>(wc.m, T{0}), Ops::kWidth);
   const auto st = core::make_steps<T>(wc.cfg);
 
   core::Workspace<T> ws_f, ws_l;
@@ -227,7 +234,7 @@ TEST(LazyFWorstCase, FarrarSafeOracle) {
         opt.width = ScoreWidth::Auto;
         opt.strategy = Strategy::StripedIterate;
         EXPECT_EQ(align_pair(m, cfg, q, s, opt).score, expect)
-            << to_string(kind) << " " << to_string(lazyf) << " "
+            << to_string(kind) << " " << lazyf_name(lazyf) << " "
             << simd::isa_name(isa);
       }
     }

@@ -27,7 +27,8 @@ TEST(StripedProfile, LayoutMatchesDefinition) {
 
   for (int width : {4, 8, 16}) {
     score::StripedProfile<std::int16_t> p;
-    score::build_striped_profile<std::int16_t>(p, q, m, width, -999);
+    score::build_striped_profile<std::int16_t>(
+        p, q, score::profile_tables<std::int16_t>(m, -999), width);
     EXPECT_EQ(p.width, width);
     EXPECT_EQ(p.segs, (23 + width - 1) / width);
     EXPECT_EQ(p.m, 23);

@@ -105,7 +105,8 @@ void rows_and_lookup_agree() {
         test::mutate(rng, q_head, 0.1, 0.02), test::random_protein(rng, 90)};
     for (const T pad : {simd::neg_inf<T>(), T{0}}) {
       score::StripedProfile<T> rows;
-      score::build_striped_profile<T>(rows, q, m, W, pad);
+      score::build_striped_profile<T>(rows, q,
+                                      score::profile_tables<T>(m, pad), W);
       score::StripedProfile<T> lookup;
       score::build_lookup_profile<T>(lookup, q,
                                      score::profile_tables<T>(m, pad), W,

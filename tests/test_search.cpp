@@ -48,7 +48,7 @@ TEST(DatabaseSearch, MatchesSerialOracle) {
   {
     seq::SequenceGenerator g2(23);
     seq::Sequence q;
-    q.residues = score::Alphabet::protein().decode(query);
+    q.residues = test::decode(score::Alphabet::protein(), query);
     seqs.push_back(seq::make_similar_subject(
         g2, q, {seq::Level::Hi, seq::Level::Hi}));
     seqs.push_back(seq::make_similar_subject(

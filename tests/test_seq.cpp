@@ -19,6 +19,7 @@
 #include "seq/fasta.h"
 #include "seq/generator.h"
 #include "seq/pairgen.h"
+#include "test_helpers.h"
 
 using namespace aalign;
 using namespace aalign::seq;
@@ -33,14 +34,14 @@ TEST(Alphabet, ProteinRoundTripAndWildcards) {
   EXPECT_EQ(a.ctoi('J'), a.wildcard());  // unknown -> X
   EXPECT_EQ(a.ctoi('!'), a.wildcard());
   const auto enc = a.encode("ARNDX*");
-  EXPECT_EQ(a.decode(enc), "ARNDX*");
+  EXPECT_EQ(test::decode(a, enc), "ARNDX*");
   EXPECT_TRUE(a.encode("").empty());
 }
 
 TEST(Alphabet, DnaRoundTrip) {
   const auto& a = score::Alphabet::dna();
   EXPECT_EQ(a.size(), 5);
-  EXPECT_EQ(a.decode(a.encode("acgtn")), "ACGTN");
+  EXPECT_EQ(test::decode(a, a.encode("acgtn")), "ACGTN");
   EXPECT_EQ(a.ctoi('X'), a.wildcard());
 }
 
@@ -94,8 +95,7 @@ TEST(Fasta, RoundTrip) {
   };
   std::ostringstream out;
   write_fasta(out, seqs, 70);
-  std::istringstream in(out.str());
-  const auto back = read_fasta(in);
+  const auto back = parse_fasta(out.str());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].id, "seq1 description here");
   EXPECT_EQ(back[0].residues, "MKVLAA");
@@ -103,44 +103,39 @@ TEST(Fasta, RoundTrip) {
 }
 
 TEST(Fasta, HandlesCrlfAndBlankLines) {
-  std::istringstream in(">a\r\nMKV\r\n\r\nLAA\r\n>b\nWW\n");
-  const auto seqs = read_fasta(in);
+  const auto seqs = parse_fasta(">a\r\nMKV\r\n\r\nLAA\r\n>b\nWW\n");
   ASSERT_EQ(seqs.size(), 2u);
   EXPECT_EQ(seqs[0].residues, "MKVLAA");
   EXPECT_EQ(seqs[1].residues, "WW");
 }
 
 TEST(Fasta, RejectsDataBeforeHeader) {
-  std::istringstream in("MKVLAA\n>a\nWW\n");
-  EXPECT_THROW(read_fasta(in), std::runtime_error);
+  EXPECT_THROW(parse_fasta("MKVLAA\n>a\nWW\n"), std::runtime_error);
 }
 
 TEST(Fasta, SkipsCommentLines) {
   // Old-style ';' comments are skipped anywhere, even before the first
   // header; they never end a record.
-  std::istringstream in(";file comment\n>a\nMK\n;mid-record\nVL\n>b\nW\n");
-  const auto seqs = read_fasta(in);
+  const auto seqs =
+      parse_fasta(";file comment\n>a\nMK\n;mid-record\nVL\n>b\nW\n");
   ASSERT_EQ(seqs.size(), 2u);
   EXPECT_EQ(seqs[0].residues, "MKVL");
   EXPECT_EQ(seqs[1].residues, "W");
 }
 
 TEST(Fasta, DropsEmbeddedWhitespace) {
-  std::istringstream in(">a b\nMK V\tL\vAA  \n   \nW W\n");
-  const auto seqs = read_fasta(in);
+  const auto seqs = parse_fasta(">a b\nMK V\tL\vAA  \n   \nW W\n");
   ASSERT_EQ(seqs.size(), 1u);
   EXPECT_EQ(seqs[0].id, "a b");  // header text is kept verbatim
   EXPECT_EQ(seqs[0].residues, "MKVLAAWW");
 }
 
 TEST(Fasta, ReadsMissingFinalNewline) {
-  std::istringstream in(">a\nMKV\nLAA");
-  auto seqs = read_fasta(in);
+  auto seqs = parse_fasta(">a\nMKV\nLAA");
   ASSERT_EQ(seqs.size(), 1u);
   EXPECT_EQ(seqs[0].residues, "MKVLAA");
 
-  std::istringstream header_only(">a\nMK\n>b");
-  seqs = read_fasta(header_only);
+  seqs = parse_fasta(">a\nMK\n>b");
   ASSERT_EQ(seqs.size(), 2u);
   EXPECT_EQ(seqs[1].id, "b");
   EXPECT_EQ(seqs[1].residues, "");
@@ -149,8 +144,7 @@ TEST(Fasta, ReadsMissingFinalNewline) {
 TEST(Fasta, RejectsWhitespaceLineBeforeHeader) {
   // A line of blanks is data, not a blank line: before any header it is
   // the same structural error as residues there.
-  std::istringstream in("  \n>a\nWW\n");
-  EXPECT_THROW(read_fasta(in), std::runtime_error);
+  EXPECT_THROW(parse_fasta("  \n>a\nWW\n"), std::runtime_error);
 }
 
 TEST(Fasta, FileMatchesStream) {
@@ -162,8 +156,7 @@ TEST(Fasta, FileMatchesStream) {
     out << text;
   }
   const auto from_file = read_fasta_file(path);
-  std::istringstream in(text);
-  const auto from_stream = read_fasta(in);
+  const auto from_stream = parse_fasta(text);
   std::remove(path.c_str());
   ASSERT_EQ(from_file.size(), 3u);
   ASSERT_EQ(from_stream.size(), 3u);
@@ -328,7 +321,7 @@ TEST(Database, SortAndTotals) {
   for (std::size_t pos = 0; pos < db.size(); ++pos) {
     const Sequence& in = seqs[db.original_index(pos)];
     EXPECT_EQ(db[pos].id, in.id);
-    EXPECT_EQ(score::Alphabet::protein().decode(db[pos].view()),
+    EXPECT_EQ(test::decode(score::Alphabet::protein(), db[pos].view()),
               in.residues);
     EXPECT_EQ(db.position_of(db.original_index(pos)), pos);
   }

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -94,8 +93,6 @@ TEST(FastaOracle, RandomTextsParseAsBefore) {
       continue;
     }
     expect_same_records(seq::parse_fasta(text), want);
-    std::istringstream in(text);
-    expect_same_records(seq::read_fasta(in), want);
   }
   EXPECT_GT(thrown, 0);  // the data-before-header path was exercised
 }

@@ -42,22 +42,31 @@ AlignConfig local_config() {
 
 // A deterministic workload with planted homologs so filtered searches
 // have real survivors and the top-k is not pure noise.
-std::vector<seq::EncodedSequence> make_workload(std::uint64_t seed,
-                                                std::size_t background,
-                                                std::size_t homologs,
-                                                std::size_t min_len = 40,
-                                                std::size_t max_len = 320) {
+std::vector<seq::Sequence> make_workload(std::uint64_t seed,
+                                         std::size_t background,
+                                         std::size_t homologs,
+                                         std::size_t min_len = 40,
+                                         std::size_t max_len = 320) {
+  const score::Alphabet& protein = score::Alphabet::protein();
   std::mt19937_64 rng(seed);
-  std::vector<seq::EncodedSequence> out;
+  std::vector<seq::Sequence> out;
   std::uniform_int_distribution<std::size_t> len(min_len, max_len);
   for (std::size_t i = 0; i < background; ++i) {
-    out.push_back({"bg" + std::to_string(i), test::random_protein(rng, len(rng))});
+    out.push_back(test::sequence(protein, "bg" + std::to_string(i),
+                                 test::random_protein(rng, len(rng))));
   }
   for (std::size_t i = 0; i < homologs && !out.empty(); ++i) {
-    out.push_back({"hom" + std::to_string(i),
-                   test::mutate(rng, out[i * 7 % background].data, 0.2, 0.03)});
+    const auto parent = protein.encode(out[i * 7 % background].residues);
+    out.push_back(test::sequence(protein, "hom" + std::to_string(i),
+                                 test::mutate(rng, parent, 0.2, 0.03)));
   }
   return out;
+}
+
+// The workload as the FASTA path builds it: encoded with the protein
+// alphabet, longest first.
+seq::Database protein_db(const std::vector<seq::Sequence>& seqs) {
+  return seq::Database(score::Alphabet::protein(), seqs);
 }
 
 // RAII temp index file: built once, deleted at scope exit.
@@ -101,8 +110,8 @@ void expect_same_database(const seq::Database& a, const seq::Database& b) {
 TEST(Store, RoundTripPreservesDatabase) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(11, 60, 4);
-  const seq::Database fasta_db(seqs);
-  const seq::Database build_db(seqs);
+  const seq::Database fasta_db = protein_db(seqs);
+  const seq::Database build_db = protein_db(seqs);
   TempIndex tmp(build_db, matrix);
 
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
@@ -126,7 +135,7 @@ TEST(Store, RoundTripPreservesDatabase) {
 TEST(Store, RoundTripPreservesSignatures) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(12, 40, 2);
-  const seq::Database db(seqs);
+  const seq::Database db = protein_db(seqs);
   TempIndex tmp(db, matrix);
 
   const filter::SignatureIndex fresh(db);
@@ -148,7 +157,7 @@ TEST(Store, RoundTripPreservesSignatures) {
 TEST(Store, ProfileLutsMatchMatrix) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(13, 10, 0);
-  const seq::Database db(seqs);
+  const seq::Database db = protein_db(seqs);
   TempIndex tmp(db, matrix);
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
 
@@ -177,16 +186,16 @@ TEST(Store, ProfileLutsMatchMatrix) {
 TEST(Store, RebuildsAreByteIdentical) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(14, 50, 3);
-  const seq::Database db1(seqs);
-  const seq::Database db2(seqs);
+  const seq::Database db1 = protein_db(seqs);
+  const seq::Database db2 = protein_db(seqs);
   const auto bytes1 = store::build_index_bytes(db1, matrix);
   const auto bytes2 = store::build_index_bytes(db2, matrix);
   EXPECT_EQ(bytes1, bytes2);
 
   // And the fingerprint moves when the input does.
   auto changed = seqs;
-  changed.front().data.push_back(3);
-  const seq::Database db3(changed);
+  changed.front().residues.push_back('D');
+  const seq::Database db3 = protein_db(changed);
   const auto bytes3 = store::build_index_bytes(db3, matrix);
   EXPECT_NE(bytes1, bytes3);
 }
@@ -199,14 +208,16 @@ TEST(Store, RebuildsAreByteIdentical) {
 TEST(Store, MmapSearchBitIdenticalToFastaPath) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(15, 80, 6);
-  const seq::Database build_db(seqs);
+  const seq::Database build_db = protein_db(seqs);
   TempIndex tmp(build_db, matrix);
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
 
   std::mt19937_64 rng(99);
   std::vector<std::vector<std::uint8_t>> queries;
-  queries.push_back(seqs[4].data);  // exact member: guaranteed strong hit
-  queries.push_back(test::mutate(rng, seqs[10].data, 0.25, 0.03));
+  const score::Alphabet& protein = score::Alphabet::protein();
+  queries.push_back(protein.encode(seqs[4].residues));  // exact member
+  queries.push_back(
+      test::mutate(rng, protein.encode(seqs[10].residues), 0.25, 0.03));
   queries.push_back(test::random_protein(rng, 150));
 
   std::vector<simd::IsaKind> isas = {simd::IsaKind::Scalar};
@@ -223,7 +234,7 @@ TEST(Store, MmapSearchBitIdenticalToFastaPath) {
       opt.filter.mode = mode;
 
       // FASTA path: parse-order database, search sorts + indexes itself.
-      const seq::Database fasta_db(seqs);
+      const seq::Database fasta_db = protein_db(seqs);
       const search::DatabaseSearch fasta_engine(matrix, local_config(), opt);
 
       // mmap path: stored order + prebuilt signatures.
@@ -266,7 +277,7 @@ TEST(Store, PrebuiltIndexCountsReuseNotBuild) {
   if (!obs::metrics_enabled()) GTEST_SKIP() << "metrics compiled out";
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(16, 50, 3);
-  const seq::Database db(seqs);
+  const seq::Database db = protein_db(seqs);
   TempIndex tmp(db, matrix);
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
   seq::Database mapped = idx.database();
@@ -297,7 +308,7 @@ class StoreCorruption : public ::testing::Test {
   void SetUp() override {
     const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
     const auto seqs = make_workload(17, 40, 2);
-    const seq::Database db(seqs);
+    const seq::Database db = protein_db(seqs);
     bytes_ = store::build_index_bytes(db, matrix);
     // Unique per process AND fixture instance: ctest runs each case as
     // its own concurrent process, so a shared name would race (and the
@@ -511,7 +522,7 @@ TEST_F(StoreCorruption, WrappedShardOffsetRejected) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   store::BuildParams params;
   params.shard_target_residues = 2000;
-  bytes_ = store::build_index_bytes(seq::Database(make_workload(17, 40, 2)),
+  bytes_ = store::build_index_bytes(protein_db(make_workload(17, 40, 2)),
                                     matrix, params);
   auto m = bytes_;
   const store::SectionEntry dir = section(m, store::SectionKind::ShardDir);
@@ -568,7 +579,7 @@ TEST_F(StoreCorruption, IdOffsetsPastIdBlobRejected) {
 // is rejected by a Directory open.
 TEST_F(StoreCorruption, SignatureSectionFlipsRejectedAtOpen) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
-  const seq::Database db(make_workload(19, 9000, 0, 8, 24));
+  const seq::Database db = protein_db(make_workload(19, 9000, 0, 8, 24));
   bytes_ = store::build_index_bytes(db, matrix);
 
   const store::SectionEntry blob =
@@ -696,7 +707,7 @@ TEST_F(StoreCorruption, ShardBlobGapRejected) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   store::BuildParams params;
   params.shard_target_residues = 2000;
-  bytes_ = store::build_index_bytes(seq::Database(make_workload(17, 40, 2)),
+  bytes_ = store::build_index_bytes(protein_db(make_workload(17, 40, 2)),
                                     matrix, params);
   auto m = bytes_;
   const store::SectionEntry dir = section(m, store::SectionKind::ShardDir);
@@ -791,7 +802,7 @@ std::vector<seq::Sequence> record_workload() {
   std::vector<seq::Sequence> seqs;
   const auto& alphabet = score::Alphabet::protein();
   const auto residues = [&](std::size_t n) {
-    return alphabet.decode(test::random_protein(rng, n));
+    return test::decode(alphabet, test::random_protein(rng, n));
   };
   seqs.push_back({"", residues(50)});
   seqs.push_back({std::string(15, 'a'), residues(120)});
@@ -801,9 +812,9 @@ std::vector<seq::Sequence> record_workload() {
     seqs.push_back({std::string("r").append(std::to_string(i)),
                     residues(20 + (i * 37) % 300)});
   }
-  std::stringstream fasta;
+  std::ostringstream fasta;
   seq::write_fasta(fasta, seqs);
-  return seq::read_fasta(fasta);
+  return seq::parse_fasta(fasta.str());
 }
 
 bool inside(std::span<const std::uint8_t> v, const store::MappedFile& f) {
@@ -856,7 +867,7 @@ TEST(StoreRecords, MatchTheFastaParsedDatabase) {
   for (std::size_t orig = 0; orig < parsed.size(); ++orig) {
     EXPECT_EQ(mapped.position_of(orig), fasta_db.position_of(orig));
     EXPECT_EQ(mapped.by_original(orig).id, parsed[orig].id);
-    EXPECT_EQ(matrix.alphabet().decode(mapped.by_original(orig).view()),
+    EXPECT_EQ(test::decode(matrix.alphabet(), mapped.by_original(orig).view()),
               parsed[orig].residues);
   }
 }
@@ -970,7 +981,7 @@ TEST(StoreEdge, EmptyDatabaseRoundTrips) {
 TEST(StoreEdge, SingleSequencePerShard) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(18, 7, 0);
-  const seq::Database db(seqs);
+  const seq::Database db = protein_db(seqs);
   store::BuildParams params;
   params.shard_target_residues = 1;  // every sequence overflows the budget
   TempIndex tmp(db, matrix, params);
@@ -993,13 +1004,15 @@ TEST(StoreEdge, ShardBoundaryExactlyAtPageSize) {
   // nor leak one across the budget.
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   std::mt19937_64 rng(19);
-  std::vector<seq::EncodedSequence> seqs;
+  const score::Alphabet& protein = matrix.alphabet();
+  std::vector<seq::Sequence> seqs;
   for (int i = 0; i < 64; ++i) {
-    seqs.push_back({"pg" + std::to_string(i), test::random_protein(rng, 64)});
+    seqs.push_back(test::sequence(protein, "pg" + std::to_string(i),
+                                  test::random_protein(rng, 64)));
   }
   store::BuildParams params;
   params.shard_target_residues = 4096;
-  TempIndex tmp(seq::Database(seqs), matrix, params);
+  TempIndex tmp(protein_db(seqs), matrix, params);
   const store::MappedIndex idx =
       store::MappedIndex::open(tmp.path(), store::Verify::Full);
   ASSERT_EQ(idx.header().shard_count, 1u);  // 64 * 64 == 4096 fits exactly
@@ -1012,8 +1025,9 @@ TEST(StoreEdge, ShardBoundaryExactlyAtPageSize) {
             4096u);
 
   // One residue more than the budget: the 65th sequence starts shard 2.
-  seqs.push_back({"pg64", test::random_protein(rng, 64)});
-  TempIndex tmp2(seq::Database(seqs), matrix, params);
+  seqs.push_back(
+      test::sequence(protein, "pg64", test::random_protein(rng, 64)));
+  TempIndex tmp2(protein_db(seqs), matrix, params);
   const store::MappedIndex idx2 =
       store::MappedIndex::open(tmp2.path(), store::Verify::Full);
   EXPECT_EQ(idx2.header().shard_count, 2u);
@@ -1024,7 +1038,7 @@ TEST(StoreEdge, ShardBoundaryExactlyAtPageSize) {
 TEST(StoreEdge, TwoDatabasesShareOneMapping) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(20, 30, 2);
-  const seq::Database db(seqs);
+  const seq::Database db = protein_db(seqs);
   TempIndex tmp(db, matrix);
 
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
@@ -1109,7 +1123,7 @@ long present_pages(const std::uint8_t* begin, const std::uint8_t* end) {
 TEST(StoreResidency, FilterOffSearchLeavesSignaturesUnmapped) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(23, 9000, 40, 8, 24);
-  TempIndex tmp(seq::Database(seqs), matrix);
+  TempIndex tmp(protein_db(seqs), matrix);
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
   const auto section = [&](store::SectionKind kind) {
     return idx.sections()[static_cast<std::size_t>(kind) - 1];
@@ -1120,7 +1134,8 @@ TEST(StoreResidency, FilterOffSearchLeavesSignaturesUnmapped) {
 
   std::mt19937_64 rng(31);
   std::vector<std::vector<std::uint8_t>> queries = {
-      seqs[9003].data, test::random_protein(rng, 60)};
+      score::Alphabet::protein().encode(seqs[9003].residues),
+      test::random_protein(rng, 60)};
   search::SearchOptions opt;
   opt.threads = 2;
   opt.top_k = 10;
@@ -1153,7 +1168,7 @@ TEST(StoreResidency, FilterOffSearchLeavesSignaturesUnmapped) {
   mopt.filter.index = idx.signatures();
   const auto mapped =
       search::BatchScheduler(matrix, local_config(), mopt).run(queries, db);
-  const seq::Database fasta_db(seqs);
+  const seq::Database fasta_db = protein_db(seqs);
   search::BatchScheduler fasta_engine(matrix, local_config(), opt);
   const auto fasta = fasta_engine.run(queries, fasta_db);
   ASSERT_EQ(mapped.size(), fasta.size());

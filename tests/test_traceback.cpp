@@ -256,11 +256,11 @@ TEST(Traceback, RenderRowsReplayCigar) {
       std::erase(qrow, '-');
       std::erase(srow, '-');
       const std::span<const std::uint8_t> qspan(q), sspan(s);
-      EXPECT_EQ(qrow, alpha.decode(qspan.subspan(
+      EXPECT_EQ(qrow, test::decode(alpha, qspan.subspan(
                           aln.query_begin, aln.query_end - aln.query_begin)));
-      EXPECT_EQ(srow,
-                alpha.decode(sspan.subspan(
-                    aln.subject_begin, aln.subject_end - aln.subject_begin)));
+      EXPECT_EQ(srow, test::decode(alpha, sspan.subspan(
+                          aln.subject_begin,
+                          aln.subject_end - aln.subject_begin)));
       EXPECT_EQ(static_cast<std::size_t>(
                     std::count(rows.midline.begin(), rows.midline.end(), '|')),
                 aln.matches);

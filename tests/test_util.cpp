@@ -1,10 +1,12 @@
-// Utility layer: aligned buffers, saturating arithmetic, GCUPS math.
+// Utility layer: aligned buffers, saturating arithmetic, GCUPS math,
+// strict number parsing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 
 #include "util/aligned_buffer.h"
+#include "util/parse.h"
 #include "util/saturate.h"
 #include "util/stopwatch.h"
 
@@ -76,9 +78,41 @@ TEST(Saturate, Int32Wraps) {
 }
 
 TEST(Gcups, Math) {
-  EXPECT_DOUBLE_EQ(gcups(1000, 1000, 1e-3), 1.0);
   EXPECT_DOUBLE_EQ(gcups_cells(2'000'000'000, 1.0), 2.0);
-  EXPECT_EQ(gcups(10, 10, 0.0), 0.0);  // no division by zero
+  EXPECT_EQ(gcups_cells(100, 0.0), 0.0);  // no division by zero
+}
+
+TEST(ParseNumber, AcceptsTheWholeTextInRange) {
+  EXPECT_EQ(parse_number<int>("0", 0, 1024), 0);
+  EXPECT_EQ(parse_number<int>("1024", 0, 1024), 1024);  // bounds inclusive
+  EXPECT_EQ(parse_number<int>("-5", -10, 10), -5);
+  EXPECT_EQ(parse_number<std::uint16_t>("65535", 1, 65535), 65535);
+  EXPECT_EQ(parse_number<std::size_t>("7", 1, 100), 7u);
+  EXPECT_EQ(parse_number<std::int64_t>("3600000", 0, 3600000), 3600000);
+  EXPECT_EQ(parse_number<double>("0.02", -1.0, 1.0), 0.02);
+  EXPECT_EQ(parse_number<double>("-1", -1.0, 1.0), -1.0);
+}
+
+TEST(ParseNumber, RejectsOutOfRange) {
+  EXPECT_FALSE(parse_number<int>("1025", 0, 1024));
+  EXPECT_FALSE(parse_number<int>("-1", 0, 1024));
+  // Out of the type's range, not wrapped: 70000 is no uint16_t port.
+  EXPECT_FALSE(parse_number<std::uint16_t>("70000", 1, 65535));
+  EXPECT_FALSE(parse_number<int>("99999999999999999999", 0, 1024));
+  EXPECT_FALSE(parse_number<double>("1.5", -1.0, 1.0));
+  EXPECT_FALSE(parse_number<double>("nan", -1.0, 1.0));
+  EXPECT_FALSE(parse_number<double>("inf", -1.0, 1.0));
+}
+
+TEST(ParseNumber, RejectsWhatIsNotOneNumber) {
+  for (const char* text : {"", "abc", "1x", "1 ", " 1", "+1", "1.5", "0x10",
+                           "--1"}) {
+    EXPECT_FALSE(parse_number<int>(text, -100, 100)) << "'" << text << "'";
+  }
+  // No '-' for an unsigned type: "-1" is not SIZE_MAX.
+  EXPECT_FALSE(parse_number<std::size_t>("-1", 0, 1000000));
+  EXPECT_FALSE(parse_number<double>("0.5x", -1.0, 1.0));
+  EXPECT_FALSE(parse_number<double>("", -1.0, 1.0));
 }
 
 TEST(Stopwatch, Monotonic) {

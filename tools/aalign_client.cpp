@@ -14,6 +14,7 @@
 //   --top K          hits per query              [10]
 //   --deadline-ms N  per-request deadline        [none]
 //   --repeat N       send the request N times    [1]
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -21,6 +22,7 @@
 #include "seq/fasta.h"
 #include "seq/generator.h"
 #include "service/client.h"
+#include "util/parse.h"
 
 using namespace aalign;
 
@@ -29,6 +31,15 @@ namespace {
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "aalign_client: %s (try --help)\n", msg.c_str());
   std::exit(2);
+}
+
+// `text`, the value of numeric flag `flag`, as a T in [lo, hi]; a usage
+// error otherwise.
+template <class T>
+T flag_number(const std::string& flag, const std::string& text, T lo, T hi) {
+  if (const auto v = util::parse_number(text, lo, hi)) return *v;
+  die(flag + " wants a number in [" + std::to_string(lo) + ", " +
+      std::to_string(hi) + "] (got '" + text + "')");
 }
 
 void print_help() {
@@ -67,13 +78,13 @@ int main(int argc, char** argv) {
     } else if (a == "--host") {
       host = next();
     } else if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(next().c_str()));
+      port = flag_number<std::uint16_t>(a, next(), 1, 65535);
     } else if (a == "--top") {
-      req.top_k = static_cast<std::size_t>(std::atoll(next().c_str()));
+      req.top_k = flag_number<std::size_t>(a, next(), 1, 1000000);
     } else if (a == "--deadline-ms") {
-      req.deadline_ms = std::atoll(next().c_str());
+      req.deadline_ms = flag_number<std::int64_t>(a, next(), 0, 3600000);
     } else if (a == "--repeat") {
-      repeat = std::atoi(next().c_str());
+      repeat = flag_number<int>(a, next(), 1, 1000000);
     } else {
       die("unknown option '" + a + "'");
     }

@@ -30,12 +30,15 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/parse.h"
 
 namespace {
 
@@ -49,6 +52,15 @@ void on_signal(int) { g_stop = 1; }
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "aalign_fleet: %s (try --help)\n", msg.c_str());
   std::exit(2);
+}
+
+// `text`, the value of numeric flag `flag`, as a T in [lo, hi]; a usage
+// error otherwise.
+template <class T>
+T flag_number(const std::string& flag, const std::string& text, T lo, T hi) {
+  if (const auto v = aalign::util::parse_number(text, lo, hi)) return *v;
+  die(flag + " wants a number in [" + std::to_string(lo) + ", " +
+      std::to_string(hi) + "] (got '" + text + "')");
 }
 
 void print_help() {
@@ -152,9 +164,9 @@ int main(int argc, char** argv) {
     } else if (a == "--db-index") {
       db_index = next();
     } else if (a == "--shards") {
-      shards = static_cast<std::size_t>(std::atoll(next().c_str()));
+      shards = flag_number<std::size_t>(a, next(), 1, 1024);
     } else if (a == "--port") {
-      port = std::atoi(next().c_str());
+      port = flag_number<int>(a, next(), 1, 65535);
     } else if (a == "--bind") {
       bind_addr = next();
     } else if (a == "--aalignd") {
@@ -162,20 +174,22 @@ int main(int argc, char** argv) {
     } else if (a == "--matrix") {
       matrix = next();
     } else if (a == "--threads") {
-      threads = next();
+      // Checked here against aalignd's ranges, then passed on.
+      threads = std::to_string(flag_number<int>(a, next(), 0, 1024));
     } else if (a == "--executors") {
-      executors = next();
+      executors = std::to_string(flag_number<int>(a, next(), 1, 1024));
     } else if (a == "--merge-budget-ms") {
-      merge_budget_ms = next();
+      merge_budget_ms =
+          std::to_string(flag_number<std::int64_t>(a, next(), 0, 3600000));
     } else if (a == "--connect-timeout-ms") {
-      connect_timeout_ms = next();
+      connect_timeout_ms =
+          std::to_string(flag_number<std::int64_t>(a, next(), 1, 3600000));
     } else {
       die("unknown option '" + a + "'");
     }
   }
   if (db_index.empty()) die("need --db-index FILE");
-  if (shards == 0) die("--shards must be >= 1");
-  if (port <= 0 || port + static_cast<int>(shards) > 65535) {
+  if (port + static_cast<int>(shards) > 65535) {
     die("--port leaves no room for " + std::to_string(shards) +
         " shard ports above it");
   }

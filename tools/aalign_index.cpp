@@ -22,6 +22,7 @@
 #include "seq/fasta.h"
 #include "store/builder.h"
 #include "store/loader.h"
+#include "util/parse.h"
 
 using namespace aalign;
 
@@ -30,6 +31,15 @@ namespace {
 [[noreturn]] void usage_die(const std::string& msg) {
   std::fprintf(stderr, "aalign_index: %s (try --help)\n", msg.c_str());
   std::exit(2);
+}
+
+// `text`, the value of numeric flag `flag`, as a T in [lo, hi]; a usage
+// error otherwise.
+template <class T>
+T flag_number(const std::string& flag, const std::string& text, T lo, T hi) {
+  if (const auto v = util::parse_number(text, lo, hi)) return *v;
+  usage_die(flag + " wants a number in [" + std::to_string(lo) + ", " +
+            std::to_string(hi) + "] (got '" + text + "')");
 }
 
 const score::ScoreMatrix& matrix_by_name(const std::string& name) {
@@ -63,12 +73,12 @@ int run_build(int argc, char** argv) {
     if (a == "-d") db_path = next();
     else if (a == "-o") out_path = next();
     else if (a == "--matrix") matrix_name = next();
-    else if (a == "--filter-k") params.filter.k = std::atoi(next().c_str());
+    else if (a == "--filter-k") params.filter.k = flag_number<int>(a, next(), 1, 32);
     else if (a == "--filter-bits")
-      params.filter.bits = static_cast<std::size_t>(std::atol(next().c_str()));
+      params.filter.bits = flag_number<std::size_t>(a, next(), 512, 1u << 24);
     else if (a == "--shard-residues")
       params.shard_target_residues =
-          static_cast<std::size_t>(std::atol(next().c_str()));
+          flag_number<std::size_t>(a, next(), 1, std::size_t{1} << 40);
     else usage_die("unknown build option '" + a + "'");
   }
   if (db_path.empty() || out_path.empty()) {

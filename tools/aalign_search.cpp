@@ -43,6 +43,7 @@
 #include "seq/generator.h"
 #include "seq/pairgen.h"
 #include "store/loader.h"
+#include "util/parse.h"
 
 using namespace aalign;
 
@@ -51,6 +52,15 @@ namespace {
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "aalign_search: %s (try --help)\n", msg.c_str());
   std::exit(2);
+}
+
+// `text`, the value of numeric flag `flag`, as a T in [lo, hi]; a usage
+// error otherwise.
+template <class T>
+T flag_number(const std::string& flag, const std::string& text, T lo, T hi) {
+  if (const auto v = util::parse_number(text, lo, hi)) return *v;
+  die(flag + " wants a number in [" + std::to_string(lo) + ", " +
+      std::to_string(hi) + "] (got '" + text + "')");
 }
 
 const score::ScoreMatrix& matrix_by_name(const std::string& name) {
@@ -176,17 +186,17 @@ int main(int argc, char** argv) {
     else if (a == "--demo") demo = true;
     else if (a == "--matrix") matrix_name = next();
     else if (a == "--kind") kind_name = next();
-    else if (a == "--open") open = std::atoi(next().c_str());
-    else if (a == "--ext") ext = std::atoi(next().c_str());
+    else if (a == "--open") open = flag_number<int>(a, next(), 0, 1000);
+    else if (a == "--ext") ext = flag_number<int>(a, next(), 0, 1000);
     else if (a == "--strategy") strategy_name = next();
     else if (a == "--isa") isa_name_opt = next();
     else if (a == "--width") width_name = next();
-    else if (a == "--threads") threads = std::atoi(next().c_str());
-    else if (a == "--top") top_k = static_cast<std::size_t>(std::atol(next().c_str()));
+    else if (a == "--threads") threads = flag_number<int>(a, next(), 0, 1024);
+    else if (a == "--top") top_k = flag_number<std::size_t>(a, next(), 1, 1000000);
     else if (a == "--batch") batch = true;
-    else if (a == "--shard-size") shard_size = static_cast<std::size_t>(std::atol(next().c_str()));
+    else if (a == "--shard-size") shard_size = flag_number<std::size_t>(a, next(), 0, 1u << 30);
     else if (a == "--filter") filter_name = next();
-    else if (a == "--filter-threshold") filter_threshold = std::atof(next().c_str());
+    else if (a == "--filter-threshold") filter_threshold = flag_number(a, next(), -1.0, 1.0);
     else if (a == "--format") format = next();
     else if (a == "--metrics-json") metrics_json_path = next();
     else if (a == "-h" || a == "--help") { print_help(); return 0; }

@@ -39,6 +39,7 @@
 // queued and in-flight request completes and is answered, then the
 // process exits (writing the metrics document last).
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,6 +56,7 @@
 #include "service/tcp.h"
 #include "simd/isa.h"
 #include "store/loader.h"
+#include "util/parse.h"
 
 using namespace aalign;
 
@@ -71,6 +73,15 @@ void on_signal(int) { g_stop = 1; }
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "aalignd: %s (try --help)\n", msg.c_str());
   std::exit(2);
+}
+
+// `text`, the value of numeric flag `flag`, as a T in [lo, hi]; a usage
+// error otherwise.
+template <class T>
+T flag_number(const std::string& flag, const std::string& text, T lo, T hi) {
+  if (const auto v = util::parse_number(text, lo, hi)) return *v;
+  die(flag + " wants a number in [" + std::to_string(lo) + ", " +
+      std::to_string(hi) + "] (got '" + text + "')");
 }
 
 const score::ScoreMatrix& matrix_by_name(const std::string& name) {
@@ -163,13 +174,13 @@ int main(int argc, char** argv) {
     } else if (a == "--db-index") {
       db_index_path = next();
     } else if (a == "--demo-db") {
-      demo_db = static_cast<std::size_t>(std::atoll(next().c_str()));
+      demo_db = flag_number<std::size_t>(a, next(), 1, 100000000);
     } else if (a == "--shard") {
       const std::string v = next();
       const std::size_t slash = v.find('/');
       if (slash == std::string::npos) die("--shard wants I/N (got '" + v + "')");
-      shard_i = static_cast<std::size_t>(std::atoll(v.substr(0, slash).c_str()));
-      shard_n = static_cast<std::size_t>(std::atoll(v.substr(slash + 1).c_str()));
+      shard_i = flag_number<std::size_t>(a, v.substr(0, slash), 0, 65535);
+      shard_n = flag_number<std::size_t>(a, v.substr(slash + 1), 1, 65536);
       if (shard_n == 0 || shard_i >= shard_n) {
         die("--shard wants I < N, N >= 1 (got '" + v + "')");
       }
@@ -178,29 +189,29 @@ int main(int argc, char** argv) {
     } else if (a == "--backend") {
       gopt.backends.push_back(next());
     } else if (a == "--merge-budget-ms") {
-      gopt.merge_budget_ms = std::atoll(next().c_str());
+      gopt.merge_budget_ms = flag_number<std::int64_t>(a, next(), 0, 3600000);
     } else if (a == "--connect-timeout-ms") {
-      gopt.connect_timeout_ms = std::atoll(next().c_str());
+      gopt.connect_timeout_ms =
+          flag_number<std::int64_t>(a, next(), 1, 3600000);
     } else if (a == "--bind") {
       topt.bind_addr = next();
     } else if (a == "--port") {
-      topt.port = static_cast<std::uint16_t>(std::atoi(next().c_str()));
+      topt.port = flag_number<std::uint16_t>(a, next(), 0, 65535);
     } else if (a == "--matrix") {
       matrix_name = next();
     } else if (a == "--open") {
-      open = std::atoi(next().c_str());
+      open = flag_number<int>(a, next(), 0, 1000);
     } else if (a == "--ext") {
-      ext = std::atoi(next().c_str());
+      ext = flag_number<int>(a, next(), 0, 1000);
     } else if (a == "--threads") {
-      sopt.search.threads = std::atoi(next().c_str());
+      sopt.search.threads = flag_number<int>(a, next(), 0, 1024);
     } else if (a == "--executors") {
-      sopt.executors = std::atoi(next().c_str());
+      sopt.executors = flag_number<int>(a, next(), 1, 1024);
     } else if (a == "--queue-cap") {
-      sopt.queue_capacity =
-          static_cast<std::size_t>(std::atoll(next().c_str()));
+      sopt.queue_capacity = flag_number<std::size_t>(a, next(), 1, 1000000);
     } else if (a == "--max-query-len") {
       sopt.max_query_len =
-          static_cast<std::size_t>(std::atoll(next().c_str()));
+          flag_number<std::size_t>(a, next(), 1, 100000000);
     } else if (a == "--filter") {
       const std::string v = next();
       const auto mode = filter::parse_filter_mode(v);

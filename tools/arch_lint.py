@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Architecture linter for the aalign repo (CI: the lint job).
 
-Ten checks, all against the working tree, the first eight driven by the
-machine-readable blocks in docs/architecture.md ("Checked invariants") so
-the documentation and the linter cannot drift apart:
+Eleven checks. The first ten read the working tree, the first eight
+driven by the machine-readable blocks in docs/architecture.md ("Checked
+invariants") so the documentation and the linter cannot drift apart; the
+eleventh reads a compiled build:
 
   1. layer-dag    - #include "x/..." edges between src/ layers must follow
                     the DAG declared in the <!-- arch-lint:layer-dag -->
@@ -51,22 +52,39 @@ the documentation and the linter cannot drift apart:
                     may appear only in the dispatch files listed in
                     ISA_GUARD_FILES; everything else reaches a backend
                     through its dispatcher.
+ 11. reach        - (only with --reach BUILD_DIR) every strong (nm 'T')
+                    symbol of BUILD_DIR/src/libaalign.a, and every weak
+                    one in namespace aalign, must be defined by some
+                    executable under BUILD_DIR/{tools,bench,examples}.
+                    BUILD_DIR must be configured with
+                    CMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections"
+                    and CMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections, so a
+                    linked executable keeps only the functions it calls.
+                    Library code that only tests call is dead: delete it
+                    or move it into tests/. The one allowlist reason is
+                    "test hook".
 
 Deliberate violations live in tools/arch_lint_allow.txt, one
 "<key>  # justification" per line; entries without a justification and
-entries that no longer match anything are themselves findings.
+entries that no longer match anything are themselves findings. A `reach`
+entry's justification must start with "test hook", and only a run with
+--reach judges whether a `reach` entry is stale.
 
 Exit status: 0 when clean, 1 with one line per finding otherwise.
 
-  python3 tools/arch_lint.py [--repo PATH] [--allowlist FILE] [--self-test]
+  python3 tools/arch_lint.py [--repo PATH] [--allowlist FILE]
+                             [--reach BUILD_DIR] [--self-test]
 
 --self-test synthesizes a mini repo containing one injected violation per
-check and exits 0 only if the linter catches all of them.
+check (for reach, a two-function archive and an executable that calls one
+of them, compiled with the system c++) and exits 0 only if the linter
+catches all of them.
 """
 
 import argparse
 import os
 import re
+import subprocess
 import sys
 import tempfile
 
@@ -104,6 +122,17 @@ MUTEX_MEMBER_RE = re.compile(r"\bMutex\s+\w+\s*[{;(=]")
 GUARD_ANNOTATION_TOKENS = ("AALIGN_GUARDED_BY", "AALIGN_REQUIRES")
 TEST_THREAD_RE = re.compile(r"\bstd::(?:thread|jthread|async)\b")
 AALIGN_TEST_RE = re.compile(r"\baalign_test\(\s*(\w+)([^)]*)\)")
+# reach: the executables that count as consumers, the archive they link,
+# and the CMake cache entries a section-GC build sets.
+REACH_EXE_DIRS = ("tools", "bench", "examples")
+REACH_ARCHIVE = os.path.join("src", "libaalign.a")
+REACH_FLAGS = (
+    ("CMAKE_CXX_FLAGS", ("-ffunction-sections", "-fdata-sections")),
+    ("CMAKE_EXE_LINKER_FLAGS", ("-Wl,--gc-sections",)),
+)
+REACH_REASON = "test hook"
+# A mangled name in namespace aalign (member, free function or template).
+AALIGN_MANGLED_RE = re.compile(r"^_ZN[VKRO]*6aalign")
 
 
 def iter_src_files(repo):
@@ -447,6 +476,82 @@ def check_reachability(repo):
     return findings
 
 
+def cmake_cache(build):
+    """{name: value} of BUILD/CMakeCache.txt ("NAME:TYPE=value" lines)."""
+    entries = {}
+    path = os.path.join(build, "CMakeCache.txt")
+    if not os.path.isfile(path):
+        return entries
+    for line in read(path).splitlines():
+        m = re.match(r"^([A-Za-z_][\w-]*):[A-Z]+=(.*)$", line)
+        if m:
+            entries[m.group(1)] = m.group(2)
+    return entries
+
+
+def defined_symbols(paths):
+    """{mangled name: nm type letter} over the symbols `paths` define."""
+    out = subprocess.run(["nm", "--defined-only", *paths], check=True,
+                         capture_output=True, text=True).stdout
+    syms = {}
+    for line in out.splitlines():
+        fields = line.split()
+        if len(fields) == 3:
+            syms.setdefault(fields[2], fields[1])
+    return syms
+
+
+def executables(build):
+    """ELF executables under BUILD/{tools,bench,examples} (CMakeFiles/
+    skipped): the consumers whose symbols count as reached."""
+    for top in REACH_EXE_DIRS:
+        for root, dirs, names in os.walk(os.path.join(build, top)):
+            dirs[:] = sorted(d for d in dirs if d != "CMakeFiles")
+            for name in sorted(names):
+                path = os.path.join(root, name)
+                if not os.access(path, os.X_OK):
+                    continue
+                with open(path, "rb") as f:
+                    if f.read(4) == b"\x7fELF":
+                        yield path
+
+
+def check_reach(build):
+    """Library symbols no shipped executable keeps after section GC."""
+    cache = cmake_cache(build)
+    for var, flags in REACH_FLAGS:
+        missing = [f for f in flags if f not in cache.get(var, "").split()]
+        if missing:
+            raise ValueError(
+                f"reach: {build} is not a section-GC build ({var} lacks "
+                f"{' '.join(missing)}); configure it with "
+                f"-DCMAKE_CXX_FLAGS=\"-ffunction-sections -fdata-sections\" "
+                f"-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+    archive = os.path.join(build, REACH_ARCHIVE)
+    if not os.path.isfile(archive):
+        raise ValueError(f"reach: {archive} does not exist")
+    exes = list(executables(build))
+    if not exes:
+        raise ValueError(
+            f"reach: no executable under {build}/{{{','.join(REACH_EXE_DIRS)}}}")
+    kept = defined_symbols(exes)
+    unreached = sorted(
+        sym for sym, kind in defined_symbols([archive]).items()
+        if sym not in kept and (
+            kind == "T" or (kind in "WV" and AALIGN_MANGLED_RE.match(sym))))
+    if not unreached:
+        return []
+    names = subprocess.run(["c++filt"], input="\n".join(unreached) + "\n",
+                           check=True, capture_output=True,
+                           text=True).stdout.splitlines()
+    return [(
+        f"reach {name}",
+        f"reach: {name} is in {REACH_ARCHIVE} but no executable under "
+        f"{', '.join(d + '/' for d in REACH_EXE_DIRS)} keeps it - delete "
+        f"it or move it into tests/",
+    ) for name in sorted(set(names))]
+
+
 # ---------------------------------------------------------------------------
 # Allowlist
 # ---------------------------------------------------------------------------
@@ -499,15 +604,24 @@ def collect_findings(repo):
     return findings
 
 
-def run_checks(repo, allow_path):
+def run_checks(repo, allow_path, reach_build=None):
+    """Every finding the allowlist does not excuse. `reach` findings (and
+    stale `reach` entries) only when `reach_build` names a build."""
     errors = []
     try:
         findings = collect_findings(repo)
+        if reach_build is not None:
+            findings += check_reach(reach_build)
     except ValueError as e:
         return [str(e)]
 
     allow, allow_errors = load_allowlist(allow_path)
     errors += allow_errors
+    for key, why in sorted(allow.items()):
+        if key.startswith("reach ") and not why.startswith(REACH_REASON):
+            errors.append(
+                f"allowlist entry '{key}': the only reason a reach entry "
+                f"may give is '{REACH_REASON}', not '{why}'")
     used = set()
     for key, message in findings:
         if key in allow:
@@ -515,6 +629,8 @@ def run_checks(repo, allow_path):
         else:
             errors.append(message)
     for key in sorted(set(allow) - used):
+        if key.startswith("reach ") and reach_build is None:
+            continue
         errors.append(
             f"allowlist entry '{key}' matches nothing - remove it "
             f"(stale suppressions hide regressions)")
@@ -631,6 +747,75 @@ SELF_TEST_EXPECT = [
 ]
 
 
+# reach: a two-function archive and one executable that calls only one of
+# them, built the way the check requires.
+SELF_TEST_REACH_LIB = "int kept_fn() { return 1; }\nint dead_fn() { return 2; }\n"
+SELF_TEST_REACH_EXE = "int kept_fn();\nint main() { return kept_fn() - 1; }\n"
+SELF_TEST_REACH_EXPECT = ["reach dead_fn()"]
+# Allowlists against that build, each with the reach errors it must give
+# with --reach and without: a live test hook passes, a stale entry is
+# only judged with --reach, and a reason other than "test hook" is always
+# an error.
+SELF_TEST_REACH_ALLOW = (
+    ("reach dead_fn()  # test hook: test_mini\n"
+     "reach gone_fn()  # test hook: test_mini\n",
+     ["'reach gone_fn()' matches nothing"], []),
+    ("reach dead_fn()  # handy\n",
+     ["'reach dead_fn()': the only reason"],
+     ["'reach dead_fn()': the only reason"]),
+)
+
+
+def build_reach_fixture(tmp):
+    """The reach fixture's build dir (src/libaalign.a, tools/cli)."""
+    build = os.path.join(tmp, "build")
+    for sub in ("src", "tools"):
+        os.makedirs(os.path.join(build, sub))
+    with open(os.path.join(build, "CMakeCache.txt"), "w",
+              encoding="utf-8") as f:
+        for var, flags in REACH_FLAGS:
+            f.write(f"{var}:STRING={' '.join(flags)}\n")
+    lib_src = os.path.join(tmp, "reach_lib.cpp")
+    exe_src = os.path.join(tmp, "reach_cli.cpp")
+    obj = os.path.join(tmp, "reach_lib.o")
+    archive = os.path.join(build, REACH_ARCHIVE)
+    for path, text in ((lib_src, SELF_TEST_REACH_LIB),
+                       (exe_src, SELF_TEST_REACH_EXE)):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    for cmd in (
+            ["c++", "-O2", "-ffunction-sections", "-fdata-sections", "-c",
+             lib_src, "-o", obj],
+            ["ar", "rcs", archive, obj],
+            ["c++", "-O2", exe_src, archive, "-Wl,--gc-sections", "-o",
+             os.path.join(build, "tools", "cli")]):
+        subprocess.run(cmd, check=True)
+    return build
+
+
+def self_test_reach(tmp):
+    """Names of the reach self-test's failures (empty when it passes)."""
+    failures = []
+    build = build_reach_fixture(tmp)
+    keys = sorted(k for k, _ in check_reach(build))
+    if keys != SELF_TEST_REACH_EXPECT:
+        failures.append(f"reach findings {keys}, want "
+                        f"{SELF_TEST_REACH_EXPECT}")
+    allow = os.path.join(tmp, "reach_allow.txt")
+    for text, with_reach, without in SELF_TEST_REACH_ALLOW:
+        with open(allow, "w", encoding="utf-8") as f:
+            f.write(text)
+        for build_dir, want in ((build, with_reach), (None, without)):
+            got = [e for e in run_checks(tmp, allow, build_dir)
+                   if e.startswith("reach") or "'reach " in e]
+            if len(got) != len(want) or not all(
+                    w in g for w, g in zip(want, got)):
+                failures.append(
+                    f"reach allowlist {text.splitlines()} "
+                    f"(--reach {build_dir}): errors {got}, want {want}")
+    return failures
+
+
 def self_test():
     with tempfile.TemporaryDirectory() as tmp:
         for rel, content in SELF_TEST_FILES.items():
@@ -654,6 +839,10 @@ def self_test():
         for k in unexpected:
             print(f"arch-lint self-test: unexpected finding: {k}",
                   file=sys.stderr)
+        reach_failures = self_test_reach(tmp)
+        for f in reach_failures:
+            print(f"arch-lint self-test: {f}", file=sys.stderr)
+        failures += reach_failures
         ok = not failures and not unexpected
         print("arch-lint self-test: "
               + ("OK" if ok else
@@ -668,6 +857,9 @@ def main():
     ap.add_argument("--allowlist", default=None,
                     help="allowlist file (default: tools/arch_lint_allow.txt"
                          " under --repo)")
+    ap.add_argument("--reach", metavar="BUILD_DIR", default=None,
+                    help="also run the reach check against a section-GC "
+                         "build of every target")
     ap.add_argument("--self-test", action="store_true",
                     help="verify the linter catches injected violations")
     args = ap.parse_args()
@@ -679,7 +871,7 @@ def main():
     if allow_path is None:
         allow_path = os.path.join(args.repo, "tools", "arch_lint_allow.txt")
 
-    errors = run_checks(args.repo, allow_path)
+    errors = run_checks(args.repo, allow_path, args.reach)
     for e in errors:
         print(f"arch-lint: {e}", file=sys.stderr)
     print("arch-lint: " + ("OK" if not errors else
