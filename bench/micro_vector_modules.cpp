@@ -5,7 +5,8 @@
 // feeds each call's result into the next call's input, so the compiler
 // cannot hoist a call out of the loop and the row reads one call's
 // latency. The ProfileBuild rows time one striped query profile per
-// backend and width, and the Encode and FastaParse rows the two steps
+// backend and width at three query lengths (the per-residue cost and the
+// fixed cost), and the Squeeze, Encode and FastaParse rows the steps
 // before it: the set-up cost paid once per query or database (Sec. V-E).
 // The Checksum rows time the index checksum's lane update per backend
 // next to a plain read of the same bytes: the cost of opening an index.
@@ -26,6 +27,7 @@
 #include "seq/generator.h"
 #include "simd/fnv_lanes.h"
 #include "simd/modules.h"
+#include "simd/squeeze.h"
 #include "simd/translate.h"
 #include "simd/vec_avx2.h"
 #include "simd/vec_avx512.h"
@@ -118,7 +120,8 @@ void bench_lazyf_carry_scan(benchmark::State& state) {
 // One local striped profile of a 2,000-residue BLOSUM62 query at the
 // engine's width. `engine` = false times the per-cell reference loop (one
 // matrix lookup per cell, the build before the table fill); true times
-// Engine::build_profile (letter tables included): the striped index alone
+// Engine::build_profile (from the matrix's letter tables, built once with
+// the matrix): the striped index alone
 // where the backend scores by a one-instruction lookup, else the rows,
 // one in-register lookup per vector where the backend has one and the
 // scalar table fill elsewhere.
@@ -132,7 +135,7 @@ void bench_profile_build(benchmark::State& state, IsaKind isa, bool engine) {
   const auto& matrix = score::ScoreMatrix::blosum62();
   std::mt19937_64 rng(1);
   std::uniform_int_distribution<int> d(0, 19);
-  std::vector<std::uint8_t> query(2000);
+  std::vector<std::uint8_t> query(static_cast<std::size_t>(state.range(0)));
   for (auto& c : query) c = static_cast<std::uint8_t>(d(rng));
   const int width = eng->lanes();
   const T pad = neg_inf<T>();
@@ -140,7 +143,7 @@ void bench_profile_build(benchmark::State& state, IsaKind isa, bool engine) {
   score::StripedProfile<T> p;
   for (auto _ : state) {
     if (engine) {
-      eng->build_profile(p, query, score::profile_tables<T>(matrix, pad));
+      eng->build_profile(p, query, matrix.letter_tables(pad));
     } else {
       p.m = static_cast<int>(query.size());
       p.width = width;
@@ -186,14 +189,34 @@ void bench_encode(benchmark::State& state, IsaKind isa) {
                           static_cast<std::int64_t>(residues.size()));
 }
 
-// One parse of a 2,000-record Swiss-Prot-shaped FASTA text (lines of 60).
-void bench_fasta_parse(benchmark::State& state) {
+// One squeeze (simd/squeeze.h) of 1 MiB of residues in 70-column lines
+// through the requested backend's form.
+void bench_squeeze(benchmark::State& state, IsaKind isa) {
+  seq::SequenceGenerator gen(1);
+  const std::string residues = gen.protein(std::size_t{1} << 20).residues;
+  std::string text;
+  for (std::size_t at = 0; at < residues.size(); at += 70) {
+    text.append(residues, at, 70).push_back('\n');
+  }
+  std::string out(text.size(), '\0');
+  const simd::SqueezeFn squeeze = simd::squeeze_fn(isa);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(squeeze(text.data(), text.size(), out.data()));
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+
+// One parse of a 2,000-record Swiss-Prot-shaped FASTA text (lines of 60)
+// with the squeeze form `isa` resolves to.
+void bench_fasta_parse(benchmark::State& state, IsaKind isa) {
   seq::SequenceGenerator gen(1);
   std::ostringstream text;
   seq::write_fasta(text, gen.protein_database(2000), 60);
   const std::string bytes = std::move(text).str();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(seq::parse_fasta(bytes));
+    benchmark::DoNotOptimize(seq::parse_fasta(bytes, isa));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes.size()));
@@ -314,8 +337,8 @@ BENCH_SCAN(std::int16_t, Avx512Bw, WgtMaxScan_avx512bw_i16)
 BENCH_SCAN(std::int32_t, Avx512Bw, WgtMaxScan_avx512bw_i32)
 #endif
 
-// Rows ProfileBuild_<isa>_<T>/reference and /engine; unavailable ISAs
-// skip.
+// Rows ProfileBuild_<isa>_<T>/reference/<m> and /engine/<m> at query
+// lengths m of 1000, 2000 and 8000; unavailable ISAs skip.
 #define BENCH_PROFILE(T, KIND, NAME)                                      \
   static void ProfileBuild_##NAME(benchmark::State& state, bool engine) { \
     if (!isa_available(IsaKind::KIND)) {                                  \
@@ -324,8 +347,10 @@ BENCH_SCAN(std::int32_t, Avx512Bw, WgtMaxScan_avx512bw_i32)
     }                                                                     \
     bench_profile_build<T>(state, IsaKind::KIND, engine);                 \
   }                                                                       \
-  BENCHMARK_CAPTURE(ProfileBuild_##NAME, reference, false);               \
-  BENCHMARK_CAPTURE(ProfileBuild_##NAME, engine, true);
+  BENCHMARK_CAPTURE(ProfileBuild_##NAME, reference, false)                \
+      ->Arg(1000)->Arg(2000)->Arg(8000);                                  \
+  BENCHMARK_CAPTURE(ProfileBuild_##NAME, engine, true)                    \
+      ->Arg(1000)->Arg(2000)->Arg(8000);
 
 BENCH_PROFILE(std::int8_t, Scalar, scalar_i8)
 BENCH_PROFILE(std::int16_t, Scalar, scalar_i16)
@@ -349,7 +374,9 @@ BENCH_PROFILE(std::int16_t, Avx512Bw, avx512bw_i16)
 BENCH_PROFILE(std::int32_t, Avx512Bw, avx512bw_i32)
 #endif
 
-// Rows Encode_<isa> (unavailable ISAs skip) and FastaParse.
+// Rows Squeeze_<isa> and Encode_<isa> (unavailable ISAs skip), and
+// FastaParse (the best squeeze) and FastaParse_scalar (the scalar squeeze
+// forced: the parse on a host without AVX-512 VBMI).
 #define BENCH_ENCODE(KIND, NAME)                                          \
   static void Encode_##NAME(benchmark::State& state) {                    \
     if (!isa_available(IsaKind::KIND)) {                                  \
@@ -360,9 +387,24 @@ BENCH_PROFILE(std::int32_t, Avx512Bw, avx512bw_i32)
   }                                                                       \
   BENCHMARK(Encode_##NAME);
 
+#define BENCH_SQUEEZE(KIND, NAME)                                         \
+  static void Squeeze_##NAME(benchmark::State& state) {                   \
+    if (!isa_available(IsaKind::KIND)) {                                  \
+      state.SkipWithError(#KIND " unavailable");                          \
+      return;                                                             \
+    }                                                                     \
+    bench_squeeze(state, IsaKind::KIND);                                  \
+  }                                                                       \
+  BENCHMARK(Squeeze_##NAME);
+
+BENCH_SQUEEZE(Scalar, scalar)
+BENCH_SQUEEZE(Avx512Bw, avx512bw)
 BENCH_ENCODE(Scalar, scalar)
 BENCH_ENCODE(Avx512Bw, avx512bw)
-BENCHMARK(bench_fasta_parse)->Name("FastaParse");
+BENCHMARK_CAPTURE(bench_fasta_parse, best, best_available_isa())
+    ->Name("FastaParse");
+BENCHMARK_CAPTURE(bench_fasta_parse, scalar, IsaKind::Scalar)
+    ->Name("FastaParse_scalar");
 
 // Rows Checksum_<isa> (each lane-update form; unavailable ISAs skip) and
 // ChecksumPlainRead, over 8 MiB (the order of a 26k-subject index's

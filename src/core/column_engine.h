@@ -399,7 +399,7 @@ class ColumnEngine {
   // Letter c's column scores: scores(j) is vector j of them.
   auto column_scores(std::uint8_t c) const {
     if constexpr (Lookup) {
-      const auto table = Ops::load_table(prof_.tables.row(c));
+      const auto table = Ops::load_table(prof_.tables->row(c));
       const T* idx = prof_.index.data();
       return [table, idx](int j) {
         return Ops::lookup(table, Ops::load(idx + j * W));

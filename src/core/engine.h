@@ -28,13 +28,14 @@ class Engine {
 
   // Builds `profile` for `query` at lanes() lanes from the letter tables,
   // in the layout run() reads fastest (score/profile.h): the lookup layout,
-  // which keeps `tables`, on backends with a one-instruction register
-  // lookup when the alphabet fits it; else the rows, filled one lookup per
-  // vector where the backend has a lookup at all and by the scalar fill
-  // elsewhere. The same score(a, k) for every cell either way.
+  // which points at `tables` (they must outlive every read of the
+  // profile), on backends with a one-instruction register lookup when the
+  // alphabet fits it; else the rows, filled one lookup per vector where
+  // the backend has a lookup at all and by the scalar fill elsewhere. The
+  // same score(a, k) for every cell either way.
   virtual void build_profile(score::StripedProfile<T>& profile,
                              std::span<const std::uint8_t> query,
-                             score::ProfileTables<T> tables) const = 0;
+                             const score::ProfileTables<T>& tables) const = 0;
 
   // Takes `profile` in either layout. Every subject byte must be below
   // the profile's alphabet (QueryContext::align checks). cancel: optional

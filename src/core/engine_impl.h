@@ -4,8 +4,6 @@
 // Include this header ONLY from a TU compiled with the backend's ISA flags.
 #pragma once
 
-#include <utility>
-
 #include "core/backends.h"
 #include "core/engine.h"
 #include "core/inter_kernel.h"
@@ -26,11 +24,11 @@ class EngineImpl final : public Engine<typename Ops::value_type> {
   // does not fit (alpha >= 32) take the scalar rows fill.
   void build_profile(score::StripedProfile<T>& profile,
                      std::span<const std::uint8_t> query,
-                     score::ProfileTables<T> tables) const override {
+                     const score::ProfileTables<T>& tables) const override {
     if (tables.alpha < score::kLookupEntries) {
       if constexpr (simd::HasOneOpLookup<Ops>) {
-        score::build_lookup_profile(profile, query, std::move(tables),
-                                    Ops::kWidth, index_code<Ops>());
+        score::build_lookup_profile(profile, query, tables, Ops::kWidth,
+                                    index_code<Ops>());
         return;
       } else if constexpr (simd::HasLookup<Ops>) {
         util::AlignedBuffer<T> idx;

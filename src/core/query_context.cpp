@@ -25,13 +25,30 @@ ScoreWidth choose_start_width(const AlignConfig& cfg, std::size_t query_len,
   return supported.back();
 }
 
+namespace {
+
+// A copy of `query`, made once its length is known to fit a profile: a
+// longer one would wrap the profile's int geometry.
+std::vector<std::uint8_t> profile_sized_copy(
+    std::span<const std::uint8_t> query) {
+  if (query.size() > score::kMaxQueryLength) {
+    throw std::invalid_argument(
+        "QueryContext: query of " + std::to_string(query.size()) +
+        " residues exceeds the " + std::to_string(score::kMaxQueryLength) +
+        "-residue profile limit");
+  }
+  return {query.begin(), query.end()};
+}
+
+}  // namespace
+
 QueryContext::QueryContext(const score::ScoreMatrix& matrix,
                            const AlignConfig& cfg, const QueryOptions& opt,
                            std::span<const std::uint8_t> query)
     : matrix_(matrix),
       cfg_(cfg),
       opt_(opt),
-      query_(query.begin(), query.end()),
+      query_(profile_sized_copy(query)),
       query_len_(query.size()) {
   cfg_.validate();
   if (query.empty()) throw std::invalid_argument("QueryContext: empty query");
@@ -52,6 +69,7 @@ QueryContext::QueryContext(const score::ScoreMatrix& matrix,
   auto want = [&](ScoreWidth w) {
     return opt_.width == ScoreWidth::Auto || opt_.width == w;
   };
+  widths_.reserve(3);  // one allocation for every width
   if (t.t8.engine != nullptr && want(ScoreWidth::W8)) {
     widths_.push_back(ScoreWidth::W8);
   }
@@ -110,22 +128,24 @@ const score::StripedProfile<T>& QueryContext::profile(bool lazy) const {
 }
 
 // A tier builds from the attached LUT rows when they cover the alphabet,
-// else from the matrix; the outputs are bit-identical
-// (tests/test_gateway.cpp pins this differentially).
+// else from the matrix's own letter tables, read in place; the outputs are
+// bit-identical (tests/test_gateway.cpp pins this differentially).
 template <class T>
 void QueryContext::build(Tier<T>& t, bool lazy) const {
-  obs::ScopedTimer build_timer(obs::registry().timer("phase.profile_build"));
+  static obs::Timer& timer = obs::registry().timer("phase.profile_build");
+  obs::ScopedTimer build_timer(timer);
   const int alpha = matrix_.size();
   const T pad = cfg_.kind == AlignKind::Local ? simd::neg_inf<T>() : T{0};
   const bool use_lut =
       !opt_.lut.empty() &&
       opt_.lut.stride >= static_cast<std::size_t>(alpha) &&
       t.lut_rows.size() >= static_cast<std::size_t>(alpha) * opt_.lut.stride;
-  t.engine->build_profile(
-      t.profile, query_,
-      use_lut
-          ? score::profile_tables<T>(t.lut_rows, opt_.lut.stride, alpha, pad)
-          : score::profile_tables<T>(matrix_, pad));
+  if (use_lut) {
+    t.lut_tables =
+        score::profile_tables<T>(t.lut_rows, opt_.lut.stride, alpha, pad);
+  }
+  t.engine->build_profile(t.profile, query_,
+                          use_lut ? t.lut_tables : matrix_.letter_tables(pad));
   if (use_lut && !tiers_->lut_counted.exchange(true)) {
     obs::registry().counter("cache.profile.lut_attach").add();
   }

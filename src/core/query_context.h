@@ -2,9 +2,10 @@
 // alone - striped profiles per reachable score width plus the engine
 // pointers. A tier's profile is in the layout its engine reads
 // (score/profile.h): on AVX-512BW (and AVX-512F int32) the striped query
-// index plus the letter tables, m_pad * sizeof(T) bytes; elsewhere, and
-// for alphabets of 32 or more letters, the per-letter rows,
-// alpha * m_pad * sizeof(T) bytes.
+// index, m_pad * sizeof(T) bytes, read through the matrix's own letter
+// tables (ScoreMatrix::letter_tables, never copied); elsewhere, and for
+// alphabets of 32 or more letters, the per-letter rows,
+// alpha * m_pad * sizeof(T) bytes. The matrix must outlive the context.
 // Logically immutable and safely shared by every search thread (the
 // paper's Sec. V-E optimization: build the profile once, before launching
 // threads). The constructor builds the first width's profile; each wider
@@ -65,8 +66,9 @@ ScoreWidth choose_start_width(const AlignConfig& cfg, std::size_t query_len,
 class QueryContext {
  public:
   // Throws std::invalid_argument when the ISA is unavailable or provides
-  // no usable width, or when a query byte is outside the matrix alphabet
-  // (>= matrix.size()).
+  // no usable width, when the query is longer than
+  // score::kMaxQueryLength (before copying or reading any of it), or when
+  // a query byte is outside the matrix alphabet (>= matrix.size()).
   QueryContext(const score::ScoreMatrix& matrix, const AlignConfig& cfg,
                const QueryOptions& opt,
                std::span<const std::uint8_t> query);
@@ -94,12 +96,15 @@ class QueryContext {
 
  private:
   // One score width: its engine (null when the ISA lacks the width), the
-  // LUT rows it may build from, and its profile, built at most once.
+  // LUT rows it may build from, and its profile, built at most once. A
+  // profile reads the matrix's letter tables in place; only one built
+  // from LUT rows reads tables of its own, lut_tables.
   template <class T>
   struct Tier {
     const Engine<T>* engine = nullptr;
     std::span<const T> lut_rows;
     std::once_flag built;
+    score::ProfileTables<T> lut_tables;
     score::StripedProfile<T> profile;
   };
   // Heap-held: std::once_flag cannot move, and the context must.

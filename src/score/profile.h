@@ -11,11 +11,16 @@
 // query[l*segs + j], or the pad symbol `alpha` past m) and the per-letter
 // tables (table_a[c] = matrix(a, c), table_a[alpha] = pad), so that
 // score(a, k) = table_a[idx[k]]. A profile holds one of two layouts:
-//   - lookup: the index and the tables, m_pad * sizeof(T) bytes plus a few
-//     KB of tables. The kernels load letter a's table into registers once
-//     per column and look each vector's scores up by the index (one
-//     vpermb for int8 and int16, one vpermt2d for int32, on AVX-512). Backends with a one-instruction
-//     lookup (simd::HasOneOpLookup) use it when alpha < kLookupEntries.
+//   - lookup: the index, m_pad * sizeof(T) bytes, and a pointer to the
+//     tables. The tables belong to the ScoreMatrix, which builds them once
+//     for each lane type and pad (ScoreMatrix::letter_tables), so every
+//     profile on one matrix reads the same few KB; only a profile built
+//     from attached LUT rows reads tables its QueryContext owns. The
+//     kernels load letter a's table into registers once per column and
+//     look each vector's scores up by the index (one vpermb for int8 and
+//     int16, one vpermt2d for int32, on AVX-512). Backends with a
+//     one-instruction lookup (simd::HasOneOpLookup) use it when
+//     alpha < kLookupEntries.
 //   - rows: row(a)[k] = score(a, k) written out for every letter,
 //     alpha * m_pad * sizeof(T) bytes, so the inner loop is one aligned
 //     load. Every other backend, and alphabets too large for the register
@@ -49,21 +54,9 @@ struct ProfileLutView {
   bool empty() const { return stride == 0; }
 };
 
-// Per-letter lookup tables the fill reads: row(a)[c] = the score of
-// letter a against query symbol c for every c < alpha, and row(a)[alpha] =
-// pad (the symbol the striped index carries past m). Rows are 64-byte
-// aligned and at least 64 entries apart, zero past alpha: the layout the
-// backends' in-register table lookup (simd::HasLookup) loads.
-template <class T>
-struct ProfileTables {
-  int alpha = 0;
-  int stride = 0;
-  util::AlignedBuffer<T> data;
-
-  const T* row(int letter) const {
-    return data.data() + static_cast<std::size_t>(letter) * stride;
-  }
-};
+// The longest query a profile holds: its padded length, segs * width, is
+// an int at every width up to 64 lanes.
+inline constexpr std::size_t kMaxQueryLength = (std::size_t{1} << 31) - 64;
 
 // Entries the in-register lookup covers (indices 0..31): a profile can
 // take the lookup layout only when the letters plus the pad symbol fit,
@@ -89,12 +82,14 @@ struct StripedProfile {
   // layout.
   util::AlignedBuffer<T> data;
   // Lookup layout: the striped query index (padded_len() symbols, stored
-  // in `code`) and the letter tables. Both empty in the rows layout.
+  // in `code`) and the letter tables it reads, which the profile does not
+  // own: the matrix's (ScoreMatrix::letter_tables) or the caller's, alive
+  // for as long as the profile is read. Empty and null in the rows layout.
   util::AlignedBuffer<T> index;
   IndexCode code;
-  ProfileTables<T> tables;
+  const ProfileTables<T>* tables = nullptr;
 
-  bool lookup() const { return tables.alpha != 0; }
+  bool lookup() const { return tables != nullptr; }
   const T* row(int letter) const {  // rows layout only
     return data.data() +
            static_cast<std::size_t>(letter) * segs * width;
@@ -105,7 +100,7 @@ struct StripedProfile {
   void use_rows() {
     index = {};
     code = {};
-    tables = {};
+    tables = nullptr;
     data.resize(static_cast<std::size_t>(alpha) * padded_len());
   }
   // The score of `letter` at striped cell k, under either layout.
@@ -113,13 +108,14 @@ struct StripedProfile {
     if (lookup()) {
       using U = std::make_unsigned_t<T>;  // int8 lanes hold symbols to 255
       const int c = (static_cast<U>(index[k]) - code.add) / code.mul;
-      return tables.row(letter)[c];
+      return tables->row(letter)[c];
     }
     return row(letter)[k];
   }
 };
 
-// Tables from the matrix, tables[a][c] = matrix.at(a, c).
+// Tables from the matrix, tables[a][c] = matrix.at(a, c): what
+// ScoreMatrix's constructor builds its letter_tables from.
 template <class T>
 ProfileTables<T> profile_tables(const ScoreMatrix& matrix, T pad);
 
@@ -138,26 +134,27 @@ ProfileTables<T> profile_tables(std::span<const T> lut, std::size_t stride,
 
 // Sets p's shape for `query` at `width` lanes over `alpha` letters and
 // writes the striped index vector, in `code`, into `idx` (p.padded_len()
-// entries). Throws std::invalid_argument on an empty query, a bad width,
-// or a query byte >= alpha (a lookup with it would read outside the
-// letter tables; the message names the first such byte). The striped
-// index is the transpose of the query read as `width` rows of `segs`
-// bytes: one max over the query checks it, 8x8 byte tiles of 64-bit swaps
-// transpose its whole rows, and the cells left over (and the pad) are
-// written one by one. Lanes wider than a byte, or a code other than the
-// identity, are coded from the transposed bytes row by row.
+// entries). Throws std::invalid_argument on an empty query, one longer
+// than kMaxQueryLength (before reading any of it), a bad width, an alpha
+// outside 1..255, or a query byte >= alpha (a lookup with it would read
+// outside the letter tables; the message names the first such byte). The
+// striped index is the transpose of the query read as `width` rows of
+// `segs` bytes, written in one pass by simd/stripe.h: 16x16 byte tiles
+// transposed in registers, each tile's live bytes checked against the
+// alphabet and coded into T lanes (c * mul + add, the pad symbol alpha
+// past m) as the tile is stored.
 template <class T>
 void stripe_query(StripedProfile<T>& p, std::span<const std::uint8_t> query,
                   int alpha, int width, util::AlignedBuffer<T>& idx,
                   IndexCode code = {});
 
 // The lookup layout: stripe_query into p.index in `code` (the reading
-// backend's), and p keeps `tables`. Throws std::invalid_argument when
-// alpha >= kLookupEntries.
+// backend's), and p points at `tables`, which must outlive every read of
+// p. Throws std::invalid_argument when alpha >= kLookupEntries.
 template <class T>
 void build_lookup_profile(StripedProfile<T>& p,
                           std::span<const std::uint8_t> query,
-                          ProfileTables<T> tables, int width,
+                          const ProfileTables<T>& tables, int width,
                           IndexCode code = {});
 
 // The rows layout, scalar build: stripe_query, then

@@ -8,29 +8,14 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <memory>
 #include <stdexcept>
+
+#include "simd/squeeze.h"
 
 namespace aalign::seq {
 
 namespace {
-
-// std::isspace in the "C" locale (no code here changes the locale),
-// inlined: ' ' and '\t' '\n' '\v' '\f' '\r'.
-bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
-
-// Whether `line` holds any is_space byte: an OR reduction without an early
-// exit, so the compiler vectorizes it.
-bool has_space(std::string_view line) {
-  unsigned char any = 0;
-  for (const char ch : line) {
-    const auto c = static_cast<unsigned char>(ch);
-    any |= static_cast<unsigned char>(
-        (c == ' ') | (static_cast<unsigned char>(c - '\t') <= '\r' - '\t'));
-  }
-  return any != 0;
-}
 
 // The first line at or after the line start `p` that starts with '>', or
 // `end`: the bytes before it bound the current record's residues.
@@ -44,36 +29,41 @@ const char* next_header(const char* p, const char* end) {
   return end;
 }
 
-}  // namespace
-
-std::vector<Sequence> parse_fasta(std::string_view text) {
-  std::vector<Sequence> out;
-  const char* p = text.data();
-  const char* const end = p + text.size();
+// The text before the first header may hold only blank lines (a lone
+// '\r' included) and ';' comments.
+void check_preamble(const char* p, const char* end) {
   while (p < end) {
     const char* nl = static_cast<const char*>(
         std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
-    std::string_view line(p, static_cast<std::size_t>((nl ? nl : end) - p));
-    p = nl ? nl + 1 : end;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-    if (line[0] == '>') {
-      out.push_back(Sequence{std::string(line.substr(1)), ""});
-      out.back().residues.reserve(
-          static_cast<std::size_t>(next_header(p, end) - p));
-      continue;
-    }
-    if (line[0] == ';') continue;  // old-style comment lines
-    if (out.empty()) {
+    const char* eol = nl ? nl : end;
+    const bool blank = p == eol || (eol - p == 1 && *p == '\r');
+    if (!blank && *p != ';') {
       throw std::runtime_error("FASTA: sequence data before any '>' header");
     }
-    std::string& residues = out.back().residues;
-    if (!has_space(line)) {
-      residues.append(line);
-    } else {
-      std::copy_if(line.begin(), line.end(), std::back_inserter(residues),
-                   [](char c) { return !is_space(c); });
-    }
+    p = nl ? nl + 1 : end;
+  }
+}
+
+}  // namespace
+
+std::vector<Sequence> parse_fasta(std::string_view text, simd::IsaKind isa) {
+  const simd::SqueezeFn squeeze = simd::squeeze_fn(isa);
+  std::vector<Sequence> out;
+  const char* const end = text.data() + text.size();
+  const char* h = next_header(text.data(), end);
+  check_preamble(text.data(), h);
+  while (h < end) {
+    const char* nl = static_cast<const char*>(
+        std::memchr(h, '\n', static_cast<std::size_t>(end - h)));
+    const char* id_end = nl ? nl : end;
+    if (id_end > h + 1 && id_end[-1] == '\r') --id_end;
+    const char* body = nl ? nl + 1 : end;
+    const char* next = next_header(body, end);
+    Sequence& s = out.emplace_back();
+    s.id.assign(h + 1, id_end);
+    s.residues.resize(static_cast<std::size_t>(next - body));
+    s.residues.resize(squeeze(body, s.residues.size(), s.residues.data()));
+    h = next;
   }
   return out;
 }

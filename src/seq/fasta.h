@@ -9,18 +9,21 @@
 #include <vector>
 
 #include "seq/sequence.h"
+#include "simd/isa.h"
 
 namespace aalign::seq {
 
 // Parses all records from FASTA text. Accepts multi-line records, CRLF
 // line endings, old-style ';' comment lines and '*'-terminated protein
 // records; skips blank lines and drops whitespace inside residue lines.
-// One pass over the text: lines are split with memchr, a residue line is
-// appended whole unless a vectorized whitespace test finds a blank in it,
-// and each record's residue string is reserved once, up to the next line
-// that starts with '>'. Throws std::runtime_error on data before the first
-// header.
-std::vector<Sequence> parse_fasta(std::string_view text);
+// A record's body runs from its header line to the next line that starts
+// with '>' (memchr), and its residues are that body squeezed in one pass
+// (simd/squeeze.h, the form `isa` resolves to): the whitespace and the
+// ';' comment lines dropped, the rest copied. The text before the first
+// header may hold only blank and ';' lines; anything else there throws
+// std::runtime_error.
+std::vector<Sequence> parse_fasta(
+    std::string_view text, simd::IsaKind isa = simd::best_available_isa());
 
 // parse_fasta over a whole file, read with one open, fstat and read into
 // one buffer; a pipe or procfs file, which reports no size, is read on to

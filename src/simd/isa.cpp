@@ -1,8 +1,12 @@
 #include "simd/isa.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "simd/fnv_lanes.h"
+#include "simd/squeeze.h"
+#include "simd/stripe.h"
 #include "simd/translate.h"
 #include "util/cpuinfo.h"
 
@@ -85,6 +89,140 @@ TranslateFn translate_fn([[maybe_unused]] IsaKind isa) {
   }
 #endif
   return &translate_scalar;
+}
+
+namespace {
+
+constexpr std::uint64_t kOnes = 0x0101010101010101;
+constexpr std::uint64_t kHigh = kOnes * 0x80;
+constexpr std::uint64_t kLow7 = kOnes * 0x7F;
+
+// 0x80 in each byte of w equal to c, exactly (no borrow between bytes).
+std::uint64_t bytes_equal(std::uint64_t w, unsigned char c) {
+  const std::uint64_t x = w ^ (kOnes * c);
+  return ~(((x & kLow7) + kLow7) | x | kLow7);
+}
+
+// The high bits of the bytes of `high` as an 8-bit mask, byte 0 in bit 0.
+unsigned byte_mask(std::uint64_t high) {
+  return static_cast<unsigned>(((high & kHigh) * 0x0002040810204081) >> 56);
+}
+
+}  // namespace
+
+std::size_t squeeze_scalar(const char* src, std::size_t n, char* dst) {
+  std::size_t k = 0, i = 0;
+  unsigned line_start = 1;  // the next byte follows a '\n' (src[0] does)
+  unsigned in_comment = 0;  // the next byte is inside a comment line
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, src + i, 8);
+    // Any byte below '!' or equal to ';': a superset of the dropped ones.
+    const std::uint64_t semi = w ^ (kOnes * ';');
+    const std::uint64_t rough =
+        ((w - kOnes * '!') & ~w) | ((semi - kOnes) & ~semi);
+    if (((rough & kHigh) | in_comment) == 0) {
+      std::memcpy(dst + k, &w, 8);
+      k += 8;
+      line_start = 0;
+      continue;
+    }
+    const std::uint64_t low7 = w & kLow7;
+    const std::uint64_t controls =  // '\t'..'\r': below 0x80, 9 <= low7 < 14
+        (low7 + kOnes * (0x80 - '\t')) & ~(low7 + kOnes * (0x80 - '\r' - 1)) &
+        ~w;
+    const unsigned space = byte_mask(controls | bytes_equal(w, ' '));
+    const unsigned nl = byte_mask(bytes_equal(w, '\n'));
+    const unsigned from =
+        (byte_mask(bytes_equal(w, ';')) & ((nl << 1) | line_start)) |
+        in_comment;
+    // A comment runs from its start through the next newline: the borrow
+    // chain of subtracting the starts from the newlines, whose guard bit 8
+    // is taken when the word ends inside one.
+    const unsigned guarded = nl | 0x100;
+    const unsigned comment = (guarded - from) ^ guarded;
+    in_comment = comment >> 8;
+    line_start = nl >> 7;
+    const unsigned drop = (space | comment) & 0xFF;
+    // Shifts each dropped byte out, highest first, then stores the word at
+    // the cursor (the bytes past the kept ones are overwritten later).
+    for (unsigned d = drop; d != 0;) {
+      const int p = std::bit_width(d) - 1;
+      d ^= 1U << p;
+      const std::uint64_t below = (std::uint64_t{1} << (8 * p)) - 1;
+      w = (w & below) | ((w >> 8) & ~below);
+    }
+    std::memcpy(dst + k, &w, 8);
+    k += 8 - static_cast<std::size_t>(std::popcount(drop));
+  }
+  for (; i < n; ++i) {  // the tail, branch-free
+    const auto c = static_cast<unsigned char>(src[i]);
+    in_comment |= line_start & static_cast<unsigned>(c == ';');
+    const unsigned space =
+        static_cast<unsigned>(c == ' ') |
+        static_cast<unsigned>(static_cast<unsigned char>(c - '\t') <=
+                              '\r' - '\t');
+    dst[k] = static_cast<char>(c);
+    k += (space | in_comment) ^ 1U;
+    line_start = static_cast<unsigned>(c == '\n');
+    in_comment &= line_start ^ 1U;
+  }
+  return k;
+}
+
+SqueezeFn squeeze_fn([[maybe_unused]] IsaKind isa) {
+#if defined(AALIGN_HAVE_AVX512BW)
+  if (isa == IsaKind::Avx512Bw && isa_available(isa)) {
+    return &squeeze_avx512bw;
+  }
+#endif
+  return &squeeze_scalar;
+}
+
+namespace {
+
+template <class L>
+std::uint8_t stripe_cells(const std::uint8_t* q, std::size_t m,
+                          std::size_t segs, std::size_t width,
+                          std::uint8_t pad, StripeCode code, L* out) {
+  std::uint8_t top = 0;
+  for (std::size_t e = 0; e < m; ++e) top = std::max(top, q[e]);
+  for (std::size_t l = 0; l < width; ++l) {
+    for (std::size_t j = 0; j < segs; ++j) {
+      const std::size_t e = l * segs + j;
+      const int c = e < m ? q[e] : pad;
+      out[j * width + l] =
+          static_cast<L>(static_cast<unsigned>(c * code.mul + code.add));
+    }
+  }
+  return top;
+}
+
+}  // namespace
+
+std::uint8_t stripe_scalar(const std::uint8_t* q, std::size_t m,
+                           std::size_t segs, std::size_t width,
+                           std::uint8_t pad, StripeCode code, void* out) {
+  switch (code.bytes) {
+    case 1:
+      return stripe_cells(q, m, segs, width, pad, code,
+                          static_cast<std::uint8_t*>(out));
+    case 2:
+      return stripe_cells(q, m, segs, width, pad, code,
+                          static_cast<std::uint16_t*>(out));
+    default:
+      return stripe_cells(q, m, segs, width, pad, code,
+                          static_cast<std::uint32_t*>(out));
+  }
+}
+
+StripeFn stripe_fn([[maybe_unused]] IsaKind isa) {
+#if defined(AALIGN_HAVE_SSE41)
+  if (isa >= IsaKind::Sse41 && isa_available(IsaKind::Sse41)) {
+    return &stripe_sse41;
+  }
+#endif
+  return &stripe_scalar;
 }
 
 void fnv_lanes_scalar(std::uint64_t* lanes, const void* data,

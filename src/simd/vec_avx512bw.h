@@ -20,6 +20,7 @@
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -73,6 +74,59 @@ inline void translate_bytes(const std::uint8_t* table, const char* in,
     _mm512_mask_storeu_epi8(out + i, m,
                             step(_mm512_maskz_loadu_epi8(m, in + i)));
   }
+}
+
+// simd/squeeze.h's squeeze, 64 bytes per step: compares give the
+// whitespace, newline and ';' masks, and one vpermb packs the kept bytes
+// to the front. A comment runs from its start through the next newline,
+// which is the borrow chain of subtracting the starts from the newlines
+// (a borrow out of the block: the block ends inside one). The vpermb index
+// starts as the identity and is built one dropped lane at a time: every
+// index at or past the dropped lane steps up by one (a 70-column line
+// drops about one lane per block). The tail is one masked step, and each
+// store is masked to the kept count, so nothing is read past src + n or
+// written past the count.
+inline std::size_t squeeze_bytes(const char* src, std::size_t n, char* dst) {
+  const __m512i iota = _mm512_set_epi8(
+      63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48, 47, 46,
+      45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32, 31, 30, 29, 28,
+      27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10,
+      9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+  const __m512i one = _mm512_set1_epi8(1);
+  std::size_t k = 0;
+  std::uint64_t line_start = 1;  // src[i] follows a '\n' (src[0] does)
+  std::uint64_t in_comment = 0;  // src[i] is inside a comment line
+  for (std::size_t i = 0; i < n; i += 64) {
+    const std::uint64_t valid =
+        n - i >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << (n - i)) - 1;
+    const __m512i x = _mm512_maskz_loadu_epi8(valid, src + i);
+    const std::uint64_t nl = _mm512_cmpeq_epi8_mask(x, _mm512_set1_epi8('\n'));
+    const std::uint64_t starts =
+        _mm512_cmpeq_epi8_mask(x, _mm512_set1_epi8(';')) &
+        ((nl << 1) | line_start);
+    const std::uint64_t from = starts | in_comment;
+    const std::uint64_t drop =
+        (_mm512_cmpeq_epi8_mask(x, _mm512_set1_epi8(' ')) |
+         _mm512_cmple_epu8_mask(_mm512_sub_epi8(x, _mm512_set1_epi8('\t')),
+                                _mm512_set1_epi8('\r' - '\t')) |
+         ((nl - from) ^ nl)) &
+        valid;
+    in_comment = from > nl;
+    line_start = nl >> 63;
+    __m512i idx = iota;
+    for (std::uint64_t d = drop; d != 0; d &= d - 1) {
+      const __m512i lane = _mm512_set1_epi8(
+          static_cast<char>(std::countr_zero(d)));
+      idx = _mm512_mask_add_epi8(idx, _mm512_cmpge_epu8_mask(idx, lane), idx,
+                                 one);
+    }
+    const int kept = std::popcount(valid & ~drop);
+    const std::uint64_t out =
+        kept == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << kept) - 1;
+    _mm512_mask_storeu_epi8(dst + k, out, _mm512_permutexvar_epi8(idx, x));
+    k += static_cast<std::size_t>(kept);
+  }
+  return k;
 }
 
 template <class T, class Isa>

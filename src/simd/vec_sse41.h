@@ -9,9 +9,13 @@
 
 #include <smmintrin.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "simd/isa.h"
+#include "simd/stripe.h"
 
 namespace aalign::simd {
 
@@ -44,7 +48,192 @@ inline __m128i shift_bytes_128(__m128i x, __m128i lo) {
   return _mm_or_si128(_mm_slli_si128(x, B), _mm_and_si128(lo, low));
 }
 
+// Transposes the 16x16 byte tile held as r[i] = row i, in place: four
+// rounds of unpacks, pairing 1-, 2-, 4- and 8-byte blocks of row pairs.
+inline void transpose_16x16(__m128i (&r)[16]) {
+  __m128i a[16], b[16];
+  for (int i = 0; i < 16; i += 2) {  // a[i], a[i+1]: rows i, i+1 interleaved
+    a[i] = _mm_unpacklo_epi8(r[i], r[i + 1]);
+    a[i + 1] = _mm_unpackhi_epi8(r[i], r[i + 1]);
+  }
+  for (int g = 0; g < 16; g += 4) {  // b[g + k]: rows g..g+3, columns 4k..
+    b[g] = _mm_unpacklo_epi16(a[g], a[g + 2]);
+    b[g + 1] = _mm_unpackhi_epi16(a[g], a[g + 2]);
+    b[g + 2] = _mm_unpacklo_epi16(a[g + 1], a[g + 3]);
+    b[g + 3] = _mm_unpackhi_epi16(a[g + 1], a[g + 3]);
+  }
+  for (int h = 0; h < 16; h += 8) {  // a[h + t]: rows h..h+7, columns 2t..
+    for (int k = 0; k < 4; ++k) {
+      a[h + 2 * k] = _mm_unpacklo_epi32(b[h + k], b[h + 4 + k]);
+      a[h + 2 * k + 1] = _mm_unpackhi_epi32(b[h + k], b[h + 4 + k]);
+    }
+  }
+  for (int t = 0; t < 8; ++t) {  // r[c]: column c
+    r[2 * t] = _mm_unpacklo_epi64(a[t], a[8 + t]);
+    r[2 * t + 1] = _mm_unpackhi_epi64(a[t], a[8 + t]);
+  }
+}
+
+// Codes 16 index bytes into 16 lanes of Bytes bytes each, c * mul + add
+// truncated (Identity: the bytes as they are), and stores them at dst:
+// whole registers, or the first n lanes through a spill and one memcpy.
+template <int Bytes, bool Identity>
+struct LaneCoder {
+  explicit LaneCoder(const StripeCode& c)
+      : mul16(_mm_set1_epi16(static_cast<short>(c.mul))),
+        add16(_mm_set1_epi16(static_cast<short>(c.add))),
+        mul32(_mm_set1_epi32(c.mul)),
+        add32(_mm_set1_epi32(c.add)) {}
+
+  static constexpr int kRegs = Bytes == 1 ? 1 : Bytes == 2 ? 2 : 4;
+
+  void code(__m128i x, __m128i (&v)[kRegs]) const {
+    if constexpr (Identity) {
+      v[0] = x;
+    } else if constexpr (Bytes <= 2) {
+      const __m128i lo = _mm_add_epi16(
+          _mm_mullo_epi16(_mm_cvtepu8_epi16(x), mul16), add16);
+      const __m128i hi = _mm_add_epi16(
+          _mm_mullo_epi16(_mm_cvtepu8_epi16(_mm_srli_si128(x, 8)), mul16),
+          add16);
+      if constexpr (Bytes == 1) {
+        const __m128i low = _mm_set1_epi16(0xFF);
+        v[0] = _mm_packus_epi16(_mm_and_si128(lo, low),
+                                _mm_and_si128(hi, low));
+      } else {
+        v[0] = lo;
+        v[1] = hi;
+      }
+    } else {
+      v[0] = _mm_cvtepu8_epi32(x);
+      v[1] = _mm_cvtepu8_epi32(_mm_srli_si128(x, 4));
+      v[2] = _mm_cvtepu8_epi32(_mm_srli_si128(x, 8));
+      v[3] = _mm_cvtepu8_epi32(_mm_srli_si128(x, 12));
+      for (__m128i& w : v) w = _mm_add_epi32(_mm_mullo_epi32(w, mul32), add32);
+    }
+  }
+
+  void put(__m128i x, std::uint8_t* dst) const {
+    __m128i v[kRegs];
+    code(x, v);
+    for (int k = 0; k < kRegs; ++k) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16 * k), v[k]);
+    }
+  }
+
+  void put(__m128i x, std::uint8_t* dst, std::size_t n) const {
+    __m128i v[kRegs];
+    code(x, v);
+    alignas(16) std::uint8_t spill[16 * kRegs];
+    for (int k = 0; k < kRegs; ++k) {
+      _mm_store_si128(reinterpret_cast<__m128i*>(spill + 16 * k), v[k]);
+    }
+    std::memcpy(dst, spill, n * Bytes);
+  }
+
+  __m128i mul16, add16, mul32, add32;
+};
+
+// stripe_tiles at one lane coding: whole tiles (16 whole rows of 16
+// lanes) go straight from 16 loads through the transpose to 16 coded
+// stores; in the others each row that is not whole is masked to its live
+// bytes (loaded through one bounded memcpy only within 16 bytes of the
+// query's end) and blended to the pad past them, and rows narrower than
+// 16 lanes are stored through one memcpy.
+template <int Bytes, bool Identity>
+inline std::uint8_t stripe_tiles_coded(const std::uint8_t* q, std::size_t m,
+                                       std::size_t segs, std::size_t width,
+                                       std::uint8_t pad, StripeCode code,
+                                       std::uint8_t* dst) {
+  const __m128i iota =
+      _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  const __m128i padv = _mm_set1_epi8(static_cast<char>(pad));
+  const LaneCoder<Bytes, Identity> coder(code);
+  __m128i top = _mm_setzero_si128();
+  for (std::size_t j0 = 0; j0 < segs; j0 += 16) {
+    const std::size_t cols = std::min<std::size_t>(16, segs - j0);
+    for (std::size_t l0 = 0; l0 < width; l0 += 16) {
+      const std::size_t lanes = std::min<std::size_t>(16, width - l0);
+      __m128i r[16];
+      const bool whole =
+          cols == 16 && lanes == 16 && (l0 + 15) * segs + j0 + 16 <= m;
+      if (whole) {
+        for (std::size_t i = 0; i < 16; ++i) {
+          r[i] = _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(q + (l0 + i) * segs + j0));
+          top = _mm_max_epu8(top, r[i]);
+        }
+      } else {
+        for (std::size_t i = 0; i < 16; ++i) {
+          const std::size_t start = (l0 + i) * segs + j0;
+          const std::size_t live =
+              i < lanes && start < m ? std::min(cols, m - start) : 0;
+          const __m128i keep =
+              _mm_cmpgt_epi8(_mm_set1_epi8(static_cast<char>(live)), iota);
+          __m128i x;
+          if (live != 0 && start + 16 <= m) {
+            x = _mm_and_si128(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + start)),
+                keep);
+          } else {
+            alignas(16) std::uint8_t row[16] = {};
+            if (live != 0) std::memcpy(row, q + start, live);
+            x = _mm_load_si128(reinterpret_cast<const __m128i*>(row));
+          }
+          top = _mm_max_epu8(top, x);
+          r[i] = _mm_blendv_epi8(padv, x, keep);
+        }
+      }
+      transpose_16x16(r);
+      std::uint8_t* out = dst + (j0 * width + l0) * Bytes;
+      const std::size_t row_bytes = width * Bytes;
+      if (lanes == 16) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          coder.put(r[c], out + c * row_bytes);
+        }
+      } else {
+        for (std::size_t c = 0; c < cols; ++c) {
+          coder.put(r[c], out + c * row_bytes, lanes);
+        }
+      }
+    }
+  }
+  top = _mm_max_epu8(top, _mm_srli_si128(top, 8));
+  top = _mm_max_epu8(top, _mm_srli_si128(top, 4));
+  top = _mm_max_epu8(top, _mm_srli_si128(top, 2));
+  top = _mm_max_epu8(top, _mm_srli_si128(top, 1));
+  return static_cast<std::uint8_t>(_mm_cvtsi128_si32(top));
+}
+
 }  // namespace detail
+
+// simd/stripe.h's striping in 16x16 byte tiles: tile (l0, j0) loads 16
+// query rows of 16 bytes (row l = q[l*segs + j0 ...]), folds them into
+// the running max, transposes them in registers and codes each column
+// straight into output row j0 + c, lanes l0... Rows that are not whole
+// (the query's end, the last columns, the rows past width) have their
+// dead bytes blended to the pad. Nothing is read past q + m or written
+// past the output.
+inline std::uint8_t stripe_tiles(const std::uint8_t* q, std::size_t m,
+                                 std::size_t segs, std::size_t width,
+                                 std::uint8_t pad, StripeCode code,
+                                 void* out) {
+  auto* const dst = static_cast<std::uint8_t*>(out);
+  switch (code.bytes) {
+    case 1:
+      return code.mul == 1 && code.add == 0
+                 ? detail::stripe_tiles_coded<1, true>(q, m, segs, width, pad,
+                                                       code, dst)
+                 : detail::stripe_tiles_coded<1, false>(q, m, segs, width,
+                                                        pad, code, dst);
+    case 2:
+      return detail::stripe_tiles_coded<2, false>(q, m, segs, width, pad,
+                                                  code, dst);
+    default:
+      return detail::stripe_tiles_coded<4, false>(q, m, segs, width, pad,
+                                                  code, dst);
+  }
+}
 
 template <class T, class Isa>
 struct VecOps;

@@ -1,8 +1,11 @@
 // Mutation driver for the FASTA reader (seq/fasta): seeded byte flips,
-// splices and truncations of the corpora in data/store/*.fasta. Every
+// splices and truncations of the corpora in data/store/*.fasta, and of one
+// of them rewritten in 70-column CRLF lines with ';' comments, so
+// that mutants cross the squeeze's 64-byte blocks at every offset. Every
 // mutant must parse to the same records as the reference parser
-// (tests/setup_oracles.h), or both must throw std::runtime_error; nothing
-// else - no other exception, no crash, no sanitizer report - is allowed.
+// (tests/setup_oracles.h), through the best and the scalar squeeze, or
+// all must throw std::runtime_error; nothing else - no other exception,
+// no crash, no sanitizer report - is allowed.
 //
 // AALIGN_FUZZ_ROUNDS scales the mutant count (default 3 rounds of 500
 // mutants per corpus); sanitizer CI jobs raise it.
@@ -20,6 +23,7 @@
 
 #include "seq/fasta.h"
 #include "setup_oracles.h"
+#include "simd/isa.h"
 
 using namespace aalign;
 
@@ -42,6 +46,18 @@ std::vector<std::string> load_corpora() {
     out.emplace_back(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
   }
+  if (out.empty()) return out;
+  // The smallest corpus by content: directory order is unspecified.
+  const std::string& base = *std::min_element(out.begin(), out.end());
+  std::string crlf = ";70-column CRLF corpus\r\n";
+  for (const seq::Sequence& s : test::parse_fasta_oracle(base)) {
+    crlf += ">" + s.id + "\r\n";
+    for (std::size_t at = 0; at < s.residues.size(); at += 70) {
+      crlf += s.residues.substr(at, 70) + "\r\n";
+    }
+    crlf += ";end of " + s.id + "\r\n";
+  }
+  out.push_back(std::move(crlf));
   return out;
 }
 
@@ -93,13 +109,18 @@ bool check_same(const std::string& text) {
     want = test::parse_fasta_oracle(text);
   } catch (const std::runtime_error&) {
     EXPECT_THROW(seq::parse_fasta(text), std::runtime_error);
+    EXPECT_THROW(seq::parse_fasta(text, simd::IsaKind::Scalar),
+                 std::runtime_error);
     return true;
   }
-  const std::vector<seq::Sequence> got = seq::parse_fasta(text);
-  EXPECT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << "record " << i;
-    EXPECT_EQ(got[i].residues, want[i].residues) << "record " << i;
+  for (const simd::IsaKind isa :
+       {simd::best_available_isa(), simd::IsaKind::Scalar}) {
+    const std::vector<seq::Sequence> got = seq::parse_fasta(text, isa);
+    EXPECT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << "record " << i;
+      EXPECT_EQ(got[i].residues, want[i].residues) << "record " << i;
+    }
   }
   return false;
 }

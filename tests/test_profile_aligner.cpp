@@ -2,7 +2,10 @@
 // edges (errors, ISA forcing, width listing, query reuse).
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <random>
@@ -97,12 +100,36 @@ void expect_same_profile(const score::StripedProfile<T>& got,
   }
 }
 
+// The same layout and the same bytes: index and code, or rows.
+template <class T>
+void expect_same_bytes(const score::StripedProfile<T>& got,
+                       const score::StripedProfile<T>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.lookup(), want.lookup()) << what;
+  ASSERT_EQ(got.code, want.code) << what;
+  ASSERT_TRUE(std::equal(got.index.begin(), got.index.end(),
+                         want.index.begin(), want.index.end()))
+      << what;
+  ASSERT_TRUE(std::equal(got.data.begin(), got.data.end(), want.data.begin(),
+                         want.data.end()))
+      << what;
+  if (got.lookup()) {
+    for (int a = 0; a < want.alpha; ++a) {
+      ASSERT_TRUE(std::equal(got.tables->row(a),
+                             got.tables->row(a) + want.alpha + 1,
+                             want.tables->row(a)))
+          << what << " letter " << a;
+    }
+  }
+}
+
 // Every engine's build (the lookup layout where the backend's register
 // lookup is one instruction, rows filled by the lookup or the scalar fill
 // elsewhere) against the per-cell oracle, from both letter-table sources.
 // The LUT rows hold random full-range values so a build that read the
 // matrix instead would show; alpha 40 forces every backend onto the
-// scalar rows fill.
+// scalar rows fill. The LUT copy of the matrix itself builds the same
+// bytes as the matrix's own tables.
 template <class T>
 void engine_build_matches_reference(simd::IsaKind isa) {
   const core::Engine<T>* eng = core::get_engine<T>(isa);
@@ -120,6 +147,14 @@ void engine_build_matches_reference(simd::IsaKind isa) {
       const std::size_t stride = static_cast<std::size_t>(alpha) + 3;
       std::vector<T> lut(alpha * stride);
       for (T& v : lut) v = static_cast<T>(val(rng));
+      std::vector<T> matrix_lut(alpha * stride);
+      if (alpha == m->size()) {
+        for (int c = 0; c < alpha; ++c) {
+          for (int a = 0; a < alpha; ++a) {
+            matrix_lut[c * stride + a] = m->at(a, c);
+          }
+        }
+      }
       for (const T pad : {simd::neg_inf<T>(), T{0}}) {
         for (const int len : {1, W - 1, W, W + 1, 2 * W + 1, 8000}) {
           if (len < 1) continue;
@@ -138,7 +173,7 @@ void engine_build_matches_reference(simd::IsaKind isa) {
               (isa == simd::IsaKind::Avx512 || isa == simd::IsaKind::Avx512Bw);
           score::StripedProfile<T> got;
           if (alpha == m->size()) {
-            eng->build_profile(got, q, score::profile_tables<T>(*m, pad));
+            eng->build_profile(got, q, m->letter_tables(pad));
             EXPECT_EQ(got.lookup(), want_lookup) << what;
             expect_same_profile(
                 got,
@@ -146,9 +181,16 @@ void engine_build_matches_reference(simd::IsaKind isa) {
                     q, alpha, W, pad,
                     [&](int a, int c) { return m->at(a, c); }),
                 what + " matrix");
+            const score::ProfileTables<T> copied = score::profile_tables<T>(
+                std::span<const T>(matrix_lut), stride, alpha, pad);
+            score::StripedProfile<T> via_lut;
+            eng->build_profile(via_lut, q, copied);
+            expect_same_bytes(via_lut, got, what + " matrix via lut");
           }
-          eng->build_profile(got, q,
-                             score::profile_tables<T>(lut, stride, alpha, pad));
+          const score::ProfileTables<T> lut_tables =
+              score::profile_tables<T>(std::span<const T>(lut), stride,
+                                       alpha, pad);
+          eng->build_profile(got, q, lut_tables);
           EXPECT_EQ(got.lookup(), want_lookup) << what;
           expect_same_profile(
               got,
@@ -159,6 +201,23 @@ void engine_build_matches_reference(simd::IsaKind isa) {
         }
       }
     }
+  }
+  // Every query length up to two 16x16 striping tiles along each lane
+  // plus one, at one alphabet: every partial tile and query end.
+  const score::ScoreMatrix& m = dna;
+  for (int len = 1; len <= 2 * 16 * W + 1; ++len) {
+    std::vector<std::uint8_t> q(len);
+    std::uniform_int_distribution<int> sym(0, m.size() - 1);
+    for (auto& c : q) c = static_cast<std::uint8_t>(sym(rng));
+    score::StripedProfile<T> got;
+    eng->build_profile(got, q, m.letter_tables(T{0}));
+    expect_same_profile(got,
+                        test::reference_striped_profile<T>(
+                            q, m.size(), W, T{0},
+                            [&](int a, int c) { return m.at(a, c); }),
+                        std::string(simd::isa_name(isa)) + " T" +
+                            std::to_string(sizeof(T) * 8) + " sweep m=" +
+                            std::to_string(len));
   }
 }
 
@@ -353,6 +412,71 @@ TEST(QueryContext, WidthListRespectsIsaAndRequest) {
 
     opt.width = ScoreWidth::W8;
     EXPECT_THROW(core::QueryContext(m, {}, opt, q), std::invalid_argument);
+  }
+}
+
+// A query of 2^31 residues would wrap the profile's int geometry (m,
+// segs, the padded length) and send the transpose out of bounds. It must
+// throw, naming the length, before any byte of it is copied or read: the
+// span covers an unbacked PROT_NONE mapping, so a read would fault.
+TEST(QueryContext, RejectsQueryTooLongForTheProfile) {
+  const std::size_t len = std::size_t{1} << 31;
+  void* map = ::mmap(nullptr, len, PROT_NONE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(map, MAP_FAILED);
+  const std::span<const std::uint8_t> q(static_cast<const std::uint8_t*>(map),
+                                        len);
+  const auto& m = score::ScoreMatrix::blosum62();
+  const auto names_length = [&](const std::function<void()>& fn) {
+    try {
+      fn();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).find(std::to_string(len)) !=
+             std::string::npos;
+    }
+    return false;
+  };
+  for (simd::IsaKind isa : test::available_isas()) {
+    core::QueryOptions opt;
+    opt.isa = isa;
+    EXPECT_TRUE(names_length([&] { core::QueryContext(m, {}, opt, q); }))
+        << simd::isa_name(isa);
+    PairAligner a(m, {}, opt);
+    EXPECT_TRUE(names_length([&] { a.set_query(q); })) << simd::isa_name(isa);
+  }
+  score::StripedProfile<std::int16_t> p;
+  util::AlignedBuffer<std::int16_t> idx;
+  EXPECT_TRUE(names_length(
+      [&] { score::stripe_query(p, q, m.size(), 32, idx); }));
+  ::munmap(map, len);
+}
+
+// The letter tables belong to the matrix: every lookup profile of one
+// matrix, lane type and pad reads the same address, copies of the matrix
+// share them, and no two (lane type, pad) pairs do.
+TEST(Profile, ProfilesOfOneMatrixShareItsTables) {
+  const score::ScoreMatrix dna = score::ScoreMatrix::dna(2, 3);
+  const score::ScoreMatrix copy = dna;  // NOLINT: the copy is the point
+  EXPECT_EQ(&copy.letter_tables(std::int16_t{0}),
+            &dna.letter_tables(std::int16_t{0}));
+  EXPECT_NE(&dna.letter_tables(std::int16_t{0}),
+            &dna.letter_tables(simd::neg_inf<std::int16_t>()));
+  EXPECT_THROW(dna.letter_tables(std::int16_t{-999}), std::invalid_argument);
+  std::mt19937_64 rng(16);
+  const std::vector<std::uint8_t> q1 = test::random_symbols(rng, 300, 5);
+  const std::vector<std::uint8_t> q2 = test::random_symbols(rng, 1000, 5);
+  for (simd::IsaKind isa : test::available_isas()) {
+    const core::Engine<std::int8_t>* eng = core::get_engine<std::int8_t>(isa);
+    if (eng == nullptr) continue;
+    for (const std::int8_t pad : {simd::neg_inf<std::int8_t>(),
+                                  std::int8_t{0}}) {
+      score::StripedProfile<std::int8_t> a, b;
+      eng->build_profile(a, q1, dna.letter_tables(pad));
+      eng->build_profile(b, q2, copy.letter_tables(pad));
+      if (!a.lookup()) continue;  // rows: no tables kept
+      EXPECT_EQ(a.tables, &dna.letter_tables(pad)) << simd::isa_name(isa);
+      EXPECT_EQ(a.tables, b.tables) << simd::isa_name(isa);
+    }
   }
 }
 

@@ -105,11 +105,9 @@ void rows_and_lookup_agree() {
         test::mutate(rng, q_head, 0.1, 0.02), test::random_protein(rng, 90)};
     for (const T pad : {simd::neg_inf<T>(), T{0}}) {
       score::StripedProfile<T> rows;
-      score::build_striped_profile<T>(rows, q,
-                                      score::profile_tables<T>(m, pad), W);
+      score::build_striped_profile<T>(rows, q, m.letter_tables(pad), W);
       score::StripedProfile<T> lookup;
-      score::build_lookup_profile<T>(lookup, q,
-                                     score::profile_tables<T>(m, pad), W,
+      score::build_lookup_profile<T>(lookup, q, m.letter_tables(pad), W,
                                      core::index_code<Ops>());
       ASSERT_FALSE(rows.lookup());
       ASSERT_TRUE(lookup.lookup());

@@ -1,12 +1,15 @@
 // Differential tests of the set-up path against the implementations it
 // replaced (tests/setup_oracles.h): the FASTA parser over seeded random
-// texts, the alphabet encode over every byte value, alignment and length,
-// and the query striping at every width and index code.
+// texts and special lines at every 64-byte block offset, each squeeze form
+// against a reference over every length and alignment, the alphabet
+// encode over every byte value, alignment and length, and the query
+// striping, through every form, at every width and index code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <string>
@@ -18,6 +21,8 @@
 #include "seq/fasta.h"
 #include "setup_oracles.h"
 #include "simd/isa.h"
+#include "simd/squeeze.h"
+#include "simd/stripe.h"
 #include "simd/translate.h"
 #include "test_helpers.h"
 
@@ -29,8 +34,9 @@ namespace {
 
 // One random FASTA text: headers, residue lines with every whitespace
 // byte mid-line, CRLF endings, blank and whitespace-only lines, ';'
-// comments, empty records, lines over 64 KiB, and (sometimes) data before
-// the first header or no final newline.
+// comments, empty records, 70-column lines (records over many 64-byte
+// blocks), lines over 64 KiB, and (sometimes) data before the first header
+// or no final newline.
 std::string random_fasta_text(std::mt19937_64& rng) {
   const auto pick = [&](int n) {
     return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
@@ -57,7 +63,9 @@ std::string random_fasta_text(std::mt19937_64& rng) {
         case 3: text += "\r"; text += eol(); continue;       // lone CR
         default: break;
       }
-      const int len = pick(40) == 0 ? (1 << 16) + pick(3000) : pick(90);
+      const int len = pick(40) == 0 ? (1 << 16) + pick(3000)
+                      : pick(3) == 0 ? 70
+                                     : pick(90);
       for (int i = 0; i < len; ++i) {
         text += pick(25) == 0 ? kSpaces[pick(6)]
                               : kResidues[pick(sizeof kResidues - 1)];
@@ -97,6 +105,29 @@ TEST(FastaOracle, RandomTextsParseAsBefore) {
   EXPECT_GT(thrown, 0);  // the data-before-header path was exercised
 }
 
+// Each special line - a CRLF end, '\v', '\f', a ';' comment, blanks only,
+// a lone '\r', an empty line - starting at every offset of the body's
+// first three 64-byte blocks, through every squeeze form.
+TEST(FastaOracle, SpecialLinesAtEveryBlockOffset) {
+  const std::string specials[] = {"MKV\r\n", "\vMK\n",  "M\fK\n",
+                                  ";c>x\n",   "  \t\n", "\r\n",
+                                  "\n",       ";\r\n",  "\v\f\r\n"};
+  for (const std::string& special : specials) {
+    for (int off = 0; off < 3 * 64; ++off) {
+      std::string text = ">r1 x\n";
+      if (off > 0) text += std::string(off - 1, 'A') + "\n";
+      text += special;
+      text += std::string(70, 'C') + "\r\n" + special + ">r2\n" + special;
+      SCOPED_TRACE(::testing::Message() << "offset " << off << " special "
+                                        << ::testing::PrintToString(special));
+      const std::vector<seq::Sequence> want = test::parse_fasta_oracle(text);
+      for (const simd::IsaKind isa : test::available_isas()) {
+        expect_same_records(seq::parse_fasta(text, isa), want);
+      }
+    }
+  }
+}
+
 TEST(FastaOracle, FilesReadAsBefore) {
   std::mt19937_64 rng(2702);
   const std::string path = ::testing::TempDir() + "fasta_oracle.fa";
@@ -121,6 +152,58 @@ TEST(FastaOracle, FilesReadAsBefore) {
     }
   }
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------- squeeze
+
+// What every squeeze form must write: the bytes of `s` that are neither
+// whitespace nor in a ';' comment line.
+std::string squeeze_reference(std::string_view s) {
+  std::string out;
+  bool line_start = true, comment = false;
+  for (const char c : s) {
+    comment = comment || (line_start && c == ';');
+    if (!comment && !test::oracle_is_space(c)) out += c;
+    line_start = c == '\n';
+    comment = comment && !line_start;
+  }
+  return out;
+}
+
+TEST(SqueezeOracle, EveryLengthAndOffset) {
+  std::vector<simd::SqueezeFn> fns = {&simd::squeeze_scalar};
+  for (simd::IsaKind k : test::available_isas()) {
+    fns.push_back(simd::squeeze_fn(k));
+  }
+  static constexpr char kSpaces[] = {' ', '\t', '\n', '\v', '\f', '\r'};
+  std::mt19937_64 rng(2708);
+  // Whitespace from none to all; at the denser ones ';' after a newline
+  // opens comment lines, some running past a block's end.
+  for (const int per_64 : {0, 1, 4, 16, 32, 63, 64}) {
+    std::string text(64 + 257 + 64, '\0');
+    for (char& c : text) {
+      const bool space = static_cast<int>(rng() % 64) < per_64;
+      c = space ? kSpaces[rng() % 6]
+                : (rng() % 16 == 0 ? ';' : static_cast<char>('A' + rng() % 26));
+    }
+    for (int off = 0; off < 64; ++off) {
+      for (int len = 0; len <= 257; ++len) {
+        const std::string_view in(text.data() + off, len);
+        const std::string want = squeeze_reference(in);
+        for (simd::SqueezeFn fn : fns) {
+          // Guard bytes on both sides: nothing is written outside dst's n.
+          std::string out(len + 2, '\xA5');
+          const std::size_t n = fn(in.data(), in.size(), out.data() + 1);
+          ASSERT_EQ(n, want.size())
+              << "density " << per_64 << " offset " << off << " len " << len;
+          ASSERT_EQ(out.front(), '\xA5');
+          ASSERT_EQ(out.back(), '\xA5');
+          ASSERT_EQ(out.substr(1, n), want)
+              << "density " << per_64 << " offset " << off << " len " << len;
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------------- encode
@@ -235,6 +318,52 @@ void check_stripe_all(std::mt19937_64& rng) {
         if (m < 1) continue;
         for (int alpha : {5, 24, 40, 255}) {
           check_stripe<T>(width, code, m, alpha, rng);
+        }
+      }
+    }
+  }
+}
+
+// Every striping form (the scalar one too, which only the scalar-only
+// build reaches through stripe_query) against the oracle, with the largest
+// query byte it returns.
+TEST(StripeOracle, EveryFormMatches) {
+  std::vector<simd::StripeFn> fns = {&simd::stripe_scalar};
+  for (simd::IsaKind k : test::available_isas()) {
+    fns.push_back(simd::stripe_fn(k));
+  }
+  std::mt19937_64 rng(2709);
+  const score::IndexCode codes[] = {{1, 0}, {0x0202, 0x0100}, {3, 7}};
+  for (int width : {1, 3, 4, 8, 16, 17, 32, 64}) {
+    for (int m = 1; m <= 2 * 16 * width + 1; m += m < 80 ? 1 : 13) {
+      const int alpha = 1 + static_cast<int>(rng() % 255);
+      const std::vector<std::uint8_t> q = test::random_symbols(rng, m, alpha);
+      const std::uint8_t top = *std::max_element(q.begin(), q.end());
+      for (const score::IndexCode& code : codes) {
+        score::StripedProfile<std::int32_t> want;
+        util::AlignedBuffer<std::int32_t> want_idx;
+        test::stripe_query_oracle(want, q, alpha, width, want_idx, code);
+        for (const int bytes : {1, 2, 4}) {
+          const std::size_t n = want_idx.size();
+          for (simd::StripeFn fn : fns) {
+            std::vector<std::uint8_t> out(n * bytes + 1, 0xA5);
+            ASSERT_EQ(fn(q.data(), q.size(), static_cast<std::size_t>(
+                                                 want.segs),
+                         static_cast<std::size_t>(width),
+                         static_cast<std::uint8_t>(alpha),
+                         {bytes, code.mul, code.add}, out.data()),
+                      top);
+            ASSERT_EQ(out.back(), 0xA5);
+            for (std::size_t k = 0; k < n; ++k) {
+              std::uint32_t lane = 0;
+              std::memcpy(&lane, out.data() + k * bytes, bytes);
+              const auto expect = static_cast<std::uint32_t>(want_idx[k]) &
+                                  (bytes == 4 ? ~0u : (1u << 8 * bytes) - 1);
+              ASSERT_EQ(lane, expect)
+                  << "width " << width << " m " << m << " bytes " << bytes
+                  << " code " << code.mul << "/" << code.add << " cell " << k;
+            }
+          }
         }
       }
     }
