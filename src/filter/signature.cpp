@@ -83,7 +83,8 @@ SignatureIndex::SignatureIndex(FilterParams params, std::size_t count,
                                std::span<const std::int32_t> blob,
                                std::span<const std::uint32_t> popcounts,
                                std::span<const std::uint32_t> lengths,
-                               std::shared_ptr<const void> backing)
+                               std::shared_ptr<const void> backing,
+                               std::shared_ptr<const DeferredCheck> check)
     : params_(params), count_(count), residues_(residues) {
   if (params_.k < 1) throw std::invalid_argument("filter: k must be >= 1");
   if (params_.bits == 0 || params_.bits % 512 != 0)
@@ -101,7 +102,23 @@ SignatureIndex::SignatureIndex(FilterParams params, std::size_t count,
   pop_p_ = popcounts.data();
   len_p_ = lengths.data();
   backing_ = std::move(backing);
+  check_ = std::move(check);
   win_count_ = count_;
+}
+
+void DeferredCheck::run() const {
+  std::call_once(once_, [this] {
+    try {
+      check_();
+    } catch (...) {
+      error_ = std::current_exception();
+    }
+  });
+  if (error_) std::rethrow_exception(error_);
+}
+
+void SignatureIndex::verify() const {
+  if (check_ != nullptr) check_->run();
 }
 
 SignatureIndex SignatureIndex::window(std::size_t first, std::size_t count,
@@ -117,11 +134,13 @@ SignatureIndex SignatureIndex::window(std::size_t first, std::size_t count,
   w.win_count_ = count;
   w.residues_ = residues;
   if (blob_p_ != nullptr) {
-    // Zero-copy source: the view shares the mapped arrays and backing.
+    // Zero-copy source: the view shares the mapped arrays, the backing
+    // and the deferred check, so the whole index is verified once.
     w.blob_p_ = blob_p_;
     w.pop_p_ = pop_p_;
     w.len_p_ = len_p_;
     w.backing_ = backing_;
+    w.check_ = check_;
   } else {
     // Owned source (AlignedBuffer is move-only): duplicate the arrays.
     w.blob_.resize(count_ * words_);
@@ -164,6 +183,7 @@ QuerySignature SignatureIndex::make_query_signature(
 FilterStats SignatureIndex::scan(const QuerySignature& q, simd::IsaKind isa,
                                  std::vector<std::uint8_t>& survivors,
                                  double threshold) const {
+  verify();
   const double thr = threshold < 0.0 ? params_.threshold : threshold;
   survivors.assign(win_count_, std::uint8_t{1});
   FilterStats fs;

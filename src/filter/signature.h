@@ -35,8 +35,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -124,6 +127,26 @@ struct QuerySignature {
   std::size_t length = 0;
 };
 
+// The integrity check a zero-copy index defers to its first verify(): the
+// owner of the arrays supplies `check` (store::MappedIndex hashes its
+// signature sections; filter cannot name the store layer), and it runs at
+// most once across every index and window() view that shares this state.
+// The verdict is kept: a check that threw rethrows the same exception on
+// every later run(). Concurrent first calls wait on the flag while one
+// thread checks, the pattern of QueryContext's lazy tiers
+// (docs/concurrency.md).
+class DeferredCheck {
+ public:
+  explicit DeferredCheck(std::function<void()> check)
+      : check_(std::move(check)) {}
+  void run() const;
+
+ private:
+  std::function<void()> check_;
+  mutable std::once_flag once_;
+  mutable std::exception_ptr error_;  // written once, under once_
+};
+
 class SignatureIndex {
  public:
   SignatureIndex() = default;
@@ -138,12 +161,14 @@ class SignatureIndex {
   // caller's arrays (the mapped index file), pinned alive by `backing`.
   // The blob must be 64-byte aligned with signatures packed at
   // words-per-signature stride - exactly the store section layout. Copies
-  // of this index stay valid; they share the backing.
+  // of this index stay valid; they share the backing. `check` verifies the
+  // arrays on the first verify() (null: the caller already verified them).
   SignatureIndex(FilterParams params, std::size_t count, std::size_t residues,
                  std::span<const std::int32_t> blob,
                  std::span<const std::uint32_t> popcounts,
                  std::span<const std::uint32_t> lengths,
-                 std::shared_ptr<const void> backing);
+                 std::shared_ptr<const void> backing,
+                 std::shared_ptr<const DeferredCheck> check);
 
   // Subjects this index SCREENS: the window size for a window() view,
   // otherwise the whole blob. Serialization helpers below always cover
@@ -173,6 +198,14 @@ class SignatureIndex {
 
   QuerySignature make_query_signature(std::span<const std::uint8_t> query) const;
 
+  // Runs the deferred integrity check of a zero-copy index once, shared
+  // with every window() view of it; throws the check's error (a
+  // store.section_checksum StoreError for a mapped index) on this and every
+  // later call. A no-op for built indexes and already-verified ones.
+  // scan() calls it first, so no unverified signature is ever screened;
+  // a component that will filter calls it when it is built, to fail early.
+  void verify() const;
+
   // Shard-scoped view (gateway fleet, docs/deployment.md): screens only
   // subjects [first, first+count) — survivors are indexed window-locally
   // and matches() checks the SLICE database via `residues` — while the
@@ -189,6 +222,7 @@ class SignatureIndex {
   // popcount-AND backend (falls back to scalar when unavailable);
   // `threshold` < 0 uses params().threshold. Deterministic: the verdict
   // depends only on signatures and the threshold, never on the ISA.
+  // Calls verify() before it reads a signature byte.
   FilterStats scan(const QuerySignature& q, simd::IsaKind isa,
                    std::vector<std::uint8_t>& survivors,
                    double threshold = -1.0) const;
@@ -228,6 +262,7 @@ class SignatureIndex {
   const std::uint32_t* pop_p_ = nullptr;
   const std::uint32_t* len_p_ = nullptr;
   std::shared_ptr<const void> backing_;     // pins the zero-copy views
+  std::shared_ptr<const DeferredCheck> check_;  // null: nothing deferred
 };
 
 // True when the filter stage should run for this request shape: On always

@@ -60,6 +60,13 @@ AlignService::AlignService(const score::ScoreMatrix& matrix, AlignConfig cfg,
     opt_.search.filter.index = std::make_shared<filter::SignatureIndex>(
         db_, opt_.search.filter.params);
   }
+  // A service that filters by default checks a deferred signature index
+  // (a mapped one's checksums) now, before any executor starts: a corrupt
+  // one fails the service at construction, not its first request.
+  if (opt_.search.filter.mode != filter::FilterMode::Off &&
+      opt_.search.filter.index != nullptr) {
+    opt_.search.filter.index->verify();
+  }
 
   const int n = std::max(1, opt_.executors);
   executors_.reserve(static_cast<std::size_t>(n));

@@ -57,7 +57,9 @@ struct ServiceOptions {
 
 class AlignService : public RequestHandler {
  public:
-  // Takes ownership of the database.
+  // Takes ownership of the database. Unless the default filter mode is
+  // Off, verifies the signature index first (SignatureIndex::verify), so a
+  // corrupt mapped one throws its store.section_checksum error here.
   AlignService(const score::ScoreMatrix& matrix, AlignConfig cfg,
                seq::Database db, ServiceOptions opt = {});
   ~AlignService() override;  // implies shutdown()

@@ -18,8 +18,10 @@
 // checksums (alignment padding is zero-filled and checksummed with its
 // owning region), so any single bit flip is detectable. The loader
 // verifies the header + metadata at open (O(directory), independent of
-// residue volume — the O(1)-startup path) and the blob shards on demand
-// (`Verify::Full`, the `aalign_index verify` path).
+// residue volume — the O(1)-startup path), the signature sections once,
+// before their first filter use, and the blob shards on demand
+// (`Verify::Full`, the `aalign_index verify` path, checks everything at
+// open).
 //
 // Compatibility policy (docs/database_format.md): the format version is
 // bumped on ANY layout change; readers reject files whose version or
@@ -148,6 +150,13 @@ inline constexpr std::uint32_t kSectionCount = 12;
 inline constexpr SectionKind kFirstColdSection = SectionKind::IdOffsets;
 constexpr bool cold_section(SectionKind kind) {
   return kind >= kFirstColdSection;
+}
+
+// The signature sections, SigPopcounts through SigBlob: a Verify::Directory
+// open checks their geometry but leaves their checksums to the first
+// filter use (loader.h), since only a filter scan reads them.
+constexpr bool signature_section(SectionKind kind) {
+  return kind >= SectionKind::SigPopcounts && kind <= SectionKind::SigBlob;
 }
 
 // "ShardDir", "SeqOffsets", ...: the SectionKind's enumerator name.

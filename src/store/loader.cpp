@@ -97,6 +97,36 @@ std::uint64_t section_checksum(const MappedFile& f, const SectionEntry& e) {
   return h.digest();
 }
 
+StoreError section_mismatch(const std::string& path, const SectionEntry& e) {
+  return StoreError(StoreErrc::SectionChecksum,
+                    at_path(path, "section " + std::to_string(e.kind) +
+                                      " checksum mismatch"));
+}
+
+// The deferred half of a Directory open: hashes the signature sections in
+// one call each, not in released windows, so their pages stay mapped for
+// the filter scan that reads them next. Counts and times every run, a
+// failing one too.
+void check_signature_sections(const MappedFile& f,
+                              const std::vector<SectionEntry>& sections) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const SectionEntry* bad = nullptr;
+  for (const SectionEntry& e : sections) {
+    if (checksum(f.range(e.offset, e.bytes), e.bytes) != e.checksum) {
+      bad = &e;
+      break;
+    }
+  }
+  obs::Registry& r = obs::registry();
+  r.counter("store.signature_verifies").add(1);
+  r.histogram("store.signature_verify_us")
+      .record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
+  if (bad != nullptr) throw section_mismatch(f.path(), *bad);
+}
+
 }  // namespace
 
 MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
@@ -152,7 +182,11 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "trailing bytes beyond the declared size"));
   }
-  if (h.filter_k < 1 || h.filter_bits == 0 || h.filter_bits % 512 != 0 ||
+  // filter_params() hands k to the filter as an int.
+  constexpr auto kMaxFilterK =
+      static_cast<std::uint32_t>(std::numeric_limits<int>::max());
+  if (h.filter_k < 1 || h.filter_k > kMaxFilterK || h.filter_bits == 0 ||
+      h.filter_bits % 512 != 0 ||
       h.sig_words != h.filter_bits / 32 || h.lut_stride != kProfileLutStride ||
       h.alphabet_size == 0) {
     throw StoreError(StoreErrc::BadLayout,
@@ -215,13 +249,23 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
   // mapping before it is hashed: no later fault on the hot side maps it.
   const std::uint64_t cold = idx.section(kFirstColdSection).offset;
   f.split_at(cold);
+  // A Directory open leaves the signature sections to the first filter
+  // use: one deferred check per opened index, shared by every signatures()
+  // and window() view, so a filter-off search never reads them.
+  std::vector<SectionEntry> deferred;
   for (const SectionEntry& e : sections) {
     if (e.flags & kSectionFlagPerShardChecksum) continue;
-    if (section_checksum(f, e) != e.checksum) {
-      throw StoreError(StoreErrc::SectionChecksum,
-                       at_path(path, "section " + std::to_string(e.kind) +
-                                         " checksum mismatch"));
+    if (verify == Verify::Directory && signature_section(SectionKind(e.kind))) {
+      deferred.push_back(e);
+      continue;
     }
+    if (section_checksum(f, e) != e.checksum) throw section_mismatch(path, e);
+  }
+  if (!deferred.empty()) {
+    idx.sig_check_ = std::make_shared<const filter::DeferredCheck>(
+        [file = idx.file_, deferred = std::move(deferred)] {
+          check_signature_sections(*file, deferred);
+        });
   }
 
   // ---- Offsets, order, shards, permutation (O(seq_count), no residues) ---
@@ -381,7 +425,8 @@ std::shared_ptr<const filter::SignatureIndex> MappedIndex::signatures() const {
       filter_params(), n, hdr_.residue_total,
       typed_section<std::int32_t>(SectionKind::SigBlob, n * hdr_.sig_words),
       typed_section<std::uint32_t>(SectionKind::SigPopcounts, n),
-      typed_section<std::uint32_t>(SectionKind::SigLengths, n), file_);
+      typed_section<std::uint32_t>(SectionKind::SigLengths, n), file_,
+      sig_check_);
 }
 
 ShardSlice MappedIndex::shard_slice(std::size_t i, std::size_t n) const {
@@ -449,7 +494,7 @@ std::shared_ptr<const filter::SignatureIndex> MappedIndex::signatures(
       typed_section<std::uint32_t>(SectionKind::SigPopcounts, n);
   const auto lens = typed_section<std::uint32_t>(SectionKind::SigLengths, n);
   const filter::SignatureIndex full(filter_params(), n, hdr_.residue_total,
-                                    blob, pops, lens, file_);
+                                    blob, pops, lens, file_, sig_check_);
   return std::make_shared<const filter::SignatureIndex>(
       full.window(slice.first_seq, slice.seq_count, slice.residues));
 }

@@ -1,27 +1,36 @@
 // mmap-backed index loading: the O(1)-startup half of the store layer.
 //
-// MappedIndex::open maps the file and verifies the header + every
-// metadata section checksum — work proportional to the subject count,
-// never to the residue volume: 12 B of hot metadata (a u64 residue offset
-// and a u32 permutation entry), 8 B of id offset plus the id, and 256 B
-// of signature per subject are hashed at open, by the format's 32-lane
-// checksum (store/format.h), whose lane update runs as AVX-512F or AVX2
-// vector code where the CPU has it, near the speed of a plain read of the
-// same bytes. It checks the section geometry first, then gives the cold
-// sections (format.h: the ids, signatures and profile tables, which a
-// filter-off search never reads) a mapping of their own, hashes them in
-// 1 MiB windows cut from each section's start (so each window but the
-// last is whole checksum strides) whose pages are released once hashed,
-// and releases the whole cold range once the layout checks below are
-// done. The kernel maps page-cache folios of up to 2 MiB whole but clips
-// them at mapping bounds, so after a filter-off search on a
-// 26,032-subject index (Linux 6.18, ext4) no id or signature page is
-// resident and the mapping's resident bytes are the hot sections the
-// search read (docs/database_format.md). Reporting a hit faults its id's
-// pages back; a filter scan faults the signature pages back. The residue
-// blob is verified per shard only under Verify::Full (the `aalign_index
-// verify` / CI corruption-fuzz path); the serving path trusts the page
-// cache and the per-shard checksums stay available for offline audit.
+// MappedIndex::open maps the file and verifies the header + the metadata
+// section checksums — work proportional to the subject count, never to
+// the residue volume: 12 B of hot metadata (a u64 residue offset and a
+// u32 permutation entry) and 8 B of id offset plus the id per subject are
+// hashed at open, by the format's 32-lane checksum (store/format.h),
+// whose lane update runs as AVX-512F or AVX2 vector code where the CPU
+// has it, near the speed of a plain read of the same bytes. It checks the
+// section geometry first, then gives the cold sections (format.h: the
+// ids, signatures and profile tables, which a filter-off search never
+// reads) a mapping of their own, hashes the cold ones it checks in 1 MiB
+// windows cut from each section's start (so each window but the last is
+// whole checksum strides) whose pages are released once hashed, and
+// releases the whole cold range once the layout checks below are done.
+// The kernel maps page-cache folios of up to 2 MiB whole but clips them
+// at mapping bounds, so after a filter-off search on a 26,032-subject
+// index (Linux 6.18, ext4) no id or signature page is resident and the
+// mapping's resident bytes are the hot sections the search read
+// (docs/database_format.md). Reporting a hit faults its id's pages back; a
+// filter scan faults the signature pages back.
+//
+// Under Verify::Directory the three signature sections (format.h
+// signature_section) are the exception: open checks their geometry, and
+// their checksums are hashed once per opened index, on the first
+// SignatureIndex::verify() of any index that signatures() returns (a
+// filter scan calls it before it reads a signature byte; a component that
+// filters calls it when it is built). A mismatch throws
+// store.section_checksum from that call and every later one. Verify::Full
+// hashes them at open, and also the residue blob per shard (the
+// `aalign_index verify` / CI corruption-fuzz path); the serving path
+// trusts the page cache and the per-shard checksums stay available for
+// offline audit.
 //
 // open() also checks that both offset arrays (residues and ids) start at
 // 0, never decrease and end at their blob's payload, that the sequences
@@ -50,8 +59,9 @@
 namespace aalign::store {
 
 enum class Verify {
-  Directory,  // header + metadata checksums (the O(1)-startup default)
-  Full,       // Directory + every per-shard residue-blob checksum
+  Directory,  // header + metadata checksums (the O(1)-startup default);
+              // the signature sections' on their first filter use
+  Full,       // every checksum at open, per-shard residue blob included
 };
 
 // A contiguous run of the index's shard directory, the partition unit of
@@ -77,7 +87,9 @@ class MappedIndex {
   // (also bumps the store.version_rejects counter), store.truncated,
   // store.header_checksum, store.section_checksum, store.bad_layout —
   // plus store.shard_checksum under Verify::Full. On success records
-  // store.mmap_bytes and store.load_us.
+  // store.mmap_bytes and store.load_us. (A Directory open's signature
+  // check records store.signature_verifies and store.signature_verify_us
+  // when it runs.)
   static MappedIndex open(const std::string& path,
                           Verify verify = Verify::Directory);
 
@@ -98,7 +110,9 @@ class MappedIndex {
   // a view of the mapped offset arrays, not a copy of them.
   seq::Database database() const;
 
-  // Prebuilt signature index (never bumps filter.index_builds).
+  // Prebuilt signature index (never bumps filter.index_builds). Every
+  // index this and signatures(slice) return, and their window() views,
+  // share this MappedIndex's one deferred signature check (verify()).
   std::shared_ptr<const filter::SignatureIndex> signatures() const;
 
   // Slice i of n: a residue-balanced contiguous partition of the shard
@@ -163,6 +177,10 @@ class MappedIndex {
   // permutation and shared by every database(); null when the stored
   // order is the input order.
   std::shared_ptr<const std::uint32_t[]> inv_;
+  // The signature sections' deferred checksum check, made by a Directory
+  // open and shared by every signatures() and by copies of this handle;
+  // null when open() hashed them (Verify::Full).
+  std::shared_ptr<const filter::DeferredCheck> sig_check_;
 };
 
 }  // namespace aalign::store

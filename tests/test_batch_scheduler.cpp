@@ -2,13 +2,20 @@
 // the serial per-subject oracle (test_helpers.h) for every thread count x
 // shard size x top_k combination; the profile LRU must behave like a
 // textbook LRU with exact counters; hits must carry ORIGINAL database
-// indices.
+// indices; the first filtered scans of a mapped index, made at once,
+// verify its signatures once.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <latch>
 #include <limits>
+#include <optional>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +26,8 @@
 #include "search/inter_search.h"
 #include "seq/generator.h"
 #include "seq/pairgen.h"
+#include "store/builder.h"
+#include "store/loader.h"
 #include "test_helpers.h"
 
 using namespace aalign;
@@ -472,3 +481,85 @@ TEST(BatchScheduler, DroppedSentinelIsTrimmedFromTopK) {
 }
 
 }  // namespace
+
+// Four schedulers make the first filtered scan of one freshly opened
+// Directory index at once: the signature sections are hashed exactly once
+// and every scan gets the verdict - on a pristine file all four run and
+// agree, on one with a SigBlob bit flipped all four throw
+// store.section_checksum (run under TSan by the stress label).
+TEST(BatchScheduler, ConcurrentFirstScansVerifySignaturesOnce) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  AlignConfig cfg;
+  cfg.kind = AlignKind::Local;
+  cfg.pen = Penalties::symmetric(10, 2);
+  const std::vector<std::uint8_t> pristine =
+      store::build_index_bytes(make_db(97, 300), m);
+  store::SectionEntry blob;
+  std::memcpy(&blob,
+              pristine.data() + sizeof(store::Header) +
+                  (static_cast<std::size_t>(store::SectionKind::SigBlob) - 1) *
+                      sizeof(store::SectionEntry),
+              sizeof blob);
+  const std::string path = ::testing::TempDir() + "first_scans_" +
+                           std::to_string(::getpid()) + ".aidx";
+  const auto queries = make_queries(98);
+  obs::Counter& verifies = obs::registry().counter("store.signature_verifies");
+
+  for (const bool flip : {false, true}) {
+    SCOPED_TRACE(flip ? "flipped" : "pristine");
+    std::vector<std::uint8_t> bytes = pristine;
+    if (flip) bytes[blob.offset + blob.bytes / 2] ^= 0x10;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    const store::MappedIndex idx =
+        store::MappedIndex::open(path, store::Verify::Directory);
+    const seq::Database db = idx.database();
+    search::SearchOptions opt;
+    opt.threads = 1;
+    opt.top_k = 5;
+    opt.filter.mode = filter::FilterMode::On;
+    opt.filter.params = idx.filter_params();
+    opt.filter.index = idx.signatures();
+    const std::uint64_t before = verifies.value();
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<search::SearchResult>> got(kThreads);
+    std::vector<std::optional<store::StoreErrc>> error(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t] {
+        search::BatchScheduler sched(m, cfg, opt);
+        start.arrive_and_wait();
+        try {
+          got[t] = sched.run(queries, db);
+        } catch (const store::StoreError& e) {
+          error[t] = e.errc();
+        }
+      });
+    }
+    for (std::thread& th : pool) th.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+      if (flip) {
+        EXPECT_EQ(error[t], store::StoreErrc::SectionChecksum)
+            << "thread " << t;
+        continue;
+      }
+      ASSERT_FALSE(error[t].has_value()) << "thread " << t;
+      ASSERT_EQ(got[t].size(), queries.size()) << "thread " << t;
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        EXPECT_TRUE(got[t][q].filtered) << "thread " << t;
+        EXPECT_EQ(got[t][q].scores, got[0][q].scores)
+            << "thread " << t << " query " << q;
+      }
+    }
+    if (obs::metrics_enabled()) {
+      EXPECT_EQ(verifies.value(), before + 1);
+    }
+  }
+  std::remove(path.c_str());
+}

@@ -5,9 +5,10 @@
 // with store::checksum) so that they get past the checksums and reach the
 // layout checks. Every mutant either opens - and then database(), a walk
 // of every residues(pos) and id(pos) that stays inside the mapping, the
-// permutation round trip and verify_shards() all run clean - or throws a
-// StoreError naming its store.<code>; nothing else - no other exception,
-// no crash, no sanitizer report - is allowed.
+// permutation round trip, one filtered scan of its signatures() and
+// verify_shards() all run clean - or throws a StoreError naming its
+// store.<code> (from the scan, store.section_checksum); nothing else - no
+// other exception, no crash, no sanitizer report - is allowed.
 //
 // AALIGN_FUZZ_ROUNDS scales the mutant count (default 3 rounds of 150
 // mutants per index); sanitizer CI jobs raise it.
@@ -27,6 +28,7 @@
 #include <string_view>
 #include <vector>
 
+#include "filter/signature.h"
 #include "score/matrices.h"
 #include "seq/database.h"
 #include "seq/fasta.h"
@@ -231,17 +233,34 @@ bool in_mapping(const store::MappedFile& file, const void* p, std::size_t n) {
   return at >= lo && at - lo <= file.size() && n <= file.size() - (at - lo);
 }
 
-enum class Outcome { Opened, RejectedAtOpen, RejectedAtShards };
+// A 64-residue query (protein codes 0..19), long enough that a scan
+// reads every screened subject's signature.
+const std::vector<std::uint8_t> kScanQuery = [] {
+  std::vector<std::uint8_t> q(64);
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    q[i] = static_cast<std::uint8_t>(i * 7 % 20);
+  }
+  return q;
+}();
+
+enum class Outcome {
+  Opened,
+  RejectedAtOpen,
+  RejectedAtScan,
+  RejectedAtShards,
+};
 
 // Opens the mutant at `path` and uses it the way a search would, adding
-// every byte it reads to `sink`. A StoreError is a rejection and must
-// name its code.
+// every byte it reads to `sink`, then runs one filtered scan through its
+// signatures(), which verifies the signature sections a Directory open
+// deferred. A StoreError is a rejection and must name its code; one from
+// the scan must be store.section_checksum.
 Outcome open_and_walk(const std::string& path, std::uint64_t& sink) {
-  bool opened = false;
+  Outcome stage = Outcome::RejectedAtOpen;
   try {
     const store::MappedIndex idx =
         store::MappedIndex::open(path, store::Verify::Directory);
-    opened = true;
+    stage = Outcome::RejectedAtScan;
     const seq::Database db = idx.database();
     const store::MappedFile& file = *idx.file();
     for (std::size_t pos = 0; pos < db.size(); ++pos) {
@@ -255,19 +274,27 @@ Outcome open_and_walk(const std::string& path, std::uint64_t& sink) {
       EXPECT_LT(orig, db.size());
       EXPECT_EQ(db.position_of(orig), pos);
     }
+    std::vector<std::uint8_t> alive;
+    const filter::FilterStats fs =
+        idx.signatures()->scan(kScanQuery, simd::best_available_isa(), alive);
+    sink += fs.survivors;
+    stage = Outcome::RejectedAtShards;
     idx.verify_shards();
     return Outcome::Opened;
   } catch (const store::StoreError& e) {
     const std::string name = store::store_errc_name(e.errc());
     EXPECT_NE(name, "store.unknown") << e.what();
     EXPECT_EQ(std::string(e.what()).rfind(name, 0), 0u) << e.what();
-    if (opened) {
+    if (stage == Outcome::RejectedAtScan) {
+      EXPECT_EQ(e.errc(), store::StoreErrc::SectionChecksum) << e.what();
+    } else if (stage == Outcome::RejectedAtShards) {
       EXPECT_EQ(e.errc(), store::StoreErrc::ShardChecksum) << e.what();
     }
+    return stage;
   } catch (const std::exception& e) {
     ADD_FAILURE() << "non-StoreError exception: " << e.what();
   }
-  return opened ? Outcome::RejectedAtShards : Outcome::RejectedAtOpen;
+  return stage;
 }
 
 TEST(FuzzStore, MutantsOpenCleanOrNameTheirError) {
@@ -282,7 +309,7 @@ TEST(FuzzStore, MutantsOpenCleanOrNameTheirError) {
   }
   const int mutants = fuzz_rounds(3) * 150;
   std::mt19937_64 rng(0x57012E);
-  int counts[2][3] = {};  // [plain, resealed][Outcome]
+  int counts[2][4] = {};  // [plain, resealed][Outcome]
   for (std::size_t c = 0; c < indexes.size(); ++c) {
     const Bytes& base = indexes[c];
     const std::uint64_t hot_end = structure_end(base);
@@ -301,21 +328,23 @@ TEST(FuzzStore, MutantsOpenCleanOrNameTheirError) {
   std::remove(path.c_str());
   RecordProperty("bytes_read_sum", std::to_string(sink));
   const char* const kOutcomes[] = {"opened", "rejected_at_open",
-                                   "rejected_at_shards"};
+                                   "rejected_at_scan", "rejected_at_shards"};
   for (int r = 0; r < 2; ++r) {
-    for (int o = 0; o < 3; ++o) {
+    for (int o = 0; o < 4; ++o) {
       RecordProperty(std::string(r ? "resealed_" : "plain_") + kOutcomes[o],
                      counts[r][o]);
     }
   }
-  // Every outcome was exercised: plain mutants caught at open and, with
-  // only residues edited, by the shard checksums after a Directory open;
-  // resealed mutants that are valid files again and ones the layout
-  // checks reject.
+  // Every outcome was exercised: plain mutants caught at open, by the
+  // first scan (only signature bytes edited) and, with only residues
+  // edited, by the shard checksums after a Directory open; resealed
+  // mutants that are valid files again and ones the layout checks reject.
   constexpr int kOpened = static_cast<int>(Outcome::Opened);
   constexpr int kAtOpen = static_cast<int>(Outcome::RejectedAtOpen);
+  constexpr int kAtScan = static_cast<int>(Outcome::RejectedAtScan);
   constexpr int kAtShards = static_cast<int>(Outcome::RejectedAtShards);
   EXPECT_GT(counts[0][kAtOpen], 0);
+  EXPECT_GT(counts[0][kAtScan], 0);
   EXPECT_GT(counts[0][kAtShards], 0);
   EXPECT_GT(counts[1][kOpened], 0);
   EXPECT_GT(counts[1][kAtOpen], 0);

@@ -1,10 +1,15 @@
 // aalignd service stack: wire protocol round trips, admission queue
 // shedding policy, differential bit-identity against direct library
 // calls, structured edge-case errors, deadline/disconnect cancellation,
-// exact answers under load, and drain-then-exit shutdown.
+// exact answers under load, drain-then-exit shutdown, and a mapped index
+// whose signature sections are corrupt.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -20,6 +25,8 @@
 #include "service/service.h"
 #include "service/tcp.h"
 #include "simd/isa.h"
+#include "store/builder.h"
+#include "store/loader.h"
 
 using namespace aalign;
 using namespace std::chrono_literals;
@@ -479,6 +486,87 @@ TEST(Service, FilterSentinelNeverSurfacesAsHit) {
       EXPECT_EQ(want[qi].scores[resp.results[qi].hits[h].index],
                 resp.results[qi].hits[h].score);
     }
+  }
+}
+
+// An index of `db` with one SigBlob bit flipped, written to a temp file
+// that is removed with this object.
+class FlippedSignatureIndex {
+ public:
+  explicit FlippedSignatureIndex(const seq::Database& db) {
+    std::vector<std::uint8_t> bytes =
+        store::build_index_bytes(db, score::ScoreMatrix::blosum62());
+    store::SectionEntry blob;
+    std::memcpy(&blob,
+                bytes.data() + sizeof(store::Header) +
+                    (static_cast<std::size_t>(store::SectionKind::SigBlob) -
+                     1) * sizeof(store::SectionEntry),
+                sizeof blob);
+    bytes[blob.offset + blob.bytes / 3] ^= 0x04;
+    path_ = ::testing::TempDir() + "service_flipped_" +
+            std::to_string(::getpid()) + ".aidx";
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  ~FlippedSignatureIndex() { std::remove(path_.c_str()); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// A service that filters by default verifies a mapped index's signatures
+// when it is built: a corrupt one fails the constructor, not a request.
+TEST(Service, FilteringServiceRejectsCorruptSignaturesAtConstruction) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  const FlippedSignatureIndex file(make_db(97, 120));
+  const store::MappedIndex idx = store::MappedIndex::open(file.path());
+  service::ServiceOptions opt = service_opt();
+  opt.search.filter.mode = filter::FilterMode::Auto;
+  opt.search.filter.params = idx.filter_params();
+  opt.search.filter.index = idx.signatures();
+  try {
+    service::AlignService svc(m, local_cfg(), idx.database(), opt);
+    ADD_FAILURE() << "a filtering service accepted corrupt signatures";
+  } catch (const store::StoreError& e) {
+    EXPECT_EQ(e.errc(), store::StoreErrc::SectionChecksum) << e.what();
+  }
+}
+
+// A filter-off service over the same file never reads the signatures: it
+// answers filter-off requests exactly as the library does, answers a
+// "filter": "on" request with a structured error naming
+// store.section_checksum, and keeps serving after it.
+TEST(Service, FilterOffServiceOverCorruptSignaturesServesExactly) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  const AlignConfig cfg = local_cfg();
+  const FlippedSignatureIndex file(make_db(97, 120));
+  const store::MappedIndex idx = store::MappedIndex::open(file.path());
+  const auto queries = make_queries(98, 2, 100);
+  const std::size_t top_k = 5;
+  const auto want =
+      library_scores(m, cfg, service_opt().search, queries, make_db(97, 120));
+
+  service::ServiceOptions opt = service_opt();
+  opt.search.filter.params = idx.filter_params();
+  opt.search.filter.index = idx.signatures();
+  service::AlignService svc(m, cfg, idx.database(), opt);
+  WireRequest req;
+  req.queries = queries;
+  req.top_k = top_k;
+  for (int round = 0; round < 2; ++round) {
+    req.id = 10 + round;
+    expect_exact_hits(svc.execute(req), want, top_k);
+
+    WireRequest on = req;
+    on.id = 20 + round;
+    on.filter = filter::FilterMode::On;
+    on.filter_explicit = true;
+    const WireResponse resp = svc.execute(on);
+    EXPECT_FALSE(resp.ok);
+    EXPECT_NE(resp.message.find("store.section_checksum"), std::string::npos)
+        << resp.message;
   }
 }
 

@@ -368,6 +368,10 @@ class StoreCorruption : public ::testing::Test {
     std::memcpy(m.data(), &hdr, sizeof hdr);
   }
 
+  void expect_rejected_at_first_scan(
+      const std::vector<std::uint8_t>& mutated,
+      const std::vector<search::SearchResult>& pristine);
+
   std::vector<std::uint8_t> bytes_;
   std::string path_;
 };
@@ -572,12 +576,89 @@ TEST_F(StoreCorruption, IdOffsetsPastIdBlobRejected) {
             store::StoreErrc::BadLayout);
 }
 
-// Open hashes the signature sections a window at a time and releases each
-// window's pages once hashed; that must defer no check. A database large
-// enough that SigBlob spans several 1 MiB windows: a flip at its first,
-// middle and last byte, and one in each of SigPopcounts and SigLengths,
-// is rejected by a Directory open.
-TEST_F(StoreCorruption, SignatureSectionFlipsRejectedAtOpen) {
+namespace {
+
+// Two filter-off queries over `idx`, run through a BatchScheduler that
+// holds the index's signatures but never scans them.
+std::vector<search::SearchResult> filter_off_hits(
+    const store::MappedIndex& idx) {
+  std::mt19937_64 rng(37);
+  const std::vector<std::vector<std::uint8_t>> queries = {
+      test::random_protein(rng, 40), test::random_protein(rng, 90)};
+  search::SearchOptions opt;
+  opt.threads = 2;
+  opt.top_k = 10;
+  opt.filter.mode = filter::FilterMode::Off;
+  opt.filter.index = idx.signatures();
+  return search::BatchScheduler(score::ScoreMatrix::blosum62(),
+                                local_config(), opt)
+      .run(queries, idx.database());
+}
+
+// The error one filtered scan of `sigs` throws.
+store::StoreErrc scan_error(const filter::SignatureIndex& sigs) {
+  std::mt19937_64 rng(41);
+  std::vector<std::uint8_t> alive;
+  try {
+    sigs.scan(test::random_protein(rng, 60), simd::IsaKind::Scalar, alive);
+  } catch (const store::StoreError& e) {
+    return e.errc();
+  }
+  ADD_FAILURE() << "a scan screened an unverified signature";
+  return store::StoreErrc::IoError;
+}
+
+}  // namespace
+
+// The contract for a mutant whose one defect is a signature-section
+// checksum: a Full open rejects it; a Directory open accepts it and serves
+// a filter-off search whose hits are the pristine index's, bit for bit,
+// without hashing a signature; its first filtered scan throws
+// store.section_checksum, and so do a second and one through a window()
+// view of another slice, which hash nothing again.
+void StoreCorruption::expect_rejected_at_first_scan(
+    const std::vector<std::uint8_t>& mutated,
+    const std::vector<search::SearchResult>& pristine) {
+  EXPECT_EQ(open_expecting_error(mutated, store::Verify::Full),
+            store::StoreErrc::SectionChecksum);
+  write_file(path_, mutated);
+  const store::MappedIndex idx =
+      store::MappedIndex::open(path_, store::Verify::Directory);
+  obs::Counter& verifies = obs::registry().counter("store.signature_verifies");
+  const std::uint64_t before = verifies.value();
+
+  const auto hits = filter_off_hits(idx);
+  EXPECT_EQ(verifies.value(), before);
+  ASSERT_EQ(hits.size(), pristine.size());
+  for (std::size_t q = 0; q < hits.size(); ++q) {
+    EXPECT_EQ(hits[q].scores, pristine[q].scores) << "query " << q;
+    ASSERT_EQ(hits[q].top.size(), pristine[q].top.size()) << "query " << q;
+    for (std::size_t r = 0; r < hits[q].top.size(); ++r) {
+      EXPECT_EQ(hits[q].top[r].index, pristine[q].top[r].index) << r;
+      EXPECT_EQ(hits[q].top[r].score, pristine[q].top[r].score) << r;
+    }
+  }
+
+  const auto sigs = idx.signatures();
+  EXPECT_EQ(scan_error(*sigs), store::StoreErrc::SectionChecksum);
+  EXPECT_EQ(scan_error(*sigs), store::StoreErrc::SectionChecksum);
+  const std::size_t half = sigs->size() / 2;
+  const filter::SignatureIndex other =
+      sigs->window(half, sigs->size() - half, 0);
+  EXPECT_EQ(scan_error(other), store::StoreErrc::SectionChecksum);
+  if (obs::metrics_enabled()) {
+    EXPECT_EQ(verifies.value(), before + 1);
+  }
+}
+
+// A Directory open defers the signature sections' checksums to the first
+// filter use; a Full open still hashes them, a window at a time, releasing
+// each window's pages once hashed. A database large enough that SigBlob
+// spans several 1 MiB windows: a flip at its first, middle and last byte,
+// and one in each of SigPopcounts and SigLengths, is rejected by a Full
+// open and by the first scan after a Directory open, and leaves a
+// filter-off search untouched.
+TEST_F(StoreCorruption, SignatureSectionFlipsRejectedAtFullOpenAndFirstScan) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const seq::Database db = protein_db(make_workload(19, 9000, 0, 8, 24));
   bytes_ = store::build_index_bytes(db, matrix);
@@ -590,45 +671,56 @@ TEST_F(StoreCorruption, SignatureSectionFlipsRejectedAtOpen) {
   const store::SectionEntry lens =
       section(bytes_, store::SectionKind::SigLengths);
 
-  // The pristine file opens, and the released pages read back unchanged.
+  // The pristine file opens at both levels, and the pages a Full open
+  // released read back unchanged.
   write_file(path_, bytes_);
-  {
-    const store::MappedIndex idx =
-        store::MappedIndex::open(path_, store::Verify::Directory);
+  std::vector<search::SearchResult> pristine;
+  for (const store::Verify verify :
+       {store::Verify::Full, store::Verify::Directory}) {
+    const store::MappedIndex idx = store::MappedIndex::open(path_, verify);
     for (const store::SectionEntry& e : {blob, pops, lens}) {
       EXPECT_EQ(std::memcmp(idx.file()->range(e.offset, e.bytes),
                             bytes_.data() + e.offset, e.bytes),
                 0)
           << "section " << e.kind;
     }
+    pristine = filter_off_hits(idx);
   }
 
   for (const std::uint64_t off :
        {blob.offset, blob.offset + blob.bytes / 2,
         blob.offset + blob.bytes - 1, pops.offset + pops.bytes / 2,
         lens.offset + lens.bytes / 3}) {
-    EXPECT_EQ(open_expecting_error(flipped(off, 3), store::Verify::Directory),
-              store::StoreErrc::SectionChecksum)
-        << "offset " << off;
+    SCOPED_TRACE(::testing::Message() << "offset " << off);
+    expect_rejected_at_first_scan(flipped(off, 3), pristine);
   }
 }
 
 // Every byte of the first 256-byte stride of SeqOffsets, IdOffsets and
 // SigBlob feeds one of the checksum's 32 lanes (word k of each stride
 // feeds lane k): a single-bit flip at each of them, so every bit position
-// of every lane's word, is rejected by a Directory open - in a hot section
-// and in cold ones, which open hashes in released windows.
+// of every lane's word, is rejected - by a Directory open in a hot section
+// and a cold one, which open hashes in released windows, and in SigBlob by
+// a Full open and the first scan after a Directory open.
 TEST_F(StoreCorruption, EveryChecksumLaneGuardsItsSection) {
+  write_file(path_, bytes_);
+  const std::vector<search::SearchResult> pristine = filter_off_hits(
+      store::MappedIndex::open(path_, store::Verify::Directory));
   for (const store::SectionKind kind :
        {store::SectionKind::SeqOffsets, store::SectionKind::IdOffsets,
         store::SectionKind::SigBlob}) {
     const store::SectionEntry e = section(bytes_, kind);
     ASSERT_GE(e.bytes, store::kChecksumStride);
     for (std::size_t off = 0; off < store::kChecksumStride; ++off) {
-      EXPECT_EQ(open_expecting_error(flipped(e.offset + off, int(off % 8)),
-                                     store::Verify::Directory),
-                store::StoreErrc::SectionChecksum)
-          << "section " << e.kind << " byte " << off;
+      SCOPED_TRACE(::testing::Message()
+                   << "section " << e.kind << " byte " << off);
+      const auto m = flipped(e.offset + off, int(off % 8));
+      if (kind == store::SectionKind::SigBlob) {
+        expect_rejected_at_first_scan(m, pristine);
+      } else {
+        EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
+                  store::StoreErrc::SectionChecksum);
+      }
     }
   }
 }
@@ -655,6 +747,22 @@ TEST_F(StoreCorruption, WrappingHeaderCountRejected) {
     EXPECT_NE(std::string(e.what()).find("header counts"), std::string::npos)
         << e.what();
   }
+}
+
+// A filter k past INT_MAX, the header resealed: filter_params() hands k
+// to the filter as an int, where it would turn negative, so open rejects
+// it with the other filter geometry.
+TEST_F(StoreCorruption, FilterKBeyondIntRejected) {
+  auto m = bytes_;
+  store::Header hdr{};
+  std::memcpy(&hdr, m.data(), sizeof hdr);
+  hdr.filter_k = std::uint32_t{1} << 31;
+  hdr.header_checksum = 0;
+  std::memcpy(m.data(), &hdr, sizeof hdr);
+  hdr.header_checksum = store::checksum(m.data(), hdr.header_bytes);
+  std::memcpy(m.data(), &hdr, sizeof hdr);
+  EXPECT_EQ(open_expecting_error(m, store::Verify::Directory),
+            store::StoreErrc::BadLayout);
 }
 
 // A version-1 file (the single-chain checksum), a version-2 one (each
@@ -1119,11 +1227,14 @@ long present_pages(const std::uint8_t* begin, const std::uint8_t* end) {
 // search no page from the first page boundary in IdOffsets to the end of
 // the file is present - no id page and no signature page; a filter-on
 // search then faults the signatures back and returns the FASTA path's
-// hits.
+// hits. Neither the open nor the filter-off search hashed the signatures:
+// store.signature_verifies has not moved.
 TEST(StoreResidency, FilterOffSearchLeavesSignaturesUnmapped) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(23, 9000, 40, 8, 24);
   TempIndex tmp(protein_db(seqs), matrix);
+  obs::Counter& verifies = obs::registry().counter("store.signature_verifies");
+  const std::uint64_t verifies_before = verifies.value();
   const store::MappedIndex idx = store::MappedIndex::open(tmp.path());
   const auto section = [&](store::SectionKind kind) {
     return idx.sections()[static_cast<std::size_t>(kind) - 1];
@@ -1141,6 +1252,7 @@ TEST(StoreResidency, FilterOffSearchLeavesSignaturesUnmapped) {
   opt.top_k = 10;
   opt.filter.mode = filter::FilterMode::Off;
   search::BatchScheduler(matrix, local_config(), opt).run(queries, db);
+  EXPECT_EQ(verifies.value(), verifies_before);
 
   const std::uint8_t* base = idx.file()->data();
   const store::SectionEntry dir = section(store::SectionKind::SeqOffsets);

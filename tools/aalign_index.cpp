@@ -123,15 +123,22 @@ int run_inspect(const std::string& path) {
               static_cast<unsigned long long>(h.filter_bits),
               h.filter_threshold);
   // Hot sections stay mapped after open(); open() releases the cold ones
-  // (a filter scan or a LUT-wired service faults them back).
+  // (a filter scan or a LUT-wired service faults them back). Each line
+  // ends with where a serving process checks the section: at open, on its
+  // first filter use (the signature sections), or only under `verify`
+  // (the per-shard residue checksums).
   std::printf("sections        %u\n", h.section_count);
   for (const store::SectionEntry& e : idx.sections()) {
     const auto kind = static_cast<store::SectionKind>(e.kind);
-    std::printf("  %-14s offset %-10llu %10llu B  %s\n",
+    const char* verified = (e.flags & store::kSectionFlagPerShardChecksum)
+                               ? "verify (per shard)"
+                           : store::signature_section(kind) ? "first filter use"
+                                                            : "open";
+    std::printf("  %-14s offset %-10llu %10llu B  %-4s  verified: %s\n",
                 store::section_kind_name(kind),
                 static_cast<unsigned long long>(e.offset),
                 static_cast<unsigned long long>(e.bytes),
-                store::cold_section(kind) ? "cold" : "hot");
+                store::cold_section(kind) ? "cold" : "hot", verified);
   }
   std::printf("shards          %llu\n",
               static_cast<unsigned long long>(h.shard_count));

@@ -272,9 +272,13 @@ int main(int argc, char** argv) {
                                  std::string(idx.header().matrix_name) +
                                  "', requested '" + matrix.name() + "'");
       }
+      // A filtering run checks the signature sections here, so a corrupt
+      // one takes the fallback below; a filter-off run never reads them.
+      auto sigs = idx.signatures();
+      if (opt.filter.mode != filter::FilterMode::Off) sigs->verify();
       db = idx.database();
       opt.filter.params = idx.filter_params();
-      opt.filter.index = idx.signatures();
+      opt.filter.index = std::move(sigs);
     } catch (const std::exception& e) {
       std::fprintf(stderr,
                    "aalign_search: cannot use index %s (%s); falling back "

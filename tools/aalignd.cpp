@@ -284,6 +284,7 @@ int main(int argc, char** argv) {
                                  std::string(idx.header().matrix_name) +
                                  "', requested '" + matrix.name() + "'");
       }
+      std::shared_ptr<const filter::SignatureIndex> sigs;
       if (shard_n != 0) {
         const store::ShardSlice slice = idx.shard_slice(shard_i, shard_n);
         if (slice.empty()) {
@@ -295,7 +296,7 @@ int main(int argc, char** argv) {
         }
         db = idx.database(slice);
         sopt.global_index_map = idx.original_indices(slice);
-        sopt.search.filter.index = idx.signatures(slice);
+        sigs = idx.signatures(slice);
         std::printf(
             "aalignd: shard %zu/%zu = index shards [%zu, +%zu), "
             "%zu subjects, %llu residues\n",
@@ -303,8 +304,13 @@ int main(int argc, char** argv) {
             slice.seq_count, static_cast<unsigned long long>(slice.residues));
       } else {
         db = idx.database();
-        sopt.search.filter.index = idx.signatures();
+        sigs = idx.signatures();
       }
+      // A filtering daemon checks the signature sections at start, so a
+      // corrupt one takes the fallback below (AlignService would refuse
+      // it); a filter-off daemon never reads them.
+      if (sopt.search.filter.mode != filter::FilterMode::Off) sigs->verify();
+      sopt.search.filter.index = std::move(sigs);
       sopt.search.filter.params = idx.filter_params();
       // Attach the stored per-tier profile LUTs: striped profiles build
       // from the mapped rows instead of per-cell matrix lookups
