@@ -24,8 +24,8 @@ struct Owned {
 Database::Database(const score::Alphabet& alphabet,
                    const std::vector<Sequence>& seqs) {
   const std::size_t n = seqs.size();
-  // The u32 permutation indexes fewer than 2^32 - 1 sequences: the store's
-  // loader keeps that value to mark an unclaimed slot.
+  // The u32 permutation and its inverse index fewer than 2^32 - 1
+  // sequences, the bound the store's loader checks too.
   if (n >= std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("Database: more sequences than a u32 indexes");
   }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "simd/directory.h"
 #include "simd/fnv_lanes.h"
 #include "simd/squeeze.h"
 #include "simd/stripe.h"
@@ -250,6 +251,43 @@ FnvLanesFn fnv_lanes_fn([[maybe_unused]] IsaKind isa) {
   }
 #endif
   return &fnv_lanes_scalar;
+}
+
+OffsetFaults offset_scan_scalar(const std::uint64_t* off, std::size_t count) {
+  OffsetFaults f;
+  offset_scan_steps(off, 1, count, f);
+  return f;
+}
+
+OffsetScanFn offset_scan_fn([[maybe_unused]] IsaKind isa) {
+#if defined(AALIGN_HAVE_AVX512)
+  if ((isa == IsaKind::Avx512 || isa == IsaKind::Avx512Bw) &&
+      isa_available(IsaKind::Avx512)) {
+    return &offset_scan_avx512;
+  }
+#endif
+#if defined(AALIGN_HAVE_AVX2)
+  if (isa >= IsaKind::Avx2 && isa_available(IsaKind::Avx2)) {
+    return &offset_scan_avx2;
+  }
+#endif
+  return &offset_scan_scalar;
+}
+
+InverseFaults inverse_check_scalar(const std::uint32_t* perm,
+                                   const std::uint32_t* inv, std::size_t n) {
+  InverseFaults f;
+  inverse_check_steps(perm, inv, 0, n, f);
+  return f;
+}
+
+InverseCheckFn inverse_check_fn([[maybe_unused]] IsaKind isa) {
+#if defined(AALIGN_HAVE_AVX2)
+  if (isa >= IsaKind::Avx2 && isa_available(IsaKind::Avx2)) {
+    return &inverse_check_avx2;
+  }
+#endif
+  return &inverse_check_scalar;
 }
 
 }  // namespace aalign::simd

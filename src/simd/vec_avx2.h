@@ -24,6 +24,7 @@
 
 #include <cstdint>
 
+#include "simd/directory.h"
 #include "simd/fnv_lanes.h"
 #include "simd/isa.h"
 
@@ -62,6 +63,72 @@ inline void fnv_lanes_256(std::uint64_t* lanes, const void* data,
   for (int r = 0; r < kRegs; ++r) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes + 4 * r), l[r]);
   }
+}
+
+// The offset scan (simd/directory.h) on 4 x u64 per register: entries i,
+// i - 1 and i - 2 come from three overlapping loads, and AVX2 compares
+// only signed, so both sides of each unsigned compare have their sign bit
+// flipped first.
+inline OffsetFaults offset_scan_256(const std::uint64_t* off,
+                                    std::size_t count) {
+  OffsetFaults f;
+  offset_scan_steps(off, 1, count < 2 ? count : 2, f);
+  const __m256i sign = _mm256_set1_epi64x(INT64_MIN);
+  const auto greater = [sign](__m256i a, __m256i b) {
+    return _mm256_cmpgt_epi64(_mm256_xor_si256(a, sign),
+                              _mm256_xor_si256(b, sign));
+  };
+  const auto at = [off](std::size_t k) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(off + k));
+  };
+  __m256i fall = _mm256_setzero_si256();
+  __m256i growth = _mm256_setzero_si256();
+  std::size_t i = 2;
+  for (; i + 4 <= count; i += 4) {
+    const __m256i a = at(i), b = at(i - 1), c = at(i - 2);
+    fall = _mm256_or_si256(fall, greater(b, a));
+    growth = _mm256_or_si256(
+        growth, greater(_mm256_sub_epi64(a, b), _mm256_sub_epi64(b, c)));
+  }
+  f.fall |= !_mm256_testz_si256(fall, fall);
+  f.growth |= !_mm256_testz_si256(growth, growth);
+  offset_scan_steps(off, i, count, f);
+  return f;
+}
+
+// The inverse check (simd/directory.h) on 8 x u32 per register: a masked
+// gather reads perm[inv[o]] for the lanes whose inv[o] is below n (the
+// others read nothing), so a lane passes when it was read and names o.
+inline InverseFaults inverse_check_256(const std::uint32_t* perm,
+                                       const std::uint32_t* inv,
+                                       std::size_t n) {
+  InverseFaults f;
+  std::size_t o = 0;
+  if (n != 0 && n <= INT32_MAX) {
+    const __m256i last = _mm256_set1_epi32(static_cast<int>(n - 1));
+    const __m256i ones = _mm256_set1_epi32(-1);
+    __m256i orig = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    __m256i bad = _mm256_setzero_si256();
+    __m256i moved = _mm256_setzero_si256();
+    for (; o + 8 <= n; o += 8) {
+      const __m256i pos =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(inv + o));
+      const __m256i inside =
+          _mm256_cmpeq_epi32(_mm256_min_epu32(pos, last), pos);
+      const __m256i back = _mm256_mask_i32gather_epi32(
+          _mm256_setzero_si256(), reinterpret_cast<const int*>(perm), pos,
+          inside, 4);
+      const __m256i ok =
+          _mm256_and_si256(inside, _mm256_cmpeq_epi32(back, orig));
+      bad = _mm256_or_si256(bad, _mm256_xor_si256(ok, ones));
+      moved = _mm256_or_si256(moved, _mm256_xor_si256(pos, orig));
+      orig = _mm256_add_epi32(orig, _mm256_set1_epi32(8));
+    }
+    f.bad = !_mm256_testz_si256(bad, bad);
+    f.moved = !_mm256_testz_si256(moved, moved);
+  }
+  inverse_check_steps(perm, inv, o, n, f);
+  return f;
 }
 
 namespace detail {

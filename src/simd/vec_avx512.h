@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "simd/directory.h"
 #include "simd/fnv_lanes.h"
 #include "simd/isa.h"
 
@@ -63,6 +64,36 @@ inline void fnv_lanes_512(std::uint64_t* lanes, const void* data,
   }
 #pragma GCC unroll 4
   for (int r = 0; r < kRegs; ++r) _mm512_storeu_si512(lanes + 8 * r, l[r]);
+}
+
+// The offset scan (simd/directory.h) on 8 x u64 per register: entries
+// i - 1 and i - 2 are shifted in from the register before (valignq), so
+// each step makes one load; AVX-512F compares unsigned into mask
+// registers, which set lanes of two accumulators.
+inline OffsetFaults offset_scan_512(const std::uint64_t* off,
+                                    std::size_t count) {
+  OffsetFaults f;
+  offset_scan_steps(off, 1, count < 8 ? count : 8, f);
+  const __m512i ones = _mm512_set1_epi64(-1);
+  __m512i fall = _mm512_setzero_si512();
+  __m512i growth = _mm512_setzero_si512();
+  std::size_t i = 8;
+  for (; i + 8 <= count; i += 8) {
+    const __m512i before = _mm512_loadu_si512(off + i - 8);
+    const __m512i a = _mm512_loadu_si512(off + i);
+    const __m512i b = _mm512_alignr_epi64(a, before, 7);
+    const __m512i c = _mm512_alignr_epi64(a, before, 6);
+    fall = _mm512_mask_mov_epi64(fall, _mm512_cmplt_epu64_mask(a, b), ones);
+    growth = _mm512_mask_mov_epi64(
+        growth,
+        _mm512_cmpgt_epu64_mask(_mm512_sub_epi64(a, b),
+                                _mm512_sub_epi64(b, c)),
+        ones);
+  }
+  f.fall |= _mm512_test_epi64_mask(fall, fall) != 0;
+  f.growth |= _mm512_test_epi64_mask(growth, growth) != 0;
+  offset_scan_steps(off, i, count, f);
+  return f;
 }
 
 namespace detail {

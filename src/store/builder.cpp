@@ -126,9 +126,13 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
       n == 0 ? nullptr : l.residues + l.offsets.front();
   const char* ids = n == 0 ? nullptr : l.ids + l.id_offsets.front();
 
+  // The permutation and the database's own inverse of it, so open checks
+  // the pair in place instead of building the inverse.
   std::vector<std::uint32_t> perm(n);
+  std::vector<std::uint32_t> inv(n);
   for (std::size_t i = 0; i < n; ++i) {
     perm[i] = static_cast<std::uint32_t>(db.original_index(i));
+    inv[i] = static_cast<std::uint32_t>(db.position_of(i));
   }
 
   const auto lut8 = make_profile_lut<std::int8_t>(matrix);
@@ -204,6 +208,8 @@ std::vector<std::uint8_t> build_index_bytes(const seq::Database& db,
                   kSectionFlagPerShardChecksum);
   add_section(SectionKind::Permutation, perm.data(),
               perm.size() * sizeof(std::uint32_t));
+  add_section(SectionKind::Inverse, inv.data(),
+              inv.size() * sizeof(std::uint32_t));
   add_section(SectionKind::IdOffsets, id_offsets.data(),
               id_offsets.size() * sizeof(std::uint64_t));
   add_section(SectionKind::IdBlob, ids, id_offsets.back());

@@ -64,6 +64,8 @@ const char* section_kind_name(SectionKind kind) {
       return "SeqBlob";
     case SectionKind::Permutation:
       return "Permutation";
+    case SectionKind::Inverse:
+      return "Inverse";
     case SectionKind::IdOffsets:
       return "IdOffsets";
     case SectionKind::IdBlob:

@@ -2,11 +2,11 @@
 // database_format.md). One file holds everything a serving process needs
 // to become query-ready: the shard directory, the residue offsets and the
 // residues packed back to back longest first, the original-index
-// permutation, the ids (offsets and bytes), the signature index, and the
-// per-precision-tier score profile tables — every section 64-byte aligned
-// — so the loader can `mmap` the file and serve `seq::Database` zero-copy
-// straight off the page cache: the offset sections are the database's own
-// arrays.
+// permutation and its inverse, the ids (offsets and bytes), the signature
+// index, and the per-precision-tier score profile tables — every section
+// 64-byte aligned — so the loader can `mmap` the file and serve
+// `seq::Database` zero-copy straight off the page cache: the offset and
+// permutation sections are the database's own arrays.
 //
 // Integrity model: the header (including the section table) carries one
 // checksum; every metadata section carries its own; the residue blob is
@@ -48,8 +48,10 @@ inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 // version 5 replaces the 32-byte directory entries with offset arrays,
 // packs all residues in one run, narrows the permutation to u32, drops
 // each shard's stored first sequence (the counts before it give it) and
-// moves the ids to the cold tail.
-inline constexpr std::uint32_t kFormatVersion = 5;
+// moves the ids to the cold tail. Version 6 stores the inverse
+// permutation (the Inverse section), so open checks it in place instead
+// of building it.
+inline constexpr std::uint32_t kFormatVersion = 6;
 // Every section starts aligned to this many bytes in the file
 // (util::kVectorAlignment, so signature rows can feed aligned vector
 // loads) and is zero-padded to a multiple of it. Sequences and shards
@@ -129,24 +131,27 @@ enum class SectionKind : std::uint32_t {
   SeqOffsets = 2,     // u64[seq_count + 1]: residue offsets into SeqBlob
   SeqBlob = 3,        // packed residues, per-shard checksums
   Permutation = 4,    // u32[seq_count]: orig[pos] = original index
-  IdOffsets = 5,      // u64[seq_count + 1]: id offsets into IdBlob
-  IdBlob = 6,         // concatenated sequence ids (no terminators)
-  SigPopcounts = 7,   // u32[seq_count]
-  SigLengths = 8,     // u32[seq_count]
-  SigBlob = 9,        // i32[seq_count * sig_words]
-  ProfileLutI8 = 10,  // i8 [alpha][kProfileLutStride]
-  ProfileLutI16 = 11, // i16[alpha][kProfileLutStride]
-  ProfileLutI32 = 12, // i32[alpha][kProfileLutStride]
+  Inverse = 5,        // u32[seq_count]: inv[orig] = stored position
+  IdOffsets = 6,      // u64[seq_count + 1]: id offsets into IdBlob
+  IdBlob = 7,         // concatenated sequence ids (no terminators)
+  SigPopcounts = 8,   // u32[seq_count]
+  SigLengths = 9,     // u32[seq_count]
+  SigBlob = 10,       // i32[seq_count * sig_words]
+  ProfileLutI8 = 11,  // i8 [alpha][kProfileLutStride]
+  ProfileLutI16 = 12, // i16[alpha][kProfileLutStride]
+  ProfileLutI32 = 13, // i32[alpha][kProfileLutStride]
 };
-inline constexpr std::uint32_t kSectionCount = 12;
+inline constexpr std::uint32_t kSectionCount = 13;
 
 // The cold sections, IdOffsets through the profile tables: the file's
 // tail that a filter-off search never reads. Only hit reporting reads the
 // ids, only a filter scan reads the signatures, and only a service wired
 // to the stored LUTs reads the profile tables. The hot head is what a
 // search reads per subject: 12 bytes of it (a u64 residue offset and a
-// u32 permutation entry) besides the residues. MappedIndex::open gives
-// the tail its own mapping and releases its pages once hashed (loader.h).
+// u32 permutation entry) besides the residues, and the Inverse section,
+// which open checks and a hit's by_original() reads. MappedIndex::open
+// gives the tail its own mapping and releases its pages once its checks
+// have read them (loader.h).
 inline constexpr SectionKind kFirstColdSection = SectionKind::IdOffsets;
 constexpr bool cold_section(SectionKind kind) {
   return kind >= kFirstColdSection;

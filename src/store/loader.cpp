@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "simd/directory.h"
+#include "simd/isa.h"
 
 namespace aalign::store {
 
@@ -32,6 +34,7 @@ std::uint64_t expected_payload_bytes(const Header& h, SectionKind kind) {
     case SectionKind::SeqBlob:
       return h.residue_total;
     case SectionKind::Permutation:
+    case SectionKind::Inverse:
     case SectionKind::SigPopcounts:
     case SectionKind::SigLengths:
       return h.seq_count * sizeof(std::uint32_t);
@@ -56,28 +59,32 @@ bool pads_to(std::uint64_t payload, std::uint64_t bytes) {
   return payload <= bytes && bytes - payload < kFileAlignment;
 }
 
-// True when `off` starts at 0 and never decreases: an offset array whose
-// every range lies inside a payload of off.back() bytes.
-bool rises_from_zero(std::span<const std::uint64_t> off) {
-  if (off.front() != 0) return false;
-  for (std::size_t i = 1; i < off.size(); ++i) {
-    if (off[i] < off[i - 1]) return false;
-  }
-  return true;
+// The directory checks (simd/directory.h) of the widest forms this binary
+// and CPU have, resolved once.
+simd::OffsetScanFn offset_scan() {
+  static const simd::OffsetScanFn fn =
+      simd::offset_scan_fn(simd::best_available_isa());
+  return fn;
+}
+
+simd::InverseCheckFn inverse_check() {
+  static const simd::InverseCheckFn fn =
+      simd::inverse_check_fn(simd::best_available_isa());
+  return fn;
 }
 
 // A filter-off search never reads the cold sections (format.h), so open
-// hashes a large one a window at a time and drops each window's pages once
-// hashed: the windows bound open's transient peak. The hot sections are
-// not released: every search reads SeqOffsets through its database() view.
+// hashes one larger than this a window at a time and drops each window's
+// pages once hashed: the windows bound open's transient peak. The hot
+// sections are not released: every search reads SeqOffsets through its
+// database() view.
 constexpr std::uint64_t kHashWindow = std::uint64_t{1} << 20;
 
-// Marks an original index no position has claimed yet in open()'s inverse
-// permutation, so the index must hold fewer sequences than this.
-constexpr std::uint32_t kUnplaced = std::numeric_limits<std::uint32_t>::max();
-
 std::uint64_t section_checksum(const MappedFile& f, const SectionEntry& e) {
-  if (!cold_section(SectionKind(e.kind))) {
+  // A cold section that fits one window stays mapped too, so the checks
+  // after the hash (IdOffsets') read it without faulting it back: open()
+  // drops the whole cold range once they are done.
+  if (!cold_section(SectionKind(e.kind)) || e.bytes <= kHashWindow) {
     return checksum(f.range(e.offset, e.bytes), e.bytes);
   }
   // Windows are cut every kHashWindow bytes from the section's start, so
@@ -270,23 +277,25 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
 
   // ---- Offsets, order, shards, permutation (O(seq_count), no residues) ---
   // A mapped database trusts these arrays, so they are the only guard on
-  // its residue and id reads: both offset arrays tile their payloads.
+  // its residue and id reads: both offset arrays start at 0, never fall
+  // and end at their payloads - one scan each.
   const std::uint64_t n = h.seq_count;
   const auto off = idx.residue_offsets();
-  if (!rises_from_zero(off) || off.back() != h.residue_total) {
+  const simd::OffsetFaults seq_faults = offset_scan()(off.data(), off.size());
+  if (off.front() != 0 || seq_faults.fall || off.back() != h.residue_total) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "residue offsets do not tile the residue "
                                    "blob"));
   }
   // Stored order is the serving order the signatures were built in.
-  for (std::size_t i = 1; i < n; ++i) {
-    if (off[i + 1] - off[i] > off[i] - off[i - 1]) {
-      throw StoreError(StoreErrc::BadLayout,
-                       at_path(path, "sequences not longest first"));
-    }
+  if (seq_faults.growth) {
+    throw StoreError(StoreErrc::BadLayout,
+                     at_path(path, "sequences not longest first"));
   }
+  // Id lengths are in no order: the scan's growth does not matter here.
   const auto id_off = idx.id_offsets();
-  if (!rises_from_zero(id_off) ||
+  const bool id_fall = offset_scan()(id_off.data(), id_off.size()).fall;
+  if (id_off.front() != 0 || id_fall ||
       !pads_to(id_off.back(), idx.section(SectionKind::IdBlob).bytes)) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "id offsets do not tile the id blob"));
@@ -306,31 +315,28 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "shards do not cover every sequence"));
   }
-  // Each original index exactly once, checked while building the inverse
-  // every database() shares: inv[orig] = pos, kUnplaced until claimed. An
-  // identity permutation keeps no inverse.
-  if (n >= kUnplaced) {
+  // Every position and original index is a u32 (seq::Database's bound).
+  if (n >= std::numeric_limits<std::uint32_t>::max()) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "more sequences than the u32 inverse "
                                    "permutation indexes"));
   }
-  const auto perm = idx.permutation();
-  const auto inv = std::make_shared<std::uint32_t[]>(n, kUnplaced);
-  bool identity = true;
-  for (std::size_t pos = 0; pos < perm.size(); ++pos) {
-    const std::uint32_t orig = perm[pos];
-    if (orig >= n || inv[orig] != kUnplaced) {
-      throw StoreError(StoreErrc::BadLayout,
-                       at_path(path, "permutation section is not a "
-                                     "permutation of the sequences"));
-    }
-    inv[orig] = static_cast<std::uint32_t>(pos);
-    identity = identity && orig == pos;
+  // perm[inv[o]] == o for every original index o makes perm onto [0, n),
+  // so a permutation, and inv its inverse: one read-only pass (a gather per
+  // register where the CPU has one), and the inverse every database()
+  // shares is the mapped section. An identity permutation is served
+  // unpermuted.
+  const simd::InverseFaults inv_faults =
+      inverse_check()(idx.permutation().data(), idx.inverse().data(), n);
+  if (inv_faults.bad) {
+    throw StoreError(StoreErrc::BadLayout,
+                     at_path(path, "permutation and inverse sections are not "
+                                   "inverse permutations of the sequences"));
   }
-  if (!identity) idx.inv_ = inv;
-  // A window releases only the pages wholly inside its section, so pages
-  // two cold sections share are still resident, and the id offset check
-  // faulted IdOffsets back: drop the range once.
+  idx.permuted_ = inv_faults.moved;
+  // Drops the cold range once its checks have read it: the sections that
+  // fit one hash window, and the pages a window shares with a neighbour
+  // section.
   f.release(cold, h.file_bytes - cold);
 
   if (verify == Verify::Full) idx.verify_shards();
@@ -394,20 +400,25 @@ std::span<const std::uint32_t> MappedIndex::permutation() const {
                                       hdr_.seq_count);
 }
 
+std::span<const std::uint32_t> MappedIndex::inverse() const {
+  return typed_section<std::uint32_t>(SectionKind::Inverse, hdr_.seq_count);
+}
+
 seq::Database MappedIndex::view(std::size_t first, std::size_t count,
                                 bool with_order) const {
-  // open() checked both offset arrays, the order and the permutation, so
-  // the view addresses the mapping as it stands: subspans of the mapped
-  // offsets, based at their blobs.
+  // open() checked both offset arrays, the order, the permutation and its
+  // inverse, so the view addresses the mapping as it stands: subspans of
+  // the mapped offsets, based at their blobs.
   seq::Database::Layout l;
   l.offsets = residue_offsets().subspan(first, count + 1);
   l.residues = file_->data() + section(SectionKind::SeqBlob).offset;
   l.id_offsets = id_offsets().subspan(first, count + 1);
   l.ids = reinterpret_cast<const char*>(file_->data()) +
           section(SectionKind::IdBlob).offset;
-  if (with_order && inv_) {
+  if (with_order && permuted_) {
     l.orig = permutation();
-    l.inv = inv_;
+    // Aliases the mapping: the inverse is the section itself.
+    l.inv = std::shared_ptr<const std::uint32_t[]>(file_, inverse().data());
   }
   l.backing = file_;
   return seq::Database(std::move(l));

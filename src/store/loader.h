@@ -2,17 +2,20 @@
 //
 // MappedIndex::open maps the file and verifies the header + the metadata
 // section checksums — work proportional to the subject count, never to
-// the residue volume: 12 B of hot metadata (a u64 residue offset and a
-// u32 permutation entry) and 8 B of id offset plus the id per subject are
-// hashed at open, by the format's 32-lane checksum (store/format.h),
-// whose lane update runs as AVX-512F or AVX2 vector code where the CPU
-// has it, near the speed of a plain read of the same bytes. It checks the
-// section geometry first, then gives the cold sections (format.h: the
-// ids, signatures and profile tables, which a filter-off search never
-// reads) a mapping of their own, hashes the cold ones it checks in 1 MiB
-// windows cut from each section's start (so each window but the last is
-// whole checksum strides) whose pages are released once hashed, and
-// releases the whole cold range once the layout checks below are done.
+// the residue volume: 16 B of hot metadata (a u64 residue offset, a u32
+// permutation entry and a u32 inverse entry) and 8 B of id offset plus
+// the id per subject are hashed at open, by the format's 32-lane checksum
+// (store/format.h), whose lane update runs as AVX-512F or AVX2 vector code
+// where the CPU has it, near the speed of a plain read of the same bytes.
+// It checks the section geometry first, then gives the cold sections
+// (format.h: the ids, signatures and profile tables, which a filter-off
+// search never reads) a mapping of their own. A cold section it checks
+// that spans more than one 1 MiB window is hashed a window at a time,
+// windows cut from the section's start (so each window but the last is
+// whole checksum strides), and each window's pages are released once
+// hashed; a smaller one (IdOffsets, IdBlob) stays mapped for the checks
+// that read it next. The whole cold range is released once the layout
+// checks below are done.
 // The kernel maps page-cache folios of up to 2 MiB whole but clips them
 // at mapping bounds, so after a filter-off search on a 26,032-subject
 // index (Linux 6.18, ext4) no id or signature page is resident and the
@@ -33,16 +36,19 @@
 // offline audit.
 //
 // open() also checks that both offset arrays (residues and ids) start at
-// 0, never decrease and end at their blob's payload, that the sequences
-// are longest first, that the shards tile the sequences in order (so
-// their residue ranges tile the blob), and that the Permutation section
-// is a permutation, building its u32 inverse in the same pass. database()
-// then does no per-subject work: the seq::Database it returns views the
-// mapped SeqOffsets, SeqBlob, IdOffsets, IdBlob and Permutation sections
-// in place and shares that inverse, with the MappedFile pinned as its
-// backing(). signatures() rehydrates the persisted SignatureIndex without
-// hashing a single k-mer. Both are bit-identical to what the FASTA-parse
-// path would produce (tests/test_store.cpp enforces this differentially).
+// 0, never decrease and end at their blob's payload, and that the
+// sequences are longest first - one branch-free scan per array - that the
+// shards tile the sequences in order (so their residue ranges tile the
+// blob), and that the Permutation and Inverse sections are a permutation
+// and its inverse (one read-only pass; nothing is allocated). The scans
+// and the inverse pass run as vector code where the CPU has it
+// (simd/directory.h). database() then does no per-subject work: the
+// seq::Database it returns views the mapped SeqOffsets, SeqBlob,
+// IdOffsets, IdBlob, Permutation and Inverse sections in place, with the
+// MappedFile pinned as its backing(). signatures() rehydrates the
+// persisted SignatureIndex without hashing a single k-mer. Both are
+// bit-identical to what the FASTA-parse path would produce
+// (tests/test_store.cpp enforces this differentially).
 #pragma once
 
 #include <cstdint>
@@ -162,6 +168,8 @@ class MappedIndex {
   std::span<const std::uint64_t> id_offsets() const;
   // The Permutation section: orig[pos] = original index.
   std::span<const std::uint32_t> permutation() const;
+  // The Inverse section: inv[orig] = stored position.
+  std::span<const std::uint32_t> inverse() const;
   // Database viewing stored positions [first, first + count) of the
   // mapping, carrying the stored permutation when `with_order`: the one
   // builder behind both database() overloads.
@@ -173,10 +181,9 @@ class MappedIndex {
 
   std::shared_ptr<const MappedFile> file_;
   Header hdr_{};
-  // inv_[orig] = stored position, built by open() while it checks the
-  // permutation and shared by every database(); null when the stored
-  // order is the input order.
-  std::shared_ptr<const std::uint32_t[]> inv_;
+  // False when open() found the stored order to be the input order: then
+  // database() carries no permutation.
+  bool permuted_ = false;
   // The signature sections' deferred checksum check, made by a Directory
   // open and shared by every signatures() and by copies of this handle;
   // null when open() hashed them (Verify::Full).

@@ -1,7 +1,7 @@
 # Builds an index of FASTA with aalign_index, then flips one bit of its
 # SigPopcounts section (the high byte of subject 0's popcount, which is
-# zero: a popcount never exceeds the signature width), located through
-# the section table. Only the signature checksum catches the flip, so a
+# zero: a popcount never exceeds the signature width), located by its kind
+# in the section table. Only the signature checksum catches the flip, so a
 # Directory open accepts the file and its first filter use rejects it.
 #   cmake -DINDEX_TOOL=<aalign_index> -DFASTA=<in> -DOUT=<index>
 #         -P flip_signature.cmake
@@ -10,16 +10,45 @@ execute_process(COMMAND ${INDEX_TOOL} build -d ${FASTA} -o ${OUT}
 if(NOT rc STREQUAL "0")
   message(FATAL_ERROR "${INDEX_TOOL} build -d ${FASTA}: exit ${rc}")
 endif()
-# SectionEntry[6] (SigPopcounts, kind 7) sits after the 176-byte header;
-# its u64 offset field is 8 bytes in.
-math(EXPR entry "176 + 6 * 32 + 8")
-file(READ ${OUT} le OFFSET ${entry} LIMIT 8 HEX)
-set(be "")
-foreach(i RANGE 14 0 -2)
-  string(SUBSTRING "${le}" ${i} 2 byte)
-  string(APPEND be "${byte}")
+# The little-endian unsigned integer of BYTES bytes at OFFSET of the index.
+function(read_le var offset bytes)
+  file(READ ${OUT} le OFFSET ${offset} LIMIT ${bytes} HEX)
+  set(be "")
+  math(EXPR last "2 * ${bytes} - 2")
+  foreach(i RANGE ${last} 0 -2)
+    string(SUBSTRING "${le}" ${i} 2 byte)
+    string(APPEND be "${byte}")
+  endforeach()
+  math(EXPR value "0x${be}")
+  set(${var} ${value} PARENT_SCOPE)
+endfunction()
+# SigPopcounts' kind, as store/format.h numbers it, found in the section
+# table: Header::section_count is the u32 at 68 of the 176-byte header, and
+# each 32-byte SectionEntry that follows starts with its u32 kind, its u64
+# offset 8 bytes in.
+file(STRINGS ${CMAKE_CURRENT_LIST_DIR}/../src/store/format.h kind_line
+  REGEX "^ *SigPopcounts = [0-9]+,")
+string(REGEX REPLACE "^ *SigPopcounts = ([0-9]+),.*" "\\1" sig_kind
+  "${kind_line}")
+if(NOT sig_kind MATCHES "^[0-9]+$")
+  message(FATAL_ERROR "no SigPopcounts kind in store/format.h")
+endif()
+read_le(count 68 4)
+set(section "")
+math(EXPR last "${count} - 1")
+foreach(i RANGE 0 ${last})
+  math(EXPR entry "176 + ${i} * 32")
+  read_le(kind ${entry} 4)
+  if(kind EQUAL sig_kind)
+    set(section ${entry})
+  endif()
 endforeach()
-math(EXPR at "0x${be} + 3")
+if(section STREQUAL "")
+  message(FATAL_ERROR "${OUT} has no section of kind ${sig_kind}")
+endif()
+math(EXPR field "${section} + 8")
+read_le(sig_offset ${field} 8)
+math(EXPR at "${sig_offset} + 3")
 file(READ ${OUT} old OFFSET ${at} LIMIT 1 HEX)
 if(NOT old STREQUAL "00")
   message(FATAL_ERROR "byte ${at} of ${OUT} is ${old}, expected 00")

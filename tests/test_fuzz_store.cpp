@@ -10,8 +10,15 @@
 // store.<code> (from the scan, store.section_checksum); nothing else - no
 // other exception, no crash, no sanitizer report - is allowed.
 //
+// A second test edits only the Inverse section's entries (an entry set to
+// the sequence count, to another position or to a random word, or two
+// entries swapped), reseals, and requires every mutant that differs from
+// its base to reach the pass that checks the inverse against the
+// permutation and be rejected there as store.bad_layout.
+//
 // AALIGN_FUZZ_ROUNDS scales the mutant count (default 3 rounds of 150
-// mutants per index); sanitizer CI jobs raise it.
+// mutants, and of 7 Inverse mutants, per index); sanitizer CI jobs raise
+// it.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -348,6 +355,70 @@ TEST(FuzzStore, MutantsOpenCleanOrNameTheirError) {
   EXPECT_GT(counts[0][kAtShards], 0);
   EXPECT_GT(counts[1][kOpened], 0);
   EXPECT_GT(counts[1][kAtOpen], 0);
+}
+
+// Resealed mutants whose edits all lie in the Inverse section: each one
+// that differs from its base must be rejected by the inverse check.
+TEST(FuzzStore, ResealedInverseMutantsFailTheInverseCheck) {
+  const std::vector<Bytes> indexes = build_indexes();
+  const std::string path = ::testing::TempDir() + "fuzz_store_inverse_" +
+                           std::to_string(::getpid()) + ".aidx";
+  std::mt19937_64 rng(0x1A7E5E);
+  int reached = 0;
+  for (std::size_t c = 0; c < indexes.size(); ++c) {
+    const Bytes& base = indexes[c];
+    store::Header hdr{};
+    store::SectionEntry inv{};
+    ASSERT_TRUE(read_at(base, 0, hdr));
+    ASSERT_TRUE(read_at(
+        base,
+        sizeof hdr +
+            (static_cast<std::uint32_t>(store::SectionKind::Inverse) - 1) *
+                sizeof inv,
+        inv));
+    const std::uint64_t n = hdr.seq_count;
+    ASSERT_GE(n, 2u);
+    const auto at = [&](std::uint64_t o) {
+      return inv.offset + o * sizeof(std::uint32_t);
+    };
+    for (int i = 0; i < fuzz_rounds(3) * 7; ++i) {
+      Bytes m = base;
+      for (int e = 0, edits = 1 + static_cast<int>(rng() % 3); e < edits;
+           ++e) {
+        const std::uint64_t o = rng() % n;
+        std::uint32_t v = 0;
+        switch (rng() % 4) {
+          case 0: v = static_cast<std::uint32_t>(n); break;
+          case 1: v = static_cast<std::uint32_t>(rng() % n); break;
+          case 2: v = static_cast<std::uint32_t>(rng()); break;
+          default: {  // swap entries o and p
+            const std::uint64_t p = rng() % n;
+            std::memcpy(&v, m.data() + at(p), sizeof v);
+            std::memcpy(m.data() + at(p), m.data() + at(o), sizeof v);
+            break;
+          }
+        }
+        std::memcpy(m.data() + at(o), &v, sizeof v);
+      }
+      if (m == base) continue;
+      reseal(m);
+      SCOPED_TRACE(::testing::Message() << "index " << c << " mutant " << i);
+      write_file(path, m);
+      try {
+        store::MappedIndex::open(path, store::Verify::Directory);
+        ADD_FAILURE() << "opened an index whose inverse was edited";
+      } catch (const store::StoreError& e) {
+        EXPECT_EQ(e.errc(), store::StoreErrc::BadLayout) << e.what();
+        EXPECT_NE(std::string(e.what()).find("inverse"), std::string::npos)
+            << e.what();
+        reached += e.errc() == store::StoreErrc::BadLayout;
+      }
+      if (HasFailure()) return;
+    }
+  }
+  std::remove(path.c_str());
+  RecordProperty("inverse_mutants_rejected", reached);
+  EXPECT_GT(reached, 0);
 }
 
 }  // namespace

@@ -497,6 +497,42 @@ TEST_F(StoreCorruption, DuplicatePermutationEntryRejected) {
   EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadLayout);
 }
 
+// Resealed Inverse sections that disagree with the permutation: two
+// entries swapped, an entry equal to the sequence count (one past the last
+// position), and an entry naming a valid position whose permutation entry
+// is another original index. Every checksum passes; the pass that checks
+// perm[inv[o]] == o rejects each.
+TEST_F(StoreCorruption, InverseThatDisagreesWithThePermutationRejected) {
+  store::Header hdr{};
+  std::memcpy(&hdr, bytes_.data(), sizeof hdr);
+  const store::SectionEntry inv =
+      section(bytes_, store::SectionKind::Inverse);
+  const auto entry = [&](const std::vector<std::uint8_t>& m, std::size_t o) {
+    std::uint32_t v;
+    std::memcpy(&v, m.data() + inv.offset + o * sizeof v, sizeof v);
+    return v;
+  };
+  const auto with = [&](std::size_t o, std::uint32_t v,
+                        std::vector<std::uint8_t> m) {
+    std::memcpy(m.data() + inv.offset + o * sizeof v, &v, sizeof v);
+    return m;
+  };
+  ASSERT_GE(hdr.seq_count, 3u);
+  const auto swapped =
+      with(2, entry(bytes_, 1), with(1, entry(bytes_, 2), bytes_));
+  const auto past_end =
+      with(1, static_cast<std::uint32_t>(hdr.seq_count), bytes_);
+  const auto not_back = with(0, entry(bytes_, 2), bytes_);
+  for (auto m : {swapped, past_end, not_back}) {
+    ASSERT_TRUE(m != bytes_);
+    reseal(m, store::SectionKind::Inverse);
+    for (const store::Verify verify :
+         {store::Verify::Directory, store::Verify::Full}) {
+      EXPECT_EQ(open_expecting_error(m, verify), store::StoreErrc::BadLayout);
+    }
+  }
+}
+
 // A residue offset near 2^64: 2^64 - 64 plus any length of 64 or more
 // wraps back inside the blob, so an additive `offset + length <= blob
 // end` test would pass it. A mapped database trusts the offsets, so the
@@ -696,19 +732,22 @@ TEST_F(StoreCorruption, SignatureSectionFlipsRejectedAtFullOpenAndFirstScan) {
   }
 }
 
-// Every byte of the first 256-byte stride of SeqOffsets, IdOffsets and
-// SigBlob feeds one of the checksum's 32 lanes (word k of each stride
-// feeds lane k): a single-bit flip at each of them, so every bit position
-// of every lane's word, is rejected - by a Directory open in a hot section
-// and a cold one, which open hashes in released windows, and in SigBlob by
-// a Full open and the first scan after a Directory open.
+// Every byte of the first 256-byte stride of SeqOffsets, Inverse,
+// IdOffsets and SigBlob feeds one of the checksum's 32 lanes (word k of
+// each stride feeds lane k): a single-bit flip at each of them, so every
+// bit position of every lane's word, is rejected - by a Directory open in
+// the hot sections and a cold one, and in SigBlob by a Full open and the
+// first scan after a Directory open. The database holds 66 subjects, so
+// the u32 Inverse section spans a whole stride.
 TEST_F(StoreCorruption, EveryChecksumLaneGuardsItsSection) {
+  bytes_ = store::build_index_bytes(protein_db(make_workload(17, 64, 2)),
+                                    score::ScoreMatrix::blosum62());
   write_file(path_, bytes_);
   const std::vector<search::SearchResult> pristine = filter_off_hits(
       store::MappedIndex::open(path_, store::Verify::Directory));
   for (const store::SectionKind kind :
-       {store::SectionKind::SeqOffsets, store::SectionKind::IdOffsets,
-        store::SectionKind::SigBlob}) {
+       {store::SectionKind::SeqOffsets, store::SectionKind::Inverse,
+        store::SectionKind::IdOffsets, store::SectionKind::SigBlob}) {
     const store::SectionEntry e = section(bytes_, kind);
     ASSERT_GE(e.bytes, store::kChecksumStride);
     for (std::size_t off = 0; off < store::kChecksumStride; ++off) {
@@ -981,8 +1020,9 @@ TEST(StoreRecords, MatchTheFastaParsedDatabase) {
 }
 
 // The builder writes a FASTA-built database's arrays verbatim: the mapped
-// SeqOffsets, IdOffsets and Permutation payloads are its offsets and
-// permutation byte for byte, and the blobs its residues and ids.
+// SeqOffsets, IdOffsets, Permutation and Inverse payloads are its offsets,
+// permutation and inverse byte for byte, and the blobs its residues and
+// ids. The mapped database's inverse is the Inverse section itself.
 TEST(StoreRecords, MappedArraysAreTheDatabaseArrays) {
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto parsed = record_workload();
@@ -1008,6 +1048,13 @@ TEST(StoreRecords, MappedArraysAreTheDatabaseArrays) {
                    l.id_offsets.data(), l.id_offsets.size_bytes()));
   EXPECT_TRUE(same(payload(store::SectionKind::Permutation), l.orig.data(),
                    l.orig.size_bytes()));
+  ASSERT_NE(l.inv, nullptr);
+  EXPECT_TRUE(same(payload(store::SectionKind::Inverse), l.inv.get(),
+                   db.size() * sizeof(std::uint32_t)));
+  const seq::Database mapped = idx.database();
+  ASSERT_TRUE(mapped.permuted());
+  EXPECT_EQ(static_cast<const void*>(mapped.layout().inv.get()),
+            static_cast<const void*>(payload(store::SectionKind::Inverse)));
   EXPECT_TRUE(same(payload(store::SectionKind::SeqBlob), l.residues,
                    db.total_residues()));
   EXPECT_TRUE(same(payload(store::SectionKind::IdBlob), l.ids,

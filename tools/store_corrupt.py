@@ -5,23 +5,25 @@ Mutates a known-good index file — truncations at several offsets, single
 bit flips in the header, section table, shard directory, residue blob,
 the middle of every metadata section (located through the section
 table), each 8-byte word of one 256-byte stride of the signature blob and
-of the first stride of the SeqOffsets, Permutation and IdOffsets
+of the first stride of the SeqOffsets, Permutation, Inverse and IdOffsets
 sections (one per checksum lane, 32 each), and final byte, plus
-version-1 through version-4 headers — and runs `aalign_index verify` on
+version-1 through version-5 headers — and runs `aalign_index verify` on
 every mutant.
 
-The *resealed* mutants edit an offset array, the shard directory or the
-permutation, then recompute the edited section's checksum and the header
+The *resealed* mutants edit an offset array, the shard directory, the
+permutation or its inverse, then recompute the edited section's checksum
+and the header
 checksum (a Python port of the format's 32-lane FNV-1a, store/format.h
 `Checksum`). They get past every checksum and reach the layout checks:
 a residue offset that decreases, one near 2^64 (whose range would wrap
 back inside the blob), a final residue offset short of the blob payload,
 two lengths out of longest-first order, an id offset that decreases, a
-final id offset past the IdBlob, a permutation naming one index twice, a
+final id offset past the IdBlob, a permutation naming one index twice, an
+inverse entry equal to the sequence count, two inverse entries swapped, a
 shard count that wraps past 2^64, shard counts that sum to one sequence
 fewer or one more than the index holds, and an empty shard whose
 neighbour takes its sequences (the counts still add up). One more
-reseals a version-4 header, which the version gate rejects.
+reseals a version-5 header, which the version gate rejects.
 
 Each mutant must be REJECTED the structured way:
 
@@ -30,7 +32,7 @@ Each mutant must be REJECTED the structured way:
   * not killed by a signal (a crash on corrupt input is a loader bug),
   * stderr naming a `store.<code>` token (the documented error contract);
     a resealed layout mutant must name `store.bad_layout`, the resealed
-    version-4 header `store.bad_version`.
+    version-5 header `store.bad_version`.
 
 Usage:
   store_corrupt.py --tool build/tools/aalign_index --index db.aidx
@@ -54,7 +56,7 @@ HEADER_BYTES = 176  # sizeof(store::Header); section table follows
 SECTION_ENTRY_BYTES = 32
 # store::SectionKind in kind order; the section table holds one entry each.
 SECTION_NAMES = (
-    "shard_dir", "seq_offsets", "seq_blob", "permutation",
+    "shard_dir", "seq_offsets", "seq_blob", "permutation", "inverse",
     "id_offsets", "id_blob",
     "sig_popcounts", "sig_lengths", "sig_blob",
     "profile_lut_i8", "profile_lut_i16", "profile_lut_i32",
@@ -63,6 +65,7 @@ SHARD_DIR_SECTION = SECTION_NAMES.index("shard_dir")
 SEQ_OFFSETS_SECTION = SECTION_NAMES.index("seq_offsets")
 SEQ_BLOB_SECTION = SECTION_NAMES.index("seq_blob")
 PERMUTATION_SECTION = SECTION_NAMES.index("permutation")
+INVERSE_SECTION = SECTION_NAMES.index("inverse")
 ID_OFFSETS_SECTION = SECTION_NAMES.index("id_offsets")
 ID_BLOB_SECTION = SECTION_NAMES.index("id_blob")
 SIG_BLOB_SECTION = SECTION_NAMES.index("sig_blob")
@@ -144,6 +147,7 @@ def resealed_mutations(data: bytes):
     ids, _ = section_range(data, ID_OFFSETS_SECTION)
     _, id_blob_bytes = section_range(data, ID_BLOB_SECTION)
     perm, _ = section_range(data, PERMUTATION_SECTION)
+    inv, _ = section_range(data, INVERSE_SECTION)
 
     def offset(base, i):
         return struct.unpack_from("<Q", data, base + 8 * i)[0]
@@ -177,6 +181,15 @@ def resealed_mutations(data: bytes):
     m = bytearray(data)
     m[perm + 4:perm + 8] = data[perm:perm + 4]
     yield "resealed_duplicate_permutation", reseal(m, PERMUTATION_SECTION)
+
+    # The inverse must be the permutation's: an entry one past the last
+    # position, and two entries swapped (each a valid position).
+    m = bytearray(data)
+    struct.pack_into("<I", m, inv + 4, seq_count)
+    yield "resealed_inverse_past_end", reseal(m, INVERSE_SECTION)
+    m = bytearray(data)
+    m[inv:inv + 8] = data[inv + 4:inv + 8] + data[inv:inv + 4]
+    yield "resealed_inverse_swapped", reseal(m, INVERSE_SECTION)
 
     m = bytearray(data)
     struct.pack_into("<Q", m, shard_dir + SHARD_SEQ_COUNT, WRAPPING_OFFSET)
@@ -246,20 +259,20 @@ def mutations(data: bytes):
             yield f"flip_in_{name}", flip(off + nbytes // 2, 4)
     # One flip per checksum lane in the stride in the middle of sig_blob
     # (strides are counted from the section's start, so the stride is
-    # lane-aligned) and in the first stride of each offset array and the
-    # permutation.
+    # lane-aligned) and in the first stride of each offset array, the
+    # permutation and its inverse.
     off, nbytes = section_range(data, SIG_BLOB_SECTION)
     if nbytes >= CHECKSUM_STRIDE:
         yield from lane_flips(
             data, "sig_blob",
             off + nbytes // 2 // CHECKSUM_STRIDE * CHECKSUM_STRIDE)
-    for index in (SEQ_OFFSETS_SECTION, PERMUTATION_SECTION,
+    for index in (SEQ_OFFSETS_SECTION, PERMUTATION_SECTION, INVERSE_SECTION,
                   ID_OFFSETS_SECTION):
         off, nbytes = section_range(data, index)
         if nbytes >= CHECKSUM_STRIDE:
             yield from lane_flips(data, SECTION_NAMES[index], off)
     yield "flip_last_byte", flip(n - 1, 6)
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         m = bytearray(data)
         struct.pack_into("<I", m, FORMAT_VERSION_OFFSET, version)
         yield f"format_version_{version}", bytes(m)
@@ -292,7 +305,7 @@ def main():
         print(f"store_corrupt: {args.index} holds fewer than 2 sequences")
         return 1
     for index in (SHARD_DIR_SECTION, SEQ_OFFSETS_SECTION, PERMUTATION_SECTION,
-                  ID_OFFSETS_SECTION):
+                  INVERSE_SECTION, ID_OFFSETS_SECTION):
         if reseal(bytearray(data), index) != data:
             print(f"store_corrupt: resealing section {SECTION_NAMES[index]} "
                   "changed a pristine file (checksum port is wrong)")
@@ -302,8 +315,8 @@ def main():
     cases += [(name, m, "store.bad_layout")
               for name, m in resealed_mutations(data)]
     m = bytearray(data)
-    struct.pack_into("<I", m, FORMAT_VERSION_OFFSET, 4)
-    cases.append(("resealed_format_version_4", seal_header(m),
+    struct.pack_into("<I", m, FORMAT_VERSION_OFFSET, 5)
+    cases.append(("resealed_format_version_5", seal_header(m),
                   "store.bad_version"))
     failures = []
     with tempfile.TemporaryDirectory() as td:
