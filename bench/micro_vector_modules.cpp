@@ -25,10 +25,8 @@
 #include "score/profile.h"
 #include "seq/fasta.h"
 #include "seq/generator.h"
-#include "simd/fnv_lanes.h"
 #include "simd/modules.h"
-#include "simd/squeeze.h"
-#include "simd/translate.h"
+#include "simd/primitives.h"
 #include "simd/vec_avx2.h"
 #include "simd/vec_avx512.h"
 #include "simd/vec_avx512bw.h"
@@ -170,8 +168,8 @@ void bench_profile_build(benchmark::State& state, IsaKind isa, bool engine) {
                           static_cast<std::int64_t>(query.size()));
 }
 
-// One alphabet encode of 1 MiB of residue letters through the requested
-// backend's byte translation (simd/translate.h).
+// One alphabet encode of 1 MiB of residue letters through the `translate`
+// of the requested backend's primitives record.
 void bench_encode(benchmark::State& state, IsaKind isa) {
   const score::Alphabet& a = score::Alphabet::protein();
   std::array<std::uint8_t, 256> table{};
@@ -179,7 +177,7 @@ void bench_encode(benchmark::State& state, IsaKind isa) {
   seq::SequenceGenerator gen(1);
   const std::string residues = gen.protein(std::size_t{1} << 20).residues;
   std::vector<std::uint8_t> out(residues.size());
-  const simd::TranslateFn translate = simd::translate_fn(isa);
+  const TranslateFn translate = primitives(isa).translate;
   for (auto _ : state) {
     translate(table.data(), residues.data(), out.data(), out.size());
     benchmark::DoNotOptimize(out.data());
@@ -189,8 +187,8 @@ void bench_encode(benchmark::State& state, IsaKind isa) {
                           static_cast<std::int64_t>(residues.size()));
 }
 
-// One squeeze (simd/squeeze.h) of 1 MiB of residues in 70-column lines
-// through the requested backend's form.
+// One squeeze of 1 MiB of residues in 70-column lines through the
+// `squeeze` of the requested backend's primitives record.
 void bench_squeeze(benchmark::State& state, IsaKind isa) {
   seq::SequenceGenerator gen(1);
   const std::string residues = gen.protein(std::size_t{1} << 20).residues;
@@ -199,7 +197,7 @@ void bench_squeeze(benchmark::State& state, IsaKind isa) {
     text.append(residues, at, 70).push_back('\n');
   }
   std::string out(text.size(), '\0');
-  const simd::SqueezeFn squeeze = simd::squeeze_fn(isa);
+  const SqueezeFn squeeze = primitives(isa).squeeze;
   for (auto _ : state) {
     benchmark::DoNotOptimize(squeeze(text.data(), text.size(), out.data()));
     benchmark::ClobberMemory();
@@ -222,16 +220,17 @@ void bench_fasta_parse(benchmark::State& state, IsaKind isa) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 
-// The index checksum's lane update (simd/fnv_lanes.h) over a warm buffer
-// of range(0) bytes, one call per iteration: the layer below
-// store.open_ms, which hashes the index metadata at open.
+// The index checksum's lane update (the `fnv_lanes` of the requested
+// backend's primitives record) over a warm buffer of range(0) bytes, one
+// call per iteration: the layer below store.open_ms, which hashes the
+// index metadata at open.
 void bench_checksum(benchmark::State& state, IsaKind isa) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<std::uint8_t> buf(n);
   std::mt19937_64 rng(1);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
   std::uint64_t lanes[kFnvLanes] = {};
-  const FnvLanesFn update = fnv_lanes_fn(isa);
+  const FnvLanesFn update = primitives(isa).fnv_lanes;
   for (auto _ : state) {
     update(lanes, buf.data(), n / kFnvStride);
     benchmark::DoNotOptimize(lanes);

@@ -6,8 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "filter/sig_scan.h"
 #include "obs/instrument.h"
+#include "simd/primitives.h"
 
 namespace aalign::filter {
 
@@ -198,7 +198,7 @@ FilterStats SignatureIndex::scan(const QuerySignature& q, simd::IsaKind isa,
     return fs;
   }
 
-  const SigScanFn fn = sig_scan_fn(isa);
+  const simd::PopcountAndFn fn = simd::primitives(isa).popcount_and;
   const double bits = static_cast<double>(params_.bits);
   const double qb = static_cast<double>(q.popcount);
 

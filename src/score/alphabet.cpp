@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "simd/isa.h"
-#include "simd/translate.h"
+#include "simd/primitives.h"
 
 namespace aalign::score {
 
@@ -33,9 +33,8 @@ const Alphabet& Alphabet::dna() {
 }
 
 void Alphabet::encode(std::string_view residues, std::uint8_t* out) const {
-  static const simd::TranslateFn translate =
-      simd::translate_fn(simd::best_available_isa());
-  translate(ctoi_.data(), residues.data(), out, residues.size());
+  simd::primitives().translate(ctoi_.data(), residues.data(), out,
+                               residues.size());
 }
 
 std::vector<std::uint8_t> Alphabet::encode(std::string_view residues) const {

@@ -37,7 +37,7 @@ class Alphabet {
 
   // ctoi over every byte of `residues`, into out[0, residues.size()). The
   // translation runs through the 256-entry ctoi table 64 bytes at a time
-  // where the CPU has AVX-512 VBMI (simd/translate.h), else one byte at a
+  // where the CPU has AVX-512 VBMI (simd/primitives.h), else one byte at a
   // time; the bytes are the same.
   void encode(std::string_view residues, std::uint8_t* out) const;
   std::vector<std::uint8_t> encode(std::string_view residues) const;

@@ -6,7 +6,7 @@
 #include <type_traits>
 
 #include "simd/isa.h"
-#include "simd/stripe.h"
+#include "simd/primitives.h"
 
 namespace aalign::score {
 
@@ -85,9 +85,7 @@ void stripe_query(StripedProfile<T>& p, std::span<const std::uint8_t> query,
   p.alpha = alpha;
 
   idx.resize(static_cast<std::size_t>(p.segs) * width);
-  static const simd::StripeFn stripe =
-      simd::stripe_fn(simd::best_available_isa());
-  const std::uint8_t top = stripe(
+  const std::uint8_t top = simd::primitives().stripe(
       query.data(), query.size(), static_cast<std::size_t>(p.segs),
       static_cast<std::size_t>(width), static_cast<std::uint8_t>(alpha),
       {static_cast<int>(sizeof(T)), code.mul, code.add}, idx.data());

@@ -139,10 +139,10 @@ ProfileTables<T> profile_tables(std::span<const T> lut, std::size_t stride,
 // outside 1..255, or a query byte >= alpha (a lookup with it would read
 // outside the letter tables; the message names the first such byte). The
 // striped index is the transpose of the query read as `width` rows of
-// `segs` bytes, written in one pass by simd/stripe.h: 16x16 byte tiles
-// transposed in registers, each tile's live bytes checked against the
-// alphabet and coded into T lanes (c * mul + add, the pad symbol alpha
-// past m) as the tile is stored.
+// `segs` bytes, written in one pass by the `stripe` primitive
+// (simd/primitives.h): 16x16 byte tiles transposed in registers, each
+// tile's live bytes checked against the alphabet and coded into T lanes
+// (c * mul + add, the pad symbol alpha past m) as the tile is stored.
 template <class T>
 void stripe_query(StripedProfile<T>& p, std::span<const std::uint8_t> query,
                   int alpha, int width, util::AlignedBuffer<T>& idx,

@@ -11,7 +11,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "simd/squeeze.h"
+#include "simd/primitives.h"
 
 namespace aalign::seq {
 
@@ -47,7 +47,7 @@ void check_preamble(const char* p, const char* end) {
 }  // namespace
 
 std::vector<Sequence> parse_fasta(std::string_view text, simd::IsaKind isa) {
-  const simd::SqueezeFn squeeze = simd::squeeze_fn(isa);
+  const simd::SqueezeFn squeeze = simd::primitives(isa).squeeze;
   std::vector<Sequence> out;
   const char* const end = text.data() + text.size();
   const char* h = next_header(text.data(), end);

@@ -18,9 +18,9 @@ namespace aalign::seq {
 // records; skips blank lines and drops whitespace inside residue lines.
 // A record's body runs from its header line to the next line that starts
 // with '>' (memchr), and its residues are that body squeezed in one pass
-// (simd/squeeze.h, the form `isa` resolves to): the whitespace and the
-// ';' comment lines dropped, the rest copied. The text before the first
-// header may hold only blank and ';' lines; anything else there throws
+// (the `squeeze` of simd::primitives(isa)): the whitespace and the ';'
+// comment lines dropped, the rest copied. The text before the first header
+// may hold only blank and ';' lines; anything else there throws
 // std::runtime_error.
 std::vector<Sequence> parse_fasta(
     std::string_view text, simd::IsaKind isa = simd::best_available_isa());

@@ -1,14 +1,14 @@
 #include "simd/isa.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
+#include <iterator>
+#include <tuple>
 
-#include "simd/directory.h"
-#include "simd/fnv_lanes.h"
-#include "simd/squeeze.h"
-#include "simd/stripe.h"
-#include "simd/translate.h"
+#include "simd/primitives.h"
+#include "simd/vec_scalar.h"
 #include "util/cpuinfo.h"
 
 namespace aalign::simd {
@@ -36,37 +36,7 @@ bool isa_supported_by_cpu(IsaKind kind) {
   return false;
 }
 
-bool isa_available(IsaKind kind) {
-  switch (kind) {
-    case IsaKind::Scalar:
-      return true;
-    case IsaKind::Sse41:
-#if defined(AALIGN_HAVE_SSE41)
-      return isa_supported_by_cpu(kind);
-#else
-      return false;
-#endif
-    case IsaKind::Avx2:
-#if defined(AALIGN_HAVE_AVX2)
-      return isa_supported_by_cpu(kind);
-#else
-      return false;
-#endif
-    case IsaKind::Avx512:
-#if defined(AALIGN_HAVE_AVX512)
-      return isa_supported_by_cpu(kind);
-#else
-      return false;
-#endif
-    case IsaKind::Avx512Bw:
-#if defined(AALIGN_HAVE_AVX512BW)
-      return isa_supported_by_cpu(kind);
-#else
-      return false;
-#endif
-  }
-  return false;
-}
+bool isa_available(IsaKind kind) { return own_primitives(kind) != nullptr; }
 
 IsaKind best_available_isa() {
   if (isa_available(IsaKind::Avx512Bw)) return IsaKind::Avx512Bw;
@@ -81,15 +51,6 @@ void translate_scalar(const std::uint8_t* table, const char* in,
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = table[static_cast<unsigned char>(in[i])];
   }
-}
-
-TranslateFn translate_fn([[maybe_unused]] IsaKind isa) {
-#if defined(AALIGN_HAVE_AVX512BW)
-  if (isa == IsaKind::Avx512Bw && isa_available(isa)) {
-    return &translate_avx512bw;
-  }
-#endif
-  return &translate_scalar;
 }
 
 namespace {
@@ -171,15 +132,6 @@ std::size_t squeeze_scalar(const char* src, std::size_t n, char* dst) {
   return k;
 }
 
-SqueezeFn squeeze_fn([[maybe_unused]] IsaKind isa) {
-#if defined(AALIGN_HAVE_AVX512BW)
-  if (isa == IsaKind::Avx512Bw && isa_available(isa)) {
-    return &squeeze_avx512bw;
-  }
-#endif
-  return &squeeze_scalar;
-}
-
 namespace {
 
 template <class L>
@@ -217,15 +169,6 @@ std::uint8_t stripe_scalar(const std::uint8_t* q, std::size_t m,
   }
 }
 
-StripeFn stripe_fn([[maybe_unused]] IsaKind isa) {
-#if defined(AALIGN_HAVE_SSE41)
-  if (isa >= IsaKind::Sse41 && isa_available(IsaKind::Sse41)) {
-    return &stripe_sse41;
-  }
-#endif
-  return &stripe_scalar;
-}
-
 void fnv_lanes_scalar(std::uint64_t* lanes, const void* data,
                       std::size_t strides) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -238,40 +181,10 @@ void fnv_lanes_scalar(std::uint64_t* lanes, const void* data,
   }
 }
 
-FnvLanesFn fnv_lanes_fn([[maybe_unused]] IsaKind isa) {
-#if defined(AALIGN_HAVE_AVX512)
-  if ((isa == IsaKind::Avx512 || isa == IsaKind::Avx512Bw) &&
-      isa_available(IsaKind::Avx512)) {
-    return &fnv_lanes_avx512;
-  }
-#endif
-#if defined(AALIGN_HAVE_AVX2)
-  if (isa >= IsaKind::Avx2 && isa_available(IsaKind::Avx2)) {
-    return &fnv_lanes_avx2;
-  }
-#endif
-  return &fnv_lanes_scalar;
-}
-
 OffsetFaults offset_scan_scalar(const std::uint64_t* off, std::size_t count) {
   OffsetFaults f;
   offset_scan_steps(off, 1, count, f);
   return f;
-}
-
-OffsetScanFn offset_scan_fn([[maybe_unused]] IsaKind isa) {
-#if defined(AALIGN_HAVE_AVX512)
-  if ((isa == IsaKind::Avx512 || isa == IsaKind::Avx512Bw) &&
-      isa_available(IsaKind::Avx512)) {
-    return &offset_scan_avx512;
-  }
-#endif
-#if defined(AALIGN_HAVE_AVX2)
-  if (isa >= IsaKind::Avx2 && isa_available(IsaKind::Avx2)) {
-    return &offset_scan_avx2;
-  }
-#endif
-  return &offset_scan_scalar;
 }
 
 InverseFaults inverse_check_scalar(const std::uint32_t* perm,
@@ -281,13 +194,87 @@ InverseFaults inverse_check_scalar(const std::uint32_t* perm,
   return f;
 }
 
-InverseCheckFn inverse_check_fn([[maybe_unused]] IsaKind isa) {
-#if defined(AALIGN_HAVE_AVX2)
-  if (isa >= IsaKind::Avx2 && isa_available(IsaKind::Avx2)) {
-    return &inverse_check_avx2;
-  }
+std::uint64_t popcount_and_scalar(const std::int32_t* a,
+                                  const std::int32_t* b, std::size_t words) {
+  return popcount_and_sweep<VecOps<std::int32_t, ScalarTag>>(a, b, words);
+}
+
+namespace {
+
+constexpr Primitives kScalarPrimitives{
+    .translate = &translate_scalar,
+    .squeeze = &squeeze_scalar,
+    .stripe = &stripe_scalar,
+    .fnv_lanes = &fnv_lanes_scalar,
+    .offset_scan = &offset_scan_scalar,
+    .inverse_check = &inverse_check_scalar,
+    .popcount_and = &popcount_and_scalar,
+};
+
+}  // namespace
+
+// The backends this binary holds (isa_available reads it too). The CPU
+// check comes first, so no code of a backend's TU runs on a CPU without
+// its ISA.
+const Primitives* own_primitives(IsaKind isa) {
+  if (!isa_supported_by_cpu(isa)) return nullptr;
+  switch (isa) {
+    case IsaKind::Scalar:
+      return &kScalarPrimitives;
+    case IsaKind::Sse41:
+#if defined(AALIGN_HAVE_SSE41)
+      return &primitives_sse41();
+#else
+      return nullptr;
 #endif
-  return &inverse_check_scalar;
+    case IsaKind::Avx2:
+#if defined(AALIGN_HAVE_AVX2)
+      return &primitives_avx2();
+#else
+      return nullptr;
+#endif
+    case IsaKind::Avx512:
+#if defined(AALIGN_HAVE_AVX512)
+      return &primitives_avx512();
+#else
+      return nullptr;
+#endif
+    case IsaKind::Avx512Bw:
+#if defined(AALIGN_HAVE_AVX512BW)
+      return &primitives_avx512bw();
+#else
+      return nullptr;
+#endif
+  }
+  return nullptr;
+}
+
+const Primitives& primitives(IsaKind isa) {
+  // Row k is row k - 1 with the own forms of k laid over it when k is
+  // available, so each field holds the highest available own form (the
+  // scalar row fills every field).
+  static const auto table = [] {
+    std::array<Primitives, std::size(kAllIsaKinds)> rows{};
+    Primitives merged;
+    for (const IsaKind k : kAllIsaKinds) {
+      if (const Primitives* own = own_primitives(k)) {
+        std::apply(
+            [&](auto... field) {
+              ((merged.*field = own->*field ? own->*field : merged.*field),
+               ...);
+            },
+            kPrimitiveFields);
+      }
+      rows[static_cast<std::size_t>(k)] = merged;
+    }
+    return rows;
+  }();
+  return table[static_cast<std::size_t>(isa)];
+}
+
+const Primitives& primitives() {
+  static const Primitives& best = primitives(best_available_isa());
+  return best;
 }
 
 }  // namespace aalign::simd

@@ -24,13 +24,12 @@
 
 #include <cstdint>
 
-#include "simd/directory.h"
-#include "simd/fnv_lanes.h"
 #include "simd/isa.h"
+#include "simd/primitives.h"
 
 namespace aalign::simd {
 
-// The checksum lane update (simd/fnv_lanes.h) on 4 x u64 per register,
+// The checksum lane update (simd/primitives.h) on 4 x u64 per register,
 // the 32 lanes in eight registers. A lane step multiplies by the prime
 // 2^40 + 0x1b3 as (x << 40) + lo32(x) * 0x1b3 + (hi32(x) * 0x1b3 << 32):
 // two mul_epu32, no 64-bit multiply.
@@ -65,7 +64,7 @@ inline void fnv_lanes_256(std::uint64_t* lanes, const void* data,
   }
 }
 
-// The offset scan (simd/directory.h) on 4 x u64 per register: entries i,
+// The offset scan (simd/primitives.h) on 4 x u64 per register: entries i,
 // i - 1 and i - 2 come from three overlapping loads, and AVX2 compares
 // only signed, so both sides of each unsigned compare have their sign bit
 // flipped first.
@@ -96,7 +95,7 @@ inline OffsetFaults offset_scan_256(const std::uint64_t* off,
   return f;
 }
 
-// The inverse check (simd/directory.h) on 8 x u32 per register: a masked
+// The inverse check (simd/primitives.h) on 8 x u32 per register: a masked
 // gather reads perm[inv[o]] for the lanes whose inv[o] is below n (the
 // others read nothing), so a lane passes when it was read and names o.
 inline InverseFaults inverse_check_256(const std::uint32_t* perm,

@@ -31,13 +31,12 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "simd/directory.h"
-#include "simd/fnv_lanes.h"
 #include "simd/isa.h"
+#include "simd/primitives.h"
 
 namespace aalign::simd {
 
-// The checksum lane update (simd/fnv_lanes.h) on 8 x u64 per register,
+// The checksum lane update (simd/primitives.h) on 8 x u64 per register,
 // the 32 lanes in four registers; AVX-512F only. The multiply by the
 // prime 2^40 + 0x1b3 splits as in vec_avx2.h's fnv_step_256.
 inline __m512i fnv_step_512(__m512i x, __m512i w) {
@@ -66,7 +65,7 @@ inline void fnv_lanes_512(std::uint64_t* lanes, const void* data,
   for (int r = 0; r < kRegs; ++r) _mm512_storeu_si512(lanes + 8 * r, l[r]);
 }
 
-// The offset scan (simd/directory.h) on 8 x u64 per register: entries
+// The offset scan (simd/primitives.h) on 8 x u64 per register: entries
 // i - 1 and i - 2 are shifted in from the register before (valignq), so
 // each step makes one load; AVX-512F compares unsigned into mask
 // registers, which set lanes of two accumulators.

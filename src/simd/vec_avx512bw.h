@@ -76,7 +76,7 @@ inline void translate_bytes(const std::uint8_t* table, const char* in,
   }
 }
 
-// simd/squeeze.h's squeeze, 64 bytes per step: compares give the
+// The squeeze (simd/primitives.h), 64 bytes per step: compares give the
 // whitespace, newline and ';' masks, and one vpermb packs the kept bytes
 // to the front. A comment runs from its start through the next newline,
 // which is the borrow chain of subtracting the starts from the newlines

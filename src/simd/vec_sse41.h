@@ -15,7 +15,7 @@
 #include <cstring>
 
 #include "simd/isa.h"
-#include "simd/stripe.h"
+#include "simd/primitives.h"
 
 namespace aalign::simd {
 
@@ -207,13 +207,13 @@ inline std::uint8_t stripe_tiles_coded(const std::uint8_t* q, std::size_t m,
 
 }  // namespace detail
 
-// simd/stripe.h's striping in 16x16 byte tiles: tile (l0, j0) loads 16
-// query rows of 16 bytes (row l = q[l*segs + j0 ...]), folds them into
-// the running max, transposes them in registers and codes each column
-// straight into output row j0 + c, lanes l0... Rows that are not whole
-// (the query's end, the last columns, the rows past width) have their
-// dead bytes blended to the pad. Nothing is read past q + m or written
-// past the output.
+// The striping (simd/primitives.h) in 16x16 byte tiles: tile (l0, j0)
+// loads 16 query rows of 16 bytes (row l = q[l*segs + j0 ...]), folds
+// them into the running max, transposes them in registers and codes each
+// column straight into output row j0 + c, lanes l0... Rows that are not
+// whole (the query's end, the last columns, the rows past width) have
+// their dead bytes blended to the pad. Nothing is read past q + m or
+// written past the output.
 inline std::uint8_t stripe_tiles(const std::uint8_t* q, std::size_t m,
                                  std::size_t segs, std::size_t width,
                                  std::uint8_t pad, StripeCode code,

@@ -1,20 +1,8 @@
 #include "store/format.h"
 
 #include "obs/metrics.h"
-#include "simd/isa.h"
 
 namespace aalign::store {
-
-namespace {
-
-// The widest lane update this binary and CPU have, resolved once.
-simd::FnvLanesFn lane_update() {
-  static const simd::FnvLanesFn fn =
-      simd::fnv_lanes_fn(simd::best_available_isa());
-  return fn;
-}
-
-}  // namespace
 
 Checksum::Checksum() {
   for (std::size_t k = 0; k < kChecksumLanes; ++k) {
@@ -25,7 +13,7 @@ Checksum::Checksum() {
 void Checksum::update(const void* data, std::size_t bytes) {
   const auto* p = static_cast<const unsigned char*>(data);
   const std::size_t strides = bytes / kChecksumStride;
-  lane_update()(lane_, p, strides);
+  simd::primitives().fnv_lanes(lane_, p, strides);
   const std::size_t tail = strides * kChecksumStride;
   if (tail < bytes) lane_[0] = fnv1a64(p + tail, bytes - tail, lane_[0]);
 }

@@ -36,7 +36,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "simd/fnv_lanes.h"
+#include "simd/primitives.h"
 
 namespace aalign::store {
 
@@ -95,7 +95,7 @@ inline std::uint64_t fnv1a64(const void* data, std::size_t bytes,
 // offset basis XOR k), folded at the end by fnv1a64 over the 32 lane
 // states. Each lane step is a bijection of the lane, so any single bit
 // flip changes the digest. The 32 chains are independent, so the lane
-// update (simd/fnv_lanes.h) runs as vector code on every backend that
+// update (simd/primitives.h) runs as vector code on every backend that
 // has it - AVX2 and AVX-512F - with the same digest as the scalar loop.
 // A ragged tail (a section's is 64, 128 or 192 bytes; a residue shard's
 // any length) continues lane 0 through fnv1a64. Not cryptographic - the

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "simd/directory.h"
+#include "simd/primitives.h"
 #include "simd/isa.h"
 
 namespace aalign::store {
@@ -57,20 +57,6 @@ std::uint64_t expected_payload_bytes(const Header& h, SectionKind kind) {
 // align_up(payload) wraps past 2^64 for a payload near it.
 bool pads_to(std::uint64_t payload, std::uint64_t bytes) {
   return payload <= bytes && bytes - payload < kFileAlignment;
-}
-
-// The directory checks (simd/directory.h) of the widest forms this binary
-// and CPU have, resolved once.
-simd::OffsetScanFn offset_scan() {
-  static const simd::OffsetScanFn fn =
-      simd::offset_scan_fn(simd::best_available_isa());
-  return fn;
-}
-
-simd::InverseCheckFn inverse_check() {
-  static const simd::InverseCheckFn fn =
-      simd::inverse_check_fn(simd::best_available_isa());
-  return fn;
 }
 
 // A filter-off search never reads the cold sections (format.h), so open
@@ -279,9 +265,11 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
   // A mapped database trusts these arrays, so they are the only guard on
   // its residue and id reads: both offset arrays start at 0, never fall
   // and end at their payloads - one scan each.
+  const simd::Primitives& prim = simd::primitives();
   const std::uint64_t n = h.seq_count;
   const auto off = idx.residue_offsets();
-  const simd::OffsetFaults seq_faults = offset_scan()(off.data(), off.size());
+  const simd::OffsetFaults seq_faults =
+      prim.offset_scan(off.data(), off.size());
   if (off.front() != 0 || seq_faults.fall || off.back() != h.residue_total) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "residue offsets do not tile the residue "
@@ -294,7 +282,7 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
   }
   // Id lengths are in no order: the scan's growth does not matter here.
   const auto id_off = idx.id_offsets();
-  const bool id_fall = offset_scan()(id_off.data(), id_off.size()).fall;
+  const bool id_fall = prim.offset_scan(id_off.data(), id_off.size()).fall;
   if (id_off.front() != 0 || id_fall ||
       !pads_to(id_off.back(), idx.section(SectionKind::IdBlob).bytes)) {
     throw StoreError(StoreErrc::BadLayout,
@@ -327,7 +315,7 @@ MappedIndex MappedIndex::open(const std::string& path, Verify verify) {
   // shares is the mapped section. An identity permutation is served
   // unpermuted.
   const simd::InverseFaults inv_faults =
-      inverse_check()(idx.permutation().data(), idx.inverse().data(), n);
+      prim.inverse_check(idx.permutation().data(), idx.inverse().data(), n);
   if (inv_faults.bad) {
     throw StoreError(StoreErrc::BadLayout,
                      at_path(path, "permutation and inverse sections are not "

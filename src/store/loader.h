@@ -42,7 +42,7 @@
 // blob), and that the Permutation and Inverse sections are a permutation
 // and its inverse (one read-only pass; nothing is allocated). The scans
 // and the inverse pass run as vector code where the CPU has it
-// (simd/directory.h). database() then does no per-subject work: the
+// (simd/primitives.h). database() then does no per-subject work: the
 // seq::Database it returns views the mapped SeqOffsets, SeqBlob,
 // IdOffsets, IdBlob, Permutation and Inverse sections in place, with the
 // MappedFile pinned as its backing(). signatures() rehydrates the

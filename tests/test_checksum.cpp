@@ -1,8 +1,8 @@
 // Differential test of the index checksum's lane update across backends
-// (simd/fnv_lanes.h): every form this binary holds and the CPU runs gives
-// the digest of the format's definition (store/format.h), for every
-// length 0-2100 at every start offset 0-63, in one call and in
-// stride-multiple windows.
+// (the `fnv_lanes` primitive, simd/primitives.h): every form this binary
+// holds and the CPU runs gives the digest of the format's definition
+// (store/format.h), for every length 0-2100 at every start offset 0-63, in
+// one call and in stride-multiple windows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "simd/fnv_lanes.h"
-#include "simd/isa.h"
+#include "simd/primitives.h"
 #include "store/format.h"
+#include "test_helpers.h"
 
 using namespace aalign;
 
@@ -57,23 +57,6 @@ std::uint64_t digest_with(simd::FnvLanesFn fn, const std::uint8_t* p,
   return store::fnv1a64(lane, sizeof lane);
 }
 
-struct Path {
-  std::string name;
-  simd::FnvLanesFn fn;
-};
-
-// Each distinct lane update fnv_lanes_fn hands out on this binary and CPU.
-std::vector<Path> available_paths() {
-  std::vector<Path> out;
-  for (const simd::IsaKind kind : simd::kAllIsaKinds) {
-    const simd::FnvLanesFn fn = simd::fnv_lanes_fn(kind);
-    bool seen = false;
-    for (const Path& p : out) seen = seen || p.fn == fn;
-    if (!seen) out.push_back({simd::isa_name(kind), fn});
-  }
-  return out;
-}
-
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::vector<std::uint8_t> out(n);
@@ -86,18 +69,16 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
 TEST(ChecksumPaths, DispatchPicksTheWidestForm) {
   using simd::IsaKind;
   const simd::FnvLanesFn scalar = &simd::fnv_lanes_scalar;
-  EXPECT_EQ(simd::fnv_lanes_fn(IsaKind::Scalar), scalar);
-  EXPECT_EQ(simd::fnv_lanes_fn(IsaKind::Sse41), scalar);
-  const simd::FnvLanesFn avx2 = simd::fnv_lanes_fn(IsaKind::Avx2);
+  EXPECT_EQ(simd::primitives(IsaKind::Scalar).fnv_lanes, scalar);
+  EXPECT_EQ(simd::primitives(IsaKind::Sse41).fnv_lanes, scalar);
+  const simd::FnvLanesFn avx2 = simd::primitives(IsaKind::Avx2).fnv_lanes;
   EXPECT_EQ(avx2 != scalar, simd::isa_available(IsaKind::Avx2));
-  const simd::FnvLanesFn avx512 = simd::fnv_lanes_fn(IsaKind::Avx512);
+  const simd::FnvLanesFn avx512 = simd::primitives(IsaKind::Avx512).fnv_lanes;
   if (simd::isa_available(IsaKind::Avx512)) {
     EXPECT_NE(avx512, scalar);
     EXPECT_NE(avx512, avx2);
-    EXPECT_EQ(simd::fnv_lanes_fn(IsaKind::Avx512Bw), avx512);
+    EXPECT_EQ(simd::primitives(IsaKind::Avx512Bw).fnv_lanes, avx512);
   }
-  // The paths the differential test below runs.
-  for (const Path& p : available_paths()) RecordProperty("path_" + p.name, 1);
 }
 
 // Every path, at every length and start offset, gives the defined digest;
@@ -105,7 +86,8 @@ TEST(ChecksumPaths, DispatchPicksTheWidestForm) {
 // one to three whole strides, the last one ragged - the rule the loader's
 // cold-section windows follow.
 TEST(ChecksumPaths, EveryPathGivesTheDefinedDigest) {
-  const std::vector<Path> paths = available_paths();
+  const auto paths = test::distinct_forms(&simd::Primitives::fnv_lanes);
+  for (const auto& path : paths) RecordProperty("path_" + path.name, 1);
   const auto bytes = random_bytes(kMaxLength + kMaxOffset, 29);
   for (std::size_t off = 0; off <= kMaxOffset; ++off) {
     for (std::size_t n = 0; n <= kMaxLength; ++n) {
@@ -113,7 +95,7 @@ TEST(ChecksumPaths, EveryPathGivesTheDefinedDigest) {
       const std::uint64_t want = reference_digest(p, n);
       ASSERT_EQ(store::checksum(p, n), want)
           << "store::checksum, length " << n << " offset " << off;
-      for (const Path& path : paths) {
+      for (const auto& path : paths) {
         ASSERT_EQ(digest_with(path.fn, p, n), want)
             << path.name << ", length " << n << " offset " << off;
       }

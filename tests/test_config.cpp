@@ -2,13 +2,17 @@
 // floor (min_safe_width), and the Farrar-safety predicate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/config.h"
 #include "core/inter_engine.h"
 #include "core/query_context.h"
+#include "simd/primitives.h"
 #include "test_helpers.h"
 
 using namespace aalign;
@@ -200,6 +204,81 @@ TEST(Isa, BackendTable) {
       }
     }
   }
+}
+
+// One field of the fallback table: the available backends in `owners`
+// (bit k for IsaKind k) have non-null, distinct own forms, the other
+// available ones nullptr, and primitives(k) holds the own form of the
+// highest available ISA at or below k that has one.
+template <class Fn>
+void expect_fallback(Fn simd::Primitives::*field, unsigned owners) {
+  std::vector<Fn> own_forms;
+  for (const simd::IsaKind k : simd::kAllIsaKinds) {
+    SCOPED_TRACE(simd::isa_name(k));
+    const simd::Primitives* own = simd::own_primitives(k);
+    if (own == nullptr) continue;  // not available
+    const bool owner = (owners >> static_cast<unsigned>(k)) & 1;
+    EXPECT_EQ(own->*field != nullptr, owner);
+    if (owner) {
+      EXPECT_EQ(std::count(own_forms.begin(), own_forms.end(), own->*field),
+                0);
+      own_forms.push_back(own->*field);
+    }
+  }
+  for (const simd::IsaKind k : simd::kAllIsaKinds) {
+    Fn want = nullptr;
+    for (const simd::IsaKind j : simd::kAllIsaKinds) {
+      if (j <= k && simd::isa_available(j) &&
+          ((owners >> static_cast<unsigned>(j)) & 1)) {
+        want = simd::own_primitives(j)->*field;
+      }
+    }
+    EXPECT_NE(simd::primitives(k).*field, nullptr) << simd::isa_name(k);
+    EXPECT_EQ(simd::primitives(k).*field, want) << simd::isa_name(k);
+  }
+}
+
+TEST(Primitives, FallbackTable) {
+  using simd::IsaKind;
+  constexpr auto bit = [](IsaKind k) { return 1u << static_cast<unsigned>(k); };
+  const unsigned scalar = bit(IsaKind::Scalar), sse41 = bit(IsaKind::Sse41),
+                 avx2 = bit(IsaKind::Avx2), avx512 = bit(IsaKind::Avx512),
+                 avx512bw = bit(IsaKind::Avx512Bw);
+  // The backends with their own form of each field, in the order of
+  // simd::kPrimitiveFields.
+  const struct {
+    const char* name;
+    unsigned owners;
+  } rows[] = {
+      {"translate", scalar | avx512bw},
+      {"squeeze", scalar | avx512bw},
+      {"stripe", scalar | sse41},
+      {"fnv_lanes", scalar | avx2 | avx512},
+      {"offset_scan", scalar | avx2 | avx512},
+      {"inverse_check", scalar | avx2},
+      {"popcount_and", scalar | sse41 | avx2 | avx512 | avx512bw},
+  };
+  ASSERT_EQ(std::size(rows),
+            std::tuple_size_v<decltype(simd::kPrimitiveFields)>);
+  std::size_t i = 0;
+  const auto check = [&](auto field) {
+    SCOPED_TRACE(rows[i].name);
+    expect_fallback(field, rows[i++].owners);
+  };
+  std::apply([&](auto... field) { (check(field), ...); },
+             simd::kPrimitiveFields);
+
+  // The scalar row is the reference forms, and primitives() the best row.
+  const simd::Primitives& s = simd::primitives(IsaKind::Scalar);
+  EXPECT_EQ(s.translate, &simd::translate_scalar);
+  EXPECT_EQ(s.squeeze, &simd::squeeze_scalar);
+  EXPECT_EQ(s.stripe, &simd::stripe_scalar);
+  EXPECT_EQ(s.fnv_lanes, &simd::fnv_lanes_scalar);
+  EXPECT_EQ(s.offset_scan, &simd::offset_scan_scalar);
+  EXPECT_EQ(s.inverse_check, &simd::inverse_check_scalar);
+  EXPECT_EQ(s.popcount_and, &simd::popcount_and_scalar);
+  EXPECT_EQ(&simd::primitives(),
+            &simd::primitives(simd::best_available_isa()));
 }
 
 }  // namespace

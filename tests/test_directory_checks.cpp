@@ -1,13 +1,13 @@
-// Differential test of the index's directory checks (simd/directory.h):
-// every form of each check this binary holds and the CPU runs reports the
-// faults of a reference loop written from the definition. The offset scan
-// runs over arrays of 0-70 entries - well formed, with one planted fall or
-// one planted growth at every index, with values around 2^63 and near
-// 2^64 (where a signed compare or a wrapping difference goes wrong), and
-// random. The inverse check runs over permutations of 0-70 entries and
-// their inverses - intact, and with one inverse entry past the end, at or
-// above 2^31 (a gather's signed index), naming another position, or
-// swapped with another, at every index.
+// Differential test of the index's directory checks (the `offset_scan` and
+// `inverse_check` primitives, simd/primitives.h): every form of each check
+// this binary holds and the CPU runs reports the faults of a reference loop
+// written from the definition. The offset scan runs over arrays of 0-70
+// entries - well formed, with one planted fall or one planted growth at
+// every index, with values around 2^63 and near 2^64 (where a signed compare
+// or a wrapping difference goes wrong), and random. The inverse check runs
+// over permutations of 0-70 entries and their inverses - intact, and with
+// one inverse entry past the end, at or above 2^31 (a gather's signed
+// index), naming another position, or swapped with another, at every index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "simd/isa.h"
-#include "simd/directory.h"
+#include "simd/primitives.h"
+#include "test_helpers.h"
 
 using namespace aalign;
 
@@ -39,29 +39,10 @@ simd::OffsetFaults reference(const std::vector<std::uint64_t>& off) {
   return f;
 }
 
-template <class Fn>
-struct Path {
-  std::string name;
-  Fn fn;
-};
-
-// Each distinct form `resolve` hands out on this binary and CPU.
-template <class Fn>
-std::vector<Path<Fn>> available_paths(Fn (*resolve)(simd::IsaKind)) {
-  std::vector<Path<Fn>> out;
-  for (const simd::IsaKind kind : simd::kAllIsaKinds) {
-    const Fn fn = resolve(kind);
-    bool seen = false;
-    for (const Path<Fn>& p : out) seen = seen || p.fn == fn;
-    if (!seen) out.push_back({simd::isa_name(kind), fn});
-  }
-  return out;
-}
-
 // Every form reports the reference's faults on `off`.
 void expect_forms_agree(const std::vector<std::uint64_t>& off) {
   const simd::OffsetFaults want = reference(off);
-  for (const auto& p : available_paths(&simd::offset_scan_fn)) {
+  for (const auto& p : test::distinct_forms(&simd::Primitives::offset_scan)) {
     const simd::OffsetFaults got = p.fn(off.data(), off.size());
     EXPECT_EQ(got.fall, want.fall) << p.name << ", " << off.size()
                                    << " entries";
@@ -88,9 +69,9 @@ std::vector<std::uint64_t> bases(std::size_t count, std::uint64_t len) {
 }  // namespace
 
 TEST(OffsetScan, ScalarFormIsAlwaysAvailable) {
-  EXPECT_EQ(simd::offset_scan_fn(simd::IsaKind::Scalar),
+  EXPECT_EQ(simd::primitives(simd::IsaKind::Scalar).offset_scan,
             &simd::offset_scan_scalar);
-  EXPECT_EQ(simd::inverse_check_fn(simd::IsaKind::Scalar),
+  EXPECT_EQ(simd::primitives(simd::IsaKind::Scalar).inverse_check,
             &simd::inverse_check_scalar);
 }
 
@@ -183,7 +164,7 @@ simd::InverseFaults reference(const std::vector<std::uint32_t>& perm,
 void expect_forms_agree(const std::vector<std::uint32_t>& perm,
                         const std::vector<std::uint32_t>& inv) {
   const simd::InverseFaults want = reference(perm, inv);
-  for (const auto& p : available_paths(&simd::inverse_check_fn)) {
+  for (const auto& p : test::distinct_forms(&simd::Primitives::inverse_check)) {
     const simd::InverseFaults got = p.fn(perm.data(), inv.data(), inv.size());
     EXPECT_EQ(got.bad, want.bad) << p.name << ", " << inv.size()
                                  << " entries";

@@ -1,4 +1,5 @@
-// Shared helpers for the test suite: available-ISA enumeration, random
+// Shared helpers for the test suite: available-ISA enumeration, the
+// distinct forms of each set-up primitive, random
 // sequence/config generation, Farrar-safety filtering, residue decoding,
 // and the serial database-search and striped-profile oracles.
 #pragma once
@@ -19,6 +20,7 @@
 #include "search/top_k.h"
 #include "seq/database.h"
 #include "simd/isa.h"
+#include "simd/primitives.h"
 
 namespace aalign::test {
 
@@ -26,6 +28,29 @@ inline std::vector<simd::IsaKind> available_isas() {
   std::vector<simd::IsaKind> out;
   for (simd::IsaKind k : simd::kAllIsaKinds) {
     if (simd::isa_available(k)) out.push_back(k);
+  }
+  return out;
+}
+
+// One form of a simd::Primitives field, named by the ISA that owns it.
+template <class Fn>
+struct Form {
+  std::string name;
+  Fn fn;
+};
+
+// The distinct pointers simd::primitives(k) holds in `field` over every k,
+// each named by the lowest ISA that resolves to it (its owner): every form
+// of the primitive this binary holds and the running CPU supports, the
+// scalar reference first.
+template <class Fn>
+std::vector<Form<Fn>> distinct_forms(Fn simd::Primitives::*field) {
+  std::vector<Form<Fn>> out;
+  for (const simd::IsaKind k : simd::kAllIsaKinds) {
+    const Fn fn = simd::primitives(k).*field;
+    bool seen = false;
+    for (const Form<Fn>& f : out) seen = seen || f.fn == fn;
+    if (!seen) out.push_back({simd::isa_name(k), fn});
   }
   return out;
 }

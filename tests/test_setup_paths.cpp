@@ -21,9 +21,7 @@
 #include "seq/fasta.h"
 #include "setup_oracles.h"
 #include "simd/isa.h"
-#include "simd/squeeze.h"
-#include "simd/stripe.h"
-#include "simd/translate.h"
+#include "simd/primitives.h"
 #include "test_helpers.h"
 
 using namespace aalign;
@@ -171,10 +169,7 @@ std::string squeeze_reference(std::string_view s) {
 }
 
 TEST(SqueezeOracle, EveryLengthAndOffset) {
-  std::vector<simd::SqueezeFn> fns = {&simd::squeeze_scalar};
-  for (simd::IsaKind k : test::available_isas()) {
-    fns.push_back(simd::squeeze_fn(k));
-  }
+  const auto forms = test::distinct_forms(&simd::Primitives::squeeze);
   static constexpr char kSpaces[] = {' ', '\t', '\n', '\v', '\f', '\r'};
   std::mt19937_64 rng(2708);
   // Whitespace from none to all; at the denser ones ';' after a newline
@@ -190,16 +185,17 @@ TEST(SqueezeOracle, EveryLengthAndOffset) {
       for (int len = 0; len <= 257; ++len) {
         const std::string_view in(text.data() + off, len);
         const std::string want = squeeze_reference(in);
-        for (simd::SqueezeFn fn : fns) {
+        for (const auto& [name, fn] : forms) {
           // Guard bytes on both sides: nothing is written outside dst's n.
           std::string out(len + 2, '\xA5');
           const std::size_t n = fn(in.data(), in.size(), out.data() + 1);
-          ASSERT_EQ(n, want.size())
-              << "density " << per_64 << " offset " << off << " len " << len;
+          ASSERT_EQ(n, want.size()) << name << " density " << per_64
+                                    << " offset " << off << " len " << len;
           ASSERT_EQ(out.front(), '\xA5');
           ASSERT_EQ(out.back(), '\xA5');
           ASSERT_EQ(out.substr(1, n), want)
-              << "density " << per_64 << " offset " << off << " len " << len;
+              << name << " density " << per_64 << " offset " << off
+              << " len " << len;
         }
       }
     }
@@ -217,10 +213,7 @@ TEST(EncodeOracle, EveryByteLengthAndOffset) {
   for (int i = 0; i < 256; ++i) bytes[i] = static_cast<char>(i);
   std::shuffle(bytes.begin(), bytes.end(), std::mt19937_64(2703));
   bytes += bytes;
-  std::vector<simd::TranslateFn> fns;
-  for (simd::IsaKind k : test::available_isas()) {
-    fns.push_back(simd::translate_fn(k));
-  }
+  const auto forms = test::distinct_forms(&simd::Primitives::translate);
   for (const score::Alphabet* a : alphabets) {
     std::array<std::uint8_t, 256> table{};
     for (int c = 0; c < 256; ++c) table[c] = a->ctoi(static_cast<char>(c));
@@ -229,7 +222,7 @@ TEST(EncodeOracle, EveryByteLengthAndOffset) {
         const std::string_view in(bytes.data() + off, len);
         const std::vector<std::uint8_t> want = test::encode_oracle(*a, in);
         ASSERT_EQ(a->encode(in), want) << "offset " << off << " len " << len;
-        for (simd::TranslateFn fn : fns) {
+        for (const auto& [name, fn] : forms) {
           // Guard bytes on both sides: the masked tail writes nothing past
           // `len`.
           std::vector<std::uint8_t> out(len + 2, 0xA5);
@@ -237,7 +230,7 @@ TEST(EncodeOracle, EveryByteLengthAndOffset) {
           ASSERT_EQ(out.front(), 0xA5);
           ASSERT_EQ(out.back(), 0xA5);
           ASSERT_TRUE(std::equal(want.begin(), want.end(), out.begin() + 1))
-              << "offset " << off << " len " << len;
+              << name << " offset " << off << " len " << len;
         }
       }
     }
@@ -328,10 +321,7 @@ void check_stripe_all(std::mt19937_64& rng) {
 // build reaches through stripe_query) against the oracle, with the largest
 // query byte it returns.
 TEST(StripeOracle, EveryFormMatches) {
-  std::vector<simd::StripeFn> fns = {&simd::stripe_scalar};
-  for (simd::IsaKind k : test::available_isas()) {
-    fns.push_back(simd::stripe_fn(k));
-  }
+  const auto forms = test::distinct_forms(&simd::Primitives::stripe);
   std::mt19937_64 rng(2709);
   const score::IndexCode codes[] = {{1, 0}, {0x0202, 0x0100}, {3, 7}};
   for (int width : {1, 3, 4, 8, 16, 17, 32, 64}) {
@@ -345,7 +335,7 @@ TEST(StripeOracle, EveryFormMatches) {
         test::stripe_query_oracle(want, q, alpha, width, want_idx, code);
         for (const int bytes : {1, 2, 4}) {
           const std::size_t n = want_idx.size();
-          for (simd::StripeFn fn : fns) {
+          for (const auto& [name, fn] : forms) {
             std::vector<std::uint8_t> out(n * bytes + 1, 0xA5);
             ASSERT_EQ(fn(q.data(), q.size(), static_cast<std::size_t>(
                                                  want.segs),
@@ -360,7 +350,8 @@ TEST(StripeOracle, EveryFormMatches) {
               const auto expect = static_cast<std::uint32_t>(want_idx[k]) &
                                   (bytes == 4 ? ~0u : (1u << 8 * bytes) - 1);
               ASSERT_EQ(lane, expect)
-                  << "width " << width << " m " << m << " bytes " << bytes
+                  << name << " width " << width << " m " << m
+                  << " bytes " << bytes
                   << " code " << code.mul << "/" << code.add << " cell " << k;
             }
           }

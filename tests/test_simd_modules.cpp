@@ -12,13 +12,13 @@
 #include <type_traits>
 #include <vector>
 
-#include "filter/sig_scan.h"
 #include "simd/modules.h"
 #include "simd/vec_avx2.h"
 #include "simd/vec_avx512.h"
 #include "simd/vec_avx512bw.h"
 #include "simd/vec_scalar.h"
 #include "simd/vec_sse41.h"
+#include "test_helpers.h"
 #include "util/aligned_buffer.h"
 #include "util/saturate.h"
 
@@ -462,11 +462,12 @@ AALIGN_SIMD_TEST(SimdModules, int16_t, Avx512Bw)
 AALIGN_SIMD_TEST(SimdModules, int32_t, Avx512Bw)
 #endif
 
-// The signature-scan dispatch (filter/sig_scan.h) over whole word
-// arrays: every backend must agree bit-exactly with the scalar popcount
-// sum, including word counts at and around each backend's lane boundary
-// (strides are 4/8/16 int32 words, so 4..80 covers below/at/above for
-// all of them plus the strided-sweep tail path).
+// The signature scan (the `popcount_and` primitive, simd/primitives.h)
+// over whole word arrays: every form must agree bit-exactly with the
+// scalar popcount sum, including word counts at and around each
+// backend's lane boundary (strides are 4/8/16 int32 words, so 4..80
+// covers below/at/above for all of them plus the strided-sweep tail
+// path).
 TEST(SigScan, BitExactAcrossBackendsAndWidths) {
   std::mt19937_64 rng(0x5163);
   for (const std::size_t words : {4, 8, 12, 16, 24, 32, 48, 64, 80}) {
@@ -481,12 +482,11 @@ TEST(SigScan, BitExactAcrossBackendsAndWidths) {
           std::popcount(static_cast<std::uint32_t>(a[w]) &
                         static_cast<std::uint32_t>(b[w])));
     }
-    for (IsaKind isa : kAllIsaKinds) {
-      if (!isa_available(isa)) continue;
-      const filter::SigScanFn fn = filter::sig_scan_fn(isa);
-      ASSERT_NE(fn, nullptr) << isa_name(isa);
+    for (const auto& [name, fn] :
+         test::distinct_forms(&Primitives::popcount_and)) {
+      ASSERT_NE(fn, nullptr) << name;
       EXPECT_EQ(fn(a.data(), b.data(), words), expect)
-          << isa_name(isa) << " words=" << words;
+          << name << " words=" << words;
     }
   }
 }

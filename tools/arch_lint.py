@@ -101,14 +101,13 @@ CONSUMER_DIRS = ("src", "tools", "bench", "examples")
 INTRIN_RE = re.compile(
     r"\b_mm\d*\w*\s*\(|\bimmintrin\.h|\b__m(?:64|128|256|512)[di]?\b")
 ISA_GUARD_RE = re.compile(r"\bAALIGN_HAVE_")
-# The runtime dispatchers and the registry they read: the only src/ files
-# that decide which backends exist.
+# The two runtime resolvers (core/dispatch.cpp for the kernels,
+# simd/isa.cpp for the primitives) and the kernel registry: the only src/
+# files that decide which backends exist.
 ISA_GUARD_FILES = frozenset((
     "simd/isa.cpp",
     "core/dispatch.cpp",
     "core/backends.h",
-    "filter/sig_scan.h",
-    "filter/sig_scan.cpp",
 ))
 METRIC_RE = re.compile(r'\b(?:counter|histogram|timer)\s*\(\s*"([^"]*)"')
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
@@ -677,6 +676,8 @@ SELF_TEST_FILES = {
     # backend guard outside the dispatch files; the dispatcher's own is fine.
     "src/core/guarded.cpp": "#if defined(AALIGN_HAVE_AVX2)\n#endif\n",
     "src/core/dispatch.cpp": "#if defined(AALIGN_HAVE_AVX2)\n#endif\n",
+    # the filter reaches its primitive through simd::primitives.
+    "src/filter/sig_scan.cpp": "#if defined(AALIGN_HAVE_AVX2)\n#endif\n",
     # listed in cancel-poll but polls nothing.
     "src/core/kernels.h": "inline void kernel() { /* no poll */ }\n",
     # one bad name, one undocumented name, two fine ones.
@@ -744,6 +745,7 @@ SELF_TEST_EXPECT = [
     "test-labels tests/test_threads.cpp",
     "reachability src/core/orphan.h",
     "isa-guard src/core/guarded.cpp",
+    "isa-guard src/filter/sig_scan.cpp",
 ]
 
 
