@@ -23,7 +23,6 @@
 
 #include "core/cancel.h"
 #include "core/column_engine.h"
-#include "obs/metrics.h"
 
 namespace aalign::core {
 
@@ -132,18 +131,8 @@ KernelResult run_hybrid(
   const long window = std::max(1, hp.window);
   const long stride = std::max(1, hp.stride);
 
-  // Dwell tracing (obs): columns spent in each mode between switches, and
-  // probe outcomes. References resolved once per instantiation; recording
-  // is one relaxed shard-add per mode change - nothing per column.
-  static obs::Histogram& dwell_iterate =
-      obs::registry().histogram("hybrid.dwell_iterate_cols");
-  static obs::Histogram& dwell_scan =
-      obs::registry().histogram("hybrid.dwell_scan_cols");
-  static obs::Counter& probes = obs::registry().counter("hybrid.probes");
-
   bool scan_mode = false;
   long i = 1;
-  std::uint64_t iterate_dwell = 0;  // columns since the last iterate entry
   while (i <= n) {
     // The window/stride blocks already bound work between polls below
     // kCancelStrideColumns for default parameters; clamp covers oversized
@@ -161,8 +150,6 @@ KernelResult run_hybrid(
       i += count;
       scan_mode = false;  // probe iterate next
       ++res.stats.switches;
-      dwell_scan.record(static_cast<std::uint64_t>(count));
-      probes.add();
     } else {
       const long chunk =
           cancel != nullptr ? std::min(window, kCancelStrideColumns) : window;
@@ -171,19 +158,15 @@ KernelResult run_hybrid(
           eng.run_iterate_block(i, subject.data(), count);
       res.stats.lazy_steps += lazy;
       res.stats.iterate_columns += static_cast<std::uint64_t>(count);
-      iterate_dwell += static_cast<std::uint64_t>(count);
       i += count;
       const double passes_per_col =
           static_cast<double>(lazy) / (segs * static_cast<double>(count));
       if (passes_per_col > hp.threshold) {
         scan_mode = true;
         ++res.stats.switches;
-        dwell_iterate.record(iterate_dwell);
-        iterate_dwell = 0;
       }
     }
   }
-  if (iterate_dwell > 0) dwell_iterate.record(iterate_dwell);
   res.stats.columns = n;
   harvest_lazyf_stats(eng, res);
   res.score = eng.finalize();

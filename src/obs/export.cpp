@@ -21,7 +21,6 @@ Json run_metadata_json(const RunMeta& meta) {
   run.set("tool", meta.tool);
   run.set("git_sha", build_git_sha());
   run.set("build", build_type());
-  run.set("metrics_compiled", metrics_enabled());
   const char* dispatch = simd::isa_name(simd::best_available_isa());
   run.set("isa_dispatch", dispatch);
   run.set("isa", meta.isa.empty() ? std::string(dispatch) : meta.isa);

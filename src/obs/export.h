@@ -7,8 +7,7 @@
 //
 //   {
 //     "schema": "aalign.run", "schema_version": 2,
-//     "run":      { tool, git_sha, build, metrics_compiled,
-//                   isa_dispatch, isa, threads },
+//     "run":      { tool, git_sha, build, isa_dispatch, isa, threads },
 //     "workload": { tool-specific scalars },
 //     "headline": { "name": ..., "value": ... },        (optional)
 //     "series":   { "<name>": [ {row}, ... ], ... },    (optional)

@@ -18,7 +18,7 @@
 //   filter.{candidates,survivors,auto_pass,near_miss_drops}  pre-filter
 //                                                screening outcomes
 //
-// Histograms/timers (hybrid dwell, per-phase wall clocks) are recorded at
+// Histograms/timers (per-phase wall clocks, tile times) are recorded at
 // their call sites; this header only centralizes the struct -> counter
 // fan-out so the mapping cannot drift between layers.
 #pragma once
@@ -75,7 +75,7 @@ void record_inter_tier(int tier, const search::InterTierStats& stats);
 // Publishes the lock-order validator's cumulative counters (util/
 // lock_order.h) as lock.{order_edges,contention_ns,contended_locks,
 // violations} deltas into the global registry. Debug-only series: all
-// zero when the validator is disabled or compiled out. obs/ owns this
+// zero when the validator is disabled. obs/ owns this
 // bridge because the layer DAG forbids util/ -> obs/; called from
 // Registry::snapshot() so exports see current values.
 void record_lock_stats();

@@ -24,8 +24,6 @@ const HistogramSnapshot* Snapshot::histogram(std::string_view name) const {
   return nullptr;
 }
 
-#if AALIGN_METRICS
-
 int this_thread_shard() {
   static std::atomic<int> next{0};
   thread_local const int shard =
@@ -159,14 +157,5 @@ void Registry::reset() {
   for (auto& [name, h] : impl_->histograms) h->reset();
   for (auto& [name, t] : impl_->timers) t->reset();
 }
-
-#else  // !AALIGN_METRICS
-
-Registry& Registry::global() {
-  static Registry r;
-  return r;
-}
-
-#endif  // AALIGN_METRICS
 
 }  // namespace aalign::obs

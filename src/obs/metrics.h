@@ -13,29 +13,21 @@
 //
 // Registration is mutex-guarded and idempotent (same name -> same object);
 // the hot path is only relaxed atomic arithmetic on per-worker shards,
-// merged lock-free when snapshot() drains. With AALIGN_METRICS=0 (CMake
-// -DAALIGN_METRICS=OFF) every class collapses to an empty inline no-op:
-// call sites compile unchanged and the instrumentation costs nothing.
+// merged lock-free when snapshot() drains. The registry is always built
+// in: an operator reads a running process's counters without a rebuild.
 #pragma once
 
-#ifndef AALIGN_METRICS
-#define AALIGN_METRICS 1
-#endif
-
-#include <cstddef>
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#if AALIGN_METRICS
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
 #if defined(__x86_64__) || defined(_M_X64)
 #include <x86intrin.h>
-#endif
 #endif
 
 namespace aalign::obs {
@@ -78,8 +70,6 @@ struct Snapshot {
   std::uint64_t counter(std::string_view name) const;
   const HistogramSnapshot* histogram(std::string_view name) const;
 };
-
-#if AALIGN_METRICS
 
 // Maps the calling thread onto a stable shard slot. Thread ids are
 // assigned round-robin on first use, so any N <= kShards concurrent
@@ -250,73 +240,12 @@ class Registry {
   Impl* impl_;
 };
 
-#else  // !AALIGN_METRICS: every entry point is an inline no-op.
-
-inline int this_thread_shard() { return 0; }
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  void add_at(int, std::uint64_t) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-constexpr int histogram_bucket_of(std::uint64_t) noexcept { return 0; }
-constexpr std::uint64_t histogram_bucket_low(int) noexcept { return 0; }
-
-class Histogram {
- public:
-  void record(std::uint64_t) noexcept {}
-  void record_at(int, std::uint64_t) noexcept {}
-  HistogramSnapshot snapshot(std::string name) const {
-    HistogramSnapshot s;
-    s.name = std::move(name);
-    return s;
-  }
-  void reset() noexcept {}
-};
-
-class Timer {
- public:
-  void record(std::uint64_t, std::uint64_t) noexcept {}
-  TimerSnapshot snapshot(std::string name) const {
-    TimerSnapshot s;
-    s.name = std::move(name);
-    return s;
-  }
-  void reset() noexcept {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer&) noexcept {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  void stop() noexcept {}
-};
-
-class Registry {
- public:
-  static Registry& global();
-  Counter& counter(std::string_view) { return counter_; }
-  Histogram& histogram(std::string_view) { return histogram_; }
-  Timer& timer(std::string_view) { return timer_; }
-  Snapshot snapshot() const { return {}; }
-  void reset() {}
-
- private:
-  Counter counter_;
-  Histogram histogram_;
-  Timer timer_;
-};
-
-#endif  // AALIGN_METRICS
-
 // Shorthand for the global registry.
 inline Registry& registry() { return Registry::global(); }
 
-// True when the library was built with instrumentation compiled in.
-constexpr bool metrics_enabled() { return AALIGN_METRICS != 0; }
+// Always true: the registry has no compiled-out build. Kept only for its
+// one remaining caller in the benchmark ledger (bench/ledger/ledger.cpp),
+// which goes when that package next changes.
+constexpr bool metrics_enabled() { return true; }
 
 }  // namespace aalign::obs

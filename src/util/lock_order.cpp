@@ -55,8 +55,6 @@ std::string Violation::to_string() const {
   return os.str();
 }
 
-#if AALIGN_LOCK_ORDER
-
 namespace detail {
 std::atomic<bool> g_enabled{
 #ifdef NDEBUG
@@ -267,7 +265,5 @@ void reset() {
   g_violations.store(0, std::memory_order_relaxed);
   t_held.clear();
 }
-
-#endif  // AALIGN_LOCK_ORDER
 
 }  // namespace aalign::util::lock_order

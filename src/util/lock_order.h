@@ -13,10 +13,8 @@
 // same instance (self-deadlock on a non-recursive mutex) and nesting a
 // level inside itself are violations too.
 //
-// Cost model: a disabled check is one relaxed atomic load + predicted
-// branch per lock operation; when the whole feature is configured out
-// (CMake -DAALIGN_LOCK_ORDER=OFF, a global compile definition so every
-// TU agrees) the hooks are empty inline functions and vanish entirely.
+// Cost model: the validator is always compiled in; a disabled check is
+// one relaxed atomic load + predicted branch per lock operation.
 // Validation defaults ON in debug builds (!NDEBUG) and OFF in release;
 // tests turn it on explicitly with set_enabled(true).
 //
@@ -25,22 +23,12 @@
 // handler to capture the report instead.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#ifndef AALIGN_LOCK_ORDER
-#define AALIGN_LOCK_ORDER 1
-#endif
-
-#if AALIGN_LOCK_ORDER
-#include <atomic>
-#endif
-
 namespace aalign::util::lock_order {
-
-// True when the validator is compiled into this build at all.
-constexpr bool compiled_in() { return AALIGN_LOCK_ORDER != 0; }
 
 struct Violation {
   enum class Kind {
@@ -71,8 +59,6 @@ struct Stats {
   std::uint64_t contended_locks = 0; // lock() calls that had to block
   std::uint64_t violations = 0;      // violations reported
 };
-
-#if AALIGN_LOCK_ORDER
 
 namespace detail {
 // Relaxed is enough: the flag only gates bookkeeping, never publication.
@@ -105,19 +91,5 @@ Stats stats() noexcept;
 // Clears the graph, the stats, and this thread's held stack (other
 // threads' stacks drain as they unlock). Test isolation only.
 void reset();
-
-#else  // !AALIGN_LOCK_ORDER: every hook is an empty inline no-op.
-
-inline bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-inline Handler set_violation_handler(Handler) noexcept { return nullptr; }
-inline void on_acquire(const void*, const char*) {}
-inline void on_try_acquired(const void*, const char*) {}
-inline void on_release(const void*) {}
-inline void add_contention_ns(std::uint64_t) noexcept {}
-inline Stats stats() noexcept { return {}; }
-inline void reset() {}
-
-#endif  // AALIGN_LOCK_ORDER
 
 }  // namespace aalign::util::lock_order

@@ -347,10 +347,8 @@ TEST(BatchScheduler, SharedContextBuildsEachWiderTierOnce) {
     EXPECT_EQ(got[t].kernel.score, expect) << "thread " << t;
     EXPECT_EQ(got[t].width, ScoreWidth::W32) << "thread " << t;
   }
-  if (obs::metrics_enabled()) {
-    EXPECT_EQ(obs::registry().counter("profile.lazy_builds").value(),
-              before + wider);
-  }
+  EXPECT_EQ(obs::registry().counter("profile.lazy_builds").value(),
+            before + wider);
 }
 
 // The per-subject score vector holds int32_t. The narrowing from the
@@ -557,9 +555,7 @@ TEST(BatchScheduler, ConcurrentFirstScansVerifySignaturesOnce) {
             << "thread " << t << " query " << q;
       }
     }
-    if (obs::metrics_enabled()) {
-      EXPECT_EQ(verifies.value(), before + 1);
-    }
+    EXPECT_EQ(verifies.value(), before + 1);
   }
   std::remove(path.c_str());
 }

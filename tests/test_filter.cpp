@@ -333,12 +333,11 @@ TEST(Filter, PrebuiltIndexSkipsRebuild) {
   EXPECT_TRUE(res.filtered);
   EXPECT_EQ(builds.value(), before);  // served by the prebuilt index
 
-  // Without a prebuilt index every search() builds its own. (The build
-  // counter only moves when instrumentation is compiled in.)
+  // Without a prebuilt index every search() builds its own.
   opt.filter.index = nullptr;
   const search::DatabaseSearch rebuilding(matrix, local_config(), opt);
   rebuilding.search(query, db);
-  EXPECT_EQ(builds.value(), before + (obs::metrics_enabled() ? 1 : 0));
+  EXPECT_EQ(builds.value(), before + 1);
 }
 
 // An index the caller builds before searching describes the database's

@@ -5,8 +5,7 @@
 //     stacks (the acquiring thread's and the one that established the
 //     conflicting order);
 //   - recursive/self-level misuse is detected;
-//   - disabling the validator records nothing (the Release default), and
-//     a compiled-out build (-DAALIGN_LOCK_ORDER=OFF) skips cleanly;
+//   - disabling the validator records nothing (the Release default);
 //   - the documented hierarchy in docs/concurrency.md replays clean: the
 //     machine-readable block is the contract, this test is its executor.
 #include <fstream>
@@ -41,9 +40,6 @@ void capture_handler(const lock_order::Violation& v) {
 class LockOrderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!lock_order::compiled_in()) {
-      GTEST_SKIP() << "validator compiled out (AALIGN_LOCK_ORDER=0)";
-    }
     captured().clear();
     lock_order::reset();
     lock_order::set_enabled(true);
@@ -51,7 +47,6 @@ class LockOrderTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    if (!lock_order::compiled_in()) return;
     lock_order::set_violation_handler(prev_handler_);
     lock_order::set_enabled(false);
     lock_order::reset();
@@ -254,24 +249,6 @@ TEST_F(LockOrderTest, DocumentedHierarchyReplaysClean) {
     MutexLock outer(*mus[0]);
   }
   EXPECT_EQ(captured().size(), 1u);
-}
-
-TEST(LockOrderCompileOut, StubsAreCallable) {
-  // In a -DAALIGN_LOCK_ORDER=OFF build the hooks are empty inline stubs;
-  // this asserts they stay callable and cost-free to reach. (In a normal
-  // build it just exercises the disabled-by-default Release path.)
-  if (lock_order::compiled_in()) {
-    GTEST_SKIP() << "validator compiled in; stub surface not in effect";
-  }
-  EXPECT_FALSE(lock_order::enabled());
-  lock_order::set_enabled(true);  // must stay a no-op
-  EXPECT_FALSE(lock_order::enabled());
-  int dummy = 0;
-  lock_order::on_acquire(&dummy, "stub");
-  lock_order::on_release(&dummy);
-  const auto s = lock_order::stats();
-  EXPECT_EQ(s.order_edges, 0u);
-  EXPECT_EQ(s.violations, 0u);
 }
 
 TEST(LockOrderMutex, NamesAreExposed) {

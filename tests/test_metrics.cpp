@@ -2,9 +2,8 @@
 // sum exactly under concurrent writers, histogram log2 bucket edges must
 // match the documented contract, scoped timers must nest safely, and the
 // run document written by every binary must round-trip through the JSON
-// parser and pass the same validator the CI perf gate relies on. The
-// whole file also compiles (and passes) with AALIGN_METRICS=0, where the
-// registry collapses to no-op stubs.
+// parser and pass the same validator the CI perf gate relies on, and a
+// search's kernel statistics must reach the registry unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,25 +38,17 @@ TEST(Counter, ConcurrentIncrementsSumExactly) {
     });
   }
   for (auto& w : workers) w.join();
-  if (obs::metrics_enabled()) {
-    EXPECT_EQ(c.value(), kThreads * kPerThread);
-  } else {
-    EXPECT_EQ(c.value(), 0u);
-  }
+  EXPECT_EQ(c.value(), kThreads * kPerThread);
 }
 
 TEST(Counter, WeightedAddsAndReset) {
   obs::Counter c;
   c.add(3);
   c.add_at(5, 7);  // explicit shard; any shard contributes to the sum
-  if (obs::metrics_enabled()) {
-    EXPECT_EQ(c.value(), 10u);
-  }
+  EXPECT_EQ(c.value(), 10u);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
 }
-
-#if AALIGN_METRICS
 
 // Bucket 0 holds {0}; bucket b >= 1 holds [2^(b-1), 2^b). The edges are
 // part of the export schema, so pin them at compile time.
@@ -120,8 +111,6 @@ TEST(Histogram, ConcurrentRecordsCountExactly) {
   EXPECT_EQ(bucket_total, s.count);
 }
 
-#endif  // AALIGN_METRICS
-
 TEST(ScopedTimer, NestedScopesEachChargeTheirFullExtent) {
   obs::Timer outer_t, inner_t;
   {
@@ -136,16 +125,11 @@ TEST(ScopedTimer, NestedScopesEachChargeTheirFullExtent) {
   }
   const obs::TimerSnapshot out = outer_t.snapshot("outer");
   const obs::TimerSnapshot in = inner_t.snapshot("inner");
-  if (obs::metrics_enabled()) {
-    EXPECT_EQ(out.count, 1u);
-    EXPECT_EQ(in.count, 1u);
-    // The outer scope strictly contains the inner one.
-    EXPECT_GE(out.total_ns, in.total_ns);
-    EXPECT_GT(in.total_ns, 0u);
-  } else {
-    EXPECT_EQ(out.count, 0u);
-    EXPECT_EQ(in.count, 0u);
-  }
+  EXPECT_EQ(out.count, 1u);
+  EXPECT_EQ(in.count, 1u);
+  // The outer scope strictly contains the inner one.
+  EXPECT_GE(out.total_ns, in.total_ns);
+  EXPECT_GT(in.total_ns, 0u);
 }
 
 TEST(ScopedTimer, StopIsIdempotent) {
@@ -156,9 +140,7 @@ TEST(ScopedTimer, StopIsIdempotent) {
     s.stop();  // second stop and the destructor must both be no-ops
   }
   const obs::TimerSnapshot snap = t.snapshot("stop");
-  if (obs::metrics_enabled()) {
-    EXPECT_EQ(snap.count, 1u);
-  }
+  EXPECT_EQ(snap.count, 1u);
 }
 
 TEST(Registry, SameNameReturnsSameObject) {
@@ -177,36 +159,13 @@ TEST(Registry, SnapshotAndResetRoundTrip) {
   r.counter("test.snap.counter").add(42);
   r.histogram("test.snap.hist").record(17);
   const obs::Snapshot snap = r.snapshot();
-  if (obs::metrics_enabled()) {
-    EXPECT_EQ(snap.counter("test.snap.counter"), 42u);
-    const obs::HistogramSnapshot* h = snap.histogram("test.snap.hist");
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->count, 1u);
-    EXPECT_EQ(h->sum, 17u);
-  } else {
-    EXPECT_EQ(snap.counter("test.snap.counter"), 0u);
-  }
+  EXPECT_EQ(snap.counter("test.snap.counter"), 42u);
+  const obs::HistogramSnapshot* h = snap.histogram("test.snap.hist");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 1u);
+  EXPECT_EQ(h->sum, 17u);
   r.reset();
   EXPECT_EQ(r.snapshot().counter("test.snap.counter"), 0u);
-}
-
-// Whichever way the library was configured, the macro, the constexpr
-// query, and the runtime behavior must agree: this is the test the
-// AALIGN_METRICS=OFF CI job leans on to prove the no-op stubs link and
-// behave.
-TEST(MetricsBuild, CompiledStateIsSelfConsistent) {
-#if AALIGN_METRICS
-  EXPECT_TRUE(obs::metrics_enabled());
-#else
-  EXPECT_FALSE(obs::metrics_enabled());
-  obs::Registry& r = obs::registry();
-  r.counter("off.counter").add(99);
-  r.histogram("off.hist").record(7);
-  const obs::Snapshot snap = r.snapshot();
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.histograms.empty());
-  EXPECT_TRUE(snap.timers.empty());
-#endif
 }
 
 TEST(Json, RoundTripPreservesStructureAndIntegers) {
@@ -239,7 +198,7 @@ TEST(Export, RunDocumentValidatesAndRoundTrips) {
   obs::Registry& r = obs::registry();
   r.reset();
   r.counter("kernel.columns").add(128);
-  r.histogram("hybrid.dwell_iterate_cols").record(64);
+  r.histogram("batch.tile_us").record(64);
   const obs::Snapshot snap = r.snapshot();
 
   obs::RunMeta meta;
@@ -275,9 +234,7 @@ TEST(Export, RunDocumentValidatesAndRoundTrips) {
   EXPECT_EQ(err, "");
   EXPECT_EQ(back.dump(-1), doc.dump(-1));
   EXPECT_EQ(obs::validate_run_document(back), "");
-  if (obs::metrics_enabled()) {
-    EXPECT_EQ(back["metrics"]["counters"]["kernel.columns"].as_int(), 128);
-  }
+  EXPECT_EQ(back["metrics"]["counters"]["kernel.columns"].as_int(), 128);
 }
 
 TEST(Export, ValidatorRejectsBrokenDocuments) {
@@ -302,6 +259,13 @@ TEST(Export, ValidatorRejectsBrokenDocuments) {
   EXPECT_NE(obs::validate_run_document(bad_headline), "");
 }
 
+AlignConfig local_affine() {
+  AlignConfig cfg;
+  cfg.kind = AlignKind::Local;
+  cfg.pen = Penalties::symmetric(10, 2);
+  return cfg;
+}
+
 // End-to-end: a real (tiny) database search must flow through the
 // instrumentation fan-out and land in the registry under the documented
 // names.
@@ -309,10 +273,6 @@ TEST(Integration, SmallSearchPopulatesKernelCounters) {
   obs::registry().reset();
 
   const auto& m = score::ScoreMatrix::blosum62();
-  AlignConfig cfg;
-  cfg.kind = AlignKind::Local;
-  cfg.pen = Penalties::symmetric(10, 2);
-
   seq::SequenceGenerator gen(7);
   const auto query =
       score::Alphabet::protein().encode(gen.protein(80).residues);
@@ -322,17 +282,46 @@ TEST(Integration, SmallSearchPopulatesKernelCounters) {
   search::SearchOptions opt;
   opt.threads = 1;
   opt.top_k = 3;
-  search::DatabaseSearch search(m, cfg, opt);
+  search::DatabaseSearch search(m, local_affine(), opt);
   const search::SearchResult res = search.search(query, db);
   ASSERT_EQ(res.scores.size(), db.size());
 
   const obs::Snapshot snap = obs::registry().snapshot();
-  if (obs::metrics_enabled()) {
-    EXPECT_GT(snap.counter("kernel.columns"), 0u);
-    EXPECT_GT(snap.counter("search.align_calls"), 0u);
-  } else {
-    EXPECT_EQ(snap.counter("kernel.columns"), 0u);
-  }
+  EXPECT_GT(snap.counter("kernel.columns"), 0u);
+  EXPECT_GT(snap.counter("search.align_calls"), 0u);
+}
+
+// The hybrid's mode changes (Sec. V-B) and its column mix reach the
+// registry only through the search result's KernelStats: after a reset,
+// the registry's counters equal the result's fields exactly.
+TEST(Integration, HybridCountersReachTheRegistry) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  seq::SequenceGenerator gen(11);
+  const auto query =
+      score::Alphabet::protein().encode(gen.protein(120).residues);
+  seq::Database db(score::Alphabet::protein(),
+                   gen.protein_database(16, 150.0, 0.5, 60, 300));
+
+  search::SearchOptions opt;
+  opt.threads = 1;
+  opt.top_k = 3;
+  // Aggressive hybrid parameters so the switching machinery triggers
+  // inside short sequences (as in test_kernels).
+  opt.query.hybrid.window = 2;
+  opt.query.hybrid.stride = 4;
+  opt.query.hybrid.threshold = 0.05;
+  search::DatabaseSearch search(m, local_affine(), opt);
+
+  obs::registry().reset();
+  const search::SearchResult res = search.search(query, db);
+  ASSERT_EQ(res.scores.size(), db.size());
+  ASSERT_GT(res.stats.switches, 0u);
+
+  const obs::Snapshot snap = obs::registry().snapshot();
+  EXPECT_EQ(snap.counter("hybrid.switches"), res.stats.switches);
+  EXPECT_EQ(snap.counter("kernel.scan_columns"), res.stats.scan_columns);
+  EXPECT_EQ(snap.counter("kernel.iterate_columns"),
+            res.stats.iterate_columns);
 }
 
 }  // namespace

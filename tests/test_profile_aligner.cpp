@@ -797,19 +797,15 @@ TEST(QueryContext, WiderTiersBuildOnFirstPromotion) {
     const core::AdaptiveResult u = ctx.align(unrelated, ws);
     EXPECT_EQ(u.kernel.score, expect_unrelated) << what;
     EXPECT_EQ(u.promotions, 0) << what;
-    if (obs::metrics_enabled()) {
-      EXPECT_EQ(lazy_builds(), before) << what;
-    }
+    EXPECT_EQ(lazy_builds(), before) << what;
 
     for (int pass = 0; pass < 2; ++pass) {
       const core::AdaptiveResult r = ctx.align(close, ws);
       EXPECT_EQ(r.kernel.score, expect_close) << what << " pass " << pass;
       EXPECT_EQ(r.promotions, wider) << what << " pass " << pass;
       EXPECT_EQ(r.width, ScoreWidth::W32) << what << " pass " << pass;
-      if (obs::metrics_enabled()) {
-        EXPECT_EQ(lazy_builds(), before + static_cast<std::uint64_t>(wider))
-            << what << " pass " << pass;
-      }
+      EXPECT_EQ(lazy_builds(), before + static_cast<std::uint64_t>(wider))
+          << what << " pass " << pass;
     }
   }
 }

@@ -587,9 +587,7 @@ TEST(Service, DeadlineExpiredNeverReturnsPartialScores) {
   EXPECT_FALSE(resp.ok);
   EXPECT_EQ(resp.error, ErrorCode::DeadlineExceeded) << resp.message;
   EXPECT_TRUE(resp.results.empty());
-  if (obs::metrics_enabled()) {
-    EXPECT_GT(counter("service.deadline_exceeded"), before);
-  }
+  EXPECT_GT(counter("service.deadline_exceeded"), before);
 
   WireRequest calm;
   calm.id = 2;
@@ -602,7 +600,6 @@ TEST(Service, DeadlineExpiredNeverReturnsPartialScores) {
 // alignment (service.cancelled) instead of computing a response nobody
 // will read.
 TEST(Service, DisconnectCancelsInFlightRequest) {
-  if (!obs::metrics_enabled()) GTEST_SKIP() << "needs service counters";
   const auto& m = score::ScoreMatrix::blosum62();
   service::AlignService svc(m, local_cfg(), make_db(111, 1500, 300.0),
                             service_opt());
@@ -670,7 +667,7 @@ TEST(Service, ShedsUnderOverload) {
   EXPECT_TRUE(resp3.error == ErrorCode::Overloaded ||
               resp3.error == ErrorCode::DeadlineExceeded)
       << service::error_code_name(resp3.error);
-  if (obs::metrics_enabled() && resp3.error == ErrorCode::Overloaded) {
+  if (resp3.error == ErrorCode::Overloaded) {
     EXPECT_GT(counter("service.shed"), shed_before);
   }
 

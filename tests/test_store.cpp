@@ -274,7 +274,6 @@ TEST(Store, MmapSearchBitIdenticalToFastaPath) {
 }
 
 TEST(Store, PrebuiltIndexCountsReuseNotBuild) {
-  if (!obs::metrics_enabled()) GTEST_SKIP() << "metrics compiled out";
   const score::ScoreMatrix& matrix = score::ScoreMatrix::blosum62();
   const auto seqs = make_workload(16, 50, 3);
   const seq::Database db = protein_db(seqs);
@@ -458,9 +457,7 @@ TEST_F(StoreCorruption, NewerFormatVersionRejected) {
   obs::Counter& rejects = obs::registry().counter("store.version_rejects");
   const std::uint64_t before = rejects.value();
   EXPECT_EQ(open_expecting_error(m), store::StoreErrc::BadVersion);
-  if (obs::metrics_enabled()) {
-    EXPECT_EQ(rejects.value(), before + 1);
-  }
+  EXPECT_EQ(rejects.value(), before + 1);
 }
 
 // The stored order is the order the signatures were built in, so
@@ -682,9 +679,7 @@ void StoreCorruption::expect_rejected_at_first_scan(
   const filter::SignatureIndex other =
       sigs->window(half, sigs->size() - half, 0);
   EXPECT_EQ(scan_error(other), store::StoreErrc::SectionChecksum);
-  if (obs::metrics_enabled()) {
-    EXPECT_EQ(verifies.value(), before + 1);
-  }
+  EXPECT_EQ(verifies.value(), before + 1);
 }
 
 // A Directory open defers the signature sections' checksums to the first
