@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -110,17 +111,26 @@ bool ServiceClient::send_raw(std::string line) {
   return true;
 }
 
+std::optional<WireResponse> ServiceClient::take_line() {
+  const std::size_t nl = buffer_.find('\n');
+  if (nl == std::string::npos) return std::nullopt;
+  const std::string line = buffer_.substr(0, nl);
+  buffer_.erase(0, nl + 1);
+  std::string err;
+  return parse_response(obs::Json::parse(line, &err));
+}
+
+bool ServiceClient::idle() const {
+  if (fd_ < 0 || !buffer_.empty()) return false;
+  char probe = 0;
+  const ssize_t n = ::recv(fd_, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
+  return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+}
+
 WireResponse ServiceClient::read_response() {
   char chunk[65536];
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      const std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      std::string err;
-      const obs::Json doc = obs::Json::parse(line, &err);
-      return parse_response(doc);
-    }
+    if (std::optional<WireResponse> r = take_line()) return std::move(*r);
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n == 0) {
       return error_response(0, ErrorCode::Internal,
@@ -136,50 +146,18 @@ WireResponse ServiceClient::read_response() {
   }
 }
 
-WireResponse ServiceClient::read_response_until(
-    std::chrono::steady_clock::time_point deadline,
-    const core::CancelToken* cancel) {
+std::optional<WireResponse> ServiceClient::read_available() {
   char chunk[65536];
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      const std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      std::string err;
-      const obs::Json doc = obs::Json::parse(line, &err);
-      return parse_response(doc);
-    }
-    if (cancel != nullptr && cancel->stop_requested()) {
-      const auto code = cancel->stop_reason() == core::StopReason::Cancelled
-                            ? ErrorCode::Cancelled
-                            : ErrorCode::DeadlineExceeded;
-      return error_response(0, code, "request stopped awaiting response");
-    }
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      return error_response(0, ErrorCode::DeadlineExceeded,
-                            "response timed out");
-    }
-    // Short poll slices keep the cancel token responsive even when the
-    // deadline is far away.
-    const int wait_ms = static_cast<int>(std::min<std::int64_t>(
-        left.count(), cancel != nullptr ? 10 : 100));
-    pollfd pfd{fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, wait_ms);
-    if (rc < 0 && errno != EINTR) {
-      return error_response(0, ErrorCode::Internal,
-                            std::string("poll failed: ") +
-                                std::strerror(errno));
-    }
-    if (rc <= 0) continue;
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (std::optional<WireResponse> r = take_line()) return r;
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT);
     if (n == 0) {
       return error_response(0, ErrorCode::Internal,
                             "connection closed by server");
     }
     if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
       return error_response(0, ErrorCode::Internal,
                             std::string("recv failed: ") +
                                 std::strerror(errno));

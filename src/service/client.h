@@ -4,11 +4,10 @@
 // code path a real client would take.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 
-#include "core/cancel.h"
 #include "service/protocol.h"
 
 namespace aalign::service {
@@ -45,21 +44,25 @@ class ServiceClient {
   // Blocks for the next response line (pairs with send_only/send_raw).
   WireResponse read_response();
 
-  // Bounded wait for the next response line: polls the socket until a
-  // full line arrives, `deadline` passes (DeadlineExceeded), or `cancel`
-  // fires (Cancelled / DeadlineExceeded by its stop reason). On either
-  // early return the connection still has a response in flight, so the
-  // caller must close() before reusing it - the in-order pairing of the
-  // wire protocol would otherwise desynchronize.
-  WireResponse read_response_until(std::chrono::steady_clock::time_point deadline,
-                                   const core::CancelToken* cancel = nullptr);
+  // Reads what the socket holds without blocking: the next response (or
+  // an Internal error when the transport failed) once a whole line is in,
+  // else nullopt with any partial line kept for the next call.
+  std::optional<WireResponse> read_available();
 
   // Hard-closes the connection (idempotent; the destructor calls it).
   void close();
 
   bool connected() const { return fd_ >= 0; }
+  int fd() const { return fd_; }  // for polling several clients at once
+
+  // True when the connection can carry a new request: open, nothing
+  // unread (buffered or on the socket) and the peer has not hung up.
+  bool idle() const;
 
  private:
+  // The next buffered response line, parsed; nullopt when none is whole.
+  std::optional<WireResponse> take_line();
+
   int fd_ = -1;
   std::string buffer_;  // bytes read past the last newline
 };

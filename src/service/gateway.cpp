@@ -3,13 +3,12 @@
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
+#include <poll.h>
+
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <deque>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -20,6 +19,10 @@ namespace aalign::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// How long the gather waits on the shards before it polls the client
+// probe and the shutdown flag again.
+constexpr std::chrono::milliseconds kSlice{10};
 
 std::uint64_t us_between(Clock::time_point a, Clock::time_point b) {
   const auto us =
@@ -35,223 +38,176 @@ bool hit_before(const WireHit& a, const WireHit& b) {
   return a.score != b.score ? a.score > b.score : a.index < b.index;
 }
 
+WireResponse stopped_response(std::int64_t id, const core::CancelToken& tok) {
+  return error_response(id,
+                        tok.stop_reason() == core::StopReason::Cancelled
+                            ? ErrorCode::Cancelled
+                            : ErrorCode::DeadlineExceeded,
+                        "request stopped");
+}
+
+// Merges the per-shard responses (ok=false => that shard contributed
+// nothing) into the client's answer.
+WireResponse merge(const WireRequest& req,
+                   const std::vector<WireResponse>& responses) {
+  WireResponse out;
+  out.id = req.id;
+  std::size_t ok_shards = 0;
+  bool any_deadline = false;
+  bool all_cancelled = true;
+  for (const WireResponse& r : responses) {
+    // A shard with nothing to search is a complete answer of zero hits,
+    // not a partial result.
+    if (r.ok || r.error == ErrorCode::EmptyDatabase) {
+      ++ok_shards;
+      out.filtered = out.filtered || r.filtered;
+      // A nested gateway's partial answer keeps the marking.
+      out.incomplete = out.incomplete || r.incomplete;
+      out.queue_ms = std::max(out.queue_ms, r.queue_ms);
+      out.exec_ms = std::max(out.exec_ms, r.exec_ms);
+    } else {
+      any_deadline = any_deadline || r.error == ErrorCode::DeadlineExceeded;
+      if (r.error != ErrorCode::Cancelled) all_cancelled = false;
+    }
+  }
+
+  if (ok_shards == 0) {
+    // Nothing survived: a structured error, never an empty "success".
+    const ErrorCode code = all_cancelled         ? ErrorCode::Cancelled
+                           : any_deadline        ? ErrorCode::DeadlineExceeded
+                                                 : ErrorCode::Internal;
+    return error_response(
+        req.id, code,
+        "all " + std::to_string(responses.size()) + " shards failed");
+  }
+
+  out.ok = true;
+  out.incomplete = out.incomplete || ok_shards < responses.size();
+  out.results.resize(req.queries.size());
+  for (std::size_t q = 0; q < out.results.size(); ++q) {
+    std::vector<WireHit>& merged = out.results[q].hits;
+    for (const WireResponse& r : responses) {
+      if (!r.ok || q >= r.results.size()) continue;
+      merged.insert(merged.end(), r.results[q].hits.begin(),
+                    r.results[q].hits.end());
+    }
+    // Each shard list is already ranked under the global order, so the
+    // concatenation's top-k is the exact global top-k.
+    const std::size_t k = std::min(req.top_k, merged.size());
+    std::partial_sort(merged.begin(), merged.begin() + static_cast<long>(k),
+                      merged.end(), hit_before);
+    merged.resize(k);
+  }
+  return out;
+}
+
 }  // namespace
 
-// Shared state of one scattered request: every ShardClient records its
-// outcome here; the last one to finish performs the merge and completes
-// the client-facing handle.
-struct Gateway::Scatter {
-  std::shared_ptr<PendingRequest> pending;
-  Clock::time_point shard_deadline;  // absolute bound on each shard call
-  std::int64_t shard_deadline_ms = 0;  // relative budget sent on the wire
-  Mutex mu{"service.gateway.scatter"};
-  // Per shard; ok=false => no hits. The acq_rel fetch_sub on `remaining`
-  // already publishes every slot to the merging thread; the lock makes
-  // the guard checkable and costs nothing (the merge runs uncontended).
-  std::vector<WireResponse> responses AALIGN_GUARDED_BY(mu);
-  std::atomic<std::size_t> remaining{0};
-};
-
-// One backend: a worker thread owning the persistent connection.
-// Requests are serialized per backend (the wire protocol pairs responses
-// to requests by order); reconnects are lazy with bounded exponential
-// backoff.
-class Gateway::ShardClient {
- public:
-  ShardClient(std::size_t index, const std::string& endpoint,
-              const GatewayOptions& opt)
-      : index_(index), opt_(opt), backoff_ms_(opt.backoff_min_ms) {
+// One backend: its address, its metric series (resolved once, so the
+// backend lock is a leaf), the connections no scatter is using, and the
+// reconnect backoff.
+struct Gateway::Backend {
+  Backend(std::size_t index, const std::string& endpoint,
+          const GatewayOptions& gopt)
+      : name(endpoint),
+        latency(obs::registry().histogram(std::string("gateway.shard.")
+                                              .append(std::to_string(index))
+                                              .append(".latency_us"))),
+        reconnects(obs::registry().counter("gateway.reconnects")),
+        opt(gopt),
+        backoff_ms(gopt.backoff_min_ms) {
     const std::size_t colon = endpoint.rfind(':');
-    unsigned long port = 0;
+    unsigned long p = 0;
     if (colon != std::string::npos) {
-      host_ = endpoint.substr(0, colon);
+      host = endpoint.substr(0, colon);
       try {
-        port = std::stoul(endpoint.substr(colon + 1));
+        p = std::stoul(endpoint.substr(colon + 1));
       } catch (const std::exception&) {
-        port = 0;
+        p = 0;
       }
     }
-    if (host_.empty() || port == 0 || port > 65535) {
+    if (host.empty() || p == 0 || p > 65535) {
       throw std::invalid_argument("Gateway: bad backend endpoint '" +
                                   endpoint + "' (want host:port)");
     }
-    port_ = static_cast<std::uint16_t>(port);
-    thread_ = std::thread([this] { worker(); });
+    port = static_cast<std::uint16_t>(p);
   }
 
-  ~ShardClient() { stop(); }
+  // An idle connection whose peer is still there, or null. A dead one
+  // is dropped on the way.
+  std::unique_ptr<ServiceClient> take_idle() {
+    MutexLock lock(mu);
+    while (!idle.empty()) {
+      std::unique_ptr<ServiceClient> c = std::move(idle.back());
+      idle.pop_back();
+      if (c->idle()) return c;
+      dropped = true;
+    }
+    return nullptr;
+  }
 
-  void enqueue(std::shared_ptr<Scatter> s) {
-    bool draining = false;
+  // Ends a leg's use of `c`: pooled after a clean reply (unless the
+  // gateway is shut down), closed otherwise.
+  void release(std::unique_ptr<ServiceClient> c, bool clean) {
+    MutexLock lock(mu);
+    if (!clean) {
+      dropped = true;
+    } else if (!closed) {
+      idle.push_back(std::move(c));
+    }
+  }
+
+  void close_idle() {
+    MutexLock lock(mu);
+    closed = true;
+    idle.clear();
+  }
+
+  // A new connection, bounded by the connect timeout and `deadline`;
+  // null on failure, and at once while the backoff window that a failed
+  // connect opened is still open.
+  std::unique_ptr<ServiceClient> connect(Clock::time_point deadline) {
+    const auto now = Clock::now();
     {
-      MutexLock lock(mu_);
-      if (closed_) {
-        draining = true;
-      } else {
-        queue_.push_back(s);
-      }
+      MutexLock lock(mu);
+      if (now < next_attempt) return nullptr;
     }
-    if (draining) {
-      // Raced a shutdown: fail this shard's leg so the scatter still
-      // completes. Outside mu_: record() takes the scatter lock and may
-      // run the whole merge, neither of which belongs under the queue
-      // lock (shard_queue is ordered before scatter in the hierarchy,
-      // but the merge also completes the pending latch).
-      record(*s, error_response(s->pending->req.id,
-                                ErrorCode::ServerShutdown,
-                                "gateway is draining"));
-      return;
-    }
-    cv_.notify_one();
-  }
-
-  // Drain-then-exit: queued scatters are still executed, then the worker
-  // exits and the connection closes.
-  void stop() {
-    {
-      MutexLock lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-    // Join strictly outside mu_: the draining worker must still take the
-    // lock to pop its remaining jobs, so joining under it would deadlock
-    // the drain. (The previous revision joined under mu_ on the repeated-
-    // stop path - exactly the bug the lock discipline exists to prevent.)
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  void worker() {
-    for (;;) {
-      std::shared_ptr<Scatter> job;
-      {
-        MutexLock lock(mu_);
-        while (!closed_ && queue_.empty()) cv_.wait(lock);
-        if (queue_.empty()) return;  // closed_ and drained
-        job = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      WireResponse r = run_one(*job);
-      if (!r.ok && r.error == ErrorCode::DeadlineExceeded) {
-        obs::registry().counter("gateway.shard_timeouts").add();
-      }
-      record(*job, std::move(r));
-    }
-  }
-
-  void record(Scatter& s, WireResponse r) {
-    {
-      MutexLock lock(s.mu);
-      s.responses[index_] = std::move(r);
-    }
-    if (s.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      Gateway::merge_and_complete(s);
-    }
-  }
-
-  // Executes one shard leg. Any non-ok return means this shard
-  // contributed nothing (the merge marks the response incomplete); the
-  // connection is dropped on every failure, both to propagate
-  // cancellation to the backend (its disconnect detection fires the
-  // backend-side CancelToken) and because an abandoned in-flight response
-  // would desynchronize the in-order wire pairing.
-  WireResponse run_one(Scatter& s) {
-    const std::int64_t id = s.pending->req.id;
-    core::CancelToken& tok = s.pending->cancel;
-    if (tok.stop_requested()) {
-      conn_.reset();
-      return error_response(
-          id,
-          tok.stop_reason() == core::StopReason::Cancelled
-              ? ErrorCode::Cancelled
-              : ErrorCode::DeadlineExceeded,
-          "request stopped before scatter");
-    }
-    const auto t0 = Clock::now();
-    if (!conn_.has_value() && !connect(s, id)) {
-      return error_response(id, ErrorCode::Internal,
-                            "backend " + host_ + ":" + std::to_string(port_) +
-                                " unreachable");
-    }
-    WireRequest shard_req = s.pending->req;
-    shard_req.deadline_ms = s.shard_deadline_ms;
-    if (!conn_->send_only(shard_req)) {
-      conn_.reset();
-      return error_response(id, ErrorCode::Internal, "backend send failed");
-    }
-    WireResponse r = conn_->read_response_until(s.shard_deadline, &tok);
-    // Runtime-assembled per-shard series (the `gateway.shard.*` wildcard
-    // row in docs/observability.md).
-    const std::string latency_metric =
-        "gateway.shard." + std::to_string(index_) + ".latency_us";
-    obs::registry().histogram(latency_metric).record(
-        us_between(t0, Clock::now()));
-    if (!r.ok) {
-      conn_.reset();
-      if (r.error == ErrorCode::EmptyDatabase) {
-        // A shard with nothing to search is a complete answer of zero
-        // hits, not a partial result.
-        WireResponse empty;
-        empty.id = id;
-        empty.ok = true;
-        empty.results.resize(s.pending->req.queries.size());
-        return empty;
-      }
-      r.id = id;
-      return r;
-    }
-    return r;
-  }
-
-  // Establishes the persistent connection, bounded by both the connect
-  // timeout and this scatter's deadline, and respecting the backoff
-  // window from earlier failures.
-  bool connect(Scatter& s, std::int64_t id) {
-    (void)id;
-    // Sleep out the backoff window in short slices so a cancel or the
-    // shard deadline still cuts the wait short.
-    while (Clock::now() < next_attempt_) {
-      if (tok_stopped(s) || Clock::now() >= s.shard_deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          s.shard_deadline - Clock::now())
-                          .count();
-    if (left <= 0) return false;
-    const std::int64_t budget =
-        std::max<std::int64_t>(1, std::min(opt_.connect_timeout_ms, left));
+    const auto left =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
+            .count();
+    if (left <= 0) return nullptr;
+    std::unique_ptr<ServiceClient> c;
     try {
-      conn_.emplace(host_, port_, budget);
+      c = std::make_unique<ServiceClient>(
+          host, port,
+          std::max<std::int64_t>(1, std::min(opt.connect_timeout_ms, left)));
     } catch (const std::exception&) {
-      next_attempt_ = Clock::now() + std::chrono::milliseconds(backoff_ms_);
-      backoff_ms_ = std::min(backoff_ms_ * 2, opt_.backoff_max_ms);
-      return false;
+      MutexLock lock(mu);
+      next_attempt = Clock::now() + std::chrono::milliseconds(backoff_ms);
+      backoff_ms = std::min(backoff_ms * 2, opt.backoff_max_ms);
+      return nullptr;
     }
-    backoff_ms_ = opt_.backoff_min_ms;
-    next_attempt_ = Clock::time_point{};
-    if (connected_once_) obs::registry().counter("gateway.reconnects").add();
-    connected_once_ = true;
-    return true;
+    MutexLock lock(mu);
+    backoff_ms = opt.backoff_min_ms;
+    if (std::exchange(dropped, false)) reconnects.add();
+    return c;
   }
 
-  static bool tok_stopped(Scatter& s) {
-    return s.pending->cancel.stop_requested();
-  }
+  const std::string name;  // "host:port", for messages
+  std::string host;
+  std::uint16_t port = 0;
+  obs::Histogram& latency;
+  obs::Counter& reconnects;
+  const GatewayOptions& opt;
 
-  std::size_t index_;
-  const GatewayOptions& opt_;
-  std::string host_;
-  std::uint16_t port_ = 0;
-  std::optional<ServiceClient> conn_;
-  std::int64_t backoff_ms_;
-  Clock::time_point next_attempt_{};
-  bool connected_once_ = false;
-
-  Mutex mu_{"service.gateway.shard_queue"};
-  CondVar cv_;
-  std::deque<std::shared_ptr<Scatter>> queue_ AALIGN_GUARDED_BY(mu_);
-  bool closed_ AALIGN_GUARDED_BY(mu_) = false;
-  std::thread thread_;
+  Mutex mu{"service.gateway.backend"};
+  std::vector<std::unique_ptr<ServiceClient>> idle AALIGN_GUARDED_BY(mu);
+  bool closed AALIGN_GUARDED_BY(mu) = false;
+  // A connection was dropped since the last connect, so the next one is
+  // a reconnect.
+  bool dropped AALIGN_GUARDED_BY(mu) = false;
+  std::int64_t backoff_ms AALIGN_GUARDED_BY(mu);
+  Clock::time_point next_attempt AALIGN_GUARDED_BY(mu);
 };
 
 Gateway::Gateway(GatewayOptions opt) : opt_(std::move(opt)) {
@@ -261,23 +217,23 @@ Gateway::Gateway(GatewayOptions opt) : opt_(std::move(opt)) {
   opt_.merge_budget_ms = std::max<std::int64_t>(0, opt_.merge_budget_ms);
   opt_.backoff_min_ms = std::max<std::int64_t>(1, opt_.backoff_min_ms);
   opt_.backoff_max_ms = std::max(opt_.backoff_min_ms, opt_.backoff_max_ms);
-  shards_.reserve(opt_.backends.size());
+  backends_.reserve(opt_.backends.size());
   for (std::size_t i = 0; i < opt_.backends.size(); ++i) {
-    shards_.push_back(
-        std::make_unique<ShardClient>(i, opt_.backends[i], opt_));
+    backends_.push_back(std::make_unique<Backend>(i, opt_.backends[i], opt_));
   }
 }
 
 Gateway::~Gateway() { shutdown(); }
 
 void Gateway::shutdown() {
-  if (joined_.exchange(true, std::memory_order_acq_rel)) return;
-  for (auto& s : shards_) s->stop();
+  closed_.store(true, std::memory_order_release);
+  for (auto& b : backends_) b->close_idle();
 }
 
-std::size_t Gateway::backend_count() const { return shards_.size(); }
+std::size_t Gateway::backend_count() const { return backends_.size(); }
 
-std::shared_ptr<PendingRequest> Gateway::submit(WireRequest req) {
+std::shared_ptr<PendingRequest> Gateway::submit(
+    WireRequest req, const DisconnectProbe& client_gone) {
   std::shared_ptr<PendingRequest> p = make_pending(std::move(req));
   const WireRequest& r = p->req;
 
@@ -304,98 +260,129 @@ std::shared_ptr<PendingRequest> Gateway::submit(WireRequest req) {
   }
   if (!err.empty()) {
     p->complete(error_response(r.id, ErrorCode::InvalidRequest, err));
-    return p;
-  }
-  if (joined_.load(std::memory_order_acquire)) {
+  } else if (closed_.load(std::memory_order_acquire)) {
     p->complete(error_response(r.id, ErrorCode::ServerShutdown,
                                "gateway is draining"));
-    return p;
-  }
-
-  auto s = std::make_shared<Scatter>();
-  s->pending = p;
-  if (r.deadline_ms > 0) {
-    s->shard_deadline_ms =
-        std::max<std::int64_t>(1, r.deadline_ms - opt_.merge_budget_ms);
-    s->shard_deadline =
-        p->arrival + std::chrono::milliseconds(s->shard_deadline_ms);
   } else {
-    s->shard_deadline_ms = 0;  // the shards see no deadline...
-    s->shard_deadline =        // ...but the gateway still bounds the wait
-        p->arrival + std::chrono::milliseconds(opt_.no_deadline_wait_ms);
+    p->complete(scatter(*p, client_gone));
   }
-  s->responses.resize(shards_.size());
-  s->remaining.store(shards_.size(), std::memory_order_release);
-  for (auto& shard : shards_) shard->enqueue(s);
   return p;
 }
 
-void Gateway::merge_and_complete(Scatter& s) {
-  // Last finisher: no other thread touches this scatter any more, but
-  // the responses are formally guarded, so hold the lock for the read
-  // (uncontended by construction). pending->complete() is called under
-  // it - scatter orders before service.pending in the hierarchy.
-  MutexLock lock(s.mu);
+WireResponse Gateway::scatter(PendingRequest& p,
+                              const DisconnectProbe& client_gone) {
+  const WireRequest& req = p.req;
+  core::CancelToken& tok = p.cancel;
+  WireRequest shard_req = req;
+  Clock::time_point shard_deadline;
+  if (req.deadline_ms > 0) {
+    shard_req.deadline_ms =
+        std::max<std::int64_t>(1, req.deadline_ms - opt_.merge_budget_ms);
+    shard_deadline = p.arrival + std::chrono::milliseconds(shard_req.deadline_ms);
+  } else {
+    shard_req.deadline_ms = 0;  // the shards see no deadline...
+    shard_deadline =            // ...but the gateway still bounds the wait
+        p.arrival + std::chrono::milliseconds(opt_.no_deadline_wait_ms);
+  }
+  const std::string line = request_json(shard_req).dump();
+
+  // A vanished client or a shutdown fires the token; the open legs are
+  // then abandoned, and closing their connections makes the backends
+  // cancel too.
+  const auto stopped = [&] {
+    if (closed_.load(std::memory_order_acquire) ||
+        (client_gone && client_gone())) {
+      tok.cancel();
+    }
+    return tok.stop_requested();
+  };
+
+  // A leg is open while it holds its connection. It goes back to the
+  // pool after a clean reply and is closed on every failure.
+  std::vector<std::unique_ptr<ServiceClient>> conns(backends_.size());
+  std::vector<Clock::time_point> start(backends_.size());
+  std::vector<WireResponse> responses(backends_.size());
+  const auto finish = [&](std::size_t i, WireResponse r) {
+    if (conns[i]) backends_[i]->release(std::move(conns[i]), r.ok);
+    if (!r.ok && r.error == ErrorCode::DeadlineExceeded) {
+      obs::registry().counter("gateway.shard_timeouts").add();
+    }
+    responses[i] = std::move(r);
+  };
+
+  // Pooled connections first, so the connects after them overlap those
+  // shards' work. A pooled connection that fails the send is replaced.
+  for (std::size_t i = 0; i < conns.size() && !tok.stop_requested(); ++i) {
+    start[i] = Clock::now();
+    conns[i] = backends_[i]->take_idle();
+    if (conns[i] && !conns[i]->send_raw(line)) {
+      backends_[i]->release(std::move(conns[i]), false);
+    }
+  }
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    if (conns[i]) continue;
+    start[i] = Clock::now();
+    if (stopped()) {
+      finish(i, stopped_response(req.id, tok));
+      continue;
+    }
+    conns[i] = backends_[i]->connect(shard_deadline);
+    if (!conns[i]) {
+      finish(i, error_response(req.id, ErrorCode::Internal,
+                               "backend " + backends_[i]->name +
+                                   " unreachable"));
+    } else if (!conns[i]->send_raw(line)) {
+      finish(i, error_response(req.id, ErrorCode::Internal,
+                               "backend send failed"));
+    }
+  }
+
+  // Gather: a reply is read as soon as it arrives, whichever shard sends
+  // it, so each backend's latency is its own.
+  std::vector<pollfd> fds;
+  std::vector<std::size_t> open;
+  for (;;) {
+    fds.clear();
+    open.clear();
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      if (!conns[i]) continue;
+      fds.push_back({conns[i]->fd(), POLLIN, 0});
+      open.push_back(i);
+    }
+    if (open.empty()) break;
+    const auto now = Clock::now();
+    if (stopped() || now >= shard_deadline) {
+      for (const std::size_t i : open) {
+        finish(i, tok.stop_requested()
+                      ? stopped_response(req.id, tok)
+                      : error_response(req.id, ErrorCode::DeadlineExceeded,
+                                       "shard response timed out"));
+      }
+      break;
+    }
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        std::min<Clock::duration>(kSlice, shard_deadline - now));
+    ::poll(fds.data(), fds.size(), static_cast<int>(wait.count()));
+    for (std::size_t k = 0; k < fds.size(); ++k) {
+      if (fds[k].revents == 0) continue;
+      const std::size_t i = open[k];
+      if (std::optional<WireResponse> r = conns[i]->read_available()) {
+        backends_[i]->latency.record(us_between(start[i], Clock::now()));
+        finish(i, std::move(*r));
+      }
+    }
+  }
+
   obs::Registry& reg = obs::registry();
   const auto merge_start = Clock::now();
-  reg.histogram("gateway.scatter_us")
-      .record(us_between(s.pending->arrival, merge_start));
-
-  const WireRequest& req = s.pending->req;
-  const std::size_t nq = req.queries.size();
-
-  WireResponse out;
-  out.id = req.id;
-  std::size_t ok_shards = 0;
-  bool any_deadline = false;
-  bool all_cancelled = true;
-  for (const WireResponse& r : s.responses) {
-    if (r.ok) {
-      ++ok_shards;
-      out.filtered = out.filtered || r.filtered;
-      // A nested gateway's partial answer keeps the marking.
-      out.incomplete = out.incomplete || r.incomplete;
-      out.queue_ms = std::max(out.queue_ms, r.queue_ms);
-      out.exec_ms = std::max(out.exec_ms, r.exec_ms);
-    } else {
-      any_deadline = any_deadline || r.error == ErrorCode::DeadlineExceeded;
-      if (r.error != ErrorCode::Cancelled) all_cancelled = false;
-    }
+  reg.histogram("gateway.scatter_us").record(us_between(p.arrival, merge_start));
+  WireResponse out = merge(req, responses);
+  if (out.ok) {
+    if (out.incomplete) reg.counter("gateway.partial_responses").add();
+    reg.histogram("gateway.merge_us")
+        .record(us_between(merge_start, Clock::now()));
   }
-
-  if (ok_shards == 0) {
-    // Nothing survived: a structured error, never an empty "success".
-    const ErrorCode code = all_cancelled         ? ErrorCode::Cancelled
-                           : any_deadline        ? ErrorCode::DeadlineExceeded
-                                                 : ErrorCode::Internal;
-    s.pending->complete(error_response(
-        req.id, code,
-        "all " + std::to_string(s.responses.size()) + " shards failed"));
-    return;
-  }
-
-  out.ok = true;
-  out.incomplete = out.incomplete || ok_shards < s.responses.size();
-  out.results.resize(nq);
-  for (std::size_t q = 0; q < nq; ++q) {
-    std::vector<WireHit>& merged = out.results[q].hits;
-    for (const WireResponse& r : s.responses) {
-      if (!r.ok || q >= r.results.size()) continue;
-      merged.insert(merged.end(), r.results[q].hits.begin(),
-                    r.results[q].hits.end());
-    }
-    // Each shard list is already ranked under the global order, so the
-    // concatenation's top-k is the exact global top-k.
-    const std::size_t k = std::min(req.top_k, merged.size());
-    std::partial_sort(merged.begin(), merged.begin() + static_cast<long>(k),
-                      merged.end(), hit_before);
-    merged.resize(k);
-  }
-
-  if (out.incomplete) reg.counter("gateway.partial_responses").add();
-  reg.histogram("gateway.merge_us")
-      .record(us_between(merge_start, Clock::now()));
-  s.pending->complete(std::move(out));
+  return out;
 }
 
 }  // namespace aalign::service

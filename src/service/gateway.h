@@ -18,11 +18,12 @@
 //     disconnect) closes the shard connections, which the backends'
 //     disconnect-detection turns into their own cancellation.
 //
-// Each backend is owned by one ShardClient: a worker thread with a
-// persistent ServiceClient connection, re-established lazily with bounded
-// exponential backoff. Requests to one backend are serialized (the wire
-// protocol pairs responses to requests by order); concurrency comes from
-// the fan-out across backends.
+// Each request is scattered, gathered and merged on the thread that calls
+// submit() (pooled connections are sent to first, then any connects).
+// Each backend pools the connections of earlier requests: one goes back
+// only after a clean reply and is dropped on every failure, so a backend
+// has as many requests in flight as the gateway has callers, and each
+// connection keeps the wire's in-order pairing.
 //
 // The merge works on wire results only - this layer deliberately includes
 // nothing from search/ (arch_lint's no-include invariant), so the gateway
@@ -53,12 +54,13 @@ struct GatewayOptions {
   // fast; see ServiceClient).
   std::int64_t connect_timeout_ms = 1000;
 
-  // Reconnect backoff after a failed connect: doubles from min to max.
+  // After a failed connect, the backend's legs fail at once for this
+  // backoff window, which doubles from min to max.
   std::int64_t backoff_min_ms = 50;
   std::int64_t backoff_max_ms = 2000;
 
   // Bound on awaiting a shard response when the request itself carries no
-  // deadline (a wedged shard must not pin a gateway worker forever).
+  // deadline (a wedged shard must not pin a calling thread forever).
   std::int64_t no_deadline_wait_ms = 60000;
 
   // Request validation limits (mirrors ServiceOptions; violations are
@@ -75,28 +77,30 @@ class Gateway : public RequestHandler {
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  // Scatters to every backend; completes the handle once every shard
-  // responded, failed, or timed out. Same no-throw contract as
+  // Scatters to every backend and merges on the calling thread; returns
+  // once every shard responded, failed, or timed out, with the handle
+  // already complete. Polls `client_gone` between 10 ms waits and fires
+  // the request's token when it reports true. Same no-throw contract as
   // AlignService::submit.
-  std::shared_ptr<PendingRequest> submit(WireRequest req) override;
+  std::shared_ptr<PendingRequest> submit(
+      WireRequest req, const DisconnectProbe& client_gone = {}) override;
 
-  // Stops the shard workers: queued scatters complete as server_shutdown,
-  // in-flight shard calls are abandoned (their connections close).
+  // Rejects new requests (server_shutdown), closes the idle connections,
+  // and makes in-flight scatters abandon their open legs as if the client
+  // had gone. Does not wait for them: stop the TcpServer in front first.
   // Idempotent; the destructor calls it.
   void shutdown();
 
   std::size_t backend_count() const;
 
  private:
-  class ShardClient;
-  struct Scatter;
+  struct Backend;
 
-  // Runs on whichever ShardClient worker records the final leg.
-  static void merge_and_complete(Scatter& s);
+  WireResponse scatter(PendingRequest& p, const DisconnectProbe& client_gone);
 
   GatewayOptions opt_;
-  std::vector<std::unique_ptr<ShardClient>> shards_;
-  std::atomic<bool> joined_{false};
+  std::vector<std::unique_ptr<Backend>> backends_;
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace aalign::service

@@ -7,12 +7,17 @@
 // and disconnect-cancellation code.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "service/protocol.h"
 #include "service/request_queue.h"
 
 namespace aalign::service {
+
+// True once the client that sent a request has gone. TcpServer passes
+// its socket probe; in-process callers pass none.
+using DisconnectProbe = std::function<bool()>;
 
 class RequestHandler {
  public:
@@ -23,8 +28,11 @@ class RequestHandler {
   // already completed with the structured error; nothing throws across
   // this boundary. The caller may fire handle->cancel to abandon the
   // request (client disconnect); the implementation then completes it as
-  // `cancelled`.
-  virtual std::shared_ptr<PendingRequest> submit(WireRequest req) = 0;
+  // `cancelled`. An implementation that answers before returning (the
+  // Gateway) polls `client_gone` while it waits and cancels the request
+  // itself; one that returns at once (AlignService) ignores it.
+  virtual std::shared_ptr<PendingRequest> submit(
+      WireRequest req, const DisconnectProbe& client_gone = {}) = 0;
 };
 
 }  // namespace aalign::service

@@ -46,9 +46,8 @@ struct PendingRequest {
   bool wait_for(std::chrono::milliseconds timeout);
 
  private:
-  // service.pending is near the bottom of the hierarchy: completion paths
-  // take it while holding scatter/queue locks, and it guards only the
-  // latch (never another lock underneath).
+  // service.pending is near the bottom of the hierarchy: it guards only
+  // the latch and never takes another lock underneath.
   mutable Mutex mu_{"service.pending"};
   CondVar cv_;
   bool done_ AALIGN_GUARDED_BY(mu_) = false;

@@ -115,7 +115,8 @@ std::string AlignService::validate(const WireRequest& req,
   return "";
 }
 
-std::shared_ptr<PendingRequest> AlignService::submit(WireRequest req) {
+std::shared_ptr<PendingRequest> AlignService::submit(
+    WireRequest req, const DisconnectProbe& /*client_gone*/) {
   obs::Registry& reg = obs::registry();
   std::shared_ptr<PendingRequest> p = make_pending(std::move(req));
 

@@ -72,7 +72,9 @@ class AlignService : public RequestHandler {
   // completed with the structured error; nothing throws across this
   // boundary. The caller may fire handle->cancel to abandon the request
   // (client disconnect); the executor then completes it as `cancelled`.
-  std::shared_ptr<PendingRequest> submit(WireRequest req) override;
+  // `client_gone` is unused: TcpServer polls it while it waits.
+  std::shared_ptr<PendingRequest> submit(
+      WireRequest req, const DisconnectProbe& client_gone = {}) override;
 
   // Synchronous convenience: submit + wait.
   WireResponse execute(WireRequest req);
@@ -87,7 +89,6 @@ class AlignService : public RequestHandler {
 
  private:
   void executor_loop(int executor_id);
-  void run_request(int executor_id, PendingRequest& p);
   // "" when valid, else the message for the InvalidRequest-family error
   // (code through *code).
   std::string validate(const WireRequest& req, ErrorCode* code) const;

@@ -208,19 +208,23 @@ void TcpServer::serve_connection(int fd) {
       break;
     }
 
-    std::shared_ptr<PendingRequest> pending = service_.submit(std::move(req));
     // Wait for completion while watching the socket: a vanished client
     // fires the token so the executors stop burning cores on a response
-    // nobody will read.
-    bool client_gone = false;
-    while (!pending->wait_for(std::chrono::milliseconds(10))) {
-      if (buffer.empty() && peer_disconnected(fd)) {
-        pending->cancel.cancel();
-        client_gone = true;
-        break;
-      }
+    // nobody will read. (The Gateway answers inside submit() and polls
+    // the probe itself.)
+    const DisconnectProbe client_gone = [&] {
+      return buffer.empty() && peer_disconnected(fd);
+    };
+    std::shared_ptr<PendingRequest> pending =
+        service_.submit(std::move(req), client_gone);
+    bool gone = false;
+    while (!gone && !pending->wait_for(std::chrono::milliseconds(10))) {
+      gone = client_gone();
     }
-    if (client_gone) break;
+    if (gone) {
+      pending->cancel.cancel();
+      break;
+    }
     if (!send_response(fd, pending->wait())) break;
   }
   ::close(fd);

@@ -8,7 +8,9 @@
 //     waits on the PendingRequest while POLLING ITS SOCKET - a peer that
 //     disconnects mid-request fires the request's CancelToken, so an
 //     abandoned alignment stops consuming cores within one kernel
-//     stride-chunk per worker (the response is then dropped);
+//     stride-chunk per worker (the response is then dropped). The same
+//     probe is passed into submit(), so a handler that answers before it
+//     returns (the Gateway) cancels on its own;
 //   * malformed lines are answered with a structured invalid_request
 //     error - a bad client never tears down the server;
 //   * request_stop() (the SIGTERM path) closes the listener and lets

@@ -5,22 +5,29 @@
 // straddling shard boundaries), partition-invariance of the signature
 // pre-filter over mapped shard slices, the partial-result contract when a
 // shard dies mid-query (structured incomplete, never silent partials),
-// profile-LUT attach bit-identity, and the bounded client connect the
-// gateway's failure detection relies on.
+// profile-LUT attach bit-identity, the bounded client connect the
+// gateway's failure detection relies on, and the scatter on the caller's
+// thread: no thread at construction, several legs in flight per backend,
+// a client disconnect reaching the backend, and a shard killed with legs
+// in flight, then restarted.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "score/matrices.h"
 #include "search/database_search.h"
@@ -128,6 +135,72 @@ InProcessFleet make_fleet(const score::ScoreMatrix& m, AlignConfig cfg,
   }
   fleet.gateway = std::make_unique<service::Gateway>(gopt);
   return fleet;
+}
+
+// A raw loopback listener standing in for a shard backend.
+struct StubListener {
+  int fd = -1;
+  std::uint16_t port = 0;
+
+  explicit StubListener(std::uint16_t want = 0) {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in sa{};
+    sa.sin_family = AF_INET;
+    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    sa.sin_port = htons(want);
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
+        ::listen(fd, 16) != 0) {
+      close();
+      return;
+    }
+    socklen_t slen = sizeof(sa);
+    ::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &slen);
+    port = ntohs(sa.sin_port);
+  }
+  ~StubListener() { close(); }
+
+  // shutdown() wakes a thread blocked in accept(); close() alone does not.
+  void close() {
+    if (fd < 0) return;
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
+    fd = -1;
+  }
+};
+
+// One request line from a backend connection ("" on EOF).
+std::string read_line(int fd) {
+  std::string line;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1) {
+    if (c == '\n') return line;
+    line += c;
+  }
+  return "";
+}
+
+// Answers a request line as a shard with no hits would.
+void answer(int fd, const std::string& line) {
+  WireRequest req;
+  service::parse_request(obs::Json::parse(line), req);
+  WireResponse resp;
+  resp.id = req.id;
+  resp.ok = true;
+  resp.results.resize(req.queries.size());
+  const std::string out = service::response_json(resp).dump() + "\n";
+  ASSERT_EQ(::write(fd, out.data(), out.size()),
+            static_cast<ssize_t>(out.size()));
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)e;
+    ++n;
+  }
+  return n;
 }
 
 }  // namespace
@@ -485,4 +558,243 @@ TEST(Gateway, ClientConnectIsBounded) {
 
   for (int fd : fillers) ::close(fd);
   ::close(lfd);
+}
+
+// The scatter runs on the caller's thread, so a gateway owns no thread.
+TEST(Gateway, ConstructionStartsNoThread) {
+  service::GatewayOptions gopt;
+  gopt.backends = {"127.0.0.1:9", "127.0.0.1:10"};
+  const std::size_t before = thread_count();
+  service::Gateway gw(gopt);
+  EXPECT_EQ(thread_count(), before);
+  EXPECT_EQ(gw.backend_count(), 2u);
+}
+
+// The disconnect contract end to end: a client that vanishes mid-request
+// closes the gateway's leg to the backend long before the request's own
+// deadline, so the backend can cancel its work.
+TEST(Gateway, ClientDisconnectClosesTheShardLeg) {
+  StubListener stub;
+  ASSERT_GE(stub.fd, 0);
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> got_request{false};
+  std::atomic<Clock::rep> eof_at{0};
+  std::thread backend([&] {
+    const int c = ::accept(stub.fd, nullptr, nullptr);
+    if (c < 0) return;
+    if (!read_line(c).empty()) got_request = true;
+    char b = 0;
+    while (::read(c, &b, 1) > 0) {
+    }
+    eof_at = Clock::now().time_since_epoch().count();
+    ::close(c);
+  });
+
+  service::GatewayOptions gopt;
+  gopt.backends = {"127.0.0.1:" + std::to_string(stub.port)};
+  service::Gateway gw(gopt);
+  service::TcpServer front(gw);
+  front.start();
+
+  service::ServiceClient client("127.0.0.1", front.port());
+  WireRequest req;
+  req.id = 3;
+  req.queries = {"MKVAWWDDAEAG"};
+  req.deadline_ms = 30000;
+  ASSERT_TRUE(client.send_only(req));
+  for (int i = 0; i < 5000 && !got_request; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(got_request) << "the request never reached the backend";
+  const Clock::time_point closed = Clock::now();
+  client.close();
+  backend.join();
+  const Clock::time_point eof{Clock::duration(eof_at.load())};
+  EXPECT_LT(eof - closed, 1s)
+      << "the backend saw EOF only after "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(eof - closed)
+             .count()
+      << " ms";
+  front.request_stop();
+  front.join();
+}
+
+// A backend carries as many legs as the gateway has concurrent requests:
+// the stub answers neither request until it holds both, so both must be
+// in flight on it at once.
+TEST(Gateway, SeveralLegsInFlightPerBackend) {
+  StubListener stub;
+  ASSERT_GE(stub.fd, 0);
+  std::vector<int> conns;
+  std::thread backend([&] {
+    std::vector<std::string> lines;
+    while (lines.size() < 2) {
+      const int c = ::accept(stub.fd, nullptr, nullptr);
+      if (c < 0) return;  // listener closed: test over
+      conns.push_back(c);
+      lines.push_back(read_line(c));
+    }
+    for (std::size_t i = 0; i < lines.size(); ++i) answer(conns[i], lines[i]);
+  });
+
+  service::GatewayOptions gopt;
+  gopt.backends = {"127.0.0.1:" + std::to_string(stub.port)};
+  service::Gateway gw(gopt);
+  constexpr std::int64_t kDeadlineMs = 4000;
+  std::vector<WireResponse> got(2);
+  std::vector<std::chrono::milliseconds> took(2);
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < 2; ++i) {
+    callers.emplace_back([&, i] {
+      WireRequest req;
+      req.id = static_cast<std::int64_t>(i) + 1;
+      req.queries = {"MKVAWWDDAEAG"};
+      req.deadline_ms = kDeadlineMs;
+      const auto t0 = std::chrono::steady_clock::now();
+      got[i] = gw.submit(req)->wait();
+      took[i] = std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - t0);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(got[i].ok) << "request " << i << ": " << got[i].message;
+    EXPECT_FALSE(got[i].incomplete) << "request " << i;
+    EXPECT_LT(took[i].count(), kDeadlineMs / 4) << "request " << i;
+  }
+  gw.shutdown();
+  stub.close();
+  backend.join();
+  for (int c : conns) ::close(c);
+}
+
+// A shard killed with several legs in flight: every request comes back
+// incomplete with the live shard's exact hits, none outlives its
+// deadline, and once the shard is back on its port the next request is
+// complete over a new connection.
+TEST(Gateway, ShardKilledWithLegsInFlightThenRestarted) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  const AlignConfig cfg = local_cfg();
+  const auto seqs = make_workload(251, 120);
+  const auto queries = make_queries(252, 2, 90);
+  const std::size_t half = seqs.size() / 2;
+  auto shard = [&](std::size_t first, std::size_t end) {
+    seq::Database db(
+        m.alphabet(),
+        std::vector<seq::Sequence>(seqs.begin() + static_cast<long>(first),
+                                   seqs.begin() + static_cast<long>(end)));
+    service::ServiceOptions sopt = service_opt();
+    sopt.global_index_map.resize(end - first);
+    std::iota(sopt.global_index_map.begin(), sopt.global_index_map.end(),
+              first);
+    return std::make_unique<service::AlignService>(m, cfg, std::move(db),
+                                                   sopt);
+  };
+  const auto live = shard(0, half);
+  service::TcpServer live_srv(*live);
+  live_srv.start();
+
+  // The shard to kill holds every request it reads, unanswered.
+  auto doomed = std::make_unique<StubListener>();
+  ASSERT_GE(doomed->fd, 0);
+  const std::uint16_t doomed_port = doomed->port;
+  std::mutex held_mu;
+  std::vector<int> held;
+  std::thread holder([&, lfd = doomed->fd] {
+    for (;;) {
+      const int c = ::accept(lfd, nullptr, nullptr);
+      if (c < 0) return;  // listener closed: killed
+      read_line(c);
+      const std::lock_guard<std::mutex> lock(held_mu);
+      held.push_back(c);
+    }
+  });
+  auto held_count = [&] {
+    const std::lock_guard<std::mutex> lock(held_mu);
+    return held.size();
+  };
+
+  service::GatewayOptions gopt;
+  gopt.backends = {"127.0.0.1:" + std::to_string(live_srv.port()),
+                   "127.0.0.1:" + std::to_string(doomed_port)};
+  gopt.connect_timeout_ms = 500;
+  service::Gateway gw(gopt);
+
+  WireRequest req;
+  req.queries = queries;
+  req.top_k = 5;
+  req.deadline_ms = 10000;
+  const WireResponse live_resp = live->execute(req);
+  ASSERT_TRUE(live_resp.ok) << live_resp.message;
+
+  constexpr std::size_t kInFlight = 3;
+  const std::uint64_t reconnects_before = counter("gateway.reconnects");
+  std::vector<WireResponse> got(kInFlight);
+  std::vector<std::chrono::milliseconds> took(kInFlight);
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < kInFlight; ++i) {
+    callers.emplace_back([&, i] {
+      WireRequest r = req;
+      r.id = static_cast<std::int64_t>(i) + 1;
+      const auto t0 = std::chrono::steady_clock::now();
+      got[i] = gw.submit(r)->wait();
+      took[i] = std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - t0);
+    });
+  }
+  for (int i = 0; i < 5000 && held_count() < kInFlight; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(held_count(), kInFlight) << "legs in flight on the shard";
+
+  // Kill: the listener and every held connection go at once.
+  doomed->close();
+  holder.join();
+  for (int c : held) ::close(c);
+  for (std::thread& t : callers) t.join();
+  for (std::size_t i = 0; i < kInFlight; ++i) {
+    ASSERT_TRUE(got[i].ok) << "request " << i << ": " << got[i].message;
+    EXPECT_TRUE(got[i].incomplete) << "request " << i;
+    EXPECT_LT(took[i].count(), req.deadline_ms) << "request " << i;
+    ASSERT_EQ(got[i].results.size(), queries.size());
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      const auto& hits = got[i].results[qi].hits;
+      const auto& want = live_resp.results[qi].hits;
+      ASSERT_EQ(hits.size(), want.size()) << "request " << i;
+      for (std::size_t h = 0; h < hits.size(); ++h) {
+        EXPECT_EQ(hits[h].index, want[h].index);
+        EXPECT_EQ(hits[h].score, want[h].score);
+      }
+    }
+  }
+
+  // Restart on the same port: the next request is whole again.
+  const auto restarted = shard(half, seqs.size());
+  service::TcpServerOptions topt;
+  topt.port = doomed_port;
+  service::TcpServer restarted_srv(*restarted, topt);
+  restarted_srv.start();
+  service::AlignService single(m, cfg, seq::Database(m.alphabet(), seqs),
+                               service_opt());
+  const WireResponse want = single.execute(req);
+  ASSERT_TRUE(want.ok) << want.message;
+  const WireResponse resp = gw.submit(req)->wait();
+  ASSERT_TRUE(resp.ok) << resp.message;
+  EXPECT_FALSE(resp.incomplete);
+  ASSERT_EQ(resp.results.size(), want.results.size());
+  for (std::size_t qi = 0; qi < want.results.size(); ++qi) {
+    const auto& hits = resp.results[qi].hits;
+    ASSERT_EQ(hits.size(), want.results[qi].hits.size());
+    for (std::size_t h = 0; h < hits.size(); ++h) {
+      EXPECT_EQ(hits[h].index, want.results[qi].hits[h].index);
+      EXPECT_EQ(hits[h].score, want.results[qi].hits[h].score);
+    }
+  }
+  EXPECT_GT(counter("gateway.reconnects"), reconnects_before);
+
+  gw.shutdown();
+  restarted_srv.request_stop();
+  restarted_srv.join();
+  live_srv.request_stop();
+  live_srv.join();
 }

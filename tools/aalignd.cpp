@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
     wait_for_signal();
     server.request_stop();
     server.join();   // connections finish their in-flight request
-    gw.shutdown();   // shard workers drain whatever is still queued
+    gw.shutdown();   // closes the idle backend connections
     if (!metrics_json.empty()) {
       obs::Json workload = obs::Json::object();
       workload.set("backends", gw.backend_count());

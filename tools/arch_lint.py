@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Architecture linter for the aalign repo (CI: the lint job).
 
-Eleven checks. The first ten read the working tree, the first eight
+Twelve checks. The first eleven read the working tree, the first eight
 driven by the machine-readable blocks in docs/architecture.md ("Checked
-invariants") so the documentation and the linter cannot drift apart; the
-eleventh reads a compiled build:
+invariants") and the eleventh by the lock hierarchy in
+docs/concurrency.md, so the documentation and the linter cannot drift
+apart; the twelfth reads a compiled build:
 
   1. layer-dag    - #include "x/..." edges between src/ layers must follow
                     the DAG declared in the <!-- arch-lint:layer-dag -->
@@ -52,7 +53,12 @@ eleventh reads a compiled build:
                     may appear only in the dispatch files listed in
                     ISA_GUARD_FILES; everything else reaches a backend
                     through its dispatcher.
- 11. reach        - (only with --reach BUILD_DIR) every strong (nm 'T')
+ 11. lock-levels  - the set of hierarchy levels named by Mutex literals
+                    under src/ (Mutex mu{"level"}) must equal the set in
+                    the <!-- lock-order:hierarchy --> block of
+                    docs/concurrency.md, which test_lock_order replays: a
+                    level added in code or deleted from it shows up here.
+ 12. reach        - (only with --reach BUILD_DIR) every strong (nm 'T')
                     symbol of BUILD_DIR/src/libaalign.a, and every weak
                     one in namespace aalign, must be defined by some
                     executable under BUILD_DIR/{tools,bench,examples}.
@@ -92,6 +98,8 @@ from lint_common import REPO as DEFAULT_REPO
 
 ARCH_DOC = os.path.join("docs", "architecture.md")
 OBS_DOC = os.path.join("docs", "observability.md")
+CONCURRENCY_DOC = os.path.join("docs", "concurrency.md")
+LOCK_HIERARCHY_MARKER = "<!-- lock-order:hierarchy"
 
 # Captures "layer/file.h"; the layer is the part before the first '/'.
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([A-Za-z0-9_]+/[^"]+)"',
@@ -118,6 +126,7 @@ RAW_SYNC_RE = re.compile(
     r"shared_timed_mutex|timed_mutex|mutex|condition_variable_any|"
     r"condition_variable)\b")
 MUTEX_MEMBER_RE = re.compile(r"\bMutex\s+\w+\s*[{;(=]")
+MUTEX_LEVEL_RE = re.compile(r'\bMutex\s+\w+\s*\{\s*"([^"]+)"\s*\}')
 GUARD_ANNOTATION_TOKENS = ("AALIGN_GUARDED_BY", "AALIGN_REQUIRES")
 TEST_THREAD_RE = re.compile(r"\bstd::(?:thread|jthread|async)\b")
 AALIGN_TEST_RE = re.compile(r"\baalign_test\(\s*(\w+)([^)]*)\)")
@@ -201,6 +210,21 @@ def parse_no_include(block_lines, doc):
         rules.setdefault(rel, set()).update(
             l.strip() for l in layers.split(",") if l.strip())
     return rules
+
+
+def parse_lock_hierarchy(text, doc):
+    """Levels of the <!-- lock-order:hierarchy ... --> comment block, one
+    per line ('#' lines are comments), as test_lock_order reads them."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    if LOCK_HIERARCHY_MARKER not in lines:
+        raise ValueError(f"{doc}: marker {LOCK_HIERARCHY_MARKER} not found")
+    levels = []
+    for line in lines[lines.index(LOCK_HIERARCHY_MARKER) + 1:]:
+        if line == "-->":
+            return levels
+        if line and not line.startswith("#"):
+            levels.append(line)
+    raise ValueError(f"{doc}: unterminated {LOCK_HIERARCHY_MARKER} block")
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +440,29 @@ def check_mutex_guard(repo):
     return findings
 
 
+def check_lock_levels(repo, levels):
+    """Mutex level literals under src/ == the documented hierarchy levels."""
+    in_code = {}
+    for layer, name, path in iter_src_files(repo):
+        for m in MUTEX_LEVEL_RE.finditer(read(path)):
+            in_code.setdefault(m.group(1), f"src/{layer}/{name}")
+    findings = []
+    for level in sorted(set(in_code) - set(levels)):
+        findings.append((
+            f"lock-levels undocumented {level}",
+            f"{in_code[level]}: Mutex level '{level}' is missing from the "
+            f"lock-order:hierarchy block of {CONCURRENCY_DOC} - add it "
+            f"where it nests",
+        ))
+    for level in sorted(set(levels) - set(in_code)):
+        findings.append((
+            f"lock-levels stale {level}",
+            f"{CONCURRENCY_DOC}: hierarchy level '{level}' names no Mutex "
+            f"under src/ - delete it from the block and the level table",
+        ))
+    return findings
+
+
 def check_test_labels(repo):
     """Thread-spawning tests must carry a stress label (the TSan job's -L)."""
     findings = []
@@ -588,6 +635,8 @@ def collect_findings(repo):
                            ARCH_DOC), ARCH_DOC)
     poll_files = parse_marked_block(
         arch_text, "<!-- arch-lint:cancel-poll -->", ARCH_DOC)
+    lock_levels = parse_lock_hierarchy(
+        read(os.path.join(repo, CONCURRENCY_DOC)), CONCURRENCY_DOC)
 
     findings = []
     findings += check_layer_dag(repo, dag)
@@ -597,6 +646,7 @@ def collect_findings(repo):
     findings += check_metrics(repo, read(os.path.join(repo, OBS_DOC)))
     findings += check_raw_sync(repo)
     findings += check_mutex_guard(repo)
+    findings += check_lock_levels(repo, lock_levels)
     findings += check_test_labels(repo)
     findings += check_reachability(repo)
     findings += check_isa_guards(repo)
@@ -668,6 +718,16 @@ core/kernels.h
 SELF_TEST_OBS = ("documented: `documented.name`, `phase.*`, and "
                  "`filter.{candidates,survivors}`\n")
 
+# Documents the level of src/search/pool_lock.h and a level no Mutex has
+# any more; src/service/unannotated.h's level is left out.
+SELF_TEST_CONCURRENCY = """# mini concurrency
+<!-- lock-order:hierarchy
+search.pool
+# a comment line
+svc.gone
+-->
+"""
+
 SELF_TEST_FILES = {
     # reverse edge: core may not include search.
     "src/core/bad_include.h": '#include "search/pool.h"\n',
@@ -707,6 +767,11 @@ SELF_TEST_FILES = {
     "src/service/unannotated.h": (
         '#include "util/mutex.h"\n'
         "struct Latch { aalign::Mutex mu_{\"svc.latch\"}; int state_ = 0; };\n"),
+    # a documented lock level (the hierarchy block lists search.pool).
+    "src/search/pool_lock.h": (
+        '#include "util/mutex.h"\n'
+        "struct Pool { aalign::Mutex mu{\"search.pool\"}; "
+        "int n AALIGN_GUARDED_BY(mu) = 0; };\n"),
     # raw std::mutex inside util/ is sanctioned (the wrapper layer itself).
     "src/util/wrap.h": "#include <mutex>\nstruct W { std::mutex raw_; };\n",
     # test-labels: test_threads spawns a thread but is registered plain
@@ -726,7 +791,8 @@ SELF_TEST_FILES = {
     "tools/cli.cpp": "".join(
         f'#include "{h}"\n' for h in (
             "core/bad_include.h", "core/kernels.h", "filter/bad_up.h",
-            "filter/sig.h", "search/pool.h", "search/raw_mu.h",
+            "filter/sig.h", "search/pool.h", "search/pool_lock.h",
+            "search/raw_mu.h",
             "service/unannotated.h", "util/buf.h", "util/wrap.h")),
 }
 
@@ -742,6 +808,8 @@ SELF_TEST_EXPECT = [
     "metric filter.undocumented_stat",
     "raw-sync src/search/raw_mu.h",
     "mutex-guard src/service/unannotated.h",
+    "lock-levels undocumented svc.latch",
+    "lock-levels stale svc.gone",
     "test-labels tests/test_threads.cpp",
     "reachability src/core/orphan.h",
     "isa-guard src/core/guarded.cpp",
@@ -830,6 +898,9 @@ def self_test():
             f.write(SELF_TEST_ARCH)
         with open(os.path.join(tmp, OBS_DOC), "w", encoding="utf-8") as f:
             f.write(SELF_TEST_OBS)
+        with open(os.path.join(tmp, CONCURRENCY_DOC), "w",
+                  encoding="utf-8") as f:
+            f.write(SELF_TEST_CONCURRENCY)
 
         keys = {k for k, _ in collect_findings(tmp)}
 
